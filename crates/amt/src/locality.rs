@@ -98,7 +98,7 @@ impl DeliverSlab {
 pub struct Locality {
     /// This locality's id (== its netsim node id).
     pub id: usize,
-    /// The shared cost model.
+    /// The cost model this locality charges.
     pub cost: Rc<CostModel>,
     cfg: WorkerConfig,
     sched: RefCell<SchedState>,
@@ -759,7 +759,7 @@ mod tests {
         let totals = tr.totals_by_label();
         assert_eq!(totals[0].0, "task");
         assert!(totals[0].1 >= 2_000);
-        assert!(tr.to_chrome_json().contains("loc0/core"));
+        assert!(tr.spans().iter().any(|s| s.track.starts_with("loc0/core")));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Runtime assembly: a set of localities sharing an action registry.
+//! Runtime assembly: the localities of one SPMD world.
 
 use std::rc::Rc;
 
@@ -41,32 +41,12 @@ impl RuntimeConfig {
 pub struct Runtime {
     /// The localities, indexed by id.
     pub localities: Vec<Rc<Locality>>,
-    /// The shared cost model.
-    pub cost: Rc<CostModel>,
 }
 
 impl Runtime {
-    /// Build localities; every locality gets a clone of `registry`.
-    pub fn new(cfg: &RuntimeConfig, cost: Rc<CostModel>, registry: ActionRegistry) -> Runtime {
-        let localities = (0..cfg.localities)
-            .map(|id| {
-                Locality::new(
-                    id,
-                    cost.clone(),
-                    cfg.workers.clone(),
-                    registry.clone(),
-                    cfg.layer.clone(),
-                )
-            })
-            .collect();
-        Runtime { localities, cost }
-    }
-
-    /// Build exactly one locality of an SPMD world — the federated
-    /// construction path, where each engine lane owns only its own rank.
-    /// Identical per-locality recipe to [`Runtime::new`]: the same
-    /// `rank` with the same `cfg`/`registry` yields a locality
-    /// indistinguishable from `Runtime::new(..).locality(rank)`.
+    /// Build locality `rank` of a `cfg.localities`-locality SPMD world,
+    /// with `cfg`'s worker pool and parcel layer. World builders assemble
+    /// a [`Runtime`] from one call per rank.
     pub fn single_locality(
         rank: usize,
         cfg: &RuntimeConfig,
@@ -100,10 +80,18 @@ impl Runtime {
 mod tests {
     use super::*;
 
+    fn two_nodes(cores: usize, dedicated_progress: bool) -> Runtime {
+        let cfg = RuntimeConfig::two_nodes(cores, dedicated_progress);
+        let cost = Rc::new(CostModel::default());
+        let localities = (0..cfg.localities)
+            .map(|rank| Runtime::single_locality(rank, &cfg, cost.clone(), ActionRegistry::new()))
+            .collect();
+        Runtime { localities }
+    }
+
     #[test]
     fn builds_requested_topology() {
-        let cfg = RuntimeConfig::two_nodes(4, true);
-        let rt = Runtime::new(&cfg, Rc::new(CostModel::default()), ActionRegistry::new());
+        let rt = two_nodes(4, true);
         assert_eq!(rt.localities.len(), 2);
         assert_eq!(rt.locality(0).worker_config().cores, 4);
         assert!(rt.locality(1).worker_config().dedicated_progress);
@@ -112,8 +100,7 @@ mod tests {
 
     #[test]
     fn start_and_quiesce() {
-        let cfg = RuntimeConfig::two_nodes(2, false);
-        let rt = Runtime::new(&cfg, Rc::new(CostModel::default()), ActionRegistry::new());
+        let rt = two_nodes(2, false);
         let mut sim = Sim::new(0);
         rt.start(&mut sim);
         sim.run();

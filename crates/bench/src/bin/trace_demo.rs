@@ -59,7 +59,8 @@ fn main() {
             }
         }
     }
-    std::fs::write(out, merged.to_chrome_json()).expect("write trace");
+    let json = telemetry::chrome::chrome_trace(merged.spans(), &[], &telemetry::Metrics::new());
+    std::fs::write(out, json).expect("write trace");
     println!("{config}: {n} messages in {}; {} spans -> {out}", world.sim.now(), merged.len());
     println!("virtual time by activity:");
     for (label, ns) in merged.totals_by_label() {

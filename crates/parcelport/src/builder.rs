@@ -140,15 +140,31 @@ impl Drop for World {
 /// ready for work.
 pub fn build_world(cfg: &WorldConfig, registry: ActionRegistry) -> World {
     let mut sim = Sim::new(cfg.seed);
-    let cost = Rc::new(cfg.cost.clone().unwrap_or_else(CostModel::default_model));
-    let fabric = Rc::new(RefCell::new(Fabric::with_contexts(
-        cfg.localities,
-        cfg.wire.clone(),
-        cfg.lci_devices.max(1),
-    )));
-    fabric.borrow_mut().install_topology(&cfg.topology);
+    let fabric = build_fabric(cfg);
+    let localities = (0..cfg.localities)
+        .map(|rank| build_locality(cfg, rank, &fabric, registry.clone()))
+        .collect();
+    let runtime = Runtime { localities };
+    runtime.start(&mut sim);
+    // With telemetry active, give every locality a span tracer so the
+    // Chrome export gets one track per core; `World::drop` harvests them.
+    if telemetry::enabled() {
+        for loc in &runtime.localities {
+            loc.set_tracer(Tracer::new());
+        }
+    }
+    World { sim, fabric, runtime, config: cfg.clone() }
+}
+
+/// The interconnect of `cfg`: wire model, contexts, topology and faults.
+/// [`build_world`] builds one for all localities, the federated world
+/// ([`crate::build_sharded_world`]) one replica per lane.
+pub(crate) fn build_fabric(cfg: &WorldConfig) -> Rc<RefCell<Fabric>> {
+    let mut fabric =
+        Fabric::with_contexts(cfg.localities, cfg.wire.clone(), cfg.lci_devices.max(1));
+    fabric.install_topology(&cfg.topology);
     if let Some(f) = &cfg.faults {
-        fabric.borrow_mut().set_faults(f.clone());
+        fabric.set_faults(f.clone());
     }
     // The fabric's minimum first-hop latency is the conservative lookahead
     // the sharded engine relies on: a locality may only be reached from
@@ -160,17 +176,29 @@ pub fn build_world(cfg: &WorldConfig, registry: ActionRegistry) -> World {
     // invariant asserted here at construction so a fabric change can
     // never silently reintroduce the zero-lookahead footgun.
     assert!(
-        fabric.borrow().min_lookahead() > 0,
+        fabric.min_lookahead() > 0,
         "wire model '{}' over '{}' topology advertises zero conservative lookahead; \
          Fabric::min_lookahead must floor it at 1 ns",
         cfg.wire.name,
         cfg.topology.label(),
     );
+    Rc::new(RefCell::new(fabric))
+}
 
-    let dedicated = cfg.pp.dedicated_progress();
+/// One rank's locality stack, the recipe both world builders share: the
+/// locality with its own `Rc<CostModel>` (so no `Rc` is shared between
+/// ranks), the backend's parcelport over `fabric` (TCP, an MPI comm, or
+/// LCI devices), and the fabric's arrival waker for `rank`.
+pub(crate) fn build_locality(
+    cfg: &WorldConfig,
+    rank: usize,
+    fabric: &Rc<RefCell<Fabric>>,
+    registry: ActionRegistry,
+) -> Rc<Locality> {
+    let cost = Rc::new(cfg.cost.clone().unwrap_or_else(CostModel::default_model));
     let rt_cfg = RuntimeConfig {
         localities: cfg.localities,
-        workers: if dedicated {
+        workers: if cfg.pp.dedicated_progress() {
             WorkerConfig::with_progress(cfg.cores)
         } else {
             WorkerConfig::workers_only(cfg.cores)
@@ -181,76 +209,60 @@ pub fn build_world(cfg: &WorldConfig, registry: ActionRegistry) -> World {
             max_connections: cfg.max_connections,
         },
     };
-    let runtime = Runtime::new(&rt_cfg, cost.clone(), registry);
-
-    for (rank, loc) in runtime.localities.iter().enumerate() {
-        let pp: Rc<RefCell<dyn Parcelport>> = match cfg.pp.backend {
-            Backend::Tcp => Rc::new(RefCell::new(TcpParcelport::new(
+    let loc = Runtime::single_locality(rank, &rt_cfg, cost.clone(), registry);
+    let pp: Rc<RefCell<dyn Parcelport>> = match cfg.pp.backend {
+        Backend::Tcp => Rc::new(RefCell::new(TcpParcelport::new(
+            rank,
+            fabric.clone(),
+            cost.clone(),
+            cfg.pp.send_immediate,
+        ))),
+        Backend::Mpi => {
+            let comm = Comm::new(
                 rank,
                 fabric.clone(),
                 cost.clone(),
+                CommConfig { eager_threshold: 8192, progress_burst: 8 },
+            );
+            Rc::new(RefCell::new(MpiParcelport::new(
+                comm,
+                cost.clone(),
+                cfg.pp.original_mpi,
                 cfg.pp.send_immediate,
-            ))),
-            Backend::Mpi => {
-                let comm = Comm::new(
-                    rank,
-                    fabric.clone(),
-                    cost.clone(),
-                    CommConfig { eager_threshold: 8192, progress_burst: 8 },
-                );
-                Rc::new(RefCell::new(MpiParcelport::new(
-                    comm,
-                    cost.clone(),
-                    cfg.pp.original_mpi,
-                    cfg.pp.send_immediate,
-                )))
-            }
-            Backend::Lci => {
-                let devs: Vec<Device> = (0..cfg.lci_devices.max(1))
-                    .map(|ctx| {
-                        Device::new(
-                            rank,
-                            fabric.clone(),
-                            cost.clone(),
-                            DeviceConfig {
-                                eager_threshold: 8192,
-                                packet_pool_size: 4096,
-                                progress_burst: if cfg.pp.progress == Progress::Pin {
-                                    8
-                                } else {
-                                    2
-                                },
-                                ctx: ctx as u8,
-                            },
-                        )
-                    })
-                    .collect();
-                Rc::new(RefCell::new(LciParcelport::new_multi(devs, cost.clone(), cfg.pp)))
-            }
-        };
-        loc.set_parcelport(pp);
-
-        // NIC interrupt model: arrivals wake whoever makes progress.
-        let weak = Rc::downgrade(loc);
-        fabric.borrow_mut().set_arrival_waker(
-            rank,
-            Rc::new(move |sim, at| {
-                if let Some(loc) = weak.upgrade() {
-                    loc.wake_progress(sim, at);
-                }
-            }),
-        );
-    }
-
-    runtime.start(&mut sim);
-    // With telemetry active, give every locality a span tracer so the
-    // Chrome export gets one track per core; `World::drop` harvests them.
-    if telemetry::enabled() {
-        for loc in &runtime.localities {
-            loc.set_tracer(Tracer::new());
+            )))
         }
-    }
-    World { sim, fabric, runtime, config: cfg.clone() }
+        Backend::Lci => {
+            let devs: Vec<Device> = (0..cfg.lci_devices.max(1))
+                .map(|ctx| {
+                    Device::new(
+                        rank,
+                        fabric.clone(),
+                        cost.clone(),
+                        DeviceConfig {
+                            eager_threshold: 8192,
+                            packet_pool_size: 4096,
+                            progress_burst: if cfg.pp.progress == Progress::Pin { 8 } else { 2 },
+                            ctx: ctx as u8,
+                        },
+                    )
+                })
+                .collect();
+            Rc::new(RefCell::new(LciParcelport::new_multi(devs, cost, cfg.pp)))
+        }
+    };
+    loc.set_parcelport(pp);
+
+    // NIC interrupt model: arrivals wake whoever makes progress.
+    let weak = Rc::downgrade(&loc);
+    fabric.borrow_mut().set_arrival_waker(
+        rank,
+        Rc::new(move |sim, at| {
+            if let Some(loc) = weak.upgrade() {
+                loc.wake_progress(sim, at);
+            }
+        }),
+    );
+    loc
 }
 
 #[cfg(test)]

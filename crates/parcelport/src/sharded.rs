@@ -57,23 +57,12 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use amt::action::ActionRegistry;
-use amt::parcel_layer::ParcelLayerConfig;
-use amt::runtime::{Runtime, RuntimeConfig};
-use amt::sched::WorkerConfig;
-use amt::{Locality, Parcelport};
-use lci::{Device, DeviceConfig};
-use mpisim::{Comm, CommConfig};
+use amt::Locality;
 use netsim::{Fabric, Packet};
 use simcore::shard::{RunMode, RunReport};
-use simcore::{
-    CostModel, LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTime, Tracer,
-};
+use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTime, Tracer};
 
-use crate::builder::WorldConfig;
-use crate::config::{Backend, Progress};
-use crate::lci_pp::LciParcelport;
-use crate::mpi_pp::MpiParcelport;
-use crate::tcp_pp::TcpParcelport;
+use crate::builder::{build_fabric, build_locality, WorldConfig};
 
 /// A packet crossing lanes through a payload mailbox. The engine wake
 /// event carries only the happens-before edge; the payload rides here.
@@ -100,9 +89,10 @@ const ARG_ADVANCE: u64 = 1;
 /// Per-lane application hooks supplied by the harness.
 pub struct LaneSetup {
     /// This rank's action registry. Build it fresh per lane: closures
-    /// must not share `Rc` state across lanes (lanes may live on
-    /// different threads) — share through atomics or communicate through
-    /// parcels instead.
+    /// must not capture an `Rc` shared across ranks (lanes may live on
+    /// different threads) — share through `Arc` atomics or communicate
+    /// through parcels instead. The same holds for `app` and
+    /// `thread_prep`.
     pub registry: ActionRegistry,
     /// Opaque per-lane application state, readable back through
     /// [`ShardedWorld::app`] after the run.
@@ -125,7 +115,6 @@ impl From<ActionRegistry> for LaneSetup {
 pub struct LocalityNode {
     rank: usize,
     localities: usize,
-    lookahead: u64,
     /// The nested simulator. Node ids are namespaced `rank << 44` so
     /// per-lane causal logs merge without collisions (lane 0 keeps the
     /// legacy namespace).
@@ -142,13 +131,22 @@ pub struct LocalityNode {
     drain: Vec<(SimTime, Packet)>,
 }
 
-// SAFETY: a lane is built on the driving thread and then owned by its
-// shard; the engine dispatches shards on at most one thread at a time
-// and only migrates them at epoch barriers (join/handoff provides the
-// happens-before edge). All `Rc`/`RefCell` state is reachable only
-// through this node, and the thread-local collectors it touches are
-// installed at dispatch entry and uninstalled at exit, so nothing leaks
-// across threads.
+// SAFETY: a node is `!Send` only through `Rc`/`RefCell` state, and no
+// `Rc` is shared between lanes: `build_sharded_world` builds every lane's
+// stack on its own — the nested `sim` (its handlers and queued closures),
+// the `fabric` replica (`build_fabric`), the `locality` with its own
+// `Rc<CostModel>` and parcelport (`build_locality`), and the `collector`
+// (an `Rc<Telemetry>` of this lane only). Every `Rc` reachable from a node
+// is therefore reachable from that node alone, and moving the node moves
+// all of them together. All cross-lane state is `Arc`/`Mutex`: the `mail`
+// boxes, packet payloads in `drain` (`Bytes`), and the telemetry run's
+// route store. `app` and `thread_prep` come from `LaneSetup`, whose
+// closures must not capture an `Rc` shared across ranks (documented on
+// `LaneSetup`). `rank`, `localities` and `advance` are plain data. The
+// engine moves a node between threads only at epoch barriers (join or
+// spawn gives the happens-before edge) and dispatches it on one thread at
+// a time; the thread-local collectors it installs at dispatch entry are
+// uninstalled at exit.
 unsafe impl Send for LocalityNode {}
 
 impl LocalityNode {
@@ -214,7 +212,7 @@ impl ShardActor for LocalityNode {
         // 3. Export outbound packets: payload into the mailbox, one
         //    engine wake per packet at exactly `now + lookahead`.
         self.fabric.borrow_mut().drain_remote(self.rank, &mut self.drain);
-        let wake = now + self.lookahead;
+        let wake = now + ctx.lookahead();
         for (deliver_at, pkt) in self.drain.drain(..) {
             let dst = pkt.dst;
             debug_assert!(dst < n && dst != self.rank);
@@ -259,7 +257,6 @@ pub struct ShardedWorld {
     pub config: WorldConfig,
     /// Engine shards the lanes were placed on.
     pub shards: usize,
-    lookahead: u64,
     /// The harness collector that was active on the building thread, kept
     /// by handle: in sequential mode the lane dispatches run on this very
     /// thread and each dispatch's collector uninstall clears the
@@ -282,141 +279,50 @@ pub fn build_sharded_world(
 ) -> ShardedWorld {
     let n = cfg.localities;
     let shards = shards.clamp(1, n);
-    let devices = cfg.lci_devices.max(1);
-    let cost = Rc::new(cfg.cost.clone().unwrap_or_else(CostModel::default_model));
-
-    // The conservative lookahead comes from the fabric model itself —
-    // `Fabric::min_lookahead` floors it at 1 ns even for zero-propagation
-    // wires, and the engine asserts it positive again at construction.
-    let mut probe = Fabric::with_contexts(n, cfg.wire.clone(), devices);
-    probe.install_topology(&cfg.topology);
-    let lookahead = probe.min_lookahead();
-    assert!(
-        lookahead > 0,
-        "wire model '{}' over '{}' topology advertises zero conservative lookahead; \
-         Fabric::min_lookahead must floor it at 1 ns",
-        cfg.wire.name,
-        cfg.topology.label(),
-    );
-    drop(probe);
-
     let mail: Mailboxes =
         Arc::new((0..n * n).map(|_| Mutex::new(VecDeque::new())).collect::<Vec<_>>());
+    let main_tel = telemetry::active();
 
-    let dedicated = cfg.pp.dedicated_progress();
-    let rt_cfg = RuntimeConfig {
-        localities: n,
-        workers: if dedicated {
-            WorkerConfig::with_progress(cfg.cores)
-        } else {
-            WorkerConfig::workers_only(cfg.cores)
-        },
-        layer: ParcelLayerConfig {
-            zero_copy_threshold: cfg.zero_copy_threshold,
-            send_immediate: cfg.pp.send_immediate,
-            max_connections: cfg.max_connections,
-        },
-    };
-
-    let timeline = telemetry::active().and_then(|tel| tel.timeline_config());
-    let mut engine = ShardedSim::new(shards, lookahead);
-    for rank in 0..n {
-        let LaneSetup { registry, app, thread_prep } = setup(rank);
-
-        let mut sim = Sim::new(cfg.seed);
-        // Lane-namespaced causal node ids; lane 0 keeps the legacy ids.
-        sim.set_node_base((rank as u64) << 44);
-
-        // A full-size fabric replica: this lane models its own sends end
-        // to end; inbound packets are accepted with their original
-        // delivery instants.
-        let fabric = Rc::new(RefCell::new(Fabric::with_contexts(n, cfg.wire.clone(), devices)));
-        fabric.borrow_mut().install_topology(&cfg.topology);
-        if let Some(f) = &cfg.faults {
-            fabric.borrow_mut().set_faults(f.clone());
-        }
-
-        let loc = Runtime::single_locality(rank, &rt_cfg, cost.clone(), registry);
-        let pp: Rc<RefCell<dyn Parcelport>> = match cfg.pp.backend {
-            Backend::Tcp => Rc::new(RefCell::new(TcpParcelport::new(
+    let nodes: Vec<Box<LocalityNode>> = (0..n)
+        .map(|rank| {
+            let LaneSetup { registry, app, thread_prep } = setup(rank);
+            let mut sim = Sim::new(cfg.seed);
+            // Lane-namespaced causal node ids; lane 0 keeps the legacy ids.
+            sim.set_node_base((rank as u64) << 44);
+            // A full-size fabric replica: this lane models its own sends
+            // end to end; inbound packets are accepted with their original
+            // delivery instants.
+            let fabric = build_fabric(cfg);
+            let locality = build_locality(cfg, rank, &fabric, registry);
+            locality.start(&mut sim);
+            seed(rank, &mut sim, &locality);
+            let collector = main_tel.as_ref().map(|main| {
+                locality.set_tracer(Tracer::new());
+                telemetry::LaneCollector::new(rank as u32, main)
+            });
+            Box::new(LocalityNode {
                 rank,
-                fabric.clone(),
-                cost.clone(),
-                cfg.pp.send_immediate,
-            ))),
-            Backend::Mpi => {
-                let comm = Comm::new(
-                    rank,
-                    fabric.clone(),
-                    cost.clone(),
-                    CommConfig { eager_threshold: 8192, progress_burst: 8 },
-                );
-                Rc::new(RefCell::new(MpiParcelport::new(
-                    comm,
-                    cost.clone(),
-                    cfg.pp.original_mpi,
-                    cfg.pp.send_immediate,
-                )))
-            }
-            Backend::Lci => {
-                let devs: Vec<Device> = (0..devices)
-                    .map(|ctx| {
-                        Device::new(
-                            rank,
-                            fabric.clone(),
-                            cost.clone(),
-                            DeviceConfig {
-                                eager_threshold: 8192,
-                                packet_pool_size: 4096,
-                                progress_burst: if cfg.pp.progress == Progress::Pin {
-                                    8
-                                } else {
-                                    2
-                                },
-                                ctx: ctx as u8,
-                            },
-                        )
-                    })
-                    .collect();
-                Rc::new(RefCell::new(LciParcelport::new_multi(devs, cost.clone(), cfg.pp)))
-            }
-        };
-        loc.set_parcelport(pp);
-        let weak = Rc::downgrade(&loc);
-        fabric.borrow_mut().set_arrival_waker(
-            rank,
-            Rc::new(move |sim, at| {
-                if let Some(loc) = weak.upgrade() {
-                    loc.wake_progress(sim, at);
-                }
-            }),
-        );
-        loc.start(&mut sim);
-        seed(rank, &mut sim, &loc);
+                localities: n,
+                sim,
+                fabric,
+                locality,
+                collector: RefCell::new(collector),
+                app,
+                thread_prep,
+                mail: mail.clone(),
+                advance: None,
+                drain: Vec::new(),
+            })
+        })
+        .collect();
 
-        let collector = if telemetry::enabled() {
-            loc.set_tracer(Tracer::new());
-            Some(telemetry::LaneCollector::new(rank as u32, timeline.clone()))
-        } else {
-            None
-        };
-
-        let node = LocalityNode {
-            rank,
-            localities: n,
-            lookahead,
-            sim,
-            fabric,
-            locality: loc,
-            collector: RefCell::new(collector),
-            app,
-            thread_prep,
-            mail: mail.clone(),
-            advance: None,
-            drain: Vec::new(),
-        };
+    // The conservative lookahead comes from the fabric model itself
+    // (`build_fabric` asserted it positive); every replica is identical.
+    let lookahead = nodes[0].fabric.borrow().min_lookahead();
+    let mut engine = ShardedSim::new(shards, lookahead);
+    for (rank, node) in nodes.into_iter().enumerate() {
         // Block placement keeps SFC-adjacent localities on one shard.
-        let lane = engine.add_actor(rank * shards / n, Box::new(node));
+        let lane = engine.add_actor(rank * shards / n, node);
         assert_eq!(lane, LaneId(rank as u32), "lane ids must equal ranks");
         // Bootstrap: one advance at t=0 (every locality armed its core
         // ticks at 0). The node re-arms with a cancellable handle from
@@ -424,20 +330,13 @@ pub fn build_sharded_world(
         engine.seed(lane, SimTime::ZERO, ARG_ADVANCE);
     }
 
-    ShardedWorld {
-        engine,
-        config: cfg.clone(),
-        shards,
-        lookahead,
-        main_tel: telemetry::active(),
-        merged: false,
-    }
+    ShardedWorld { engine, config: cfg.clone(), shards, main_tel, merged: false }
 }
 
 impl ShardedWorld {
     /// The conservative lookahead (ns) the lanes run under.
     pub fn lookahead(&self) -> u64 {
-        self.lookahead
+        self.engine.lookahead()
     }
 
     /// The lane actor of `rank`.

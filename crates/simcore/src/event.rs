@@ -20,13 +20,19 @@
 //! tree depth of a binary heap and keeps sibling keys in adjacent cache
 //! lines — pop-heavy DES workloads spend most of their time in
 //! `sift_down`, which this favors.
+//!
+//! The heap is generic over its payload: the [`Sim`] stores an
+//! `Option<EventKind>` per slot, each shard of the
+//! [`ShardedSim`](crate::ShardedSim) a `Copy` lane target, so both
+//! engines share one sift and tie-break order.
 
 use std::rc::Rc;
 
 use crate::sim::Sim;
 use crate::time::SimTime;
 
-/// Handle to a scheduled event, as returned by the `schedule_*` methods.
+/// Handle to a scheduled event, as returned by the `schedule_*` methods
+/// of [`Sim`] and [`LaneCtx`](crate::LaneCtx).
 ///
 /// The handle is generation-checked: once the event fires or is
 /// cancelled, the handle goes stale and [`Sim::cancel`] /
@@ -58,10 +64,9 @@ pub type ClosureFn = Box<dyn FnOnce(&mut Sim)>;
 /// An already-boxed one-shot callback taking an argument word.
 pub type OnceFn = Box<dyn FnOnce(&mut Sim, u64)>;
 
-/// Payload of a scheduled event.
+/// Payload of a scheduled [`Sim`] event (`None` in the heap marks a free
+/// slot).
 pub(crate) enum EventKind {
-    /// Free slot (on the slab free list).
-    Vacant,
     /// Boxed-closure fallback.
     Closure(ClosureFn),
     /// Registered handler + argument word: allocation-free.
@@ -74,7 +79,7 @@ const NO_POS: u32 = u32::MAX;
 
 /// One slab slot: ordering key, generation, heap position, provenance,
 /// payload.
-struct Slot {
+struct Slot<P> {
     at: SimTime,
     seq: u64,
     gen: u32,
@@ -83,18 +88,29 @@ struct Slot {
     /// scheduled outside dispatch). Carried for causal capture
     /// ([`crate::causal`]); dead weight of one word when disabled.
     parent: u64,
-    kind: EventKind,
+    payload: P,
 }
 
-/// Indexed four-ary min-heap over a slot slab.
-pub(crate) struct EventQueue {
+/// A popped event, ready to dispatch.
+pub(crate) struct Fired<P> {
+    pub(crate) at: SimTime,
+    /// The ordering key it fired under (sequence or canonical key).
+    pub(crate) seq: u64,
+    /// Provenance: node id of the scheduling event.
+    pub(crate) parent: u64,
+    pub(crate) payload: P,
+}
+
+/// Indexed four-ary min-heap over a slot slab, ordered by `(time, seq)`.
+/// A popped slot's payload is replaced by `P::default()`.
+pub(crate) struct EventQueue<P> {
     /// Heap of slot indices, ordered by the slots' `(at, seq)` keys.
     heap: Vec<u32>,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<P>>,
     free: Vec<u32>,
 }
 
-impl EventQueue {
+impl<P: Default> EventQueue<P> {
     pub(crate) fn new() -> Self {
         EventQueue { heap: Vec::new(), slots: Vec::new(), free: Vec::new() }
     }
@@ -115,24 +131,18 @@ impl EventQueue {
         (s.at, s.seq)
     }
 
-    pub(crate) fn insert(
-        &mut self,
-        at: SimTime,
-        seq: u64,
-        parent: u64,
-        kind: EventKind,
-    ) -> EventId {
+    pub(crate) fn insert(&mut self, at: SimTime, seq: u64, parent: u64, payload: P) -> EventId {
         let slot = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
                 s.at = at;
                 s.seq = seq;
                 s.parent = parent;
-                s.kind = kind;
+                s.payload = payload;
                 slot
             }
             None => {
-                self.slots.push(Slot { at, seq, gen: 0, pos: NO_POS, parent, kind });
+                self.slots.push(Slot { at, seq, gen: 0, pos: NO_POS, parent, payload });
                 (self.slots.len() - 1) as u32
             }
         };
@@ -145,7 +155,16 @@ impl EventQueue {
 
     /// Whether `id` still refers to a pending event.
     pub(crate) fn contains(&self, id: EventId) -> bool {
-        self.slots.get(id.slot as usize).is_some_and(|s| s.gen == id.gen && s.pos != NO_POS)
+        self.get(id).is_some()
+    }
+
+    /// The payload of the pending event `id` refers to; `None` on a stale
+    /// handle.
+    pub(crate) fn get(&self, id: EventId) -> Option<&P> {
+        self.slots
+            .get(id.slot as usize)
+            .filter(|s| s.gen == id.gen && s.pos != NO_POS)
+            .map(|s| &s.payload)
     }
 
     /// Remove the event `id` refers to; `false` if it already fired or was
@@ -179,7 +198,7 @@ impl EventQueue {
     }
 
     /// Pop the earliest event.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, EventKind)> {
+    pub(crate) fn pop(&mut self) -> Option<Fired<P>> {
         self.pop_if(SimTime::NEVER)
     }
 
@@ -188,20 +207,20 @@ impl EventQueue {
         self.heap.first().map(|&slot| self.slots[slot as usize].at)
     }
 
-    /// Pop the earliest event (time, provenance parent, payload) if it
-    /// fires at or before `deadline` — one root comparison, no separate
-    /// peek.
-    pub(crate) fn pop_if(&mut self, deadline: SimTime) -> Option<(SimTime, u64, EventKind)> {
+    /// Pop the earliest event if it fires at or before `deadline` — one
+    /// root comparison, no separate peek.
+    pub(crate) fn pop_if(&mut self, deadline: SimTime) -> Option<Fired<P>> {
         let &slot = self.heap.first()?;
         let at = self.slots[slot as usize].at;
         if at > deadline {
             return None;
         }
         self.remove_at(0);
-        let parent = self.slots[slot as usize].parent;
-        let kind = std::mem::replace(&mut self.slots[slot as usize].kind, EventKind::Vacant);
+        let s = &mut self.slots[slot as usize];
+        let fired =
+            Fired { at, seq: s.seq, parent: s.parent, payload: std::mem::take(&mut s.payload) };
         self.release(slot);
-        Some((at, parent, kind))
+        Some(fired)
     }
 
     /// Detach the slot at heap position `pos`, restoring heap order.
@@ -298,20 +317,27 @@ impl HandlerTable {
 mod tests {
     use super::*;
 
-    fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
+    fn drain(q: &mut EventQueue<Option<EventKind>>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        while let Some((at, _parent, kind)) = q.pop() {
-            let seq = match kind {
-                EventKind::Handler { arg, .. } => arg,
+        while let Some(ev) = q.pop() {
+            let seq = match ev.payload {
+                Some(EventKind::Handler { arg, .. }) => arg,
                 _ => panic!("test uses handler events"),
             };
-            out.push((at.as_nanos(), seq));
+            out.push((ev.at.as_nanos(), seq));
         }
         out
     }
 
-    fn handler_event(seq: u64) -> EventKind {
-        EventKind::Handler { handler: HandlerId(0), arg: seq }
+    fn handler_event(seq: u64) -> Option<EventKind> {
+        Some(EventKind::Handler { handler: HandlerId(0), arg: seq })
+    }
+
+    #[test]
+    fn slot_sizes_are_pinned() {
+        // A `Sim` slot fills one cache line; a shard slot stays at 48 B.
+        assert_eq!(std::mem::size_of::<Slot<Option<EventKind>>>(), 64);
+        assert_eq!(std::mem::size_of::<Slot<crate::shard::LaneEvent>>(), 48);
     }
 
     #[test]
@@ -345,6 +371,7 @@ mod tests {
         // ...but the old handle must not touch the new event.
         assert!(!q.cancel(a));
         assert!(!q.reschedule(a, SimTime::from_nanos(1), 2));
+        assert!(q.get(a).is_none());
         assert!(q.contains(b));
         assert_eq!(q.len(), 1);
     }
@@ -372,6 +399,21 @@ mod tests {
     }
 
     #[test]
+    fn copy_payloads_pop_with_key_and_parent() {
+        // The shard engine's use: a `Copy` payload, the canonical key in
+        // the sequence word, provenance carried through.
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let a = q.insert(SimTime::from_nanos(7), 42, 9, 1);
+        q.insert(SimTime::from_nanos(7), 41, 8, 2);
+        assert_eq!(q.get(a), Some(&1));
+        let ev = q.pop().unwrap();
+        assert_eq!((ev.at.as_nanos(), ev.seq, ev.parent, ev.payload), (7, 41, 8, 2));
+        let ev = q.pop().unwrap();
+        assert_eq!((ev.seq, ev.parent, ev.payload), (42, 9, 1));
+        assert!(q.get(a).is_none(), "fired events leave stale handles");
+    }
+
+    #[test]
     fn stress_against_sorted_reference() {
         // Deterministic mixed insert/pop churn; compare against a sort.
         let mut q = EventQueue::new();
@@ -386,7 +428,9 @@ mod tests {
             expect.push((at, seq));
             seq += 1;
             if round % 3 == 0 {
-                if let Some((at, _, EventKind::Handler { arg, .. })) = q.pop() {
+                if let Some(Fired { at, payload: Some(EventKind::Handler { arg, .. }), .. }) =
+                    q.pop()
+                {
                     popped.push((at.as_nanos(), arg));
                 }
             }

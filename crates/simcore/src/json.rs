@@ -1,9 +1,9 @@
 //! JSON string escaping — the single escaping helper shared by every
 //! exporter in the workspace.
 //!
-//! Both `simcore::trace` (Chrome-trace span export) and the `telemetry`
-//! crate's exporters (Chrome trace, reports, folded stacks) emit JSON by
-//! hand because the build is fully offline. They all route string
+//! The `telemetry` crate's exporters (Chrome trace, reports, folded
+//! stacks) and the bench tools emit JSON by hand because the build is
+//! fully offline. They all route string
 //! literals through [`escape_json`] so there is exactly one place that
 //! knows the escaping rules — and one round-trip contract with the
 //! parser in `telemetry::json` (see the hostile-input round-trip tests

@@ -7,8 +7,9 @@
 //! heap pop loop. This module shards that loop: the workload is split into
 //! **lanes** (a lane ≈ one simulated locality: a unit of strictly
 //! sequential execution), lanes are assigned to **shards**, and each shard
-//! runs its own indexed four-ary heap — on its own OS thread in the
-//! threaded executor.
+//! runs its own copy of the single-threaded engine's indexed four-ary heap
+//! ([`crate::event`], with a `Copy` lane payload) — on its own OS thread in
+//! the threaded executor.
 //!
 //! Correctness rests on one workload contract, enforced at runtime:
 //! events scheduled *across lanes* must fire at least `lookahead`
@@ -62,6 +63,7 @@ use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::causal::{self, ShardCausalData};
+use crate::event::{EventId, EventQueue};
 use crate::stats::Stats;
 use crate::time::SimTime;
 use crate::trace::Tracer;
@@ -107,16 +109,12 @@ pub trait ShardActor: Send + Any {
 }
 
 /// Handle to a pending event on the scheduling lane, as returned by
-/// [`LaneCtx::schedule_at`]. Generation-checked like
-/// [`EventId`](crate::EventId): stale handles fail `cancel`/`reschedule`
-/// instead of touching a recycled slot. Only the scheduling lane may
-/// cancel or reschedule (cross-lane events return no handle — they are on
-/// another thread's heap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardEventId {
-    slot: u32,
-    gen: u32,
-}
+/// [`LaneCtx::schedule_at`]: the single-heap engine's generation-checked
+/// [`EventId`], so stale handles fail `cancel`/`reschedule` instead of
+/// touching a recycled slot. Only the scheduling lane may cancel or
+/// reschedule (cross-lane events return no handle — they are on another
+/// thread's heap).
+pub type ShardEventId = EventId;
 
 /// One event crossing a shard boundary, in flight through a mailbox.
 #[derive(Debug, Clone, Copy)]
@@ -138,228 +136,16 @@ struct LaneLoc {
     slot: u32,
 }
 
-// ---------------------------------------------------------------------
-// ShardQueue: the per-shard indexed four-ary heap.
-// ---------------------------------------------------------------------
-
-const NO_POS: u32 = u32::MAX;
-
-/// One slab slot: `(at, key)` ordering, generation, heap position, payload.
-/// Everything is `Copy` — the queue is `Send` by construction, unlike
-/// [`EventQueue`](crate::event) whose closure payloads pin it to one
-/// thread.
-#[derive(Debug, Clone, Copy)]
-struct QSlot {
-    at: SimTime,
-    key: u64,
+/// What a shard-heap slot carries besides its `(time, key)` order and
+/// provenance parent. `Copy`, so a shard's heap is `Send` by
+/// construction, unlike the [`Sim`](crate::Sim)'s closure payloads.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LaneEvent {
+    /// Destination lane's slot index on this shard.
     lane_slot: u32,
     /// Scheduling lane (cancel/reschedule owner check).
     owner_lane: u32,
     arg: u64,
-    parent: u64,
-    gen: u32,
-    pos: u32,
-}
-
-/// A popped, ready-to-dispatch event.
-#[derive(Debug, Clone, Copy)]
-struct Ready {
-    at: SimTime,
-    key: u64,
-    lane_slot: u32,
-    arg: u64,
-    parent: u64,
-}
-
-/// Indexed four-ary min-heap over `(time, canonical key)` with slab
-/// storage and a free list — the same layout as the single-threaded
-/// engine's queue, restricted to `Copy` payloads.
-#[derive(Debug, Default)]
-struct ShardQueue {
-    heap: Vec<u32>,
-    slots: Vec<QSlot>,
-    free: Vec<u32>,
-}
-
-impl ShardQueue {
-    fn new() -> Self {
-        ShardQueue::default()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[inline]
-    fn key(&self, slot: u32) -> (SimTime, u64) {
-        let s = &self.slots[slot as usize];
-        (s.at, s.key)
-    }
-
-    /// Earliest pending fire time, as raw ns (`u64::MAX` when empty) —
-    /// the shard's frontier contribution.
-    #[inline]
-    fn peek_ns(&self) -> u64 {
-        match self.heap.first() {
-            Some(&slot) => self.slots[slot as usize].at.as_nanos(),
-            None => u64::MAX,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        at: SimTime,
-        key: u64,
-        owner_lane: u32,
-        lane_slot: u32,
-        arg: u64,
-        parent: u64,
-    ) -> ShardEventId {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.at = at;
-                s.key = key;
-                s.owner_lane = owner_lane;
-                s.lane_slot = lane_slot;
-                s.arg = arg;
-                s.parent = parent;
-                slot
-            }
-            None => {
-                self.slots.push(QSlot {
-                    at,
-                    key,
-                    lane_slot,
-                    owner_lane,
-                    arg,
-                    parent,
-                    gen: 0,
-                    pos: NO_POS,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let pos = self.heap.len();
-        self.heap.push(slot);
-        self.slots[slot as usize].pos = pos as u32;
-        self.sift_up(pos);
-        ShardEventId { slot, gen: self.slots[slot as usize].gen }
-    }
-
-    fn contains(&self, id: ShardEventId) -> bool {
-        self.slots.get(id.slot as usize).is_some_and(|s| s.gen == id.gen && s.pos != NO_POS)
-    }
-
-    /// The scheduling lane of a pending event (owner check for cancels).
-    fn owner(&self, id: ShardEventId) -> Option<u32> {
-        if self.contains(id) {
-            Some(self.slots[id.slot as usize].owner_lane)
-        } else {
-            None
-        }
-    }
-
-    fn cancel(&mut self, id: ShardEventId) -> bool {
-        if !self.contains(id) {
-            return false;
-        }
-        let pos = self.slots[id.slot as usize].pos as usize;
-        self.remove_at(pos);
-        self.release(id.slot);
-        true
-    }
-
-    fn reschedule(&mut self, id: ShardEventId, at: SimTime, key: u64) -> bool {
-        if !self.contains(id) {
-            return false;
-        }
-        {
-            let s = &mut self.slots[id.slot as usize];
-            s.at = at;
-            s.key = key;
-        }
-        let pos = self.slots[id.slot as usize].pos as usize;
-        self.sift_up(pos);
-        let pos = self.slots[id.slot as usize].pos as usize;
-        self.sift_down(pos);
-        true
-    }
-
-    /// Pop the earliest event if it fires strictly before `window_end_ns`.
-    fn pop_before(&mut self, window_end_ns: u64) -> Option<Ready> {
-        let &slot = self.heap.first()?;
-        let s = self.slots[slot as usize];
-        if s.at.as_nanos() >= window_end_ns {
-            return None;
-        }
-        self.remove_at(0);
-        self.release(slot);
-        Some(Ready { at: s.at, key: s.key, lane_slot: s.lane_slot, arg: s.arg, parent: s.parent })
-    }
-
-    fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.heap.pop();
-        if pos < self.heap.len() {
-            let moved = self.heap[pos];
-            self.slots[moved as usize].pos = pos as u32;
-            self.sift_down(pos);
-            let now_at = self.slots[moved as usize].pos as usize;
-            self.sift_up(now_at);
-        }
-    }
-
-    fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.pos = NO_POS;
-        self.free.push(slot);
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.key(self.heap[parent]) <= self.key(self.heap[i]) {
-                break;
-            }
-            self.swap_pos(i, parent);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let first = 4 * i + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let last = (first + 4).min(self.heap.len());
-            let mut min = first;
-            let mut min_key = self.key(self.heap[first]);
-            for c in first + 1..last {
-                let k = self.key(self.heap[c]);
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if self.key(self.heap[i]) <= min_key {
-                break;
-            }
-            self.swap_pos(i, min);
-            i = min;
-        }
-    }
-
-    #[inline]
-    fn swap_pos(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.slots[self.heap[a] as usize].pos = a as u32;
-        self.slots[self.heap[b] as usize].pos = b as u32;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -519,7 +305,7 @@ struct ShardCore {
     executed: u64,
     /// Causal gid of the event being dispatched (0 outside dispatch).
     current_gid: u64,
-    queue: ShardQueue,
+    queue: EventQueue<LaneEvent>,
     lanes: Vec<LaneSlot>,
     stats: Stats,
     tracer: Option<Tracer>,
@@ -552,15 +338,20 @@ impl ShardCore {
         self.scratch.sort_unstable_by_key(|e| (e.at, e.key));
         for i in 0..self.scratch.len() {
             let e = self.scratch[i];
-            let owner = (e.key >> LANE_SHIFT) as u32;
-            self.queue.insert(e.at, e.key, owner, e.slot, e.arg, e.parent);
+            let owner_lane = (e.key >> LANE_SHIFT) as u32;
+            let ev = LaneEvent { lane_slot: e.slot, owner_lane, arg: e.arg };
+            self.queue.insert(e.at, e.key, e.parent, ev);
         }
         self.scratch.clear();
     }
 
     /// Execute every local event firing strictly before `window_end_ns`.
     fn run_window(&mut self, window_end_ns: u64) {
-        while let Some(ev) = self.queue.pop_before(window_end_ns) {
+        // Windows end at `frontier + lookahead >= 1`, so the last instant
+        // inside one is `window_end_ns - 1`.
+        let last = SimTime::from_nanos(window_end_ns - 1);
+        while let Some(ev) = self.queue.pop_if(last) {
+            let LaneEvent { lane_slot, arg, .. } = ev.payload;
             debug_assert!(ev.at >= self.now, "shard time must not go backwards");
             self.now = ev.at;
             self.executed += 1;
@@ -572,26 +363,33 @@ impl ShardCore {
             if let Some(log) = &mut self.exec_log {
                 log.push(ExecRec {
                     at: ev.at.as_nanos(),
-                    key: ev.key,
-                    lane: self.lanes[ev.lane_slot as usize].lane,
-                    arg: ev.arg,
+                    key: ev.seq,
+                    lane: self.lanes[lane_slot as usize].lane,
+                    arg,
                 });
             }
             // Detach the actor so the dispatch can borrow the core
             // mutably; an actor never addresses itself through the
             // context's lane table, so the hole is unobservable.
-            let mut actor = self.lanes[ev.lane_slot as usize]
+            let mut actor = self.lanes[lane_slot as usize]
                 .actor
                 .take()
                 .expect("actor present outside dispatch");
-            let mut ctx = LaneCtx { core: self, lane_slot: ev.lane_slot };
-            actor.on_event(&mut ctx, ev.arg);
-            self.lanes[ev.lane_slot as usize].actor = Some(actor);
+            let mut ctx = LaneCtx { core: self, lane_slot };
+            actor.on_event(&mut ctx, arg);
+            self.lanes[lane_slot as usize].actor = Some(actor);
             self.current_gid = 0;
             if self.capture_causal {
                 causal::end_execute();
             }
         }
+    }
+
+    /// Earliest pending fire time, as raw ns (`u64::MAX` when empty) —
+    /// this shard's frontier contribution.
+    #[inline]
+    fn frontier_ns(&self) -> u64 {
+        self.queue.peek_at().map_or(u64::MAX, SimTime::as_nanos)
     }
 
     /// Mint the canonical key for the next event scheduled by `lane_slot`.
@@ -658,8 +456,9 @@ impl LaneCtx<'_> {
     pub fn schedule_at(&mut self, at: SimTime, arg: u64) -> ShardEventId {
         let at = at.max(self.core.now);
         let key = self.core.next_key(self.lane_slot);
-        let lane = self.core.lanes[self.lane_slot as usize].lane;
-        self.core.queue.insert(at, key, lane, self.lane_slot, arg, self.core.current_gid)
+        let owner_lane = self.core.lanes[self.lane_slot as usize].lane;
+        let ev = LaneEvent { lane_slot: self.lane_slot, owner_lane, arg };
+        self.core.queue.insert(at, key, self.core.current_gid, ev)
     }
 
     /// Schedule an event on this lane `delay_ns` from now.
@@ -693,7 +492,8 @@ impl LaneCtx<'_> {
         let loc = self.core.registry[dest.0 as usize];
         let parent = self.core.current_gid;
         if loc.shard == self.core.shard {
-            self.core.queue.insert(at, key, my_lane, loc.slot, arg, parent);
+            let ev = LaneEvent { lane_slot: loc.slot, owner_lane: my_lane, arg };
+            self.core.queue.insert(at, key, parent, ev);
         } else {
             self.core.mail.push(
                 loc.shard as usize,
@@ -706,7 +506,7 @@ impl LaneCtx<'_> {
     /// Cancel a pending event scheduled by this lane. Returns `false` on a
     /// stale handle; panics if the event belongs to another lane.
     pub fn cancel(&mut self, id: ShardEventId) -> bool {
-        match self.core.queue.owner(id) {
+        match self.core.queue.get(id).map(|ev| ev.owner_lane) {
             None => false,
             Some(owner) => {
                 let my_lane = self.core.lanes[self.lane_slot as usize].lane;
@@ -720,7 +520,7 @@ impl LaneCtx<'_> {
     /// `now`). Re-keyed as if newly scheduled — identical ordering to
     /// cancel + schedule, without the churn.
     pub fn reschedule(&mut self, id: ShardEventId, at: SimTime) -> bool {
-        match self.core.queue.owner(id) {
+        match self.core.queue.get(id).map(|ev| ev.owner_lane) {
             None => false,
             Some(owner) => {
                 let my_lane = self.core.lanes[self.lane_slot as usize].lane;
@@ -790,7 +590,7 @@ impl ShardedSim {
                 now: SimTime::ZERO,
                 executed: 0,
                 current_gid: 0,
-                queue: ShardQueue::new(),
+                queue: EventQueue::new(),
                 lanes: Vec::new(),
                 stats: Stats::new(),
                 tracer: None,
@@ -834,7 +634,7 @@ impl ShardedSim {
         let loc = self.registry[lane.0 as usize];
         let core = &mut self.cores[loc.shard as usize];
         let key = core.next_key(loc.slot);
-        core.queue.insert(at, key, lane.0, loc.slot, arg, 0);
+        core.queue.insert(at, key, 0, LaneEvent { lane_slot: loc.slot, owner_lane: lane.0, arg });
     }
 
     /// Record every executed event (time, canonical key, lane, arg) for
@@ -894,7 +694,7 @@ impl ShardedSim {
             let mut min_ns = u64::MAX;
             for core in &mut self.cores {
                 core.drain_inboxes();
-                min_ns = min_ns.min(core.queue.peek_ns());
+                min_ns = min_ns.min(core.frontier_ns());
             }
             if min_ns == u64::MAX {
                 break;
@@ -954,7 +754,7 @@ impl ShardedSim {
                             barrier.quiesce();
                             core.drain_inboxes();
                             // Phase B: frontier reduction -> next window.
-                            let Some(window) = barrier.next_window(core.queue.peek_ns()) else {
+                            let Some(window) = barrier.next_window(core.frontier_ns()) else {
                                 break;
                             };
                             my_epochs += 1;

@@ -43,7 +43,7 @@ use crate::time::SimTime;
 pub struct Sim {
     now: SimTime,
     seq: u64,
-    queue: EventQueue,
+    queue: EventQueue<Option<EventKind>>,
     handlers: HandlerTable,
     /// Deterministic RNG for any randomized model decisions.
     pub rng: StdRng,
@@ -131,7 +131,7 @@ impl Sim {
     pub fn schedule_at<F: FnOnce(&mut Sim) + 'static>(&mut self, at: SimTime, f: F) -> EventId {
         let at = at.max(self.now);
         let seq = self.next_seq();
-        self.queue.insert(at, seq, self.current, EventKind::Closure(Box::new(f)))
+        self.queue.insert(at, seq, self.current, Some(EventKind::Closure(Box::new(f))))
     }
 
     /// Schedule `f` to run `delay_ns` nanoseconds from now.
@@ -145,7 +145,7 @@ impl Sim {
     pub fn schedule_event_at(&mut self, at: SimTime, handler: HandlerId, arg: u64) -> EventId {
         let at = at.max(self.now);
         let seq = self.next_seq();
-        self.queue.insert(at, seq, self.current, EventKind::Handler { handler, arg })
+        self.queue.insert(at, seq, self.current, Some(EventKind::Handler { handler, arg }))
     }
 
     /// Schedule a typed event for `handler`, `delay_ns` from now.
@@ -159,7 +159,7 @@ impl Sim {
     pub fn schedule_once_at(&mut self, at: SimTime, f: OnceFn, arg: u64) -> EventId {
         let at = at.max(self.now);
         let seq = self.next_seq();
-        self.queue.insert(at, seq, self.current, EventKind::Once { f, arg })
+        self.queue.insert(at, seq, self.current, Some(EventKind::Once { f, arg }))
     }
 
     /// Cancel a pending event. Returns `false` if the handle is stale
@@ -185,15 +185,15 @@ impl Sim {
     }
 
     #[inline]
-    fn dispatch(&mut self, kind: EventKind) {
+    fn dispatch(&mut self, kind: Option<EventKind>) {
         match kind {
-            EventKind::Closure(f) => f(self),
-            EventKind::Handler { handler, arg } => {
+            Some(EventKind::Closure(f)) => f(self),
+            Some(EventKind::Handler { handler, arg }) => {
                 let h = self.handlers.get(handler);
                 h.on_event(self, arg);
             }
-            EventKind::Once { f, arg } => f(self, arg),
-            EventKind::Vacant => unreachable!("vacant slot in the heap"),
+            Some(EventKind::Once { f, arg }) => f(self, arg),
+            None => unreachable!("free slot in the heap"),
         }
     }
 
@@ -225,9 +225,9 @@ impl Sim {
     /// Run a single event; returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((at, parent, kind)) => {
-                let instrumented = self.begin_event(at, parent);
-                self.dispatch(kind);
+            Some(ev) => {
+                let instrumented = self.begin_event(ev.at, ev.parent);
+                self.dispatch(ev.payload);
                 self.end_event(instrumented);
                 true
             }
@@ -246,9 +246,9 @@ impl Sim {
         let mut n = 0;
         // One root comparison per event: the pop is conditional on the
         // deadline rather than a peek followed by a separate pop.
-        while let Some((at, parent, kind)) = self.queue.pop_if(deadline) {
-            let instrumented = self.begin_event(at, parent);
-            self.dispatch(kind);
+        while let Some(ev) = self.queue.pop_if(deadline) {
+            let instrumented = self.begin_event(ev.at, ev.parent);
+            self.dispatch(ev.payload);
             self.end_event(instrumented);
             n += 1;
         }

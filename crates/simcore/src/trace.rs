@@ -1,14 +1,11 @@
-//! Execution tracing: record labelled spans of virtual time and export
-//! them in the Chrome tracing (`chrome://tracing` / Perfetto) JSON
-//! format, with one "thread" per simulated core.
+//! Execution tracing: record labelled spans of virtual time, one track
+//! per simulated core. `telemetry::chrome` renders them as Chrome tracing
+//! (`chrome://tracing` / Perfetto) JSON.
 //!
 //! Tracing is opt-in and zero-cost when disabled: the recorder is an
 //! `Option` the caller owns; hot paths call [`Tracer::span`] only when
 //! they hold one.
 
-use std::fmt::Write as _;
-
-use crate::json::escape_json;
 use crate::time::SimTime;
 
 /// One recorded span of virtual time.
@@ -85,29 +82,6 @@ impl Tracer {
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v
     }
-
-    /// Export as Chrome tracing JSON (`ph: "X"` complete events;
-    /// timestamps in microseconds as the format requires).
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ts = s.start.as_nanos() as f64 / 1e3;
-            let dur = s.end.since(s.start) as f64 / 1e3;
-            write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-                 \"pid\":0,\"tid\":\"{}\"}}",
-                escape_json(s.label),
-                escape_json(&s.track)
-            )
-            .expect("write to string");
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -144,33 +118,12 @@ mod tests {
         assert_eq!(t.len(), 1);
         let s = &t.spans()[0];
         assert_eq!((s.start, s.end), (SimTime::from_nanos(42), SimTime::from_nanos(42)));
-        assert!(t.to_chrome_json().contains("\"dur\":0"));
     }
 
     #[test]
-    fn chrome_json_shape() {
-        let mut t = Tracer::new();
-        t.span("loc1/core2", "progress", SimTime::from_micros(3), SimTime::from_micros(5));
-        let json = t.to_chrome_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"name\":\"progress\""));
-        assert!(json.contains("\"ts\":3"), "json: {json}");
-        assert!(json.contains("\"dur\":2"));
-        assert!(json.contains("\"tid\":\"loc1/core2\""));
-    }
-
-    #[test]
-    fn chrome_json_escapes_tracks_and_labels() {
-        let mut t = Tracer::new();
-        t.span("track\"with\\quotes", "progress", SimTime::ZERO, SimTime::from_nanos(10));
-        let json = t.to_chrome_json();
-        assert!(json.contains("\"tid\":\"track\\\"with\\\\quotes\""), "json: {json}");
-    }
-
-    #[test]
-    fn empty_tracer_valid_json() {
+    fn empty_tracer() {
         let t = Tracer::new();
         assert!(t.is_empty());
-        assert_eq!(t.to_chrome_json(), "[]");
+        assert_eq!(t.len(), 0);
     }
 }

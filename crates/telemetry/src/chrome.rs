@@ -41,28 +41,54 @@ pub fn chrome_trace_with_critpath(
     render(spans, flows, metrics, Some(cp))
 }
 
+/// Append one complete-span event (`"ph":"X"`) to `out`, a JSON event
+/// array opened with `[`: `name` on track `tid`, `dur_ns` long from
+/// `start_ns`, with an optional category and parcel-flow id. Every span
+/// the workspace exports goes through here — core spans, parcel slices,
+/// critical-path segments, flight-recorder dumps.
+pub(crate) fn complete_span(
+    out: &mut String,
+    name: &str,
+    cat: Option<&str>,
+    start_ns: u64,
+    dur_ns: u64,
+    tid: &str,
+    flow: Option<u64>,
+) {
+    sep(out);
+    let _ = write!(out, "{{\"name\":\"{}\",\"ph\":\"X\"", escape_json(name));
+    if let Some(cat) = cat {
+        let _ = write!(out, ",\"cat\":\"{}\"", escape_json(cat));
+    }
+    let _ = write!(
+        out,
+        ",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":\"{}\"",
+        us(start_ns),
+        us(dur_ns),
+        escape_json(tid)
+    );
+    if let Some(id) = flow {
+        let _ = write!(out, ",\"args\":{{\"flow\":{id}}}");
+    }
+    out.push('}');
+}
+
+/// Separate the next event in `out` from the previous one, if any.
+fn sep(out: &mut String) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+}
+
 fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&CritPath>) -> String {
     let on_path: HashSet<u64> =
         cp.map(|cp| cp.path_nodes.iter().copied().collect()).unwrap_or_default();
     let mut out = String::from("[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-    };
 
     if let Some(cp) = cp {
         for seg in &cp.segments {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"cat\":\"critpath\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":\"critpath\"}}",
-                escape_json(&seg.component),
-                us(seg.start),
-                us(seg.len_ns()),
-            );
+            let (start, len) = (seg.start, seg.len_ns());
+            complete_span(&mut out, &seg.component, Some("critpath"), start, len, "critpath", None);
         }
         sep(&mut out);
         let _ = write!(
@@ -74,15 +100,8 @@ fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&Crit
     }
 
     for s in spans {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":\"{}\"}}",
-            escape_json(s.label),
-            us(s.start.as_nanos()),
-            us(s.end.since(s.start)),
-            escape_json(&s.track)
-        );
+        let (start, dur) = (s.start.as_nanos(), s.end.since(s.start));
+        complete_span(&mut out, s.label, None, start, dur, &s.track, None);
     }
 
     for (i, f) in flows.iter().enumerate() {
@@ -100,14 +119,7 @@ fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&Crit
         let recv_end = f.at(stage::SPAWN).unwrap_or(deliver + 1).max(deliver + 1);
         let src_tid = format!("loc{}/core{}", f.src, f.src_core);
         let dst_tid = format!("loc{}/core{}", f.dst, f.dst_core);
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"ph\":\"X\",\"cat\":\"parcel\",\"ts\":{},\"dur\":{},\
-             \"pid\":0,\"tid\":\"{src_tid}\",\"args\":{{\"flow\":{id}}}}}",
-            us(put),
-            us(send_end - put),
-        );
+        complete_span(&mut out, name, Some("parcel"), put, send_end - put, &src_tid, Some(id));
         sep(&mut out);
         let _ = write!(
             out,
@@ -115,14 +127,8 @@ fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&Crit
              \"pid\":0,\"tid\":\"{src_tid}\"}}",
             us(put),
         );
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"ph\":\"X\",\"cat\":\"parcel\",\"ts\":{},\"dur\":{},\
-             \"pid\":0,\"tid\":\"{dst_tid}\",\"args\":{{\"flow\":{id}}}}}",
-            us(deliver),
-            us(recv_end - deliver),
-        );
+        let recv_dur = recv_end - deliver;
+        complete_span(&mut out, name, Some("parcel"), deliver, recv_dur, &dst_tid, Some(id));
         sep(&mut out);
         let _ = write!(
             out,
@@ -184,6 +190,20 @@ mod tests {
         assert!(phases.contains(&"s") && phases.contains(&"f") && phases.contains(&"C"));
         let finish = events.iter().find(|e| e.get("ph").unwrap().as_str() == Some("f")).unwrap();
         assert_eq!(finish.get("tid").unwrap().as_str(), Some("loc1/core2"));
+    }
+
+    #[test]
+    fn tracer_spans_render_as_complete_events() {
+        let mut t = simcore::Tracer::new();
+        t.span("loc1/core2", "progress", SimTime::from_micros(3), SimTime::from_micros(5));
+        t.span("track\"with\\quotes", "progress", SimTime::ZERO, SimTime::from_nanos(10));
+        t.instant("slo/lat", "alert", SimTime::from_nanos(42));
+        let json = chrome_trace(t.spans(), &[], &Metrics::new());
+        assert!(json.starts_with("[{\"name\":\"progress\",\"ph\":\"X\",\"ts\":3,\"dur\":2,"));
+        assert!(json.contains("\"tid\":\"loc1/core2\""), "json: {json}");
+        assert!(json.contains("\"tid\":\"track\\\"with\\\\quotes\""), "json: {json}");
+        assert!(json.contains("\"ts\":0.042,\"dur\":0,"), "json: {json}");
+        assert_eq!(crate::json::parse(&json).unwrap().as_arr().unwrap().len(), 3);
     }
 
     #[test]

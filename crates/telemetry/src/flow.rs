@@ -12,8 +12,8 @@
 //! Flow id 0 means "untracked": every mutator ignores it, so call sites
 //! can mark unconditionally.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use simcore::SimTime;
 
@@ -59,43 +59,19 @@ type RouteMap = HashMap<(usize, usize, u64), Vec<u64>>;
 /// Published lane-mode flow metadata: `id` → `(src, dst, put_ns)`.
 type MetaMap = HashMap<u64, (usize, usize, u64)>;
 
-/// Process-global route registry used in lane mode: the sender's and the
-/// receiver's tracers live on different lanes (possibly different worker
-/// threads), so the out-of-band `(src, dst, tag_base)` handoff has to
-/// cross tracer boundaries. The engine's conservative barrier guarantees
-/// the register happens-before the claim; the mutex only provides
-/// data-race freedom, never ordering.
-fn global_routes() -> &'static Mutex<RouteMap> {
-    static ROUTES: OnceLock<Mutex<RouteMap>> = OnceLock::new();
-    ROUTES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Process-global flow metadata (`id → (src, dst, put_ns)`) registered at
-/// `begin` in lane mode so a *receiving* lane can feed its end-to-end
-/// latency histogram at delivery time without owning the sender's
-/// `FlowRec`.
-fn global_meta() -> &'static Mutex<MetaMap> {
-    static META: OnceLock<Mutex<MetaMap>> = OnceLock::new();
-    META.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Publish `(src, dst, put_ns)` for lane-mode flow `id`.
-pub(crate) fn register_flow_meta(id: u64, src: usize, dst: usize, put_ns: u64) {
-    if id != 0 {
-        global_meta().lock().expect("flow meta").insert(id, (src, dst, put_ns));
-    }
-}
-
-/// Look up the published metadata for a (typically foreign) flow id.
-pub(crate) fn flow_meta(id: u64) -> Option<(usize, usize, u64)> {
-    global_meta().lock().expect("flow meta").get(&id).copied()
-}
-
-/// Drop all lane-mode global state. Called from `telemetry::disable` so
-/// back-to-back runs in one process cannot cross-contaminate.
-pub(crate) fn clear_lane_globals() {
-    global_routes().lock().expect("route registry").clear();
-    global_meta().lock().expect("flow meta").clear();
+/// One run's out-of-band registry: message routes, plus the `(src, dst,
+/// put_ns)` of lane-mode flows so a receiving lane can feed its latency
+/// series without owning the sender's `FlowRec`. The tracer of the
+/// collector made by `telemetry::enable` owns it and the run's lane
+/// tracers share it ([`FlowTracer::for_lane`]), because sender and
+/// receiver lanes may run on different threads. The engine's conservative
+/// barrier orders every register before its claim; the mutexes only make
+/// the handoff data-race-free. Nothing outside the run can reach it, so
+/// concurrent runs in one process stay apart.
+#[derive(Debug, Default)]
+struct RouteStore {
+    routes: Mutex<RouteMap>,
+    meta: Mutex<MetaMap>,
 }
 
 /// An operation on a flow owned by *another* lane's tracer, buffered for
@@ -148,7 +124,8 @@ impl FlowRec {
 #[derive(Debug)]
 pub struct FlowTracer {
     flows: Vec<FlowRec>,
-    routes: HashMap<(usize, usize, u64), Vec<u64>>,
+    /// The run's route registry, shared with its lane tracers.
+    store: Arc<RouteStore>,
     /// Stop allocating new flows past this many (memory guard for long
     /// runs); marks on existing flows keep working.
     pub max_flows: usize,
@@ -160,7 +137,7 @@ pub struct FlowTracer {
     /// `(id, op-discriminant)` pairs already buffered — first-wins dedup
     /// so `mark` still reports "newly set" exactly once per stage (the
     /// in-flight accounting depends on it).
-    foreign_seen: std::collections::HashSet<(u64, usize)>,
+    foreign_seen: HashSet<(u64, usize)>,
 }
 
 impl Default for FlowTracer {
@@ -174,19 +151,24 @@ impl FlowTracer {
     pub fn new() -> Self {
         FlowTracer {
             flows: Vec::new(),
-            routes: HashMap::new(),
+            store: Arc::default(),
             max_flows: 1 << 22,
             lane_base: None,
             foreign: Vec::new(),
-            foreign_seen: std::collections::HashSet::new(),
+            foreign_seen: HashSet::new(),
         }
     }
 
-    /// Put this tracer in lane mode for `lane`: new flow ids carry the
-    /// lane in their high bits, and operations on flows minted by other
-    /// lanes are buffered as [`ForeignOp`]s for the post-run merge.
-    pub(crate) fn set_lane(&mut self, lane: u32) {
-        self.lane_base = Some((lane as u64) << LANE_SHIFT);
+    /// A lane-mode tracer for `lane` in this tracer's run: it shares this
+    /// tracer's route store, new flow ids carry the lane in their high
+    /// bits, and operations on flows minted by other lanes are buffered as
+    /// [`ForeignOp`]s for the post-run merge.
+    pub(crate) fn for_lane(&self, lane: u32) -> FlowTracer {
+        FlowTracer {
+            store: self.store.clone(),
+            lane_base: Some((lane as u64) << LANE_SHIFT),
+            ..FlowTracer::new()
+        }
     }
 
     /// Whether this tracer is in lane mode.
@@ -255,12 +237,6 @@ impl FlowTracer {
         }
     }
 
-    /// [`FlowTracer::mark`] over a batch of ids; returns how many stages
-    /// were newly set.
-    pub fn mark_many(&mut self, ids: &[u64], stage: usize, t: SimTime) -> usize {
-        ids.iter().filter(|&&id| self.mark(id, stage, t)).count()
-    }
-
     /// Record the core that handled delivery for `ids`.
     pub fn set_dst_core(&mut self, ids: &[u64], core: usize) {
         for &id in ids {
@@ -278,36 +254,30 @@ impl FlowTracer {
     }
 
     /// Sender side: associate `flows` with the message identified by
-    /// `(src, dst, tag_base)` so the receiver can pick them up. In lane
-    /// mode the registration goes through the process-global registry so
-    /// a receiver on another lane (and another thread) can claim it; the
-    /// engine's conservative barrier orders the register before the
-    /// claim, the mutex only makes the handoff data-race-free.
-    pub fn register_route(&mut self, src: usize, dst: usize, tag_base: u64, flows: &[u64]) {
-        if flows.is_empty() {
-            return;
-        }
-        if self.lane_mode() {
-            global_routes()
-                .lock()
-                .expect("route registry")
-                .insert((src, dst, tag_base), flows.to_vec());
-        } else {
-            self.routes.insert((src, dst, tag_base), flows.to_vec());
+    /// `(src, dst, tag_base)` so the receiver — possibly a lane tracer of
+    /// this run on another thread — can claim them.
+    pub fn register_route(&self, src: usize, dst: usize, tag_base: u64, flows: &[u64]) {
+        if !flows.is_empty() {
+            let mut routes = self.store.routes.lock().expect("route store poisoned");
+            routes.insert((src, dst, tag_base), flows.to_vec());
         }
     }
 
     /// Receiver side: claim the flows registered for `(src, dst,
     /// tag_base)`. Empty if the sender registered nothing.
-    pub fn take_route(&mut self, src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
-        if self.lane_mode() {
-            return global_routes()
-                .lock()
-                .expect("route registry")
-                .remove(&(src, dst, tag_base))
-                .unwrap_or_default();
-        }
-        self.routes.remove(&(src, dst, tag_base)).unwrap_or_default()
+    pub fn take_route(&self, src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
+        let mut routes = self.store.routes.lock().expect("route store poisoned");
+        routes.remove(&(src, dst, tag_base)).unwrap_or_default()
+    }
+
+    /// Publish `(src, dst, put_ns)` of lane-mode flow `id` to the run.
+    pub(crate) fn publish_meta(&self, id: u64, src: usize, dst: usize, put_ns: u64) {
+        self.store.meta.lock().expect("route store poisoned").insert(id, (src, dst, put_ns));
+    }
+
+    /// The published metadata of a (typically foreign) flow id.
+    pub(crate) fn meta(&self, id: u64) -> Option<(usize, usize, u64)> {
+        self.store.meta.lock().expect("route store poisoned").get(&id).copied()
     }
 
     /// All recorded flows, in creation order.
@@ -324,31 +294,29 @@ impl FlowTracer {
         self.flows.get(Self::idx(id))
     }
 
-    /// Merge per-lane tracers (in lane-rank order) back into one legacy
-    /// tracer, replaying every buffered [`ForeignOp`] against the record
-    /// owned by the minting lane. `remap` translates raw per-lane causal
-    /// gids (node-base `rank << 44`) into merged causal-log node ids; gids
+    /// Append per-lane tracers (in lane-rank order) to this tracer's flows,
+    /// replaying every buffered [`ForeignOp`] against the record owned by
+    /// the minting lane. `remap` translates raw per-lane causal gids
+    /// (node-base `rank << 44`) into merged causal-log node ids; gids
     /// absent from the merged log collapse to 0 ("no provenance").
-    pub(crate) fn merge_lanes(lanes: Vec<FlowTracer>, remap: &HashMap<u64, u64>) -> FlowTracer {
+    pub(crate) fn absorb_lanes(&mut self, lanes: Vec<FlowTracer>, remap: &HashMap<u64, u64>) {
         let remap_node = |n: u64| if n == 0 { 0 } else { remap.get(&n).copied().unwrap_or(0) };
-        let mut merged = FlowTracer::new();
         let mut id_map: HashMap<u64, usize> = HashMap::new();
         let mut foreign: Vec<ForeignOp> = Vec::new();
-        for lane in &lanes {
+        for lane in lanes {
             let base = lane.lane_base.unwrap_or(0);
-            for (i, rec) in lane.flows.iter().enumerate() {
-                id_map.insert(base | (i as u64 + 1), merged.flows.len());
-                let mut rec = rec.clone();
+            for (i, mut rec) in lane.flows.into_iter().enumerate() {
+                id_map.insert(base | (i as u64 + 1), self.flows.len());
                 rec.deliver_node = remap_node(rec.deliver_node);
-                merged.flows.push(rec);
+                self.flows.push(rec);
             }
-            foreign.extend(lane.foreign.iter().cloned());
+            foreign.extend(lane.foreign);
         }
         for op in foreign {
             match op {
                 ForeignOp::Mark(id, stage, t_ns, deliver_node) => {
                     let Some(&idx) = id_map.get(&id) else { continue };
-                    let rec = &mut merged.flows[idx];
+                    let rec = &mut self.flows[idx];
                     if rec.stages[stage] == UNSET {
                         rec.stages[stage] = t_ns;
                         if stage == self::stage::DELIVER {
@@ -358,12 +326,11 @@ impl FlowTracer {
                 }
                 ForeignOp::DstCore(id, core) => {
                     if let Some(&idx) = id_map.get(&id) {
-                        merged.flows[idx].dst_core = core;
+                        self.flows[idx].dst_core = core;
                     }
                 }
             }
         }
-        merged
     }
 
     /// Number of recorded flows.
@@ -410,7 +377,7 @@ mod tests {
     fn id_zero_is_ignored() {
         let mut f = FlowTracer::new();
         f.mark(0, stage::PUT, SimTime::ZERO);
-        f.mark_many(&[0, 0], stage::WIRE, SimTime::ZERO);
+        f.mark(0, stage::WIRE, SimTime::ZERO);
         f.set_dst_core(&[0], 9);
         assert!(f.is_empty());
     }
@@ -438,10 +405,9 @@ mod tests {
 
     #[test]
     fn lane_ids_carry_lane_and_lane0_matches_legacy() {
-        let mut l0 = FlowTracer::new();
-        l0.set_lane(0);
-        let mut l2 = FlowTracer::new();
-        l2.set_lane(2);
+        let run = FlowTracer::new();
+        let mut l0 = run.for_lane(0);
+        let mut l2 = run.for_lane(2);
         assert_eq!(l0.begin(0, 1, 0, SimTime::ZERO), 1);
         let id = l2.begin(2, 0, 0, SimTime::ZERO);
         assert_eq!(id, (2u64 << LANE_SHIFT) | 1);
@@ -451,10 +417,9 @@ mod tests {
 
     #[test]
     fn foreign_marks_buffer_and_merge_back() {
-        let mut sender = FlowTracer::new();
-        sender.set_lane(1);
-        let mut receiver = FlowTracer::new();
-        receiver.set_lane(0);
+        let run = FlowTracer::new();
+        let mut sender = run.for_lane(1);
+        let mut receiver = run.for_lane(0);
         let id = sender.begin(1, 0, 0, SimTime::from_nanos(5));
         sender.mark(id, stage::INJECT, SimTime::from_nanos(10));
         // Receiver-side stages land on the other lane's tracer.
@@ -465,7 +430,8 @@ mod tests {
         receiver.set_dst_core(&[id], 3);
         assert_eq!(receiver.len(), 0, "foreign ops must not mint local flows");
 
-        let merged = FlowTracer::merge_lanes(vec![receiver, sender], &HashMap::new());
+        let mut merged = FlowTracer::new();
+        merged.absorb_lanes(vec![receiver, sender], &HashMap::new());
         assert_eq!(merged.len(), 1);
         let rec = &merged.flows()[0];
         assert_eq!(rec.at(stage::PUT), Some(5));
@@ -474,21 +440,5 @@ mod tests {
         assert_eq!(rec.at(stage::DELIVER), Some(50));
         assert_eq!(rec.dst_core, 3);
         assert!(rec.delivered());
-    }
-
-    #[test]
-    fn lane_routes_cross_tracers_and_clear() {
-        let mut sender = FlowTracer::new();
-        sender.set_lane(0);
-        let mut receiver = FlowTracer::new();
-        receiver.set_lane(1);
-        let id = sender.begin(0, 1, 0, SimTime::ZERO);
-        sender.register_route(0, 1, 7, &[id]);
-        assert_eq!(receiver.take_route(0, 1, 7), vec![id]);
-        assert!(receiver.take_route(0, 1, 7).is_empty());
-        register_flow_meta(id, 0, 1, 123);
-        assert_eq!(flow_meta(id), Some((0, 1, 123)));
-        clear_lane_globals();
-        assert_eq!(flow_meta(id), None);
     }
 }

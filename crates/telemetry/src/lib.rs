@@ -96,7 +96,7 @@ impl Inner {
             Some(rec) => (rec.src, rec.dst, rec.at(stage::PUT).unwrap_or(t.as_nanos())),
             // Lane mode: a foreign id's record lives on the sending
             // lane's tracer; read the published metadata instead.
-            None => match flow::flow_meta(id) {
+            None => match self.flows.meta(id) {
                 Some(meta) => meta,
                 None => return,
             },
@@ -220,7 +220,7 @@ impl Telemetry {
             // Lane mode with timelines: publish (src, dst, put) so the
             // receiving lane can feed its latency series at delivery.
             if inner.timeline.is_some() && inner.flows.lane_mode() {
-                flow::register_flow_meta(id, src, dst, t.as_nanos());
+                inner.flows.publish_meta(id, src, dst, t.as_nanos());
             }
         }
         if let Some(tl) = &mut inner.timeline {
@@ -231,50 +231,32 @@ impl Telemetry {
 
     /// Mark `stage` on one flow.
     pub fn flow_mark(&self, id: u64, stage: usize, t: SimTime) {
+        self.flow_mark_many(&[id], stage, t);
+    }
+
+    /// Mark `stage` on a batch of flows. Each newly delivered parcel
+    /// lands in the windowed latency series and on the flight recorder;
+    /// the batch moves `parcels.in_flight` by one sample.
+    pub fn flow_mark_many(&self, ids: &[u64], stage: usize, t: SimTime) {
+        if ids.is_empty() {
+            return;
+        }
         let inner = &mut *self.inner.borrow_mut();
-        if inner.flows.mark(id, stage, t) && stage == stage::DELIVER {
-            inner.in_flight -= 1;
+        let mut newly = 0i64;
+        for &id in ids {
+            if inner.flows.mark(id, stage, t) && stage == stage::DELIVER {
+                newly += 1;
+                inner.flow_delivered(id, t);
+            }
+        }
+        if newly > 0 {
+            inner.in_flight -= newly;
             let v = inner.in_flight as f64;
             inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-            inner.flow_delivered(id, t);
         }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
             inner.tl_poll();
-        }
-    }
-
-    /// Mark `stage` on a batch of flows.
-    pub fn flow_mark_many(&self, ids: &[u64], stage: usize, t: SimTime) {
-        if !ids.is_empty() {
-            let inner = &mut *self.inner.borrow_mut();
-            if stage == stage::DELIVER && inner.timeline.is_some() {
-                // Per-id marking so each newly delivered parcel lands on
-                // the flight recorder and in the windowed latency series.
-                let mut newly = 0i64;
-                for &id in ids {
-                    if inner.flows.mark(id, stage, t) {
-                        newly += 1;
-                        inner.flow_delivered(id, t);
-                    }
-                }
-                if newly > 0 {
-                    inner.in_flight -= newly;
-                    let v = inner.in_flight as f64;
-                    inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-                }
-            } else {
-                let newly = inner.flows.mark_many(ids, stage, t);
-                if newly > 0 && stage == stage::DELIVER {
-                    inner.in_flight -= newly as i64;
-                    let v = inner.in_flight as f64;
-                    inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-                }
-            }
-            if let Some(tl) = &mut inner.timeline {
-                tl.observe(t.as_nanos());
-                inner.tl_poll();
-            }
         }
     }
 
@@ -287,12 +269,12 @@ impl Telemetry {
 
     /// Sender side of cross-locality stitching.
     pub fn register_route(&self, src: usize, dst: usize, tag_base: u64, flows: &[u64]) {
-        self.inner.borrow_mut().flows.register_route(src, dst, tag_base, flows);
+        self.inner.borrow().flows.register_route(src, dst, tag_base, flows);
     }
 
     /// Receiver side of cross-locality stitching.
     pub fn take_route(&self, src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
-        self.inner.borrow_mut().flows.take_route(src, dst, tag_base)
+        self.inner.borrow().flows.take_route(src, dst, tag_base)
     }
 
     /// Read access to the metrics registry.
@@ -553,12 +535,6 @@ impl Telemetry {
         self.timeline_finalize();
         self.with_timeline(|tl| tl.to_openmetrics(config))
     }
-
-    /// The timeline configuration, if a timeline is attached — used to
-    /// clone per-lane timelines in the sharded world.
-    pub fn timeline_config(&self) -> Option<TimelineConfig> {
-        self.with_timeline(|tl| tl.config())
-    }
 }
 
 /// Adapter feeding `simcore::probe` events into the contention table.
@@ -678,13 +654,13 @@ pub fn enable_with(cfg: TimelineConfig) -> Rc<Telemetry> {
 /// Remove the active collector, the contention probe and the causal
 /// collector, resetting every piece of thread-local recording state so
 /// back-to-back instrumented runs in one process cannot contaminate each
-/// other. The returned handle from [`enable`] stays valid for reading
+/// other. Runs on other threads are untouched: their route stores belong
+/// to their own collectors. The returned handle from [`enable`] stays valid for reading
 /// reports.
 pub fn disable() {
     ACTIVE.with(|c| *c.borrow_mut() = None);
     simcore::probe::uninstall();
     simcore::causal::uninstall();
-    flow::clear_lane_globals();
 }
 
 /// Whether a collector is active on this thread.
@@ -857,17 +833,18 @@ pub struct LaneCollector {
 }
 
 impl LaneCollector {
-    /// Build the collector for `lane`. Pass the main collector's timeline
-    /// config (see [`Telemetry::timeline_config`]) so windowed series
-    /// keep working per-lane.
-    pub fn new(lane: u32, timeline: Option<TimelineConfig>) -> Self {
+    /// Build the collector for `lane` of the run `main` collects: it
+    /// shares `main`'s route store, and gets a timeline of its own when
+    /// `main` has one, so windowed series keep working per lane.
+    pub fn new(lane: u32, main: &Telemetry) -> Self {
         let tel = Rc::new(Telemetry::new());
         let causal = CausalLog::new();
         {
+            let main = main.inner.borrow();
             let inner = &mut *tel.inner.borrow_mut();
-            inner.flows.set_lane(lane);
+            inner.flows = main.flows.for_lane(lane);
             inner.causal = Some(causal.clone());
-            inner.timeline = timeline.map(Timeline::new);
+            inner.timeline = main.timeline.as_ref().map(|tl| Timeline::new(tl.config()));
         }
         let probe: Rc<dyn simcore::Probe> = Rc::new(ProbeAdapter(tel.clone()));
         LaneCollector { tel, probe, causal }
@@ -881,13 +858,9 @@ impl LaneCollector {
         simcore::causal::install(self.causal.clone());
     }
 
-    /// Remove this lane's collector from the current thread. Unlike
-    /// [`disable`] this leaves the lane-global route/meta registries
-    /// alone — other lanes still need them mid-run.
+    /// Remove this lane's collector from the current thread.
     pub fn uninstall(&self) {
-        ACTIVE.with(|c| *c.borrow_mut() = None);
-        simcore::probe::uninstall();
-        simcore::causal::uninstall();
+        disable();
     }
 
     /// Handle to this lane's telemetry (read access for tests).
@@ -946,7 +919,7 @@ pub fn merge_lane_collectors(main: &Rc<Telemetry>, lanes: Vec<LaneCollector>) {
             tracers.push(inner.flows);
         }
         main_inner.causal = Some(merged_log);
-        main_inner.flows = FlowTracer::merge_lanes(tracers, &remap);
+        main_inner.flows.absorb_lanes(tracers, &remap);
         for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
             let rebuilt = rebuild_cumulative(&cum[slot]);
             if !rebuilt.is_empty() {
@@ -1085,8 +1058,8 @@ mod tests {
     fn lane_collectors_merge_to_one_run() {
         with_clean_state(|| {
             let main = enable();
-            let lane0 = LaneCollector::new(0, None);
-            let lane1 = LaneCollector::new(1, None);
+            let lane0 = LaneCollector::new(0, &main);
+            let lane1 = LaneCollector::new(1, &main);
 
             // Lane 1 sends a parcel to lane 0: begin/inject on lane 1,
             // receiver-side stages + route claim on lane 0.
@@ -1122,6 +1095,51 @@ mod tests {
             assert_eq!(track, vec![(10, 1.0), (90, 0.0)]);
             disable();
         });
+    }
+
+    /// Two runs on two threads whose lane collectors register the same
+    /// `(src, dst, tag_base)` route: each run claims only its own flow
+    /// ids, and `disable` on one thread leaves the other run's pending
+    /// routes and flow metadata alone.
+    #[test]
+    fn concurrent_runs_keep_their_own_routes() {
+        let barrier = std::sync::Barrier::new(2);
+        // Run `flows` parcels through one run; run 1 claims and disables
+        // while run 2's route is still pending, run 2 claims afterwards.
+        let run = |flows: u64| {
+            let main = enable_with(TimelineConfig::default());
+            let sender = LaneCollector::new(1, &main);
+            let receiver = LaneCollector::new(0, &main);
+            sender.install();
+            let ids: Vec<u64> =
+                (0..flows).map(|_| flow_begin(1, 0, 0, SimTime::from_nanos(10))).collect();
+            register_route(1, 0, 5, &ids);
+            sender.uninstall();
+            barrier.wait();
+            if flows == 2 {
+                barrier.wait();
+            }
+            receiver.install();
+            let claimed = take_route(1, 0, 5);
+            flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(50));
+            receiver.uninstall();
+            merge_lane_collectors(&main, vec![receiver, sender]);
+            disable();
+            if flows == 1 {
+                barrier.wait();
+            }
+            let latencies = main.with_metrics(|m| m.hist("parcel.latency_ns").map(|h| h.count()));
+            (ids, claimed, latencies)
+        };
+        let results = std::thread::scope(|s| {
+            let first = s.spawn(|| run(1));
+            let second = s.spawn(|| run(2));
+            [first.join().expect("run 1"), second.join().expect("run 2")]
+        });
+        for (ids, claimed, latencies) in results {
+            assert_eq!(claimed, ids, "a run claimed another run's flows");
+            assert_eq!(latencies, Some(ids.len() as u64), "a run lost its flow metadata");
+        }
     }
 
     #[test]

@@ -217,18 +217,7 @@ impl FlightDump {
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("[");
         let push = |out: &mut String, name: &str, tid: &str, ts: u64, dur: u64| {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":\"{}\"}}",
-                escape_json(name),
-                ts as f64 / 1e3,
-                dur as f64 / 1e3,
-                escape_json(tid)
-            )
-            .expect("write to string");
+            crate::chrome::complete_span(out, name, None, ts, dur, tid, None)
         };
         push(&mut out, &format!("TRIGGER {}", self.reason), "flight.trigger", self.trigger_ns, 0);
         for r in &self.records {
