@@ -388,31 +388,38 @@ impl Fabric {
         PollOutcome::Empty { cpu_done: cpu, next_arrival }
     }
 
-    /// Drain every in-flight packet addressed to a node other than
-    /// `home` into `out` as `(deliver_at, pkt)` pairs — the lane-export
-    /// half of the federated sharded world, where each lane owns a full
-    /// fabric replica but only its `home` node ever receives locally.
-    /// Channels are visited in canonical `(src, dst, ctx)` order and each
+    /// Drain every in-flight packet `home` sent to another node into `out`
+    /// as `(deliver_at, pkt)` pairs — the lane-export half of the
+    /// federated sharded world, where each lane owns a full fabric replica
+    /// but only its `home` node sends or receives locally. Only home's own
+    /// row `(home, dst ≠ home, ctx)` can hold such packets (foreign-source
+    /// packets enter through [`Fabric::accept_remote`], addressed to
+    /// `home`), so the cost is `nodes × contexts` channel checks plus the
+    /// packets moved. Channels are visited in `(dst, ctx)` order and each
     /// is drained front-to-back, so per-channel FIFO is preserved and the
     /// output order is placement-independent.
-    pub fn drain_remote(&mut self, home: NodeId, out: &mut Vec<(SimTime, Packet)>) {
-        for src in 0..self.nodes {
-            for dst in 0..self.nodes {
-                if dst == home {
-                    continue;
-                }
+    pub fn drain_sent_by(&mut self, home: NodeId, out: &mut Vec<(SimTime, Packet)>) {
+        #[cfg(debug_assertions)]
+        for src in (0..self.nodes).filter(|&src| src != home) {
+            for dst in (0..self.nodes).filter(|&dst| dst != home) {
                 for ctx in 0..self.contexts {
-                    let chan = self.chan(src, dst, ctx);
-                    while let Some(inflight) = self.queues[chan].pop_front() {
-                        out.push((inflight.deliver_at, inflight.pkt));
-                    }
+                    assert!(
+                        self.queues[self.chan(src, dst, ctx)].is_empty(),
+                        "replica of {home} holds a foreign packet {src} -> {dst} (ctx {ctx})"
+                    );
                 }
+            }
+        }
+        for dst in (0..self.nodes).filter(|&dst| dst != home) {
+            for ctx in 0..self.contexts {
+                let chan = self.chan(home, dst, ctx);
+                out.extend(self.queues[chan].drain(..).map(|f| (f.deliver_at, f.pkt)));
             }
         }
     }
 
     /// Accept a packet drained from another lane's replica (the
-    /// lane-import half of [`Fabric::drain_remote`]): enqueue it on its
+    /// lane-import half of [`Fabric::drain_sent_by`]): enqueue it on its
     /// `(src, dst, ctx)` channel with its original delivery instant and
     /// fire the destination's arrival waker, exactly as a local
     /// [`Fabric::send`] would have. Acceptance order must follow the
@@ -720,50 +727,63 @@ mod tests {
     fn remote_drain_and_accept_preserve_fifo_and_wake() {
         use std::cell::RefCell;
         let mut sim = Sim::new(1);
-        // Lane 0's replica: node 0 sends to a remote node 1.
-        let mut src_fab = Fabric::new(2, WireModel::expanse());
-        let a = fab_send_tagged(&mut src_fab, &mut sim, 0, 1, 10);
-        let b = fab_send_tagged(&mut src_fab, &mut sim, 0, 1, 11);
-        assert!(b.deliver_at >= a.deliver_at);
+        // Lane 0's replica of a 3-node, 2-context fabric: home 0 sends to
+        // nodes 1 and 2 on both contexts, interleaved, and has accepted
+        // inbound packets from 1 and 2.
+        let mut src_fab = Fabric::with_contexts(3, WireModel::expanse(), 2);
+        for (dst, ctx, tag) in [(2, 1, 21), (1, 1, 11), (2, 0, 20), (1, 0, 10), (1, 0, 12)] {
+            fab_send_tagged(&mut src_fab, &mut sim, (0, dst, ctx), tag);
+        }
+        for (src, ctx, tag) in [(1, 0, 90), (2, 1, 91)] {
+            let mut inbound = pkt(src, 0, tag, 8);
+            inbound.ctx = ctx;
+            src_fab.accept_remote(&mut sim, SimTime::from_micros(5), inbound);
+        }
+        assert_eq!(src_fab.pending(0), 2);
         let mut out = Vec::new();
-        src_fab.drain_remote(0, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1.tag, 10, "drain preserves channel FIFO order");
-        assert_eq!(out[1].1.tag, 11);
-        assert_eq!(src_fab.pending(1), 0, "drained packets leave the replica");
+        src_fab.drain_sent_by(0, &mut out);
+        let drained: Vec<_> = out.iter().map(|(_, p)| (p.dst, p.ctx, p.tag)).collect();
+        assert_eq!(
+            drained,
+            vec![(1, 0, 10), (1, 0, 12), (1, 1, 11), (2, 0, 20), (2, 1, 21)],
+            "drain yields exactly home's sends, (dst, ctx) order, FIFO per channel"
+        );
+        assert_eq!(src_fab.pending(0), 2, "inbound packets stay for home to poll");
+        assert_eq!(src_fab.pending(1) + src_fab.pending(2), 0, "drained packets leave the replica");
 
         // Lane 1's replica: accept fires the registered arrival waker.
-        let mut dst_fab = Fabric::new(2, WireModel::expanse());
+        let mut dst_fab = Fabric::with_contexts(3, WireModel::expanse(), 2);
         let woken: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
         let w = woken.clone();
         dst_fab.set_arrival_waker(
             1,
             Rc::new(move |_sim: &mut Sim, at: SimTime| w.borrow_mut().push(at)),
         );
-        for (deliver_at, pkt) in out {
+        let last = out.iter().map(|&(at, _)| at).max().expect("drained packets");
+        for (deliver_at, pkt) in out.into_iter().filter(|(_, p)| p.dst == 1) {
             dst_fab.accept_remote(&mut sim, deliver_at, pkt);
         }
-        assert_eq!(woken.borrow().len(), 2);
-        sim.run_until(b.deliver_at);
+        assert_eq!(woken.borrow().len(), 3);
+        sim.run_until(last);
         let mut tags = Vec::new();
-        loop {
-            match dst_fab.poll(&mut sim, 0, 1) {
-                PollOutcome::Packet { pkt, .. } => tags.push(pkt.tag),
-                PollOutcome::Empty { .. } => break,
+        for ctx in 0..2 {
+            while let PollOutcome::Packet { pkt, .. } = dst_fab.poll_ctx(&mut sim, 0, 1, ctx) {
+                tags.push(pkt.tag);
             }
         }
-        assert_eq!(tags, vec![10, 11], "accepted packets deliver in order");
+        assert_eq!(tags, vec![10, 12, 11], "accepted packets deliver in order");
     }
 
     fn fab_send_tagged(
         fab: &mut Fabric,
         sim: &mut Sim,
-        src: NodeId,
-        dst: NodeId,
+        (src, dst, ctx): (NodeId, NodeId, u8),
         tag: u64,
-    ) -> SendOutcome {
+    ) {
         let now = sim.now();
-        fab.send(sim, 0, now, pkt(src, dst, tag, 64))
+        let mut p = pkt(src, dst, tag, 64);
+        p.ctx = ctx;
+        fab.send(sim, 0, now, p);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! construction.
 //!
 //! Cross-locality traffic leaves a lane as raw [`Packet`]s: after each
-//! nested advance the lane drains its fabric replica's outbound queues
-//! ([`Fabric::drain_remote`]) into per-`(src, dst)` payload mailboxes
-//! (each mutex touched by one producer and one consumer) and posts one
-//! engine wake per packet at `now + lookahead` — satisfying the engine's
-//! lookahead bound exactly. The destination lane accepts due packets
+//! nested advance the lane drains what its home node sent
+//! ([`Fabric::drain_sent_by`], which touches only the home row of the
+//! replica's channels) into the destination lane's inbox (one
+//! `Mutex<Vec>` per lane, pushed by every source) and posts one engine
+//! wake per packet at `now + lookahead` — satisfying the engine's
+//! lookahead bound exactly. The destination lane takes its due packets
+//! out of its inbox in one pass and accepts them
 //! ([`Fabric::accept_remote`]) with their *original* delivery instants
 //! before advancing, so wire timing is preserved: acceptance mirrors the
 //! legacy shared-fabric enqueue at send time, and delivery still happens
@@ -31,8 +33,9 @@
 //! Lane placement and executor choice are invisible to results: the
 //! engine's canonical key `(time, lane, seq)` is independent of the
 //! shard count and of thread scheduling, every lane's nested `Sim` runs
-//! sequentially whatever thread hosts it, and mailbox acceptance scans
-//! sources in rank order. Shards ∈ {1, 2, 4, 8} × {sequential,
+//! sequentially whatever thread hosts it, and inbox acceptance orders
+//! the due packets by source rank (a stable sort keeps per-source FIFO).
+//! Shards ∈ {1, 2, 4, 8} × {sequential,
 //! threaded} all yield bit-identical canonical logs, digests, and
 //! telemetry (pinned by `tests/golden_trace.rs`).
 //!
@@ -52,7 +55,6 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -64,23 +66,34 @@ use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTim
 
 use crate::builder::{build_fabric, build_locality, WorldConfig};
 
-/// A packet crossing lanes through a payload mailbox. The engine wake
-/// event carries only the happens-before edge; the payload rides here.
+/// A packet crossing lanes through an inbox. The engine wake event
+/// carries only the happens-before edge; the payload rides here.
 struct MailPacket {
     /// When the destination lane may observe the packet (`send-lane now +
-    /// lookahead` — monotone per mailbox, which keeps the due-scan a
-    /// front-of-queue check).
+    /// lookahead` — monotone per source).
     wake_at: SimTime,
     /// The modeled delivery instant, preserved end-to-end.
     deliver_at: SimTime,
     pkt: Packet,
 }
 
-/// `localities × localities` mailboxes, indexed `src * n + dst`. Each
-/// mutex has exactly one producer (the source lane) and one consumer
-/// (the destination lane); the engine's epoch barrier provides ordering,
-/// the mutex only data-race freedom.
-type Mailboxes = Arc<Vec<Mutex<VecDeque<MailPacket>>>>;
+/// One inbox per destination lane, indexed by rank. Every source lane
+/// pushes its own packets in send order; only the destination takes
+/// them out. The engine's epoch barrier provides ordering, the mutex only
+/// data-race freedom.
+type Inboxes = Arc<Vec<Mutex<Vec<MailPacket>>>>;
+
+/// Move the packets of `inbox` that are due at `now` into `due`, sources
+/// in rank order (the deterministic merge order) and FIFO per source —
+/// which is the per-channel FIFO `Fabric::accept_remote` requires. One
+/// pass takes them out in push order, and a stable sort by source yields
+/// that order under any thread schedule: each source alone pushes its
+/// packets, in order, and a packet pushed during the current window wakes
+/// at or after the window end, so it is never due in it.
+fn take_due(inbox: &Mutex<Vec<MailPacket>>, now: SimTime, due: &mut Vec<MailPacket>) {
+    due.extend(inbox.lock().expect("inbox poisoned").extract_if(.., |m| m.wake_at <= now));
+    due.sort_by_key(|m| m.pkt.src);
+}
 
 /// Engine-event tags for a lane.
 const ARG_WAKE: u64 = 0;
@@ -114,7 +127,6 @@ impl From<ActionRegistry> for LaneSetup {
 /// engine time.
 pub struct LocalityNode {
     rank: usize,
-    localities: usize,
     /// The nested simulator. Node ids are namespaced `rank << 44` so
     /// per-lane causal logs merge without collisions (lane 0 keeps the
     /// legacy namespace).
@@ -124,9 +136,11 @@ pub struct LocalityNode {
     collector: RefCell<Option<telemetry::LaneCollector>>,
     app: Option<Box<dyn Any>>,
     thread_prep: Option<Box<dyn Fn() + Send>>,
-    mail: Mailboxes,
+    inboxes: Inboxes,
     /// The one engine event armed at the nested heap head.
     advance: Option<ShardEventId>,
+    /// Reused inbound buffer: the due packets taken from this lane's inbox.
+    due: Vec<MailPacket>,
     /// Reused outbound drain buffer.
     drain: Vec<(SimTime, Packet)>,
 }
@@ -138,11 +152,11 @@ pub struct LocalityNode {
 // `Rc<CostModel>` and parcelport (`build_locality`), and the `collector`
 // (an `Rc<Telemetry>` of this lane only). Every `Rc` reachable from a node
 // is therefore reachable from that node alone, and moving the node moves
-// all of them together. All cross-lane state is `Arc`/`Mutex`: the `mail`
-// boxes, packet payloads in `drain` (`Bytes`), and the telemetry run's
-// route store. `app` and `thread_prep` come from `LaneSetup`, whose
-// closures must not capture an `Rc` shared across ranks (documented on
-// `LaneSetup`). `rank`, `localities` and `advance` are plain data. The
+// all of them together. All cross-lane state is `Arc`/`Mutex`: the
+// `inboxes`, packet payloads in `due` and `drain` (`Bytes`), and the
+// telemetry run's route store. `app` and `thread_prep` come from
+// `LaneSetup`, whose closures must not capture an `Rc` shared across
+// ranks (documented on `LaneSetup`). `rank` and `advance` are plain data. The
 // engine moves a node between threads only at epoch barriers (join or
 // spawn gives the happens-before edge) and dispatches it on one thread at
 // a time; the thread-local collectors it installs at dispatch entry are
@@ -191,35 +205,26 @@ impl ShardActor for LocalityNode {
             self.advance = None;
         }
 
-        // 1. Accept every due inbound packet, sources in rank order (the
-        //    deterministic merge order), per-source FIFO — which is the
-        //    per-channel FIFO `Fabric::accept_remote` requires.
-        let n = self.localities;
-        for src in 0..n {
-            if src == self.rank {
-                continue;
-            }
-            let mut q = self.mail[src * n + self.rank].lock().expect("mailbox poisoned");
-            while q.front().is_some_and(|m| m.wake_at <= now) {
-                let m = q.pop_front().expect("front checked");
-                self.fabric.borrow_mut().accept_remote(&mut self.sim, m.deliver_at, m.pkt);
-            }
+        // 1. Accept every due inbound packet.
+        take_due(&self.inboxes[self.rank], now, &mut self.due);
+        for m in self.due.drain(..) {
+            self.fabric.borrow_mut().accept_remote(&mut self.sim, m.deliver_at, m.pkt);
         }
 
         // 2. Advance the nested world to engine time.
         self.sim.run_until(now);
 
-        // 3. Export outbound packets: payload into the mailbox, one
-        //    engine wake per packet at exactly `now + lookahead`.
-        self.fabric.borrow_mut().drain_remote(self.rank, &mut self.drain);
+        // 3. Export what this lane sent: payload into the destination's
+        //    inbox, one engine wake per packet at exactly `now + lookahead`.
+        self.fabric.borrow_mut().drain_sent_by(self.rank, &mut self.drain);
         let wake = now + ctx.lookahead();
         for (deliver_at, pkt) in self.drain.drain(..) {
             let dst = pkt.dst;
-            debug_assert!(dst < n && dst != self.rank);
-            self.mail[self.rank * n + dst]
-                .lock()
-                .expect("mailbox poisoned")
-                .push_back(MailPacket { wake_at: wake, deliver_at, pkt });
+            self.inboxes[dst].lock().expect("inbox poisoned").push(MailPacket {
+                wake_at: wake,
+                deliver_at,
+                pkt,
+            });
             ctx.send(LaneId(dst as u32), wake, ARG_WAKE);
         }
 
@@ -279,8 +284,7 @@ pub fn build_sharded_world(
 ) -> ShardedWorld {
     let n = cfg.localities;
     let shards = shards.clamp(1, n);
-    let mail: Mailboxes =
-        Arc::new((0..n * n).map(|_| Mutex::new(VecDeque::new())).collect::<Vec<_>>());
+    let inboxes: Inboxes = Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
     let main_tel = telemetry::active();
 
     let nodes: Vec<Box<LocalityNode>> = (0..n)
@@ -302,15 +306,15 @@ pub fn build_sharded_world(
             });
             Box::new(LocalityNode {
                 rank,
-                localities: n,
                 sim,
                 fabric,
                 locality,
                 collector: RefCell::new(collector),
                 app,
                 thread_prep,
-                mail: mail.clone(),
+                inboxes: inboxes.clone(),
                 advance: None,
+                due: Vec::new(),
                 drain: Vec::new(),
             })
         })
@@ -515,9 +519,37 @@ mod tests {
         assert_eq!(digest_of(RunMode::Sequential), digest_of(RunMode::Threaded));
     }
 
+    /// Threads interleave the sources' pushes into one inbox; taking the
+    /// due packets restores rank order, keeps each source's FIFO, and
+    /// leaves what is not yet due.
+    #[test]
+    fn take_due_merges_sources_in_rank_order() {
+        let mail = |src: usize, tag: u64, wake: u64| MailPacket {
+            wake_at: SimTime::from_nanos(wake),
+            deliver_at: SimTime::from_nanos(wake + 100),
+            pkt: Packet { src, dst: 0, ctx: 0, kind: 0, tag, imm: 0, data: Bytes::new() },
+        };
+        let inbox = Mutex::new(vec![
+            mail(3, 30, 5),
+            mail(1, 10, 5),
+            mail(3, 31, 5),
+            mail(1, 11, 9),
+            mail(2, 20, 4),
+        ]);
+        let mut due = Vec::new();
+        take_due(&inbox, SimTime::from_nanos(5), &mut due);
+        let tags: Vec<u64> = due.iter().map(|m| m.pkt.tag).collect();
+        assert_eq!(tags, [10, 20, 30, 31]);
+        let left: Vec<u64> = inbox.lock().unwrap().iter().map(|m| m.pkt.tag).collect();
+        assert_eq!(left, [11], "a packet not yet due stays in the inbox");
+    }
+
+    /// All-to-all on the 4-locality fat-tree: every inbox takes packets
+    /// from three sources, and its merge order must not depend on shard
+    /// count or executor.
     #[test]
     fn shard_count_is_invisible_to_results() {
-        let run = |shards: usize| {
+        let run = |shards: usize, mode: RunMode| {
             let hits = Arc::new(AtomicUsize::new(0));
             let cfg = WorldConfig::cluster("lci_psr_cq_pin_i".parse().unwrap(), 4, 4);
             let h = hits.clone();
@@ -526,11 +558,8 @@ mod tests {
                 shards,
                 move |_rank| sink_registry(h.clone(), 8).into(),
                 move |rank, sim, loc| {
-                    if rank != 0 {
-                        return;
-                    }
                     let action = loc.with_registry(|r| r.id_of("sink").unwrap());
-                    for dst in 1..4usize {
+                    for dst in (0..4usize).filter(|&dst| dst != rank) {
                         for _ in 0..5 {
                             let loc = loc.clone();
                             loc.clone().spawn(
@@ -551,13 +580,14 @@ mod tests {
                 },
             );
             world.engine.set_exec_capture(true);
-            world.run(Some(RunMode::Sequential));
-            assert_eq!(hits.load(Ordering::Relaxed), 15, "shards={shards}: lost parcels");
+            world.run(Some(mode));
+            assert_eq!(hits.load(Ordering::Relaxed), 60, "shards={shards} {mode:?}: lost parcels");
             (world.engine.digest(), world.events_executed(), world.now())
         };
-        let base = run(1);
-        assert_eq!(base, run(2));
-        assert_eq!(base, run(4));
+        let base = run(1, RunMode::Sequential);
+        assert_eq!(base, run(2, RunMode::Sequential));
+        assert_eq!(base, run(4, RunMode::Sequential));
+        assert_eq!(base, run(4, RunMode::Threaded));
     }
 
     #[test]
