@@ -356,8 +356,11 @@ mod tests {
 
     /// A parcelport stub that records messages and completes sends after
     /// a fixed delay.
+    /// `(destination, message)` of every send the stub accepted.
+    type SentLog = Rc<RefCell<Vec<(usize, HpxMessage)>>>;
+
     struct StubPort {
-        sent: Rc<RefCell<Vec<(usize, HpxMessage)>>>,
+        sent: SentLog,
         delay: u64,
     }
 
@@ -391,10 +394,7 @@ mod tests {
         }
     }
 
-    fn world(
-        cfg: ParcelLayerConfig,
-        delay: u64,
-    ) -> (Sim, Rc<Locality>, Rc<RefCell<Vec<(usize, HpxMessage)>>>) {
+    fn world(cfg: ParcelLayerConfig, delay: u64) -> (Sim, Rc<Locality>, SentLog) {
         let sim = Sim::new(0);
         let loc = Locality::new(
             0,

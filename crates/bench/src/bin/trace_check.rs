@@ -227,7 +227,7 @@ fn validate(
 /// the reported end-to-end total. Timestamps are microsecond floats
 /// (exact nanosecond values / 1000), so comparisons allow a hundredth of
 /// a microsecond of rounding.
-fn check_critpath(spans: &mut Vec<(f64, f64)>, total_us: Option<f64>) -> Result<(), String> {
+fn check_critpath(spans: &mut [(f64, f64)], total_us: Option<f64>) -> Result<(), String> {
     const TOL_US: f64 = 0.01;
     if spans.is_empty() {
         return Err("no critical-path spans (expected a highlighted \"critpath\" track)".into());

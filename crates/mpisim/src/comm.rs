@@ -1,7 +1,7 @@
 //! The communicator: two-sided operations serialized by one blocking lock.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -69,8 +69,11 @@ pub struct Comm {
     lock: SimLock,
     /// Posted receives, searched linearly like a real MPI posted-recv queue.
     posted: Vec<PostedRecv>,
-    /// Unexpected messages, also a linear structure.
-    unexpected: Vec<UnexpMsg>,
+    /// Unexpected messages in arrival order, also searched linearly. A
+    /// deque so that the common head match does not shift the backlog;
+    /// matches are removed in place, never swapped, because MPI's
+    /// non-overtaking rule needs arrival order kept for every (src, tag).
+    unexpected: VecDeque<UnexpMsg>,
     rdv_send: HashMap<u64, RdvSend>,
     rdv_recv: HashMap<u64, Request>,
     next_op: u64,
@@ -93,7 +96,7 @@ impl Comm {
             cfg,
             lock: SimLock::new("ucp_progress", handoff, per_waiter),
             posted: Vec::new(),
-            unexpected: Vec::new(),
+            unexpected: VecDeque::new(),
             rdv_send: HashMap::new(),
             rdv_recv: HashMap::new(),
             next_op: 1,
@@ -257,7 +260,7 @@ impl Comm {
         telemetry::hist_record_at("mpi.lock_wait_ns", grant.start - start, grant.start);
         let req = Request::pending();
         if let Some(i) = pos {
-            let m = self.unexpected.remove(i);
+            let m = self.unexpected.remove(i).expect("matched position is in the queue");
             if m.rts {
                 // Late receive for a rendezvous send: answer RTR now.
                 let op = self.next_op;
@@ -360,7 +363,7 @@ impl Comm {
                 }
                 None => {
                     sim.stats.bump("mpi.unexpected");
-                    self.unexpected.push(UnexpMsg {
+                    self.unexpected.push_back(UnexpMsg {
                         src: pkt.src,
                         tag: pkt.tag,
                         data: pkt.data,
@@ -395,7 +398,7 @@ impl Comm {
                     }
                     None => {
                         sim.stats.bump("mpi.unexpected_rts");
-                        self.unexpected.push(UnexpMsg {
+                        self.unexpected.push_back(UnexpMsg {
                             src: pkt.src,
                             tag: pkt.tag,
                             data: Bytes::new(),
@@ -462,6 +465,19 @@ mod tests {
         panic!("request never completed");
     }
 
+    /// Progress both sides until the rendezvous send and receive complete.
+    fn drive_rendezvous(sim: &mut Sim, a: &mut Comm, b: &mut Comm, sreq: &Request, rreq: &Request) {
+        for _ in 0..100 {
+            sim.run_until(sim.now() + 10_000);
+            a.test(sim, 0, sim.now(), sreq);
+            b.test(sim, 0, sim.now(), rreq);
+            if sreq.is_done() && rreq.is_done() {
+                return;
+            }
+        }
+        panic!("rendezvous never completed");
+    }
+
     #[test]
     fn eager_roundtrip() {
         let (mut sim, mut a, mut b) = world();
@@ -501,17 +517,7 @@ mod tests {
         let now = sim.now();
         let (sreq, _) = a.isend(&mut sim, 0, now, 1, 2, payload.clone());
         assert!(!sreq.is_done(), "rendezvous send is not complete at post");
-        for _ in 0..100 {
-            sim.run_until(sim.now() + 10_000);
-            let now = sim.now();
-            a.test(&mut sim, 0, now, &sreq);
-            let now = sim.now();
-            b.test(&mut sim, 0, now, &rreq);
-            if sreq.is_done() && rreq.is_done() {
-                break;
-            }
-        }
-        assert!(sreq.is_done() && rreq.is_done());
+        drive_rendezvous(&mut sim, &mut a, &mut b, &sreq, &rreq);
         assert_eq!(rreq.take_data(), payload);
     }
 
@@ -528,17 +534,53 @@ mod tests {
         assert_eq!(b.unexpected_messages(), 1, "RTS buffered as unexpected");
         let now = sim.now();
         let (rreq, _) = b.irecv(&mut sim, 0, now, ANY_SOURCE, 4);
-        for _ in 0..100 {
-            sim.run_until(sim.now() + 10_000);
-            let now = sim.now();
-            a.test(&mut sim, 0, now, &sreq);
-            let now = sim.now();
-            b.test(&mut sim, 0, now, &rreq);
-            if sreq.is_done() && rreq.is_done() {
-                break;
-            }
-        }
+        drive_rendezvous(&mut sim, &mut a, &mut b, &sreq, &rreq);
         assert_eq!(rreq.take_data(), payload);
+    }
+
+    #[test]
+    fn unexpected_match_preserves_arrival_order_and_charges_depth() {
+        let (mut sim, mut a, mut b) = world();
+        for (tag, payload) in [(1, "1a"), (2, "2a"), (3, "3"), (2, "2b"), (1, "1b")] {
+            let now = sim.now();
+            a.isend(&mut sim, 0, now, 1, tag, Bytes::from_static(payload.as_bytes()));
+        }
+        let big = Bytes::from(vec![7u8; 16 * 1024]);
+        let now = sim.now();
+        let (sreq, _) = a.isend(&mut sim, 0, now, 1, 2, big.clone());
+        sim.run_until(SimTime::from_millis(1));
+        let now = sim.now();
+        b.test(&mut sim, 0, now, &Request::completed());
+        assert_eq!(b.unexpected_messages(), 6, "five eager messages and one RTS buffered");
+
+        // Each receive starts on an idle lock, so the CPU time it returns is
+        // exactly its hold.
+        fn recv(sim: &mut Sim, b: &mut Comm, tag: u64) -> (Request, u64) {
+            sim.run_until(sim.now() + 100_000);
+            let now = sim.now();
+            let (req, end) = b.irecv(sim, 0, now, ANY_SOURCE, tag);
+            (req, end - now)
+        }
+        // Queue: [1a 2a 3 2b 1b RTS(2)].
+        let (r, deep) = recv(&mut sim, &mut b, 2);
+        assert_eq!(r.take_data().as_ref(), b"2a");
+        // [1a 3 2b 1b RTS(2)].
+        let (r, _) = recv(&mut sim, &mut b, 2);
+        assert_eq!(r.take_data().as_ref(), b"2b", "tag 2 keeps arrival order");
+        // [1a 3 1b RTS(2)]: a head match.
+        let (r, head) = recv(&mut sim, &mut b, 1);
+        assert_eq!(r.take_data().as_ref(), b"1a");
+        assert_eq!(deep - head, CostModel::default().mpi_unexp_scan, "one entry deeper");
+        // [3 1b RTS(2)].
+        let (r, _) = recv(&mut sim, &mut b, 1);
+        assert_eq!(r.take_data().as_ref(), b"1b", "tag 1 keeps arrival order");
+        // [3 RTS(2)]: the RTS matches behind the tag-3 message.
+        let (rreq, rts_hold) = recv(&mut sim, &mut b, 2);
+        assert!(!rreq.is_done(), "an RTS match starts the rendezvous");
+        assert_eq!(rts_hold, deep, "the RTS sits at position 1");
+        assert_eq!(b.unexpected_messages(), 1);
+        drive_rendezvous(&mut sim, &mut a, &mut b, &sreq, &rreq);
+        assert_eq!(rreq.take_data(), big);
     }
 
     #[test]

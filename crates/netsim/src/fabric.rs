@@ -568,11 +568,8 @@ mod tests {
         }
         sim.run_until(SimTime::from_millis(1));
         let mut tags = Vec::new();
-        loop {
-            match fab.poll(&mut sim, 0, 1) {
-                PollOutcome::Packet { pkt, .. } => tags.push(pkt.tag),
-                PollOutcome::Empty { .. } => break,
-            }
+        while let PollOutcome::Packet { pkt, .. } = fab.poll(&mut sim, 0, 1) {
+            tags.push(pkt.tag);
         }
         assert_eq!(tags, (0..10).collect::<Vec<_>>());
     }
@@ -637,14 +634,9 @@ mod tests {
         fab.set_faults(FaultConfig { duplicate_prob: 1.0, ..FaultConfig::default() });
         fab.send(&mut sim, 0, SimTime::ZERO, pkt(0, 1, 9, 8));
         let mut got = 0;
-        loop {
-            match fab.poll(&mut sim, 0, 1) {
-                PollOutcome::Packet { pkt, .. } => {
-                    assert_eq!(pkt.tag, 9);
-                    got += 1;
-                }
-                PollOutcome::Empty { .. } => break,
-            }
+        while let PollOutcome::Packet { pkt, .. } = fab.poll(&mut sim, 0, 1) {
+            assert_eq!(pkt.tag, 9);
+            got += 1;
         }
         assert_eq!(got, 2);
     }
@@ -657,11 +649,8 @@ mod tests {
         fab.send(&mut sim, 0, SimTime::ZERO, pkt(0, 1, 0, 8));
         fab.send(&mut sim, 0, SimTime::ZERO, pkt(0, 1, 1, 8));
         let mut tags = Vec::new();
-        loop {
-            match fab.poll(&mut sim, 0, 1) {
-                PollOutcome::Packet { pkt, .. } => tags.push(pkt.tag),
-                PollOutcome::Empty { .. } => break,
-            }
+        while let PollOutcome::Packet { pkt, .. } = fab.poll(&mut sim, 0, 1) {
+            tags.push(pkt.tag);
         }
         assert_eq!(tags, vec![1, 0]);
     }
@@ -857,11 +846,8 @@ mod tests {
             fab.send(&mut sim, 0, SimTime::ZERO, pkt(1, 2, 200, 8));
         }
         let mut tags = Vec::new();
-        loop {
-            match fab.poll(&mut sim, 0, 2) {
-                PollOutcome::Packet { pkt, .. } => tags.push(pkt.tag),
-                PollOutcome::Empty { .. } => break,
-            }
+        while let PollOutcome::Packet { pkt, .. } = fab.poll(&mut sim, 0, 2) {
+            tags.push(pkt.tag);
         }
         // Fairness: sources alternate rather than one draining first.
         assert_eq!(tags.len(), 6);

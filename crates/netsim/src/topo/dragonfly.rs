@@ -158,7 +158,7 @@ mod tests {
         for dst in 0..g.hosts() {
             for sw in 0..g.switches() {
                 let hops = d.get(sw, dst);
-                assert!(hops >= 1 && hops <= 4, "sw {sw} -> host {dst}: {hops} hops");
+                assert!((1..=4).contains(&hops), "sw {sw} -> host {dst}: {hops} hops");
             }
         }
     }

@@ -98,10 +98,10 @@ fn run_workload(seed: u64, budget: u32, shards: usize, threaded: bool) -> Outcom
     let hosts = lat.len();
     let mut sim = ShardedSim::new(shards, lookahead);
     sim.set_exec_capture(true);
-    for host in 0..hosts {
+    for (host, row) in lat.into_iter().enumerate() {
         let actor = HostActor {
             me: host,
-            lat: lat[host].clone(),
+            lat: row,
             lanes: hosts,
             rng: seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(host as u64 + 1)),
             budget,

@@ -419,15 +419,13 @@ mod tests {
         let mut q = EventQueue::new();
         let mut expect: Vec<(u64, u64)> = Vec::new();
         let mut x = 0x243F6A8885A308D3u64; // pi digits; fixed seed
-        let mut seq = 0u64;
         let mut popped = Vec::new();
-        for round in 0..2000 {
+        for seq in 0..2000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let at = (x >> 33) % 1000;
             q.insert(SimTime::from_nanos(at), seq, 0, handler_event(seq));
             expect.push((at, seq));
-            seq += 1;
-            if round % 3 == 0 {
+            if seq % 3 == 0 {
                 if let Some(Fired { at, payload: Some(EventKind::Handler { arg, .. }), .. }) =
                     q.pop()
                 {

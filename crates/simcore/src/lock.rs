@@ -288,7 +288,7 @@ mod tests {
                 let mut now = SimTime::ZERO;
                 let mut prev_end = SimTime::ZERO;
                 for (gap, core, hold) in reqs {
-                    now = now + gap;
+                    now += gap;
                     let g = l.acquire(core, now, hold);
                     prop_assert!(g.start >= prev_end, "critical sections overlap");
                     prop_assert_eq!(g.end, g.start + hold);

@@ -174,7 +174,7 @@ mod tests {
                 let mut last = SimTime::ZERO;
                 let mut now = SimTime::ZERO;
                 for (gap, core, service) in accesses {
-                    now = now + gap;
+                    now += gap;
                     let done = r.access(now, core, service);
                     prop_assert!(done >= last, "completions must be monotone");
                     prop_assert!(done.since(now) >= service, "service time is a floor");

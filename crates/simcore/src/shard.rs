@@ -907,8 +907,11 @@ mod tests {
         bounces: u64,
         timer: Option<ShardEventId>,
         timer_fired: u64,
-        log: Vec<(u64, u64)>,
+        log: PingLog,
     }
+
+    /// `(virtual ns, event arg)` of every event a `Pinger` handled.
+    type PingLog = Vec<(u64, u64)>;
 
     const EV_BOUNCE: u64 = 1;
     const EV_TIMER: u64 = 2;
@@ -943,7 +946,7 @@ mod tests {
         }
     }
 
-    fn pingpong(shards: usize, threaded: bool) -> (u64, u64, Vec<(u64, u64)>, Vec<(u64, u64)>) {
+    fn pingpong(shards: usize, threaded: bool) -> (u64, u64, PingLog, PingLog) {
         const L: u64 = 100;
         let mut sim = ShardedSim::new(shards, L);
         sim.set_exec_capture(true);
