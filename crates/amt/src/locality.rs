@@ -1,7 +1,7 @@
 //! A locality: one simulated node of the HPX runtime — worker cores, task
 //! queue, background work, and the plumbing into the parcelport.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
@@ -112,6 +112,9 @@ pub struct Locality {
     /// drives exactly one `Sim` over its lifetime.
     handler: Cell<Option<HandlerId>>,
     pending: RefCell<DeliverSlab>,
+    /// Name of the run-queue counter track (`loc<id>.runq`), built the
+    /// first time a collector samples it.
+    runq_track: OnceCell<String>,
 }
 
 impl Locality {
@@ -149,6 +152,7 @@ impl Locality {
             weak: weak.clone(),
             handler: Cell::new(None),
             pending: RefCell::new(DeliverSlab::default()),
+            runq_track: OnceCell::new(),
         })
     }
 
@@ -206,12 +210,13 @@ impl Locality {
         }
     }
 
-    /// Sample the run-queue depth as a counter track (the `format!` only
-    /// runs when a collector is installed).
+    /// Sample the run-queue depth as a counter track (the track name is
+    /// built once, the first time a collector is installed).
     fn sample_runq(&self, sim: &Sim) {
         telemetry::with(|tel| {
             let depth = self.sched.borrow().queue.len();
-            tel.track_sample(&format!("loc{}.runq", self.id), sim.now(), depth as f64);
+            let name = self.runq_track.get_or_init(|| format!("loc{}.runq", self.id));
+            tel.track_sample(name, sim.now(), depth as f64);
         });
     }
 

@@ -33,6 +33,7 @@ pub mod causal;
 pub mod cost;
 pub mod event;
 pub mod json;
+pub mod keyed;
 pub mod lock;
 pub mod probe;
 pub mod resource;
@@ -46,6 +47,7 @@ pub use causal::CausalLog;
 pub use cost::CostModel;
 pub use event::{ClosureFn, EventHandler, EventId, HandlerId, OnceFn};
 pub use json::escape_json;
+pub use keyed::Keyed;
 pub use lock::{SimLock, SimTryLock, TryAcquire};
 pub use probe::Probe;
 pub use resource::SimResource;

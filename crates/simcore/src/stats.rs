@@ -1,16 +1,18 @@
 //! Named statistic counters and simple online summaries.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+use crate::keyed::Keyed;
 
 /// A bag of named counters plus min/max/mean summaries.
 ///
-/// Keys are `&'static str` so hot-path increments do no allocation. A
-/// `BTreeMap` keeps report output deterministically ordered.
+/// Keys are `&'static str` held in [`Keyed`] dense slots, so a hot-path
+/// increment neither allocates nor compares strings; every read view
+/// iterates in key order, so report output is deterministically ordered.
 #[derive(Debug, Default)]
 pub struct Stats {
-    counters: BTreeMap<&'static str, u64>,
-    summaries: BTreeMap<&'static str, Summary>,
+    counters: Keyed<u64>,
+    summaries: Keyed<Summary>,
 }
 
 /// Online min/max/sum/count summary of a sampled quantity.
@@ -98,7 +100,7 @@ impl Stats {
     /// Add `n` to the counter `key`.
     #[inline]
     pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
+        *self.counters.slot(key) += n;
     }
 
     /// Increment the counter `key` by one.
@@ -114,7 +116,7 @@ impl Stats {
 
     /// Record a sample into the summary `key`.
     pub fn sample(&mut self, key: &'static str, x: f64) {
-        self.summaries.entry(key).or_default().record(x);
+        self.summaries.slot(key).record(x);
     }
 
     /// Read a summary, if any samples were recorded.
@@ -124,12 +126,12 @@ impl Stats {
 
     /// Iterate counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate summaries in key order.
     pub fn summaries(&self) -> impl Iterator<Item = (&'static str, &Summary)> + '_ {
-        self.summaries.iter().map(|(k, v)| (*k, v))
+        self.summaries.iter()
     }
 
     /// Remove all counters and summaries.
@@ -143,21 +145,21 @@ impl Stats {
     /// merging is order-independent, so any deterministic shard order
     /// yields the same result.
     pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (k, v) in other.counters.iter() {
+            *self.counters.slot(k) += v;
         }
-        for (k, s) in &other.summaries {
-            self.summaries.entry(k).or_default().merge(s);
+        for (k, s) in other.summaries.iter() {
+            self.summaries.slot(k).merge(s);
         }
     }
 }
 
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.counters {
+        for (k, v) in self.counters() {
             writeln!(f, "{k:40} {v}")?;
         }
-        for (k, s) in &self.summaries {
+        for (k, s) in self.summaries() {
             writeln!(
                 f,
                 "{k:40} n={} mean={:.3} min={:.3} max={:.3}",

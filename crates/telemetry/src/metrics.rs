@@ -1,22 +1,27 @@
 //! The metrics registry: counters, gauges, histograms and counter-track
 //! time series.
 //!
-//! Counters/gauges/histograms are `&'static str`-keyed `BTreeMap`s: a key
-//! allocates its node once on first touch, after which updates are
-//! allocation-free — the same discipline as `simcore::Stats`. Counter
-//! tracks (sampled time series destined for Perfetto counter tracks) are
-//! string-keyed because they are only ever fed from enabled-only code.
+//! Counters/gauges/histograms (and the contention table's rows) are
+//! `&'static str`-keyed [`Keyed`] tables, the same store as
+//! `simcore::Stats`: a key takes a dense slot on first touch, after which
+//! an update is a thread-local id probe plus two indexed loads — no
+//! allocation and no string compares. Every read view iterates in key
+//! (byte) order, so the ids never show in output. Counter tracks (sampled
+//! time series destined for Perfetto counter tracks) are `String`-keyed
+//! `BTreeMap`s because they are only ever fed from enabled-only code.
 
 use std::collections::BTreeMap;
+
+use simcore::Keyed;
 
 use crate::hist::Histogram;
 
 /// Registry of named metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    counters: Keyed<u64>,
+    gauges: Keyed<i64>,
+    hists: Keyed<Histogram>,
     /// Sampled `(t_ns, value)` series rendered as Perfetto counter tracks.
     tracks: BTreeMap<String, Vec<(u64, f64)>>,
 }
@@ -30,7 +35,7 @@ impl Metrics {
     /// Add `n` to counter `key`.
     #[inline]
     pub fn counter_add(&mut self, key: &'static str, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
+        *self.counters.slot(key) += n;
     }
 
     /// Read a counter (0 if never touched).
@@ -41,13 +46,13 @@ impl Metrics {
     /// Set gauge `key` to `v`.
     #[inline]
     pub fn gauge_set(&mut self, key: &'static str, v: i64) {
-        self.gauges.insert(key, v);
+        *self.gauges.slot(key) = v;
     }
 
     /// Add `delta` to gauge `key`.
     #[inline]
     pub fn gauge_add(&mut self, key: &'static str, delta: i64) {
-        *self.gauges.entry(key).or_insert(0) += delta;
+        *self.gauges.slot(key) += delta;
     }
 
     /// Read a gauge (0 if never touched).
@@ -58,7 +63,7 @@ impl Metrics {
     /// Record `v` into histogram `key`.
     #[inline]
     pub fn hist_record(&mut self, key: &'static str, v: u64) {
-        self.hists.entry(key).or_default().record(v);
+        self.hists.slot(key).record(v);
     }
 
     /// Read a histogram.
@@ -77,17 +82,17 @@ impl Metrics {
 
     /// Iterate counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate gauges in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, i64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
+        self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate histograms in key order.
     pub fn hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(k, v)| (*k, v))
+        self.hists.iter()
     }
 
     /// Iterate counter tracks in name order.
@@ -117,14 +122,14 @@ impl Metrics {
     /// equivalent to one registry having recorded the union of both
     /// sample streams (see the property tests in `tests/profile_props.rs`).
     pub fn merge(&mut self, other: &Metrics) {
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (k, &v) in other.counters.iter() {
+            *self.counters.slot(k) += v;
         }
-        for (&k, &v) in &other.gauges {
-            self.gauges.insert(k, v);
+        for (k, &v) in other.gauges.iter() {
+            *self.gauges.slot(k) = v;
         }
-        for (&k, h) in &other.hists {
-            self.hists.entry(k).or_default().merge(h);
+        for (k, h) in other.hists.iter() {
+            self.hists.slot(k).merge(h);
         }
         for (k, series) in &other.tracks {
             let dst = self.tracks.entry(k.clone()).or_default();
@@ -190,7 +195,7 @@ impl ContentionStat {
 /// Per-resource contention attribution, fed by the `simcore::probe` hook.
 #[derive(Debug, Default)]
 pub struct ContentionTable {
-    rows: BTreeMap<&'static str, ContentionStat>,
+    rows: Keyed<ContentionStat>,
 }
 
 impl ContentionTable {
@@ -209,7 +214,7 @@ impl ContentionTable {
         service_ns: u64,
         contended: bool,
     ) {
-        let row = self.rows.entry(name).or_insert_with(|| ContentionStat::new(kind));
+        let row = self.rows.slot_with(name, || ContentionStat::new(kind));
         row.events += 1;
         row.contended += contended as u64;
         row.total_wait_ns += wait_ns;
@@ -220,8 +225,8 @@ impl ContentionTable {
     /// resource name) — the sharded-world merge. Equivalent to one table
     /// having observed both event streams.
     pub fn merge(&mut self, other: &ContentionTable) {
-        for (&name, s) in &other.rows {
-            let row = self.rows.entry(name).or_insert_with(|| ContentionStat::new(s.kind));
+        for (name, s) in other.rows.iter() {
+            let row = self.rows.slot_with(name, || ContentionStat::new(s.kind));
             row.events += s.events;
             row.contended += s.contended;
             row.total_wait_ns += s.total_wait_ns;
@@ -231,7 +236,7 @@ impl ContentionTable {
 
     /// Rows ranked by total wait time, descending (name breaks ties).
     pub fn ranking(&self) -> Vec<(&'static str, ContentionStat)> {
-        let mut v: Vec<_> = self.rows.iter().map(|(k, s)| (*k, *s)).collect();
+        let mut v: Vec<_> = self.rows.iter().map(|(k, s)| (k, *s)).collect();
         v.sort_by(|a, b| b.1.total_wait_ns.cmp(&a.1.total_wait_ns).then(a.0.cmp(b.0)));
         v
     }
