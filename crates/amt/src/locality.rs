@@ -6,9 +6,7 @@ use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use simcore::causal::{self, MarkKind};
-use simcore::{
-    CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime, Tracer,
-};
+use simcore::{CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime};
 
 use telemetry::CoreState;
 
@@ -105,7 +103,6 @@ pub struct Locality {
     registry: RefCell<ActionRegistry>,
     layer: RefCell<ParcelLayer>,
     parcelport: RefCell<Option<Rc<RefCell<dyn Parcelport>>>>,
-    tracer: RefCell<Option<Tracer>>,
     /// Self-reference for registering as an event handler.
     weak: Weak<Locality>,
     /// Typed-event handler id, registered lazily on first use. A locality
@@ -147,7 +144,6 @@ impl Locality {
             registry: RefCell::new(registry),
             layer: RefCell::new(ParcelLayer::new(layer_cfg, &cost)),
             parcelport: RefCell::new(None),
-            tracer: RefCell::new(None),
             cost,
             weak: weak.clone(),
             handler: Cell::new(None),
@@ -190,24 +186,6 @@ impl Locality {
     /// The installed parcelport, if any.
     pub fn parcelport(&self) -> Option<Rc<RefCell<dyn Parcelport>>> {
         self.parcelport.borrow().clone()
-    }
-
-    /// Attach a tracer: every task, background-work slice and progress
-    /// slice on this locality is recorded as a span (track
-    /// `loc<id>/core<k>`). Retrieve with [`Locality::take_tracer`].
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.borrow_mut() = Some(tracer);
-    }
-
-    /// Detach and return the tracer, if one was attached.
-    pub fn take_tracer(&self) -> Option<Tracer> {
-        self.tracer.borrow_mut().take()
-    }
-
-    fn trace(&self, core: usize, label: &'static str, start: SimTime, end: SimTime) {
-        if let Some(tr) = self.tracer.borrow_mut().as_mut() {
-            tr.span(format!("loc{}/core{}", self.id, core), label, start, end);
-        }
     }
 
     /// Sample the run-queue depth as a counter track (the track name is
@@ -390,7 +368,7 @@ impl Locality {
 
         if let Some(task) = task {
             let t_end = task(sim, &self, core).max(t0);
-            self.trace(core, "task", now, t_end);
+            telemetry::core_span(self.id, core, "task", now, t_end);
             telemetry::profile_record(self.id, core, CoreState::Working, "task", now, t_end);
             {
                 let mut s = self.sched.borrow_mut();
@@ -408,7 +386,7 @@ impl Locality {
         let bg = self.run_background(sim, core, t0);
         let t_end = bg.cpu_done.max(t0);
         if bg.did_work {
-            self.trace(core, "background", now, t_end);
+            telemetry::core_span(self.id, core, "background", now, t_end);
         }
         // Charged polling burns the core even when nothing was found —
         // that is exactly the time the profiler must surface for the
@@ -460,7 +438,7 @@ impl Locality {
         };
         let t_end = bg.cpu_done.max(now);
         if bg.did_work {
-            self.trace(0, "progress", now, t_end);
+            telemetry::core_span(self.id, 0, "progress", now, t_end);
         }
         let label = if bg.did_work { "progress" } else { "poll" };
         telemetry::profile_record(self.id, 0, CoreState::Progress, label, now, t_end);
@@ -752,19 +730,21 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_task_spans() {
+    fn collector_records_task_spans() {
         let mut sim = Sim::new(0);
         let loc = locality(WorkerConfig::workers_only(2));
-        loc.set_tracer(Tracer::new());
+        let tel = telemetry::enable();
         loc.start(&mut sim);
         loc.spawn(&mut sim, 0, Box::new(|sim, _l, _c| sim.now() + 2_000));
         sim.run();
-        let tr = loc.take_tracer().expect("tracer attached");
-        assert!(!tr.is_empty());
-        let totals = tr.totals_by_label();
-        assert_eq!(totals[0].0, "task");
-        assert!(totals[0].1 >= 2_000);
-        assert!(tr.spans().iter().any(|s| s.track.starts_with("loc0/core")));
+        telemetry::disable();
+        let spans = tel.with_core_spans(|spans| spans.to_vec());
+        assert_eq!(spans.len(), 1, "one locality recorded");
+        let task: Vec<_> = spans[0].iter().filter(|s| s.label == "task").collect();
+        assert_eq!(task.len(), 1);
+        assert!(task[0].end - task[0].start >= 2_000);
+        assert!(task[0].core < 2);
+        assert!(tel.chrome_trace_collected().contains("\"tid\":\"loc0/core"));
     }
 
     #[test]

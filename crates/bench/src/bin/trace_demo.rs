@@ -5,12 +5,12 @@
 //! Usage: `cargo run --release -p bench --bin trace_demo [config] [out.json]`
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use amt::action::ActionRegistry;
 use bytes::Bytes;
 use parcelport::{build_world, WorldConfig};
-use simcore::Tracer;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -28,9 +28,8 @@ fn main() {
 
     let cfg = WorldConfig::two_nodes(config.parse().expect("config name"), 8);
     let mut world = build_world(&cfg, registry);
-    for loc in &world.runtime.localities {
-        loc.set_tracer(Tracer::new());
-    }
+    // The collector records every core's spans, grouped by locality.
+    let tel = telemetry::enable();
 
     let n = 500usize;
     for _ in 0..n / 50 {
@@ -49,21 +48,29 @@ fn main() {
     }
     let g = got.clone();
     world.run_while(10_000_000_000, move |_| g.get() < n);
+    telemetry::disable();
 
-    // Merge the per-locality tracers into one timeline.
-    let mut merged = Tracer::new();
-    for loc in &world.runtime.localities {
-        if let Some(tr) = loc.take_tracer() {
-            for s in tr.spans() {
-                merged.span(s.track.clone(), s.label, s.start, s.end);
-            }
-        }
-    }
-    let json = telemetry::chrome::chrome_trace(merged.spans(), &[], &telemetry::Metrics::new());
+    // Core spans only: no flows, no counter tracks.
+    let json = tel.with_core_spans(|spans| {
+        telemetry::chrome::chrome_trace(spans, &[], &[], &telemetry::Metrics::new())
+    });
     std::fs::write(out, json).expect("write trace");
-    println!("{config}: {n} messages in {}; {} spans -> {out}", world.sim.now(), merged.len());
+    println!("{config}: {n} messages in {}; {} spans -> {out}", world.sim.now(), tel.span_count());
     println!("virtual time by activity:");
-    for (label, ns) in merged.totals_by_label() {
+    for (label, ns) in totals_by_label(&tel) {
         println!("  {label:<12} {:.1}us", ns as f64 / 1e3);
     }
+}
+
+/// Total virtual time covered per span label, descending.
+fn totals_by_label(tel: &telemetry::Telemetry) -> Vec<(&'static str, u64)> {
+    let mut map = HashMap::new();
+    tel.with_core_spans(|spans| {
+        for s in spans.iter().flatten() {
+            *map.entry(s.label).or_insert(0u64) += s.end.saturating_sub(s.start);
+        }
+    });
+    let mut v: Vec<_> = map.into_iter().collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    v
 }

@@ -17,9 +17,9 @@ pub use crate::cli::TraceArgs;
 use telemetry::{RunMeta, RunRecord, Telemetry};
 
 /// Run `f` under a fresh telemetry collector and return its result plus
-/// the collector. Worlds built inside `f` get per-locality span tracers
-/// and deposit their spans when dropped, so the collector is complete by
-/// the time this returns.
+/// the collector. Every core span, flow and metric of worlds run inside
+/// `f` is recorded as it happens, so the collector is complete by the
+/// time this returns.
 pub fn instrumented<R>(f: impl FnOnce() -> R) -> (R, Rc<Telemetry>) {
     let tel = telemetry::enable();
     let r = f();

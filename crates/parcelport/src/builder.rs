@@ -11,7 +11,7 @@ use amt::{Locality, Parcelport};
 use lci::{Device, DeviceConfig};
 use mpisim::{Comm, CommConfig};
 use netsim::{Fabric, FaultConfig, Topology, WireModel};
-use simcore::{CostModel, Sim, Tracer};
+use simcore::{CostModel, Sim};
 
 use crate::config::{Backend, PpConfig, Progress};
 use crate::lci_pp::LciParcelport;
@@ -113,27 +113,6 @@ impl World {
             }
         }
     }
-
-    /// Drain per-locality `Tracer` spans into the active telemetry
-    /// collector. No-op when telemetry is disabled or no tracers are
-    /// attached; idempotent (tracers are taken). Runs automatically when
-    /// the world drops, so harnesses that enable telemetry before
-    /// [`build_world`] get core spans without further wiring.
-    pub fn harvest_tracers(&self) {
-        telemetry::with(|tel| {
-            for loc in &self.runtime.localities {
-                if let Some(tr) = loc.take_tracer() {
-                    tel.add_spans(tr.spans().iter().cloned());
-                }
-            }
-        });
-    }
-}
-
-impl Drop for World {
-    fn drop(&mut self) {
-        self.harvest_tracers();
-    }
 }
 
 /// Build a world: fabric, localities, parcelports, wakers — started and
@@ -146,13 +125,6 @@ pub fn build_world(cfg: &WorldConfig, registry: ActionRegistry) -> World {
         .collect();
     let runtime = Runtime { localities };
     runtime.start(&mut sim);
-    // With telemetry active, give every locality a span tracer so the
-    // Chrome export gets one track per core; `World::drop` harvests them.
-    if telemetry::enabled() {
-        for loc in &runtime.localities {
-            loc.set_tracer(Tracer::new());
-        }
-    }
     World { sim, fabric, runtime, config: cfg.clone() }
 }
 

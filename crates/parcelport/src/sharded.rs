@@ -43,9 +43,9 @@
 //!
 //! With a collector enabled, each lane owns a [`telemetry::LaneCollector`]
 //! (flow tracer namespaced by lane, private causal log, its own windowed
-//! timeline), installed around every dispatch and merged into the
-//! harness's collector in lane-rank order after the run — so merged
-//! telemetry is also shard-count- and run-mode-invariant.
+//! timeline, its locality's core spans), installed around every dispatch
+//! and merged into the harness's collector in lane-rank order after the
+//! run — so merged telemetry is also shard-count- and run-mode-invariant.
 //!
 //! One modeling difference from the shared-fabric world is deliberate:
 //! switched-topology port contention is partitioned per *source* (each
@@ -62,7 +62,7 @@ use amt::action::ActionRegistry;
 use amt::Locality;
 use netsim::{Fabric, Packet};
 use simcore::shard::{RunMode, RunReport};
-use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTime, Tracer};
+use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTime};
 
 use crate::builder::{build_fabric, build_locality, WorldConfig};
 
@@ -300,10 +300,8 @@ pub fn build_sharded_world(
             let locality = build_locality(cfg, rank, &fabric, registry);
             locality.start(&mut sim);
             seed(rank, &mut sim, &locality);
-            let collector = main_tel.as_ref().map(|main| {
-                locality.set_tracer(Tracer::new());
-                telemetry::LaneCollector::new(rank as u32, main)
-            });
+            let collector =
+                main_tel.as_ref().map(|main| telemetry::LaneCollector::new(rank as u32, main));
             Box::new(LocalityNode {
                 rank,
                 sim,
@@ -398,15 +396,9 @@ impl ShardedWorld {
         }
         self.merged = true;
         let Some(main) = self.main_tel.take() else { return };
-        let mut lanes = Vec::new();
-        for rank in 0..self.config.localities {
-            let node = self.node(rank);
-            let Some(collector) = node.collector.borrow_mut().take() else { continue };
-            if let Some(tr) = node.locality.take_tracer() {
-                collector.telemetry().add_spans(tr.spans().iter().cloned());
-            }
-            lanes.push(collector);
-        }
+        let lanes: Vec<_> = (0..self.config.localities)
+            .filter_map(|rank| self.node(rank).collector.borrow_mut().take())
+            .collect();
         if !lanes.is_empty() {
             telemetry::merge_lane_collectors(&main, lanes);
         }

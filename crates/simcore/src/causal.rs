@@ -157,9 +157,9 @@ impl CausalLog {
         inner.marks.push(MarkRec { owner, label, kind, start, end, fixed });
     }
 
-    /// Drain the log into a plain, `Send` snapshot. Used by the sharded
-    /// engine: each worker thread records into its own thread-local log
-    /// and ships the data back for a deterministic merge.
+    /// Drain the log into a plain, `Send` snapshot. Used by the federated
+    /// world: each lane records into its own log and the snapshots merge
+    /// deterministically ([`merge_sharded_with_remap`]).
     pub fn take_data(&self) -> ShardCausalData {
         let mut inner = self.inner.borrow_mut();
         ShardCausalData {
@@ -171,8 +171,8 @@ impl CausalLog {
     }
 }
 
-/// A detached, `Send` snapshot of one shard's causal log (node ids are in
-/// that shard's namespace: `base + index`).
+/// A detached, `Send` snapshot of one lane's causal log (node ids are in
+/// that lane's namespace: `base + index`).
 #[derive(Debug)]
 pub struct ShardCausalData {
     /// Node id of `nodes[0]`.
@@ -185,19 +185,16 @@ pub struct ShardCausalData {
     pub truncated: bool,
 }
 
-/// Merge per-shard causal logs into one log with contiguous 1-based node
+/// Merge per-lane causal logs into one log with contiguous 1-based node
 /// ids, deterministically: nodes are ordered by `(time, original id)` —
-/// the original ids carry the shard index in their high bits, so ties at
-/// equal times break by shard, matching the engine's canonical merge rule.
-/// Parent references (including cross-shard ones) are remapped; a parent
-/// that was never recorded (e.g. scheduled before capture began) maps to 0.
-pub fn merge_sharded(shards: Vec<ShardCausalData>) -> Rc<CausalLog> {
-    merge_sharded_with_remap(shards).0
-}
-
-/// [`merge_sharded`], additionally returning the `original gid -> merged
-/// 1-based id` map so observers holding raw node ids (e.g. the flow
-/// tracer's delivery nodes) can follow the renumbering.
+/// the original ids carry the lane index in their high bits (see
+/// `Sim::set_node_base`), so ties at equal times break by lane, matching
+/// the sharded engine's canonical merge rule. Parent references
+/// (including cross-lane ones) are remapped; a parent that was never
+/// recorded (e.g. scheduled before capture began) maps to 0. Also returns
+/// the `original gid -> merged 1-based id` map so observers holding raw
+/// node ids (e.g. the flow tracer's delivery nodes) can follow the
+/// renumbering.
 pub fn merge_sharded_with_remap(
     shards: Vec<ShardCausalData>,
 ) -> (Rc<CausalLog>, std::collections::HashMap<u64, u64>) {

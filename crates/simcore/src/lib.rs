@@ -41,7 +41,6 @@ pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use causal::CausalLog;
 pub use cost::CostModel;
@@ -55,7 +54,6 @@ pub use shard::{LaneCtx, LaneId, RunMode, RunReport, ShardActor, ShardEventId, S
 pub use sim::Sim;
 pub use stats::{Stats, Summary};
 pub use time::SimTime;
-pub use trace::{Span, Tracer};
 
 /// A simulated CPU core's private clock.
 ///

@@ -52,21 +52,20 @@
 //!
 //! # Observability
 //!
-//! Per-shard [`Stats`], [`Tracer`] spans and causal provenance are
-//! captured thread-locally (workers never contend) and merged
-//! deterministically after the run ([`Stats::merge`],
-//! [`causal::merge_sharded`]). All capture is off by default and costs one
-//! branch per event when disabled — the same zero-overhead-when-disabled
-//! invariant the single-threaded engine pins.
+//! The engine itself records only what pins its schedule: the executed
+//! event log behind [`ShardedSim::canonical_log`] and
+//! [`ShardedSim::digest`] (off by default, one branch per event when
+//! off), plus the [`RunReport`]. Observing the workload is the actors'
+//! job: the federated world (`parcelport::sharded`) runs a nested
+//! [`Sim`](crate::Sim) with lane-namespaced causal node ids in every lane,
+//! installs the lane's own `telemetry::LaneCollector` around each
+//! dispatch, and merges the collectors in lane-rank order after the run.
 
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::causal::{self, ShardCausalData};
 use crate::event::{EventId, EventQueue};
-use crate::stats::Stats;
 use crate::time::SimTime;
-use crate::trace::Tracer;
 
 /// A lane: the unit of sequential execution and of shard placement
 /// (≈ one simulated locality).
@@ -84,13 +83,6 @@ const SEQ_MASK: u64 = (1 << LANE_SHIFT) - 1;
 fn pack_key(lane: u32, seq: u64) -> u64 {
     debug_assert!(lane < MAX_LANES && seq <= SEQ_MASK);
     ((lane as u64) << LANE_SHIFT) | seq
-}
-
-/// Causal node ids are namespaced per shard the same way: shard index in
-/// the high bits, the shard's 1-based executed counter in the low 44.
-#[inline]
-fn node_gid(shard: u32, local: u64) -> u64 {
-    ((shard as u64) << LANE_SHIFT) | local
 }
 
 /// A component that owns one lane and receives its typed events.
@@ -125,8 +117,6 @@ struct RemoteEvent {
     /// Destination lane's slot index on its home shard.
     slot: u32,
     arg: u64,
-    /// Provenance: causal gid of the scheduling event.
-    parent: u64,
 }
 
 /// Where a lane lives.
@@ -136,8 +126,9 @@ struct LaneLoc {
     slot: u32,
 }
 
-/// What a shard-heap slot carries besides its `(time, key)` order and
-/// provenance parent. `Copy`, so a shard's heap is `Send` by
+/// What a shard-heap slot carries besides its `(time, key)` order (the
+/// queue's provenance word stays 0: the engine records no causal graph).
+/// `Copy`, so a shard's heap is `Send` by
 /// construction, unlike the [`Sim`](crate::Sim)'s closure payloads.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneEvent {
@@ -274,7 +265,7 @@ impl EpochBarrier {
 }
 
 // ---------------------------------------------------------------------
-// ShardCore: one shard's queue, lanes, clock and capture buffers.
+// ShardCore: one shard's queue, lanes, clock and execution log.
 // ---------------------------------------------------------------------
 
 /// One executed-event record, for canonical digests and golden traces.
@@ -303,15 +294,9 @@ struct ShardCore {
     shard: u32,
     now: SimTime,
     executed: u64,
-    /// Causal gid of the event being dispatched (0 outside dispatch).
-    current_gid: u64,
     queue: EventQueue<LaneEvent>,
     lanes: Vec<LaneSlot>,
-    stats: Stats,
-    tracer: Option<Tracer>,
     exec_log: Option<Vec<ExecRec>>,
-    causal: Option<ShardCausalData>,
-    capture_causal: bool,
     lookahead: u64,
     registry: Arc<Vec<LaneLoc>>,
     mail: Arc<Mailboxes>,
@@ -340,7 +325,7 @@ impl ShardCore {
             let e = self.scratch[i];
             let owner_lane = (e.key >> LANE_SHIFT) as u32;
             let ev = LaneEvent { lane_slot: e.slot, owner_lane, arg: e.arg };
-            self.queue.insert(e.at, e.key, e.parent, ev);
+            self.queue.insert(e.at, e.key, 0, ev);
         }
         self.scratch.clear();
     }
@@ -355,11 +340,6 @@ impl ShardCore {
             debug_assert!(ev.at >= self.now, "shard time must not go backwards");
             self.now = ev.at;
             self.executed += 1;
-            let gid = node_gid(self.shard, self.executed);
-            self.current_gid = gid;
-            if self.capture_causal {
-                causal::on_execute(gid, ev.at.as_nanos(), ev.parent);
-            }
             if let Some(log) = &mut self.exec_log {
                 log.push(ExecRec {
                     at: ev.at.as_nanos(),
@@ -378,10 +358,6 @@ impl ShardCore {
             let mut ctx = LaneCtx { core: self, lane_slot };
             actor.on_event(&mut ctx, arg);
             self.lanes[lane_slot as usize].actor = Some(actor);
-            self.current_gid = 0;
-            if self.capture_causal {
-                causal::end_execute();
-            }
         }
     }
 
@@ -408,7 +384,7 @@ impl ShardCore {
 // ---------------------------------------------------------------------
 
 /// Scheduling context handed to [`ShardActor::on_event`]: the dispatching
-/// shard's clock, stats and queue, scoped to the firing lane.
+/// shard's clock and queue, scoped to the firing lane.
 pub struct LaneCtx<'a> {
     core: &'a mut ShardCore,
     lane_slot: u32,
@@ -439,18 +415,6 @@ impl LaneCtx<'_> {
         self.core.lookahead
     }
 
-    /// This shard's statistic counters (merged across shards post-run).
-    #[inline]
-    pub fn stats(&mut self) -> &mut Stats {
-        &mut self.core.stats
-    }
-
-    /// This shard's span tracer, when tracing is enabled.
-    #[inline]
-    pub fn tracer(&mut self) -> Option<&mut Tracer> {
-        self.core.tracer.as_mut()
-    }
-
     /// Schedule an event on this lane at absolute time `at` (clamped to
     /// `now`). Returns a cancellable handle.
     pub fn schedule_at(&mut self, at: SimTime, arg: u64) -> ShardEventId {
@@ -458,7 +422,7 @@ impl LaneCtx<'_> {
         let key = self.core.next_key(self.lane_slot);
         let owner_lane = self.core.lanes[self.lane_slot as usize].lane;
         let ev = LaneEvent { lane_slot: self.lane_slot, owner_lane, arg };
-        self.core.queue.insert(at, key, self.core.current_gid, ev)
+        self.core.queue.insert(at, key, 0, ev)
     }
 
     /// Schedule an event on this lane `delay_ns` from now.
@@ -490,15 +454,14 @@ impl LaneCtx<'_> {
         );
         let key = self.core.next_key(self.lane_slot);
         let loc = self.core.registry[dest.0 as usize];
-        let parent = self.core.current_gid;
         if loc.shard == self.core.shard {
             let ev = LaneEvent { lane_slot: loc.slot, owner_lane: my_lane, arg };
-            self.core.queue.insert(at, key, parent, ev);
+            self.core.queue.insert(at, key, 0, ev);
         } else {
             self.core.mail.push(
                 loc.shard as usize,
                 self.core.shard as usize,
-                RemoteEvent { at, key, slot: loc.slot, arg, parent },
+                RemoteEvent { at, key, slot: loc.slot, arg },
             );
         }
     }
@@ -567,7 +530,6 @@ pub struct ShardedSim {
     /// run start (lanes are added between runs, never during one).
     registry: Vec<LaneLoc>,
     lookahead: u64,
-    capture_causal: bool,
 }
 
 impl ShardedSim {
@@ -589,21 +551,16 @@ impl ShardedSim {
                 shard,
                 now: SimTime::ZERO,
                 executed: 0,
-                current_gid: 0,
                 queue: EventQueue::new(),
                 lanes: Vec::new(),
-                stats: Stats::new(),
-                tracer: None,
                 exec_log: None,
-                causal: None,
-                capture_causal: false,
                 lookahead: lookahead_ns,
                 registry: Arc::new(Vec::new()),
                 mail: mail.clone(),
                 scratch: Vec::new(),
             })
             .collect();
-        ShardedSim { cores, registry: Vec::new(), lookahead: lookahead_ns, capture_causal: false }
+        ShardedSim { cores, registry: Vec::new(), lookahead: lookahead_ns }
     }
 
     /// Number of shards.
@@ -646,23 +603,6 @@ impl ShardedSim {
         }
     }
 
-    /// Give every shard a span tracer (merged by [`Self::merged_tracer`]).
-    pub fn set_tracing(&mut self, on: bool) {
-        for core in &mut self.cores {
-            core.tracer = if on { Some(Tracer::new()) } else { None };
-        }
-    }
-
-    /// Capture causal provenance per shard (merged by
-    /// [`Self::merged_causal`]). Pure observation: enabling it must not
-    /// move any timeline — pinned by the sharded golden traces.
-    pub fn set_causal_capture(&mut self, on: bool) {
-        self.capture_causal = on;
-        for core in &mut self.cores {
-            core.capture_causal = on;
-        }
-    }
-
     /// Run to completion, choosing the executor: real threads when there
     /// is more than one shard *and* the host has more than one CPU,
     /// otherwise the sequential executor (identical results either way —
@@ -681,14 +621,6 @@ impl ShardedSim {
     /// window execution in shard order), without barriers.
     pub fn run_sequential(&mut self) -> RunReport {
         self.sync_registry();
-        // Per-shard causal logs live on this thread; installed around each
-        // shard's window so the thread-local collector sees one shard's
-        // contiguous node ids at a time.
-        let logs: Vec<_> = if self.capture_causal {
-            self.cores.iter().map(|_| Some(causal::CausalLog::new())).collect()
-        } else {
-            self.cores.iter().map(|_| None).collect()
-        };
         let mut epochs = 0u64;
         loop {
             let mut min_ns = u64::MAX;
@@ -701,19 +633,8 @@ impl ShardedSim {
             }
             let window = min_ns.saturating_add(self.lookahead);
             epochs += 1;
-            for (core, log) in self.cores.iter_mut().zip(&logs) {
-                if let Some(log) = log {
-                    causal::install(log.clone());
-                }
+            for core in &mut self.cores {
                 core.run_window(window);
-                if log.is_some() {
-                    causal::uninstall();
-                }
-            }
-        }
-        for (core, log) in self.cores.iter_mut().zip(logs) {
-            if let Some(log) = log {
-                core.causal = Some(log.take_data());
             }
         }
         self.report(epochs, RunMode::Sequential)
@@ -739,15 +660,6 @@ impl ShardedSim {
                 .drain(..)
                 .map(|mut core| {
                     s.spawn(move || {
-                        // Worker-thread-local capture: fresh collector,
-                        // zero contention; harvested into the core below.
-                        let log = if core.capture_causal {
-                            let log = causal::CausalLog::new();
-                            causal::install(log.clone());
-                            Some(log)
-                        } else {
-                            None
-                        };
                         let mut my_epochs = 0u64;
                         loop {
                             // Phase A: all windows quiesced, mail stable.
@@ -759,10 +671,6 @@ impl ShardedSim {
                             };
                             my_epochs += 1;
                             core.run_window(window);
-                        }
-                        if let Some(log) = log {
-                            causal::uninstall();
-                            core.causal = Some(log.take_data());
                         }
                         let mut e = epochs.lock().expect("epoch counter poisoned");
                         *e = (*e).max(my_epochs);
@@ -807,21 +715,6 @@ impl ShardedSim {
         self.cores.iter().map(|c| c.now).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Merged statistics (per-shard bags folded in shard order; merging is
-    /// commutative, so the order is a convention, not a dependency).
-    pub fn stats(&self) -> Stats {
-        let mut out = Stats::new();
-        for core in &self.cores {
-            out.merge(&core.stats);
-        }
-        out
-    }
-
-    /// One shard's statistics.
-    pub fn shard_stats(&self, shard: usize) -> &Stats {
-        &self.cores[shard].stats
-    }
-
     /// Borrow an actor back (e.g. to read workload results post-run).
     pub fn actor<T: ShardActor>(&self, lane: LaneId) -> Option<&T> {
         let loc = self.registry.get(lane.0 as usize)?;
@@ -856,34 +749,6 @@ impl ShardedSim {
             }
         }
         h
-    }
-
-    /// Merge per-shard tracers into one (spans in shard order, then
-    /// recording order — deterministic). Tracers are left in place.
-    pub fn merged_tracer(&self) -> Tracer {
-        let mut out = Tracer::new();
-        for core in &self.cores {
-            if let Some(tr) = &core.tracer {
-                for s in tr.spans() {
-                    out.span(s.track.clone(), s.label, s.start, s.end);
-                }
-            }
-        }
-        out
-    }
-
-    /// Merge per-shard causal captures into one contiguous log (see
-    /// [`causal::merge_sharded`]). `None` unless causal capture was on.
-    pub fn merged_causal(&mut self) -> Option<std::rc::Rc<causal::CausalLog>> {
-        if !self.capture_causal {
-            return None;
-        }
-        let shards: Vec<ShardCausalData> =
-            self.cores.iter_mut().filter_map(|c| c.causal.take()).collect();
-        if shards.is_empty() {
-            return None;
-        }
-        Some(causal::merge_sharded(shards))
     }
 
     /// Total events still pending across all shard heaps (mailboxes are
@@ -921,7 +786,6 @@ mod tests {
             self.log.push((ctx.now().as_nanos(), arg));
             match arg {
                 EV_BOUNCE => {
-                    ctx.stats().bump("bounce");
                     self.bounces += 1;
                     if self.bounces < self.rounds {
                         let jitter = self.bounces % 7;
@@ -984,41 +848,6 @@ mod tests {
         assert_eq!(ds, dt, "digest must be thread-schedule-independent");
         assert_eq!(las, lat);
         assert_eq!(lbs, lbt);
-    }
-
-    #[test]
-    fn stats_merge_across_shards() {
-        const L: u64 = 100;
-        let mut sim = ShardedSim::new(2, L);
-        let a = LaneId(0);
-        let b = LaneId(1);
-        sim.add_actor(
-            0,
-            Box::new(Pinger {
-                peer: b,
-                rounds: 10,
-                bounces: 0,
-                timer: None,
-                timer_fired: 0,
-                log: vec![],
-            }),
-        );
-        sim.add_actor(
-            1,
-            Box::new(Pinger {
-                peer: a,
-                rounds: 10,
-                bounces: 0,
-                timer: None,
-                timer_fired: 0,
-                log: vec![],
-            }),
-        );
-        sim.seed(a, SimTime::ZERO, EV_BOUNCE);
-        sim.run_sequential();
-        assert_eq!(sim.stats().get("bounce"), sim.executed() - 2, "timers fired twice");
-        assert!(sim.shard_stats(0).get("bounce") > 0);
-        assert!(sim.shard_stats(1).get("bounce") > 0);
     }
 
     #[test]
@@ -1087,117 +916,6 @@ mod tests {
         sim.run_sequential();
         let a = sim.actor::<Canceller>(lane).unwrap();
         assert_eq!(a.fired, vec![0, 1], "cancelled event must not fire");
-    }
-
-    #[test]
-    fn causal_capture_is_complete_and_pure() {
-        // Same workload with and without capture: identical timelines.
-        let (d_off, e_off, ..) = pingpong(2, false);
-        const L: u64 = 100;
-        let mut sim = ShardedSim::new(2, L);
-        sim.set_exec_capture(true);
-        sim.set_causal_capture(true);
-        let a = LaneId(0);
-        let b = LaneId(1);
-        sim.add_actor(
-            0,
-            Box::new(Pinger {
-                peer: b,
-                rounds: 50,
-                bounces: 0,
-                timer: None,
-                timer_fired: 0,
-                log: vec![],
-            }),
-        );
-        sim.add_actor(
-            1,
-            Box::new(Pinger {
-                peer: a,
-                rounds: 50,
-                bounces: 0,
-                timer: None,
-                timer_fired: 0,
-                log: vec![],
-            }),
-        );
-        sim.seed(a, SimTime::ZERO, EV_BOUNCE);
-        sim.run_sequential();
-        assert_eq!(sim.digest(), d_off, "causal capture moved the timeline");
-        assert_eq!(sim.executed(), e_off);
-        let log = sim.merged_causal().expect("capture was on");
-        assert_eq!(log.node_count() as u64, e_off, "one provenance node per executed event");
-        log.with_data(|base, nodes, _marks| {
-            assert_eq!(base, 1);
-            for (i, n) in nodes.iter().enumerate() {
-                assert!(
-                    n.parent <= (i as u64),
-                    "parent {} of node {} not earlier",
-                    n.parent,
-                    i + 1
-                );
-            }
-        });
-        // Threaded capture merges to the same log shape.
-        let mut sim2 = ShardedSim::new(2, L);
-        sim2.set_causal_capture(true);
-        sim2.add_actor(
-            0,
-            Box::new(Pinger {
-                peer: b,
-                rounds: 50,
-                bounces: 0,
-                timer: None,
-                timer_fired: 0,
-                log: vec![],
-            }),
-        );
-        sim2.add_actor(
-            1,
-            Box::new(Pinger {
-                peer: a,
-                rounds: 50,
-                bounces: 0,
-                timer: None,
-                timer_fired: 0,
-                log: vec![],
-            }),
-        );
-        sim2.seed(a, SimTime::ZERO, EV_BOUNCE);
-        sim2.run_threaded();
-        let log2 = sim2.merged_causal().expect("capture was on");
-        assert_eq!(log2.node_count(), log.node_count());
-        let flat = |l: &causal::CausalLog| {
-            l.with_data(|_, ns, _| ns.iter().map(|n| (n.at, n.parent)).collect::<Vec<_>>())
-        };
-        assert_eq!(flat(&log2), flat(&log), "merged causal log must be executor-independent");
-    }
-
-    #[test]
-    fn tracer_merges_in_shard_order() {
-        struct Spanner;
-        impl ShardActor for Spanner {
-            fn on_event(&mut self, ctx: &mut LaneCtx<'_>, _arg: u64) {
-                let (now, lane) = (ctx.now(), ctx.lane().0);
-                if let Some(tr) = ctx.tracer() {
-                    tr.span(format!("lane{lane}"), "work", now, now + 5);
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let mut sim = ShardedSim::new(2, 1);
-        let a = sim.add_actor(0, Box::new(Spanner));
-        let b = sim.add_actor(1, Box::new(Spanner));
-        sim.set_tracing(true);
-        sim.seed(a, SimTime::ZERO, 0);
-        sim.seed(b, SimTime::from_nanos(3), 0);
-        sim.run_sequential();
-        let tr = sim.merged_tracer();
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.spans()[0].track, "lane0");
-        assert_eq!(tr.spans()[1].track, "lane1");
     }
 
     #[test]

@@ -140,10 +140,9 @@ impl Stats {
         self.summaries.clear();
     }
 
-    /// Fold `other` into `self`: counters add, summaries merge. Used to
-    /// combine per-shard stats into one global bag after a sharded run;
-    /// merging is order-independent, so any deterministic shard order
-    /// yields the same result.
+    /// Fold `other` into `self`: counters add, summaries merge. Merging is
+    /// order-independent, so bags filled on different threads combine
+    /// into the same result in any order.
     pub fn merge(&mut self, other: &Stats) {
         for (k, v) in other.counters.iter() {
             *self.counters.slot(k) += v;

@@ -57,7 +57,6 @@ impl Worker {
 impl ShardActor for Worker {
     fn on_event(&mut self, ctx: &mut LaneCtx<'_>, arg: u64) {
         self.history.push((ctx.now().as_nanos(), arg));
-        ctx.stats().bump("delivered");
         // Up to two actions per event keeps the run lively but finite.
         for _ in 0..2 {
             if self.budget == 0 {
@@ -102,14 +101,13 @@ impl ShardActor for Worker {
     }
 }
 
-/// Outcome of one placement: canonical digest plus per-lane histories and
-/// merged stats — everything an observer could compare.
+/// Outcome of one placement: canonical digest plus per-lane histories —
+/// everything an observer could compare.
 struct Outcome {
     digest: u64,
     executed: u64,
     end_ns: u64,
     histories: Vec<Vec<(u64, u64)>>,
-    delivered: u64,
 }
 
 /// Run the seeded workload with `n_lanes` actors placed round-robin over
@@ -136,7 +134,6 @@ fn run_workload(seed: u64, n_lanes: usize, budget: u32, shards: usize, threaded:
             .iter()
             .map(|&l| sim.actor::<Worker>(l).expect("worker present").history.clone())
             .collect(),
-        delivered: sim.stats().get("delivered"),
     }
 }
 
@@ -145,7 +142,6 @@ fn assert_same(a: &Outcome, b: &Outcome, what: &str) {
     assert_eq!(a.end_ns, b.end_ns, "{what}: makespan diverged");
     assert_eq!(a.digest, b.digest, "{what}: canonical digest diverged");
     assert_eq!(a.histories, b.histories, "{what}: per-actor histories diverged");
-    assert_eq!(a.delivered, b.delivered, "{what}: merged stats diverged");
 }
 
 proptest! {

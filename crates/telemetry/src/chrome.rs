@@ -1,31 +1,60 @@
-//! Chrome-trace / Perfetto JSON export: core spans, parcel flow arrows,
-//! and counter tracks, in one event array.
+//! Chrome-trace / Perfetto JSON export: core spans, SLO alert markers,
+//! parcel flow arrows, and counter tracks, in one event array.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use simcore::{escape_json, Span};
+use simcore::escape_json;
 
 use crate::critpath::CritPath;
 use crate::flow::{stage, FlowRec};
 use crate::metrics::Metrics;
+use crate::timeline::SloAlert;
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
+/// One span of core activity: `label` ran on `core` of its locality over
+/// `[start, end]` virtual ns. The collector keeps these grouped by
+/// locality (`spans[loc]`, in recording order), so the span carries no
+/// locality of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreSpan {
+    /// Core index within the locality.
+    pub core: u32,
+    /// What ran (`task`, `background`, `progress`).
+    pub label: &'static str,
+    /// Span start, ns.
+    pub start: u64,
+    /// Span end, ns.
+    pub end: u64,
+}
+
+/// The Chrome track of `core` on locality `loc`.
+fn core_track(loc: usize, core: usize) -> String {
+    format!("loc{loc}/core{core}")
+}
+
 /// Render a combined Chrome-trace JSON document.
 ///
-/// * `spans` — core activity (one `tid` per `locN/coreM` track), as
-///   recorded by `simcore::Tracer`.
+/// * `spans` — core activity grouped by locality (`spans[loc]`), one
+///   `tid` per `locN/coreM` track, as the collector records it.
+/// * `alerts` — SLO alerts, each a zero-duration `alert` marker on its
+///   `slo/<rule>` track.
 /// * flows — every delivered parcel contributes a send slice on its source
 ///   core track, a deliver slice on its destination core track, and a
 ///   flow-event pair (`ph:"s"` / `ph:"f"`) so Perfetto draws an arrow from
 ///   the sending core to the delivering core across localities.
 /// * counter tracks — sampled series (queue depths, utilization) as
 ///   `ph:"C"` events.
-pub fn chrome_trace(spans: &[Span], flows: &[FlowRec], metrics: &Metrics) -> String {
-    render(spans, flows, metrics, None)
+pub fn chrome_trace(
+    spans: &[Vec<CoreSpan>],
+    alerts: &[SloAlert],
+    flows: &[FlowRec],
+    metrics: &Metrics,
+) -> String {
+    render(spans, alerts, flows, metrics, None)
 }
 
 /// [`chrome_trace`] plus a critical-path overlay: the path's segments as
@@ -33,12 +62,13 @@ pub fn chrome_trace(spans: &[Span], flows: &[FlowRec], metrics: &Metrics) -> Str
 /// carrying the makespan, and parcels whose delivery event lies on the
 /// path renamed `parcel (critical)` so on-path flow arrows stand out.
 pub fn chrome_trace_with_critpath(
-    spans: &[Span],
+    spans: &[Vec<CoreSpan>],
+    alerts: &[SloAlert],
     flows: &[FlowRec],
     metrics: &Metrics,
     cp: &CritPath,
 ) -> String {
-    render(spans, flows, metrics, Some(cp))
+    render(spans, alerts, flows, metrics, Some(cp))
 }
 
 /// Append one complete-span event (`"ph":"X"`) to `out`, a JSON event
@@ -80,7 +110,13 @@ fn sep(out: &mut String) {
     }
 }
 
-fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&CritPath>) -> String {
+fn render(
+    spans: &[Vec<CoreSpan>],
+    alerts: &[SloAlert],
+    flows: &[FlowRec],
+    metrics: &Metrics,
+    cp: Option<&CritPath>,
+) -> String {
     let on_path: HashSet<u64> =
         cp.map(|cp| cp.path_nodes.iter().copied().collect()).unwrap_or_default();
     let mut out = String::from("[");
@@ -99,9 +135,14 @@ fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&Crit
         );
     }
 
-    for s in spans {
-        let (start, dur) = (s.start.as_nanos(), s.end.since(s.start));
-        complete_span(&mut out, s.label, None, start, dur, &s.track, None);
+    for (loc, spans) in spans.iter().enumerate() {
+        for s in spans {
+            let (tid, dur) = (core_track(loc, s.core as usize), s.end.saturating_sub(s.start));
+            complete_span(&mut out, s.label, None, s.start, dur, &tid, None);
+        }
+    }
+    for a in alerts {
+        complete_span(&mut out, "alert", None, a.end_ns, 0, &format!("slo/{}", a.rule), None);
     }
 
     for (i, f) in flows.iter().enumerate() {
@@ -117,8 +158,8 @@ fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&Crit
         // End of the send-side slice: injection if recorded, else a sliver.
         let send_end = f.at(stage::INJECT).unwrap_or(put + 1).max(put + 1);
         let recv_end = f.at(stage::SPAWN).unwrap_or(deliver + 1).max(deliver + 1);
-        let src_tid = format!("loc{}/core{}", f.src, f.src_core);
-        let dst_tid = format!("loc{}/core{}", f.dst, f.dst_core);
+        let src_tid = core_track(f.src, f.src_core);
+        let dst_tid = core_track(f.dst, f.dst_core);
         complete_span(&mut out, name, Some("parcel"), put, send_end - put, &src_tid, Some(id));
         sep(&mut out);
         let _ = write!(
@@ -166,14 +207,13 @@ mod tests {
     use crate::flow::FlowTracer;
     use simcore::SimTime;
 
+    fn span(core: u32, label: &'static str, start: u64, end: u64) -> CoreSpan {
+        CoreSpan { core, label, start, end }
+    }
+
     #[test]
     fn full_export_parses_and_contains_flow_pair() {
-        let spans = vec![Span {
-            track: "loc0/core0".into(),
-            label: "task",
-            start: SimTime::from_nanos(0),
-            end: SimTime::from_nanos(5_000),
-        }];
+        let spans = vec![vec![span(0, "task", 0, 5_000)]];
         let mut f = FlowTracer::new();
         let id = f.begin(0, 1, 0, SimTime::from_nanos(100));
         f.mark(id, stage::INJECT, SimTime::from_nanos(400));
@@ -182,7 +222,7 @@ mod tests {
         f.set_dst_core(&[id], 2);
         let mut m = Metrics::new();
         m.track_sample("queue_depth", 1_000, 3.0);
-        let json = chrome_trace(&spans, f.flows(), &m);
+        let json = chrome_trace(&spans, &[], f.flows(), &m);
         let parsed = crate::json::parse(&json).expect("chrome json parses");
         let events = parsed.as_arr().unwrap();
         let phases: Vec<_> =
@@ -193,15 +233,20 @@ mod tests {
     }
 
     #[test]
-    fn tracer_spans_render_as_complete_events() {
-        let mut t = simcore::Tracer::new();
-        t.span("loc1/core2", "progress", SimTime::from_micros(3), SimTime::from_micros(5));
-        t.span("track\"with\\quotes", "progress", SimTime::ZERO, SimTime::from_nanos(10));
-        t.instant("slo/lat", "alert", SimTime::from_nanos(42));
-        let json = chrome_trace(t.spans(), &[], &Metrics::new());
-        assert!(json.starts_with("[{\"name\":\"progress\",\"ph\":\"X\",\"ts\":3,\"dur\":2,"));
-        assert!(json.contains("\"tid\":\"loc1/core2\""), "json: {json}");
-        assert!(json.contains("\"tid\":\"track\\\"with\\\\quotes\""), "json: {json}");
+    fn core_spans_and_alerts_render_as_complete_events() {
+        let spans = vec![vec![span(0, "task", 0, 10)], vec![span(2, "progress", 3_000, 5_000)]];
+        let alert = SloAlert {
+            rule: "rule\"with\\quotes".into(),
+            window: 0,
+            end_ns: 42,
+            burn: 2.0,
+            bad: 1,
+            total: 1,
+        };
+        let json = chrome_trace(&spans, &[alert], &[], &Metrics::new());
+        assert!(json.starts_with("[{\"name\":\"task\",\"ph\":\"X\",\"ts\":0,\"dur\":0.01,"));
+        assert!(json.contains("\"ts\":3,\"dur\":2,\"pid\":0,\"tid\":\"loc1/core2\""), "{json}");
+        assert!(json.contains("\"tid\":\"slo/rule\\\"with\\\\quotes\""), "json: {json}");
         assert!(json.contains("\"ts\":0.042,\"dur\":0,"), "json: {json}");
         assert_eq!(crate::json::parse(&json).unwrap().as_arr().unwrap().len(), 3);
     }
@@ -210,7 +255,7 @@ mod tests {
     fn undelivered_flows_are_skipped() {
         let mut f = FlowTracer::new();
         f.begin(0, 1, 0, SimTime::ZERO);
-        let json = chrome_trace(&[], f.flows(), &Metrics::new());
+        let json = chrome_trace(&[], &[], f.flows(), &Metrics::new());
         assert_eq!(json, "[]");
     }
 }

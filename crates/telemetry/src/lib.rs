@@ -11,6 +11,10 @@
 //!   route registry, exported as Chrome-trace flow events
 //!   ([`chrome::chrome_trace`]) and a latency-breakdown report
 //!   ([`report::Breakdown`]);
+//! * **core spans** ([`CoreSpan`]): what each simulated core ran
+//!   (`task`, `background`, `progress`), recorded by the scheduler through
+//!   [`core_span`] and stored here only, grouped by locality; the Chrome
+//!   export draws one `loc<L>/core<C>` track per core;
 //! * **contention attribution** ([`ContentionTable`]): wait-vs-service
 //!   time per named `SimLock`/`SimTryLock`/`SimResource`, fed through
 //!   `simcore::probe`, ranked by total wait
@@ -46,8 +50,9 @@ pub mod timeline;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simcore::{CausalLog, SimTime, Span};
+use simcore::{CausalLog, SimTime};
 
+pub use chrome::CoreSpan;
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
@@ -58,7 +63,8 @@ pub use record::{RunMeta, RunRecord};
 pub use report::{Breakdown, ContentionReport};
 pub use timeline::{FlightDump, SloAlert, SloRule, Timeline, TimelineConfig};
 
-/// The collector: metrics + flows + contention, behind one `RefCell`.
+/// The collector: metrics, flows, contention, core spans, profile and
+/// timeline, behind one `RefCell`.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     inner: RefCell<Inner>,
@@ -69,7 +75,8 @@ struct Inner {
     metrics: Metrics,
     flows: FlowTracer,
     contention: ContentionTable,
-    spans: Vec<Span>,
+    /// Core spans grouped by locality: `spans[loc]` in recording order.
+    spans: Vec<Vec<CoreSpan>>,
     profile: CoreProfile,
     /// Parcels begun but not yet delivered, sampled as the
     /// `parcels.in_flight` counter track.
@@ -105,6 +112,15 @@ impl Inner {
         self.metrics.hist_record("parcel.latency_ns", deliver.saturating_sub(put));
         if let Some(tl) = &mut self.timeline {
             tl.flow_delivered(id, src, dst, put, deliver);
+        }
+    }
+
+    /// The SLO alerts the Chrome export marks: the timeline's alert list
+    /// once finalized, none before (a live list is still settling).
+    fn alert_markers(&self) -> &[SloAlert] {
+        match &self.timeline {
+            Some(tl) if tl.finalized() => tl.alerts(),
+            _ => &[],
         }
     }
 
@@ -368,27 +384,43 @@ impl Telemetry {
         self.inner.borrow().profile.folded(config)
     }
 
-    /// Deposit engine spans (drained from per-locality `simcore::Tracer`s
-    /// — `parcelport::World` does this automatically on drop).
-    pub fn add_spans(&self, spans: impl IntoIterator<Item = Span>) {
-        self.inner.borrow_mut().spans.extend(spans);
+    /// Record that `label` ran on `core` of locality `loc` over
+    /// `[start, end]` — one span on the Chrome export's `loc<L>/core<C>`
+    /// track. Empty spans are kept, as the scheduler reports them.
+    pub fn core_span(
+        &self,
+        loc: usize,
+        core: usize,
+        label: &'static str,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        let spans = &mut self.inner.borrow_mut().spans;
+        if spans.len() <= loc {
+            spans.resize_with(loc + 1, Vec::new);
+        }
+        let (start, end) = (start.as_nanos(), end.as_nanos());
+        spans[loc].push(CoreSpan { core: core as u32, label, start, end });
     }
 
-    /// Number of deposited spans.
+    /// Read access to the core spans, grouped by locality.
+    pub fn with_core_spans<R>(&self, f: impl FnOnce(&[Vec<CoreSpan>]) -> R) -> R {
+        f(&self.inner.borrow().spans)
+    }
+
+    /// Number of spans the Chrome export carries: every core span, plus
+    /// one marker per SLO alert once the timeline is finalized.
     pub fn span_count(&self) -> usize {
-        self.inner.borrow().spans.len()
-    }
-
-    /// Render the combined Chrome-trace JSON (spans + flows + counters).
-    pub fn chrome_trace(&self, spans: &[Span]) -> String {
         let inner = self.inner.borrow();
-        chrome::chrome_trace(spans, inner.flows.flows(), &inner.metrics)
+        inner.spans.iter().map(Vec::len).sum::<usize>() + inner.alert_markers().len()
     }
 
-    /// [`Telemetry::chrome_trace`] over the deposited spans.
+    /// Render the combined Chrome-trace JSON: core spans, SLO alert
+    /// markers, flows and counter tracks.
     pub fn chrome_trace_collected(&self) -> String {
         let inner = self.inner.borrow();
-        chrome::chrome_trace(&inner.spans, inner.flows.flows(), &inner.metrics)
+        let alerts = inner.alert_markers();
+        chrome::chrome_trace(&inner.spans, alerts, inner.flows.flows(), &inner.metrics)
     }
 
     /// The causal provenance log captured by this collector, if any
@@ -415,7 +447,8 @@ impl Telemetry {
     /// `critpath.total_us` counter, and on-path parcel flows highlighted.
     pub fn chrome_trace_with_critpath(&self, cp: &CritPath) -> String {
         let inner = self.inner.borrow();
-        chrome::chrome_trace_with_critpath(&inner.spans, inner.flows.flows(), &inner.metrics, cp)
+        let (alerts, flows) = (inner.alert_markers(), inner.flows.flows());
+        chrome::chrome_trace_with_critpath(&inner.spans, alerts, flows, &inner.metrics, cp)
     }
 
     /// Attach a windowed timeline to this collector (normally done by
@@ -474,11 +507,11 @@ impl Telemetry {
     }
 
     /// Close out the timeline at end of run: evaluate the remaining
-    /// windows, take any still-armed flight-recorder dump, render each
-    /// alert as a zero-duration span on its `slo/<rule>` track, and
-    /// inject the per-window counter tracks into the metrics registry so
-    /// the Chrome export grows timeline counter tracks. Idempotent; no-op
-    /// when timelines are off.
+    /// windows, take any still-armed flight-recorder dump, and inject the
+    /// per-window counter tracks into the metrics registry so the Chrome
+    /// export grows timeline counter tracks. From here on the export
+    /// renders each alert as a zero-duration span on its `slo/<rule>`
+    /// track. Idempotent; no-op when timelines are off.
     pub fn timeline_finalize(&self) {
         let inner = &mut *self.inner.borrow_mut();
         let Some(tl) = &mut inner.timeline else { return };
@@ -487,15 +520,7 @@ impl Telemetry {
         }
         tl.finalize();
         inner.tl_poll();
-        let Some(tl) = &mut inner.timeline else { return };
-        for a in tl.alerts() {
-            inner.spans.push(Span {
-                track: format!("slo/{}", a.rule),
-                label: "alert",
-                start: SimTime::from_nanos(a.end_ns),
-                end: SimTime::from_nanos(a.end_ns),
-            });
-        }
+        let Some(tl) = &inner.timeline else { return };
         for (name, series) in tl.counter_tracks() {
             for (t, v) in series {
                 inner.metrics.track_sample(&name, t, v);
@@ -797,6 +822,13 @@ pub fn profile_record(
     }
 }
 
+/// Record a core span (Chrome track `loc<L>/core<C>`); no-op when
+/// disabled.
+#[inline]
+pub fn core_span(loc: usize, core: usize, label: &'static str, start: SimTime, end: SimTime) {
+    with(|tel| tel.core_span(loc, core, label, start, end));
+}
+
 /// Record an overlay profiler interval on the current locality; no-op
 /// when disabled or empty.
 #[inline]
@@ -862,11 +894,6 @@ impl LaneCollector {
     pub fn uninstall(&self) {
         disable();
     }
-
-    /// Handle to this lane's telemetry (read access for tests).
-    pub fn telemetry(&self) -> Rc<Telemetry> {
-        self.tel.clone()
-    }
 }
 
 /// Re-install an existing collector on the current thread after a
@@ -911,7 +938,14 @@ pub fn merge_lane_collectors(main: &Rc<Telemetry>, lanes: Vec<LaneCollector>) {
             main_inner.metrics.merge(&inner.metrics);
             main_inner.contention.merge(&inner.contention);
             main_inner.profile.absorb(inner.profile);
-            main_inner.spans.extend(inner.spans);
+            // A lane records only its own locality's spans, so each
+            // locality's list comes from one lane, in recording order.
+            if main_inner.spans.len() < inner.spans.len() {
+                main_inner.spans.resize_with(inner.spans.len(), Vec::new);
+            }
+            for (loc, spans) in inner.spans.into_iter().enumerate() {
+                main_inner.spans[loc].extend(spans);
+            }
             main_inner.in_flight += inner.in_flight;
             if let (Some(dst), Some(src)) = (&mut main_inner.timeline, inner.timeline) {
                 dst.absorb(src);

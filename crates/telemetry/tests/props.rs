@@ -3,9 +3,9 @@
 //! built-in parser.
 
 use proptest::prelude::*;
-use simcore::{SimTime, Span};
+use simcore::SimTime;
 use telemetry::json::Value;
-use telemetry::{json, Histogram};
+use telemetry::{json, Histogram, SloRule, TimelineConfig};
 
 proptest! {
     /// Every quantile of a log-bucketed histogram must stay inside the
@@ -55,26 +55,41 @@ proptest! {
 
     /// The Chrome export must stay parseable JSON for arbitrary track
     /// names (quotes, backslashes, control characters, unicode), and the
-    /// parse must recover the track string exactly.
+    /// parse must recover the name exactly. SLO rule names are the free-
+    /// form part of the export: each alert is a marker on track
+    /// `slo/<rule>`, and each rule's burn rate a counter `slo.<rule>.burn`.
     #[test]
     fn chrome_export_roundtrips_hostile_track_names(
         chars in proptest::collection::vec(0usize..NASTY.len(), 0..24),
         start in 0u64..1_000_000,
         dur in 1u64..1_000_000,
     ) {
-        let track: String = chars.iter().map(|&i| NASTY[i]).collect();
+        let rule: String = chars.iter().map(|&i| NASTY[i]).collect();
         let tel = telemetry::Telemetry::new();
-        tel.add_spans([Span {
-            track: track.clone(),
-            label: "task",
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(start + dur),
-        }]);
+        tel.enable_timeline(TimelineConfig {
+            slos: vec![SloRule {
+                name: rule.clone(),
+                hist: "lat".into(),
+                objective_ns: 0,
+                target: 0.5,
+                burn_threshold: 1.0,
+                min_samples: 1,
+            }],
+            ..TimelineConfig::default()
+        });
+        tel.core_span(0, 0, "task", SimTime::from_nanos(start), SimTime::from_nanos(start + dur));
+        tel.hist_record_at("lat", dur, SimTime::from_nanos(start));
+        tel.timeline_finalize();
         let out = tel.chrome_trace_collected();
         let doc = json::parse(&out).expect("chrome export must parse");
         let events = doc.as_arr().expect("array");
-        prop_assert_eq!(events.len(), 1);
-        prop_assert_eq!(events[0].get("tid").and_then(Value::as_str), Some(track.as_str()));
+        let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).map(str::to_string);
+        let alerts: Vec<_> = events.iter().filter(|e| field(e, "name").as_deref() == Some("alert")).collect();
+        prop_assert_eq!(alerts.len(), 1);
+        prop_assert_eq!(field(alerts[0], "tid"), Some(format!("slo/{rule}")));
+        let burn = format!("slo.{rule}.burn");
+        prop_assert!(events.iter().any(|e| field(e, "name").as_deref() == Some(burn.as_str())));
+        prop_assert_eq!(field(&events[0], "tid").as_deref(), Some("loc0/core0"));
     }
 }
 

@@ -111,7 +111,6 @@ fn telemetry_is_pure_observation_on_the_switched_path() {
     // The observation itself: per-port counter tracks were sampled,
     // time-ordered per track (what `trace_check --require-counters`
     // later enforces on the bench artifacts), and reach the Chrome export.
-    drop(world); // harvest tracers
     let (fab_tracks, ordered) = tel.with_metrics(|m| {
         let mut n = 0usize;
         let mut ordered = true;
@@ -128,5 +127,22 @@ fn telemetry_is_pure_observation_on_the_switched_path() {
     assert!(
         tel.chrome_trace_collected().contains("\"fab."),
         "port counters missing from the Chrome export"
+    );
+}
+
+/// Core spans land in the collector as the cores run, so a harness that
+/// disables telemetry before it drops the world keeps every span.
+#[test]
+fn core_spans_survive_disable_before_the_world_drops() {
+    let tel = hpx_lci_repro::telemetry::enable();
+    let cfg = WorldConfig::two_nodes("lci_psr_cq_pin_i".parse().unwrap(), 4);
+    let d = common::send_all(cfg, vec![b"8 bytes!".to_vec(); 4]);
+    assert_eq!(d.delivered, 4, "lost parcels");
+    hpx_lci_repro::telemetry::disable();
+    drop(d);
+    assert!(tel.span_count() > 0, "core spans lost");
+    assert!(
+        tel.chrome_trace_collected().contains("\"tid\":\"loc0/core"),
+        "loc0 core tracks missing from the Chrome export"
     );
 }
