@@ -2,7 +2,6 @@
 //! down-sweep, and a completion reduction — all expressed as HPX actions.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use amt::action::{ActionId, ActionRegistry};
@@ -53,16 +52,19 @@ impl Default for ComputeModel {
     }
 }
 
-/// Per-step, per-locality mutable state.
+/// Per-step, per-locality mutable state. Each vector covers every node of
+/// one kind in the whole tree, indexed by [`Octree::internal_index`] or
+/// [`Octree::leaf_index`]; only the entries of nodes this locality owns
+/// are meaningful, and the handlers check ownership before touching one.
 struct StepState {
     /// Internal node -> (children still missing, mass accum, weighted center).
-    pending_children: HashMap<NodeId, (usize, f64, [f64; 3])>,
+    pending_children: Vec<(usize, f64, [f64; 3])>,
     /// Leaf -> neighbor multipoles still missing.
-    pending_neighbors: HashMap<NodeId, usize>,
+    pending_neighbors: Vec<usize>,
     /// Leaf -> hydro ghost zones still missing.
-    pending_ghosts: HashMap<NodeId, usize>,
+    pending_ghosts: Vec<usize>,
     /// Leaf -> received the L2L expansion.
-    got_l2l: HashMap<NodeId, bool>,
+    got_l2l: Vec<bool>,
     /// Leaves fully finished this step.
     leaves_done: usize,
 }
@@ -71,7 +73,6 @@ struct StepState {
 pub struct AppState {
     tree: Rc<Octree>,
     part: Rc<Partition>,
-    neighbors: Rc<HashMap<NodeId, Vec<NodeId>>>,
     me: usize,
     my_leaves: Vec<NodeId>,
     step: StepState,
@@ -155,23 +156,30 @@ fn invoke(
 }
 
 impl AppState {
-    fn fresh_step_state(&self) -> StepState {
-        let mut pending_children = HashMap::new();
-        for (id, n) in self.tree.nodes().iter().enumerate() {
-            if !n.is_leaf() && self.part.owner(id) == self.me {
-                pending_children.insert(id, (n.children.len(), 0.0, [0.0; 3]));
+    /// Reset the per-step counters of every owned node in place.
+    fn reset_step(&mut self) {
+        let ghosts_on = self.compute.ghost_bytes > 0;
+        let (tree, step) = (&self.tree, &mut self.step);
+        for (id, n) in tree.nodes().iter().enumerate() {
+            if self.part.owner(id) != self.me {
+                continue;
+            }
+            if n.is_leaf() {
+                let (i, nbrs) = (tree.leaf_index(id), tree.neighbors(id).len());
+                step.pending_neighbors[i] = nbrs;
+                step.pending_ghosts[i] = if ghosts_on { nbrs } else { 0 };
+                step.got_l2l[i] = false;
+            } else {
+                step.pending_children[tree.internal_index(id)] = (n.children.len(), 0.0, [0.0; 3]);
             }
         }
-        let mut pending_neighbors = HashMap::new();
-        let mut pending_ghosts = HashMap::new();
-        let mut got_l2l = HashMap::new();
-        let ghosts_on = self.compute.ghost_bytes > 0;
-        for &l in &self.my_leaves {
-            pending_neighbors.insert(l, self.neighbors[&l].len());
-            pending_ghosts.insert(l, if ghosts_on { self.neighbors[&l].len() } else { 0 });
-            got_l2l.insert(l, false);
-        }
-        StepState { pending_children, pending_neighbors, pending_ghosts, got_l2l, leaves_done: 0 }
+        step.leaves_done = 0;
+    }
+
+    /// Whether this locality owns `id`. An action addressed to a node
+    /// owned elsewhere is a routing bug, and the handlers panic on it.
+    fn owns(&self, id: NodeId) -> bool {
+        self.part.owner(id) == self.me
     }
 }
 
@@ -202,12 +210,11 @@ pub fn register_actions(
                 core,
                 Box::new(move |sim, loc, core| {
                     let mut t = sim.now() + leaf_cost;
-                    let (tree, part, nbrs, ghost_bytes, acts) = {
+                    let (tree, part, ghost_bytes, acts) = {
                         let s = state.borrow();
                         (
                             s.tree.clone(),
                             s.part.clone(),
-                            s.neighbors[&leaf].clone(),
                             s.compute.ghost_bytes,
                             ACTIONS.with(|a| a.borrow().expect("actions registered")),
                         )
@@ -217,7 +224,7 @@ pub fn register_actions(
                     let parent = tree.node(leaf).parent;
                     let payload = encode_m2m(parent, mass, center);
                     t = invoke(sim, loc, core, part.owner(parent), acts.m2m, vec![payload]).max(t);
-                    for nb in nbrs {
+                    for &nb in tree.neighbors(leaf) {
                         let payload = encode_m2m(nb, mass, center);
                         t = invoke(sim, loc, core, part.owner(nb), acts.m2l, vec![payload]).max(t);
                         if ghost_bytes > 0 {
@@ -253,12 +260,10 @@ pub fn register_actions(
         // (or start the down-sweep at the root).
         let complete = {
             let mut s = state.borrow_mut();
+            assert!(s.owns(node), "m2m for non-owned node {node}");
             t += s.compute.m2m;
-            let e = s
-                .step
-                .pending_children
-                .get_mut(&node)
-                .unwrap_or_else(|| panic!("m2m for non-owned node {node}"));
+            let i = s.tree.internal_index(node);
+            let e = &mut s.step.pending_children[i];
             e.0 -= 1;
             e.1 += mass;
             for (acc, c) in e.2.iter_mut().zip(center.iter()) {
@@ -311,14 +316,12 @@ pub fn register_actions(
         let mut t = sim.now();
         let ready = {
             let mut s = state.borrow_mut();
+            assert!(s.owns(leaf), "m2l for non-owned leaf {leaf}");
             t += s.compute.m2l;
-            let e = s
-                .step
-                .pending_neighbors
-                .get_mut(&leaf)
-                .unwrap_or_else(|| panic!("m2l for non-owned leaf {leaf}"));
-            *e -= 1;
-            *e == 0 && s.step.got_l2l[&leaf] && s.step.pending_ghosts[&leaf] == 0
+            let i = s.tree.leaf_index(leaf);
+            let step = &mut s.step;
+            step.pending_neighbors[i] -= 1;
+            step.pending_neighbors[i] == 0 && step.got_l2l[i] && step.pending_ghosts[i] == 0
         };
         if ready {
             t = finish_leaf(sim, loc, core, &state, leaf, t);
@@ -333,14 +336,12 @@ pub fn register_actions(
         let mut t = sim.now();
         let ready = {
             let mut s = state.borrow_mut();
+            assert!(s.owns(leaf), "ghost for non-owned leaf {leaf}");
             t += s.compute.m2l; // unpack the slab into the subgrid halo
-            let e = s
-                .step
-                .pending_ghosts
-                .get_mut(&leaf)
-                .unwrap_or_else(|| panic!("ghost for non-owned leaf {leaf}"));
-            *e -= 1;
-            *e == 0 && s.step.pending_neighbors[&leaf] == 0 && s.step.got_l2l[&leaf]
+            let i = s.tree.leaf_index(leaf);
+            let step = &mut s.step;
+            step.pending_ghosts[i] -= 1;
+            step.pending_ghosts[i] == 0 && step.pending_neighbors[i] == 0 && step.got_l2l[i]
         };
         if ready {
             t = finish_leaf(sim, loc, core, &state, leaf, t);
@@ -357,8 +358,10 @@ pub fn register_actions(
         if tree.node(node).is_leaf() {
             let ready = {
                 let mut s = state.borrow_mut();
-                *s.step.got_l2l.get_mut(&node).expect("l2l for non-owned leaf") = true;
-                s.step.pending_neighbors[&node] == 0 && s.step.pending_ghosts[&node] == 0
+                assert!(s.owns(node), "l2l for non-owned leaf {node}");
+                let i = tree.leaf_index(node);
+                s.step.got_l2l[i] = true;
+                s.step.pending_neighbors[i] == 0 && s.step.pending_ghosts[i] == 0
             };
             if ready {
                 t = finish_leaf(sim, loc, core, &state, node, t);
@@ -473,7 +476,7 @@ fn finish_leaf(
             // all M2M/M2L are consumed before any leaf finishes). Reset
             // NOW so early arrivals for the next step land in fresh
             // counters instead of racing the step_start broadcast.
-            s.step = s.fresh_step_state();
+            s.reset_step();
             let sum: f64 = s.my_leaves.iter().map(|&l| s.tree.leaf_mass(l)).sum();
             (sum, ACTIONS.with(|a| a.borrow().expect("actions").loc_done))
         };
@@ -496,17 +499,25 @@ impl AppState {
 
     /// Diagnostic snapshot of the current step's progress.
     pub fn debug_summary(&self) -> String {
-        let pend_children: usize = self.step.pending_children.values().filter(|e| e.0 > 0).count();
-        let pend_nbr: usize = self.step.pending_neighbors.values().filter(|&&n| n > 0).count();
-        let pend_ghost: usize = self.step.pending_ghosts.values().filter(|&&n| n > 0).count();
-        let _ = pend_ghost;
-        let missing_l2l = self.step.got_l2l.values().filter(|&&g| !g).count();
+        let (tree, step) = (&self.tree, &self.step);
+        let (mut pend_children, mut pend_nbr, mut pend_ghost, mut missing_l2l) = (0, 0, 0, 0);
+        for id in (0..tree.len()).filter(|&id| self.owns(id)) {
+            if tree.node(id).is_leaf() {
+                let i = tree.leaf_index(id);
+                pend_nbr += usize::from(step.pending_neighbors[i] > 0);
+                pend_ghost += usize::from(step.pending_ghosts[i] > 0);
+                missing_l2l += usize::from(!step.got_l2l[i]);
+            } else {
+                pend_children += usize::from(step.pending_children[tree.internal_index(id)].0 > 0);
+            }
+        }
         format!(
-            "leaves={} done={} pend_internal={} pend_nbr={} missing_l2l={} locs_done={}",
+            "leaves={} done={} pend_internal={} pend_nbr={} pend_ghost={} missing_l2l={} locs_done={}",
             self.my_leaves.len(),
-            self.step.leaves_done,
+            step.leaves_done,
             pend_children,
             pend_nbr,
+            pend_ghost,
             missing_l2l,
             self.locs_done
         )
@@ -520,11 +531,6 @@ impl AppState {
         steps: u32,
         compute: ComputeModel,
     ) -> Rc<Vec<Rc<RefCell<AppState>>>> {
-        let mut neighbors = HashMap::new();
-        for &l in tree.leaves() {
-            neighbors.insert(l, tree.leaf_neighbors(l));
-        }
-        let neighbors = Rc::new(neighbors);
         let states: Vec<Rc<RefCell<AppState>>> = (0..localities)
             .map(|me| {
                 let my_leaves: Vec<NodeId> =
@@ -532,14 +538,13 @@ impl AppState {
                 let mut s = AppState {
                     tree: tree.clone(),
                     part: part.clone(),
-                    neighbors: neighbors.clone(),
                     me,
                     my_leaves,
                     step: StepState {
-                        pending_children: HashMap::new(),
-                        pending_neighbors: HashMap::new(),
-                        pending_ghosts: HashMap::new(),
-                        got_l2l: HashMap::new(),
+                        pending_children: vec![(0, 0.0, [0.0; 3]); tree.internal_len()],
+                        pending_neighbors: vec![0; tree.leaves().len()],
+                        pending_ghosts: vec![0; tree.leaves().len()],
+                        got_l2l: vec![false; tree.leaves().len()],
                         leaves_done: 0,
                     },
                     locs_done: 0,
@@ -551,10 +556,38 @@ impl AppState {
                     compute: compute.clone(),
                     finished_at: SimTime::ZERO,
                 };
-                s.step = s.fresh_step_state();
+                s.reset_step();
                 Rc::new(RefCell::new(s))
             })
             .collect();
         Rc::new(states)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sfc::partition;
+
+    fn fresh_states(compute: ComputeModel) -> Rc<Vec<Rc<RefCell<AppState>>>> {
+        let tree = Rc::new(Octree::build(3));
+        let part = Rc::new(partition(&tree, 2));
+        AppState::build_all(tree, part, 2, 1, compute)
+    }
+
+    #[test]
+    fn debug_summary_reports_pending_ghost_zones() {
+        let states = fresh_states(ComputeModel::default());
+        for s in states.iter() {
+            let s = s.borrow();
+            let waiting = s.my_leaves.iter().filter(|&&l| !s.tree.neighbors(l).is_empty()).count();
+            assert!(waiting > 0);
+            let summary = s.debug_summary();
+            assert!(summary.contains(&format!(" pend_nbr={waiting} ")), "{summary}");
+            assert!(summary.contains(&format!(" pend_ghost={waiting} ")), "{summary}");
+        }
+        let no_hydro = fresh_states(ComputeModel { ghost_bytes: 0, ..ComputeModel::default() });
+        let summary = no_hydro[0].borrow().debug_summary();
+        assert!(summary.contains(" pend_ghost=0 "), "{summary}");
     }
 }

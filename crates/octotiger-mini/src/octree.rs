@@ -1,5 +1,7 @@
 //! The adaptive octree: refined around a binary-star shell.
 
+use std::collections::HashMap;
+
 /// Index of a tree node in the [`Octree`]'s node array.
 pub type NodeId = usize;
 
@@ -38,6 +40,14 @@ impl Node {
 pub struct Octree {
     nodes: Vec<Node>,
     leaves: Vec<NodeId>,
+    /// Dense index of each node among the nodes of its kind (see
+    /// [`Octree::leaf_index`] and [`Octree::internal_index`]).
+    kind_index: Vec<usize>,
+    /// Face-neighbour table in CSR form: the neighbours of node `id` are
+    /// `nbr_ids[nbr_offsets[id]..nbr_offsets[id + 1]]` (empty for
+    /// internal nodes).
+    nbr_offsets: Vec<usize>,
+    nbr_ids: Vec<NodeId>,
 }
 
 /// The binary-star refinement predicate: distance of the cell center to
@@ -52,6 +62,50 @@ fn refine(center: [f64; 3], half: f64) -> bool {
                 .sqrt();
         (d - r).abs() <= diag
     })
+}
+
+/// Integer cell coordinates of a node at its own level, decoded from its
+/// Morton key: bit `k` of each 3-bit octant is axis `k`, and the last
+/// octant appended (the node's own) is the least significant bit.
+fn cell_coords(n: &Node) -> [u32; 3] {
+    let mut xyz = [0u32; 3];
+    for i in 0..n.level {
+        let oct = (n.morton >> (3 * i)) & 7;
+        for (k, c) in xyz.iter_mut().enumerate() {
+            *c |= (((oct >> k) & 1) as u32) << i;
+        }
+    }
+    xyz
+}
+
+/// Build the face-neighbour table in O(leaves): hash every leaf on
+/// `(level, cell coordinates)`, probe each leaf's six face cells, and sort
+/// each hit list into leaf order. A probe off the grid's edge wraps to a
+/// coordinate no cell has, so it finds nothing.
+fn face_neighbor_table(nodes: &[Node], leaves: &[NodeId]) -> (Vec<usize>, Vec<NodeId>) {
+    let by_cell: HashMap<(u32, [u32; 3]), NodeId> =
+        leaves.iter().map(|&l| ((nodes[l].level, cell_coords(&nodes[l])), l)).collect();
+    let mut offsets = Vec::with_capacity(nodes.len() + 1);
+    let mut ids = Vec::with_capacity(6 * leaves.len());
+    offsets.push(0);
+    for n in nodes {
+        if n.is_leaf() {
+            let xyz = cell_coords(n);
+            let start = ids.len();
+            for axis in 0..3 {
+                for step in [-1, 1] {
+                    let mut probe = xyz;
+                    probe[axis] = probe[axis].wrapping_add_signed(step);
+                    if let Some(&o) = by_cell.get(&(n.level, probe)) {
+                        ids.push(o);
+                    }
+                }
+            }
+            ids[start..].sort_unstable();
+        }
+        offsets.push(ids.len());
+    }
+    (offsets, ids)
 }
 
 impl Octree {
@@ -97,8 +151,16 @@ impl Octree {
             }
             frontier = next;
         }
-        let leaves = (0..nodes.len()).filter(|&i| nodes[i].is_leaf()).collect();
-        Octree { nodes, leaves }
+        let leaves: Vec<NodeId> = (0..nodes.len()).filter(|&i| nodes[i].is_leaf()).collect();
+        let mut kind_index = vec![0; nodes.len()];
+        for (i, &l) in leaves.iter().enumerate() {
+            kind_index[l] = i;
+        }
+        for (i, id) in (0..nodes.len()).filter(|&id| !nodes[id].is_leaf()).enumerate() {
+            kind_index[id] = i;
+        }
+        let (nbr_offsets, nbr_ids) = face_neighbor_table(&nodes, &leaves);
+        Octree { nodes, leaves, kind_index, nbr_offsets, nbr_ids }
     }
 
     /// All nodes.
@@ -114,6 +176,24 @@ impl Octree {
     /// Leaf ids in creation order.
     pub fn leaves(&self) -> &[NodeId] {
         &self.leaves
+    }
+
+    /// Dense index of leaf `id`: its position in [`Octree::leaves`].
+    pub fn leaf_index(&self, id: NodeId) -> usize {
+        assert!(self.nodes[id].is_leaf(), "node {id} is not a leaf");
+        self.kind_index[id]
+    }
+
+    /// Dense index of internal node `id` among the internal nodes, in id
+    /// order (`0..internal_len()`).
+    pub fn internal_index(&self, id: NodeId) -> usize {
+        assert!(!self.nodes[id].is_leaf(), "node {id} is a leaf");
+        self.kind_index[id]
+    }
+
+    /// Number of internal (non-leaf) nodes.
+    pub fn internal_len(&self) -> usize {
+        self.nodes.len() - self.leaves.len()
     }
 
     /// Total node count.
@@ -132,25 +212,12 @@ impl Octree {
         1.0 + (n.morton % 97) as f64 / 97.0
     }
 
-    /// Face-adjacent same-level leaf neighbors of `id` (up to 6). Two
-    /// leaves are neighbors when they share a face: centers differ by one
-    /// cell width along exactly one axis.
-    pub fn leaf_neighbors(&self, id: NodeId) -> Vec<NodeId> {
-        let me = &self.nodes[id];
-        let w = me.half * 2.0;
-        let eps = me.half * 0.1;
-        self.leaves
-            .iter()
-            .copied()
-            .filter(|&o| o != id && self.nodes[o].level == me.level)
-            .filter(|&o| {
-                let c = &self.nodes[o].center;
-                let d: Vec<f64> = (0..3).map(|k| (c[k] - me.center[k]).abs()).collect();
-                let on_axis = d.iter().filter(|&&x| (x - w).abs() < eps).count();
-                let zeros = d.iter().filter(|&&x| x < eps).count();
-                on_axis == 1 && zeros == 2
-            })
-            .collect()
+    /// Face-adjacent same-level leaf neighbors of `id` (up to 6), in leaf
+    /// (= `NodeId`) order. Two leaves are neighbors when they share a
+    /// face: their cells sit one cell width apart along exactly one axis.
+    /// Empty for internal nodes.
+    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
+        &self.nbr_ids[self.nbr_offsets[id]..self.nbr_offsets[id + 1]]
     }
 
     /// Exact sum of all leaf masses — the conserved quantity the FMM
@@ -211,15 +278,89 @@ mod tests {
         }
     }
 
+    /// The quadratic reference search: every other leaf of the same level
+    /// whose center is one cell width away along exactly one axis.
+    fn neighbors_oracle(t: &Octree, id: NodeId) -> Vec<NodeId> {
+        let me = t.node(id);
+        let w = me.half * 2.0;
+        let eps = me.half * 0.1;
+        t.leaves()
+            .iter()
+            .copied()
+            .filter(|&o| o != id && t.node(o).level == me.level)
+            .filter(|&o| {
+                let c = &t.node(o).center;
+                let d: Vec<f64> = (0..3).map(|k| (c[k] - me.center[k]).abs()).collect();
+                let on_axis = d.iter().filter(|&&x| (x - w).abs() < eps).count();
+                let zeros = d.iter().filter(|&&x| x < eps).count();
+                on_axis == 1 && zeros == 2
+            })
+            .collect()
+    }
+
+    fn assert_table_matches_oracle(level: u32) {
+        let t = Octree::build(level);
+        for (id, n) in t.nodes().iter().enumerate() {
+            if n.is_leaf() {
+                assert_eq!(t.neighbors(id), neighbors_oracle(&t, id), "level {level} leaf {id}");
+            } else {
+                assert!(t.neighbors(id).is_empty(), "internal node {id} has neighbours");
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_table_matches_quadratic_oracle() {
+        for level in 0..=5 {
+            assert_table_matches_oracle(level);
+        }
+    }
+
+    #[test]
+    #[ignore = "quadratic oracle at level 6 takes seconds in a debug build"]
+    fn neighbor_table_matches_quadratic_oracle_level6() {
+        assert_table_matches_oracle(6);
+    }
+
+    #[test]
+    fn cell_coords_invert_the_morton_key() {
+        let t = Octree::build(3);
+        for n in t.nodes() {
+            let cell = 1.0 / f64::from(1u32 << n.level);
+            let xyz = cell_coords(n);
+            for (c, x) in n.center.iter().zip(xyz) {
+                assert_eq!(*c, (f64::from(x) + 0.5) * cell);
+            }
+        }
+    }
+
     #[test]
     fn neighbors_are_symmetric_and_bounded() {
-        let t = Octree::build(3);
+        let t = Octree::build(5);
+        let mut pairs = 0;
         for &l in t.leaves() {
-            let nb = t.leaf_neighbors(l);
+            let nb = t.neighbors(l);
             assert!(nb.len() <= 6);
-            for &o in &nb {
-                assert!(t.leaf_neighbors(o).contains(&l), "neighbor relation must be symmetric");
+            assert!(nb.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+            for &o in nb {
+                assert_ne!(o, l);
+                assert!(t.neighbors(o).contains(&l), "neighbor relation must be symmetric");
             }
+            pairs += nb.len();
+        }
+        assert_eq!(pairs, 12_408, "directed face-neighbour pairs at level 5");
+    }
+
+    #[test]
+    fn kind_indices_are_dense() {
+        let t = Octree::build(4);
+        for (i, &l) in t.leaves().iter().enumerate() {
+            assert_eq!(t.leaf_index(l), i);
+        }
+        let internal: Vec<NodeId> = (0..t.len()).filter(|&id| !t.node(id).is_leaf()).collect();
+        assert_eq!(internal.len(), t.internal_len());
+        for (i, &n) in internal.iter().enumerate() {
+            assert_eq!(t.internal_index(n), i);
         }
     }
 
