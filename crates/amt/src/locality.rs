@@ -6,7 +6,9 @@ use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use simcore::causal::{self, MarkKind};
-use simcore::{CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime};
+use simcore::{
+    CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime, Slab,
+};
 
 use telemetry::CoreState;
 
@@ -44,9 +46,11 @@ fn tick_arg(core: usize) -> u64 {
     EV_TICK | ((core as u64) << 2)
 }
 
+/// A delivery event's argument: the event tag in the low two bits, the
+/// parked delivery's slab key (below 2^62) above them.
 #[inline]
-fn deliver_arg(slot: usize) -> u64 {
-    EV_DELIVER | ((slot as u64) << 2)
+fn deliver_arg(key: u64) -> u64 {
+    EV_DELIVER | (key << 2)
 }
 
 #[inline]
@@ -59,34 +63,6 @@ fn flush_arg(core: usize, dest: usize) -> u64 {
 struct PendingDeliver {
     core: usize,
     msg: HpxMessage,
-}
-
-/// Slab of in-flight deliveries, indexed by the event argument word.
-#[derive(Default)]
-struct DeliverSlab {
-    entries: Vec<Option<PendingDeliver>>,
-    free: Vec<u32>,
-}
-
-impl DeliverSlab {
-    fn insert(&mut self, pd: PendingDeliver) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.entries[slot as usize] = Some(pd);
-                slot as usize
-            }
-            None => {
-                self.entries.push(Some(pd));
-                self.entries.len() - 1
-            }
-        }
-    }
-
-    fn take(&mut self, slot: usize) -> PendingDeliver {
-        let pd = self.entries[slot].take().expect("delivery fired twice");
-        self.free.push(slot as u32);
-        pd
-    }
 }
 
 /// One simulated node running the AMT runtime.
@@ -108,7 +84,9 @@ pub struct Locality {
     /// Typed-event handler id, registered lazily on first use. A locality
     /// drives exactly one `Sim` over its lifetime.
     handler: Cell<Option<HandlerId>>,
-    pending: RefCell<DeliverSlab>,
+    /// Deliveries parked until their event fires, keyed by the event's
+    /// argument word.
+    pending: RefCell<Slab<PendingDeliver>>,
     /// Name of the run-queue counter track (`loc<id>.runq`), built the
     /// first time a collector samples it.
     runq_track: OnceCell<String>,
@@ -147,7 +125,7 @@ impl Locality {
             cost,
             weak: weak.clone(),
             handler: Cell::new(None),
-            pending: RefCell::new(DeliverSlab::default()),
+            pending: RefCell::new(Slab::new()),
             runq_track: OnceCell::new(),
         })
     }
@@ -536,8 +514,8 @@ impl Locality {
             });
         }
         let h = self.handler_id(sim);
-        let slot = self.pending.borrow_mut().insert(PendingDeliver { core, msg });
-        sim.schedule_event_at(at.max(sim.now()), h, deliver_arg(slot));
+        let key = self.pending.borrow_mut().insert(PendingDeliver { core, msg });
+        sim.schedule_event_at(at.max(sim.now()), h, deliver_arg(key));
     }
 
     /// Schedule a parcel-queue flush for `dest` at `at` (the close of a
@@ -599,8 +577,7 @@ impl EventHandler for Locality {
                 this.tick(sim, core);
             }
             EV_DELIVER => {
-                let slot = (arg >> 2) as usize;
-                let pd = this.pending.borrow_mut().take(slot);
+                let pd = this.pending.borrow_mut().remove(arg >> 2).expect("delivery fired twice");
                 this.spawn_decode(sim, pd);
             }
             EV_FLUSH => {

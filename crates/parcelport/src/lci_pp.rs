@@ -21,13 +21,13 @@
 //! remote completion object); `worker`/`mt` drops the progress thread and
 //! lets idle workers call the (try-lock guarded) progress function.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use amt::{BgOutcome, DeliverFn, HpxMessage, OnSent, Parcelport};
 use bytes::Bytes;
-use lci::{Comp, CompQueue, Device, ProgressOutcome, Request, Synchronizer, ANY_SOURCE};
-use simcore::{CostModel, Sim, SimResource, SimTime};
+use lci::{Comp, CompQueue, Device, Error, ProgressOutcome, Request, Synchronizer, ANY_SOURCE};
+use simcore::{CostModel, Sim, SimResource, SimTime, Slab};
 
 use crate::config::{Completion, PpConfig, Progress, Protocol};
 use crate::header::{plan_message, HeaderInfo, MessageAssembly, PartId, MAX_HEADER_SIZE};
@@ -41,7 +41,8 @@ const TAG_LIMIT: u64 = 1 << 40;
 /// Completion entries processed per background-work call.
 const REAP_BUDGET: usize = 8;
 
-/// Completion-key encoding: `key = conn_id << 2 | kind`.
+/// Completion-key encoding: `key = conn_key << 2 | kind`, where
+/// `conn_key` is the connection's [`Slab`] key (below 2^62).
 mod kind {
     pub const SEND_PART: u64 = 0;
     pub const RECV_PART: u64 = 1;
@@ -90,8 +91,11 @@ pub struct LciParcelport {
     pending_syncs: Vec<(u64, Rc<Synchronizer>)>,
     sync_res: SimResource,
     sync_cursor: usize,
-    send_conns: HashMap<u64, LSendConn>,
-    recv_conns: HashMap<u64, LRecvConn>,
+    /// Connections in flight, keyed by the id their completions carry.
+    send_conns: Slab<LSendConn>,
+    recv_conns: Slab<LRecvConn>,
+    /// Connection sequence number: one per send and one per multi-part
+    /// receive. A send's sequence number picks its device.
     next_conn: u64,
     tag_counter: u64,
     tag_res: SimResource,
@@ -133,8 +137,8 @@ impl LciParcelport {
             pending_syncs: Vec::new(),
             sync_res: SimResource::new("lci_pp.sync_list", transfer),
             sync_cursor: 0,
-            send_conns: HashMap::new(),
-            recv_conns: HashMap::new(),
+            send_conns: Slab::new(),
+            recv_conns: Slab::new(),
             next_conn: 1,
             tag_counter: FIRST_TAG,
             tag_res: SimResource::new("lci_pp.tag_counter", transfer),
@@ -210,19 +214,22 @@ impl LciParcelport {
     /// runs dry, or the connection completes.
     fn pump_send(&mut self, sim: &mut Sim, core: usize, id: u64, mut t: SimTime) -> SimTime {
         loop {
-            let Some(conn) = self.send_conns.get_mut(&id) else { return t };
+            let Some(conn) = self.send_conns.get_mut(id) else { return t };
             if conn.awaiting {
                 return t;
             }
-            if let Some(header) = conn.header.clone() {
+            if let Some(header) = &conn.header {
                 let dest = conn.dest;
                 let di = conn.dev;
                 let res = match self.cfg.protocol {
                     Protocol::PutSendRecv => {
                         // Assemble directly in an LCI packet: no extra copy.
+                        // The packet comes first, so a send that finds the
+                        // pool empty leaves the header in place untouched.
                         match self.devs[di].alloc_packet(sim, core) {
                             Ok((h, t2)) => {
                                 t = t.max(t2) + self.cost.pp_header;
+                                let header = conn.header.take().expect("header pending");
                                 self.devs[di].post_putva_packet(
                                     sim,
                                     core,
@@ -239,6 +246,9 @@ impl LciParcelport {
                         }
                     }
                     Protocol::SendRecv => {
+                        // `post_sendm` consumes its payload even when it
+                        // returns `Retry`, so it gets a handle of its own.
+                        let header = header.clone();
                         t = t + self.cost.pp_header + self.cost.memcpy(header.len());
                         self.devs[di].post_sendm(
                             sim,
@@ -255,22 +265,21 @@ impl LciParcelport {
                 match res {
                     Ok(t2) => {
                         t = t.max(t2);
-                        let conn = self.send_conns.get_mut(&id).expect("exists");
                         conn.header = None;
                         telemetry::flow_mark_many(&conn.flows, telemetry::stage::INJECT, t);
                         sim.stats.bump("lci_pp.header_sent");
                         continue;
                     }
-                    Err(_) => {
+                    Err(Error::Retry) => {
                         t += self.devs[0].retry_cost();
                         self.retry_queue.push_back(id);
                         sim.stats.bump("lci_pp.send_retry");
                         return t;
                     }
+                    Err(e) => panic!("lci_pp: header send to {dest} failed: {e:?}"),
                 }
             }
             // Header is out; post the next part (one outstanding at a time).
-            let Some(conn) = self.send_conns.get_mut(&id) else { return t };
             match conn.parts.pop_front() {
                 Some((pid, data)) => {
                     let dest = conn.dest;
@@ -287,16 +296,18 @@ impl LciParcelport {
                     match res {
                         Ok(t2) => {
                             t = t.max(t2);
-                            self.send_conns.get_mut(&id).expect("exists").awaiting = true;
+                            self.send_conns.get_mut(id).expect("exists").awaiting = true;
                             return t;
                         }
                         Err(_) => {
                             t += self.devs[0].retry_cost();
-                            let conn = self.send_conns.get_mut(&id).expect("exists");
+                            let conn = self.send_conns.get_mut(id).expect("exists");
                             conn.parts.push_front((pid, data));
-                            // Drop the unused completion object (sync mode
-                            // leaves a dangling entry; it is skipped when
-                            // its key no longer resolves).
+                            // In sync mode `comp_for` already queued this
+                            // attempt's synchronizer on `pending_syncs`.
+                            // Nothing ever signals it, so every later reap
+                            // round still tests it (a known modeling bug,
+                            // see ROADMAP.md).
                             self.retry_queue.push_back(id);
                             sim.stats.bump("lci_pp.send_retry");
                             return t;
@@ -305,7 +316,7 @@ impl LciParcelport {
                 }
                 None => {
                     // All parts out and none awaiting: connection done.
-                    let conn = self.send_conns.remove(&id).expect("exists");
+                    let conn = self.send_conns.remove(id).expect("exists");
                     if let Some(cb) = conn.on_sent {
                         sim.schedule_once_at(t, cb, core as u64);
                     }
@@ -344,15 +355,14 @@ impl LciParcelport {
             sim.stats.bump("lci_pp.recv_conn_done");
             return t;
         }
-        let id = self.next_conn;
         self.next_conn += 1;
         let conn = LRecvConn { src, tag_base: info.tag_base, expected, asm, dev, flows };
-        self.recv_conns.insert(id, conn);
+        let id = self.recv_conns.insert(conn);
         self.post_next_recv(sim, core, id, t)
     }
 
     fn post_next_recv(&mut self, sim: &mut Sim, core: usize, id: u64, mut t: SimTime) -> SimTime {
-        let Some(conn) = self.recv_conns.get(&id) else { return t };
+        let Some(conn) = self.recv_conns.get(id) else { return t };
         let di = conn.dev;
         let (src, tag) = match conn.expected.front() {
             Some(pid) => (conn.src, conn.tag_base + pid.tag_offset()),
@@ -370,18 +380,18 @@ impl LciParcelport {
         let id = key >> 2;
         match key & 3 {
             kind::SEND_PART => {
-                if let Some(conn) = self.send_conns.get_mut(&id) {
+                if let Some(conn) = self.send_conns.get_mut(id) {
                     conn.awaiting = false;
                     t = self.pump_send(sim, core, id, t);
                 }
                 t
             }
             kind::RECV_PART => {
-                let Some(conn) = self.recv_conns.get_mut(&id) else { return t };
+                let Some(conn) = self.recv_conns.get_mut(id) else { return t };
                 let pid = conn.expected.pop_front().expect("completion without expectation");
                 conn.asm.supply(pid, req.data);
                 if conn.expected.is_empty() {
-                    let conn = self.recv_conns.remove(&id).expect("exists");
+                    let conn = self.recv_conns.remove(id).expect("exists");
                     let mut msg = conn.asm.into_message();
                     msg.flows = conn.flows;
                     sim.stats.bump("lci_pp.recv_conn_done");
@@ -508,23 +518,20 @@ impl Parcelport for LciParcelport {
         sim.stats.bump("lci_pp.messages_posted");
         telemetry::register_route(self.devs[0].rank(), dest, tag_base, &msg.flows);
 
-        let id = self.next_conn;
+        let seq = self.next_conn;
         self.next_conn += 1;
-        // Spread connections over devices (round-robin by connection id).
-        let dev = (id as usize) % self.devs.len();
-        self.send_conns.insert(
-            id,
-            LSendConn {
-                dest,
-                tag_base,
-                header: Some(plan.header),
-                parts: plan.parts.into(),
-                awaiting: false,
-                on_sent,
-                dev,
-                flows: msg.flows,
-            },
-        );
+        // Spread connections over devices (round-robin by sequence number).
+        let dev = (seq as usize) % self.devs.len();
+        let id = self.send_conns.insert(LSendConn {
+            dest,
+            tag_base,
+            header: Some(plan.header),
+            parts: plan.parts.into(),
+            awaiting: false,
+            on_sent,
+            dev,
+            flows: msg.flows,
+        });
         self.pump_send(sim, core, id, t1)
     }
 

@@ -39,6 +39,7 @@ pub mod probe;
 pub mod resource;
 pub mod shard;
 pub mod sim;
+pub mod slab;
 pub mod stats;
 pub mod time;
 
@@ -52,6 +53,7 @@ pub use probe::Probe;
 pub use resource::SimResource;
 pub use shard::{LaneCtx, LaneId, RunMode, RunReport, ShardActor, ShardEventId, ShardedSim};
 pub use sim::Sim;
+pub use slab::Slab;
 pub use stats::{Stats, Summary};
 pub use time::SimTime;
 

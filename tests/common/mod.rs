@@ -33,6 +33,12 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// Send `payloads` from locality 0 to a sink action on locality 1 over
 /// the given configuration; returns the delivery record.
 pub fn send_all(cfg: WorldConfig, payloads: Vec<Vec<u8>>) -> Delivery {
+    send_batched(cfg, payloads, 1)
+}
+
+/// [`send_all`] with `batch` sends per injector task, all tasks spawned
+/// at time zero on locality 0 (the message-rate benchmark's shape).
+pub fn send_batched(cfg: WorldConfig, payloads: Vec<Vec<u8>>, batch: usize) -> Delivery {
     let mut registry = ActionRegistry::new();
     let delivered = Rc::new(Cell::new(0usize));
     let checksums = Rc::new(RefCell::new(Vec::new()));
@@ -48,13 +54,20 @@ pub fn send_all(cfg: WorldConfig, payloads: Vec<Vec<u8>>) -> Delivery {
     }
     let sink = registry.id_of("sink").unwrap();
     let mut world = build_world(&cfg, registry);
-    for payload in payloads {
-        let loc0 = world.locality(0).clone();
-        let data = Bytes::from(payload);
+    let loc0 = world.locality(0).clone();
+    let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from).collect();
+    for task in payloads.chunks(batch) {
+        let task = task.to_vec();
         loc0.spawn(
             &mut world.sim,
             0,
-            Box::new(move |sim, loc, core| loc.send_action(sim, core, 1, sink, vec![data])),
+            Box::new(move |sim, loc, core| {
+                let mut t = sim.now();
+                for data in task {
+                    t = loc.send_action(sim, core, 1, sink, vec![data]);
+                }
+                t
+            }),
         );
     }
     let d = delivered.clone();

@@ -711,3 +711,70 @@ fn octotiger_trace_matches_pre_rewrite_engine() {
         "octotiger virtual runtime moved — engine changed simulation semantics"
     );
 }
+
+/// The LCI packet pool (4 096 registered packets) drained by the
+/// message-rate shape: 8 000 eight-byte parcels, 100 per injector task,
+/// on 32 cores. Sends that find the pool empty return `Retry` and wait in
+/// the parcelport's retry queue, so these pins cover the retry path that
+/// the smaller workloads above never reach.
+mod pool_exhaustion {
+    use super::{common, fnv_u64s};
+    use common::{send_batched, Delivery};
+    use hpx_lci_repro::parcelport::WorldConfig;
+
+    const PARCELS: usize = 8_000;
+    const BATCH: usize = 100;
+    const CORES: usize = 32;
+
+    /// `(config, LCI devices, end time ns, events executed, delivery
+    /// digest, lci_pp.send_retry)`. With two devices each has its own
+    /// pool, and the same traffic never finds one empty.
+    const PINS: &[(&str, usize, u64, u64, u64, u64)] = &[
+        ("lci_psr_cq_pin_i", 1, 13_006_300, 18_426, 0x3a808e478fc6e1f7, 1_939),
+        ("lci_sr_cq_mt_i", 1, 23_020_460, 31_609, 0xad34e824485c4513, 2_083),
+        ("lci_psr_sy_mt_i", 1, 24_091_880, 35_438, 0xed98a6c9ac75ad53, 2_084),
+        ("lci_psr_cq_pin_i", 2, 12_268_980, 17_687, 0x96e49fb1b6fd176f, 0),
+    ];
+
+    fn run(name: &str, devices: usize) -> Delivery {
+        let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), CORES);
+        cfg.seed = 11;
+        cfg.lci_devices = devices;
+        let payloads = (0..PARCELS as u64).map(|i| i.to_le_bytes().to_vec()).collect();
+        send_batched(cfg, payloads, BATCH)
+    }
+
+    #[test]
+    #[ignore]
+    fn capture_pins() {
+        for &(name, devices, ..) in PINS {
+            let d = run(name, devices);
+            eprintln!(
+                "(\"{name}\", {devices}, {}, {}, {:#018x}, {}),",
+                d.world.sim.now().as_nanos(),
+                d.world.sim.events_executed(),
+                fnv_u64s(&d.checksums),
+                d.world.sim.stats.get("lci_pp.send_retry"),
+            );
+        }
+    }
+
+    /// Every pinned run delivers all parcels on the exact pinned timeline;
+    /// the single-device runs do so through the retry path.
+    #[test]
+    fn pool_exhaustion_matches_pinned_timeline() {
+        for &(name, devices, end_ns, executed, digest, retries) in PINS {
+            let d = run(name, devices);
+            let what = format!("{name} devices={devices}");
+            assert_eq!(d.delivered, PARCELS, "{what}: lost deliveries");
+            assert_eq!(d.world.sim.now().as_nanos(), end_ns, "{what}: virtual end time moved");
+            assert_eq!(d.world.sim.events_executed(), executed, "{what}: event count moved");
+            assert_eq!(fnv_u64s(&d.checksums), digest, "{what}: delivery order/content moved");
+            let retried = d.world.sim.stats.get("lci_pp.send_retry");
+            assert_eq!(retried, retries, "{what}: retry count moved");
+            if devices == 1 {
+                assert!(retried > 0, "{what}: the workload no longer drains the pool");
+            }
+        }
+    }
+}
