@@ -547,7 +547,8 @@ fn run_world_fig1(shards: usize, legacy_done: SimTime) -> Measured {
     measure_workload(|| {
         let mut p = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
         p.total_msgs = 20_000;
-        let r = bench::run_msgrate_sharded(&p, shards, None);
+        p.engine = parcelport::Engine::Federated { shards, mode: None };
+        let r = bench::run_msgrate(&p);
         assert!(r.completed, "sharded fig1 workload must complete");
         assert_eq!(r.comm_done, legacy_done, "sharded fig1 diverged from the single-heap run");
         (r.events_executed, r.comm_done.as_nanos())
@@ -562,7 +563,8 @@ fn run_world_octo(shards: usize, legacy_total: SimTime) -> Measured {
         p.level = 4;
         p.steps = 2;
         p.cores = 8;
-        let r = octotiger_mini::run_octotiger_sharded(&p, shards, None);
+        p.engine = parcelport::Engine::Federated { shards, mode: None };
+        let r = octotiger_mini::run_octotiger(&p);
         assert!(r.completed, "sharded octotiger workload must complete");
         assert!(r.mass_ok, "sharded octotiger invariant violated");
         assert_eq!(r.total, legacy_total, "sharded octotiger diverged from the single-heap run");

@@ -30,6 +30,7 @@ use bench::trace::TraceSink;
 use bench::{bench_scale, fmt_rate};
 use bytes::Bytes;
 use netsim::{Fabric, Packet, RoutingPolicy, Topology, WireModel};
+use parcelport::Engine;
 use simcore::{Sim, SimTime};
 use telemetry::Histogram;
 
@@ -297,14 +298,12 @@ fn run_sweep(
 
 fn main() {
     let targs = TraceArgs::parse();
-    if targs.sharding_active() {
-        // The sweep drives the netsim switch model directly — there is no
-        // World/Locality layer to federate, so the engine flags are
-        // accepted (shared parser) but the run stays single-lane.
-        println!(
-            "note: --shards/--run-mode accepted but fabric_sweep has no world to shard; \
-             running single-lane"
-        );
+    if targs.engine() != Engine::SingleHeap {
+        // The sweep drives the netsim switch model directly: there is no
+        // World/Locality layer to federate, and a run record must not name
+        // an engine the run never used.
+        eprintln!("fabric_sweep has no world to shard: --shards and --run-mode are not supported");
+        std::process::exit(2);
     }
     let mut sink = TraceSink::new(&targs, "fabric_sweep");
     let scale = bench_scale();

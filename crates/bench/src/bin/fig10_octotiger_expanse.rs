@@ -11,22 +11,10 @@ use bench::cli::{dispatch, instrumented_for, TraceArgs};
 use bench::report::Table;
 use bench::trace::TraceSink;
 use bench::{whatif_json, whatif_sweep, whatif_text};
-use octotiger_mini::{run_octotiger, run_octotiger_sharded, OctoParams, OctoResult};
+use octotiger_mini::{run_octotiger, OctoParams};
 
 /// The configuration nominated for the `--trace` Chrome export.
 const TRACE_CONFIG: &str = "lci_psr_cq_pin_i";
-
-/// Route one run through the engine the command line asked for:
-/// `--shards`/`--run-mode` select the sharded world (one engine lane per
-/// locality), anything else the legacy single-heap world — identical
-/// results by the determinism contract.
-fn run_one(targs: &TraceArgs, p: &OctoParams) -> OctoResult {
-    if targs.sharding_active() {
-        run_octotiger_sharded(p, targs.shard_count(), targs.engine_mode())
-    } else {
-        run_octotiger(p)
-    }
-}
 
 /// Instrumented pass (`--trace` / `--breakdown` / `--json` /
 /// `--profile` / `--folded`): a reduced 2-node application run per
@@ -54,7 +42,8 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64, configs: &[&str]) {
             if targs.apply_dials(&mut p.config, &mut cost, &mut p.wire) {
                 p.cost = Some(cost);
             }
-            run_one(targs, &p)
+            p.engine = targs.engine();
+            run_octotiger(&p)
         });
         assert!(r.mass_ok, "{c}: invariant violated");
         println!("{c}: {:.3} steps/s, flows {}", r.steps_per_sec, tel.flow_count());
@@ -106,12 +95,8 @@ fn main() {
 
     println!("Figure 10: Octo-Tiger steps/s on (simulated) SDSC Expanse");
     println!("(level 5 tree, 5 steps, 32-core nodes, HDR wire; cores scaled 128->32)");
-    if targs.sharding_active() {
-        println!(
-            "engine: sharded world, {} shard(s){}",
-            targs.shard_count(),
-            targs.run_mode.as_deref().map(|m| format!(", {m} executor")).unwrap_or_default()
-        );
+    if let Some(banner) = targs.engine_banner() {
+        println!("{banner}");
     }
     println!();
     let mut t = Table::new(vec![
@@ -131,7 +116,8 @@ fn main() {
                 p.level = 4;
                 p.steps = 2;
             }
-            let r = run_one(&targs, &p);
+            p.engine = targs.engine();
+            let r = run_octotiger(&p);
             assert!(r.mass_ok, "{cfg}@{n}: invariant violated");
             vals.push(if r.completed { r.steps_per_sec } else { 0.0 });
             row.push(if r.completed {

@@ -37,6 +37,8 @@
 
 use std::rc::Rc;
 
+use parcelport::Engine;
+use simcore::shard::RunMode;
 use telemetry::{SloRule, Telemetry, TimelineConfig};
 
 /// Parsed observability flags.
@@ -192,27 +194,29 @@ impl TraceArgs {
         }
     }
 
-    /// Whether the sharded (federated) world was requested. `--run-mode`
-    /// alone implies it: an executor choice only makes sense on the
-    /// sharded engine.
-    pub fn sharding_active(&self) -> bool {
-        self.shards.is_some() || self.run_mode.is_some()
-    }
-
-    /// The requested shard count (defaults to 1 when only `--run-mode`
-    /// was given).
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1)
-    }
-
-    /// The requested sharded-engine executor, if pinned on the command
-    /// line; `None` = let the engine pick.
-    pub fn engine_mode(&self) -> Option<simcore::shard::RunMode> {
-        match self.run_mode.as_deref() {
-            Some("seq") => Some(simcore::shard::RunMode::Sequential),
-            Some("threaded") => Some(simcore::shard::RunMode::Threaded),
+    /// The engine the command line asks for. `--shards N` or
+    /// `--run-mode` selects the federated world (`--run-mode` alone means
+    /// one shard, since an executor choice only makes sense there);
+    /// neither keeps the single heap.
+    pub fn engine(&self) -> Engine {
+        let mode = match self.run_mode.as_deref() {
+            Some("seq") => Some(RunMode::Sequential),
+            Some("threaded") => Some(RunMode::Threaded),
             _ => None,
+        };
+        match (self.shards, mode) {
+            (None, None) => Engine::SingleHeap,
+            (shards, mode) => Engine::Federated { shards: shards.unwrap_or(1), mode },
         }
+    }
+
+    /// The `engine:` banner line the figure harnesses print above their
+    /// table on the federated world; `None` on the single heap.
+    pub fn engine_banner(&self) -> Option<String> {
+        let Engine::Federated { shards, .. } = self.engine() else { return None };
+        let executor =
+            self.run_mode.as_deref().map(|m| format!(", {m} executor")).unwrap_or_default();
+        Some(format!("engine: sharded world, {shards} shard(s){executor}"))
     }
 
     /// Whether an instrumented pass was requested.
@@ -484,6 +488,23 @@ mod tests {
         assert!(a.apply_dials(&mut cfg, &mut cost, &mut wire));
         assert_eq!(wire.latency_ns, before * 2);
         assert!(cfg.send_immediate);
+    }
+
+    #[test]
+    fn engine_flags_select_the_engine() {
+        assert_eq!(parse(&[]).engine(), Engine::SingleHeap);
+        assert_eq!(parse(&[]).engine_banner(), None);
+        assert_eq!(parse(&["--shards", "4"]).engine(), Engine::Federated { shards: 4, mode: None });
+        assert_eq!(
+            parse(&["--run-mode", "seq"]).engine(),
+            Engine::Federated { shards: 1, mode: Some(RunMode::Sequential) }
+        );
+        let a = parse(&["--shards", "2", "--run-mode", "threaded"]);
+        assert_eq!(a.engine(), Engine::Federated { shards: 2, mode: Some(RunMode::Threaded) });
+        assert_eq!(
+            a.engine_banner().as_deref(),
+            Some("engine: sharded world, 2 shard(s), threaded executor")
+        );
     }
 
     #[test]

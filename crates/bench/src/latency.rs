@@ -5,13 +5,13 @@
 //! different HPX task (the receiving action spawns the reply). One-way
 //! latency = total time / (2 × steps).
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use amt::action::ActionRegistry;
 use bytes::Bytes;
 use netsim::WireModel;
-use parcelport::{build_world, PpConfig, WorldConfig};
+use parcelport::{Engine, PpConfig, WorldConfig};
 use simcore::SimTime;
 
 /// Parameters of one latency run.
@@ -33,6 +33,8 @@ pub struct LatencyParams {
     pub seed: u64,
     /// Cost-model override (what-if re-runs); `None` = defaults.
     pub cost: Option<simcore::CostModel>,
+    /// The event engine the run uses.
+    pub engine: Engine,
 }
 
 impl LatencyParams {
@@ -47,6 +49,7 @@ impl LatencyParams {
             steps: 1_000,
             seed: 1,
             cost: None,
+            engine: Engine::SingleHeap,
         }
     }
 }
@@ -62,113 +65,29 @@ pub struct LatencyResult {
     pub completed: bool,
 }
 
-/// Run the latency benchmark once.
+/// Run the latency benchmark once, on `p.engine`. Chain-completion
+/// counters live in atomics, because federated lanes may run on different
+/// threads. The single heap stops when the last chain finishes or at a
+/// safety deadline; the federated world runs to quiescence.
 pub fn run_latency(p: &LatencyParams) -> LatencyResult {
-    let mut registry = ActionRegistry::new();
-    let chains_done = Rc::new(Cell::new(0usize));
-    let finish_at = Rc::new(Cell::new(SimTime::ZERO));
+    let chains_done = Arc::new(AtomicUsize::new(0));
+    let finish_at = Arc::new(AtomicU64::new(0));
     let steps = p.steps;
     let window = p.window;
+
+    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
+    wcfg.wire = p.wire.clone();
+    wcfg.seed = p.seed;
+    wcfg.cost = p.cost.clone();
 
     // Each message carries its chain id and remaining hop count in the
     // first 16 bytes of the payload (the rest is filler to reach
     // msg_size). The "ping" action decodes, and spawns the reply task.
     let payload_size = p.msg_size.max(16);
-    {
-        let chains_done = chains_done.clone();
-        let finish_at = finish_at.clone();
-        registry.register("ping", move |sim, loc, core, parcel| {
-            let data = &parcel.args[0];
-            let chain = u64::from_le_bytes(data[0..8].try_into().expect("chain id"));
-            let hops = u64::from_le_bytes(data[8..16].try_into().expect("hops"));
-            let t = sim.now() + 100; // minimal handler work
-            if hops == 0 {
-                chains_done.set(chains_done.get() + 1);
-                if finish_at.get() < t {
-                    finish_at.set(t);
-                }
-                return t;
-            }
-            // Reply from a fresh task, as in the paper's benchmark.
-            let me = loc.id;
-            let peer = 1 - me;
-            let size = data.len();
-            let ping = loc.with_registry(|r| r.id_of("ping").expect("registered"));
-            loc.spawn(
-                sim,
-                core,
-                Box::new(move |sim, loc, core| {
-                    let mut payload = vec![0u8; size];
-                    payload[0..8].copy_from_slice(&chain.to_le_bytes());
-                    payload[8..16].copy_from_slice(&(hops - 1).to_le_bytes());
-                    loc.send_action(sim, core, peer, ping, vec![Bytes::from(payload)])
-                }),
-            );
-            t
-        });
-    }
-    let ping = registry.id_of("ping").expect("registered");
-
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.cost = p.cost.clone();
-    let mut world = build_world(&wcfg, registry);
-
-    // Kick off the chains: total hops per chain = 2*steps (there and back
-    // counts as two), ending back at the sender.
-    let loc0 = world.locality(0).clone();
-    for chain in 0..window as u64 {
-        let size = payload_size;
-        let hops = (2 * steps - 1) as u64;
-        loc0.spawn(
-            &mut world.sim,
-            0,
-            Box::new(move |sim, loc, core| {
-                let mut payload = vec![0u8; size];
-                payload[0..8].copy_from_slice(&chain.to_le_bytes());
-                payload[8..16].copy_from_slice(&hops.to_le_bytes());
-                loc.send_action(sim, core, 1, ping, vec![Bytes::from(payload)])
-            }),
-        );
-    }
-
-    let done = chains_done.clone();
-    let completed = world.run_while(120_000_000_000, move |_| done.get() < window);
-    let total = finish_at.get();
-    let one_way_us = total.as_micros_f64() / (2.0 * steps as f64);
-    LatencyResult { one_way_us, total, completed }
-}
-
-/// Run the latency benchmark on the sharded engine: one lane per
-/// locality over `shards` engine shards. The workload is identical to
-/// [`run_latency`]; chain-completion counters live in atomics because
-/// the two lanes may execute on different threads, and the engine runs
-/// to quiescence (the hop count is the termination condition).
-pub fn run_latency_sharded(
-    p: &LatencyParams,
-    shards: usize,
-    mode: Option<simcore::shard::RunMode>,
-) -> LatencyResult {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    let chains_done = Arc::new(AtomicUsize::new(0));
-    let finish_at = Arc::new(AtomicU64::new(0));
-    let steps = p.steps;
-    let window = p.window;
-    let payload_size = p.msg_size.max(16);
-
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.cost = p.cost.clone();
-
     let setup_done = chains_done.clone();
     let setup_finish = finish_at.clone();
-    let mut world = parcelport::build_sharded_world(
+    let mut world = p.engine.build(
         &wcfg,
-        shards,
         move |_rank| {
             let mut registry = ActionRegistry::new();
             let chains_done = setup_done.clone();
@@ -183,6 +102,7 @@ pub fn run_latency_sharded(
                     finish_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
                     return t;
                 }
+                // Reply from a fresh task, as in the paper's benchmark.
                 let me = loc.id;
                 let peer = 1 - me;
                 let size = data.len();
@@ -202,6 +122,8 @@ pub fn run_latency_sharded(
             registry.into()
         },
         move |rank, sim, loc| {
+            // Kick off the chains: total hops per chain = 2*steps (there
+            // and back counts as two), ending back at the sender.
             if rank != 0 {
                 return;
             }
@@ -222,9 +144,8 @@ pub fn run_latency_sharded(
             }
         },
     );
-    world.run(mode);
 
-    let completed = chains_done.load(Ordering::Relaxed) >= window;
+    let completed = world.run(120_000_000_000, |_| chains_done.load(Ordering::Relaxed) < window);
     let total = SimTime::from_nanos(finish_at.load(Ordering::Relaxed));
     let one_way_us = total.as_micros_f64() / (2.0 * steps as f64);
     LatencyResult { one_way_us, total, completed }
@@ -278,16 +199,20 @@ mod tests {
         p.steps = 50;
         p.window = 8;
         p.cores = 8;
-        let legacy = run_latency(&p);
-        assert!(legacy.completed);
-        for (shards, mode) in
-            [(1, RunMode::Sequential), (2, RunMode::Sequential), (2, RunMode::Threaded)]
-        {
-            let r = run_latency_sharded(&p, shards, Some(mode));
-            assert!(r.completed, "shards={shards} {mode:?}: {r:?}");
+        let mut legacy = None;
+        for engine in [
+            Engine::SingleHeap,
+            Engine::Federated { shards: 1, mode: Some(RunMode::Sequential) },
+            Engine::Federated { shards: 2, mode: Some(RunMode::Sequential) },
+            Engine::Federated { shards: 2, mode: Some(RunMode::Threaded) },
+        ] {
+            p.engine = engine;
+            let r = run_latency(&p);
+            assert!(r.completed, "{engine:?}: {r:?}");
+            let legacy: &LatencyResult = legacy.get_or_insert(r);
             assert_eq!(
                 r.total, legacy.total,
-                "shards={shards} {mode:?}: finish time diverged from single-heap world"
+                "{engine:?}: finish time diverged from single-heap world"
             );
         }
     }

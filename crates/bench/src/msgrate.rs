@@ -1,12 +1,12 @@
 //! The message-rate microbenchmark (§4.1; Figs. 1–6).
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use amt::action::ActionRegistry;
 use bytes::Bytes;
 use netsim::WireModel;
-use parcelport::{build_world, PpConfig, WorldConfig};
+use parcelport::{Engine, PpConfig, WorldConfig};
 use simcore::SimTime;
 
 /// Parameters of one message-rate run.
@@ -32,6 +32,8 @@ pub struct MsgRateParams {
     pub devices: usize,
     /// Cost-model override (what-if re-runs); `None` = defaults.
     pub cost: Option<simcore::CostModel>,
+    /// The event engine the run uses.
+    pub engine: Engine,
 }
 
 impl MsgRateParams {
@@ -48,6 +50,7 @@ impl MsgRateParams {
             seed: 1,
             devices: 1,
             cost: None,
+            engine: Engine::SingleHeap,
         }
     }
 
@@ -64,6 +67,7 @@ impl MsgRateParams {
             seed: 1,
             devices: 1,
             cost: None,
+            engine: Engine::SingleHeap,
         }
     }
 }
@@ -86,137 +90,13 @@ pub struct MsgRateResult {
     pub events_executed: u64,
 }
 
-/// Run the message-rate benchmark once.
+/// Run the message-rate benchmark once, on `p.engine`. Completion
+/// counters live in atomics, because federated lanes may run on
+/// different threads. The single heap stops at the last delivery or at a
+/// safety deadline; the federated world runs to quiescence.
 pub fn run_msgrate(p: &MsgRateParams) -> MsgRateResult {
-    let mut registry = ActionRegistry::new();
-    let received = Rc::new(Cell::new(0usize));
-    let recv_done_at = Rc::new(Cell::new(SimTime::ZERO));
-    let expect = p.total_msgs;
-    let dispatch = 150u64; // per-message receiver work, ns
-
-    {
-        let received = received.clone();
-        let recv_done_at = recv_done_at.clone();
-        registry.register("sink", move |sim, loc, core, _parcel| {
-            let n = received.get() + 1;
-            received.set(n);
-            let t = sim.now() + dispatch;
-            if n == expect {
-                recv_done_at.set(t);
-                // Signal back to the sender with one short message.
-                let done = loc.with_registry(|r| r.id_of("done").expect("registered"));
-                loc.send_action(sim, core, 0, done, vec![Bytes::from_static(b"!")]);
-            }
-            t
-        });
-    }
-    let sender_saw_done = Rc::new(Cell::new(false));
-    {
-        let f = sender_saw_done.clone();
-        registry.register("done", move |sim, _loc, _core, _p| {
-            f.set(true);
-            sim.now()
-        });
-    }
-    let sink = registry.id_of("sink").expect("registered");
-
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.lci_devices = p.devices;
-    wcfg.cost = p.cost.clone();
-    let mut world = build_world(&wcfg, registry);
-
-    // Injector: one task per batch, created at the attempted rate.
-    let tasks = p.total_msgs / p.batch;
-    let interval_ns = p.inject_rate.map(|r| (p.batch as f64 / r * 1e9) as u64);
-    let injected_done_at = Rc::new(Cell::new(SimTime::ZERO));
-    let injected = Rc::new(Cell::new(0usize));
-    let loc0 = world.locality(0).clone();
-    // One payload allocation for the whole run: every message clones the
-    // handle (a refcount bump), exactly like a real sender reusing a
-    // registered buffer. Keeps the steady-state injector allocation-light.
-    let payload = Bytes::from(vec![0u8; p.msg_size]);
-    for i in 0..tasks {
-        let at = interval_ns.map_or(SimTime::ZERO, |iv| SimTime::from_nanos(iv * i as u64));
-        let loc = loc0.clone();
-        let injected = injected.clone();
-        let injected_done_at = injected_done_at.clone();
-        let batch = p.batch;
-        let payload = payload.clone();
-        world.sim.schedule_at(at, move |sim| {
-            let injected = injected.clone();
-            let injected_done_at = injected_done_at.clone();
-            let loc2 = loc.clone();
-            let payload = payload.clone();
-            loc2.spawn(
-                sim,
-                0,
-                Box::new(move |sim, loc, core| {
-                    let mut t = sim.now();
-                    for _ in 0..batch {
-                        t = loc.send_action(sim, core, 1, sink, vec![payload.clone()]);
-                    }
-                    let n = injected.get() + batch;
-                    injected.set(n);
-                    if injected_done_at.get() < t {
-                        injected_done_at.set(t);
-                    }
-                    t
-                }),
-            );
-        });
-    }
-
-    // Safety deadline: generous multiple of the ideal time.
-    let ideal_ns = interval_ns.map_or(0, |iv| iv * tasks as u64);
-    let deadline = 60_000_000_000u64.max(ideal_ns * 4);
-    let recv = received.clone();
-    let done = world.run_while(deadline, move |_s| recv.get() < expect);
-
-    let inj_t = injected_done_at.get();
-    let comm_t = recv_done_at.get().max(inj_t);
-    let inj_rate =
-        if inj_t > SimTime::ZERO { p.total_msgs as f64 / inj_t.as_secs_f64() } else { 0.0 };
-    let msg_rate = if done && comm_t > SimTime::ZERO {
-        p.total_msgs as f64 / comm_t.as_secs_f64()
-    } else if comm_t > SimTime::ZERO {
-        received.get() as f64 / world.sim.now().as_secs_f64()
-    } else {
-        0.0
-    };
-    if std::env::var("MSGRATE_DUMP").is_ok() {
-        eprintln!("--- sim stats ({}) ---", p.config);
-        eprintln!("{}", world.sim.stats);
-    }
-    MsgRateResult {
-        achieved_injection_rate: inj_rate,
-        msg_rate,
-        injection_done: inj_t,
-        comm_done: comm_t,
-        completed: done,
-        events_executed: world.sim.events_executed(),
-    }
-}
-
-/// Run the message-rate benchmark on the sharded engine: one lane per
-/// locality over `shards` engine shards (`mode` pins the executor,
-/// `None` lets the engine pick). The workload is identical to
-/// [`run_msgrate`]; completion counters live in atomics because lanes
-/// may execute on different threads. The engine runs to quiescence — the
-/// benchmark's own message count is the termination condition, so no
-/// safety deadline is needed.
-pub fn run_msgrate_sharded(
-    p: &MsgRateParams,
-    shards: usize,
-    mode: Option<simcore::shard::RunMode>,
-) -> MsgRateResult {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Arc;
-
     let received = Arc::new(AtomicUsize::new(0));
     let recv_done_at = Arc::new(AtomicU64::new(0));
-    let injected = Arc::new(AtomicUsize::new(0));
     let injected_done_at = Arc::new(AtomicU64::new(0));
     let expect = p.total_msgs;
     let dispatch = 150u64; // per-message receiver work, ns
@@ -234,11 +114,9 @@ pub fn run_msgrate_sharded(
 
     let setup_received = received.clone();
     let setup_recv_done = recv_done_at.clone();
-    let seed_injected = injected.clone();
     let seed_injected_done = injected_done_at.clone();
-    let mut world = parcelport::build_sharded_world(
+    let mut world = p.engine.build(
         &wcfg,
-        shards,
         move |_rank| {
             let mut registry = ActionRegistry::new();
             let received = setup_received.clone();
@@ -258,21 +136,23 @@ pub fn run_msgrate_sharded(
             registry.into()
         },
         move |rank, sim, loc| {
-            // Injector lives on locality 0's lane, same pacing as the
-            // single-heap runner.
+            // Injector: one task per batch on locality 0, created at the
+            // attempted rate.
             if rank != 0 {
                 return;
             }
             let sink = loc.with_registry(|r| r.id_of("sink").expect("registered"));
+            // One payload allocation for the whole run: every message
+            // clones the handle (a refcount bump), exactly like a real
+            // sender reusing a registered buffer. Keeps the steady-state
+            // injector allocation-light.
             let payload = Bytes::from(vec![0u8; msg_size]);
             for i in 0..tasks {
                 let at = interval_ns.map_or(SimTime::ZERO, |iv| SimTime::from_nanos(iv * i as u64));
                 let loc = loc.clone();
-                let injected = seed_injected.clone();
                 let injected_done_at = seed_injected_done.clone();
                 let payload = payload.clone();
                 sim.schedule_at(at, move |sim| {
-                    let injected = injected.clone();
                     let injected_done_at = injected_done_at.clone();
                     let loc2 = loc.clone();
                     let payload = payload.clone();
@@ -284,7 +164,6 @@ pub fn run_msgrate_sharded(
                             for _ in 0..batch {
                                 t = loc.send_action(sim, core, 1, sink, vec![payload.clone()]);
                             }
-                            injected.fetch_add(batch, Ordering::Relaxed);
                             injected_done_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
                             t
                         }),
@@ -293,9 +172,12 @@ pub fn run_msgrate_sharded(
             }
         },
     );
-    world.run(mode);
 
-    let done = received.load(Ordering::Relaxed) >= expect;
+    // Safety deadline: generous multiple of the ideal time.
+    let ideal_ns = interval_ns.map_or(0, |iv| iv * tasks as u64);
+    let deadline = 60_000_000_000u64.max(ideal_ns * 4);
+    let done = world.run(deadline, |_| received.load(Ordering::Relaxed) < expect);
+
     let inj_t = SimTime::from_nanos(injected_done_at.load(Ordering::Relaxed));
     let comm_t = SimTime::from_nanos(recv_done_at.load(Ordering::Relaxed)).max(inj_t);
     let inj_rate =
@@ -307,6 +189,12 @@ pub fn run_msgrate_sharded(
     } else {
         0.0
     };
+    if std::env::var("MSGRATE_DUMP").is_ok() {
+        if let Some(w) = world.single_heap() {
+            eprintln!("--- sim stats ({}) ---", p.config);
+            eprintln!("{}", w.sim.stats);
+        }
+    }
     MsgRateResult {
         achieved_injection_rate: inj_rate,
         msg_rate,
@@ -355,16 +243,20 @@ mod tests {
         p.total_msgs = 2_000;
         p.batch = 50;
         p.cores = 8;
-        let legacy = run_msgrate(&p);
-        assert!(legacy.completed);
-        for (shards, mode) in
-            [(1, RunMode::Sequential), (2, RunMode::Sequential), (2, RunMode::Threaded)]
-        {
-            let r = run_msgrate_sharded(&p, shards, Some(mode));
-            assert!(r.completed, "shards={shards} {mode:?}: {r:?}");
+        let mut legacy = None;
+        for engine in [
+            Engine::SingleHeap,
+            Engine::Federated { shards: 1, mode: Some(RunMode::Sequential) },
+            Engine::Federated { shards: 2, mode: Some(RunMode::Sequential) },
+            Engine::Federated { shards: 2, mode: Some(RunMode::Threaded) },
+        ] {
+            p.engine = engine;
+            let r = run_msgrate(&p);
+            assert!(r.completed, "{engine:?}: {r:?}");
+            let legacy: &MsgRateResult = legacy.get_or_insert(r);
             assert_eq!(
                 r.comm_done, legacy.comm_done,
-                "shards={shards} {mode:?}: comm-done time diverged from single-heap world"
+                "{engine:?}: comm-done time diverged from single-heap world"
             );
             assert_eq!(r.injection_done, legacy.injection_done);
         }

@@ -121,7 +121,10 @@ impl TraceSink {
                         // Engine placement, not workload: absent on legacy
                         // runs so pre-sharding records stay byte-identical;
                         // `RunMeta::comparable_to` ignores both fields.
-                        shards: self.args.sharding_active().then(|| self.args.shard_count() as u64),
+                        shards: match self.args.engine() {
+                            parcelport::Engine::Federated { shards, .. } => Some(shards as u64),
+                            parcelport::Engine::SingleHeap => None,
+                        },
                         run_mode: self.args.run_mode.clone(),
                     },
                 );

@@ -6,16 +6,16 @@ use std::rc::Rc;
 use amt::action::ActionRegistry;
 use bytes::Bytes;
 use netsim::WireModel;
-use parcelport::{build_world, PpConfig, WorldConfig};
+use parcelport::{Engine, EngineWorld, PpConfig, WorldConfig};
 use simcore::SimTime;
 
 use crate::fmm::{install_actions, register_actions, AppState, ComputeModel};
 use crate::octree::Octree;
 use crate::sfc::partition;
 
-/// The per-lane application state the sharded driver stashes in each
-/// lane's [`parcelport::LaneSetup::app`] slot.
-type LaneStates = Rc<Vec<Rc<RefCell<AppState>>>>;
+/// A rank's view of every locality's state (only its own is live, see
+/// [`AppState::build_for_rank`]), kept in its app slot.
+type States = Rc<Vec<Rc<RefCell<AppState>>>>;
 
 /// Parameters of an Octo-Tiger-mini run.
 #[derive(Debug, Clone)]
@@ -38,6 +38,8 @@ pub struct OctoParams {
     pub seed: u64,
     /// Software cost-model override (what-if re-runs); `None` = defaults.
     pub cost: Option<simcore::CostModel>,
+    /// The event engine the run uses.
+    pub engine: Engine,
 }
 
 impl OctoParams {
@@ -56,6 +58,7 @@ impl OctoParams {
             compute: ComputeModel::default(),
             seed: 42,
             cost: None,
+            engine: Engine::SingleHeap,
         }
     }
 
@@ -72,6 +75,7 @@ impl OctoParams {
             compute: ComputeModel::default(),
             seed: 42,
             cost: None,
+            engine: Engine::SingleHeap,
         }
     }
 }
@@ -94,83 +98,12 @@ pub struct OctoResult {
     pub events_executed: u64,
 }
 
-/// Run Octo-Tiger-mini once.
+/// Run Octo-Tiger-mini once, on `p.engine`. Every rank builds its own
+/// tree, partition, states and action registry: they are pure functions
+/// of `p`, so the action ids agree by registration order, exactly how
+/// HPX localities agree on action ids without exchanging them. Rank `r`
+/// drives `states[r]` of its own [`States`], which lives in its app slot.
 pub fn run_octotiger(p: &OctoParams) -> OctoResult {
-    let tree = Rc::new(Octree::build(p.level));
-    let part = Rc::new(partition(&tree, p.localities));
-    let states = AppState::build_all(tree.clone(), part, p.localities, p.steps, p.compute.clone());
-
-    let mut registry = ActionRegistry::new();
-    let actions_out = Rc::new(RefCell::new(None));
-    let actions = register_actions(&mut registry, states.clone(), actions_out);
-
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.localities = p.localities;
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.cost = p.cost.clone();
-    let mut world = build_world(&wcfg, registry);
-
-    // Kick step 0 on every locality from locality 0.
-    for dest in 0..p.localities {
-        let loc0 = world.locality(0).clone();
-        let start = actions.step_start;
-        if dest == 0 {
-            loc0.spawn(
-                &mut world.sim,
-                0,
-                Box::new(move |sim, loc, core| {
-                    let handler = loc.with_registry(|r| r.handler(start));
-                    handler(sim, loc, core, amt::Parcel::empty(start))
-                }),
-            );
-        } else {
-            loc0.spawn(
-                &mut world.sim,
-                0,
-                Box::new(move |sim, loc, core| {
-                    loc.send_action(sim, core, dest, start, vec![Bytes::new()])
-                }),
-            );
-        }
-    }
-
-    let st0 = states[0].clone();
-    let target = p.steps;
-    let completed =
-        world.run_while(600_000_000_000, move |_| st0.borrow().steps_completed < target);
-
-    if std::env::var("OCTO_DUMP").is_ok() {
-        eprintln!("--- octo stats ({}) ---", p.config);
-        eprintln!("{}", world.sim.stats);
-    }
-    let total = states[0].borrow().finished_at;
-    let total = if total == SimTime::ZERO { world.sim.now() } else { total };
-    let steps_per_sec = if completed { p.steps as f64 / total.as_secs_f64() } else { 0.0 };
-    let mass_ok = states.iter().all(|s| s.borrow().mass_ok);
-    OctoResult {
-        steps_per_sec,
-        total,
-        completed,
-        mass_ok,
-        leaves: tree.leaves().len(),
-        events_executed: world.sim.events_executed(),
-    }
-}
-
-/// Run Octo-Tiger-mini on the sharded engine: one lane per locality over
-/// `shards` engine shards (`mode` pins the executor, `None` lets the
-/// engine pick). Identical results to [`run_octotiger`]'s workload by
-/// the determinism contract: the tree, SFC partition, and action
-/// registry are pure functions of `p`, so every lane rebuilds its own
-/// replica and the globally-agreed action ids line up by registration
-/// order — exactly how HPX localities agree on action ids without
-/// exchanging them.
-pub fn run_octotiger_sharded(
-    p: &OctoParams,
-    shards: usize,
-    mode: Option<simcore::shard::RunMode>,
-) -> OctoResult {
     let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
     wcfg.localities = p.localities;
     wcfg.wire = p.wire.clone();
@@ -179,18 +112,16 @@ pub fn run_octotiger_sharded(
 
     let params = p.clone();
     let localities = p.localities;
-    let mut world = parcelport::build_sharded_world(
+    let mut world = p.engine.build(
         &wcfg,
-        shards,
-        move |_rank| {
-            // Deterministic replication: every lane derives the same tree,
-            // partition, and registration order from the parameters.
+        move |rank| {
             let tree = Rc::new(Octree::build(params.level));
             let part = Rc::new(partition(&tree, params.localities));
-            let states = AppState::build_all(
+            let states = AppState::build_for_rank(
                 tree,
                 part,
                 params.localities,
+                rank,
                 params.steps,
                 params.compute.clone(),
             );
@@ -204,8 +135,7 @@ pub fn run_octotiger_sharded(
             }
         },
         move |rank, sim, loc| {
-            // Same kick as the single-heap driver: locality 0 starts step
-            // 0 everywhere.
+            // Locality 0 starts step 0 everywhere.
             if rank != 0 {
                 return;
             }
@@ -232,20 +162,32 @@ pub fn run_octotiger_sharded(
             }
         },
     );
-    world.run(mode);
+    fn state(w: &EngineWorld, rank: usize) -> &RefCell<AppState> {
+        &w.app::<States>(rank).expect("every rank has app state")[rank]
+    }
+    let target = p.steps;
+    let completed = world.run(600_000_000_000, |w| state(w, 0).borrow().steps_completed < target);
 
-    // Step completion and finish time live on locality 0; the mass
-    // invariant is tracked by each rank on its own lane.
-    let st0 = world.app::<LaneStates>(0).expect("lane 0 app state")[0].borrow();
-    let completed = st0.steps_completed >= p.steps;
+    if std::env::var("OCTO_DUMP").is_ok() {
+        if let Some(w) = world.single_heap() {
+            eprintln!("--- octo stats ({}) ---", p.config);
+            eprintln!("{}", w.sim.stats);
+        }
+    }
+    // Step completion and finish time live on locality 0; each rank
+    // tracks the mass invariant on its own state.
+    let st0 = state(&world, 0).borrow();
     let total = if st0.finished_at == SimTime::ZERO { world.now() } else { st0.finished_at };
     let steps_per_sec = if completed { p.steps as f64 / total.as_secs_f64() } else { 0.0 };
-    let mass_ok = (0..p.localities)
-        .all(|rank| world.app::<LaneStates>(rank).expect("lane app state")[rank].borrow().mass_ok);
-    let leaves = st0.tree_leaves();
-    let events_executed = world.events_executed();
-    drop(st0);
-    OctoResult { steps_per_sec, total, completed, mass_ok, leaves, events_executed }
+    let mass_ok = (0..p.localities).all(|rank| state(&world, rank).borrow().mass_ok);
+    OctoResult {
+        steps_per_sec,
+        total,
+        completed,
+        mass_ok,
+        leaves: st0.tree_leaves(),
+        events_executed: world.events_executed(),
+    }
 }
 
 #[cfg(test)]
@@ -282,35 +224,29 @@ mod tests {
         assert!(r.mass_ok);
     }
 
-    fn quick_sharded(
-        config: &str,
-        localities: usize,
-        level: u32,
-        shards: usize,
-        mode: simcore::shard::RunMode,
-    ) -> OctoResult {
-        let mut p = OctoParams::expanse(config.parse().unwrap(), localities);
-        p.level = level;
-        p.cores = 6;
-        p.steps = 2;
-        run_octotiger_sharded(&p, shards, Some(mode))
-    }
-
     #[test]
     fn sharded_matches_single_heap_results() {
         use simcore::shard::RunMode;
-        let legacy = quick("lci_psr_cq_pin_i", 4, 3);
-        assert!(legacy.completed);
-        for (shards, mode) in
-            [(1, RunMode::Sequential), (2, RunMode::Sequential), (4, RunMode::Threaded)]
-        {
-            let r = quick_sharded("lci_psr_cq_pin_i", 4, 3, shards, mode);
-            assert!(r.completed, "shards={shards} {mode:?}: {r:?}");
-            assert!(r.mass_ok, "shards={shards} {mode:?}: mass invariant violated");
+        let mut p = OctoParams::expanse("lci_psr_cq_pin_i".parse().unwrap(), 4);
+        p.level = 3;
+        p.cores = 6;
+        p.steps = 2;
+        let mut legacy = None;
+        for engine in [
+            Engine::SingleHeap,
+            Engine::Federated { shards: 1, mode: Some(RunMode::Sequential) },
+            Engine::Federated { shards: 2, mode: Some(RunMode::Sequential) },
+            Engine::Federated { shards: 4, mode: Some(RunMode::Threaded) },
+        ] {
+            p.engine = engine;
+            let r = run_octotiger(&p);
+            assert!(r.completed, "{engine:?}: {r:?}");
+            assert!(r.mass_ok, "{engine:?}: mass invariant violated");
+            let legacy: &OctoResult = legacy.get_or_insert(r);
             assert_eq!(r.leaves, legacy.leaves);
             assert_eq!(
                 r.total, legacy.total,
-                "shards={shards} {mode:?}: virtual end time diverged from the single-heap world"
+                "{engine:?}: virtual end time diverged from the single-heap world"
             );
         }
     }

@@ -531,20 +531,55 @@ impl AppState {
         steps: u32,
         compute: ComputeModel,
     ) -> Rc<Vec<Rc<RefCell<AppState>>>> {
+        Self::build_states(tree, part, localities, None, steps, compute)
+    }
+
+    /// [`AppState::build_all`] as rank `rank` alone needs it: its handlers
+    /// only touch `states[rank]`, so every other entry is a placeholder
+    /// with no leaves and no step state. A world that builds the states
+    /// once per rank then holds one step state per locality, not one per
+    /// pair.
+    pub fn build_for_rank(
+        tree: Rc<Octree>,
+        part: Rc<Partition>,
+        localities: usize,
+        rank: usize,
+        steps: u32,
+        compute: ComputeModel,
+    ) -> Rc<Vec<Rc<RefCell<AppState>>>> {
+        Self::build_states(tree, part, localities, Some(rank), steps, compute)
+    }
+
+    /// The states of every locality; with `only = Some(rank)`, the
+    /// others are placeholders.
+    fn build_states(
+        tree: Rc<Octree>,
+        part: Rc<Partition>,
+        localities: usize,
+        only: Option<usize>,
+        steps: u32,
+        compute: ComputeModel,
+    ) -> Rc<Vec<Rc<RefCell<AppState>>>> {
         let states: Vec<Rc<RefCell<AppState>>> = (0..localities)
             .map(|me| {
-                let my_leaves: Vec<NodeId> =
-                    tree.leaves().iter().copied().filter(|&l| part.owner(l) == me).collect();
+                let live = only.is_none_or(|rank| rank == me);
+                let (leaves, internal) =
+                    if live { (tree.leaves().len(), tree.internal_len()) } else { (0, 0) };
+                let my_leaves: Vec<NodeId> = if live {
+                    tree.leaves().iter().copied().filter(|&l| part.owner(l) == me).collect()
+                } else {
+                    Vec::new()
+                };
                 let mut s = AppState {
                     tree: tree.clone(),
                     part: part.clone(),
                     me,
                     my_leaves,
                     step: StepState {
-                        pending_children: vec![(0, 0.0, [0.0; 3]); tree.internal_len()],
-                        pending_neighbors: vec![0; tree.leaves().len()],
-                        pending_ghosts: vec![0; tree.leaves().len()],
-                        got_l2l: vec![false; tree.leaves().len()],
+                        pending_children: vec![(0, 0.0, [0.0; 3]); internal],
+                        pending_neighbors: vec![0; leaves],
+                        pending_ghosts: vec![0; leaves],
+                        got_l2l: vec![false; leaves],
                         leaves_done: 0,
                     },
                     locs_done: 0,
@@ -556,7 +591,9 @@ impl AppState {
                     compute: compute.clone(),
                     finished_at: SimTime::ZERO,
                 };
-                s.reset_step();
+                if live {
+                    s.reset_step();
+                }
                 Rc::new(RefCell::new(s))
             })
             .collect();
@@ -589,5 +626,22 @@ mod tests {
         let no_hydro = fresh_states(ComputeModel { ghost_bytes: 0, ..ComputeModel::default() });
         let summary = no_hydro[0].borrow().debug_summary();
         assert!(summary.contains(" pend_ghost=0 "), "{summary}");
+    }
+
+    #[test]
+    fn build_for_rank_keeps_only_that_rank_live() {
+        let tree = Rc::new(Octree::build(3));
+        let part = Rc::new(partition(&tree, 3));
+        let all = AppState::build_all(tree.clone(), part.clone(), 3, 1, ComputeModel::default());
+        let one = AppState::build_for_rank(tree, part, 3, 1, 1, ComputeModel::default());
+        for me in 0..3 {
+            let (a, o) = (all[me].borrow(), one[me].borrow());
+            if me == 1 {
+                assert_eq!(o.my_leaves, a.my_leaves);
+                assert_eq!(o.debug_summary(), a.debug_summary());
+            } else {
+                assert!(o.my_leaves.is_empty() && o.step.got_l2l.is_empty(), "rank {me}");
+            }
+        }
     }
 }

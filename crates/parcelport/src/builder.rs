@@ -1,5 +1,6 @@
 //! World assembly: fabric + runtime + parcelports for any configuration.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -16,6 +17,7 @@ use simcore::{CostModel, Sim};
 use crate::config::{Backend, PpConfig, Progress};
 use crate::lci_pp::LciParcelport;
 use crate::mpi_pp::MpiParcelport;
+use crate::sharded::LaneSetup;
 use crate::tcp_pp::TcpParcelport;
 
 /// Everything needed to instantiate a runnable world.
@@ -88,12 +90,19 @@ pub struct World {
     pub runtime: Runtime,
     /// The configuration it was built from.
     pub config: WorldConfig,
+    /// Rank-indexed [`LaneSetup::app`] state.
+    apps: Vec<Option<Box<dyn Any>>>,
 }
 
 impl World {
     /// Locality by id.
     pub fn locality(&self, id: usize) -> &Rc<Locality> {
         self.runtime.locality(id)
+    }
+
+    /// Downcast rank's [`LaneSetup::app`] state.
+    pub fn app<T: 'static>(&self, rank: usize) -> Option<&T> {
+        self.apps[rank].as_deref()?.downcast_ref::<T>()
     }
 
     /// Run until `pending` becomes false or `max_virtual_ns` elapses;
@@ -116,16 +125,38 @@ impl World {
 }
 
 /// Build a world: fabric, localities, parcelports, wakers — started and
-/// ready for work.
+/// ready for work. Every rank gets a clone of `registry`.
 pub fn build_world(cfg: &WorldConfig, registry: ActionRegistry) -> World {
+    build_single_heap(cfg, |_| registry.clone().into(), |_, _, _| {})
+}
+
+/// The single-heap path of [`crate::Engine::build`]: one `Sim` and one
+/// fabric for all ranks. Every locality starts before `seed` runs, rank by
+/// rank.
+pub(crate) fn build_single_heap(
+    cfg: &WorldConfig,
+    mut setup: impl FnMut(usize) -> LaneSetup,
+    mut seed: impl FnMut(usize, &mut Sim, &Rc<Locality>),
+) -> World {
     let mut sim = Sim::new(cfg.seed);
     let fabric = build_fabric(cfg);
+    let mut apps = Vec::with_capacity(cfg.localities);
     let localities = (0..cfg.localities)
-        .map(|rank| build_locality(cfg, rank, &fabric, registry.clone()))
+        .map(|rank| {
+            let LaneSetup { registry, app, thread_prep } = setup(rank);
+            if let Some(prep) = thread_prep {
+                prep();
+            }
+            apps.push(app);
+            build_locality(cfg, rank, &fabric, registry)
+        })
         .collect();
     let runtime = Runtime { localities };
     runtime.start(&mut sim);
-    World { sim, fabric, runtime, config: cfg.clone() }
+    for (rank, loc) in runtime.localities.iter().enumerate() {
+        seed(rank, &mut sim, loc);
+    }
+    World { sim, fabric, runtime, config: cfg.clone(), apps }
 }
 
 /// The interconnect of `cfg`: wire model, contexts, topology and faults.
@@ -243,38 +274,10 @@ mod tests {
     use bytes::Bytes;
     use std::cell::Cell;
 
-    /// End-to-end: invoke an action with a payload of `size` bytes across
-    /// the two nodes and check it runs exactly `n` times with intact data.
+    /// End-to-end on the single heap: `n` parcels of `size` bytes from
+    /// rank 0 to rank 1 all run, with intact data.
     fn roundtrip(ppname: &str, size: usize, n: usize) {
-        let mut registry = ActionRegistry::new();
-        let hits = Rc::new(Cell::new(0usize));
-        let bytes_ok = Rc::new(Cell::new(true));
-        let h = hits.clone();
-        let ok = bytes_ok.clone();
-        let expected_size = size;
-        registry.register("sink", move |sim, _loc, _core, p| {
-            h.set(h.get() + 1);
-            if p.args[0].len() != expected_size || p.args[0].iter().any(|&b| b != 0xAB) {
-                ok.set(false);
-            }
-            sim.now() + 200
-        });
-        let action = registry.id_of("sink").unwrap();
-
-        let cfg = WorldConfig::two_nodes(ppname.parse().unwrap(), 4);
-        let mut world = build_world(&cfg, registry);
-        let payload = Bytes::from(vec![0xABu8; size]);
-        for _ in 0..n {
-            let p = payload.clone();
-            let loc0 = world.locality(0).clone();
-            let task: amt::Task =
-                Box::new(move |sim, loc, core| loc.send_action(sim, core, 1, action, vec![p]));
-            loc0.spawn(&mut world.sim, 0, task);
-        }
-        let h2 = hits.clone();
-        let finished = world.run_while(10_000_000_000, move |_s| h2.get() < n);
-        assert!(finished, "{ppname}: only {}/{} actions ran", hits.get(), n);
-        assert!(bytes_ok.get(), "{ppname}: payload corrupted");
+        crate::engine::tests::roundtrip(ppname, size, n, crate::Engine::SingleHeap);
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!
 //! [`config::PpConfig`] implements the Table-1 naming scheme
 //! (`lci_psr_cq_pin_i`, `mpi_i`, ...); [`builder::build_world`] assembles
-//! a ready-to-run two-node (or N-node) world for any configuration.
+//! a ready-to-run two-node (or N-node) world for any configuration, and
+//! [`Engine::build`] assembles one on either event engine.
 
 pub mod builder;
 pub mod config;
+pub mod engine;
 pub mod header;
 pub mod lci_pp;
 pub mod mpi_pp;
@@ -42,5 +44,6 @@ pub mod tcp_pp;
 
 pub use builder::{build_world, World, WorldConfig};
 pub use config::{Backend, Completion, PpConfig, Progress, Protocol};
+pub use engine::{Engine, EngineWorld};
 pub use header::{HeaderInfo, MessagePlan, PartId, MAX_HEADER_SIZE};
 pub use sharded::{build_sharded_world, LaneSetup, LocalityNode, ShardedWorld};

@@ -112,7 +112,8 @@ pub struct LaneSetup {
     pub app: Option<Box<dyn Any>>,
     /// Runs at the start of every dispatch on whatever thread hosts the
     /// lane — the hook for replicating thread-local registration (e.g.
-    /// octotiger's action-id bundle) onto engine worker threads.
+    /// octotiger's action-id bundle) onto engine worker threads. On the
+    /// single heap ([`crate::Engine::SingleHeap`]) it runs once, at build.
     pub thread_prep: Option<Box<dyn Fn() + Send>>,
 }
 
@@ -427,46 +428,13 @@ mod tests {
         registry
     }
 
-    /// `n` messages of `size` bytes from rank 0 to rank 1, across lanes.
-    fn roundtrip(ppname: &str, size: usize, count: usize, shards: usize, mode: Option<RunMode>) {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let cfg = WorldConfig::two_nodes(ppname.parse().unwrap(), 4);
-        let h = hits.clone();
-        let mut world = build_sharded_world(
-            &cfg,
-            shards,
-            move |_rank| sink_registry(h.clone(), size).into(),
-            move |rank, sim, loc| {
-                if rank != 0 {
-                    return;
-                }
-                let action = loc.with_registry(|r| r.id_of("sink").unwrap());
-                for _ in 0..count {
-                    let payload = Bytes::from(vec![0xABu8; size]);
-                    let loc = loc.clone();
-                    loc.clone().spawn(
-                        sim,
-                        0,
-                        Box::new(move |sim, _l, core| {
-                            loc.send_action(sim, core, 1, action, vec![payload.clone()])
-                        }),
-                    );
-                }
-            },
-        );
-        world.run(mode);
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            count,
-            "{ppname}: lost messages across lanes (shards={shards})"
-        );
-    }
-
     #[test]
     fn all_backends_roundtrip_across_lanes() {
+        use crate::engine::tests::roundtrip;
+        let engine = crate::Engine::Federated { shards: 2, mode: Some(RunMode::Sequential) };
         for pp in ["lci_psr_cq_pin_i", "mpi_i", "tcp_i"] {
-            roundtrip(pp, 8, 20, 2, Some(RunMode::Sequential));
-            roundtrip(pp, 16 * 1024, 5, 2, Some(RunMode::Sequential));
+            roundtrip(pp, 8, 20, engine);
+            roundtrip(pp, 16 * 1024, 5, engine);
         }
     }
 

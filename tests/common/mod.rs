@@ -4,21 +4,36 @@
 //! target uses every helper, so per-target dead-code analysis is noise.
 #![allow(dead_code)]
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use hpx_lci_repro::amt::action::ActionRegistry;
-use hpx_lci_repro::parcelport::{build_world, World, WorldConfig};
+use hpx_lci_repro::parcelport::{Engine, EngineWorld, ShardedWorld, World, WorldConfig};
 
 /// Outcome of a counted-delivery workload.
 pub struct Delivery {
     /// The world after the run (for stats inspection).
-    pub world: World,
+    pub world: EngineWorld,
     /// Messages delivered to the sink action.
     pub delivered: usize,
     /// Concatenation-order payload checksums seen by the sink.
     pub checksums: Vec<u64>,
+}
+
+impl Delivery {
+    /// The single-heap world; panics on a federated run.
+    pub fn single_heap(&self) -> &World {
+        self.world.single_heap().expect("a single-heap run")
+    }
+
+    /// The federated world; panics on a single-heap run.
+    pub fn federated(&self) -> &ShardedWorld {
+        match &self.world {
+            EngineWorld::Federated { world, .. } => world,
+            EngineWorld::SingleHeap(_) => panic!("a federated run"),
+        }
+    }
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -31,92 +46,28 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// Send `payloads` from locality 0 to a sink action on locality 1 over
-/// the given configuration; returns the delivery record.
+/// the given configuration, one send per task, on the single heap.
 pub fn send_all(cfg: WorldConfig, payloads: Vec<Vec<u8>>) -> Delivery {
-    send_batched(cfg, payloads, 1)
+    send(cfg, payloads, 1, Engine::SingleHeap)
 }
 
-/// [`send_all`] with `batch` sends per injector task, all tasks spawned
-/// at time zero on locality 0 (the message-rate benchmark's shape).
-pub fn send_batched(cfg: WorldConfig, payloads: Vec<Vec<u8>>, batch: usize) -> Delivery {
-    let mut registry = ActionRegistry::new();
-    let delivered = Rc::new(Cell::new(0usize));
-    let checksums = Rc::new(RefCell::new(Vec::new()));
-    let expect = payloads.len();
-    {
-        let delivered = delivered.clone();
-        let checksums = checksums.clone();
-        registry.register("sink", move |sim, _loc, _core, p| {
-            delivered.set(delivered.get() + 1);
-            checksums.borrow_mut().push(fnv(&p.args[0]));
-            sim.now() + 150
-        });
-    }
-    let sink = registry.id_of("sink").unwrap();
-    let mut world = build_world(&cfg, registry);
-    let loc0 = world.locality(0).clone();
-    let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from).collect();
-    for task in payloads.chunks(batch) {
-        let task = task.to_vec();
-        loc0.spawn(
-            &mut world.sim,
-            0,
-            Box::new(move |sim, loc, core| {
-                let mut t = sim.now();
-                for data in task {
-                    t = loc.send_action(sim, core, 1, sink, vec![data]);
-                }
-                t
-            }),
-        );
-    }
-    let d = delivered.clone();
-    world.run_while(60_000_000_000, move |_| d.get() < expect);
-    let sums = checksums.borrow().clone();
-    Delivery { world, delivered: delivered.get(), checksums: sums }
-}
-
-/// Reference checksums in send order.
-pub fn reference_checksums(payloads: &[Vec<u8>]) -> Vec<u64> {
-    payloads.iter().map(|p| fnv(p)).collect()
-}
-
-/// Outcome of a counted-delivery workload on the sharded (federated)
-/// world — the parallel-engine analogue of [`Delivery`].
-pub struct ShardedDelivery {
-    /// The world after the run (for nested-event inspection).
-    pub world: hpx_lci_repro::parcelport::ShardedWorld,
-    /// Messages delivered to the sink action.
-    pub delivered: usize,
-    /// Concatenation-order payload checksums seen by the sink.
-    pub checksums: Vec<u64>,
-}
-
-/// [`send_all`] on the sharded engine: same workload, one engine lane
-/// per locality over `shards` shards, run to quiescence under `mode`.
-/// Counters live in atomics because the two lanes may execute on
-/// different threads; the checksum order is deterministic regardless
-/// (one consumer lane, nested virtual-time order).
-pub fn send_all_sharded(
-    cfg: WorldConfig,
-    payloads: Vec<Vec<u8>>,
-    shards: usize,
-    mode: hpx_lci_repro::simcore::shard::RunMode,
-) -> ShardedDelivery {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
-
+/// The test sender: `batch` sends per injector task, all tasks spawned at
+/// time zero on locality 0 (the message-rate benchmark's shape), on
+/// `engine`. The sink records into atomics because federated lanes may
+/// run on different threads; the checksum order is deterministic
+/// regardless (one consumer locality, virtual-time order). A federated
+/// run captures its canonical engine log for `ShardedSim::digest`.
+pub fn send(cfg: WorldConfig, payloads: Vec<Vec<u8>>, batch: usize, engine: Engine) -> Delivery {
     let delivered = Arc::new(AtomicUsize::new(0));
     let checksums = Arc::new(Mutex::new(Vec::new()));
-    let d = delivered.clone();
-    let c = checksums.clone();
-    let mut world = hpx_lci_repro::parcelport::build_sharded_world(
+    let expect = payloads.len();
+    let (d, c) = (delivered.clone(), checksums.clone());
+    let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from).collect();
+    let mut world = engine.build(
         &cfg,
-        shards,
         move |_rank| {
             let mut registry = ActionRegistry::new();
-            let delivered = d.clone();
-            let checksums = c.clone();
+            let (delivered, checksums) = (d.clone(), c.clone());
             registry.register("sink", move |sim, _loc, _core, p| {
                 delivered.fetch_add(1, Ordering::Relaxed);
                 checksums.lock().unwrap().push(fnv(&p.args[0]));
@@ -129,18 +80,31 @@ pub fn send_all_sharded(
                 return;
             }
             let sink = loc.with_registry(|r| r.id_of("sink").unwrap());
-            for payload in payloads.clone() {
-                let data = Bytes::from(payload);
+            for task in payloads.chunks(batch) {
+                let task = task.to_vec();
                 loc.spawn(
                     sim,
                     0,
-                    Box::new(move |sim, loc, core| loc.send_action(sim, core, 1, sink, vec![data])),
+                    Box::new(move |sim, loc, core| {
+                        let mut t = sim.now();
+                        for data in task {
+                            t = loc.send_action(sim, core, 1, sink, vec![data]);
+                        }
+                        t
+                    }),
                 );
             }
         },
     );
-    world.engine.set_exec_capture(true);
-    world.run(Some(mode));
+    if let EngineWorld::Federated { world, .. } = &mut world {
+        world.engine.set_exec_capture(true);
+    }
+    world.run(60_000_000_000, |_| delivered.load(Ordering::Relaxed) < expect);
     let sums = checksums.lock().unwrap().clone();
-    ShardedDelivery { world, delivered: delivered.load(Ordering::Relaxed), checksums: sums }
+    Delivery { world, delivered: delivered.load(Ordering::Relaxed), checksums: sums }
+}
+
+/// Reference checksums in send order.
+pub fn reference_checksums(payloads: &[Vec<u8>]) -> Vec<u64> {
+    payloads.iter().map(|p| fnv(p)).collect()
 }

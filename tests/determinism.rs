@@ -18,7 +18,7 @@ fn identical_seeds_identical_timelines() {
             let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
             cfg.seed = seed;
             let d = send_all(cfg, payloads());
-            (d.world.sim.now(), d.world.sim.events_executed(), d.checksums)
+            (d.world.now(), d.world.events_executed(), d.checksums)
         };
         let a = run(11);
         let b = run(11);

@@ -49,7 +49,7 @@ fn two_node_traces_match_pre_rewrite_engine() {
         let d = send_all(cfg, payloads());
         assert_eq!(d.delivered, 40, "{name}: lost deliveries");
         assert_eq!(
-            d.world.sim.now().as_nanos(),
+            d.world.now().as_nanos(),
             end_ns,
             "{name}: virtual end time moved — engine changed simulation semantics"
         );
@@ -59,7 +59,7 @@ fn two_node_traces_match_pre_rewrite_engine() {
             "{name}: delivery order/content moved — engine changed simulation semantics"
         );
         assert_eq!(
-            d.world.sim.events_executed(),
+            d.world.events_executed(),
             executed,
             "{name}: event count moved (legitimate only if stale-event elimination changed)"
         );
@@ -83,7 +83,7 @@ fn telemetry_enabled_is_pure_observation() {
         hpx_lci_repro::telemetry::disable();
         assert_eq!(d.delivered, 40, "{name}: lost deliveries under telemetry");
         assert_eq!(
-            d.world.sim.now().as_nanos(),
+            d.world.now().as_nanos(),
             end_ns,
             "{name}: enabling telemetry moved the virtual end time"
         );
@@ -93,7 +93,7 @@ fn telemetry_enabled_is_pure_observation() {
             "{name}: enabling telemetry changed delivery order/content"
         );
         assert_eq!(
-            d.world.sim.events_executed(),
+            d.world.events_executed(),
             executed,
             "{name}: enabling telemetry changed the event count"
         );
@@ -154,7 +154,7 @@ fn timeline_enabled_reproduces_golden_pins() {
         hpx_lci_repro::telemetry::disable();
         assert_eq!(d.delivered, 40, "{name}: lost deliveries under timeline");
         assert_eq!(
-            d.world.sim.now().as_nanos(),
+            d.world.now().as_nanos(),
             end_ns,
             "{name}: enabling the timeline moved the virtual end time"
         );
@@ -164,7 +164,7 @@ fn timeline_enabled_reproduces_golden_pins() {
             "{name}: enabling the timeline changed delivery order/content"
         );
         assert_eq!(
-            d.world.sim.events_executed(),
+            d.world.events_executed(),
             executed,
             "{name}: enabling the timeline changed the event count"
         );
@@ -211,14 +211,14 @@ fn fault_scenario_pins_alert_window_and_flight_dump() {
     let d = send_all(cfg, payloads());
     hpx_lci_repro::telemetry::disable();
     assert_eq!(d.delivered, 40, "drops must not lose parcels");
-    assert!(d.world.sim.stats.get("net.retransmitted") > 0, "20% loss must retransmit");
+    assert!(d.single_heap().sim.stats.get("net.retransmitted") > 0, "20% loss must retransmit");
     tel.timeline_finalize();
 
     let alerts = tel.timeline_alerts();
     let dumps = tel.timeline_dumps();
     eprintln!(
         "fault pins: end {} alerts {:?} dumps {:?}",
-        d.world.sim.now().as_nanos(),
+        d.world.now().as_nanos(),
         alerts.iter().map(|a| (a.rule.clone(), a.window, a.bad, a.total)).collect::<Vec<_>>(),
         dumps.iter().map(|f| (f.reason.clone(), f.window, f.records.len())).collect::<Vec<_>>(),
     );
@@ -372,16 +372,27 @@ mod sharded_world {
     //! digest, same per-lane event total, same canonical engine log.
 
     use super::{common, fnv_u64s, payloads, GOLDEN};
-    use common::{send_all, send_all_sharded};
-    use hpx_lci_repro::parcelport::WorldConfig;
+    use common::{send, Delivery};
+    use hpx_lci_repro::parcelport::{Engine, WorldConfig};
     use hpx_lci_repro::simcore::shard::RunMode;
 
-    const PLACEMENTS: &[(usize, RunMode)] = &[
-        (1, RunMode::Sequential),
-        (1, RunMode::Threaded),
-        (2, RunMode::Sequential),
-        (2, RunMode::Threaded),
+    const fn federated(shards: usize, mode: RunMode) -> Engine {
+        Engine::Federated { shards, mode: Some(mode) }
+    }
+
+    const PLACEMENTS: &[Engine] = &[
+        federated(1, RunMode::Sequential),
+        federated(1, RunMode::Threaded),
+        federated(2, RunMode::Sequential),
+        federated(2, RunMode::Threaded),
     ];
+
+    /// The two-node test workload at seed 11 on `engine`.
+    fn send_two_nodes(name: &str, engine: Engine) -> Delivery {
+        let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
+        cfg.seed = 11;
+        send(cfg, payloads(), 1, engine)
+    }
 
     /// `(config, quiescence end ns, nested events executed, canonical
     /// engine digest)` — captured from the 1-shard sequential federated
@@ -407,14 +418,12 @@ mod sharded_world {
     #[ignore]
     fn capture_pins() {
         for &(name, ..) in SHARDED_PINS {
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all_sharded(cfg, super::payloads(), 1, RunMode::Sequential);
+            let d = send_two_nodes(name, federated(1, RunMode::Sequential));
             eprintln!(
                 "(\"{name}\", {}, {}, {:#018x}),",
                 d.world.now().as_nanos(),
                 d.world.events_executed(),
-                d.world.engine.digest(),
+                d.federated().engine.digest(),
             );
         }
     }
@@ -426,11 +435,9 @@ mod sharded_world {
     #[test]
     fn federated_world_matches_single_heap_pins() {
         for &(name, end_ns, executed, engine_digest) in SHARDED_PINS {
-            for &(shards, mode) in PLACEMENTS {
-                let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-                cfg.seed = 11;
-                let d = send_all_sharded(cfg, payloads(), shards, mode);
-                let what = format!("{name} shards={shards} {mode:?}");
+            for &engine in PLACEMENTS {
+                let d = send_two_nodes(name, engine);
+                let what = format!("{name} {engine:?}");
                 assert_eq!(d.delivered, 40, "{what}: lost deliveries");
                 assert_eq!(
                     fnv_u64s(&d.checksums),
@@ -448,7 +455,7 @@ mod sharded_world {
                     "{what}: nested event total moved with placement"
                 );
                 assert_eq!(
-                    d.world.engine.digest(),
+                    d.federated().engine.digest(),
                     engine_digest,
                     "{what}: canonical engine digest moved with placement"
                 );
@@ -464,7 +471,7 @@ mod sharded_world {
     /// legacy single-heap runner computed in the same process.
     #[test]
     fn scenario_results_are_placement_invariant() {
-        use hpx_lci_repro::octotiger_mini::{run_octotiger, run_octotiger_sharded, OctoParams};
+        use hpx_lci_repro::octotiger_mini::{run_octotiger, OctoParams};
 
         // fig1 message rate, reduced.
         let mut mp = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
@@ -473,10 +480,11 @@ mod sharded_world {
         mp.cores = 8;
         let legacy = bench::run_msgrate(&mp);
         assert!(legacy.completed);
-        for &(shards, mode) in PLACEMENTS {
-            let r = bench::run_msgrate_sharded(&mp, shards, Some(mode));
-            assert!(r.completed, "fig1 shards={shards} {mode:?}");
-            assert_eq!(r.comm_done, legacy.comm_done, "fig1 shards={shards} {mode:?}");
+        for &engine in PLACEMENTS {
+            mp.engine = engine;
+            let r = bench::run_msgrate(&mp);
+            assert!(r.completed, "fig1 {engine:?}");
+            assert_eq!(r.comm_done, legacy.comm_done, "fig1 {engine:?}");
             assert_eq!(r.injection_done, legacy.injection_done);
         }
 
@@ -487,10 +495,11 @@ mod sharded_world {
         lp.cores = 8;
         let legacy = bench::run_latency(&lp);
         assert!(legacy.completed);
-        for &(shards, mode) in PLACEMENTS {
-            let r = bench::run_latency_sharded(&lp, shards, Some(mode));
-            assert!(r.completed, "fig8 shards={shards} {mode:?}");
-            assert_eq!(r.total, legacy.total, "fig8 w8 shards={shards} {mode:?}");
+        for &engine in PLACEMENTS {
+            lp.engine = engine;
+            let r = bench::run_latency(&lp);
+            assert!(r.completed, "fig8 {engine:?}");
+            assert_eq!(r.total, legacy.total, "fig8 w8 {engine:?}");
         }
 
         // Octotiger on 4 localities — here shard counts above 2 engage.
@@ -501,16 +510,17 @@ mod sharded_world {
         let legacy = run_octotiger(&op);
         assert!(legacy.completed && legacy.mass_ok);
         // 8 shards exercises the clamp (4 localities -> 4 lanes).
-        for &(shards, mode) in &[
-            (1, RunMode::Sequential),
-            (2, RunMode::Threaded),
-            (4, RunMode::Sequential),
-            (4, RunMode::Threaded),
-            (8, RunMode::Threaded),
+        for engine in [
+            federated(1, RunMode::Sequential),
+            federated(2, RunMode::Threaded),
+            federated(4, RunMode::Sequential),
+            federated(4, RunMode::Threaded),
+            federated(8, RunMode::Threaded),
         ] {
-            let r = run_octotiger_sharded(&op, shards, Some(mode));
-            assert!(r.completed && r.mass_ok, "octo shards={shards} {mode:?}");
-            assert_eq!(r.total, legacy.total, "octo L4 shards={shards} {mode:?}");
+            op.engine = engine;
+            let r = run_octotiger(&op);
+            assert!(r.completed && r.mass_ok, "octo {engine:?}");
+            assert_eq!(r.total, legacy.total, "octo L4 {engine:?}");
         }
     }
 
@@ -522,9 +532,7 @@ mod sharded_world {
     fn telemetry_stays_pure_under_threaded_sharding() {
         for &(name, end_ns, executed, _) in SHARDED_PINS {
             let tel = hpx_lci_repro::telemetry::enable();
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all_sharded(cfg, payloads(), 2, RunMode::Threaded);
+            let d = send_two_nodes(name, federated(2, RunMode::Threaded));
             hpx_lci_repro::telemetry::disable();
             assert_eq!(d.delivered, 40, "{name}: lost deliveries under telemetry");
             assert_eq!(
@@ -559,25 +567,13 @@ mod sharded_world {
     #[test]
     fn merged_lane_telemetry_equals_single_heap_collector() {
         let name = "lci_psr_cq_pin_i";
-        let run_legacy = || {
+        let run = |engine| {
             let tel = hpx_lci_repro::telemetry::enable();
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all(cfg, payloads());
-            drop(d);
+            drop(send_two_nodes(name, engine));
             hpx_lci_repro::telemetry::disable();
             tel
         };
-        let run_sharded = |shards, mode| {
-            let tel = hpx_lci_repro::telemetry::enable();
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all_sharded(cfg, payloads(), shards, mode);
-            drop(d);
-            hpx_lci_repro::telemetry::disable();
-            tel
-        };
-        let legacy = run_legacy();
+        let legacy = run(Engine::SingleHeap);
         let lh = legacy
             .with_metrics(|m| m.hist("amt.msg_bytes").cloned())
             .expect("legacy run records message sizes");
@@ -586,9 +582,9 @@ mod sharded_world {
         // export: the federated run continues to quiescence, so its
         // trailing spans differ.
         let mut first_chrome: Option<String> = None;
-        for &(shards, mode) in PLACEMENTS {
-            let tel = run_sharded(shards, mode);
-            let what = format!("shards={shards} {mode:?}");
+        for &engine in PLACEMENTS {
+            let tel = run(engine);
+            let what = format!("{engine:?}");
             assert_eq!(tel.flow_count(), legacy.flow_count(), "{what}: flow population moved");
             let sh = tel
                 .with_metrics(|m| m.hist("amt.msg_bytes").cloned())
@@ -719,8 +715,8 @@ fn octotiger_trace_matches_pre_rewrite_engine() {
 /// the smaller workloads above never reach.
 mod pool_exhaustion {
     use super::{common, fnv_u64s};
-    use common::{send_batched, Delivery};
-    use hpx_lci_repro::parcelport::WorldConfig;
+    use common::{send, Delivery};
+    use hpx_lci_repro::parcelport::{Engine, WorldConfig};
 
     const PARCELS: usize = 8_000;
     const BATCH: usize = 100;
@@ -741,7 +737,7 @@ mod pool_exhaustion {
         cfg.seed = 11;
         cfg.lci_devices = devices;
         let payloads = (0..PARCELS as u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        send_batched(cfg, payloads, BATCH)
+        send(cfg, payloads, BATCH, Engine::SingleHeap)
     }
 
     #[test]
@@ -751,10 +747,10 @@ mod pool_exhaustion {
             let d = run(name, devices);
             eprintln!(
                 "(\"{name}\", {devices}, {}, {}, {:#018x}, {}),",
-                d.world.sim.now().as_nanos(),
-                d.world.sim.events_executed(),
+                d.world.now().as_nanos(),
+                d.world.events_executed(),
                 fnv_u64s(&d.checksums),
-                d.world.sim.stats.get("lci_pp.send_retry"),
+                d.single_heap().sim.stats.get("lci_pp.send_retry"),
             );
         }
     }
@@ -767,10 +763,10 @@ mod pool_exhaustion {
             let d = run(name, devices);
             let what = format!("{name} devices={devices}");
             assert_eq!(d.delivered, PARCELS, "{what}: lost deliveries");
-            assert_eq!(d.world.sim.now().as_nanos(), end_ns, "{what}: virtual end time moved");
-            assert_eq!(d.world.sim.events_executed(), executed, "{what}: event count moved");
+            assert_eq!(d.world.now().as_nanos(), end_ns, "{what}: virtual end time moved");
+            assert_eq!(d.world.events_executed(), executed, "{what}: event count moved");
             assert_eq!(fnv_u64s(&d.checksums), digest, "{what}: delivery order/content moved");
-            let retried = d.world.sim.stats.get("lci_pp.send_retry");
+            let retried = d.single_heap().sim.stats.get("lci_pp.send_retry");
             assert_eq!(retried, retries, "{what}: retry count moved");
             if devices == 1 {
                 assert!(retried > 0, "{what}: the workload no longer drains the pool");
