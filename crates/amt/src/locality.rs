@@ -90,6 +90,9 @@ pub struct Locality {
     /// Name of the run-queue counter track (`loc<id>.runq`), built the
     /// first time a collector samples it.
     runq_track: OnceCell<String>,
+    /// Name of the send-queue counter track (`loc<id>.sendq`), built the
+    /// first time a traced put samples it.
+    sendq_track: OnceCell<String>,
 }
 
 impl Locality {
@@ -127,6 +130,7 @@ impl Locality {
             handler: Cell::new(None),
             pending: RefCell::new(Slab::new()),
             runq_track: OnceCell::new(),
+            sendq_track: OnceCell::new(),
         })
     }
 
@@ -174,6 +178,11 @@ impl Locality {
             let name = self.runq_track.get_or_init(|| format!("loc{}.runq", self.id));
             tel.track_sample(name, sim.now(), depth as f64);
         });
+    }
+
+    /// Name of the send-queue counter track, formatted once.
+    pub(crate) fn sendq_track(&self) -> &str {
+        self.sendq_track.get_or_init(|| format!("loc{}.sendq", self.id))
     }
 
     /// Access the action registry.

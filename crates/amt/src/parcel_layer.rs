@@ -219,10 +219,10 @@ impl ParcelLayer {
             Next::Drain(t2)
         });
 
-        // Counter track of the per-destination queue depth. The `flow != 0`
-        // guard means the name is only formatted while tracing is on.
+        // Counter track of the per-destination queue depth, sampled only
+        // while tracing is on.
         if flow != 0 {
-            telemetry::track_sample(&format!("loc{}.sendq", loc.id), now, queue_depth as f64);
+            telemetry::track_sample(loc.sendq_track(), now, queue_depth as f64);
         }
 
         match next {
