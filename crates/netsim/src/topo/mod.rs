@@ -24,23 +24,41 @@ pub use switch::{PortCounters, SwitchFabric, WalkResult};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Intern a string, leaking at most once per distinct name.
+/// A switch port's names: its resource name and its two counter tracks.
+#[derive(Debug)]
+pub struct PortNames {
+    /// Resource name, `fab.<switch>.p<idx>`.
+    pub name: &'static str,
+    /// Buffer-occupancy counter track, `<name>.occ`.
+    pub occ: &'static str,
+    /// Cumulative transmit-wait counter track, `<name>.xmit_wait_us`.
+    pub wait: &'static str,
+}
+
+/// Intern a port's names, leaking at most once per distinct port name.
 ///
 /// Port resources need `&'static str` names (the [`simcore::probe`] and
 /// contention-report plumbing is `&'static`-keyed to stay allocation-free
 /// on the hot path), but port names are computed from topology layout at
 /// build time. Distinct names are bounded by the port count of the
 /// largest topology ever built in-process, so leaking is fine; repeated
-/// builds of the same topology reuse the same leaked names.
-pub fn intern(name: String) -> &'static str {
-    static POOL: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
+/// builds of the same topology (every lane's fabric replica) reuse the
+/// same leaked names. The track names are built here too, so no port
+/// access formats one.
+pub fn intern_port(name: String) -> &'static PortNames {
+    static POOL: Mutex<BTreeMap<String, &'static PortNames>> = Mutex::new(BTreeMap::new());
     let mut pool = POOL.lock().unwrap();
-    if let Some(&s) = pool.get(&name) {
-        return s;
+    if let Some(&names) = pool.get(&name) {
+        return names;
     }
-    let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-    pool.insert(name, leaked);
-    leaked
+    let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+    let names = Box::leak(Box::new(PortNames {
+        occ: leak(format!("{name}.occ")),
+        wait: leak(format!("{name}.xmit_wait_us")),
+        name: leak(name.clone()),
+    }));
+    pool.insert(name, names);
+    names
 }
 
 /// Which interconnect the fabric simulates.
@@ -112,10 +130,13 @@ mod tests {
 
     #[test]
     fn intern_returns_stable_pointers() {
-        let a = intern("fab.test.p0".to_string());
-        let b = intern("fab.test.p0".to_string());
+        let a = intern_port("fab.test.p0".to_string());
+        let b = intern_port("fab.test.p0".to_string());
         assert!(std::ptr::eq(a, b), "same name must intern to the same allocation");
-        assert_eq!(a, "fab.test.p0");
+        assert_eq!(
+            (a.name, a.occ, a.wait),
+            ("fab.test.p0", "fab.test.p0.occ", "fab.test.p0.xmit_wait_us")
+        );
     }
 
     #[test]
