@@ -2,9 +2,12 @@
 //!
 //! A single subsystem every layer reports into:
 //!
-//! * a **metrics registry** ([`Metrics`]): counters, gauges and
-//!   log-bucketed histograms ([`Histogram`]) with p50/p90/p99, all
-//!   `&'static str`-keyed with no steady-state allocation;
+//! * a **metrics store** ([`Metrics`]): counters, gauges, log-bucketed
+//!   histograms ([`Histogram`]) with p50/p90/p99 and fabric port
+//!   accounting, all `&'static str`-keyed with no steady-state
+//!   allocation. Counters, histograms and ports are stored once, per
+//!   virtual-time window (one window when no timeline is attached), and
+//!   run totals are derived from the windows;
 //! * **parcel-lifecycle flow tracing** ([`FlowTracer`]): a per-parcel
 //!   stage timeline (`put → queue → serialize → inject → wire → match →
 //!   deliver → spawn`) stitched across localities via an out-of-band
@@ -23,7 +26,10 @@
 //!   `working/progress/lock-wait/serialize/idle` accounting whose state
 //!   durations partition each core's elapsed virtual time exactly, with
 //!   folded-stack flamegraph output and a ranked core-time report (see
-//!   [`profile`]).
+//!   [`profile`]);
+//! * an optional **timeline** ([`Timeline`]): the window cursor, SLO
+//!   monitors and the flight recorder over the windowed metrics (see
+//!   [`timeline`]).
 //!
 //! ## Enable/disable
 //!
@@ -57,7 +63,9 @@ pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
 pub use hist::Histogram;
-pub use metrics::{ContentionStat, ContentionTable, Metrics, ResourceKind};
+pub use metrics::{
+    ContentionStat, ContentionTable, Metrics, PortWindow, ResourceKind, Series, WindowCell,
+};
 pub use profile::{CoreProfile, CoreState, CoreTimeReport};
 pub use record::{RunMeta, RunRecord};
 pub use report::{Breakdown, ContentionReport};
@@ -84,17 +92,16 @@ struct Inner {
     /// The causal provenance log ([`simcore::causal`]), installed by
     /// [`enable`] alongside the contention probe.
     causal: Option<Rc<CausalLog>>,
-    /// The windowed time-series layer ([`timeline`]), present only when
-    /// timelines were requested ([`enable_with`] /
-    /// [`Telemetry::enable_timeline`]).
+    /// The window cursor, SLO monitors and flight recorder
+    /// ([`timeline`]), present only when timelines were requested
+    /// ([`enable_with`] / [`Telemetry::enable_timeline`]).
     timeline: Option<Timeline>,
 }
 
 impl Inner {
     /// Feed one newly delivered flow into the windowed `parcel.latency_ns`
-    /// series (plus its run-total twin) and the flight-recorder ring.
-    /// No-op when timelines are off, so plain instrumented runs keep
-    /// their exact metric key set.
+    /// series and the flight-recorder ring. No-op when timelines are
+    /// off, so plain instrumented runs keep their exact metric key set.
     fn flow_delivered(&mut self, id: u64, t: SimTime) {
         if self.timeline.is_none() || id == 0 {
             return;
@@ -109,9 +116,38 @@ impl Inner {
             },
         };
         let deliver = t.as_nanos();
-        self.metrics.hist_record("parcel.latency_ns", deliver.saturating_sub(put));
+        self.metrics.hist_record("parcel.latency_ns", deliver.saturating_sub(put), deliver);
         if let Some(tl) = &mut self.timeline {
+            tl.sampled(deliver, true, &self.metrics);
             tl.flow_delivered(id, src, dst, put, deliver);
+        }
+    }
+
+    /// The timeline cursor, where untimed samples land; 0 without a
+    /// timeline, whose single window takes every sample.
+    fn untimed_ns(&self) -> u64 {
+        self.timeline.as_ref().map_or(0, Timeline::cursor_ns)
+    }
+
+    /// Tell the timeline a counter or (`hist`) histogram sample was just
+    /// stored at `t_ns`; `poll` then takes a dump that fell due.
+    fn sampled(&mut self, t_ns: u64, hist: bool, poll: bool) {
+        if let Some(tl) = &mut self.timeline {
+            tl.sampled(t_ns, hist, &self.metrics);
+            if poll {
+                self.tl_poll();
+            }
+        }
+    }
+
+    /// Advance the timeline cursor to `t_ns`; `poll` then takes a dump
+    /// that fell due.
+    fn observe(&mut self, t_ns: u64, poll: bool) {
+        if let Some(tl) = &mut self.timeline {
+            tl.observe(t_ns, &self.metrics);
+            if poll {
+                self.tl_poll();
+            }
         }
     }
 
@@ -164,40 +200,28 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Add `n` to counter `key`.
+    /// Add `n` to counter `key`, in the timeline's current window.
     pub fn counter_add(&self, key: &'static str, n: u64) {
         let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.counter_add(key, n);
-        // Untimed updates attribute to the timeline's current window so
-        // window sums still reproduce the run total for every key.
-        if let Some(tl) = &mut inner.timeline {
-            let t = tl.cursor_ns();
-            tl.counter_at(key, n, t);
-        }
+        let t = inner.untimed_ns();
+        inner.metrics.counter_add(key, n, t);
+        inner.sampled(t, false, false);
     }
 
-    /// Add `n` to counter `key`, attributing it to instant `t` in the
-    /// windowed timeline (identical to [`Telemetry::counter_add`] when
-    /// timelines are off).
+    /// Add `n` to counter `key`, in the window of instant `t` (identical
+    /// to [`Telemetry::counter_add`] when timelines are off).
     pub fn counter_add_at(&self, key: &'static str, n: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.counter_add(key, n);
-        if let Some(tl) = &mut inner.timeline {
-            tl.counter_at(key, n, t.as_nanos());
-            inner.tl_poll();
-        }
+        inner.metrics.counter_add(key, n, t.as_nanos());
+        inner.sampled(t.as_nanos(), false, true);
     }
 
-    /// Record `v` into histogram `key`, attributing it to instant `t` in
-    /// the windowed timeline (identical to [`Telemetry::hist_record`]
-    /// when timelines are off).
+    /// Record `v` into histogram `key`, in the window of instant `t`
+    /// (identical to [`Telemetry::hist_record`] when timelines are off).
     pub fn hist_record_at(&self, key: &'static str, v: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.hist_record(key, v);
-        if let Some(tl) = &mut inner.timeline {
-            tl.hist_at(key, v, t.as_nanos());
-            inner.tl_poll();
-        }
+        inner.metrics.hist_record(key, v, t.as_nanos());
+        inner.sampled(t.as_nanos(), true, true);
     }
 
     /// Set gauge `key`.
@@ -205,24 +229,19 @@ impl Telemetry {
         self.inner.borrow_mut().metrics.gauge_set(key, v);
     }
 
-    /// Record into histogram `key`.
+    /// Record into histogram `key`, in the timeline's current window.
     pub fn hist_record(&self, key: &'static str, v: u64) {
         let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.hist_record(key, v);
-        if let Some(tl) = &mut inner.timeline {
-            let t = tl.cursor_ns();
-            tl.hist_at(key, v, t);
-        }
+        let t = inner.untimed_ns();
+        inner.metrics.hist_record(key, v, t);
+        inner.sampled(t, true, false);
     }
 
     /// Append a counter-track sample.
     pub fn track_sample(&self, name: &str, t: SimTime, v: f64) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.track_sample(name, t.as_nanos(), v);
-        if let Some(tl) = &mut inner.timeline {
-            tl.observe(t.as_nanos());
-            inner.tl_poll();
-        }
+        inner.observe(t.as_nanos(), true);
     }
 
     /// Start a parcel flow; returns its id (0 when the tracer is full).
@@ -239,9 +258,7 @@ impl Telemetry {
                 inner.flows.publish_meta(id, src, dst, t.as_nanos());
             }
         }
-        if let Some(tl) = &mut inner.timeline {
-            tl.observe(t.as_nanos());
-        }
+        inner.observe(t.as_nanos(), false);
         id
     }
 
@@ -270,10 +287,7 @@ impl Telemetry {
             let v = inner.in_flight as f64;
             inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
         }
-        if let Some(tl) = &mut inner.timeline {
-            tl.observe(t.as_nanos());
-            inner.tl_poll();
-        }
+        inner.observe(t.as_nanos(), true);
     }
 
     /// Record the delivering core for `ids`.
@@ -344,10 +358,7 @@ impl Telemetry {
     ) {
         let inner = &mut *self.inner.borrow_mut();
         inner.profile.record_base(loc, core, state, label, start.as_nanos(), end.as_nanos());
-        if let Some(tl) = &mut inner.timeline {
-            tl.observe(end.as_nanos());
-            inner.tl_poll();
-        }
+        inner.observe(end.as_nanos(), true);
     }
 
     /// Record a probe-level (overlay) profiler interval on `core` of the
@@ -452,9 +463,14 @@ impl Telemetry {
     }
 
     /// Attach a windowed timeline to this collector (normally done by
-    /// [`enable_with`] before the run starts).
+    /// [`enable_with`] before the run starts). The metrics store their
+    /// samples in windows of `cfg.window_ns` from here on. Samples already
+    /// stored cannot be re-bucketed, so this panics if the collector
+    /// holds any counter, histogram or port sample.
     pub fn enable_timeline(&self, cfg: TimelineConfig) {
-        self.inner.borrow_mut().timeline = Some(Timeline::new(cfg));
+        let inner = &mut *self.inner.borrow_mut();
+        inner.metrics.set_window_ns(cfg.window_ns);
+        inner.timeline = Some(Timeline::new(cfg));
     }
 
     /// Whether this collector carries a timeline.
@@ -476,11 +492,15 @@ impl Telemetry {
     }
 
     /// Record one egress-port access into the per-port windows; no-op
-    /// when timelines are off.
+    /// when timelines are off. Port grants are scheduled analytically at
+    /// injection time, so `t` routinely lies in the future: the access
+    /// lands in its window but does NOT advance the cursor, else congested
+    /// runs would settle (and SLO-evaluate) windows whose delivery
+    /// samples are still in flight.
     pub fn timeline_port(&self, name: &'static str, t: SimTime, wait_ns: u64, bytes: u64) {
         let inner = &mut *self.inner.borrow_mut();
-        if let Some(tl) = &mut inner.timeline {
-            tl.port_at(name, t.as_nanos(), wait_ns, bytes);
+        if inner.timeline.is_some() {
+            inner.metrics.port_access(name, t.as_nanos(), wait_ns, bytes);
             inner.tl_poll();
         }
     }
@@ -490,7 +510,7 @@ impl Telemetry {
     pub fn fault_event_at(&self, label: &'static str, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         if let Some(tl) = &mut inner.timeline {
-            tl.fault_event(label, t.as_nanos());
+            tl.fault_event(label, t.as_nanos(), &inner.metrics);
             inner.tl_poll();
         }
     }
@@ -501,7 +521,7 @@ impl Telemetry {
         let inner = &mut *self.inner.borrow_mut();
         if let Some(tl) = &mut inner.timeline {
             let t = tl.cursor_ns();
-            tl.fault_event(label, t);
+            tl.fault_event(label, t, &inner.metrics);
             inner.tl_poll();
         }
     }
@@ -518,10 +538,10 @@ impl Telemetry {
         if tl.finalized() {
             return;
         }
-        tl.finalize();
+        tl.finalize(&inner.metrics);
         inner.tl_poll();
         let Some(tl) = &inner.timeline else { return };
-        for (name, series) in tl.counter_tracks() {
+        for (name, series) in tl.counter_tracks(&inner.metrics) {
             for (t, v) in series {
                 inner.metrics.track_sample(&name, t, v);
             }
@@ -558,7 +578,8 @@ impl Telemetry {
     /// timelines are off.
     pub fn timeline_text(&self, config: &str) -> Option<String> {
         self.timeline_finalize();
-        self.with_timeline(|tl| tl.to_openmetrics(config))
+        let inner = self.inner.borrow();
+        Some(inner.timeline.as_ref()?.to_openmetrics(config, &inner.metrics))
     }
 }
 
@@ -588,14 +609,10 @@ impl simcore::Probe for ProbeAdapter {
                 now.as_nanos() + wait_ns,
             );
         }
-        if let Some(tl) = &mut inner.timeline {
-            if contended {
-                tl.probe_event(name, "lock", now.as_nanos(), wait_ns, hold_ns);
-            } else {
-                tl.observe(now.as_nanos());
-            }
-            inner.tl_poll();
+        if let (true, Some(tl)) = (contended, &mut inner.timeline) {
+            tl.probe_event(name, "lock", now.as_nanos(), wait_ns, hold_ns);
         }
+        inner.observe(now.as_nanos(), true);
     }
 
     fn try_lock(&self, name: &'static str, now: SimTime, acquired: bool, hold_ns: u64) {
@@ -603,9 +620,7 @@ impl simcore::Probe for ProbeAdapter {
         // it only counts as a contended event.
         let inner = &mut *self.0.inner.borrow_mut();
         inner.contention.record(name, ResourceKind::TryLock, 0, hold_ns, !acquired);
-        if let Some(tl) = &mut inner.timeline {
-            tl.observe(now.as_nanos());
-        }
+        inner.observe(now.as_nanos(), false);
     }
 
     fn resource_access(
@@ -635,14 +650,10 @@ impl simcore::Probe for ProbeAdapter {
                 now.as_nanos() + wait_ns,
             );
         }
-        if let Some(tl) = &mut inner.timeline {
-            if wait_ns > 0 {
-                tl.probe_event(name, "resource", now.as_nanos(), wait_ns, service_ns);
-            } else {
-                tl.observe(now.as_nanos());
-            }
-            inner.tl_poll();
+        if let (true, Some(tl)) = (wait_ns > 0, &mut inner.timeline) {
+            tl.probe_event(name, "resource", now.as_nanos(), wait_ns, service_ns);
         }
+        inner.observe(now.as_nanos(), true);
     }
 }
 
@@ -871,12 +882,14 @@ impl LaneCollector {
     pub fn new(lane: u32, main: &Telemetry) -> Self {
         let tel = Rc::new(Telemetry::new());
         let causal = CausalLog::new();
+        let main = main.inner.borrow();
+        if let Some(tl) = &main.timeline {
+            tel.enable_timeline(tl.config());
+        }
         {
-            let main = main.inner.borrow();
             let inner = &mut *tel.inner.borrow_mut();
             inner.flows = main.flows.for_lane(lane);
             inner.causal = Some(causal.clone());
-            inner.timeline = main.timeline.as_ref().map(|tl| Timeline::new(tl.config()));
         }
         let probe: Rc<dyn simcore::Probe> = Rc::new(ProbeAdapter(tel.clone()));
         LaneCollector { tel, probe, causal }
@@ -914,10 +927,10 @@ const CUMULATIVE_TRACKS: [&str; 2] = ["parcels.in_flight", "amt.delivered"];
 /// Fold per-lane collectors (in lane-rank order) into `main` and
 /// re-install `main` on the current thread. Per-lane causal logs merge
 /// into one contiguous provenance log; flow tracers stitch foreign-op
-/// buffers back onto the records the minting lanes own; metrics,
-/// contention, profiler, spans and timelines merge additively. Assumes
-/// `main` itself recorded no flows during the run (the sharded world
-/// routes every event through a lane collector).
+/// buffers back onto the records the minting lanes own; metrics (every
+/// windowed series, once), contention, profiler, spans and timelines
+/// merge additively. Assumes `main` itself recorded no flows during the
+/// run (the sharded world routes every event through a lane collector).
 pub fn merge_lane_collectors(main: &Rc<Telemetry>, lanes: Vec<LaneCollector>) {
     let shards: Vec<_> = lanes.iter().map(|l| l.causal.take_data()).collect();
     let (merged_log, remap) = simcore::causal::merge_sharded_with_remap(shards);
@@ -1086,6 +1099,14 @@ mod tests {
             assert_eq!(stale.with_metrics(|m| m.counter("x")), 1);
             assert_eq!(fresh.with_metrics(|m| m.counter("x")), 1);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be re-bucketed")]
+    fn enabling_a_timeline_after_samples_panics() {
+        let tel = Telemetry::new();
+        tel.counter_add("x", 1);
+        tel.enable_timeline(TimelineConfig::default());
     }
 
     #[test]

@@ -1,14 +1,24 @@
-//! The metrics registry: counters, gauges, histograms and counter-track
-//! time series.
+//! The metrics store: counters, gauges, histograms, per-port windows and
+//! counter tracks.
 //!
-//! Counters/gauges/histograms (and the contention table's rows) are
+//! Counters, histograms and fabric port accounting are kept **per
+//! virtual-time window**, and only there: each key holds one [`Series`],
+//! a cell per window that took a sample. With a timeline attached the
+//! window width is the timeline's ([`Metrics::set_window_ns`]); without
+//! one every sample lands in window 0, so a series is a single cell. Run
+//! totals are derived: [`Metrics::counter`] sums a series and
+//! [`Metrics::hist`] merges one, so windows merge to the totals by
+//! construction.
+//!
+//! Series and gauges (and the contention table's rows) are
 //! `&'static str`-keyed [`Keyed`] tables, the same store as
 //! `simcore::Stats`: a key takes a dense slot on first touch, after which
-//! an update is a thread-local id probe plus two indexed loads — no
-//! allocation and no string compares. Every read view iterates in key
-//! (byte) order, so the ids never show in output. Counter tracks (sampled
-//! time series destined for Perfetto counter tracks) are `String`-keyed
-//! `BTreeMap`s because they are only ever fed from enabled-only code.
+//! an update in its current window is a thread-local id probe plus a few
+//! indexed loads — no allocation and no string compares. Every read view
+//! iterates in key (byte) order, so the ids never show in output. Counter
+//! tracks (sampled time series destined for Perfetto counter tracks) are
+//! `String`-keyed `BTreeMap`s because they are only ever fed from
+//! enabled-only code.
 
 use std::collections::BTreeMap;
 
@@ -16,31 +26,141 @@ use simcore::Keyed;
 
 use crate::hist::Histogram;
 
-/// Registry of named metrics.
+/// What one window of one key holds: a counter delta, a sub-histogram,
+/// or a port's accounting.
+pub trait WindowCell: Default {
+    /// Fold `other` into `self`, as if `self` had seen its samples too.
+    fn absorb(&mut self, other: &Self);
+}
+
+impl WindowCell for u64 {
+    fn absorb(&mut self, other: &u64) {
+        *self += other;
+    }
+}
+
+impl WindowCell for Histogram {
+    fn absorb(&mut self, other: &Histogram) {
+        self.merge(other);
+    }
+}
+
+/// Per-window egress-port accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PortWindow {
+    /// Queueing wait accumulated in the window, ns.
+    pub wait_ns: u64,
+    /// Packets transmitted in the window.
+    pub pkts: u64,
+    /// Bytes transmitted in the window.
+    pub bytes: u64,
+}
+
+impl WindowCell for PortWindow {
+    fn absorb(&mut self, other: &PortWindow) {
+        self.wait_ns += other.wait_ns;
+        self.pkts += other.pkts;
+        self.bytes += other.bytes;
+    }
+}
+
+/// One key's samples: a cell per window that took one, in window order.
+/// Empty windows hold no cell.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Series<C> {
+    cells: Vec<(u64, C)>,
+}
+
+impl<C> Series<C> {
+    /// The cell of window `w`, if any sample landed there.
+    pub fn get(&self, w: u64) -> Option<&C> {
+        let i = self.cells.binary_search_by_key(&w, |&(cw, _)| cw).ok()?;
+        Some(&self.cells[i].1)
+    }
+
+    /// `(window, cell)` for every window that took a sample, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &C)> + '_ {
+        self.cells.iter().map(|(w, c)| (*w, c))
+    }
+}
+
+impl<C: WindowCell> Series<C> {
+    /// The cell of window `w`, opened on first touch; an update to an
+    /// open cell never allocates.
+    #[inline]
+    fn cell(&mut self, w: u64) -> &mut C {
+        let i = self.cells.binary_search_by_key(&w, |&(cw, _)| cw).unwrap_or_else(|i| {
+            self.cells.insert(i, (w, C::default()));
+            i
+        });
+        &mut self.cells[i].1
+    }
+
+    /// The run total: every cell folded into one.
+    pub fn total(&self) -> C {
+        let mut total = C::default();
+        for (_, c) in &self.cells {
+            total.absorb(c);
+        }
+        total
+    }
+
+    /// Fold `other` in, window by window.
+    fn absorb(&mut self, other: &Series<C>) {
+        for (w, c) in &other.cells {
+            self.cell(*w).absorb(c);
+        }
+    }
+}
+
+/// The store of named metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: Keyed<u64>,
+    /// Window width, ns; 0 (no timeline) puts every sample in window 0.
+    window_ns: u64,
+    counters: Keyed<Series<u64>>,
     gauges: Keyed<i64>,
-    hists: Keyed<Histogram>,
+    hists: Keyed<Series<Histogram>>,
+    ports: Keyed<Series<PortWindow>>,
     /// Sampled `(t_ns, value)` series rendered as Perfetto counter tracks.
     tracks: BTreeMap<String, Vec<(u64, f64)>>,
 }
 
 impl Metrics {
-    /// Create an empty registry.
+    /// Create an empty store whose samples all land in window 0.
     pub fn new() -> Self {
         Metrics::default()
     }
 
-    /// Add `n` to counter `key`.
-    #[inline]
-    pub fn counter_add(&mut self, key: &'static str, n: u64) {
-        *self.counters.slot(key) += n;
+    /// Bucket samples into windows `window_ns` wide. Samples already
+    /// stored cannot be re-bucketed, so this panics unless the store is
+    /// still empty.
+    pub fn set_window_ns(&mut self, window_ns: u64) {
+        assert!(window_ns > 0, "window width must be positive");
+        assert!(
+            self.counters.is_empty() && self.hists.is_empty() && self.ports.is_empty(),
+            "metrics already hold samples stored under one window width, which cannot be \
+             re-bucketed: attach the timeline before recording"
+        );
+        self.window_ns = window_ns;
     }
 
-    /// Read a counter (0 if never touched).
+    /// The window instant `t_ns` falls in.
+    #[inline]
+    fn window_of(&self, t_ns: u64) -> u64 {
+        t_ns.checked_div(self.window_ns).unwrap_or(0)
+    }
+
+    /// Add `n` to counter `key` at instant `t_ns`.
+    #[inline]
+    pub fn counter_add(&mut self, key: &'static str, n: u64, t_ns: u64) {
+        let w = self.window_of(t_ns);
+        *self.counters.slot(key).cell(w) += n;
+    }
+
+    /// Read a counter's run total (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        self.counters.get(key).map_or(0, Series::total)
     }
 
     /// Set gauge `key` to `v`.
@@ -60,15 +180,31 @@ impl Metrics {
         self.gauges.get(key).copied().unwrap_or(0)
     }
 
-    /// Record `v` into histogram `key`.
+    /// Record `v` into histogram `key` at instant `t_ns`.
     #[inline]
-    pub fn hist_record(&mut self, key: &'static str, v: u64) {
-        self.hists.slot(key).record(v);
+    pub fn hist_record(&mut self, key: &'static str, v: u64, t_ns: u64) {
+        let w = self.window_of(t_ns);
+        self.hists.slot(key).cell(w).record(v);
     }
 
-    /// Read a histogram.
-    pub fn hist(&self, key: &str) -> Option<&Histogram> {
-        self.hists.get(key)
+    /// A histogram's run total: the merge of its windows.
+    pub fn hist(&self, key: &str) -> Option<Histogram> {
+        self.hists.get(key).map(Series::total)
+    }
+
+    /// The sub-histogram of `key` in window `w`, if any sample landed.
+    pub fn hist_window(&self, key: &str, w: u64) -> Option<&Histogram> {
+        self.hists.get(key)?.get(w)
+    }
+
+    /// Record one egress-port access at instant `t_ns`.
+    #[inline]
+    pub fn port_access(&mut self, name: &'static str, t_ns: u64, wait_ns: u64, bytes: u64) {
+        let w = self.window_of(t_ns);
+        let cell = self.ports.slot(name).cell(w);
+        cell.wait_ns += wait_ns;
+        cell.pkts += 1;
+        cell.bytes += bytes;
     }
 
     /// Append a `(t_ns, value)` sample to counter track `name`.
@@ -80,9 +216,9 @@ impl Metrics {
         }
     }
 
-    /// Iterate counters in key order.
+    /// Iterate counter run totals in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (k, *v))
+        self.counters.iter().map(|(k, s)| (k, s.total()))
     }
 
     /// Iterate gauges in key order.
@@ -90,9 +226,24 @@ impl Metrics {
         self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
-    /// Iterate histograms in key order.
-    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter()
+    /// Iterate histogram run totals in key order.
+    pub fn hists(&self) -> impl Iterator<Item = (&'static str, Histogram)> + '_ {
+        self.hists.iter().map(|(k, s)| (k, s.total()))
+    }
+
+    /// Every counter's windows, by key.
+    pub fn counter_windows(&self) -> &Keyed<Series<u64>> {
+        &self.counters
+    }
+
+    /// Every histogram's windows, by key.
+    pub fn hist_windows(&self) -> &Keyed<Series<Histogram>> {
+        &self.hists
+    }
+
+    /// Every port's windows, by name.
+    pub fn port_windows(&self) -> &Keyed<Series<PortWindow>> {
+        &self.ports
     }
 
     /// Iterate counter tracks in name order.
@@ -117,19 +268,24 @@ impl Metrics {
         }
     }
 
-    /// Fold `other` into `self`: counters sum, gauges take `other`'s
-    /// value, histograms merge, track series interleave in time order —
-    /// equivalent to one registry having recorded the union of both
-    /// sample streams (see the property tests in `tests/profile_props.rs`).
+    /// Fold `other` into `self`: counter, histogram and port windows
+    /// merge window by window, gauges take `other`'s value, track series
+    /// interleave in time order — equivalent to one store having recorded
+    /// the union of both sample streams (see the property tests in
+    /// `tests/profile_props.rs`). Both stores must share a window width.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, &v) in other.counters.iter() {
-            *self.counters.slot(k) += v;
+        assert_eq!(self.window_ns, other.window_ns, "merging metrics of different window widths");
+        for (k, s) in other.counters.iter() {
+            self.counters.slot(k).absorb(s);
         }
         for (k, &v) in other.gauges.iter() {
             *self.gauges.slot(k) = v;
         }
-        for (k, h) in other.hists.iter() {
-            self.hists.slot(k).merge(h);
+        for (k, s) in other.hists.iter() {
+            self.hists.slot(k).absorb(s);
+        }
+        for (k, s) in other.ports.iter() {
+            self.ports.slot(k).absorb(s);
         }
         for (k, series) in &other.tracks {
             let dst = self.tracks.entry(k.clone()).or_default();
@@ -264,16 +420,35 @@ mod tests {
     #[test]
     fn counters_gauges_hists() {
         let mut m = Metrics::new();
-        m.counter_add("a", 2);
-        m.counter_add("a", 3);
+        m.counter_add("a", 2, 0);
+        m.counter_add("a", 3, 500);
         m.gauge_set("g", 7);
         m.gauge_add("g", -2);
-        m.hist_record("h", 100);
-        m.hist_record("h", 200);
+        m.hist_record("h", 100, 0);
+        m.hist_record("h", 200, 0);
         assert_eq!(m.counter("a"), 5);
         assert_eq!(m.gauge("g"), 5);
         assert_eq!(m.hist("h").unwrap().count(), 2);
         assert_eq!(m.counters().count(), 1);
+        assert_eq!(
+            m.counter_windows().get("a").unwrap().iter().count(),
+            1,
+            "no timeline: one window"
+        );
+    }
+
+    #[test]
+    fn merge_folds_windows() {
+        let (mut a, mut b) = (Metrics::new(), Metrics::new());
+        a.set_window_ns(10);
+        b.set_window_ns(10);
+        a.port_access("p", 5, 1, 64);
+        b.port_access("p", 25, 2, 64);
+        b.port_access("p", 7, 3, 64);
+        a.merge(&b);
+        let p = a.port_windows().get("p").unwrap();
+        assert_eq!(p.get(0), Some(&PortWindow { wait_ns: 4, pkts: 2, bytes: 128 }));
+        assert_eq!(p.total(), PortWindow { wait_ns: 6, pkts: 3, bytes: 192 });
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   to the makespan carries over to record diffs);
 //! * the per-core profile partition (five states per core);
 //! * per-resource contention totals (including `fab.*` switch ports);
-//! * fabric per-port counters and timeline window digests, when the run
-//!   had a windowed timeline attached.
+//! * fabric per-port totals and window digests, when the run had a
+//!   windowed timeline attached.
 //!
 //! Everything captured is **virtual-time** data from the deterministic
 //! simulation — re-running the same binary on the same inputs reproduces
@@ -151,9 +151,9 @@ pub struct PortRecord {
 }
 
 /// Windowed digests: per-window sample counts/sums per histogram key and
-/// per-window deltas per counter key. Per-key window sums equal the run
-/// totals (the timeline merge invariant), which `trace_check
-/// --require-record` re-checks.
+/// per-window deltas per counter key, read from the metric windows the
+/// run totals are derived from. `trace_check --require-record` re-checks
+/// that per-key window sums equal the totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowDigest {
     /// Window width, ns.
@@ -162,7 +162,7 @@ pub struct WindowDigest {
     pub num_windows: u64,
     /// Per histogram key: `(window, count, sum)` for non-empty windows.
     pub hists: BTreeMap<String, Vec<(u64, u64, u64)>>,
-    /// Per counter key: `(window, delta)` for non-zero windows.
+    /// Per counter key: `(window, delta)` for windows that took a sample.
     pub counters: BTreeMap<String, Vec<(u64, u64)>>,
 }
 
@@ -228,7 +228,7 @@ impl RunRecord {
                 rec.gauges.insert(k.to_string(), v);
             }
             for (k, h) in m.hists() {
-                rec.hists.insert(k.to_string(), h.clone());
+                rec.hists.insert(k.to_string(), h);
             }
         });
 
@@ -257,42 +257,25 @@ impl RunRecord {
             }
         });
 
-        if let Some((ports, windows)) = tel.with_timeline(|tl| {
-            let mut ports = Vec::new();
-            for name in tl.port_names() {
-                let (mut pkts, mut bytes, mut wait) = (0u64, 0u64, 0u64);
-                if let Some(ws) = tl.port_windows(name) {
-                    for pw in ws.values() {
-                        pkts += pw.pkts;
-                        bytes += pw.bytes;
-                        wait += pw.wait_ns;
-                    }
+        let coverage = tel.with_timeline(|tl| (tl.window_ns(), tl.num_windows()));
+        if let Some((window_ns, num_windows)) = coverage {
+            tel.with_metrics(|m| {
+                for (name, ws) in m.port_windows().iter() {
+                    let p = ws.total();
+                    let (pkts, bytes, wait_ns) = (p.pkts, p.bytes, p.wait_ns);
+                    rec.ports.push(PortRecord { name: name.to_string(), pkts, bytes, wait_ns });
                 }
-                ports.push(PortRecord { name: name.to_string(), pkts, bytes, wait_ns: wait });
-            }
-            let mut digest = WindowDigest {
-                window_ns: tl.window_ns(),
-                num_windows: tl.num_windows(),
-                ..WindowDigest::default()
-            };
-            for key in tl.hist_keys() {
-                let rows: Vec<(u64, u64, u64)> = tl
-                    .hist_windows(key)
-                    .map(|ws| ws.iter().map(|(&w, h)| (w, h.count(), h.sum())).collect())
-                    .unwrap_or_default();
-                digest.hists.insert(key.to_string(), rows);
-            }
-            for key in tl.counter_keys() {
-                let rows: Vec<(u64, u64)> = tl
-                    .counter_windows(key)
-                    .map(|ws| ws.iter().map(|(&w, &d)| (w, d)).collect())
-                    .unwrap_or_default();
-                digest.counters.insert(key.to_string(), rows);
-            }
-            (ports, digest)
-        }) {
-            rec.ports = ports;
-            rec.windows = Some(windows);
+                let mut digest = WindowDigest { window_ns, num_windows, ..WindowDigest::default() };
+                for (key, ws) in m.hist_windows().iter() {
+                    let rows = ws.iter().map(|(w, h)| (w, h.count(), h.sum())).collect();
+                    digest.hists.insert(key.to_string(), rows);
+                }
+                for (key, ws) in m.counter_windows().iter() {
+                    let rows = ws.iter().map(|(w, &d)| (w, d)).collect();
+                    digest.counters.insert(key.to_string(), rows);
+                }
+                rec.windows = Some(digest);
+            });
         }
 
         rec.end_to_end_ns = match &rec.critpath {

@@ -2,41 +2,41 @@
 //! recorder.
 //!
 //! Every report the collector produces elsewhere is an end-of-run
-//! aggregate; this module slices the same instrumentation by fixed-width
+//! aggregate; timelines slice the same instrumentation by fixed-width
 //! virtual-time **windows** (default 100 µs) so transient phenomena — a
 //! congestion knee forming, a retry storm after a link failure, a
-//! straggler phase — stay visible instead of being averaged away:
+//! straggler phase — stay visible instead of being averaged away.
 //!
-//! * **windowed histograms** — every timed `hist_record_at` lands in the
-//!   sub-[`Histogram`] of window `t / window_ns`. The hard invariant is
-//!   that merging all per-window sub-histograms reproduces the run-total
-//!   histogram *bucket-identically* (same counts, sum, min, max, and
-//!   therefore identical quantiles) — asserted by
-//!   `tests/timeline_props.rs` and the integration tests;
-//! * **windowed counters** — per-window deltas whose sum equals the
-//!   run-total counter;
-//! * **per-port windows** — `fab.*` egress-port wait/packets/bytes per
-//!   window, fed by the switch fabric's port accesses;
+//! The windowed series themselves live in [`Metrics`], which stores
+//! every counter, histogram and port sample in the window it fell in
+//! (sample instant / `window_ns`) and derives run totals from the
+//! windows. A [`Timeline`] stores no samples; it holds what is not
+//! storage:
+//!
+//! * the **time cursor** and window coverage;
 //! * **SLO monitors** ([`SloRule`]) — latency-objective burn-rate rules
-//!   evaluated per window as the run advances, emitting deterministic
-//!   [`SloAlert`] events (also rendered as zero-duration spans on
-//!   `slo/<rule>` tracks in the Chrome export);
+//!   evaluated per window over the metrics' windowed histograms as the
+//!   run advances, emitting deterministic [`SloAlert`] events (also
+//!   rendered as zero-duration spans on `slo/<rule>` tracks in the
+//!   Chrome export);
 //! * the **flight recorder** — a bounded ring of recent flow / probe /
 //!   fault records. The first SLO alert or injected fault *arms* it; a
 //!   short post-roll later (so the consequences — rerouted parcels, retry
 //!   traffic — are on tape too) the ring plus the tail of the causal
 //!   mark log is snapshotted into a self-contained Chrome-trace
-//!   [`FlightDump`].
+//!   [`FlightDump`];
+//! * the **exports** of the windowed series: the JSON document, the
+//!   OpenMetrics text and the per-window counter tracks.
 //!
 //! Evaluation is **online**: the timeline keeps a monotone time cursor
 //! (the high-water mark of every timed record it sees — flow marks,
 //! counter-track samples, profiler intervals, probe events). A window is
 //! evaluated once the cursor has moved one full window past its end;
-//! samples that land in an already-evaluated window still count in the
-//! windowed series (the merge==total invariant is unconditional) and are
-//! tallied in `late_samples`. Everything here is pure observation: fed
-//! only from existing instrumentation points, it never schedules events
-//! or charges virtual time, so golden traces are unchanged.
+//! samples that land in an already-evaluated window still count in their
+//! window and are tallied in `late_samples`. Everything here is pure
+//! observation: fed only from existing instrumentation points, it never
+//! schedules events or charges virtual time, so golden traces are
+//! unchanged.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
@@ -44,7 +44,7 @@ use std::fmt::Write as _;
 use crate::critpath::CritPath;
 use crate::hist::Histogram;
 use crate::json::escape_json;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Series};
 use crate::profile::{CoreAccount, CoreState, N_STATES, STATES};
 
 /// Default window width: 100 µs of virtual time.
@@ -258,17 +258,6 @@ impl FlightDump {
     }
 }
 
-/// Per-window egress-port accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortWindow {
-    /// Queueing wait accumulated in the window, ns.
-    pub wait_ns: u64,
-    /// Packets transmitted in the window.
-    pub pkts: u64,
-    /// Bytes transmitted in the window.
-    pub bytes: u64,
-}
-
 /// Pending dump state: armed, waiting for the post-roll to elapse.
 #[derive(Debug, Clone)]
 struct ArmedDump {
@@ -278,20 +267,14 @@ struct ArmedDump {
     dump_at_ns: u64,
 }
 
-/// The windowed time-series layer. Owned by the active `Telemetry`
-/// collector when timelines are enabled; fed from the same
-/// instrumentation points as the aggregate registries.
+/// The cursor, SLO monitors and flight recorder over the windowed
+/// [`Metrics`]. Owned by the active `Telemetry` collector when timelines
+/// are enabled; fed from the same instrumentation points as the metrics.
 #[derive(Debug)]
 pub struct Timeline {
     cfg: TimelineConfig,
     /// High-water mark of every timed record observed, ns.
     cursor_ns: u64,
-    /// Per-key windowed sub-histograms (sparse; empty windows implied).
-    hists: BTreeMap<&'static str, BTreeMap<u64, Histogram>>,
-    /// Per-key per-window counter deltas.
-    counters: BTreeMap<&'static str, BTreeMap<u64, u64>>,
-    /// Per-port per-window accounting (keyed by interned port name).
-    ports: BTreeMap<&'static str, BTreeMap<u64, PortWindow>>,
     /// Next window index awaiting SLO evaluation.
     eval_cursor: u64,
     /// Samples that landed in an already-evaluated window.
@@ -313,9 +296,6 @@ impl Timeline {
         Timeline {
             cfg,
             cursor_ns: 0,
-            hists: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            ports: BTreeMap::new(),
             eval_cursor: 0,
             late_samples: 0,
             alerted: BTreeSet::new(),
@@ -365,65 +345,42 @@ impl Timeline {
         self.cfg.slos.push(rule);
     }
 
-    /// Advance the time cursor and evaluate any windows that closed. A
-    /// window is evaluated once the cursor clears the *following* window
-    /// (one window of slack for out-of-order instrumentation).
-    pub fn observe(&mut self, t_ns: u64) {
+    /// Advance the time cursor and evaluate any windows that closed over
+    /// `m`'s windowed histograms. A window is evaluated once the cursor
+    /// clears the *following* window (one window of slack for
+    /// out-of-order instrumentation).
+    pub fn observe(&mut self, t_ns: u64, m: &Metrics) {
         if t_ns > self.cursor_ns {
             self.cursor_ns = t_ns;
             let settled = self.window_of(self.cursor_ns).saturating_sub(1);
             while self.eval_cursor < settled {
                 let w = self.eval_cursor;
-                self.evaluate_window(w);
+                self.evaluate_window(w, m);
                 self.eval_cursor += 1;
             }
         }
     }
 
-    /// Record `v` into windowed histogram `key` at instant `t_ns`. A
-    /// sample landing in an already-settled window (deliveries are timed
-    /// analytically, so interleaved flows arrive out of order by more
-    /// than the one-window slack under congestion) re-evaluates that
-    /// window's rules — an alert always names the true breach window,
-    /// however late its evidence arrived.
-    pub fn hist_at(&mut self, key: &'static str, v: u64, t_ns: u64) {
-        let w = t_ns / self.cfg.window_ns;
-        let late = w < self.eval_cursor;
-        if late {
-            self.late_samples += 1;
-        }
-        self.hists.entry(key).or_default().entry(w).or_default().record(v);
-        if late {
-            self.evaluate_window(w);
-        }
-        self.observe(t_ns);
-    }
-
-    /// Add `n` to windowed counter `key` at instant `t_ns`.
-    pub fn counter_at(&mut self, key: &'static str, n: u64, t_ns: u64) {
-        let w = t_ns / self.cfg.window_ns;
+    /// Account for one counter or histogram sample that `m` just stored
+    /// at instant `t_ns`, then advance the cursor to it. A sample landing
+    /// in an already-settled window is tallied as late. A late histogram
+    /// sample (deliveries are timed analytically, so interleaved flows
+    /// arrive out of order by more than the one-window slack under
+    /// congestion) re-evaluates its window's rules — an alert always
+    /// names the true breach window, however late its evidence arrived.
+    pub fn sampled(&mut self, t_ns: u64, hist: bool, m: &Metrics) {
+        let w = self.window_of(t_ns);
         if w < self.eval_cursor {
             self.late_samples += 1;
+            if hist {
+                self.evaluate_window(w, m);
+            }
         }
-        *self.counters.entry(key).or_default().entry(w).or_default() += n;
-        self.observe(t_ns);
+        self.observe(t_ns, m);
     }
 
-    /// Record one egress-port access at instant `t_ns`. Port grants are
-    /// scheduled analytically at injection time, so `t_ns` routinely lies
-    /// in the future — the access is attributed to its window but does
-    /// NOT advance the cursor, else congested runs would settle (and
-    /// SLO-evaluate) windows whose delivery samples are still in flight.
-    pub fn port_at(&mut self, name: &'static str, t_ns: u64, wait_ns: u64, bytes: u64) {
-        let w = t_ns / self.cfg.window_ns;
-        let pw = self.ports.entry(name).or_default().entry(w).or_default();
-        pw.wait_ns += wait_ns;
-        pw.pkts += 1;
-        pw.bytes += bytes;
-    }
-
-    /// Record a delivered flow on the ring (and the `parcel.latency_ns`
-    /// windowed histogram, keyed by delivery instant).
+    /// Record a delivered flow on the ring (its latency sample goes
+    /// through [`Timeline::sampled`] first).
     pub fn flow_delivered(
         &mut self,
         id: u64,
@@ -432,11 +389,13 @@ impl Timeline {
         put_ns: u64,
         deliver_ns: u64,
     ) {
-        self.hist_at("parcel.latency_ns", deliver_ns.saturating_sub(put_ns), deliver_ns);
         self.push_rec(FlightRec::Flow { id, src, dst, put_ns, deliver_ns });
     }
 
-    /// Record a contention-probe event on the ring.
+    /// Record a contention-probe event on the ring. The caller then
+    /// observes the probe's *start* instant only: the wait/service span
+    /// extends into the future, and advancing the cursor past `t_ns`
+    /// would settle windows whose samples have not arrived yet.
     pub fn probe_event(
         &mut self,
         name: &'static str,
@@ -446,17 +405,13 @@ impl Timeline {
         service_ns: u64,
     ) {
         self.push_rec(FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns });
-        // Observe the probe's *start* instant only: the wait/service span
-        // extends into the future, and advancing the cursor past `t_ns`
-        // would settle windows whose samples have not arrived yet.
-        self.observe(t_ns);
     }
 
     /// Record an injected fault at `t_ns` (pass the cursor when the fault
     /// site has no virtual clock in hand) and arm the flight recorder.
-    pub fn fault_event(&mut self, label: &'static str, t_ns: u64) {
+    pub fn fault_event(&mut self, label: &'static str, t_ns: u64, m: &Metrics) {
         self.push_rec(FlightRec::Fault { label, t_ns });
-        self.observe(t_ns);
+        self.observe(t_ns, m);
         self.arm(format!("fault:{label}"), t_ns);
     }
 
@@ -467,8 +422,8 @@ impl Timeline {
         }
     }
 
-    /// Evaluate the SLO rules over one closed window.
-    fn evaluate_window(&mut self, w: u64) {
+    /// Evaluate the SLO rules over one closed window of `m`.
+    fn evaluate_window(&mut self, w: u64, m: &Metrics) {
         if self.cfg.slos.is_empty() {
             return;
         }
@@ -478,7 +433,7 @@ impl Timeline {
             if self.alerted.contains(&(i, w)) {
                 continue;
             }
-            let Some(h) = self.hists.get(rule.hist.as_str()).and_then(|ws| ws.get(&w)) else {
+            let Some(h) = m.hist_window(&rule.hist, w) else {
                 continue;
             };
             let total = h.count();
@@ -541,10 +496,8 @@ impl Timeline {
         });
     }
 
-    /// Fold another timeline's windowed data into this one — the
-    /// sharded-world merge. Windowed histograms merge per window
-    /// (preserving the merge==total invariant against the merged
-    /// aggregate registry), counter deltas and port windows sum, the
+    /// Fold another lane's timeline into this one — the sharded-world
+    /// merge (the windowed series merge in [`Metrics::merge`]). The
     /// cursor takes the maximum, late samples add, per-lane alerts and
     /// dumps concatenate (re-sorted by window at finalize; dumps capped),
     /// and the flight-recorder rings interleave by instant. Windows no
@@ -552,27 +505,6 @@ impl Timeline {
     /// finalize; windows a lane already settled keep that lane's alerts.
     pub fn absorb(&mut self, other: Timeline) {
         self.cursor_ns = self.cursor_ns.max(other.cursor_ns);
-        for (k, ws) in other.hists {
-            let dst = self.hists.entry(k).or_default();
-            for (w, h) in ws {
-                dst.entry(w).or_default().merge(&h);
-            }
-        }
-        for (k, ws) in other.counters {
-            let dst = self.counters.entry(k).or_default();
-            for (w, n) in ws {
-                *dst.entry(w).or_default() += n;
-            }
-        }
-        for (k, ws) in other.ports {
-            let dst = self.ports.entry(k).or_default();
-            for (w, p) in ws {
-                let slot = dst.entry(w).or_default();
-                slot.wait_ns += p.wait_ns;
-                slot.pkts += p.pkts;
-                slot.bytes += p.bytes;
-            }
-        }
         self.eval_cursor = self.eval_cursor.max(other.eval_cursor);
         self.late_samples += other.late_samples;
         self.alerted.extend(other.alerted);
@@ -593,18 +525,18 @@ impl Timeline {
         }
     }
 
-    /// Close out the run: evaluate every remaining window. An armed dump
+    /// Close out the run: evaluate every remaining window of `m`. An armed dump
     /// whose post-roll never elapsed is taken by the caller (which holds
     /// the causal log) via [`Timeline::dump_due`]/[`Timeline::take_dump`]
     /// — `finalize` forces `dump_due` to report true.
-    pub fn finalize(&mut self) {
+    pub fn finalize(&mut self, m: &Metrics) {
         if self.finalized {
             return;
         }
         let last = self.window_of(self.cursor_ns);
         while self.eval_cursor <= last {
             let w = self.eval_cursor;
-            self.evaluate_window(w);
+            self.evaluate_window(w, m);
             self.eval_cursor += 1;
         }
         // Late samples re-evaluate settled windows, so alerts can be
@@ -637,102 +569,40 @@ impl Timeline {
         self.late_samples
     }
 
-    /// The sub-histogram of `key` in window `w`, if any sample landed.
-    pub fn hist_window(&self, key: &str, w: u64) -> Option<&Histogram> {
-        self.hists.get(key).and_then(|ws| ws.get(&w))
-    }
-
-    /// All non-empty windows of `key`, keyed by window index.
-    pub fn hist_windows(&self, key: &str) -> Option<&BTreeMap<u64, Histogram>> {
-        self.hists.get(key)
-    }
-
-    /// Merge of all per-window sub-histograms of `key` — by the window
-    /// partition invariant, bucket-identical to the run-total histogram.
-    pub fn merged_hist(&self, key: &str) -> Option<Histogram> {
-        let ws = self.hists.get(key)?;
-        let mut out = Histogram::new();
-        for h in ws.values() {
-            out.merge(h);
-        }
-        Some(out)
-    }
-
-    /// Windowed-histogram keys in order.
-    pub fn hist_keys(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.hists.keys().copied()
-    }
-
-    /// Counter keys that took at least one delta, in order.
-    pub fn counter_keys(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.counters.keys().copied()
-    }
-
-    /// Per-window deltas of counter `key` (sparse).
-    pub fn counter_windows(&self, key: &str) -> Option<&BTreeMap<u64, u64>> {
-        self.counters.get(key)
-    }
-
-    /// Sum of all per-window deltas of counter `key`.
-    pub fn counter_total(&self, key: &str) -> u64 {
-        self.counters.get(key).map(|ws| ws.values().sum()).unwrap_or(0)
-    }
-
-    /// Per-window accounting of port `name` (sparse).
-    pub fn port_windows(&self, name: &str) -> Option<&BTreeMap<u64, PortWindow>> {
-        self.ports.get(name)
-    }
-
-    /// Port names that carried traffic, in order.
-    pub fn port_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.ports.keys().copied()
-    }
-
-    /// Sum of per-window wait of port `name`, ns.
-    pub fn port_total_wait(&self, name: &str) -> u64 {
-        self.ports.get(name).map(|ws| ws.values().map(|p| p.wait_ns).sum()).unwrap_or(0)
-    }
-
     /// Counter-track series for the Perfetto export: per-window rates for
     /// every windowed counter (`tl.<key>.per_window`), per-window p99 for
     /// every windowed histogram (`tl.<key>.p99_us`), per-window wait for
     /// every port (`tl.<port>.wait_us`), and the burn rate of every SLO
-    /// rule (`slo.<rule>.burn`). Samples sit at window start instants.
-    pub fn counter_tracks(&self) -> Vec<(String, Vec<(u64, f64)>)> {
+    /// rule (`slo.<rule>.burn`), read from `m`. Samples sit at window
+    /// start instants.
+    pub fn counter_tracks(&self, m: &Metrics) -> Vec<(String, Vec<(u64, f64)>)> {
         let w_ns = self.cfg.window_ns;
         let nwin = self.num_windows();
+        // One sample per window, `f(cell)` where the series has one, else 0.
+        let per_window = |get: &dyn Fn(u64) -> Option<f64>| -> Vec<(u64, f64)> {
+            (0..nwin).map(|w| (w * w_ns, get(w).unwrap_or(0.0))).collect()
+        };
         let mut out = Vec::new();
-        for (key, ws) in &self.counters {
-            let series = (0..nwin).map(|w| (w * w_ns, *ws.get(&w).unwrap_or(&0) as f64)).collect();
+        for (key, ws) in m.counter_windows().iter() {
+            let series = per_window(&|w| ws.get(w).map(|&n| n as f64));
             out.push((format!("tl.{key}.per_window"), series));
         }
-        for (key, ws) in &self.hists {
-            let series = (0..nwin)
-                .map(|w| (w * w_ns, ws.get(&w).map(|h| h.p99() as f64 / 1e3).unwrap_or(0.0)))
-                .collect();
+        for (key, ws) in m.hist_windows().iter() {
+            let series = per_window(&|w| ws.get(w).map(|h| h.p99() as f64 / 1e3));
             out.push((format!("tl.{key}.p99_us"), series));
         }
-        for (name, ws) in &self.ports {
-            let series = (0..nwin)
-                .map(|w| (w * w_ns, ws.get(&w).map(|p| p.wait_ns as f64 / 1e3).unwrap_or(0.0)))
-                .collect();
+        for (name, ws) in m.port_windows().iter() {
+            let series = per_window(&|w| ws.get(w).map(|p| p.wait_ns as f64 / 1e3));
             out.push((format!("tl.{name}.wait_us"), series));
         }
         for rule in &self.cfg.slos {
-            let Some(ws) = self.hists.get(rule.hist.as_str()) else { continue };
-            let series = (0..nwin)
-                .map(|w| {
-                    let burn = ws
-                        .get(&w)
-                        .filter(|h| h.count() >= rule.min_samples.max(1))
-                        .map(|h| {
-                            let bad = h.count() - h.count_at_most(rule.objective_ns);
-                            (bad as f64 / h.count() as f64) / rule.budget()
-                        })
-                        .unwrap_or(0.0);
-                    (w * w_ns, burn)
+            let Some(ws) = m.hist_windows().get(&rule.hist) else { continue };
+            let series = per_window(&|w| {
+                ws.get(w).filter(|h| h.count() >= rule.min_samples.max(1)).map(|h| {
+                    let bad = h.count() - h.count_at_most(rule.objective_ns);
+                    (bad as f64 / h.count() as f64) / rule.budget()
                 })
-                .collect();
+            });
             out.push((format!("slo.{}.burn", rule.name), series));
         }
         out
@@ -742,52 +612,34 @@ impl Timeline {
     /// --require-timeline` for the invariants it carries): gap-free
     /// window array (empty windows explicit), per-window counters /
     /// histogram summaries / port windows / optional state occupancy and
-    /// critical-path slices, run totals from the aggregate registry for
-    /// the merge==total cross-check, alerts, and dump manifests.
+    /// critical-path slices, all read from `m`; run totals derived from
+    /// the same windows for `trace_check`'s merge==total cross-check;
+    /// alerts, and dump manifests.
     pub fn to_json(
         &self,
         config: &str,
-        totals: &Metrics,
+        m: &Metrics,
         occupancy: Option<&WindowOccupancy>,
         crit: Option<&[BTreeMap<String, u64>]>,
     ) -> String {
         let w_ns = self.cfg.window_ns;
         let nwin = self.num_windows();
+        let counter_series: Vec<_> = m.counter_windows().iter().collect();
+        let hist_series: Vec<_> = m.hist_windows().iter().collect();
+        let port_series: Vec<_> = m.port_windows().iter().collect();
         let mut windows = Vec::with_capacity(nwin as usize);
         for w in 0..nwin {
             let mut fields =
                 format!("{{\"index\":{w},\"start_ns\":{},\"end_ns\":{}", w * w_ns, (w + 1) * w_ns);
-            let counters: Vec<String> = self
-                .counters
-                .iter()
-                .filter_map(|(k, ws)| ws.get(&w).map(|n| format!("\"{}\":{n}", escape_json(k))))
-                .collect();
-            write!(fields, ",\"counters\":{{{}}}", counters.join(",")).expect("write");
-            let hists: Vec<String> = self
-                .hists
-                .iter()
-                .filter_map(|(k, ws)| {
-                    ws.get(&w).map(|h| format!("\"{}\":{}", escape_json(k), hist_summary_json(h)))
-                })
-                .collect();
-            write!(fields, ",\"hists\":{{{}}}", hists.join(",")).expect("write");
-            let ports: Vec<String> = self
-                .ports
-                .iter()
-                .filter_map(|(k, ws)| {
-                    ws.get(&w).map(|p| {
-                        format!(
-                            "\"{}\":{{\"wait_ns\":{},\"pkts\":{},\"bytes\":{}}}",
-                            escape_json(k),
-                            p.wait_ns,
-                            p.pkts,
-                            p.bytes
-                        )
-                    })
-                })
-                .collect();
+            let counters = window_members(&counter_series, w, |n| n.to_string());
+            write!(fields, ",\"counters\":{{{counters}}}").expect("write");
+            let hists = window_members(&hist_series, w, hist_summary_json);
+            write!(fields, ",\"hists\":{{{hists}}}").expect("write");
+            let ports = window_members(&port_series, w, |p| {
+                format!("{{\"wait_ns\":{},\"pkts\":{},\"bytes\":{}}}", p.wait_ns, p.pkts, p.bytes)
+            });
             if !ports.is_empty() {
-                write!(fields, ",\"ports\":{{{}}}", ports.join(",")).expect("write");
+                write!(fields, ",\"ports\":{{{ports}}}").expect("write");
             }
             if let Some(occ) = occupancy {
                 if let Some(states) = occ.per_window.get(w as usize) {
@@ -814,19 +666,13 @@ impl Timeline {
             windows.push(fields);
         }
 
-        // Run totals for the merge==total cross-check: only keys the
-        // timeline saw (the aggregate registry may hold untimed extras).
-        let tot_counters: Vec<String> = self
-            .counters
-            .keys()
-            .map(|k| format!("\"{}\":{}", escape_json(k), totals.counter(k)))
+        let tot_counters: Vec<String> = counter_series
+            .iter()
+            .map(|(k, ws)| format!("\"{}\":{}", escape_json(k), ws.total()))
             .collect();
-        let tot_hists: Vec<String> = self
-            .hists
-            .keys()
-            .filter_map(|k| {
-                totals.hist(k).map(|h| format!("\"{}\":{}", escape_json(k), hist_summary_json(h)))
-            })
+        let tot_hists: Vec<String> = hist_series
+            .iter()
+            .map(|(k, ws)| format!("\"{}\":{}", escape_json(k), hist_summary_json(&ws.total())))
             .collect();
         let alerts: Vec<String> = self
             .alerts
@@ -887,28 +733,28 @@ impl Timeline {
         )
     }
 
-    /// OpenMetrics-style text exposition of the windowed series: every
+    /// OpenMetrics-style text exposition of `m`'s windowed series: every
     /// counter as `<name>_total{window="w"}`, every histogram as a
     /// summary (quantile gauges + `_count`/`_sum`), port wait as a
     /// counter, alerts as an info-style gauge. Names are sanitized to the
     /// OpenMetrics charset; virtual-time window labels replace wall-clock
     /// scrape timestamps.
-    pub fn to_openmetrics(&self, config: &str) -> String {
+    pub fn to_openmetrics(&self, config: &str, m: &Metrics) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# Timeline exposition for {config}");
         let _ = writeln!(out, "# TYPE tl_window_ns gauge\ntl_window_ns {}", self.cfg.window_ns);
         let _ = writeln!(out, "# TYPE tl_windows gauge\ntl_windows {}", self.num_windows());
-        for (key, ws) in &self.counters {
+        for (key, ws) in m.counter_windows().iter() {
             let name = sanitize_metric(key);
             let _ = writeln!(out, "# TYPE {name} counter");
-            for (w, n) in ws {
+            for (w, n) in ws.iter() {
                 let _ = writeln!(out, "{name}_total{{window=\"{w}\"}} {n}");
             }
         }
-        for (key, ws) in &self.hists {
+        for (key, ws) in m.hist_windows().iter() {
             let name = sanitize_metric(key);
             let _ = writeln!(out, "# TYPE {name} summary");
-            for (w, h) in ws {
+            for (w, h) in ws.iter() {
                 for (q, v) in [(0.5, h.p50()), (0.9, h.p90()), (0.99, h.p99()), (0.999, h.p999())] {
                     let _ = writeln!(out, "{name}{{window=\"{w}\",quantile=\"{q}\"}} {v}");
                 }
@@ -916,10 +762,10 @@ impl Timeline {
                 let _ = writeln!(out, "{name}_sum{{window=\"{w}\"}} {}", h.sum());
             }
         }
-        for (port, ws) in &self.ports {
+        for (port, ws) in m.port_windows().iter() {
             let name = format!("{}_wait_ns", sanitize_metric(port));
             let _ = writeln!(out, "# TYPE {name} counter");
-            for (w, p) in ws {
+            for (w, p) in ws.iter() {
                 let _ = writeln!(out, "{name}_total{{window=\"{w}\"}} {}", p.wait_ns);
             }
         }
@@ -935,6 +781,16 @@ impl Timeline {
         }
         out
     }
+}
+
+/// `"key":<cell>` for every series holding a cell in window `w`, joined
+/// by commas.
+fn window_members<C>(series: &[(&str, &Series<C>)], w: u64, cell: impl Fn(&C) -> String) -> String {
+    let members: Vec<String> = series
+        .iter()
+        .filter_map(|(k, ws)| ws.get(w).map(|c| format!("\"{}\":{}", escape_json(k), cell(c))))
+        .collect();
+    members.join(",")
 }
 
 /// Per-window histogram summary (counts + bounds + quantiles).
@@ -1033,91 +889,9 @@ pub fn critpath_slices(cp: &CritPath, window_ns: u64, nwin: u64) -> Vec<BTreeMap
 mod tests {
     use super::*;
 
-    fn cfg(w: u64) -> TimelineConfig {
-        TimelineConfig { window_ns: w, ..TimelineConfig::default() }
-    }
-
-    #[test]
-    fn windows_partition_and_merge_exactly() {
-        let mut tl = Timeline::new(cfg(100));
-        let mut total = Histogram::new();
-        for (t, v) in [(5u64, 10u64), (99, 20), (100, 30), (250, 40), (995, 50)] {
-            tl.hist_at("lat", v, t);
-            total.record(v);
-        }
-        // Boundary instant 100 lands in window 1, not window 0.
-        assert_eq!(tl.hist_window("lat", 0).unwrap().count(), 2);
-        assert_eq!(tl.hist_window("lat", 1).unwrap().count(), 1);
-        assert!(tl.hist_window("lat", 3).is_none(), "empty windows stay sparse");
-        assert_eq!(tl.num_windows(), 10, "coverage spans [0, cursor]");
-        assert_eq!(tl.merged_hist("lat").unwrap(), total, "merge == total, bucket-identical");
-    }
-
-    #[test]
-    fn counter_windows_sum_to_total() {
-        let mut tl = Timeline::new(cfg(1000));
-        tl.counter_at("msgs", 2, 10);
-        tl.counter_at("msgs", 3, 999);
-        tl.counter_at("msgs", 5, 1000);
-        tl.counter_at("msgs", 7, 5500);
-        assert_eq!(tl.counter_windows("msgs").unwrap().get(&0), Some(&5));
-        assert_eq!(tl.counter_windows("msgs").unwrap().get(&1), Some(&5));
-        assert_eq!(tl.counter_total("msgs"), 17);
-    }
-
-    #[test]
-    fn slo_alert_fires_deterministically_and_arms_recorder() {
-        let mut tl = Timeline::new(TimelineConfig {
-            window_ns: 100,
-            slos: vec![SloRule {
-                name: "lat-p99".into(),
-                hist: "lat".into(),
-                objective_ns: 50,
-                target: 0.99,
-                burn_threshold: 1.0,
-                min_samples: 1,
-            }],
-            post_roll_windows: 2,
-            ..TimelineConfig::default()
-        });
-        // Window 0: all good. Window 1: one sample blows the objective.
-        tl.hist_at("lat", 10, 5);
-        tl.hist_at("lat", 10, 50);
-        tl.hist_at("lat", 500, 150);
-        assert!(tl.alerts().is_empty(), "window 1 not settled yet");
-        tl.observe(399); // settles window 1 (cursor clears window 2)
-        assert_eq!(tl.alerts().len(), 1);
-        let a = &tl.alerts()[0];
-        assert_eq!((a.window, a.bad, a.total), (1, 1, 1));
-        assert!(a.burn >= 1.0);
-        assert!(!tl.dump_due(), "post-roll not elapsed");
-        tl.observe(450);
-        assert!(tl.dump_due(), "dump due after post-roll");
-        tl.take_dump(vec![("net.wire", "wire", 0, 10)]);
-        assert_eq!(tl.dumps().len(), 1);
-        let d = &tl.dumps()[0];
-        assert!(d.reason.starts_with("slo:"));
-        assert!(d.records.iter().any(|r| matches!(r, FlightRec::Alert { .. })));
-        let json = d.to_chrome_json();
-        assert!(json.contains("TRIGGER slo:lat-p99"), "json: {json}");
-        assert!(json.contains("flight.causal"));
-    }
-
-    #[test]
-    fn fault_event_arms_and_finalize_forces_dump() {
-        let mut tl = Timeline::new(cfg(100));
-        tl.hist_at("lat", 10, 50);
-        tl.fault_event("link_down", 120);
-        assert!(!tl.dump_due());
-        tl.finalize();
-        assert!(tl.dump_due(), "finalize clamps the post-roll to the horizon");
-        tl.take_dump(Vec::new());
-        assert_eq!(tl.dumps()[0].reason, "fault:link_down");
-        assert!(tl.dumps()[0].records.iter().any(|r| matches!(r, FlightRec::Fault { .. })));
-    }
-
     #[test]
     fn ring_is_bounded() {
+        let m = Metrics::new();
         let mut tl = Timeline::new(TimelineConfig {
             window_ns: 100,
             recorder_cap: 4,
@@ -1126,38 +900,12 @@ mod tests {
         for i in 0..10u64 {
             tl.flow_delivered(i, 0, 1, i * 10, i * 10 + 5);
         }
-        tl.fault_event("x", 200);
-        tl.finalize();
+        tl.fault_event("x", 200, &m);
+        tl.finalize(&m);
         tl.take_dump(Vec::new());
         assert!(tl.dumps()[0].records.len() <= 4);
         // Newest records survive.
         assert!(tl.dumps()[0].records.iter().any(|r| r.t_ns() >= 95));
-    }
-
-    #[test]
-    fn json_doc_is_valid_and_gap_free() {
-        let mut tl = Timeline::new(cfg(100));
-        tl.hist_at("lat", 10, 50);
-        tl.counter_at("msgs", 1, 50);
-        tl.hist_at("lat", 20, 450);
-        tl.port_at("fab.e0.p1", 120, 30, 64);
-        tl.finalize();
-        let mut m = Metrics::new();
-        m.hist_record("lat", 10);
-        m.hist_record("lat", 20);
-        m.counter_add("msgs", 1);
-        let doc = tl.to_json("test", &m, None, None);
-        let v = crate::json::parse(&doc).expect("valid json");
-        let t = v.get("timeline").unwrap();
-        let windows = t.get("windows").unwrap().as_arr().unwrap();
-        assert_eq!(windows.len(), 5, "gap-free coverage includes empty windows");
-        for (i, w) in windows.iter().enumerate() {
-            assert_eq!(w.get("index").unwrap().as_f64(), Some(i as f64));
-        }
-        assert!(doc.contains("\"fab.e0.p1\""));
-        let om = tl.to_openmetrics("test");
-        assert!(om.contains("lat_count{window=\"0\"} 1"), "exposition: {om}");
-        assert!(om.contains("fab_e0_p1_wait_ns_total{window=\"1\"} 30"));
     }
 
     #[test]

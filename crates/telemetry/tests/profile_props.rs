@@ -103,10 +103,10 @@ proptest! {
         }
     }
 
-    /// `Metrics::merge` must be indistinguishable from one registry that
-    /// recorded the union of both streams: counters sum, histograms
-    /// union, and counter-track timelines interleave into the same
-    /// time-ordered multiset of samples.
+    /// `Metrics::merge` must be indistinguishable from one store that
+    /// recorded the union of both streams: counter and histogram windows
+    /// fold window by window, and counter-track timelines interleave into
+    /// the same time-ordered multiset of samples.
     #[test]
     fn merged_metrics_equal_union(
         xs in proptest::collection::vec((0usize..3, 0u64..10_000), 0..60),
@@ -116,25 +116,30 @@ proptest! {
         let mut a = Metrics::new();
         let mut b = Metrics::new();
         let mut u = Metrics::new();
+        for m in [&mut a, &mut b, &mut u] {
+            m.set_window_ns(1_000);
+        }
         for &(ki, v) in &xs {
-            a.counter_add(KEYS[ki], v);
-            u.counter_add(KEYS[ki], v);
-            a.hist_record(KEYS[ki], v);
-            u.hist_record(KEYS[ki], v);
+            a.counter_add(KEYS[ki], v, v);
+            u.counter_add(KEYS[ki], v, v);
+            a.hist_record(KEYS[ki], v, v);
+            u.hist_record(KEYS[ki], v, v);
             a.track_sample(KEYS[ki], v, v as f64);
             u.track_sample(KEYS[ki], v, v as f64);
         }
         for &(ki, v) in &ys {
-            b.counter_add(KEYS[ki], v);
-            u.counter_add(KEYS[ki], v);
-            b.hist_record(KEYS[ki], v);
-            u.hist_record(KEYS[ki], v);
+            b.counter_add(KEYS[ki], v, v);
+            u.counter_add(KEYS[ki], v, v);
+            b.hist_record(KEYS[ki], v, v);
+            u.hist_record(KEYS[ki], v, v);
             b.track_sample(KEYS[ki], v, v as f64);
             u.track_sample(KEYS[ki], v, v as f64);
         }
         a.merge(&b);
         for k in KEYS {
             prop_assert_eq!(a.counter(k), u.counter(k));
+            prop_assert_eq!(a.counter_windows().get(k), u.counter_windows().get(k));
+            prop_assert_eq!(a.hist_windows().get(k), u.hist_windows().get(k));
             match (a.hist(k), u.hist(k)) {
                 (None, None) => {}
                 (Some(ha), Some(hu)) => prop_assert_eq!(ha, hu),

@@ -36,7 +36,8 @@ impl Delivery {
     }
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a of `bytes`.
+pub fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
         h ^= b as u64;

@@ -179,9 +179,7 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
     // Objective derived from the healthy batch: the smallest latency
     // bound that classifies every batch-1 sample as good (bucket
     // granularity included) — any later breach is fault-induced.
-    let h1 = tel
-        .with_timeline(|tl| tl.merged_hist("parcel.latency_ns").expect("batch 1 delivered"))
-        .expect("timeline enabled");
+    let h1 = tel.with_metrics(|m| m.hist("parcel.latency_ns")).expect("batch 1 delivered");
     let mut objective = h1.max();
     while h1.count_at_most(objective) < h1.count() {
         objective += (h1.max() / 8).max(1);
@@ -241,14 +239,14 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
         .find(|a| a.rule == "reroute-lat")
         .expect("link failure must breach the derived SLO");
     assert!(alert.window >= fault_w, "alert precedes the failure");
+    let nwin = tel.with_timeline(|tl| tl.num_windows()).expect("timeline enabled");
     let first_bad = tel
-        .with_timeline(|tl| {
-            (0..tl.num_windows()).find(|&w| {
-                tl.hist_window("parcel.latency_ns", w)
+        .with_metrics(|m| {
+            (0..nwin).find(|&w| {
+                m.hist_window("parcel.latency_ns", w)
                     .is_some_and(|h| h.count_at_most(objective) < h.count())
             })
         })
-        .expect("timeline enabled")
         .expect("a breached window exists");
     assert_eq!(alert.window, first_bad, "alert must land in the window the breach occurs");
 
@@ -271,17 +269,12 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
 
     // (c) The tail step is windowed-only: some post-failure window's
     // p999 breaches the objective while the run-total mean stays under.
-    let merged = tel
-        .with_timeline(|tl| tl.merged_hist("parcel.latency_ns").expect("deliveries recorded"))
-        .expect("timeline enabled");
+    let merged = tel.with_metrics(|m| m.hist("parcel.latency_ns")).expect("deliveries recorded");
     assert!(merged.mean() < objective as f64, "the run mean must hide the fault");
-    let step = tel
-        .with_timeline(|tl| {
-            (fault_w..tl.num_windows()).any(|w| {
-                tl.hist_window("parcel.latency_ns", w).is_some_and(|h| h.p999() > objective)
-            })
-        })
-        .expect("timeline enabled");
+    let step = tel.with_metrics(|m| {
+        (fault_w..nwin)
+            .any(|w| m.hist_window("parcel.latency_ns", w).is_some_and(|h| h.p999() > objective))
+    });
     assert!(step, "post-failure windows must show a p999 step over the objective");
 }
 
