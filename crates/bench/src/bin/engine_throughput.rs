@@ -465,14 +465,14 @@ struct ShardedRun {
 }
 
 /// One measured sharded run. The executor is `ShardedSim::run`'s own
-/// choice (threads when the host has them, sequential otherwise) — the
-/// numbers describe what a user of the engine actually gets on this host.
+/// choice (one worker per host CPU, at most one per shard) — the numbers
+/// describe what a user of the engine actually gets on this host.
 fn run_sharded_perf(shards: usize, total_ticks: u64) -> ShardedRun {
     let ticks_per_lane = total_ticks / ACTORS as u64;
     let mut sim = build_sharded(shards, ticks_per_lane, false);
     let mut mode = RunMode::Sequential;
     let m = measure(ticks_per_lane * ACTORS as u64, || {
-        let report = sim.run();
+        let report = sim.run(None);
         mode = report.mode;
         (report.executed, report.end.as_nanos())
     });
@@ -487,18 +487,18 @@ fn run_sharded_perf(shards: usize, total_ticks: u64) -> ShardedRun {
 fn check_sharded_determinism() -> bool {
     const DET_TICKS_PER_LANE: u64 = 1_000;
     let mut reference = build_sharded(1, DET_TICKS_PER_LANE, true);
-    reference.run_sequential();
+    reference.run(Some(RunMode::Sequential));
     let want = reference.digest();
     let mut ok = true;
     for &shards in &[2usize, 4, 8] {
         let mut seq = build_sharded(shards, DET_TICKS_PER_LANE, true);
-        seq.run_sequential();
+        seq.run(Some(RunMode::Sequential));
         if seq.digest() != want {
             eprintln!("DETERMINISM VIOLATION: {shards} shards (sequential) diverged from 1 shard");
             ok = false;
         }
         let mut thr = build_sharded(shards, DET_TICKS_PER_LANE, true);
-        thr.run_threaded();
+        thr.run(Some(RunMode::Threaded));
         if thr.digest() != want {
             eprintln!("DETERMINISM VIOLATION: {shards} shards (threaded) diverged from 1 shard");
             ok = false;
@@ -516,7 +516,7 @@ fn sharded_alloc_growth(shards: usize) -> (u64, i64) {
     let run = |ticks: u64| -> u64 {
         let mut sim = build_sharded(shards, ticks, false);
         let a0 = allocs();
-        sim.run();
+        sim.run(None);
         allocs() - a0
     };
     // Warm the allocator's size classes so neither measured run pays

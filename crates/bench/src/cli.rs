@@ -79,8 +79,8 @@ pub struct TraceArgs {
     /// every pre-sharding artifact.
     pub shards: Option<usize>,
     /// Sharded-engine executor (`--run-mode seq|threaded`); `None`
-    /// lets the engine pick (threaded when shards > 1 and the host has
-    /// cores to spare). Implies the sharded world like `--shards`.
+    /// lets the engine pick (one worker per host CPU, at most one per
+    /// shard). Implies the sharded world like `--shards`.
     pub run_mode: Option<String>,
 }
 

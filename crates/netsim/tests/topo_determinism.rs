@@ -15,7 +15,7 @@ use std::any::Any;
 use netsim::topo::fattree::FatTreeParams;
 use netsim::WireModel;
 use proptest::prelude::*;
-use simcore::{LaneCtx, LaneId, ShardActor, ShardedSim, SimTime};
+use simcore::{LaneCtx, LaneId, RunMode, ShardActor, ShardedSim, SimTime};
 
 /// Zero-load fat-tree path latencies for every (src, dst) host pair, plus
 /// the fabric's advertised lookahead. Pure precomputation — the live port
@@ -112,7 +112,7 @@ fn run_workload(seed: u64, budget: u32, shards: usize, threaded: bool) -> Outcom
     for host in 0..hosts {
         sim.seed(LaneId(host as u32), SimTime::from_nanos(host as u64 % 5), host as u64);
     }
-    let report = if threaded { sim.run_threaded() } else { sim.run_sequential() };
+    let report = sim.run(Some(if threaded { RunMode::Threaded } else { RunMode::Sequential }));
     assert_eq!(sim.events_pending(), 0);
     Outcome {
         digest: sim.digest(),

@@ -9,7 +9,7 @@ use netsim::WireModel;
 use parcelport::{Engine, EngineWorld, PpConfig, WorldConfig};
 use simcore::SimTime;
 
-use crate::fmm::{install_actions, register_actions, AppState, ComputeModel};
+use crate::fmm::{register_actions, AppState, ComputeModel};
 use crate::octree::Octree;
 use crate::sfc::partition;
 
@@ -126,13 +126,8 @@ pub fn run_octotiger(p: &OctoParams) -> OctoResult {
                 params.compute.clone(),
             );
             let mut registry = ActionRegistry::new();
-            let actions_out = Rc::new(RefCell::new(None));
-            let actions = register_actions(&mut registry, states.clone(), actions_out);
-            parcelport::LaneSetup {
-                registry,
-                app: Some(Box::new(states)),
-                thread_prep: Some(Box::new(move || install_actions(actions))),
-            }
+            register_actions(&mut registry, states.clone(), Rc::new(RefCell::new(None)));
+            parcelport::LaneSetup { registry, app: Some(Box::new(states)) }
         },
         move |rank, sim, loc| {
             // Locality 0 starts step 0 everywhere.

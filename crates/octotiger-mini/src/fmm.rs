@@ -184,18 +184,21 @@ impl AppState {
 }
 
 /// Register the FMM actions over `states` (one [`AppState`] per locality,
-/// indexed by locality id). Returns the action handles.
+/// indexed by locality id). Returns the action handles, and publishes them
+/// into `actions_out`, where the registered closures look them up.
 pub fn register_actions(
     registry: &mut ActionRegistry,
     states: Rc<Vec<Rc<RefCell<AppState>>>>,
     actions_out: Rc<RefCell<Option<Actions>>>,
 ) -> Actions {
     let st = states.clone();
+    let ids = actions_out.clone();
     let step_start = registry.register("octo.step_start", move |sim, loc, core, _p| {
         // NOTE: per-step counters were already reset when this locality
         // finished its previous step (see `finish_leaf`) — resetting here
         // would race against early arrivals from faster localities.
         let state = st[loc.id].clone();
+        let acts = registered(&ids);
         let (leaves, leaf_cost) = {
             let s = state.borrow();
             (s.my_leaves.clone(), s.compute.leaf_multipole)
@@ -210,14 +213,9 @@ pub fn register_actions(
                 core,
                 Box::new(move |sim, loc, core| {
                     let mut t = sim.now() + leaf_cost;
-                    let (tree, part, ghost_bytes, acts) = {
+                    let (tree, part, ghost_bytes) = {
                         let s = state.borrow();
-                        (
-                            s.tree.clone(),
-                            s.part.clone(),
-                            s.compute.ghost_bytes,
-                            ACTIONS.with(|a| a.borrow().expect("actions registered")),
-                        )
+                        (s.tree.clone(), s.part.clone(), s.compute.ghost_bytes)
                     };
                     let mass = tree.leaf_mass(leaf);
                     let center = tree.node(leaf).center;
@@ -252,6 +250,7 @@ pub fn register_actions(
     });
 
     let st = states.clone();
+    let ids = actions_out.clone();
     let m2m = registry.register("octo.m2m", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let (node, mass, center) = decode_m2m(&p.args[0]);
@@ -290,10 +289,7 @@ pub fn register_actions(
                     if (mass - expected).abs() > 1e-6 * expected {
                         s.mass_ok = false;
                     }
-                    (
-                        ACTIONS.with(|a| a.borrow().expect("actions").l2l),
-                        tree.node(0).children.clone(),
-                    )
+                    (registered(&ids).l2l, tree.node(0).children.clone())
                 };
                 for c in children {
                     let payload = encode_m2m(c, mass, center);
@@ -301,7 +297,7 @@ pub fn register_actions(
                 }
             } else {
                 let parent = tree.node(node).parent;
-                let m2m_id = ACTIONS.with(|a| a.borrow().expect("actions").m2m);
+                let m2m_id = registered(&ids).m2m;
                 let payload = encode_m2m(parent, mass, center);
                 t = invoke(sim, loc, core, part.owner(parent), m2m_id, vec![payload]).max(t);
             }
@@ -310,6 +306,7 @@ pub fn register_actions(
     });
 
     let st = states.clone();
+    let ids = actions_out.clone();
     let m2l = registry.register("octo.m2l", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let (leaf, _mass, _center) = decode_m2m(&p.args[0]);
@@ -324,12 +321,13 @@ pub fn register_actions(
             step.pending_neighbors[i] == 0 && step.got_l2l[i] && step.pending_ghosts[i] == 0
         };
         if ready {
-            t = finish_leaf(sim, loc, core, &state, leaf, t);
+            t = finish_leaf(sim, loc, core, &state, &ids, t);
         }
         t
     });
 
     let st = states.clone();
+    let ids = actions_out.clone();
     let ghost = registry.register("octo.ghost", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let leaf = u64::from_le_bytes(p.args[0][..8].try_into().expect("leaf id")) as usize;
@@ -344,12 +342,13 @@ pub fn register_actions(
             step.pending_ghosts[i] == 0 && step.pending_neighbors[i] == 0 && step.got_l2l[i]
         };
         if ready {
-            t = finish_leaf(sim, loc, core, &state, leaf, t);
+            t = finish_leaf(sim, loc, core, &state, &ids, t);
         }
         t
     });
 
     let st = states.clone();
+    let ids = actions_out.clone();
     let l2l = registry.register("octo.l2l", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let (node, mass, center) = decode_m2m(&p.args[0]);
@@ -364,17 +363,13 @@ pub fn register_actions(
                 s.step.pending_neighbors[i] == 0 && s.step.pending_ghosts[i] == 0
             };
             if ready {
-                t = finish_leaf(sim, loc, core, &state, node, t);
+                t = finish_leaf(sim, loc, core, &state, &ids, t);
             }
         } else {
             // Forward down the tree.
             let (part, children, l2l_id) = {
                 let s = state.borrow();
-                (
-                    s.part.clone(),
-                    tree.node(node).children.clone(),
-                    ACTIONS.with(|a| a.borrow().expect("actions").l2l),
-                )
+                (s.part.clone(), tree.node(node).children.clone(), registered(&ids).l2l)
             };
             t += state.borrow().compute.m2m;
             for c in children {
@@ -386,6 +381,7 @@ pub fn register_actions(
     });
 
     let st = states.clone();
+    let ids = actions_out.clone();
     let loc_done = registry.register("octo.loc_done", move |sim, loc, core, p| {
         assert_eq!(loc.id, 0, "completion reduction targets locality 0");
         let state = st[0].clone();
@@ -414,7 +410,7 @@ pub fn register_actions(
                 // Kick the next step everywhere.
                 let (locs, step_start) = {
                     let s = state.borrow();
-                    (s.part.localities(), ACTIONS.with(|a| a.borrow().expect("actions").step_start))
+                    (s.part.localities(), registered(&ids).step_start)
                 };
                 for dest in 0..locs {
                     t = invoke(sim, loc, core, dest, step_start, vec![Bytes::new()]).max(t);
@@ -430,24 +426,14 @@ pub fn register_actions(
 
     let actions = Actions { step_start, m2m, m2l, ghost, l2l, loc_done };
     *actions_out.borrow_mut() = Some(actions);
-    ACTIONS.with(|a| *a.borrow_mut() = Some(actions));
     actions
 }
 
-thread_local! {
-    /// Action-id registry shared by the closures above (identical on
-    /// every locality, like HPX's globally-agreed action ids).
-    static ACTIONS: RefCell<Option<Actions>> = const { RefCell::new(None) };
-}
-
-/// Install the action-id bundle into this thread's registry slot.
-/// [`register_actions`] does this on its own thread; the sharded driver
-/// calls it from every lane's `thread_prep` hook so the closures above
-/// resolve action ids on whatever engine worker thread hosts the lane.
-/// Idempotent: ids are agreed globally (same registration order on every
-/// lane), so overwriting with an equal value is harmless.
-pub fn install_actions(actions: Actions) {
-    ACTIONS.with(|a| *a.borrow_mut() = Some(actions));
+/// The action ids [`register_actions`] published into its `actions_out`
+/// cell, which every closure above reads at run time (identical on every
+/// locality, like HPX's globally-agreed action ids).
+fn registered(ids: &RefCell<Option<Actions>>) -> Actions {
+    ids.borrow().expect("actions registered")
 }
 
 /// Final leaf update and completion accounting.
@@ -456,7 +442,7 @@ fn finish_leaf(
     loc: &Rc<Locality>,
     core: usize,
     state: &Rc<RefCell<AppState>>,
-    _leaf: NodeId,
+    ids: &RefCell<Option<Actions>>,
     mut t: SimTime,
 ) -> SimTime {
     let all_done = {
@@ -478,7 +464,7 @@ fn finish_leaf(
             // counters instead of racing the step_start broadcast.
             s.reset_step();
             let sum: f64 = s.my_leaves.iter().map(|&l| s.tree.leaf_mass(l)).sum();
-            (sum, ACTIONS.with(|a| a.borrow().expect("actions").loc_done))
+            (sum, registered(ids).loc_done)
         };
         let mut w = Writer::with_capacity(8);
         w.put_f64(checksum);

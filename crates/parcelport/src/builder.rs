@@ -143,10 +143,7 @@ pub(crate) fn build_single_heap(
     let mut apps = Vec::with_capacity(cfg.localities);
     let localities = (0..cfg.localities)
         .map(|rank| {
-            let LaneSetup { registry, app, thread_prep } = setup(rank);
-            if let Some(prep) = thread_prep {
-                prep();
-            }
+            let LaneSetup { registry, app } = setup(rank);
             apps.push(app);
             build_locality(cfg, rank, &fabric, registry)
         })

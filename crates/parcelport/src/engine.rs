@@ -22,18 +22,17 @@ pub enum Engine {
     Federated {
         /// Engine shards the lanes are placed on.
         shards: usize,
-        /// Executor; `None` = threaded when shards > 1 and the host has
-        /// cores to spare.
+        /// Executor; `None` = one worker per host CPU, at most one per
+        /// shard.
         mode: Option<RunMode>,
     },
 }
 
 impl Engine {
     /// Build a world of `cfg` on this engine. `setup(rank)` supplies each
-    /// rank's registry and hooks, and `seed(rank, sim, locality)` plants
-    /// its initial work. On the single heap all localities start first,
-    /// then `seed` runs rank by rank into the one shared `Sim`, and each
-    /// rank's `thread_prep` runs once, at build, on the calling thread.
+    /// rank's registry and app state, and `seed(rank, sim, locality)`
+    /// plants its initial work. On the single heap all localities start
+    /// first, then `seed` runs rank by rank into the one shared `Sim`.
     pub fn build(
         self,
         cfg: &WorldConfig,
@@ -145,7 +144,7 @@ pub(crate) mod tests {
                     h.fetch_add(1, Ordering::Relaxed);
                     sim.now() + 200
                 });
-                LaneSetup { registry, app: Some(Box::new(rank)), thread_prep: None }
+                LaneSetup { registry, app: Some(Box::new(rank)) }
             },
             move |rank, sim, loc| {
                 if rank != 0 {

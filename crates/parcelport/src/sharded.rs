@@ -99,27 +99,21 @@ fn take_due(inbox: &Mutex<Vec<MailPacket>>, now: SimTime, due: &mut Vec<MailPack
 const ARG_WAKE: u64 = 0;
 const ARG_ADVANCE: u64 = 1;
 
-/// Per-lane application hooks supplied by the harness.
+/// Per-lane application setup supplied by the harness.
 pub struct LaneSetup {
     /// This rank's action registry. Build it fresh per lane: closures
     /// must not capture an `Rc` shared across ranks (lanes may live on
     /// different threads) — share through `Arc` atomics or communicate
-    /// through parcels instead. The same holds for `app` and
-    /// `thread_prep`.
+    /// through parcels instead. The same holds for `app`.
     pub registry: ActionRegistry,
     /// Opaque per-lane application state, readable back through
     /// [`ShardedWorld::app`] after the run.
     pub app: Option<Box<dyn Any>>,
-    /// Runs at the start of every dispatch on whatever thread hosts the
-    /// lane — the hook for replicating thread-local registration (e.g.
-    /// octotiger's action-id bundle) onto engine worker threads. On the
-    /// single heap ([`crate::Engine::SingleHeap`]) it runs once, at build.
-    pub thread_prep: Option<Box<dyn Fn() + Send>>,
 }
 
 impl From<ActionRegistry> for LaneSetup {
     fn from(registry: ActionRegistry) -> Self {
-        LaneSetup { registry, app: None, thread_prep: None }
+        LaneSetup { registry, app: None }
     }
 }
 
@@ -136,7 +130,6 @@ pub struct LocalityNode {
     locality: Rc<Locality>,
     collector: RefCell<Option<telemetry::LaneCollector>>,
     app: Option<Box<dyn Any>>,
-    thread_prep: Option<Box<dyn Fn() + Send>>,
     inboxes: Inboxes,
     /// The one engine event armed at the nested heap head.
     advance: Option<ShardEventId>,
@@ -155,13 +148,14 @@ pub struct LocalityNode {
 // is therefore reachable from that node alone, and moving the node moves
 // all of them together. All cross-lane state is `Arc`/`Mutex`: the
 // `inboxes`, packet payloads in `due` and `drain` (`Bytes`), and the
-// telemetry run's route store. `app` and `thread_prep` come from
-// `LaneSetup`, whose closures must not capture an `Rc` shared across
-// ranks (documented on `LaneSetup`). `rank` and `advance` are plain data. The
-// engine moves a node between threads only at epoch barriers (join or
-// spawn gives the happens-before edge) and dispatches it on one thread at
-// a time; the thread-local collectors it installs at dispatch entry are
-// uninstalled at exit.
+// telemetry run's route store. `app` and the registry's closures come
+// from `LaneSetup`, which must not capture an `Rc` shared across ranks
+// (documented on `LaneSetup`). `rank` and `advance` are plain data. A run
+// lends the node's shard to one engine worker for the whole run, so the
+// node changes threads only when that worker is spawned or joined — both
+// happens-before edges — and is dispatched on one thread at a time. The
+// thread-local collector it installs at dispatch entry is uninstalled at
+// exit, and nothing else of it is left in a thread-local.
 unsafe impl Send for LocalityNode {}
 
 impl LocalityNode {
@@ -193,9 +187,6 @@ impl LocalityNode {
 
 impl ShardActor for LocalityNode {
     fn on_event(&mut self, ctx: &mut LaneCtx<'_>, arg: u64) {
-        if let Some(prep) = &self.thread_prep {
-            prep();
-        }
         let collector = self.collector.borrow();
         if let Some(c) = collector.as_ref() {
             c.install();
@@ -264,7 +255,7 @@ pub struct ShardedWorld {
     /// Engine shards the lanes were placed on.
     pub shards: usize,
     /// The harness collector that was active on the building thread, kept
-    /// by handle: in sequential mode the lane dispatches run on this very
+    /// by handle: the first engine worker dispatches its lanes on this very
     /// thread and each dispatch's collector uninstall clears the
     /// thread-local slot, so re-querying `telemetry::active()` at merge
     /// time would silently find nothing.
@@ -273,7 +264,7 @@ pub struct ShardedWorld {
 }
 
 /// Build a federated world: `cfg.localities` lanes over `shards` engine
-/// shards. `setup(rank)` supplies each lane's registry and hooks;
+/// shards. `setup(rank)` supplies each lane's registry and app state;
 /// `seed(rank, sim, locality)` plants the initial workload into each
 /// lane's nested simulator (the federated analogue of scheduling into
 /// `World::sim`).
@@ -290,7 +281,7 @@ pub fn build_sharded_world(
 
     let nodes: Vec<Box<LocalityNode>> = (0..n)
         .map(|rank| {
-            let LaneSetup { registry, app, thread_prep } = setup(rank);
+            let LaneSetup { registry, app } = setup(rank);
             let mut sim = Sim::new(cfg.seed);
             // Lane-namespaced causal node ids; lane 0 keeps the legacy ids.
             sim.set_node_base((rank as u64) << 44);
@@ -310,7 +301,6 @@ pub fn build_sharded_world(
                 locality,
                 collector: RefCell::new(collector),
                 app,
-                thread_prep,
                 inboxes: inboxes.clone(),
                 advance: None,
                 due: Vec::new(),
@@ -360,15 +350,11 @@ impl ShardedWorld {
     }
 
     /// Run the engine to quiescence. `mode` pins the executor; `None`
-    /// lets the engine pick (threaded when shards > 1 and the host has
-    /// cores to spare). Merges per-lane telemetry into the harness
-    /// collector afterwards.
+    /// lets the engine pick (one worker per host CPU, at most one per
+    /// shard). Merges per-lane telemetry into the harness collector
+    /// afterwards.
     pub fn run(&mut self, mode: Option<RunMode>) -> RunReport {
-        let report = match mode {
-            Some(RunMode::Sequential) => self.engine.run_sequential(),
-            Some(RunMode::Threaded) => self.engine.run_threaded(),
-            None => self.engine.run(),
-        };
+        let report = self.engine.run(mode);
         self.merge_telemetry();
         report
     }

@@ -8,8 +8,8 @@
 //! **lanes** (a lane ≈ one simulated locality: a unit of strictly
 //! sequential execution), lanes are assigned to **shards**, and each shard
 //! runs its own copy of the single-threaded engine's indexed four-ary heap
-//! ([`crate::event`], with a `Copy` lane payload) — on its own OS thread in
-//! the threaded executor.
+//! ([`crate::event`], with a `Copy` lane payload) on the thread of the
+//! worker that owns it.
 //!
 //! Correctness rests on one workload contract, enforced at runtime:
 //! events scheduled *across lanes* must fire at least `lookahead`
@@ -20,18 +20,33 @@
 //! lookahead a conservative parallel DES needs. Same-lane scheduling is
 //! unrestricted.
 //!
-//! # Execution: frontiers and the lookahead barrier
+//! # Execution: workers, frontiers and the lookahead barrier
 //!
-//! Shards advance in epochs. At each epoch barrier every shard publishes
-//! its **frontier** (the timestamp of its earliest pending event); the
-//! epoch window is `min(frontiers) + lookahead`, and every shard then
-//! executes all local events strictly before the window end, in parallel.
-//! Any cross-shard event produced inside the window fires at
-//! `>= now + lookahead >= min(frontiers) + lookahead`, i.e. in a later
-//! window — so no shard can receive an event in its past. Cross-shard
-//! events travel through per-(source, destination) mailboxes (each mutex
-//! touched by exactly one producer and one consumer) drained at the next
-//! barrier, before frontiers are recomputed.
+//! Shards advance in epochs. A run hands the `S` shards to `W` **workers**
+//! in contiguous blocks — worker `w` owns shards `w*S/W .. (w+1)*S/W` for
+//! the whole run: one worker on the calling thread for
+//! [`RunMode::Sequential`], one per shard for [`RunMode::Threaded`], and
+//! `min(S, host CPUs)` when the caller leaves the choice to the engine.
+//! Every worker runs the same epoch loop:
+//!
+//! 1. contribute its **frontier**: the minimum, over its own shards, of the
+//!    heap head and of the earliest cross-shard event sent in the last
+//!    window (still in flight in a mailbox);
+//! 2. join a one-phase min-reduction barrier. The epoch window is
+//!    `min(frontiers) + lookahead`; the run ends when every frontier is at
+//!    infinity;
+//! 3. drain its own shards' inboxes;
+//! 4. run its own shards' windows in shard order: every local event
+//!    strictly before the window end.
+//!
+//! Any cross-shard event produced inside a window fires at `>= now +
+//! lookahead >= min(frontiers) + lookahead`, i.e. in a later window — so
+//! no shard can receive an event in its past. In-flight sends already
+//! count in the frontier, so no phase has to wait for them to land before
+//! the reduction. Mailboxes are double-buffered by epoch parity: an
+//! epoch's windows send into one half while its drains empty the other.
+//! The sequential executor is the one-worker case of the loop; its barrier
+//! is a local minimum.
 //!
 //! # Determinism: the canonical merge rule
 //!
@@ -62,7 +77,8 @@
 //! dispatch, and merges the collectors in lane-rank order after the run.
 
 use std::any::Any;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::event::{EventId, EventQueue};
 use crate::time::SimTime;
@@ -140,42 +156,37 @@ pub(crate) struct LaneEvent {
 }
 
 // ---------------------------------------------------------------------
-// Mailboxes: per-(destination, source) SPSC lanes behind light mutexes.
+// Mailboxes: one inbox per destination shard per epoch parity.
 // ---------------------------------------------------------------------
 
-/// Cross-shard mail. `boxes[dst][src]` is touched by exactly two parties
-/// — shard `src` pushing during its window, shard `dst` draining at the
-/// barrier — and never both at once for a *correct* workload (drains
-/// happen with all windows quiesced), so the mutexes are uncontended in
-/// steady state; they exist to make the hand-off sound against the
-/// barrier's memory ordering rather than to arbitrate real contention.
+/// Cross-shard mail. The windows of epoch `e` push into half `e & 1`;
+/// epoch `e + 1` drains that half after its barrier while its own windows
+/// push into the other one. So a half is never pushed and drained at
+/// once: every push into it happened before the barrier its drain
+/// follows. The mutex serializes concurrent source shards pushing into
+/// one inbox; the drain sorts by the canonical key, so the order in which
+/// the pushes interleave cannot show.
 #[derive(Debug)]
 pub(crate) struct Mailboxes {
-    boxes: Vec<Vec<Mutex<Vec<RemoteEvent>>>>,
+    halves: [Vec<Mutex<Vec<RemoteEvent>>>; 2],
 }
 
 impl Mailboxes {
     fn new(shards: usize) -> Self {
-        Mailboxes {
-            boxes: (0..shards)
-                .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
-                .collect(),
-        }
+        let half = || (0..shards).map(|_| Mutex::new(Vec::new())).collect();
+        Mailboxes { halves: [half(), half()] }
     }
 
     #[inline]
-    fn push(&self, dst: usize, src: usize, ev: RemoteEvent) {
-        self.boxes[dst][src].lock().expect("mailbox poisoned").push(ev);
+    fn push(&self, half: usize, dst: usize, ev: RemoteEvent) {
+        self.halves[half][dst].lock().expect("mailbox poisoned").push(ev);
     }
 
-    /// Move every pending event addressed to `dst` into `scratch`
+    /// Move every event in `dst`'s inbox of `half` into `scratch`
     /// (capacity of both sides is retained — steady state allocates
     /// nothing).
-    fn drain_into(&self, dst: usize, scratch: &mut Vec<RemoteEvent>) {
-        for src in self.boxes[dst].iter() {
-            let mut q = src.lock().expect("mailbox poisoned");
-            scratch.append(&mut q);
-        }
+    fn drain_into(&self, half: usize, dst: usize, scratch: &mut Vec<RemoteEvent>) {
+        scratch.append(&mut self.halves[half][dst].lock().expect("mailbox poisoned"));
     }
 }
 
@@ -183,83 +194,108 @@ impl Mailboxes {
 // The epoch barrier.
 // ---------------------------------------------------------------------
 
-/// Window sentinel: all frontiers at infinity — the run is over.
-const WINDOW_DONE: u64 = u64::MAX;
+/// Spin iterations a barrier waiter burns before it parks.
+const SPIN_LIMIT: u32 = 1 << 14;
 
-/// Two-phase sense-reversing barrier with a min-reduction.
-///
-/// Phase A quiesces execution (after it, every send of the closing window
-/// is visible in the mailboxes). Each shard then drains its mail and
-/// publishes its frontier into phase B's reduction; the last arrival
-/// computes the next window `min(frontiers) + lookahead` and releases
-/// everyone. Parking (`Condvar`) rather than spinning: the engine must
-/// degrade gracefully when shards outnumber cores.
+/// One-phase min-reduction barrier: every worker adds its frontier and
+/// gets back the minimum over all workers. A waiter spins for a bounded
+/// time, then parks on a `Condvar`. It spins only when every worker has a
+/// CPU of its own, so an oversubscribed run never starves the worker it
+/// waits for. A worker that panics poisons the barrier, and the others
+/// panic too instead of waiting forever.
 struct EpochBarrier {
     n: usize,
-    lookahead: u64,
-    state: Mutex<BarrierState>,
+    spin: bool,
+    arrived: AtomicUsize,
+    min_ns: AtomicU64,
+    /// The last completed reduction; stable until every worker has read
+    /// it, since the next one needs every worker's arrival.
+    result_ns: AtomicU64,
+    /// Completed reductions; a waiter leaves once it moves.
+    gen: AtomicU64,
+    poisoned: AtomicBool,
+    /// Parked waiters: the releaser skips the `Condvar` when none sleeps.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
-struct BarrierState {
-    arrived: usize,
-    gen: u64,
-    min_ns: u64,
-    window_ns: u64,
-}
-
 impl EpochBarrier {
-    fn new(n: usize, lookahead: u64) -> Self {
+    fn new(n: usize, spin: bool) -> Self {
         EpochBarrier {
             n,
-            lookahead,
-            state: Mutex::new(BarrierState { arrived: 0, gen: 0, min_ns: u64::MAX, window_ns: 0 }),
+            spin,
+            arrived: AtomicUsize::new(0),
+            min_ns: AtomicU64::new(u64::MAX),
+            result_ns: AtomicU64::new(u64::MAX),
+            gen: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
-    /// Phase A: wait until every shard has stopped executing its window.
-    fn quiesce(&self) {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        st.arrived += 1;
-        if st.arrived == self.n {
-            st.arrived = 0;
-            st.gen += 1;
-            self.cv.notify_all();
-        } else {
-            let gen = st.gen;
-            while st.gen == gen {
-                st = self.cv.wait(st).expect("barrier poisoned");
-            }
+    /// Publish this worker's frontier; returns the minimum over all
+    /// workers once every one of them has published.
+    fn reduce(&self, frontier_ns: u64) -> u64 {
+        let gen = self.gen.load(Ordering::Acquire);
+        self.min_ns.fetch_min(frontier_ns, Ordering::AcqRel);
+        // The arrivals form one release sequence, so the last arrival
+        // sees every `fetch_min` before it.
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            // These `Relaxed` accesses are published by the `SeqCst`
+            // (hence release) store of `gen`, which every waiter loads
+            // with `SeqCst` (hence acquire) before it reads the result or
+            // arrives again.
+            let min = self.min_ns.swap(u64::MAX, Ordering::Relaxed);
+            self.arrived.store(0, Ordering::Relaxed);
+            self.result_ns.store(min, Ordering::Relaxed);
+            self.gen.store(gen.wrapping_add(1), Ordering::SeqCst);
+            self.wake();
+            return min;
         }
+        let done =
+            || self.gen.load(Ordering::SeqCst) != gen || self.poisoned.load(Ordering::SeqCst);
+        let mut spins = if self.spin { SPIN_LIMIT } else { 0 };
+        while spins > 0 && !done() {
+            std::hint::spin_loop();
+            spins -= 1;
+        }
+        if !done() {
+            let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            while !done() {
+                guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            }
+            // Under the lock, and a stale count only costs a spare notify.
+            self.sleepers.fetch_sub(1, Ordering::Relaxed);
+        }
+        assert!(!self.poisoned.load(Ordering::SeqCst), "another shard worker panicked");
+        self.result_ns.load(Ordering::Acquire)
     }
 
-    /// Phase B: publish this shard's frontier; returns the next window end
-    /// (exclusive), or `None` when every frontier is at infinity.
-    fn next_window(&self, frontier_ns: u64) -> Option<u64> {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        st.min_ns = st.min_ns.min(frontier_ns);
-        st.arrived += 1;
-        if st.arrived == self.n {
-            st.arrived = 0;
-            st.window_ns = if st.min_ns == u64::MAX {
-                WINDOW_DONE
-            } else {
-                st.min_ns.saturating_add(self.lookahead)
-            };
-            st.min_ns = u64::MAX;
-            st.gen += 1;
+    /// Wake the parked waiters after a `SeqCst` store they wait on. A
+    /// parking waiter counts itself asleep and then re-checks, both
+    /// `SeqCst` under the lock: either it sees the store, or this load
+    /// sees it asleep and the notify, taken under the lock, reaches it.
+    fn wake(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
             self.cv.notify_all();
-        } else {
-            let gen = st.gen;
-            while st.gen == gen {
-                st = self.cv.wait(st).expect("barrier poisoned");
-            }
         }
-        if st.window_ns == WINDOW_DONE {
-            None
-        } else {
-            Some(st.window_ns)
+    }
+}
+
+/// Poisons the barrier when its worker unwinds, so the others fail
+/// loudly instead of waiting for an arrival that never comes.
+struct PoisonOnPanic<'a>(&'a EpochBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::SeqCst);
+            self.0.wake();
         }
     }
 }
@@ -288,8 +324,8 @@ struct LaneSlot {
     actor: Option<Box<dyn ShardActor>>,
 }
 
-/// Everything one shard owns. `Send` by construction: moved onto a worker
-/// thread by the threaded executor, driven in place by the sequential one.
+/// Everything one shard owns. `Send` by construction: lent to the worker
+/// that owns it for the whole run.
 struct ShardCore {
     shard: u32,
     now: SimTime,
@@ -300,6 +336,10 @@ struct ShardCore {
     lookahead: u64,
     registry: Arc<Vec<LaneLoc>>,
     mail: Arc<Mailboxes>,
+    /// The mailbox half this epoch's window sends into.
+    send_half: usize,
+    /// Earliest cross-shard event sent since the last frontier, raw ns.
+    sent_min_ns: u64,
     /// Reused drain buffer (steady state allocates nothing).
     scratch: Vec<RemoteEvent>,
 }
@@ -312,11 +352,12 @@ const _: () = {
 };
 
 impl ShardCore {
-    /// Drain inbound mail into the local heap. Arrivals are sorted by the
-    /// canonical key before insertion so the heap's internal layout — not
-    /// just its pop order — is independent of producer thread timing.
-    fn drain_inboxes(&mut self) {
-        self.mail.drain_into(self.shard as usize, &mut self.scratch);
+    /// Drain the inbound mail of mailbox `half` into the local heap.
+    /// Arrivals are sorted by the canonical key before insertion so the
+    /// heap's internal layout — not just its pop order — is independent of
+    /// producer thread timing.
+    fn drain_inbox(&mut self, half: usize) {
+        self.mail.drain_into(half, self.shard as usize, &mut self.scratch);
         if self.scratch.is_empty() {
             return;
         }
@@ -330,8 +371,10 @@ impl ShardCore {
         self.scratch.clear();
     }
 
-    /// Execute every local event firing strictly before `window_end_ns`.
-    fn run_window(&mut self, window_end_ns: u64) {
+    /// Execute every local event firing strictly before `window_end_ns`,
+    /// sending cross-shard events into mailbox `half`.
+    fn run_window(&mut self, window_end_ns: u64, half: usize) {
+        self.send_half = half;
         // Windows end at `frontier + lookahead >= 1`, so the last instant
         // inside one is `window_end_ns - 1`.
         let last = SimTime::from_nanos(window_end_ns - 1);
@@ -361,11 +404,12 @@ impl ShardCore {
         }
     }
 
-    /// Earliest pending fire time, as raw ns (`u64::MAX` when empty) —
-    /// this shard's frontier contribution.
-    #[inline]
-    fn frontier_ns(&self) -> u64 {
-        self.queue.peek_at().map_or(u64::MAX, SimTime::as_nanos)
+    /// This shard's frontier contribution, as raw ns (`u64::MAX` when
+    /// idle): the earliest of its pending events and of the cross-shard
+    /// events it sent since the last call, which may not have landed yet.
+    fn take_frontier_ns(&mut self) -> u64 {
+        let head = self.queue.peek_at().map_or(u64::MAX, SimTime::as_nanos);
+        head.min(std::mem::replace(&mut self.sent_min_ns, u64::MAX))
     }
 
     /// Mint the canonical key for the next event scheduled by `lane_slot`.
@@ -458,9 +502,11 @@ impl LaneCtx<'_> {
             let ev = LaneEvent { lane_slot: loc.slot, owner_lane: my_lane, arg };
             self.core.queue.insert(at, key, 0, ev);
         } else {
-            self.core.mail.push(
+            let core = &mut *self.core;
+            core.sent_min_ns = core.sent_min_ns.min(at.as_nanos());
+            core.mail.push(
+                core.send_half,
                 loc.shard as usize,
-                self.core.shard as usize,
                 RemoteEvent { at, key, slot: loc.slot, arg },
             );
         }
@@ -497,16 +543,17 @@ impl LaneCtx<'_> {
 }
 
 // ---------------------------------------------------------------------
-// ShardedSim: construction, executors, post-run access.
+// ShardedSim: construction, the executor, post-run access.
 // ---------------------------------------------------------------------
 
 /// How a run was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// All shards interleaved on the calling thread (same epoch algorithm,
-    /// same results).
+    /// One worker, on the calling thread, owns every shard (same epoch
+    /// algorithm, same results).
     Sequential,
-    /// One OS thread per shard.
+    /// One worker per shard when the caller pins it; the mode reported
+    /// for a run that used more than one worker.
     Threaded,
 }
 
@@ -557,6 +604,8 @@ impl ShardedSim {
                 lookahead: lookahead_ns,
                 registry: Arc::new(Vec::new()),
                 mail: mail.clone(),
+                send_half: 0,
+                sent_min_ns: u64::MAX,
                 scratch: Vec::new(),
             })
             .collect();
@@ -603,106 +652,45 @@ impl ShardedSim {
         }
     }
 
-    /// Run to completion, choosing the executor: real threads when there
-    /// is more than one shard *and* the host has more than one CPU,
-    /// otherwise the sequential executor (identical results either way —
+    /// Run to completion. `Some(Sequential)` runs one worker on the
+    /// calling thread, `Some(Threaded)` one worker per shard, and `None`
+    /// `min(shards, host CPUs)` workers (identical results either way —
     /// that equivalence is what the determinism tests pin).
-    pub fn run(&mut self) -> RunReport {
-        let parallel = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if self.cores.len() > 1 && parallel > 1 {
-            self.run_threaded()
-        } else {
-            self.run_sequential()
-        }
+    pub fn run(&mut self, mode: Option<RunMode>) -> RunReport {
+        let workers = match mode {
+            Some(RunMode::Sequential) => 1,
+            Some(RunMode::Threaded) => self.cores.len(),
+            None => self.cores.len().min(host_cpus()),
+        };
+        let mode =
+            mode.unwrap_or(if workers > 1 { RunMode::Threaded } else { RunMode::Sequential });
+        self.run_workers(workers, mode)
     }
 
-    /// Run every shard interleaved on the calling thread: epochs advance
-    /// exactly as in the threaded executor (drain, frontier reduction,
-    /// window execution in shard order), without barriers.
-    pub fn run_sequential(&mut self) -> RunReport {
-        self.sync_registry();
-        let mut epochs = 0u64;
-        loop {
-            let mut min_ns = u64::MAX;
-            for core in &mut self.cores {
-                core.drain_inboxes();
-                min_ns = min_ns.min(core.frontier_ns());
-            }
-            if min_ns == u64::MAX {
-                break;
-            }
-            let window = min_ns.saturating_add(self.lookahead);
-            epochs += 1;
-            for core in &mut self.cores {
-                core.run_window(window);
-            }
-        }
-        self.report(epochs, RunMode::Sequential)
-    }
-
-    /// Run one OS thread per shard with the two-phase lookahead barrier.
-    pub fn run_threaded(&mut self) -> RunReport {
-        self.sync_registry();
-        let n = self.cores.len();
-        if n == 1 {
-            // One shard: the barrier would synchronize with nobody.
-            let mut report = self.run_sequential();
-            report.mode = RunMode::Threaded;
-            return report;
-        }
-        let barrier = EpochBarrier::new(n, self.lookahead);
-        let epochs = Mutex::new(0u64);
-        let mut cores = std::mem::take(&mut self.cores);
-        std::thread::scope(|s| {
-            let barrier = &barrier;
-            let epochs = &epochs;
-            let handles: Vec<_> = cores
-                .drain(..)
-                .map(|mut core| {
-                    s.spawn(move || {
-                        let mut my_epochs = 0u64;
-                        loop {
-                            // Phase A: all windows quiesced, mail stable.
-                            barrier.quiesce();
-                            core.drain_inboxes();
-                            // Phase B: frontier reduction -> next window.
-                            let Some(window) = barrier.next_window(core.frontier_ns()) else {
-                                break;
-                            };
-                            my_epochs += 1;
-                            core.run_window(window);
-                        }
-                        let mut e = epochs.lock().expect("epoch counter poisoned");
-                        *e = (*e).max(my_epochs);
-                        core
-                    })
-                })
-                .collect();
-            for h in handles {
-                self.cores.push(h.join().expect("shard worker panicked"));
-            }
-        });
-        // Joining in spawn order keeps `cores[i].shard == i`.
-        debug_assert!(self.cores.iter().enumerate().all(|(i, c)| c.shard as usize == i));
-        let epochs = *epochs.lock().expect("epoch counter poisoned");
-        self.report(epochs, RunMode::Threaded)
-    }
-
-    /// Hand every core a snapshot of the lane placement table.
-    fn sync_registry(&mut self) {
-        let reg = Arc::new(self.registry.clone());
+    /// Run on `workers` workers, worker `w` owning shards `w*S/W ..
+    /// (w+1)*S/W`; worker 0 works on the calling thread.
+    fn run_workers(&mut self, workers: usize, mode: RunMode) -> RunReport {
+        let registry = Arc::new(self.registry.clone());
         for core in &mut self.cores {
-            core.registry = reg.clone();
+            core.registry = registry.clone();
         }
-    }
-
-    fn report(&self, epochs: u64, mode: RunMode) -> RunReport {
-        RunReport {
-            executed: self.cores.iter().map(|c| c.executed).sum(),
-            end: self.cores.iter().map(|c| c.now).max().unwrap_or(SimTime::ZERO),
-            epochs,
-            mode,
-        }
+        let (shards, lookahead) = (self.cores.len(), self.lookahead);
+        let workers = workers.clamp(1, shards);
+        let epochs = if workers == 1 {
+            run_worker(&mut self.cores, lookahead, None)
+        } else {
+            let barrier = &EpochBarrier::new(workers, workers <= host_cpus());
+            std::thread::scope(|s| {
+                let mut rest = &mut self.cores[..];
+                for w in (1..workers).rev() {
+                    let (head, block) = rest.split_at_mut(w * shards / workers);
+                    s.spawn(move || run_worker(block, lookahead, Some(barrier)));
+                    rest = head;
+                }
+                run_worker(rest, lookahead, Some(barrier))
+            })
+        };
+        RunReport { executed: self.executed(), end: self.end(), epochs, mode }
     }
 
     /// Events executed, summed over shards.
@@ -758,6 +746,32 @@ impl ShardedSim {
     }
 }
 
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// One worker's epoch loop over its block of shards; returns the number
+/// of epochs. Without a barrier (one worker) the frontier reduction is
+/// the local minimum.
+fn run_worker(cores: &mut [ShardCore], lookahead: u64, barrier: Option<&EpochBarrier>) -> u64 {
+    let _poison = barrier.map(PoisonOnPanic);
+    let mut epochs = 0u64;
+    loop {
+        let frontier = cores.iter_mut().map(ShardCore::take_frontier_ns).min().unwrap_or(u64::MAX);
+        let min_ns = barrier.map_or(frontier, |b| b.reduce(frontier));
+        if min_ns == u64::MAX {
+            return epochs;
+        }
+        let window = min_ns.saturating_add(lookahead);
+        let half = (epochs & 1) as usize;
+        for core in cores.iter_mut() {
+            core.drain_inbox(half ^ 1);
+            core.run_window(window, half);
+        }
+        epochs += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,7 +824,9 @@ mod tests {
         }
     }
 
-    fn pingpong(shards: usize, threaded: bool) -> (u64, u64, PingLog, PingLog) {
+    /// `(digest, executed, lane A's log, lane B's log)` of a ping-pong on
+    /// `shards` shards and `workers` workers, lane B on the last shard.
+    fn pingpong(shards: usize, workers: usize) -> (u64, u64, PingLog, PingLog) {
         const L: u64 = 100;
         let mut sim = ShardedSim::new(shards, L);
         sim.set_exec_capture(true);
@@ -821,9 +837,9 @@ mod tests {
         let pb =
             Pinger { peer: a, rounds: 50, bounces: 0, timer: None, timer_fired: 0, log: vec![] };
         assert_eq!(sim.add_actor(0, Box::new(pa)), a);
-        assert_eq!(sim.add_actor(shards.min(2) - 1, Box::new(pb)), b);
+        assert_eq!(sim.add_actor(shards - 1, Box::new(pb)), b);
         sim.seed(a, SimTime::from_nanos(0), EV_BOUNCE);
-        let report = if threaded { sim.run_threaded() } else { sim.run_sequential() };
+        let report = sim.run_workers(workers, RunMode::Sequential);
         assert_eq!(report.executed, sim.executed());
         let la = sim.actor::<Pinger>(a).unwrap().log.clone();
         let lb = sim.actor::<Pinger>(b).unwrap().log.clone();
@@ -832,8 +848,8 @@ mod tests {
 
     #[test]
     fn one_vs_two_shards_identical() {
-        let (d1, e1, la1, lb1) = pingpong(1, false);
-        let (d2, e2, la2, lb2) = pingpong(2, false);
+        let (d1, e1, la1, lb1) = pingpong(1, 1);
+        let (d2, e2, la2, lb2) = pingpong(2, 1);
         assert_eq!(e1, e2);
         assert_eq!(d1, d2, "digest must be sharding-independent");
         assert_eq!(la1, la2, "lane A's execution must be sharding-independent");
@@ -842,12 +858,79 @@ mod tests {
 
     #[test]
     fn threaded_matches_sequential() {
-        let (ds, es, las, lbs) = pingpong(2, false);
-        let (dt, et, lat, lbt) = pingpong(2, true);
+        let (ds, es, las, lbs) = pingpong(2, 1);
+        let (dt, et, lat, lbt) = pingpong(2, 2);
         assert_eq!(es, et);
         assert_eq!(ds, dt, "digest must be thread-schedule-independent");
         assert_eq!(las, lat);
         assert_eq!(lbs, lbt);
+    }
+
+    /// All-to-all flood: each lane's first `budget` events fan out to
+    /// every other lane at one lookahead plus a small jitter, so bursts
+    /// from different shards collide at identical instants.
+    struct Flooder {
+        lanes: u32,
+        budget: u32,
+        log: PingLog,
+    }
+
+    impl ShardActor for Flooder {
+        fn on_event(&mut self, ctx: &mut LaneCtx<'_>, arg: u64) {
+            self.log.push((ctx.now().as_nanos(), arg));
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            let me = ctx.lane().0;
+            for peer in (0..self.lanes).filter(|&p| p != me) {
+                let at = ctx.now() + ctx.lookahead() + arg % 3;
+                ctx.send(LaneId(peer), at, arg.wrapping_mul(31).wrapping_add(peer as u64));
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// `(digest, executed, per-lane logs)` of a 12-lane flood on `shards`
+    /// shards (lane `i` on shard `i % shards`) and `workers` workers.
+    fn flood(shards: usize, workers: usize) -> (u64, u64, Vec<PingLog>) {
+        const LANES: u32 = 12;
+        let mut sim = ShardedSim::new(shards, 40);
+        sim.set_exec_capture(true);
+        for lane in 0..LANES {
+            let f = Flooder { lanes: LANES, budget: 3, log: vec![] };
+            sim.add_actor(lane as usize % shards, Box::new(f));
+            sim.seed(LaneId(lane), SimTime::from_nanos(lane as u64 % 2), lane as u64);
+        }
+        let report = sim.run_workers(workers, RunMode::Threaded);
+        let logs = (0..LANES).map(|l| sim.actor::<Flooder>(LaneId(l)).unwrap().log.clone());
+        (sim.digest(), report.executed, logs.collect())
+    }
+
+    #[test]
+    fn multiplexed_pingpong_matches_one_shard() {
+        let want = pingpong(1, 1);
+        for shards in [4, 8] {
+            for workers in [2, 3] {
+                let got = pingpong(shards, workers);
+                assert_eq!(got, want, "{shards} shards on {workers} workers diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn multiplexed_flood_matches_one_shard() {
+        let want = flood(1, 1);
+        assert_eq!(want.1, 12 + 12 * 3 * 11, "every lane fans out `budget` times");
+        for shards in [4, 8] {
+            for workers in [2, 3] {
+                let got = flood(shards, workers);
+                assert_eq!(got, want, "{shards} shards on {workers} workers diverged");
+            }
+        }
     }
 
     #[test]
@@ -879,7 +962,38 @@ mod tests {
         sim.add_actor(0, Box::new(Bad { peer: b }));
         sim.add_actor(0, Box::new(Sink));
         sim.seed(LaneId(0), SimTime::ZERO, 0);
-        sim.run_sequential();
+        sim.run(Some(RunMode::Sequential));
+    }
+
+    #[test]
+    #[should_panic(expected = "another shard worker panicked")]
+    fn a_panicking_worker_fails_the_run_instead_of_hanging() {
+        struct Boom;
+        impl ShardActor for Boom {
+            fn on_event(&mut self, _ctx: &mut LaneCtx<'_>, _arg: u64) {
+                panic!("actor failure");
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        struct Ticker;
+        impl ShardActor for Ticker {
+            fn on_event(&mut self, ctx: &mut LaneCtx<'_>, _arg: u64) {
+                ctx.schedule_in(1, 0);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        // The ticker never runs dry, so worker 0 only stops once the
+        // barrier tells it that worker 1's actor panicked.
+        let mut sim = ShardedSim::new(2, 10);
+        let ticker = sim.add_actor(0, Box::new(Ticker));
+        let boom = sim.add_actor(1, Box::new(Boom));
+        sim.seed(ticker, SimTime::ZERO, 0);
+        sim.seed(boom, SimTime::from_nanos(5), 0);
+        sim.run(Some(RunMode::Threaded));
     }
 
     #[test]
@@ -913,7 +1027,7 @@ mod tests {
         let mut sim = ShardedSim::new(2, 1);
         let lane = sim.add_actor(0, Box::new(Canceller { victim: None, fired: vec![] }));
         sim.seed(lane, SimTime::ZERO, 0);
-        sim.run_sequential();
+        sim.run(Some(RunMode::Sequential));
         let a = sim.actor::<Canceller>(lane).unwrap();
         assert_eq!(a.fired, vec![0, 1], "cancelled event must not fire");
     }
@@ -941,7 +1055,7 @@ mod tests {
             let lane = sim.add_actor(s, Box::new(Counter { left: 100 }));
             sim.seed(lane, SimTime::ZERO, 0);
         }
-        let report = sim.run();
+        let report = sim.run(None);
         assert_eq!(report.executed, 4 * 101);
         assert_eq!(sim.events_pending(), 0);
         assert_eq!(report.end, SimTime::from_nanos(700));

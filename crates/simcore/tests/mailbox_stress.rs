@@ -10,7 +10,7 @@
 
 use std::any::Any;
 
-use simcore::{LaneCtx, LaneId, ShardActor, ShardedSim, SimTime};
+use simcore::{LaneCtx, LaneId, RunMode, ShardActor, ShardedSim, SimTime};
 
 const LOOKAHEAD: u64 = 50;
 
@@ -70,7 +70,7 @@ fn flood(shards: usize, threaded: bool) -> (u64, u64, Vec<(u64, u64)>) {
     for &lane in &lanes {
         sim.seed(lane, SimTime::ZERO, lane.0 as u64);
     }
-    let report = if threaded { sim.run_threaded() } else { sim.run_sequential() };
+    let report = sim.run(Some(if threaded { RunMode::Threaded } else { RunMode::Sequential }));
     let per_lane = lanes
         .iter()
         .map(|&l| {

@@ -16,7 +16,7 @@ use std::any::Any;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, SimTime};
+use simcore::{LaneCtx, LaneId, RunMode, ShardActor, ShardEventId, ShardedSim, SimTime};
 
 const LOOKAHEAD: u64 = 100;
 
@@ -124,7 +124,7 @@ fn run_workload(seed: u64, n_lanes: usize, budget: u32, shards: usize, threaded:
     for &lane in &lanes {
         sim.seed(lane, SimTime::from_nanos(lane.0 as u64 % 3), lane.0 as u64);
     }
-    let report = if threaded { sim.run_threaded() } else { sim.run_sequential() };
+    let report = sim.run(Some(if threaded { RunMode::Threaded } else { RunMode::Sequential }));
     assert_eq!(sim.events_pending(), 0, "run must drain every event");
     Outcome {
         digest: sim.digest(),

@@ -257,7 +257,7 @@ mod sharded {
 
     use std::any::Any;
 
-    use hpx_lci_repro::simcore::{LaneCtx, LaneId, ShardActor, ShardedSim, SimTime};
+    use hpx_lci_repro::simcore::{LaneCtx, LaneId, RunMode, ShardActor, ShardedSim, SimTime};
 
     const LOOKAHEAD_NS: u64 = 250;
     const LANES: usize = 8;
@@ -342,7 +342,7 @@ mod sharded {
         for lane in 0..LANES as u32 {
             sim.seed(LaneId(lane), SimTime::from_nanos(lane as u64 % 3), lane as u64);
         }
-        let report = if threaded { sim.run_threaded() } else { sim.run_sequential() };
+        let report = sim.run(Some(if threaded { RunMode::Threaded } else { RunMode::Sequential }));
         assert_eq!(sim.events_pending(), 0, "run must drain");
         (report.end.as_nanos(), report.executed, sim.digest())
     }
