@@ -14,7 +14,7 @@
 use std::rc::Rc;
 
 pub use crate::cli::TraceArgs;
-use telemetry::{RunMeta, RunRecord, Telemetry};
+use telemetry::{CritPath, RunMeta, RunRecord, Telemetry};
 
 /// Run `f` under a fresh telemetry collector and return its result plus
 /// the collector. Every core span, flow and metric of worlds run inside
@@ -87,15 +87,7 @@ impl TraceSink {
             self.emit_timeline(tel, config, write_trace);
         }
         if self.args.json.is_some() {
-            let critpath_field =
-                cp.as_ref().map(|cp| format!(",\"critpath\":{}", cp.to_json())).unwrap_or_default();
-            self.json_docs.push(format!(
-                "{{\"breakdown\":{},\"contention\":{},\"core_profile\":{}{}}}",
-                tel.breakdown(config).to_json(),
-                tel.contention_report(config).to_json(),
-                tel.core_report(config).to_json(),
-                critpath_field
-            ));
+            self.json_docs.push(json_report(tel, config, cp.as_ref()));
         }
         if write_trace {
             if let Some(path) = &self.args.trace {
@@ -208,6 +200,20 @@ impl TraceSink {
             );
         }
     }
+}
+
+/// The `--json` report document of one traced configuration: its
+/// latency breakdown, contention ranking and core-time table, plus the
+/// critical path when one is given (`--critpath`).
+pub fn json_report(tel: &Telemetry, config: &str, cp: Option<&CritPath>) -> String {
+    let critpath_field = cp.map(|cp| format!(",\"critpath\":{}", cp.to_json())).unwrap_or_default();
+    format!(
+        "{{\"breakdown\":{},\"contention\":{},\"core_profile\":{}{}}}",
+        tel.breakdown(config).to_json(),
+        tel.contention_report(config).to_json(),
+        tel.core_report(config).to_json(),
+        critpath_field
+    )
 }
 
 /// Render every counter track the run produced as a terminal sparkline —

@@ -6,7 +6,9 @@
 //! with the fabric's own port counters. Checked on the fig-1 message-rate
 //! shape, the fig-8 latency shape, and a 64-locality fat-tree run. The
 //! exports of four timeline-attached runs (timeline JSON, OpenMetrics
-//! text, Chrome trace, run record) are pinned byte for byte.
+//! text, Chrome trace, run record) and every end-of-run report
+//! (critical path, contention, core time, breakdown, the `--json`
+//! document) are pinned byte for byte.
 
 mod common;
 
@@ -160,16 +162,42 @@ fn fat_tree_64_windows_partition_exactly() {
 }
 
 /// FNV-1a digests of every export a timeline-attached collector writes,
-/// in this order: the timeline JSON document, its OpenMetrics text, the
-/// Chrome trace, and the run record's JSON.
-fn export_digests(tel: &Telemetry, scenario: &str, config: &str) -> [u64; 4] {
+/// in this order:
+/// - the timeline JSON document, its OpenMetrics text, the Chrome trace
+///   and the run record's JSON;
+/// - the `--critpath` report, as text and JSON;
+/// - the contention ranking (`--breakdown`), as text and JSON;
+/// - the core-time table (`--profile`), as text and JSON;
+/// - the latency breakdown (`--breakdown`), as text and JSON;
+/// - the assembled `--json` document, with and without `--critpath`.
+fn export_digests(tel: &Telemetry, scenario: &str, config: &str) -> [u64; 14] {
     use hpx_lci_repro::telemetry::{RunMeta, RunRecord};
     let json = tel.timeline_json(config).expect("timeline attached");
     let text = tel.timeline_text(config).expect("timeline attached");
     let chrome = tel.chrome_trace_collected();
     let meta = RunMeta { scenario: scenario.into(), config: config.into(), ..Default::default() };
     let record = RunRecord::capture(tel, meta).to_json();
-    [json, text, chrome, record].map(|doc| common::fnv(doc.as_bytes()))
+    let cp = tel.critpath(config).expect("instrumented run has a critical path");
+    let contention = tel.contention_report(config);
+    let cores = tel.core_report(config);
+    let breakdown = tel.breakdown(config);
+    [
+        json,
+        text,
+        chrome,
+        record,
+        cp.to_text(),
+        cp.to_json(),
+        contention.to_text(),
+        contention.to_json(),
+        cores.to_text(),
+        cores.to_json(),
+        breakdown.to_text(),
+        breakdown.to_json(),
+        bench::trace::json_report(tel, config, Some(&cp)),
+        bench::trace::json_report(tel, config, None),
+    ]
+    .map(|doc| common::fnv(doc.as_bytes()))
 }
 
 /// The fig-8 shape (8 B, 16 chains x 25 round trips) under a latency SLO
@@ -218,7 +246,22 @@ fn timeline_exports_are_pinned() {
     assert_eq!(alerts, 11, "fig8_w16: alert count moved");
     assert_eq!(
         export_digests(&tel, "fig8_w16", "lci_psr_cq_pin_i"),
-        [0xf2a7dff9c0e8d4f8, 0x04028c782a50d590, 0x7d13034aaca2d217, 0x532cf97dd4951858],
+        [
+            0xf2a7dff9c0e8d4f8,
+            0x04028c782a50d590,
+            0x7d13034aaca2d217,
+            0x532cf97dd4951858,
+            0x8245cedf94831a67,
+            0x993b54c032891614,
+            0x005be4abbc443742,
+            0xbc4f385b441cc655,
+            0x13a52badbf904a4a,
+            0x21fa125c245fd107,
+            0xec29029b2ebf0818,
+            0x11b618ab5675e811,
+            0xc1768c9cfcaf929e,
+            0xfa62b759aab7872e
+        ],
         "fig8_w16: export bytes moved"
     );
 
@@ -230,7 +273,22 @@ fn timeline_exports_are_pinned() {
     assert_eq!(sendq, 800, "fig8_w16_mpi: send-queue samples moved");
     assert_eq!(
         export_digests(&tel, "fig8_w16_mpi", "mpi"),
-        [0x18f34c317b6bb893, 0x51a0a384551d3de0, 0x115282ff4e3ab0ea, 0x401c085248d994cb],
+        [
+            0x18f34c317b6bb893,
+            0x51a0a384551d3de0,
+            0x115282ff4e3ab0ea,
+            0x401c085248d994cb,
+            0xcf976e2bc96f35f1,
+            0xb40c61b986cf6475,
+            0x19cbe2894c283419,
+            0x03665e1ce47f4720,
+            0x2c7edd12abaab4ee,
+            0x34a261308ffc04a4,
+            0xb7104678c7790d2c,
+            0xe0eac33ef5eed38a,
+            0x04151738110d99e0,
+            0xfabcebcb72319c77
+        ],
         "fig8_w16_mpi: export bytes moved"
     );
 
@@ -238,7 +296,22 @@ fn timeline_exports_are_pinned() {
         let (tel, _) = fig8_w16("lci_psr_cq_pin_i", Engine::Federated { shards, mode: Some(mode) });
         assert_eq!(
             export_digests(&tel, "fig8_w16_fed", "lci_psr_cq_pin_i"),
-            [0x710229a6583a0de0, 0xb6a4e15279ec2348, 0x7329aee321e656c7, 0x16b6b89456c79a33],
+            [
+                0x710229a6583a0de0,
+                0xb6a4e15279ec2348,
+                0x7329aee321e656c7,
+                0x16b6b89456c79a33,
+                0xd3ceb651e90db9c8,
+                0xb10db2dffaa3a986,
+                0x0ed9768910978975,
+                0x42072138f7d64310,
+                0xac581ce672d51292,
+                0x5e5309b7b44effb5,
+                0xec29029b2ebf0818,
+                0x11b618ab5675e811,
+                0x37209a82a9b2cee1,
+                0x4eca67615e06af8f
+            ],
             "fig8_w16_fed ({shards} shards, {mode:?}): export bytes moved"
         );
     }
@@ -248,7 +321,22 @@ fn timeline_exports_are_pinned() {
     telemetry::disable();
     assert_eq!(
         export_digests(&tel, "fattree64", "lci_psr_cq_pin_i"),
-        [0xb8809f9fa21ef899, 0x4a0dc8dc0a6f2e71, 0xa2e065608a52c0a1, 0xa158f81165c1d13f],
+        [
+            0xb8809f9fa21ef899,
+            0x4a0dc8dc0a6f2e71,
+            0xa2e065608a52c0a1,
+            0xa158f81165c1d13f,
+            0xe2eafe56195404a6,
+            0xe0e417ac07c5e70a,
+            0xa45eebb014562065,
+            0x8e599556daca8227,
+            0xe10f6362b1bd6609,
+            0x2b395645508bdea7,
+            0x364be0c31b6900b2,
+            0x35186bbb6a8563f6,
+            0x2c472615fa42b423,
+            0x9e43ea1c64279a11
+        ],
         "fattree64: export bytes moved"
     );
 }
