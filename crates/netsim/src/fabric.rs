@@ -109,6 +109,10 @@ pub struct Fabric {
     /// Per-source-node cumulative wire busy time (injection/serialization),
     /// the numerator of per-link utilization.
     link_busy: Vec<u64>,
+    /// Per-source-node `net.link{src}.busy_us` track names, each
+    /// formatted on that node's first sample. Stays empty, and
+    /// unallocated, while no telemetry collector is installed.
+    link_tracks: Vec<Option<String>>,
 }
 
 impl Fabric {
@@ -137,6 +141,7 @@ impl Fabric {
             delivered: 0,
             bytes_sent: 0,
             link_busy: vec![0; nodes],
+            link_tracks: Vec::new(),
             model,
         }
     }
@@ -305,11 +310,12 @@ impl Fabric {
         // the instant the link frees (the `with` guard keeps the disabled
         // path allocation-free).
         telemetry::with(|tel| {
-            tel.track_sample(
-                &format!("net.link{src}.busy_us"),
-                self.wire_free[src],
-                self.link_busy[src] as f64 / 1e3,
-            );
+            if self.link_tracks.is_empty() {
+                self.link_tracks.resize(self.nodes, None);
+            }
+            let name =
+                self.link_tracks[src].get_or_insert_with(|| format!("net.link{src}.busy_us"));
+            tel.track_sample(name, self.wire_free[src], self.link_busy[src] as f64 / 1e3);
         });
 
         let chan = self.chan(src, dst, ctx);
