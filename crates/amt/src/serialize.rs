@@ -133,11 +133,6 @@ impl HpxMessage {
         parcels
     }
 
-    /// Whether the message needs a transmission chunk.
-    pub fn has_zero_copy(&self) -> bool {
-        !self.zero_copy.is_empty()
-    }
-
     /// Total bytes across all chunks (wire payload accounting).
     pub fn total_bytes(&self) -> usize {
         self.non_zero_copy.len()

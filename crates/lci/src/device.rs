@@ -119,11 +119,6 @@ impl Device {
         self.cost.lci_op + self.cost.lci_packet_pool
     }
 
-    /// Packets currently free in the pool (observability for tests).
-    pub fn pool_available(&self) -> usize {
-        self.pool.available()
-    }
-
     /// Posted receives waiting in the matching table.
     pub fn posted_receives(&self) -> usize {
         self.matching.posted_len()

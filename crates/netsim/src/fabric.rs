@@ -168,11 +168,6 @@ impl Fabric {
         self.topo.as_ref()
     }
 
-    /// Mutable access to the switched interconnect.
-    pub fn topology_mut(&mut self) -> Option<&mut SwitchFabric> {
-        self.topo.as_mut()
-    }
-
     /// Administratively kill the link behind `(sw, port)` (both
     /// directions) and reroute. Returns `false` without a topology or if
     /// the link was already dead.

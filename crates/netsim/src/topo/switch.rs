@@ -130,11 +130,6 @@ impl SwitchFabric {
         self.ports[self.graph.port_index(sw, port)].counters
     }
 
-    /// Interned telemetry/contention name of port `(sw, port)`.
-    pub fn port_name(&self, sw: usize, port: usize) -> &'static str {
-        self.ports[self.graph.port_index(sw, port)].names.name
-    }
-
     /// Iterate `(name, counters)` over all ports that carried traffic,
     /// busiest (by `xmit_wait_ns`) first.
     pub fn ranked_ports(&self) -> Vec<(&'static str, PortCounters)> {

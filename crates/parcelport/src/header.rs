@@ -63,13 +63,6 @@ pub struct MessagePlan {
     pub parts: Vec<(PartId, Bytes)>,
 }
 
-impl MessagePlan {
-    /// Total number of wire messages (header + follow-ups).
-    pub fn wire_messages(&self) -> usize {
-        1 + self.parts.len()
-    }
-}
-
 /// Plan the wire messages for `msg`.
 ///
 /// * `max_header`: [`MAX_HEADER_SIZE`] for the improved parcelports,

@@ -150,11 +150,6 @@ impl LciParcelport {
         }
     }
 
-    /// Number of LCI devices (network contexts) in use.
-    pub fn device_count(&self) -> usize {
-        self.devs.len()
-    }
-
     /// In-flight sender connections (observability).
     pub fn send_connections(&self) -> usize {
         self.send_conns.len()

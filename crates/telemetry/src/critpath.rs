@@ -215,12 +215,6 @@ impl CritPath {
         self.components.iter().find(|c| c.component == component).map(|c| c.on_path_ns).unwrap_or(0)
     }
 
-    /// Sum of on-path time over every component whose label satisfies
-    /// `pred` — e.g. all `.wait` components, or one lock plus its waits.
-    pub fn component_ns_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.components.iter().filter(|c| pred(&c.component)).map(|c| c.on_path_ns).sum()
-    }
-
     /// Ranked human-readable report.
     pub fn to_text(&self) -> String {
         let mut out = String::new();

@@ -473,11 +473,6 @@ impl Telemetry {
         inner.timeline = Some(Timeline::new(cfg));
     }
 
-    /// Whether this collector carries a timeline.
-    pub fn timeline_enabled(&self) -> bool {
-        self.inner.borrow().timeline.is_some()
-    }
-
     /// Read access to the timeline; `None` when timelines are off.
     pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> Option<R> {
         self.inner.borrow().timeline.as_ref().map(f)

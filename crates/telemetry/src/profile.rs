@@ -234,34 +234,6 @@ impl CoreAccount {
         self.segments.iter().map(|&(s, e, st)| (s, e, CoreState::from_u8(st)))
     }
 
-    /// Busy (non-idle) share per bucket over `[0, horizon)`, from the
-    /// recorded segments.
-    pub fn busy_timeline(&self, horizon: u64, buckets: usize) -> Vec<f64> {
-        let mut out = vec![0.0; buckets];
-        if horizon == 0 || buckets == 0 {
-            return out;
-        }
-        let width = horizon as f64 / buckets as f64;
-        for &(s, e, st) in &self.segments {
-            if CoreState::from_u8(st) == CoreState::Idle {
-                continue;
-            }
-            let first = ((s as f64 / width) as usize).min(buckets - 1);
-            let last = (((e - 1) as f64 / width) as usize).min(buckets - 1);
-            for (b, slot) in out.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = (b as f64 * width).max(s as f64);
-                let hi = ((b + 1) as f64 * width).min(e as f64);
-                if hi > lo {
-                    *slot += (hi - lo) / width;
-                }
-            }
-        }
-        for v in &mut out {
-            *v = v.clamp(0.0, 1.0);
-        }
-        out
-    }
-
     /// The hard invariant: state durations partition `[0, cursor]`.
     pub fn check_partition(&self) -> Result<(), String> {
         let sum: u64 = self.ns.iter().sum();
@@ -551,18 +523,6 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Render `values` (each in `[0, 1]`) as one ASCII heatmap row.
-pub fn heatmap_row(values: &[f64]) -> String {
-    const RAMP: &[u8] = b" .:-=+*#%@";
-    values
-        .iter()
-        .map(|&v| {
-            let idx = (v.clamp(0.0, 1.0) * (RAMP.len() - 1) as f64).round() as usize;
-            RAMP[idx.min(RAMP.len() - 1)] as char
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,17 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_timeline_tracks_activity() {
-        let mut a = CoreAccount::default();
-        a.record_base(CoreState::Working, "task", 0, 500);
-        a.finalize(1000);
-        let tl = a.busy_timeline(1000, 10);
-        assert_eq!(tl.len(), 10);
-        assert!(tl[0] > 0.99 && tl[4] > 0.99, "tl: {tl:?}");
-        assert!(tl[9] < 0.01, "tl: {tl:?}");
-    }
-
-    #[test]
     fn resample_averages_and_carries_forward() {
         let series = [(0u64, 2.0), (50, 4.0), (450, 10.0)];
         let r = resample(&series, 1000, 10);
@@ -698,13 +647,10 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_and_heatmap_shapes() {
+    fn sparkline_shapes() {
         assert_eq!(sparkline(&[]), "");
         let s = sparkline(&[0.0, 0.5, 1.0]);
         assert_eq!(s.chars().count(), 3);
         assert!(s.ends_with('█'));
-        let h = heatmap_row(&[0.0, 0.5, 1.0]);
-        assert_eq!(h.len(), 3);
-        assert!(h.starts_with(' ') && h.ends_with('@'));
     }
 }
