@@ -239,15 +239,14 @@ fn run_sweep(
             ("msgs_per_node", msgs_per_node.to_string()),
         ]);
     }
-    sink.emit(&tel, &config, nominate_trace);
-    let report = tel.contention_report(&config);
-    let knee_port = report
-        .rows
+    let rec = sink.emit(&tel, &config, nominate_trace);
+    let knee_port = rec
+        .resources
         .iter()
-        .filter(|(name, _)| name.starts_with("fab."))
-        .max_by_key(|(_, s)| s.total_wait_ns)
-        .filter(|(_, s)| s.total_wait_ns > 0)
-        .map(|(name, s)| (name.to_string(), s.total_wait_ns));
+        .filter(|r| r.name.starts_with("fab."))
+        .max_by_key(|r| r.wait_ns)
+        .filter(|r| r.wait_ns > 0)
+        .map(|r| (r.name.clone(), r.wait_ns));
     match &knee_port {
         Some((name, wait)) => {
             println!("  congestion attributed to {name} ({wait} ns total port wait)")

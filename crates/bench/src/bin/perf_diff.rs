@@ -167,13 +167,13 @@ fn overlay_trace(base: &RunRecord, head: &RunRecord) -> String {
             simcore::escape_json(&rec.label())
         ));
         if let Some(cp) = &rec.critpath {
-            for (component, start, end) in &cp.segments {
+            for seg in &cp.segments {
                 events.push(format!(
                     "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{pid},\"tid\":\"critpath\",\
                      \"ts\":{:.3},\"dur\":{:.3}}}",
-                    simcore::escape_json(component),
-                    *start as f64 / 1_000.0,
-                    (end - start) as f64 / 1_000.0
+                    simcore::escape_json(&seg.component),
+                    seg.start as f64 / 1_000.0,
+                    seg.len_ns() as f64 / 1_000.0
                 ));
             }
         }

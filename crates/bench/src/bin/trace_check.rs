@@ -446,7 +446,7 @@ fn validate_record(src: &str) -> Result<String, String> {
                 rec.end_to_end_ns, cp.total_ns
             ));
         }
-        let comp_sum: u64 = cp.components.iter().map(|&(_, ns)| ns).sum();
+        let comp_sum: u64 = cp.components.iter().map(|c| c.on_path_ns).sum();
         if comp_sum != cp.total_ns {
             return Err(format!(
                 "critical-path components sum to {comp_sum} ns, not the {} ns total",
@@ -457,17 +457,18 @@ fn validate_record(src: &str) -> Result<String, String> {
         // reproduce the component table when re-aggregated.
         let mut cursor = 0u64;
         let mut seg_by_comp: std::collections::BTreeMap<&str, u64> = Default::default();
-        for (i, (comp, start, end)) in cp.segments.iter().enumerate() {
-            if *start != cursor {
+        for (i, seg) in cp.segments.iter().enumerate() {
+            if seg.start != cursor {
                 return Err(format!(
-                    "segment {i} starts at {start} ns but the chain ends at {cursor} ns"
+                    "segment {i} starts at {} ns but the chain ends at {cursor} ns",
+                    seg.start
                 ));
             }
-            if end < start {
+            if seg.end < seg.start {
                 return Err(format!("segment {i} ends before it starts"));
             }
-            *seg_by_comp.entry(comp.as_str()).or_insert(0) += end - start;
-            cursor = *end;
+            *seg_by_comp.entry(seg.component.as_str()).or_insert(0) += seg.len_ns();
+            cursor = seg.end;
         }
         if cursor != cp.total_ns {
             return Err(format!(
@@ -475,8 +476,9 @@ fn validate_record(src: &str) -> Result<String, String> {
                 cp.total_ns
             ));
         }
-        for (comp, ns) in &cp.components {
-            if seg_by_comp.get(comp.as_str()).copied().unwrap_or(0) != *ns {
+        for c in &cp.components {
+            let (comp, ns) = (&c.component, c.on_path_ns);
+            if seg_by_comp.get(comp.as_str()).copied().unwrap_or(0) != ns {
                 return Err(format!(
                     "component {comp:?} claims {ns} ns on-path but its segments sum to {}",
                     seg_by_comp.get(comp.as_str()).copied().unwrap_or(0)

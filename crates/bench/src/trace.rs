@@ -2,9 +2,11 @@
 //!
 //! The flags themselves are parsed by [`crate::cli`] (one shared parser;
 //! unknown flags are a hard error) — this module owns what happens with
-//! an instrumented run once it finishes: [`TraceSink`] renders the text
-//! reports, writes the Chrome trace / JSON / folded-stack / timeline
-//! files, and prints SLO alerts and flight-recorder dump locations.
+//! an instrumented run once it finishes: [`TraceSink`] captures its
+//! [`RunRecord`], renders the text reports (the critical-path,
+//! contention and core-time reports are views of that record), writes
+//! the Chrome trace / JSON / record / folded-stack / timeline files, and
+//! prints SLO alerts and flight-recorder dump locations.
 //!
 //! When any flag is present the harness runs a reduced *instrumented
 //! pass* instead of the full figure sweep: telemetry accumulates per
@@ -14,7 +16,7 @@
 use std::rc::Rc;
 
 pub use crate::cli::TraceArgs;
-use telemetry::{CritPath, RunMeta, RunRecord, Telemetry};
+use telemetry::{Breakdown, RunMeta, RunRecord, Telemetry};
 
 /// Run `f` under a fresh telemetry collector and return its result plus
 /// the collector. Every core span, flow and metric of worlds run inside
@@ -60,24 +62,32 @@ impl TraceSink {
         }
     }
 
-    /// Emit the reports of one instrumented run. The Chrome trace and
-    /// timeline files are written only when `write_trace` is set — the
-    /// harness nominates one run so `--trace`/`--timeline` yield a
-    /// single document each.
-    pub fn emit(&mut self, tel: &Telemetry, config: &str, write_trace: bool) {
-        let cp = if self.args.critpath { tel.critpath(config) } else { None };
-        if let Some(cp) = &cp {
+    /// Emit the reports of one instrumented run and return its run
+    /// record. The record is captured once; the critical-path,
+    /// contention and core-time reports, the `--json` document and the
+    /// Chrome critical-path overlay are all rendered from it. The Chrome
+    /// trace, timeline and record files are written only when
+    /// `write_trace` is set — the harness nominates one run so
+    /// `--trace`/`--timeline`/`--record` yield a single document each.
+    pub fn emit(&mut self, tel: &Telemetry, config: &str, write_trace: bool) -> RunRecord {
+        // Capturing the record finalizes the timeline, which adds its
+        // window tracks to the metrics; the sparklines show the run's own
+        // tracks only, so they are rendered first.
+        let sparklines = if self.args.profile { track_sparklines(tel) } else { String::new() };
+        let rec = RunRecord::capture(tel, self.meta(config));
+        let cp = rec.critpath.as_ref().filter(|_| self.args.critpath);
+        if let Some(cp) = cp {
             print!("{}", cp.to_text());
             println!();
         }
         if self.args.breakdown {
             print!("{}", tel.breakdown(config).to_text());
-            print!("{}", tel.contention_report(config).to_text());
+            print!("{}", rec.contention_text());
             println!();
         }
         if self.args.profile {
-            print!("{}", tel.core_report(config).to_text());
-            print!("{}", track_sparklines(tel));
+            print!("{}", rec.core_time_text());
+            print!("{sparklines}");
             println!();
         }
         if self.args.folded.is_some() {
@@ -87,11 +97,11 @@ impl TraceSink {
             self.emit_timeline(tel, config, write_trace);
         }
         if self.args.json.is_some() {
-            self.json_docs.push(json_report(tel, config, cp.as_ref()));
+            self.json_docs.push(json_report(&rec, &tel.breakdown(config), self.args.critpath));
         }
         if write_trace {
             if let Some(path) = &self.args.trace {
-                let doc = match &cp {
+                let doc = match cp {
                     Some(cp) => tel.chrome_trace_with_critpath(cp),
                     None => tel.chrome_trace_collected(),
                 };
@@ -103,29 +113,31 @@ impl TraceSink {
                 );
             }
             if let Some(path) = &self.args.record {
-                let rec = RunRecord::capture(
-                    tel,
-                    RunMeta {
-                        scenario: self.scenario.clone(),
-                        config: config.to_string(),
-                        params: self.params.clone(),
-                        knobs: self.args.dial_knob_names(),
-                        // Engine placement, not workload: absent on legacy
-                        // runs so pre-sharding records stay byte-identical;
-                        // `RunMeta::comparable_to` ignores both fields.
-                        shards: match self.args.engine() {
-                            parcelport::Engine::Federated { shards, .. } => Some(shards as u64),
-                            parcelport::Engine::SingleHeap => None,
-                        },
-                        run_mode: self.args.run_mode.clone(),
-                    },
-                );
                 std::fs::write(path, rec.to_json()).expect("write run record");
                 println!(
                     "wrote run record of {config} ({} ns end-to-end, {} events) -> {path}",
                     rec.end_to_end_ns, rec.events
                 );
             }
+        }
+        rec
+    }
+
+    /// Run-record metadata of `config` under this sink.
+    fn meta(&self, config: &str) -> RunMeta {
+        RunMeta {
+            scenario: self.scenario.clone(),
+            config: config.to_string(),
+            params: self.params.clone(),
+            knobs: self.args.dial_knob_names(),
+            // Engine placement, not workload: absent on legacy runs so
+            // pre-sharding records stay byte-identical;
+            // `RunMeta::comparable_to` ignores both fields.
+            shards: match self.args.engine() {
+                parcelport::Engine::Federated { shards, .. } => Some(shards as u64),
+                parcelport::Engine::SingleHeap => None,
+            },
+            run_mode: self.args.run_mode.clone(),
         }
     }
 
@@ -203,15 +215,21 @@ impl TraceSink {
 }
 
 /// The `--json` report document of one traced configuration: its
-/// latency breakdown, contention ranking and core-time table, plus the
-/// critical path when one is given (`--critpath`).
-pub fn json_report(tel: &Telemetry, config: &str, cp: Option<&CritPath>) -> String {
-    let critpath_field = cp.map(|cp| format!(",\"critpath\":{}", cp.to_json())).unwrap_or_default();
+/// latency breakdown, plus the contention ranking and core-time table of
+/// its run record, and the record's critical path when `with_critpath`
+/// is set (`--critpath`).
+pub fn json_report(rec: &RunRecord, breakdown: &Breakdown, with_critpath: bool) -> String {
+    let critpath_field = rec
+        .critpath
+        .as_ref()
+        .filter(|_| with_critpath)
+        .map(|cp| format!(",\"critpath\":{}", cp.to_json()))
+        .unwrap_or_default();
     format!(
         "{{\"breakdown\":{},\"contention\":{},\"core_profile\":{}{}}}",
-        tel.breakdown(config).to_json(),
-        tel.contention_report(config).to_json(),
-        tel.core_report(config).to_json(),
+        breakdown.to_json(),
+        rec.contention_json(),
+        rec.core_time_json(),
         critpath_field
     )
 }

@@ -53,8 +53,10 @@ pub struct ComponentShare {
     pub on_path_ns: u64,
 }
 
-/// The makespan critical path of one instrumented run.
-#[derive(Debug, Clone)]
+/// The makespan critical path of one instrumented run — the one
+/// critical-path type: [`crate::RunRecord`] holds it, and the
+/// `--critpath` text and JSON reports render it.
+#[derive(Debug, Clone, Default)]
 pub struct CritPath {
     /// Configuration name the run was made under (for reports).
     pub config: String,
@@ -65,7 +67,9 @@ pub struct CritPath {
     pub segments: Vec<PathSegment>,
     /// Per-component on-path time, ranked descending (ties by name).
     pub components: Vec<ComponentShare>,
-    /// Causal node ids on the path, root first.
+    /// Causal node ids on the path, root first. In memory only, for the
+    /// Chrome overlay: records do not serialize them, and equality
+    /// ignores them.
     pub path_nodes: Vec<u64>,
     /// Sum of the bandwidth-independent (pure latency) portion of on-path
     /// wire segments — what a wire-latency what-if knob scales.
@@ -74,6 +78,18 @@ pub struct CritPath {
     pub events_on_path: usize,
     /// Whether the causal log hit its memory guard (path may be partial).
     pub truncated: bool,
+}
+
+impl PartialEq for CritPath {
+    fn eq(&self, other: &CritPath) -> bool {
+        self.config == other.config
+            && self.total_ns == other.total_ns
+            && self.segments == other.segments
+            && self.components == other.components
+            && self.wire_fixed_ns == other.wire_fixed_ns
+            && self.events_on_path == other.events_on_path
+            && self.truncated == other.truncated
+    }
 }
 
 fn push_segment(segments: &mut Vec<PathSegment>, component: &str, start: u64, end: u64) {

@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 
 use simcore::escape_json;
 
+use crate::critpath::ComponentShare;
 use crate::profile::STATES;
 use crate::record::RunRecord;
 
@@ -207,10 +208,11 @@ impl RecordDiff {
             .into_iter()
             .flatten()
             .chain(h_comps.into_iter().flatten())
-            .map(|(c, _)| c.as_str())
+            .map(|c| c.component.as_str())
             .collect();
-        let lookup = |comps: Option<&Vec<(String, u64)>>, name: &str| {
-            comps.into_iter().flatten().find(|(c, _)| c == name).map(|&(_, ns)| ns).unwrap_or(0)
+        let lookup = |comps: Option<&Vec<ComponentShare>>, name: &str| {
+            let mut comps = comps.into_iter().flatten();
+            comps.find(|c| c.component == name).map(|c| c.on_path_ns).unwrap_or(0)
         };
         for name in names {
             d.critpath.push(ComponentDelta {
@@ -656,8 +658,13 @@ impl RecordDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CritSummary, RunMeta, RunRecord};
+    use crate::record::{RunMeta, RunRecord};
+    use crate::CritPath;
     use crate::Histogram;
+
+    fn share(component: &str, on_path_ns: u64) -> ComponentShare {
+        ComponentShare { component: component.into(), on_path_ns }
+    }
 
     fn record(total: u64, wire: u64, latencies: &[u64]) -> RunRecord {
         let mut rec = RunRecord {
@@ -673,10 +680,10 @@ mod tests {
         }
         rec.hists.insert("parcel.latency_ns".into(), h);
         rec.counters.insert("parcels.sent".into(), latencies.len() as u64);
-        rec.critpath = Some(CritSummary {
+        rec.critpath = Some(CritPath {
             total_ns: total,
-            components: vec![("net.wire".into(), wire), ("cpu".into(), total - wire)],
-            ..CritSummary::default()
+            components: vec![share("net.wire", wire), share("cpu", total - wire)],
+            ..CritPath::default()
         });
         rec
     }
@@ -736,7 +743,7 @@ mod tests {
         // All 4000 ns of regression lands on residual cpu time.
         let mut head = record(14_000, 6_000, &[100]);
         head.critpath.as_mut().unwrap().components =
-            vec![("net.wire".into(), 6_000), ("cpu".into(), 8_000)];
+            vec![share("net.wire", 6_000), share("cpu", 8_000)];
         let d = RecordDiff::between(&base, &head);
         assert_eq!(d.critpath_delta_sum(), d.end_delta());
         assert_eq!(d.localization(), 0.0);

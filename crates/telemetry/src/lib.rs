@@ -20,16 +20,18 @@
 //!   export draws one `loc<L>/core<C>` track per core;
 //! * **contention attribution** ([`ContentionTable`]): wait-vs-service
 //!   time per named `SimLock`/`SimTryLock`/`SimResource`, fed through
-//!   `simcore::probe`, ranked by total wait
-//!   ([`report::ContentionReport`]);
+//!   `simcore::probe`, ranked by total wait;
 //! * a **virtual-time core profiler** ([`CoreProfile`]): per-core
 //!   `working/progress/lock-wait/serialize/idle` accounting whose state
 //!   durations partition each core's elapsed virtual time exactly, with
-//!   folded-stack flamegraph output and a ranked core-time report (see
-//!   [`profile`]);
+//!   folded-stack flamegraph output (see [`profile`]);
 //! * an optional **timeline** ([`Timeline`]): the window cursor, SLO
 //!   monitors and the flight recorder over the windowed metrics (see
-//!   [`timeline`]).
+//!   [`timeline`]);
+//! * the **run record** ([`RunRecord`]): the one end-of-run artifact.
+//!   The critical-path, contention and core-time reports are views of
+//!   it ([`CritPath::to_text`], [`RunRecord::contention_text`],
+//!   [`RunRecord::core_time_text`] and their JSON twins).
 //!
 //! ## Enable/disable
 //!
@@ -66,9 +68,9 @@ pub use hist::Histogram;
 pub use metrics::{
     ContentionStat, ContentionTable, Metrics, PortWindow, ResourceKind, Series, WindowCell,
 };
-pub use profile::{CoreProfile, CoreState, CoreTimeReport};
+pub use profile::{CoreProfile, CoreState};
 pub use record::{RunMeta, RunRecord};
-pub use report::{Breakdown, ContentionReport};
+pub use report::Breakdown;
 pub use timeline::{FlightDump, SloAlert, SloRule, Timeline, TimelineConfig};
 
 /// The collector: metrics, flows, contention, core spans, profile and
@@ -332,14 +334,6 @@ impl Telemetry {
         Breakdown::from_flows(config, self.inner.borrow().flows.flows())
     }
 
-    /// Build the wait-time-ranked contention report for `config`.
-    pub fn contention_report(&self, config: &str) -> ContentionReport {
-        ContentionReport {
-            config: config.to_string(),
-            rows: self.inner.borrow().contention.ranking(),
-        }
-    }
-
     /// Set the locality whose event handler is currently executing, so
     /// probe-driven profiler overlays attribute to the right locality.
     pub fn profile_set_loc(&self, loc: usize) {
@@ -383,11 +377,6 @@ impl Telemetry {
     /// Read access to the core profile.
     pub fn with_profile<R>(&self, f: impl FnOnce(&CoreProfile) -> R) -> R {
         f(&self.inner.borrow().profile)
-    }
-
-    /// Build the ranked core-time report for `config`.
-    pub fn core_report(&self, config: &str) -> CoreTimeReport {
-        self.inner.borrow().profile.report(config)
     }
 
     /// Render folded-stack flamegraph lines for `config`.
@@ -1205,10 +1194,11 @@ mod tests {
             let mut res = simcore::SimResource::new("nic.tx_post", 50);
             res.access(SimTime::ZERO, 0, 10);
             disable();
-            let report = tel.contention_report("test");
-            assert_eq!(report.rows[0].0, "ucp_progress");
-            assert!(report.rows[0].1.total_wait_ns > 0);
-            let names: Vec<_> = report.rows.iter().map(|r| r.0).collect();
+            let meta = RunMeta { config: "test".into(), ..RunMeta::default() };
+            let ranking = RunRecord::capture(&tel, meta).resources;
+            assert_eq!(ranking[0].name, "ucp_progress");
+            assert!(ranking[0].wait_ns > 0);
+            let names: Vec<_> = ranking.iter().map(|r| r.name.as_str()).collect();
             assert!(names.contains(&"lci.progress") && names.contains(&"nic.tx_post"));
             // The try-lock never accumulates wait.
             assert_eq!(tel.with_contention(|c| c.get("lci.progress").unwrap().total_wait_ns), 0);

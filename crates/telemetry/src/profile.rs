@@ -35,8 +35,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use simcore::escape_json;
-
 /// Core activity states, in display order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CoreState {
@@ -337,20 +335,6 @@ impl CoreProfile {
         out
     }
 
-    /// Build the ranked core-time report for `config`.
-    pub fn report(&self, config: &str) -> CoreTimeReport {
-        let horizon = self.horizon_ns();
-        let mut rows: Vec<CoreRow> = self
-            .snapshot()
-            .into_iter()
-            .map(|((loc, core), acct)| CoreRow { loc, core, ns: acct.state_table() })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.busy_ns().cmp(&a.busy_ns()).then((a.loc, a.core).cmp(&(b.loc, b.core)))
-        });
-        CoreTimeReport { config: config.to_string(), horizon_ns: horizon, rows }
-    }
-
     /// Render the folded-stack flamegraph input for `config`: one
     /// `config;locL/coreC;state;leaf weight` line per leaf, weights in
     /// ns, idle excluded (it is a busy-time flamegraph).
@@ -361,122 +345,6 @@ impl CoreProfile {
                 let _ = writeln!(out, "{config};loc{loc}/core{core};{};{leaf} {ns}", state.label());
             }
         }
-        out
-    }
-}
-
-/// One row of a [`CoreTimeReport`]: a core's finalized state durations.
-#[derive(Debug, Clone)]
-pub struct CoreRow {
-    /// Locality id.
-    pub loc: usize,
-    /// Core index within the locality.
-    pub core: usize,
-    /// Durations per state, indexed by [`STATES`] order.
-    pub ns: [u64; N_STATES],
-}
-
-impl CoreRow {
-    /// Total accounted time (equals the report horizon).
-    pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
-    }
-
-    /// Non-idle time.
-    pub fn busy_ns(&self) -> u64 {
-        self.total_ns() - self.ns[CoreState::Idle as usize]
-    }
-
-    /// `state`'s share of total accounted time (0 when empty).
-    pub fn share(&self, state: CoreState) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            0.0
-        } else {
-            self.ns[state as usize] as f64 / total as f64
-        }
-    }
-
-    /// `state`'s share of *busy* time (0 when never busy).
-    pub fn busy_share(&self, state: CoreState) -> f64 {
-        let busy = self.busy_ns();
-        if busy == 0 {
-            0.0
-        } else {
-            self.ns[state as usize] as f64 / busy as f64
-        }
-    }
-}
-
-/// Ranked per-core time breakdown for one configuration.
-#[derive(Debug, Clone)]
-pub struct CoreTimeReport {
-    /// Configuration label (e.g. `lci_psr_cq_pin_i`).
-    pub config: String,
-    /// Common horizon all rows are finalized to, ns.
-    pub horizon_ns: u64,
-    /// One row per `(locality, core)`, ranked by busy time descending.
-    pub rows: Vec<CoreRow>,
-}
-
-impl CoreTimeReport {
-    /// Rows of one locality, in rank order.
-    pub fn locality(&self, loc: usize) -> impl Iterator<Item = &CoreRow> + '_ {
-        self.rows.iter().filter(move |r| r.loc == loc)
-    }
-
-    /// Render an aligned text table (times in µs, shares of elapsed).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "core time breakdown [{}]  horizon={:.1}us  cores={}",
-            self.config,
-            self.horizon_ns as f64 / 1e3,
-            self.rows.len()
-        );
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>10} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7}",
-            "core", "busy_us", "busy%", "work%", "progr%", "lockw%", "serial%", "idle%"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "  {:<12} {:>10.1} {:>6.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>6.1}%",
-                format!("loc{}/core{}", r.loc, r.core),
-                r.busy_ns() as f64 / 1e3,
-                100.0 * r.busy_ns() as f64 / r.total_ns().max(1) as f64,
-                100.0 * r.share(CoreState::Working),
-                100.0 * r.share(CoreState::Progress),
-                100.0 * r.share(CoreState::LockWait),
-                100.0 * r.share(CoreState::Serialize),
-                100.0 * r.share(CoreState::Idle),
-            );
-        }
-        out
-    }
-
-    /// Render as machine-readable JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"config\":\"{}\",\"horizon_ns\":{},\"cores\":[",
-            escape_json(&self.config),
-            self.horizon_ns
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"loc\":{},\"core\":{}", r.loc, r.core);
-            for state in STATES {
-                let _ = write!(out, ",\"{}_ns\":{}", state.label(), r.ns[state as usize]);
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -598,28 +466,6 @@ mod tests {
         assert_eq!(a.state_ns(CoreState::Working), 100);
         assert_eq!(a.elapsed_ns(), 100);
         a.check_partition().unwrap();
-    }
-
-    #[test]
-    fn profile_report_ranks_by_busy_time() {
-        let mut p = CoreProfile::new();
-        p.record_base(0, 0, CoreState::Working, "task", 0, 1000);
-        p.record_base(0, 1, CoreState::Progress, "background", 0, 400);
-        p.record_base(1, 0, CoreState::Working, "task", 0, 700);
-        let r = p.report("cfg");
-        assert_eq!(r.horizon_ns, 1000);
-        assert_eq!(r.rows.len(), 3);
-        assert_eq!((r.rows[0].loc, r.rows[0].core), (0, 0));
-        assert_eq!((r.rows[1].loc, r.rows[1].core), (1, 0));
-        // Every row is finalized to the common horizon.
-        for row in &r.rows {
-            assert_eq!(row.total_ns(), 1000);
-        }
-        let text = r.to_text();
-        assert!(text.contains("loc0/core0"), "text: {text}");
-        let parsed = crate::json::parse(&r.to_json()).expect("report json parses");
-        assert_eq!(parsed.get("horizon_ns").unwrap().as_f64(), Some(1000.0));
-        assert_eq!(parsed.get("cores").unwrap().as_arr().unwrap().len(), 3);
     }
 
     #[test]

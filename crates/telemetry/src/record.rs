@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 
 use simcore::escape_json;
 
+use crate::critpath::{ComponentShare, CritPath, PathSegment};
 use crate::hist::Histogram;
 use crate::json::{self, Value};
 use crate::profile::{CoreState, N_STATES, STATES};
@@ -82,25 +83,6 @@ impl RunMeta {
     }
 }
 
-/// The critical-path partition of one run, flattened for serialization.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CritSummary {
-    /// Makespan, ns; component shares and segment lengths both sum to
-    /// exactly this.
-    pub total_ns: u64,
-    /// Bandwidth-independent portion of on-path wire time.
-    pub wire_fixed_ns: u64,
-    /// Events on the path.
-    pub events_on_path: u64,
-    /// Whether the causal log hit its memory guard.
-    pub truncated: bool,
-    /// Per-component on-path time, ranked descending (ties by name).
-    pub components: Vec<(String, u64)>,
-    /// The contiguous `(component, start, end)` partition of
-    /// `[0, total_ns]`.
-    pub segments: Vec<(String, u64, u64)>,
-}
-
 /// One core's five-state virtual-time partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreRecord {
@@ -114,9 +96,24 @@ pub struct CoreRecord {
 }
 
 impl CoreRecord {
-    /// Total attributed time of this core.
+    /// Total attributed time of this core (the profile horizon).
     pub fn total_ns(&self) -> u64 {
         self.states.iter().sum()
+    }
+
+    /// Non-idle time.
+    pub fn busy_ns(&self) -> u64 {
+        self.total_ns() - self.states[CoreState::Idle as usize]
+    }
+
+    /// `state`'s share of total attributed time (0 when empty).
+    pub fn share(&self, state: CoreState) -> f64 {
+        let total = self.total_ns();
+        if total == 0 {
+            0.0
+        } else {
+            self.states[state as usize] as f64 / total as f64
+        }
     }
 }
 
@@ -135,6 +132,17 @@ pub struct ResourceRecord {
     pub wait_ns: u64,
     /// Total hold/service time, ns.
     pub service_ns: u64,
+}
+
+impl ResourceRecord {
+    /// Mean wait per event, ns (0 when no events).
+    pub fn mean_wait_ns(&self) -> f64 {
+        if self.events == 0 {
+            0.0
+        } else {
+            self.wait_ns as f64 / self.events as f64
+        }
+    }
 }
 
 /// Per-port fabric totals (from the timeline's port accounting).
@@ -190,7 +198,7 @@ pub struct RunRecord {
     /// Full histograms with exact bucket counts.
     pub hists: BTreeMap<String, Histogram>,
     /// The critical-path partition, when a causal log was installed.
-    pub critpath: Option<CritSummary>,
+    pub critpath: Option<CritPath>,
     /// Per-core profile partitions, ordered by `(loc, core)`.
     pub profile: Vec<CoreRecord>,
     /// Per-resource contention totals, ranked by total wait.
@@ -210,14 +218,7 @@ impl RunRecord {
         tel.timeline_finalize();
         let mut rec = RunRecord { version: SCHEMA_VERSION, meta, ..RunRecord::default() };
 
-        rec.critpath = tel.critpath(&rec.meta.config).map(|cp| CritSummary {
-            total_ns: cp.total_ns,
-            wire_fixed_ns: cp.wire_fixed_ns,
-            events_on_path: cp.events_on_path as u64,
-            truncated: cp.truncated,
-            components: cp.components.iter().map(|c| (c.component.clone(), c.on_path_ns)).collect(),
-            segments: cp.segments.iter().map(|s| (s.component.clone(), s.start, s.end)).collect(),
-        });
+        rec.critpath = tel.critpath(&rec.meta.config);
         rec.events = tel.causal_log().map(|log| log.node_count() as u64).unwrap_or(0);
 
         tel.with_metrics(|m| {
@@ -280,9 +281,15 @@ impl RunRecord {
 
         rec.end_to_end_ns = match &rec.critpath {
             Some(cp) => cp.total_ns,
-            None => tel.with_profile(|p| p.horizon_ns()),
+            None => rec.profile_horizon_ns(),
         };
         rec
+    }
+
+    /// The common horizon every core's profile is finalized to, ns (0
+    /// when no core recorded anything).
+    pub fn profile_horizon_ns(&self) -> u64 {
+        self.profile.iter().map(CoreRecord::total_ns).max().unwrap_or(0)
     }
 
     /// `scenario/config[+knobs]` display label.
@@ -319,14 +326,18 @@ impl RunRecord {
                 let comps: Vec<String> = cp
                     .components
                     .iter()
-                    .map(|(c, ns)| {
-                        format!("{{\"component\":\"{}\",\"on_path_ns\":{ns}}}", escape_json(c))
+                    .map(|c| {
+                        format!(
+                            "{{\"component\":\"{}\",\"on_path_ns\":{}}}",
+                            escape_json(&c.component),
+                            c.on_path_ns
+                        )
                     })
                     .collect();
                 let segs: Vec<String> = cp
                     .segments
                     .iter()
-                    .map(|(c, s, e)| format!("[\"{}\",{s},{e}]", escape_json(c)))
+                    .map(|s| format!("[\"{}\",{},{}]", escape_json(&s.component), s.start, s.end))
                     .collect();
                 format!(
                     "{{\"total_ns\":{},\"wire_fixed_ns\":{},\"events_on_path\":{},\
@@ -514,27 +525,33 @@ impl RunRecord {
         match root.get("critpath") {
             None | Some(Value::Null) => {}
             Some(cp) => {
-                let mut out = CritSummary {
+                let mut out = CritPath {
+                    config: rec.meta.config.clone(),
                     total_ns: get_u64(cp, "total_ns")?,
                     wire_fixed_ns: get_u64(cp, "wire_fixed_ns")?,
-                    events_on_path: get_u64(cp, "events_on_path")?,
+                    events_on_path: get_u64(cp, "events_on_path")? as usize,
                     truncated: matches!(cp.get("truncated"), Some(Value::Bool(true))),
-                    ..CritSummary::default()
+                    ..CritPath::default()
                 };
                 for c in cp.get("components").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                    out.components
-                        .push((get_str(c, "component")?.to_string(), get_u64(c, "on_path_ns")?));
+                    out.components.push(ComponentShare {
+                        component: get_str(c, "component")?.to_string(),
+                        on_path_ns: get_u64(c, "on_path_ns")?,
+                    });
                 }
                 for s in cp.get("segments").and_then(|v| v.as_arr()).unwrap_or(&[]) {
                     let row = s.as_arr().ok_or("segment must be an array")?;
                     if row.len() != 3 {
                         return Err("segment must be [component, start, end]".into());
                     }
-                    out.segments.push((
-                        row[0].as_str().ok_or("segment component must be a string")?.to_string(),
-                        as_u64(&row[1])?,
-                        as_u64(&row[2])?,
-                    ));
+                    out.segments.push(PathSegment {
+                        component: row[0]
+                            .as_str()
+                            .ok_or("segment component must be a string")?
+                            .to_string(),
+                        start: as_u64(&row[1])?,
+                        end: as_u64(&row[2])?,
+                    });
                 }
                 rec.critpath = Some(out);
             }
@@ -686,13 +703,17 @@ mod tests {
         rec.counters.insert("parcels.sent".into(), 40);
         rec.gauges.insert("inflight.peak".into(), 7);
         rec.hists.insert("parcel.latency_ns".into(), h);
-        rec.critpath = Some(CritSummary {
+        let share = |c: &str, ns| ComponentShare { component: c.into(), on_path_ns: ns };
+        let seg = |c: &str, start, end| PathSegment { component: c.into(), start, end };
+        rec.critpath = Some(CritPath {
+            config: "lci_psr_cq_pin_i".into(),
             total_ns: 10_000,
             wire_fixed_ns: 1_000,
             events_on_path: 12,
             truncated: false,
-            components: vec![("net.wire".into(), 6_000), ("cpu".into(), 4_000)],
-            segments: vec![("cpu".into(), 0, 4_000), ("net.wire".into(), 4_000, 10_000)],
+            components: vec![share("net.wire", 6_000), share("cpu", 4_000)],
+            segments: vec![seg("cpu", 0, 4_000), seg("net.wire", 4_000, 10_000)],
+            path_nodes: vec![1, 5, 12],
         });
         rec.profile.push(CoreRecord { loc: 0, core: 0, states: [5_000, 2_000, 0, 1_000, 2_000] });
         rec.resources.push(ResourceRecord {
@@ -717,6 +738,8 @@ mod tests {
         let json = rec.to_json();
         let back = RunRecord::from_json(&json).unwrap();
         assert_eq!(back, rec);
+        // The path's causal node ids stay in memory, for the Chrome overlay.
+        assert!(back.critpath.as_ref().unwrap().path_nodes.is_empty());
         // Serialization is deterministic.
         assert_eq!(back.to_json(), json);
     }

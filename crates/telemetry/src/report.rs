@@ -1,5 +1,6 @@
 //! Human- and machine-readable reports: latency breakdown per lifecycle
-//! stage, and contention attribution ranked by wait time.
+//! stage, read from the flows; and contention attribution ranked by wait
+//! time and the per-core time breakdown, both views of a [`RunRecord`].
 
 use std::fmt::Write as _;
 
@@ -7,7 +8,8 @@ use simcore::{escape_json, Summary};
 
 use crate::flow::{stage, FlowRec, STAGE_NAMES, UNSET};
 use crate::hist::Histogram;
-use crate::metrics::ContentionStat;
+use crate::profile::{CoreState, STATES};
+use crate::record::{CoreRecord, RunRecord};
 
 /// Aggregated durations for one lifecycle stage: the time from entering
 /// the stage until the next recorded stage.
@@ -153,47 +155,40 @@ impl Breakdown {
     }
 }
 
-/// Contention attribution for one configuration: resources ranked by the
-/// total time cores spent waiting on them.
-#[derive(Debug, Clone)]
-pub struct ContentionReport {
-    /// Configuration label.
-    pub config: String,
-    /// `(resource name, stats)` ranked by total wait, descending.
-    pub rows: Vec<(&'static str, ContentionStat)>,
-}
-
-impl ContentionReport {
-    /// Render an aligned text table.
-    pub fn to_text(&self) -> String {
+/// The contention and core-time reports are views of the run record:
+/// they render its `resources` and `profile` sections.
+impl RunRecord {
+    /// Contention attribution: resources ranked by the total time cores
+    /// spent waiting on them, as an aligned text table.
+    pub fn contention_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "top resources by wait time [{}]", self.config);
+        let _ = writeln!(out, "top resources by wait time [{}]", self.meta.config);
         let _ = writeln!(
             out,
             "  {:<24} {:<9} {:>10} {:>10} {:>12} {:>10} {:>12}",
             "resource", "kind", "events", "contended", "wait_us", "wait/ev_ns", "service_us"
         );
-        for (name, s) in &self.rows {
+        for r in &self.resources {
             let _ = writeln!(
                 out,
                 "  {:<24} {:<9} {:>10} {:>10} {:>12.1} {:>10.1} {:>12.1}",
-                name,
-                s.kind.label(),
-                s.events,
-                s.contended,
-                s.total_wait_ns as f64 / 1e3,
-                s.mean_wait_ns(),
-                s.total_service_ns as f64 / 1e3,
+                r.name,
+                r.kind,
+                r.events,
+                r.contended,
+                r.wait_ns as f64 / 1e3,
+                r.mean_wait_ns(),
+                r.service_ns as f64 / 1e3,
             );
         }
         out
     }
 
-    /// Render as machine-readable JSON.
-    pub fn to_json(&self) -> String {
+    /// The contention ranking as machine-readable JSON.
+    pub fn contention_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"config\":\"{}\",\"resources\":[", escape_json(&self.config));
-        for (i, (name, s)) in self.rows.iter().enumerate() {
+        let _ = write!(out, "{{\"config\":\"{}\",\"resources\":[", escape_json(&self.meta.config));
+        for (i, r) in self.resources.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -201,14 +196,80 @@ impl ContentionReport {
                 out,
                 "{{\"name\":\"{}\",\"kind\":\"{}\",\"events\":{},\"contended\":{},\
                  \"total_wait_ns\":{},\"mean_wait_ns\":{:.1},\"total_service_ns\":{}}}",
-                escape_json(name),
-                s.kind.label(),
-                s.events,
-                s.contended,
-                s.total_wait_ns,
-                s.mean_wait_ns(),
-                s.total_service_ns,
+                escape_json(&r.name),
+                escape_json(&r.kind),
+                r.events,
+                r.contended,
+                r.wait_ns,
+                r.mean_wait_ns(),
+                r.service_ns,
             );
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// The cores ranked by busy time, descending (ties by `(loc, core)`).
+    pub fn cores_by_busy_time(&self) -> Vec<&CoreRecord> {
+        let mut rows: Vec<&CoreRecord> = self.profile.iter().collect();
+        rows.sort_by(|a, b| {
+            b.busy_ns().cmp(&a.busy_ns()).then((a.loc, a.core).cmp(&(b.loc, b.core)))
+        });
+        rows
+    }
+
+    /// Per-core time breakdown, ranked by busy time, as an aligned text
+    /// table (times in µs, shares of elapsed).
+    pub fn core_time_text(&self) -> String {
+        let rows = self.cores_by_busy_time();
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "core time breakdown [{}]  horizon={:.1}us  cores={}",
+            self.meta.config,
+            self.profile_horizon_ns() as f64 / 1e3,
+            rows.len()
+        );
+        let _ = writeln!(
+            out,
+            "  {:<12} {:>10} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7}",
+            "core", "busy_us", "busy%", "work%", "progr%", "lockw%", "serial%", "idle%"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "  {:<12} {:>10.1} {:>6.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>6.1}%",
+                format!("loc{}/core{}", r.loc, r.core),
+                r.busy_ns() as f64 / 1e3,
+                100.0 * r.busy_ns() as f64 / r.total_ns().max(1) as f64,
+                100.0 * r.share(CoreState::Working),
+                100.0 * r.share(CoreState::Progress),
+                100.0 * r.share(CoreState::LockWait),
+                100.0 * r.share(CoreState::Serialize),
+                100.0 * r.share(CoreState::Idle),
+            );
+        }
+        out
+    }
+
+    /// The ranked core-time breakdown as machine-readable JSON.
+    pub fn core_time_json(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"config\":\"{}\",\"horizon_ns\":{},\"cores\":[",
+            escape_json(&self.meta.config),
+            self.profile_horizon_ns()
+        );
+        for (i, r) in self.cores_by_busy_time().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"loc\":{},\"core\":{}", r.loc, r.core);
+            for state in STATES {
+                let _ = write!(out, ",\"{}_ns\":{}", state.label(), r.states[state as usize]);
+            }
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -219,7 +280,7 @@ impl ContentionReport {
 mod tests {
     use super::*;
     use crate::flow::FlowTracer;
-    use crate::metrics::{ContentionTable, ResourceKind};
+    use crate::record::{ResourceRecord, RunMeta};
     use simcore::SimTime;
 
     fn sample_flows() -> FlowTracer {
@@ -262,13 +323,54 @@ mod tests {
         assert_eq!(parsed.get("config").unwrap().as_str(), Some("cfg\"quoted"));
         assert!(parsed.get("stages").unwrap().as_arr().unwrap().len() > 2);
 
-        let mut t = ContentionTable::new();
-        t.record("ucp_progress", ResourceKind::Lock, 5000, 100, true);
-        t.record("lci.progress", ResourceKind::TryLock, 0, 50, false);
-        let report = ContentionReport { config: "mpi".into(), rows: t.ranking() };
-        let parsed = crate::json::parse(&report.to_json()).expect("contention json parses");
+        let resource = |name: &str, kind: &str, wait_ns, service_ns| ResourceRecord {
+            name: name.into(),
+            kind: kind.into(),
+            events: 2,
+            contended: (wait_ns > 0) as u64,
+            wait_ns,
+            service_ns,
+        };
+        let rec = RunRecord {
+            meta: meta("mpi"),
+            resources: vec![
+                resource("ucp_progress", "lock", 5000, 100),
+                resource("lci.progress", "trylock", 0, 50),
+            ],
+            ..RunRecord::default()
+        };
+        let parsed = crate::json::parse(&rec.contention_json()).expect("contention json parses");
         let rows = parsed.get("resources").unwrap().as_arr().unwrap();
         assert_eq!(rows[0].get("name").unwrap().as_str(), Some("ucp_progress"));
-        assert!(report.to_text().contains("ucp_progress"));
+        assert_eq!(rows[0].get("mean_wait_ns").unwrap().as_f64(), Some(2500.0));
+        assert!(rec.contention_text().contains("ucp_progress"));
+    }
+
+    fn meta(config: &str) -> RunMeta {
+        RunMeta { scenario: "unit".into(), config: config.into(), ..RunMeta::default() }
+    }
+
+    #[test]
+    fn profile_report_ranks_by_busy_time() {
+        let tel = crate::Telemetry::new();
+        let t = SimTime::from_nanos;
+        tel.profile_record(0, 0, CoreState::Working, "task", t(0), t(1000));
+        tel.profile_record(0, 1, CoreState::Progress, "background", t(0), t(400));
+        tel.profile_record(1, 0, CoreState::Working, "task", t(0), t(700));
+        let rec = RunRecord::capture(&tel, meta("cfg"));
+        assert_eq!(rec.profile_horizon_ns(), 1000);
+        let rows = rec.cores_by_busy_time();
+        assert_eq!(rows.len(), 3);
+        assert_eq!((rows[0].loc, rows[0].core), (0, 0));
+        assert_eq!((rows[1].loc, rows[1].core), (1, 0));
+        // Every row is finalized to the common horizon.
+        for row in &rows {
+            assert_eq!(row.total_ns(), 1000);
+        }
+        let text = rec.core_time_text();
+        assert!(text.contains("loc0/core0"), "text: {text}");
+        let parsed = crate::json::parse(&rec.core_time_json()).expect("report json parses");
+        assert_eq!(parsed.get("horizon_ns").unwrap().as_f64(), Some(1000.0));
+        assert_eq!(parsed.get("cores").unwrap().as_arr().unwrap().len(), 3);
     }
 }

@@ -6,7 +6,8 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use telemetry::record::{CritSummary, RunMeta, RunRecord, SCHEMA_VERSION};
+use telemetry::record::{RunMeta, RunRecord, SCHEMA_VERSION};
+use telemetry::{ComponentShare, CritPath, PathSegment};
 use telemetry::{Histogram, RecordDiff};
 
 /// Generator inputs for one synthetic run record: per-component
@@ -61,7 +62,7 @@ fn build(s: &Synth) -> RunRecord {
     let mut segments = Vec::new();
     let mut cursor = 0u64;
     for (name, ns) in &s.components {
-        segments.push((name.clone(), cursor, cursor + ns));
+        segments.push(PathSegment { component: name.clone(), start: cursor, end: cursor + ns });
         cursor += ns;
     }
     let mut rec = RunRecord {
@@ -69,11 +70,16 @@ fn build(s: &Synth) -> RunRecord {
         meta: RunMeta { scenario: "prop".into(), config: "cfg".into(), ..Default::default() },
         end_to_end_ns: total,
         events: s.counters.iter().map(|&(_, v)| v).sum(),
-        critpath: Some(CritSummary {
+        critpath: Some(CritPath {
+            config: "cfg".into(),
             total_ns: total,
-            components: s.components.clone(),
+            components: s
+                .components
+                .iter()
+                .map(|(c, ns)| ComponentShare { component: c.clone(), on_path_ns: *ns })
+                .collect(),
             segments,
-            ..CritSummary::default()
+            ..CritPath::default()
         }),
         ..RunRecord::default()
     };

@@ -672,7 +672,7 @@ fn run_record_capture_is_pure_and_pinned() {
 
     // The partition identity every diff inherits.
     let cp = rec1.critpath.as_ref().expect("instrumented run has a critical path");
-    let comp_sum: u64 = cp.components.iter().map(|&(_, ns)| ns).sum();
+    let comp_sum: u64 = cp.components.iter().map(|c| c.on_path_ns).sum();
     assert_eq!(comp_sum, cp.total_ns, "component table must partition the makespan");
     assert_eq!(rec1.end_to_end_ns, cp.total_ns);
 

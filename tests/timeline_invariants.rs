@@ -176,26 +176,24 @@ fn export_digests(tel: &Telemetry, scenario: &str, config: &str) -> [u64; 14] {
     let text = tel.timeline_text(config).expect("timeline attached");
     let chrome = tel.chrome_trace_collected();
     let meta = RunMeta { scenario: scenario.into(), config: config.into(), ..Default::default() };
-    let record = RunRecord::capture(tel, meta).to_json();
-    let cp = tel.critpath(config).expect("instrumented run has a critical path");
-    let contention = tel.contention_report(config);
-    let cores = tel.core_report(config);
+    let rec = RunRecord::capture(tel, meta);
+    let cp = rec.critpath.as_ref().expect("instrumented run has a critical path");
     let breakdown = tel.breakdown(config);
     [
         json,
         text,
         chrome,
-        record,
+        rec.to_json(),
         cp.to_text(),
         cp.to_json(),
-        contention.to_text(),
-        contention.to_json(),
-        cores.to_text(),
-        cores.to_json(),
+        rec.contention_text(),
+        rec.contention_json(),
+        rec.core_time_text(),
+        rec.core_time_json(),
         breakdown.to_text(),
         breakdown.to_json(),
-        bench::trace::json_report(tel, config, Some(&cp)),
-        bench::trace::json_report(tel, config, None),
+        bench::trace::json_report(&rec, &breakdown, true),
+        bench::trace::json_report(&rec, &breakdown, false),
     ]
     .map(|doc| common::fnv(doc.as_bytes()))
 }
