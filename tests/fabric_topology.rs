@@ -146,3 +146,156 @@ fn core_spans_survive_disable_before_the_world_drops() {
         "loc0 core tracks missing from the Chrome export"
     );
 }
+
+/// Golden pins for the federated world on a switched fabric: every lane
+/// runs its own fabric replica, so these pins hold the replica protocol
+/// (export, inbox merge, acceptance) and each lane's port state to exact
+/// results on both switched topologies.
+///
+/// Re-pin only for an intentional model change:
+/// `cargo test --test fabric_topology federated -- --ignored --nocapture`.
+mod federated {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use hpx_lci_repro::amt::action::ActionRegistry;
+    use hpx_lci_repro::netsim::Topology;
+    use hpx_lci_repro::parcelport::{Engine, EngineWorld, ShardedWorld, WorldConfig};
+    use hpx_lci_repro::simcore::shard::RunMode;
+
+    const LOCALITIES: usize = 16;
+    const PARCELS_PER_LOC: usize = 20;
+
+    /// `(topology, end ns, nested events, canonical engine digest,
+    /// delivered, xmit_pkts summed over every lane's ports)`.
+    const PINS: &[(&str, u64, u64, u64, usize, u64)] = &[
+        ("fattree", 59_564, 943, 0xb34bacce12caca32, 320, 1_436),
+        ("dragonfly", 59_923, 936, 0x4040949e5bc7ccd2, 320, 877),
+    ];
+
+    fn topology(label: &str) -> Topology {
+        match label {
+            "fattree" => Topology::fat_tree_for(LOCALITIES),
+            "dragonfly" => Topology::dragonfly_for(LOCALITIES),
+            other => panic!("no pinned topology {other}"),
+        }
+    }
+
+    /// SplitMix64, the test's own generator for peer choice.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// 16 localities × 4 cores on `label`, federated on 2 shards run
+    /// sequentially; each locality sends `PARCELS_PER_LOC` 8 B parcels,
+    /// each to a peer drawn from the others. Returns the world and the
+    /// delivered count.
+    fn run(label: &str) -> (EngineWorld, usize) {
+        let mut cfg = WorldConfig::cluster("lci_psr_cq_pin_i".parse().unwrap(), LOCALITIES, 4);
+        cfg.topology = topology(label);
+        cfg.seed = 1;
+        let mut state = 1u64;
+        let peers: Vec<Vec<usize>> = (0..LOCALITIES)
+            .map(|rank| {
+                (0..PARCELS_PER_LOC)
+                    .map(|_| {
+                        let hop = splitmix64(&mut state) % (LOCALITIES as u64 - 1);
+                        (rank + 1 + hop as usize) % LOCALITIES
+                    })
+                    .collect()
+            })
+            .collect();
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let d = delivered.clone();
+        let engine = Engine::Federated { shards: 2, mode: Some(RunMode::Sequential) };
+        let mut world = engine.build(
+            &cfg,
+            move |_rank| {
+                let mut registry = ActionRegistry::new();
+                let d = d.clone();
+                registry.register("sink", move |sim, _l, _c, _p| {
+                    d.fetch_add(1, Ordering::Relaxed);
+                    sim.now() + 150
+                });
+                registry.into()
+            },
+            move |rank, sim, loc| {
+                let sink = loc.with_registry(|r| r.id_of("sink").unwrap());
+                let dsts = peers[rank].clone();
+                loc.spawn(
+                    sim,
+                    0,
+                    Box::new(move |sim, loc, core| {
+                        let mut t = sim.now();
+                        for &dst in &dsts {
+                            t = loc.send_action(
+                                sim,
+                                core,
+                                dst,
+                                sink,
+                                vec![Bytes::from_static(b"8 bytes!")],
+                            );
+                        }
+                        t
+                    }),
+                );
+            },
+        );
+        federated(&mut world).engine.set_exec_capture(true);
+        world.run(60_000_000_000, |_| true);
+        let n = delivered.load(Ordering::Relaxed);
+        (world, n)
+    }
+
+    fn federated(world: &mut EngineWorld) -> &mut ShardedWorld {
+        match world {
+            EngineWorld::Federated { world, .. } => world,
+            EngineWorld::SingleHeap(_) => unreachable!("built federated"),
+        }
+    }
+
+    /// `xmit_pkts` over every port of every lane's replica.
+    fn lane_xmit_pkts(world: &ShardedWorld) -> u64 {
+        (0..LOCALITIES)
+            .map(|rank| {
+                let fabric = world.node(rank).fabric().borrow();
+                let topo = fabric.topology().expect("a switched fabric");
+                topo.ranked_ports().iter().map(|r| r.1.xmit_pkts).sum::<u64>()
+            })
+            .sum()
+    }
+
+    fn observe(label: &str) -> (u64, u64, u64, usize, u64) {
+        let (mut world, delivered) = run(label);
+        let w = federated(&mut world);
+        (w.now().as_nanos(), w.events_executed(), w.engine.digest(), delivered, lane_xmit_pkts(w))
+    }
+
+    #[test]
+    #[ignore]
+    fn capture_pins() {
+        for label in ["fattree", "dragonfly"] {
+            let (end, events, digest, delivered, pkts) = observe(label);
+            eprintln!("(\"{label}\", {end}, {events}, {digest:#018x}, {delivered}, {pkts}),");
+        }
+    }
+
+    #[test]
+    fn federated_switched_worlds_are_pinned() {
+        assert_eq!(PINS.len(), 2, "both switched topologies are pinned");
+        for &(label, end, events, digest, delivered, pkts) in PINS {
+            let got = observe(label);
+            assert_eq!(got.3, LOCALITIES * PARCELS_PER_LOC, "{label}: lost parcels");
+            assert_eq!(
+                got,
+                (end, events, digest, delivered, pkts),
+                "{label}: a pinned result moved"
+            );
+        }
+    }
+}
