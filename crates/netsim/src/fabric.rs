@@ -154,6 +154,17 @@ impl Fabric {
         fab
     }
 
+    /// A fabric of the same shape — nodes, contexts, wire model, faults
+    /// and topology — with no traffic, no arrival wakers and idle ports.
+    /// A switched topology is not rebuilt: the replica shares its graph,
+    /// port names and routes ([`SwitchFabric::replica`]).
+    pub fn replica(&self) -> Fabric {
+        let mut fab = Fabric::with_contexts(self.nodes, self.model.clone(), self.contexts);
+        fab.topo = self.topo.as_ref().map(SwitchFabric::replica);
+        fab.fault = self.fault.clone();
+        fab
+    }
+
     /// Install (or clear, with [`Topology::Direct`]) the switched
     /// interconnect on an existing fabric — used by world builders that
     /// also configure contexts. Must happen before traffic flows.
@@ -391,14 +402,15 @@ impl Fabric {
 
     /// Drain every in-flight packet `home` sent to another node into `out`
     /// as `(deliver_at, pkt)` pairs — the lane-export half of the
-    /// federated sharded world, where each lane owns a full fabric replica
-    /// but only its `home` node sends or receives locally. Only home's own
+    /// federated sharded world, where each lane owns a fabric replica but
+    /// only its `home` node sends or receives locally. Only home's own
     /// row `(home, dst ≠ home, ctx)` can hold such packets (foreign-source
     /// packets enter through [`Fabric::accept_remote`], addressed to
-    /// `home`), so the cost is `nodes × contexts` channel checks plus the
-    /// packets moved. Channels are visited in `(dst, ctx)` order and each
-    /// is drained front-to-back, so per-channel FIFO is preserved and the
-    /// output order is placement-independent.
+    /// `home`). That row is one contiguous run of channels; the cost is a
+    /// length check per channel plus the packets moved, and an empty
+    /// channel is not drained. Channels are visited in `(dst, ctx)` order
+    /// and each is drained front-to-back, so per-channel FIFO is preserved
+    /// and the output order is placement-independent.
     pub fn drain_sent_by(&mut self, home: NodeId, out: &mut Vec<(SimTime, Packet)>) {
         #[cfg(debug_assertions)]
         for src in (0..self.nodes).filter(|&src| src != home) {
@@ -411,10 +423,11 @@ impl Fabric {
                 }
             }
         }
-        for dst in (0..self.nodes).filter(|&dst| dst != home) {
-            for ctx in 0..self.contexts {
-                let chan = self.chan(home, dst, ctx);
-                out.extend(self.queues[chan].drain(..).map(|f| (f.deliver_at, f.pkt)));
+        let row = self.chan(home, 0, 0)..self.chan(home + 1, 0, 0);
+        let contexts = self.contexts;
+        for (i, q) in self.queues[row].iter_mut().enumerate() {
+            if !q.is_empty() && i / contexts != home {
+                out.extend(q.drain(..).map(|f| (f.deliver_at, f.pkt)));
             }
         }
     }
@@ -762,6 +775,62 @@ mod tests {
             }
         }
         assert_eq!(tags, vec![10, 12, 11], "accepted packets deliver in order");
+    }
+
+    /// Home 1 of a 4-node, 2-context fabric sends to three destinations
+    /// on both contexts, interleaved, plus one packet to itself. The drain
+    /// yields the remote sends in `(dst, ctx)` order, FIFO per channel,
+    /// passes over the empty channel, and leaves the local packet.
+    #[test]
+    fn drain_sent_by_orders_by_destination_then_context() {
+        let mut sim = Sim::new(1);
+        let mut fab = Fabric::with_contexts(4, WireModel::expanse(), 2);
+        let sends = [
+            (3, 1, 31),
+            (0, 0, 1),
+            (2, 0, 20),
+            (3, 0, 30),
+            (1, 0, 99),
+            (0, 1, 11),
+            (3, 1, 32),
+            (0, 0, 2),
+            (2, 0, 21),
+            (3, 0, 33),
+        ];
+        for (dst, ctx, tag) in sends {
+            fab_send_tagged(&mut fab, &mut sim, (1, dst, ctx), tag);
+        }
+        let mut out = Vec::new();
+        fab.drain_sent_by(1, &mut out);
+        let tags: Vec<u64> = out.iter().map(|(_, p)| p.tag).collect();
+        assert_eq!(tags, [1, 2, 11, 20, 21, 30, 33, 31, 32]);
+        assert_eq!(fab.pending(1), 1, "the packet home sent itself stays to be polled");
+        out.clear();
+        fab.drain_sent_by(1, &mut out);
+        assert!(out.is_empty(), "a drained row is empty");
+    }
+
+    /// A replica has the source's shape and none of its traffic: a send on
+    /// it times exactly as on a freshly built fabric.
+    #[test]
+    fn replica_is_a_fresh_fabric_sharing_the_topology() {
+        use crate::topo::Topology;
+        let topology = Topology::fat_tree_for(16);
+        let mut sim = Sim::new(1);
+        let mut src = Fabric::with_topology(16, WireModel::expanse(), &topology);
+        src.set_faults(FaultConfig { reorder_prob: 0.5, ..FaultConfig::default() });
+        src.send(&mut sim, 0, SimTime::ZERO, pkt(0, 15, 1, 64));
+        let mut replica = src.replica();
+        assert_eq!((replica.nodes(), replica.contexts(), replica.sent()), (16, 1, 0));
+        assert_eq!(replica.fault.reorder_prob, 0.5, "faults carry over");
+        assert!(std::ptr::eq(src.topology().unwrap().graph(), replica.topology().unwrap().graph()));
+        assert!(replica.topology().unwrap().ranked_ports().is_empty(), "idle ports");
+        let mut fresh = Fabric::with_topology(16, WireModel::expanse(), &topology);
+        let mut sim_a = Sim::new(1);
+        let mut sim_b = Sim::new(1);
+        let a = replica.send(&mut sim_a, 0, SimTime::ZERO, pkt(0, 15, 2, 64));
+        let b = fresh.send(&mut sim_b, 0, SimTime::ZERO, pkt(0, 15, 2, 64));
+        assert_eq!((a.cpu_done, a.deliver_at), (b.cpu_done, b.deliver_at));
     }
 
     fn fab_send_tagged(

@@ -50,6 +50,9 @@ pub struct TopoGraph {
     pub name: &'static str,
     hosts: usize,
     switches: Vec<SwitchSpec>,
+    /// `port_base[sw]` is the flattened index of `(sw, 0)`: a prefix sum
+    /// of the port counts, one entry per switch plus the total.
+    port_base: Vec<usize>,
     /// `host -> (switch, port)` of the switch port facing the host: the
     /// packet ingress point for traffic *from* the host and the egress
     /// port for the final downlink *to* the host.
@@ -65,6 +68,7 @@ impl TopoGraph {
             name,
             hosts,
             switches: Vec::new(),
+            port_base: vec![0],
             host_up: vec![(usize::MAX, usize::MAX); hosts],
             host_latency: vec![0; hosts],
         }
@@ -73,6 +77,7 @@ impl TopoGraph {
     /// Add a switch with `radix` (initially unconnected) ports; returns
     /// its index.
     pub fn add_switch(&mut self, label: String, radix: usize) -> usize {
+        self.port_base.push(self.num_ports() + radix);
         self.switches.push(SwitchSpec {
             label,
             ports: vec![PortSpec { peer: Peer::Unconnected, latency_ns: 0 }; radix],
@@ -136,17 +141,14 @@ impl TopoGraph {
 
     /// Total port count (flattened index space).
     pub fn num_ports(&self) -> usize {
-        self.switches.iter().map(|s| s.ports.len()).sum()
+        self.port_base[self.switches.len()]
     }
 
     /// Flattened index of `(sw, port)`.
+    #[inline]
     pub fn port_index(&self, sw: usize, port: usize) -> usize {
-        self.port_base(sw) + port
-    }
-
-    /// Flattened index of `(sw, 0)`.
-    fn port_base(&self, sw: usize) -> usize {
-        self.switches[..sw].iter().map(|s| s.ports.len()).sum()
+        debug_assert!(port < self.switches[sw].ports.len(), "switch {sw} has no port {port}");
+        self.port_base[sw] + port
     }
 
     /// Structural validation: every host attached, every link symmetric,
@@ -284,6 +286,27 @@ mod tests {
         let d = g.compute_dist(&dead);
         assert_eq!(d.get(0, 2), u16::MAX, "no alternative path in a dumbbell");
         assert_eq!(d.get(0, 0), 1, "local reachability survives");
+    }
+
+    /// The prefix table gives every port the index a running sum of the
+    /// earlier switches' port counts would, on fat-trees and a dragonfly.
+    #[test]
+    fn port_index_is_the_prefix_sum_of_port_counts() {
+        use crate::topo::{DragonflyParams, FatTreeParams};
+        let graphs = [2, 4, 8]
+            .map(|k| FatTreeParams::new(k).graph())
+            .into_iter()
+            .chain([DragonflyParams::for_hosts(64).graph()]);
+        for g in graphs {
+            let mut base = 0;
+            for sw in 0..g.switches() {
+                for port in 0..g.switch(sw).ports.len() {
+                    assert_eq!(g.port_index(sw, port), base + port, "{} ({sw},{port})", g.name);
+                }
+                base += g.switch(sw).ports.len();
+            }
+            assert_eq!(g.num_ports(), base, "{}", g.name);
+        }
     }
 
     #[test]

@@ -15,8 +15,16 @@
 //! per touched port. A packet is walked hop-by-hop at send time —
 //! virtual-cut-through with port reservations — so a multi-hop delivery
 //! is a pure timing computation, not extra simulator events.
+//!
+//! A fabric splits into an immutable half and a live half. The graph,
+//! the interned port names and the routing state are built once and held
+//! behind `Arc`, so every [`SwitchFabric::replica`] shares them; each
+//! replica owns only its port buffers and counters. Routing state is
+//! copied on write: a [`SwitchFabric::fail_link`] on one fabric reroutes
+//! that fabric alone.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -47,7 +55,6 @@ pub struct PortCounters {
 
 struct PortState {
     res: SimResource,
-    names: &'static PortNames,
     counters: PortCounters,
     /// Departure instants (ns) of packets still occupying the buffer at
     /// the last access — pruned lazily; its length is the occupancy.
@@ -73,15 +80,26 @@ pub struct WalkResult {
     pub retries: u32,
 }
 
-/// A built topology: graph + distance/routing state + live port buffers.
-pub struct SwitchFabric {
-    graph: TopoGraph,
+/// What a link failure recomputes: distances, the static table and the
+/// failed-port mask (by flattened index).
+#[derive(Clone)]
+struct Routes {
     dist: Dist,
     table: RouteTable,
+    dead: Vec<bool>,
+}
+
+/// A built topology: the shared graph, port names and routes, plus this
+/// fabric's own live port buffers.
+pub struct SwitchFabric {
+    graph: Arc<TopoGraph>,
+    /// Interned names of every port, by flattened index.
+    names: Arc<[&'static PortNames]>,
+    /// Shared with the replicas until a link fails (copy on write).
+    routes: Arc<Routes>,
     policy: RoutingPolicy,
     switch_ns: u64,
     ports: Vec<PortState>,
-    dead: Vec<bool>,
     cand_buf: Vec<u16>,
 }
 
@@ -92,21 +110,36 @@ impl SwitchFabric {
         let dead = vec![false; graph.num_ports()];
         let dist = graph.compute_dist(&dead);
         let table = compute_static(&graph, &dist, &dead);
-        let mut ports = Vec::with_capacity(graph.num_ports());
-        for sw in 0..graph.switches() {
-            let label = &graph.switch(sw).label;
-            for pi in 0..graph.switch(sw).ports.len() {
-                let names = intern_port(format!("fab.{label}.p{pi}"));
-                ports.push(PortState {
-                    res: SimResource::new(names.name, 0),
-                    names,
-                    counters: PortCounters::default(),
-                    inflight: VecDeque::new(),
-                    last_sample_ns: 0,
-                });
-            }
+        let names: Arc<[_]> = (0..graph.switches())
+            .flat_map(|sw| {
+                let spec = graph.switch(sw);
+                (0..spec.ports.len()).map(|pi| intern_port(format!("fab.{}.p{pi}", spec.label)))
+            })
+            .collect();
+        SwitchFabric {
+            ports: idle_ports(&names),
+            graph: Arc::new(graph),
+            names,
+            routes: Arc::new(Routes { dist, table, dead }),
+            policy,
+            switch_ns,
+            cand_buf: Vec::new(),
         }
-        SwitchFabric { graph, dist, table, policy, switch_ns, ports, dead, cand_buf: Vec::new() }
+    }
+
+    /// A fabric of the same topology with idle ports and zero counters.
+    /// It shares this fabric's graph, port names and current routes (a
+    /// link failed here stays failed there) instead of rebuilding them.
+    pub fn replica(&self) -> SwitchFabric {
+        SwitchFabric {
+            graph: Arc::clone(&self.graph),
+            names: Arc::clone(&self.names),
+            routes: Arc::clone(&self.routes),
+            policy: self.policy,
+            switch_ns: self.switch_ns,
+            ports: idle_ports(&self.names),
+            cand_buf: Vec::new(),
+        }
     }
 
     /// The underlying graph.
@@ -134,10 +167,11 @@ impl SwitchFabric {
     /// busiest (by `xmit_wait_ns`) first.
     pub fn ranked_ports(&self) -> Vec<(&'static str, PortCounters)> {
         let mut rows: Vec<_> = self
-            .ports
+            .names
             .iter()
-            .filter(|p| p.counters.xmit_pkts > 0 || p.counters.link_downed > 0)
-            .map(|p| (p.names.name, p.counters))
+            .zip(&self.ports)
+            .filter(|(_, p)| p.counters.xmit_pkts > 0 || p.counters.link_downed > 0)
+            .map(|(names, p)| (names.name, p.counters))
             .collect();
         rows.sort_by(|a, b| b.1.xmit_wait_ns.cmp(&a.1.xmit_wait_ns).then(a.0.cmp(b.0)));
         rows
@@ -151,6 +185,7 @@ impl SwitchFabric {
         let (mut sw, _) = self.graph.host_port(src);
         loop {
             let port = self
+                .routes
                 .table
                 .port(sw, dst)
                 .unwrap_or_else(|| panic!("no route from switch {sw} to host {dst}"));
@@ -188,41 +223,40 @@ impl SwitchFabric {
     /// Administratively kill the link behind `(sw, port)` — both
     /// directions — and recompute distances and the static table so new
     /// packets route around it. Packets already walked keep their
-    /// delivery times (they left before the failure). Returns `false` if
-    /// the port was already dead or unconnected.
+    /// delivery times (they left before the failure). The routes are
+    /// copied first if a replica shares them, so only this fabric
+    /// reroutes. Returns `false` if the port was already dead or
+    /// unconnected.
     pub fn fail_link(&mut self, sw: usize, port: usize) -> bool {
         let flat = self.graph.port_index(sw, port);
-        if self.dead[flat] {
+        if self.routes.dead[flat] {
             return false;
         }
-        match self.graph.switch(sw).ports[port].peer {
+        let peer = match self.graph.switch(sw).ports[port].peer {
             Peer::Unconnected => return false,
-            Peer::Host(_) => {
-                self.dead[flat] = true;
-                self.ports[flat].counters.link_downed += 1;
-            }
-            Peer::Switch { sw: psw, port: pport } => {
-                let pflat = self.graph.port_index(psw, pport);
-                self.dead[flat] = true;
-                self.dead[pflat] = true;
-                self.ports[flat].counters.link_downed += 1;
-                self.ports[pflat].counters.link_downed += 1;
-            }
+            Peer::Host(_) => None,
+            Peer::Switch { sw: psw, port: pport } => Some(self.graph.port_index(psw, pport)),
+        };
+        let routes = Arc::make_mut(&mut self.routes);
+        for f in std::iter::once(flat).chain(peer) {
+            routes.dead[f] = true;
+            self.ports[f].counters.link_downed += 1;
         }
         telemetry::fault_event("fab.link_down");
-        self.dist = self.graph.compute_dist(&self.dead);
-        self.table = compute_static(&self.graph, &self.dist, &self.dead);
+        routes.dist = self.graph.compute_dist(&routes.dead);
+        routes.table = compute_static(&self.graph, &routes.dist, &routes.dead);
         true
     }
 
     /// Pick the egress port of `sw` towards `dst` under the active policy.
     fn pick(&mut self, sw: usize, dst: usize) -> Option<usize> {
+        let routes = &self.routes;
         match self.policy {
-            RoutingPolicy::Static => self.table.port(sw, dst),
+            RoutingPolicy::Static => routes.table.port(sw, dst),
             RoutingPolicy::Adaptive => {
                 let mut buf = std::mem::take(&mut self.cand_buf);
                 buf.clear();
-                minimal_candidates(&self.graph, &self.dist, &self.dead, sw, dst, &mut buf);
+                minimal_candidates(&self.graph, &routes.dist, &routes.dead, sw, dst, &mut buf);
                 // Least-loaded: earliest `free_at`; ties break by port
                 // index (`buf` is in port order and `min` keeps the
                 // first minimum) so runs stay bit-identical.
@@ -251,6 +285,7 @@ impl SwitchFabric {
         service: u64,
         bytes: u64,
     ) -> SimTime {
+        let names = self.names[flat];
         let p = &mut self.ports[flat];
         let end = p.res.access(t, core, service);
         let wait = end.since(t) - service;
@@ -269,13 +304,13 @@ impl SwitchFabric {
             // `trace_check` enforces).
             let at = SimTime::from_nanos(tn.max(p.last_sample_ns));
             p.last_sample_ns = at.as_nanos();
-            tel.track_sample(p.names.occ, at, p.inflight.len() as f64);
-            tel.track_sample(p.names.wait, at, p.counters.xmit_wait_ns as f64 / 1e3);
+            tel.track_sample(names.occ, at, p.inflight.len() as f64);
+            tel.track_sample(names.wait, at, p.counters.xmit_wait_ns as f64 / 1e3);
             // Windowed per-port utilization/wait (no-op without a
             // timeline). Keyed by the access instant, not the clamped
             // sample instant: window attribution has no ordering
             // requirement, and the true time is the useful one.
-            tel.timeline_port(p.names.name, t, wait, bytes);
+            tel.timeline_port(names.name, t, wait, bytes);
         });
         end
     }
@@ -385,6 +420,19 @@ impl SwitchFabric {
             }
         }
     }
+}
+
+/// One idle, zero-counter port state per name.
+fn idle_ports(names: &[&'static PortNames]) -> Vec<PortState> {
+    names
+        .iter()
+        .map(|names| PortState {
+            res: SimResource::new(names.name, 0),
+            counters: PortCounters::default(),
+            inflight: VecDeque::new(),
+            last_sample_ns: 0,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -515,6 +563,50 @@ mod tests {
         assert_eq!(after.xmit_pkts, before.xmit_pkts, "dead port must stop transmitting");
         assert_eq!(after.link_downed, 1, "LinkDowned error counter is the observable");
         assert_ne!(f.route_ports(0, 15)[0], (sw, port), "route must change");
+    }
+
+    /// A replica shares the graph, names and routes with its source and
+    /// starts with zero counters and idle ports.
+    #[test]
+    fn replica_shares_topology_and_owns_idle_ports() {
+        let (model, faults, mut rng) = quiet();
+        let mut src = fab(RoutingPolicy::Static);
+        for _ in 0..3 {
+            src.walk(SimTime::ZERO, 0, 15, 4096, &model, 0, &faults, &mut rng);
+        }
+        let r = src.replica();
+        assert!(Arc::ptr_eq(&src.graph, &r.graph), "graph is shared");
+        assert!(Arc::ptr_eq(&src.names, &r.names), "port names are shared");
+        assert!(Arc::ptr_eq(&src.routes, &r.routes), "routes are shared");
+        assert_eq!(r.ports.len(), src.graph.num_ports());
+        for p in &r.ports {
+            assert_eq!(p.res.free_at(), SimTime::ZERO, "port must start idle");
+            assert!(p.inflight.is_empty());
+            assert_eq!(p.counters.xmit_pkts + p.counters.xmit_wait_ns, 0);
+        }
+        assert!(r.ranked_ports().is_empty(), "no port of a replica carried traffic");
+        assert!(!src.ranked_ports().is_empty(), "the source keeps its own counters");
+    }
+
+    /// A link failed on one replica reroutes that replica only: the
+    /// routes are copied on write.
+    #[test]
+    fn fail_link_on_a_replica_reroutes_only_that_replica() {
+        let src = fab(RoutingPolicy::Static);
+        let (mut a, b) = (src.replica(), src.replica());
+        let before = src.route_ports(0, 15);
+        let (sw, port) = before[0];
+        assert!(a.fail_link(sw, port));
+        assert!(!Arc::ptr_eq(&a.routes, &src.routes), "a failure copies the routes");
+        assert_ne!(a.route_ports(0, 15)[0], (sw, port), "the failing replica reroutes");
+        assert_eq!(a.port_counters(sw, port).link_downed, 1);
+        assert!(Arc::ptr_eq(&b.routes, &src.routes), "the other replica still shares");
+        for dst in 0..src.graph.hosts() {
+            for from in (0..src.graph.hosts()).filter(|&h| h != dst) {
+                assert_eq!(b.route_ports(from, dst), src.route_ports(from, dst));
+            }
+        }
+        assert_eq!(b.port_counters(sw, port).link_downed, 0);
     }
 
     #[test]

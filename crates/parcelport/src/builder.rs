@@ -139,7 +139,7 @@ pub(crate) fn build_single_heap(
     mut seed: impl FnMut(usize, &mut Sim, &Rc<Locality>),
 ) -> World {
     let mut sim = Sim::new(cfg.seed);
-    let fabric = build_fabric(cfg);
+    let fabric = Rc::new(RefCell::new(build_fabric(cfg)));
     let mut apps = Vec::with_capacity(cfg.localities);
     let localities = (0..cfg.localities)
         .map(|rank| {
@@ -157,9 +157,10 @@ pub(crate) fn build_single_heap(
 }
 
 /// The interconnect of `cfg`: wire model, contexts, topology and faults.
-/// [`build_world`] builds one for all localities, the federated world
-/// ([`crate::build_sharded_world`]) one replica per lane.
-pub(crate) fn build_fabric(cfg: &WorldConfig) -> Rc<RefCell<Fabric>> {
+/// [`build_world`] builds one for all localities; the federated world
+/// ([`crate::build_sharded_world`]) builds one and gives every lane a
+/// replica of it.
+pub(crate) fn build_fabric(cfg: &WorldConfig) -> Fabric {
     let mut fabric =
         Fabric::with_contexts(cfg.localities, cfg.wire.clone(), cfg.lci_devices.max(1));
     fabric.install_topology(&cfg.topology);
@@ -182,7 +183,7 @@ pub(crate) fn build_fabric(cfg: &WorldConfig) -> Rc<RefCell<Fabric>> {
         cfg.wire.name,
         cfg.topology.label(),
     );
-    Rc::new(RefCell::new(fabric))
+    fabric
 }
 
 /// One rank's locality stack, the recipe both world builders share: the

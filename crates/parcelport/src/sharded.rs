@@ -6,12 +6,14 @@
 //! [`build_world`](crate::build_world) drives every locality from one
 //! event heap; this module instead gives every locality its own *lane* —
 //! a [`LocalityNode`] actor owning a full nested [`Sim`], its locality,
-//! its parcelport stack, and a private [`Fabric`] replica. Lanes are
-//! placed onto engine shards (block partition, `rank * shards /
-//! localities`), and the conservative window is the fabric's
-//! [`Fabric::min_lookahead`] — asserted positive at construction, so
-//! every cross-locality wire transit pays at least one lookahead by
-//! construction.
+//! its parcelport stack, and a private [`Fabric::replica`] of the one
+//! fabric built for the world (a switched topology's graph, port names
+//! and routes are shared by `Arc`; each replica owns its channels and
+//! port buffers). Lanes are placed onto engine shards (block partition,
+//! `rank * shards / localities`), and the conservative window is the
+//! fabric's [`Fabric::min_lookahead`] — asserted positive at
+//! construction, so every cross-locality wire transit pays at least one
+//! lookahead by construction.
 //!
 //! Cross-locality traffic leaves a lane as raw [`Packet`]s: after each
 //! nested advance the lane drains what its home node sent
@@ -142,14 +144,17 @@ pub struct LocalityNode {
 // SAFETY: a node is `!Send` only through `Rc`/`RefCell` state, and no
 // `Rc` is shared between lanes: `build_sharded_world` builds every lane's
 // stack on its own — the nested `sim` (its handlers and queued closures),
-// the `fabric` replica (`build_fabric`), the `locality` with its own
-// `Rc<CostModel>` and parcelport (`build_locality`), and the `collector`
-// (an `Rc<Telemetry>` of this lane only). Every `Rc` reachable from a node
-// is therefore reachable from that node alone, and moving the node moves
-// all of them together. All cross-lane state is `Arc`/`Mutex`: the
-// `inboxes`, packet payloads in `due` and `drain` (`Bytes`), and the
-// telemetry run's route store. `app` and the registry's closures come
-// from `LaneSetup`, which must not capture an `Rc` shared across ranks
+// the `fabric` replica (`Fabric::replica`, wrapped in a fresh `Rc`), the
+// `locality` with its own `Rc<CostModel>` and parcelport
+// (`build_locality`), and the `collector` (an `Rc<Telemetry>` of this
+// lane only). Every `Rc` reachable from a node is therefore reachable from
+// that node alone, and moving the node moves all of them together. All
+// cross-lane state is `Arc`/`Mutex`: the `inboxes`, packet payloads in
+// `due` and `drain` (`Bytes`), the telemetry run's route store, and the
+// switched topology the replicas share — graph, port names and routes
+// behind `Arc`, never written while shared (`SwitchFabric::fail_link`
+// copies the routes first). `app` and the registry's closures come from
+// `LaneSetup`, which must not capture an `Rc` shared across ranks
 // (documented on `LaneSetup`). `rank` and `advance` are plain data. A run
 // lends the node's shard to one engine worker for the whole run, so the
 // node changes threads only when that worker is spawned or joined — both
@@ -278,6 +283,10 @@ pub fn build_sharded_world(
     let shards = shards.clamp(1, n);
     let inboxes: Inboxes = Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
     let main_tel = telemetry::active();
+    // The world's one fabric build. Each lane models its own sends end to
+    // end on a replica of it; inbound packets are accepted with their
+    // original delivery instants.
+    let template = build_fabric(cfg);
 
     let nodes: Vec<Box<LocalityNode>> = (0..n)
         .map(|rank| {
@@ -285,10 +294,7 @@ pub fn build_sharded_world(
             let mut sim = Sim::new(cfg.seed);
             // Lane-namespaced causal node ids; lane 0 keeps the legacy ids.
             sim.set_node_base((rank as u64) << 44);
-            // A full-size fabric replica: this lane models its own sends
-            // end to end; inbound packets are accepted with their original
-            // delivery instants.
-            let fabric = build_fabric(cfg);
+            let fabric = Rc::new(RefCell::new(template.replica()));
             let locality = build_locality(cfg, rank, &fabric, registry);
             locality.start(&mut sim);
             seed(rank, &mut sim, &locality);
@@ -310,8 +316,8 @@ pub fn build_sharded_world(
         .collect();
 
     // The conservative lookahead comes from the fabric model itself
-    // (`build_fabric` asserted it positive); every replica is identical.
-    let lookahead = nodes[0].fabric.borrow().min_lookahead();
+    // (`build_fabric` asserted it positive).
+    let lookahead = template.min_lookahead();
     let mut engine = ShardedSim::new(shards, lookahead);
     for (rank, node) in nodes.into_iter().enumerate() {
         // Block placement keeps SFC-adjacent localities on one shard.
