@@ -25,6 +25,7 @@
 pub mod fabric;
 pub mod model;
 pub mod packet;
+mod slots;
 pub mod topo;
 
 pub use fabric::{Fabric, FaultConfig, PollOutcome, SendOutcome};

@@ -21,7 +21,10 @@
 //! behind `Arc`, so every [`SwitchFabric::replica`] shares them; each
 //! replica owns only its port buffers and counters. Routing state is
 //! copied on write: a [`SwitchFabric::fail_link`] on one fabric reroutes
-//! that fabric alone.
+//! that fabric alone. A port's buffer and counters materialize on its
+//! first access (a walk through it, a retransmit, or a failure); an
+//! untouched port reads as idle with zero counters, so a replica costs
+//! one slot table and its memory follows the ports its traffic crosses.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,6 +38,7 @@ use super::routing::{compute_static, minimal_candidates, RouteTable, RoutingPoli
 use super::{intern_port, PortNames};
 use crate::fabric::FaultConfig;
 use crate::model::WireModel;
+use crate::slots::Slots;
 
 /// Per-port transmit counters (IB PMA flavoured).
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,6 +68,18 @@ struct PortState {
     last_sample_ns: u64,
 }
 
+impl PortState {
+    /// An idle port with zero counters.
+    fn idle(name: &'static str) -> Self {
+        PortState {
+            res: SimResource::new(name, 0),
+            counters: PortCounters::default(),
+            inflight: VecDeque::new(),
+            last_sample_ns: 0,
+        }
+    }
+}
+
 /// Outcome of walking one packet through the fabric.
 #[derive(Debug, Clone, Copy)]
 pub struct WalkResult {
@@ -90,7 +106,8 @@ struct Routes {
 }
 
 /// A built topology: the shared graph, port names and routes, plus this
-/// fabric's own live port buffers.
+/// fabric's own live port buffers (by flattened index, each created on
+/// its first access).
 pub struct SwitchFabric {
     graph: Arc<TopoGraph>,
     /// Interned names of every port, by flattened index.
@@ -99,7 +116,7 @@ pub struct SwitchFabric {
     routes: Arc<Routes>,
     policy: RoutingPolicy,
     switch_ns: u64,
-    ports: Vec<PortState>,
+    ports: Slots<PortState>,
     cand_buf: Vec<u16>,
 }
 
@@ -117,7 +134,7 @@ impl SwitchFabric {
             })
             .collect();
         SwitchFabric {
-            ports: idle_ports(&names),
+            ports: Slots::new(names.len()),
             graph: Arc::new(graph),
             names,
             routes: Arc::new(Routes { dist, table, dead }),
@@ -129,7 +146,8 @@ impl SwitchFabric {
 
     /// A fabric of the same topology with idle ports and zero counters.
     /// It shares this fabric's graph, port names and current routes (a
-    /// link failed here stays failed there) instead of rebuilding them.
+    /// link failed here stays failed there) instead of rebuilding them,
+    /// and holds no port state until its traffic touches a port.
     pub fn replica(&self) -> SwitchFabric {
         SwitchFabric {
             graph: Arc::clone(&self.graph),
@@ -137,7 +155,7 @@ impl SwitchFabric {
             routes: Arc::clone(&self.routes),
             policy: self.policy,
             switch_ns: self.switch_ns,
-            ports: idle_ports(&self.names),
+            ports: Slots::new(self.names.len()),
             cand_buf: Vec::new(),
         }
     }
@@ -158,20 +176,27 @@ impl SwitchFabric {
         self.graph.min_host_latency()
     }
 
-    /// Counters of port `(sw, port)`.
+    /// Counters of port `(sw, port)` (all zero if nothing touched it).
     pub fn port_counters(&self, sw: usize, port: usize) -> PortCounters {
-        self.ports[self.graph.port_index(sw, port)].counters
+        self.ports
+            .get(self.graph.port_index(sw, port))
+            .map_or_else(Default::default, |p| p.counters)
     }
 
-    /// Iterate `(name, counters)` over all ports that carried traffic,
-    /// busiest (by `xmit_wait_ns`) first.
+    /// Number of ports whose state exists (touched at least once).
+    #[cfg(test)]
+    pub(crate) fn live_ports(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// Iterate `(name, counters)` over all ports that carried traffic or
+    /// lost their link, busiest (by `xmit_wait_ns`) first, then by name.
     pub fn ranked_ports(&self) -> Vec<(&'static str, PortCounters)> {
         let mut rows: Vec<_> = self
-            .names
-            .iter()
-            .zip(&self.ports)
-            .filter(|(_, p)| p.counters.xmit_pkts > 0 || p.counters.link_downed > 0)
-            .map(|(names, p)| (names.name, p.counters))
+            .ports
+            .values()
+            .filter(|p| p.counters.xmit_pkts > 0 || p.counters.link_downed > 0)
+            .map(|p| (p.res.name(), p.counters))
             .collect();
         rows.sort_by(|a, b| b.1.xmit_wait_ns.cmp(&a.1.xmit_wait_ns).then(a.0.cmp(b.0)));
         rows
@@ -237,10 +262,13 @@ impl SwitchFabric {
             Peer::Host(_) => None,
             Peer::Switch { sw: psw, port: pport } => Some(self.graph.port_index(psw, pport)),
         };
+        let ends = || std::iter::once(flat).chain(peer);
+        for f in ends() {
+            self.port_mut(f).counters.link_downed += 1;
+        }
         let routes = Arc::make_mut(&mut self.routes);
-        for f in std::iter::once(flat).chain(peer) {
+        for f in ends() {
             routes.dead[f] = true;
-            self.ports[f].counters.link_downed += 1;
         }
         telemetry::fault_event("fab.link_down");
         routes.dist = self.graph.compute_dist(&routes.dead);
@@ -264,7 +292,9 @@ impl SwitchFabric {
                     .iter()
                     .map(|&p| {
                         let flat = self.graph.port_index(sw, p as usize);
-                        (self.ports[flat].res.free_at(), p as usize)
+                        let free_at =
+                            self.ports.get(flat).map_or(SimTime::ZERO, |p| p.res.free_at());
+                        (free_at, p as usize)
                     })
                     .min()
                     .map(|(_, p)| p);
@@ -272,6 +302,12 @@ impl SwitchFabric {
                 best
             }
         }
+    }
+
+    /// The live state of port `flat`, created idle on first access.
+    fn port_mut(&mut self, flat: usize) -> &mut PortState {
+        let names = &self.names;
+        self.ports.get_or_insert_with(flat, || PortState::idle(names[flat].name))
     }
 
     /// One egress-port access: queue + serialize through the port buffer,
@@ -286,7 +322,7 @@ impl SwitchFabric {
         bytes: u64,
     ) -> SimTime {
         let names = self.names[flat];
-        let p = &mut self.ports[flat];
+        let p = self.port_mut(flat);
         let end = p.res.access(t, core, service);
         let wait = end.since(t) - service;
         p.counters.xmit_pkts += 1;
@@ -358,7 +394,7 @@ impl SwitchFabric {
             if faults.drop_prob > 0.0 && rng.gen_bool(faults.drop_prob.min(1.0)) {
                 // Link-level loss: NAK travels back, the port re-serializes.
                 retries += 1;
-                self.ports[flat].counters.retries += 1;
+                self.port_mut(flat).counters.retries += 1;
                 done = done + 2 * link_lat + service;
                 telemetry::fault_event_at("fab.link_retransmit", t);
             }
@@ -420,19 +456,6 @@ impl SwitchFabric {
             }
         }
     }
-}
-
-/// One idle, zero-counter port state per name.
-fn idle_ports(names: &[&'static PortNames]) -> Vec<PortState> {
-    names
-        .iter()
-        .map(|names| PortState {
-            res: SimResource::new(names.name, 0),
-            counters: PortCounters::default(),
-            inflight: VecDeque::new(),
-            last_sample_ns: 0,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -566,7 +589,9 @@ mod tests {
     }
 
     /// A replica shares the graph, names and routes with its source and
-    /// starts with zero counters and idle ports.
+    /// holds no port state: a walk materializes exactly the ports of its
+    /// route, an untouched port reads as idle with zero counters, and a
+    /// failure on an untouched port still counts `link_downed`.
     #[test]
     fn replica_shares_topology_and_owns_idle_ports() {
         let (model, faults, mut rng) = quiet();
@@ -574,18 +599,48 @@ mod tests {
         for _ in 0..3 {
             src.walk(SimTime::ZERO, 0, 15, 4096, &model, 0, &faults, &mut rng);
         }
-        let r = src.replica();
+        let mut r = src.replica();
         assert!(Arc::ptr_eq(&src.graph, &r.graph), "graph is shared");
         assert!(Arc::ptr_eq(&src.names, &r.names), "port names are shared");
         assert!(Arc::ptr_eq(&src.routes, &r.routes), "routes are shared");
-        assert_eq!(r.ports.len(), src.graph.num_ports());
-        for p in &r.ports {
-            assert_eq!(p.res.free_at(), SimTime::ZERO, "port must start idle");
-            assert!(p.inflight.is_empty());
-            assert_eq!(p.counters.xmit_pkts + p.counters.xmit_wait_ns, 0);
-        }
+        assert_eq!(r.ports.len(), 0, "a fresh replica holds no port state");
         assert!(r.ranked_ports().is_empty(), "no port of a replica carried traffic");
         assert!(!src.ranked_ports().is_empty(), "the source keeps its own counters");
+
+        let route = r.route_ports(0, 15);
+        let first = r.walk(SimTime::ZERO, 0, 15, 4096, &model, 0, &faults, &mut rng);
+        let fresh = fab(RoutingPolicy::Static).walk(
+            SimTime::ZERO,
+            0,
+            15,
+            4096,
+            &model,
+            0,
+            &faults,
+            &mut rng,
+        );
+        assert_eq!(first.deliver_at, fresh.deliver_at, "untouched ports are idle");
+        assert_eq!(r.ports.len(), route.len(), "one walk materializes exactly its route");
+        for &(sw, port) in &route {
+            assert!(r.ports.get(r.graph.port_index(sw, port)).is_some());
+            assert_eq!(r.port_counters(sw, port).xmit_pkts, 1);
+        }
+
+        let (esw, _) = r.graph.host_port(0);
+        let untouched = (0..r.graph.switch(esw).ports.len())
+            .find(|&p| {
+                !route.contains(&(esw, p)) && r.graph.switch(esw).ports[p].peer != Peer::Unconnected
+            })
+            .expect("an edge switch has a port off the route");
+        let c = r.port_counters(esw, untouched);
+        assert_eq!(
+            (c.xmit_pkts, c.xmit_bytes, c.xmit_wait_ns, c.retries, c.link_downed),
+            (0, 0, 0, 0, 0)
+        );
+        assert_eq!(r.ports.len(), route.len(), "reading counters materializes nothing");
+        assert!(r.fail_link(esw, untouched));
+        assert_eq!(r.port_counters(esw, untouched).link_downed, 1);
+        assert!(r.ranked_ports().iter().any(|(_, c)| c.link_downed == 1 && c.xmit_pkts == 0));
     }
 
     /// A link failed on one replica reroutes that replica only: the
