@@ -34,6 +34,10 @@ const VACANT: u32 = u32::MAX;
 /// Key content → dense id, shared by every thread.
 static REGISTRY: LazyLock<Mutex<HashMap<&'static str, u32>>> = LazyLock::new(Default::default);
 
+fn registry() -> std::sync::MutexGuard<'static, HashMap<&'static str, u32>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// `(address, len, id)`; address 0 marks an empty slot (a reference is
 /// never null).
 type CacheSlot = Cell<(usize, usize, u32)>;
@@ -72,9 +76,11 @@ fn probe(
     Err(None)
 }
 
-/// The id of `key`, registering its content on first sight.
+/// The process-wide id of `key`, registering its content on first
+/// sight: equal content at any address has one id, on every thread.
+/// [`keys`] maps it back.
 #[inline]
-fn id_of(key: &'static str) -> u32 {
+pub fn id_of(key: &'static str) -> u32 {
     let (addr, len) = (key.as_ptr() as usize, key.len());
     CACHE.with(|cache| match probe(cache, addr, len) {
         Ok(id) => id,
@@ -95,18 +101,31 @@ fn id_of(key: &'static str) -> u32 {
 /// content and the cached id is its id.
 fn lookup(key: &str) -> Option<u32> {
     let cached = CACHE.with(|cache| probe(cache, key.as_ptr() as usize, key.len()).ok());
-    cached.or_else(|| REGISTRY.lock().unwrap_or_else(PoisonError::into_inner).get(key).copied())
+    cached.or_else(|| registry().get(key).copied())
 }
 
 #[cold]
 fn register(key: &'static str) -> u32 {
     // Insert-only, so a panic elsewhere cannot leave the map inconsistent.
-    let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut reg = registry();
     let next = u32::try_from(reg.len()).expect("keyed: more than u32::MAX keys");
     *reg.entry(key).or_insert(next)
 }
 
+/// Every key registered so far, indexed by id: `keys()[id_of(k)]` has
+/// the content of `k`. Built from the registry on each call (ids are
+/// dense), for read views that turn many stored ids back into names.
+pub fn keys() -> Vec<&'static str> {
+    let reg = registry();
+    let mut keys = vec![""; reg.len()];
+    for (&key, &id) in reg.iter() {
+        keys[id as usize] = key;
+    }
+    keys
+}
+
 /// A table of values keyed by `&'static str`, stored in dense slots.
+#[derive(Clone)]
 pub struct Keyed<V> {
     /// Id → position in `entries`, or [`VACANT`].
     index: Vec<u32>,
@@ -223,6 +242,15 @@ mod tests {
         assert_eq!(t.get("keyed.same"), Some(&11));
         assert_eq!(t.get(&String::from("keyed.same")), Some(&11));
         assert_eq!(t.get("keyed.never"), None);
+    }
+
+    #[test]
+    fn keys_map_ids_back_to_content() {
+        let copy = leak("keyed.back");
+        let (back, other) = (id_of(copy), id_of("keyed.other"));
+        assert_eq!(id_of("keyed.back"), back);
+        let keys = keys();
+        assert_eq!((keys[back as usize], keys[other as usize]), ("keyed.back", "keyed.other"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! delivered parcel's stage timestamps telescope into a component
 //! partition of its end-to-end latency.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use simcore::causal::{CausalLog, MarkKind, MarkRec};
@@ -106,20 +106,20 @@ fn push_segment(segments: &mut Vec<PathSegment>, component: &str, start: u64, en
     segments.push(PathSegment { component: component.to_string(), start, end });
 }
 
-/// Carve `[t_p, t_c]` using `marks` (owned by the earlier event), first
-/// mark wins on overlap, residue attributed to `cpu`.
+/// Carve `[t_p, t_c]` using `marks` (owned by the earlier event, in
+/// emission order), first mark wins on overlap, residue attributed to
+/// `cpu`.
 fn carve(
     segments: &mut Vec<PathSegment>,
     wire_fixed: &mut u64,
-    marks: &[&MarkRec],
+    marks: impl Iterator<Item = MarkRec>,
     t_p: u64,
     t_c: u64,
 ) {
     if t_c <= t_p {
         return;
     }
-    let mut ms: Vec<&MarkRec> =
-        marks.iter().copied().filter(|m| m.end > t_p && m.start < t_c).collect();
+    let mut ms: Vec<MarkRec> = marks.filter(|m| m.end > t_p && m.start < t_c).collect();
     // Stable: equal starts keep emission order (e.g. a resource's wait
     // mark sorts before a later, wider serialize mark at the same start).
     ms.sort_by_key(|m| m.start);
@@ -152,7 +152,8 @@ impl CritPath {
     /// Extract the makespan critical path from `log`. An empty log yields
     /// a `CritPath` with `total_ns == 0`.
     pub fn from_log(config: &str, log: &CausalLog) -> CritPath {
-        log.with_data(|base, nodes, marks| {
+        log.with_view(|view| {
+            let (base, nodes) = (view.base(), view.nodes());
             let mut cp = CritPath {
                 config: config.to_string(),
                 total_ns: 0,
@@ -184,23 +185,13 @@ impl CritPath {
             path.reverse();
             cp.events_on_path = path.len();
 
-            let on_path: HashSet<u64> = path.iter().copied().collect();
-            let mut by_owner: HashMap<u64, Vec<&MarkRec>> = HashMap::new();
-            for m in marks {
-                if on_path.contains(&m.owner) {
-                    by_owner.entry(m.owner).or_default().push(m);
-                }
-            }
-
             let t_root = nodes[(path[0] - base) as usize].at;
             push_segment(&mut cp.segments, "startup", 0, t_root);
             for w in path.windows(2) {
                 let (p, c) = (w[0], w[1]);
                 let t_p = nodes[(p - base) as usize].at;
                 let t_c = nodes[(c - base) as usize].at;
-                let empty = Vec::new();
-                let owned = by_owner.get(&p).unwrap_or(&empty);
-                carve(&mut cp.segments, &mut cp.wire_fixed_ns, owned, t_p, t_c);
+                carve(&mut cp.segments, &mut cp.wire_fixed_ns, view.marks_of(p), t_p, t_c);
             }
             cp.path_nodes = path;
 

@@ -177,12 +177,8 @@ impl Inner {
 /// The last `cap` causal marks, as flight-recorder dump rows.
 fn causal_tail(log: &CausalLog, cap: usize) -> Vec<timeline::DumpMark> {
     use simcore::causal::MarkKind;
-    log.with_data(|_, _, marks| {
-        marks
-            .iter()
-            .rev()
-            .take(cap)
-            .rev()
+    log.with_view(|view| {
+        view.last_marks(cap)
             .map(|m| {
                 let kind = match m.kind {
                     MarkKind::Wait => "wait",

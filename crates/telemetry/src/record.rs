@@ -240,8 +240,8 @@ impl RunRecord {
         rec.flows_delivered = delivered;
 
         tel.with_profile(|p| {
-            for ((loc, core), acct) in p.snapshot() {
-                rec.profile.push(CoreRecord { loc, core, states: acct.state_table() });
+            for ((loc, core), states) in p.state_tables() {
+                rec.profile.push(CoreRecord { loc, core, states });
             }
         });
 
@@ -795,5 +795,29 @@ mod tests {
         assert_eq!(rec.hists["parcel.latency_ns"].count(), 2);
         let back = RunRecord::from_json(&rec.to_json()).unwrap();
         assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn captured_profile_equals_the_snapshot_with_overlays_pending() {
+        use crate::CoreProfile;
+        use simcore::SimTime;
+        let ns = SimTime::from_nanos;
+        let tel = Telemetry::new();
+        tel.profile_record(0, 1, CoreState::Working, "task", ns(10), ns(200));
+        tel.profile_set_loc(0);
+        // Still pending at the horizon: no base record encloses them.
+        tel.profile_overlay(1, CoreState::LockWait, "ucp_progress", ns(250), ns(300));
+        tel.profile_overlay(1, CoreState::Serialize, "drain", ns(280), ns(520));
+        tel.profile_set_loc(1);
+        tel.profile_overlay(0, CoreState::LockWait, "nic", ns(40), ns(90));
+        let rec = RunRecord::capture(&tel, RunMeta::default());
+        let snap: Vec<CoreRecord> = tel
+            .with_profile(CoreProfile::snapshot)
+            .into_iter()
+            .map(|((loc, core), a)| CoreRecord { loc, core, states: a.state_table() })
+            .collect();
+        assert_eq!(rec.profile, snap);
+        assert_eq!(rec.profile_horizon_ns(), 520);
+        assert_eq!(rec.end_to_end_ns, 520, "no causal log: the profile horizon stands in");
     }
 }
