@@ -96,6 +96,10 @@ pub struct OctoResult {
     /// Engine events executed during the run — paired with wall-clock
     /// measurement by `engine_throughput` for the perf trajectory.
     pub events_executed: u64,
+    /// HPX messages delivered (`amt.messages_delivered`), all localities.
+    pub messages_delivered: u64,
+    /// Payload bytes the fabric carried, all localities.
+    pub bytes_sent: u64,
 }
 
 /// Run Octo-Tiger-mini once, on `p.engine`. Every rank builds its own
@@ -182,6 +186,8 @@ pub fn run_octotiger(p: &OctoParams) -> OctoResult {
         mass_ok,
         leaves: st0.tree_leaves(),
         events_executed: world.events_executed(),
+        messages_delivered: world.stat("amt.messages_delivered"),
+        bytes_sent: world.bytes_sent(),
     }
 }
 
@@ -242,6 +248,40 @@ mod tests {
             assert_eq!(
                 r.total, legacy.total,
                 "{engine:?}: virtual end time diverged from the single-heap world"
+            );
+        }
+    }
+
+    /// `(config, engine, makespan ns, events executed, messages delivered,
+    /// wire bytes)` of a level-4, 2-step run on 4 localities. The byte
+    /// count proves that every remote ghost slab ships whole.
+    const WIRE_PINS: &[(&str, Engine, u64, u64, u64, u64)] = &[
+        ("lci_psr_cq_pin_i", Engine::SingleHeap, 7_472_383, 24_291, 1_952, 11_245_712),
+        ("mpi_i", Engine::SingleHeap, 21_446_966, 25_669, 1_952, 11_245_712),
+        (
+            "lci_psr_cq_pin_i",
+            Engine::Federated { shards: 2, mode: None },
+            7_472_383,
+            24_366,
+            1_952,
+            11_245_712,
+        ),
+    ];
+
+    #[test]
+    fn wire_traffic_is_pinned() {
+        for &(config, engine, makespan, events, delivered, bytes) in WIRE_PINS {
+            let mut p = OctoParams::expanse(config.parse().unwrap(), 4);
+            p.level = 4;
+            p.cores = 6;
+            p.steps = 2;
+            p.engine = engine;
+            let r = run_octotiger(&p);
+            assert!(r.completed && r.mass_ok, "{config} {engine:?}: {r:?}");
+            assert_eq!(
+                (r.total.as_nanos(), r.events_executed, r.messages_delivered, r.bytes_sent),
+                (makespan, events, delivered, bytes),
+                "{config} {engine:?}: Octo-Tiger's traffic moved"
             );
         }
     }

@@ -102,6 +102,29 @@ impl EngineWorld {
         }
     }
 
+    /// Counter `key` of the simulator's stats (summed over lanes on the
+    /// federated world).
+    pub fn stat(&self, key: &str) -> u64 {
+        match self {
+            EngineWorld::SingleHeap(world) => world.sim.stats.get(key),
+            EngineWorld::Federated { world, .. } => {
+                (0..world.config.localities).map(|r| world.node(r).stats().get(key)).sum()
+            }
+        }
+    }
+
+    /// Payload bytes put on the wire. On the federated world every lane's
+    /// fabric replica counts the packets its own lane sent, so the sum
+    /// over lanes is the world's total.
+    pub fn bytes_sent(&self) -> u64 {
+        match self {
+            EngineWorld::SingleHeap(world) => world.fabric.borrow().bytes_sent(),
+            EngineWorld::Federated { world, .. } => (0..world.config.localities)
+                .map(|r| world.node(r).fabric().borrow().bytes_sent())
+                .sum(),
+        }
+    }
+
     /// Downcast rank's [`LaneSetup::app`] state.
     pub fn app<T: 'static>(&self, rank: usize) -> Option<&T> {
         match self {

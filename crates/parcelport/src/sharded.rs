@@ -64,7 +64,7 @@ use amt::action::ActionRegistry;
 use amt::Locality;
 use netsim::{Fabric, Packet};
 use simcore::shard::{RunMode, RunReport};
-use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTime};
+use simcore::{LaneCtx, LaneId, ShardActor, ShardEventId, ShardedSim, Sim, SimTime, Stats};
 
 use crate::builder::{build_fabric, build_locality, WorldConfig};
 
@@ -182,6 +182,11 @@ impl LocalityNode {
     /// Events the nested simulator executed.
     pub fn nested_events(&self) -> u64 {
         self.sim.events_executed()
+    }
+
+    /// The nested simulator's counters.
+    pub fn stats(&self) -> &Stats {
+        &self.sim.stats
     }
 
     /// The per-lane application state installed via [`LaneSetup::app`].
