@@ -100,6 +100,12 @@ pub struct OctoResult {
     pub messages_delivered: u64,
     /// Payload bytes the fabric carried, all localities.
     pub bytes_sent: u64,
+    /// Tasks spawned (`amt.spawn`), all localities.
+    pub tasks_spawned: u64,
+    /// Core ticks scheduled or moved earlier (`amt.arm_scheduled`).
+    pub arms_scheduled: u64,
+    /// Arms that found an earlier tick pending (`amt.arm_dedup`).
+    pub arms_deduped: u64,
 }
 
 /// Run Octo-Tiger-mini once, on `p.engine`. Every rank builds its own
@@ -188,6 +194,9 @@ pub fn run_octotiger(p: &OctoParams) -> OctoResult {
         events_executed: world.events_executed(),
         messages_delivered: world.stat("amt.messages_delivered"),
         bytes_sent: world.bytes_sent(),
+        tasks_spawned: world.stat("amt.spawn"),
+        arms_scheduled: world.stat("amt.arm_scheduled"),
+        arms_deduped: world.stat("amt.arm_dedup"),
     }
 }
 
@@ -253,11 +262,30 @@ mod tests {
     }
 
     /// `(config, engine, makespan ns, events executed, messages delivered,
-    /// wire bytes)` of a level-4, 2-step run on 4 localities. The byte
-    /// count proves that every remote ghost slab ships whole.
-    const WIRE_PINS: &[(&str, Engine, u64, u64, u64, u64)] = &[
-        ("lci_psr_cq_pin_i", Engine::SingleHeap, 7_472_383, 24_291, 1_952, 11_245_712),
-        ("mpi_i", Engine::SingleHeap, 21_446_966, 25_669, 1_952, 11_245_712),
+    /// wire bytes, [tasks spawned, ticks armed, arms deduplicated])` of a
+    /// level-4, 2-step run on 4 localities. The byte count proves that
+    /// every remote ghost slab ships whole; the scheduler counts prove
+    /// that local actions spawn, and wake workers, as often as before.
+    type WirePin = (&'static str, Engine, u64, u64, u64, u64, [u64; 3]);
+    const WIRE_PINS: &[WirePin] = &[
+        (
+            "lci_psr_cq_pin_i",
+            Engine::SingleHeap,
+            7_472_383,
+            24_291,
+            1_952,
+            11_245_712,
+            [18_167, 22_547, 6_042],
+        ),
+        (
+            "mpi_i",
+            Engine::SingleHeap,
+            21_446_966,
+            25_669,
+            1_952,
+            11_245_712,
+            [18_167, 23_739, 6_492],
+        ),
         (
             "lci_psr_cq_pin_i",
             Engine::Federated { shards: 2, mode: None },
@@ -265,12 +293,13 @@ mod tests {
             24_366,
             1_952,
             11_245_712,
+            [18_167, 22_684, 5_958],
         ),
     ];
 
     #[test]
     fn wire_traffic_is_pinned() {
-        for &(config, engine, makespan, events, delivered, bytes) in WIRE_PINS {
+        for &(config, engine, makespan, events, delivered, bytes, sched) in WIRE_PINS {
             let mut p = OctoParams::expanse(config.parse().unwrap(), 4);
             p.level = 4;
             p.cores = 6;
@@ -282,6 +311,11 @@ mod tests {
                 (r.total.as_nanos(), r.events_executed, r.messages_delivered, r.bytes_sent),
                 (makespan, events, delivered, bytes),
                 "{config} {engine:?}: Octo-Tiger's traffic moved"
+            );
+            assert_eq!(
+                [r.tasks_spawned, r.arms_scheduled, r.arms_deduped],
+                sched,
+                "{config} {engine:?}: [amt.spawn, amt.arm_scheduled, amt.arm_dedup] moved"
             );
         }
     }
