@@ -151,33 +151,6 @@ fn encode_ghost(target: NodeId, src: NodeId, len: usize) -> Bytes {
     Bytes::from(slab)
 }
 
-/// Invoke an action on `dest`: remote via a parcel, local as a fresh task
-/// (HPX local action semantics — no network, but still a task spawn).
-fn invoke(
-    sim: &mut Sim,
-    loc: &Rc<Locality>,
-    core: usize,
-    dest: usize,
-    action: ActionId,
-    args: Vec<Bytes>,
-) -> SimTime {
-    if dest == loc.id {
-        let handler = loc.with_registry(|r| r.handler(action));
-        let parcel = amt::Parcel::new(action, args);
-        let dispatch = loc.cost.amt_action_dispatch;
-        loc.spawn(
-            sim,
-            core,
-            Box::new(move |sim, loc, core| {
-                let t = sim.now() + dispatch;
-                handler(sim, loc, core, parcel).max(t)
-            }),
-        )
-    } else {
-        loc.send_action(sim, core, dest, action, args)
-    }
-}
-
 impl AppState {
     /// Reset the per-step counters of every owned node in place.
     fn reset_step(&mut self) {
@@ -244,17 +217,17 @@ pub fn register_actions(
                     let center = tree.node(leaf).center;
                     let parent = tree.node(leaf).parent;
                     let payload = encode_m2m(parent, mass, center);
-                    t = invoke(sim, loc, core, part.owner(parent), acts.m2m, vec![payload]).max(t);
+                    t = loc.apply(sim, core, part.owner(parent), acts.m2m, vec![payload]).max(t);
                     for &nb in tree.neighbors(leaf) {
                         let dest = part.owner(nb);
                         let payload = encode_m2m(nb, mass, center);
-                        t = invoke(sim, loc, core, dest, acts.m2l, vec![payload]).max(t);
+                        t = loc.apply(sim, core, dest, acts.m2l, vec![payload]).max(t);
                         if ghost_bytes > 0 {
                             // Hydro ghost zone: the boundary slab only
                             // if it crosses the network (`encode_ghost`).
                             let len = if dest == loc.id { GHOST_HEADER } else { ghost_bytes };
                             let slab = encode_ghost(nb, leaf, len);
-                            t = invoke(sim, loc, core, dest, acts.ghost, vec![slab]).max(t);
+                            t = loc.apply(sim, core, dest, acts.ghost, vec![slab]).max(t);
                         }
                     }
                     t
@@ -297,24 +270,24 @@ pub fn register_actions(
             let center = [wc[0] / mass, wc[1] / mass, wc[2] / mass];
             if node == 0 {
                 // Root reached: record the invariant and broadcast L2L.
-                let (l2l, children) = {
+                let l2l = {
                     let mut s = state.borrow_mut();
                     s.last_root_mass = mass;
                     let expected = tree.total_mass();
                     if (mass - expected).abs() > 1e-6 * expected {
                         s.mass_ok = false;
                     }
-                    (registered(&ids).l2l, tree.node(0).children.clone())
+                    registered(&ids).l2l
                 };
-                for c in children {
+                for &c in &tree.node(0).children {
                     let payload = encode_m2m(c, mass, center);
-                    t = invoke(sim, loc, core, part.owner(c), l2l, vec![payload]).max(t);
+                    t = loc.apply(sim, core, part.owner(c), l2l, vec![payload]).max(t);
                 }
             } else {
                 let parent = tree.node(node).parent;
                 let m2m_id = registered(&ids).m2m;
                 let payload = encode_m2m(parent, mass, center);
-                t = invoke(sim, loc, core, part.owner(parent), m2m_id, vec![payload]).max(t);
+                t = loc.apply(sim, core, part.owner(parent), m2m_id, vec![payload]).max(t);
             }
         }
         t
@@ -404,14 +377,14 @@ pub fn register_actions(
             }
         } else {
             // Forward down the tree.
-            let (part, children, l2l_id) = {
+            let (part, l2l_id) = {
                 let s = state.borrow();
-                (s.part.clone(), tree.node(node).children.clone(), registered(&ids).l2l)
+                (s.part.clone(), registered(&ids).l2l)
             };
             t += state.borrow().compute.m2m;
-            for c in children {
+            for &c in &tree.node(node).children {
                 let payload = encode_m2m(c, mass, center);
-                t = invoke(sim, loc, core, part.owner(c), l2l_id, vec![payload]).max(t);
+                t = loc.apply(sim, core, part.owner(c), l2l_id, vec![payload]).max(t);
             }
         }
         t
@@ -450,7 +423,7 @@ pub fn register_actions(
                     (s.part.localities(), registered(&ids).step_start)
                 };
                 for dest in 0..locs {
-                    t = invoke(sim, loc, core, dest, step_start, vec![Bytes::new()]).max(t);
+                    t = loc.apply(sim, core, dest, step_start, vec![Bytes::new()]).max(t);
                 }
             }
             Some(false) => {
@@ -505,7 +478,7 @@ fn finish_leaf(
         };
         let mut w = Writer::with_capacity(8);
         w.put_f64(checksum);
-        t = invoke(sim, loc, core, 0, loc_done, vec![w.finish()]).max(t);
+        t = loc.apply(sim, core, 0, loc_done, vec![w.finish()]).max(t);
     }
     t
 }
