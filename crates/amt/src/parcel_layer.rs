@@ -484,6 +484,31 @@ mod tests {
     }
 
     #[test]
+    fn apply_to_another_locality_is_send_action() {
+        let mut runs = Vec::new();
+        for via_apply in [true, false] {
+            // The registry is empty: a remote action run here would panic.
+            let (mut sim, loc, sent) = world(ParcelLayerConfig::default(), 100);
+            loc.start(&mut sim);
+            let args = vec![Bytes::from_static(b"remote")];
+            let end = if via_apply {
+                loc.apply(&mut sim, 0, 1, 7, args)
+            } else {
+                loc.send_action(&mut sim, 0, 1, 7, args)
+            };
+            sim.run();
+            assert_eq!(loc.tasks_spawned(), 0, "no local task");
+            assert_eq!(loc.with_layer(|l| l.messages_sent()), 1);
+            let sent = sent.borrow();
+            assert_eq!(sent.len(), 1);
+            runs.push((end, sent[0].0, sent[0].1.decode(), sim.now()));
+        }
+        assert_eq!(runs[0].1, 1, "destination");
+        assert_eq!(runs[0].2, vec![Parcel::new(7, vec![Bytes::from_static(b"remote")])]);
+        assert_eq!(runs[0], runs[1], "apply to another locality is send_action");
+    }
+
+    #[test]
     fn zero_copy_threshold_respected_end_to_end() {
         let (mut sim, loc, sent) = world(ParcelLayerConfig::default(), 10);
         loc.put_parcel(&mut sim, 0, 1, parcel(16 * 1024));
