@@ -801,10 +801,11 @@ fn main() {
     // rebuild the tree, SFC partition and app states, but that build is
     // linear in the leaves (the face-neighbour table is hashed, not a
     // pairwise search), so the 4 replicas add only ~1k allocations over
-    // the legacy run: measured ~95.1k at 1, 2 and 4 shards. Headroom
-    // ~25-30% over measured.
+    // the legacy run. Octotiger's ceiling has ~25% headroom over the
+    // ~79k measured at 1, 2 and 4 shards since local actions are typed
+    // run-queue jobs; the boxed-closure count (~95.1k) fails it.
     const FIG1_SHARDED_ALLOC_CEILING: u64 = 210_000;
-    const OCTO_SHARDED_ALLOC_CEILING: u64 = 124_000;
+    const OCTO_SHARDED_ALLOC_CEILING: u64 = 102_000;
     let world_allocs_ok = world.iter().all(|p| {
         p.m.allocations
             <= if p.scenario == "fig1_msgrate_8b" {
@@ -817,13 +818,14 @@ fn main() {
     // Per-scenario allocation ceilings, pinned from the audited counts
     // (fig1: ~8 allocations/message after the zero-copy decode work —
     // args vec, encode writer+handle, header writer+handle, decode vecs,
-    // one task box; octotiger: ~93.9k, dominated by intrinsic per-leaf
-    // payload encodes and task spawns now that set-up is linear).
+    // one task box; octotiger: ~78k, dominated by intrinsic per-leaf
+    // payload encodes and argument vectors now that set-up is linear and
+    // a local action queues its parcel with no task box).
     // Headroom is ~25-30% over the measured value; the pre-audit fig1
-    // count (281k) and the quadratic-set-up octotiger count (426k) fail
-    // these ceilings.
+    // count (281k), the quadratic-set-up octotiger count (426k) and the
+    // boxed-local-action octotiger count (~94.8k) fail these ceilings.
     const FIG1_ALLOC_CEILING: u64 = 200_000;
-    const OCTO_ALLOC_CEILING: u64 = 122_000;
+    const OCTO_ALLOC_CEILING: u64 = 100_000;
     let workload_allocs_ok =
         fig1.allocations <= FIG1_ALLOC_CEILING && octo.allocations <= OCTO_ALLOC_CEILING;
 
