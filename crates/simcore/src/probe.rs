@@ -78,6 +78,53 @@ pub fn emit(f: impl FnOnce(&dyn Probe)) {
     });
 }
 
+/// A probe that keeps every event it sees, for unit tests of the
+/// emitting models.
+#[cfg(test)]
+pub(crate) mod recording {
+    use super::*;
+
+    /// One event, with the arguments it was emitted with (names dropped).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Seen {
+        Lock { core: usize, now: SimTime, wait_ns: u64, hold_ns: u64, contended: bool },
+        Try { now: SimTime, acquired: bool, hold_ns: u64 },
+        Resource { core: usize, now: SimTime, wait_ns: u64, service_ns: u64, transferred: bool },
+    }
+
+    struct RecordProbe(RefCell<Vec<Seen>>);
+    impl Probe for RecordProbe {
+        fn lock_wait(&self, _: &'static str, core: usize, now: SimTime, w: u64, h: u64, c: bool) {
+            let e = Seen::Lock { core, now, wait_ns: w, hold_ns: h, contended: c };
+            self.0.borrow_mut().push(e);
+        }
+        fn try_lock(&self, _: &'static str, now: SimTime, acquired: bool, hold_ns: u64) {
+            self.0.borrow_mut().push(Seen::Try { now, acquired, hold_ns });
+        }
+        fn resource_access(
+            &self,
+            _: &'static str,
+            core: usize,
+            now: SimTime,
+            w: u64,
+            s: u64,
+            t: bool,
+        ) {
+            let e = Seen::Resource { core, now, wait_ns: w, service_ns: s, transferred: t };
+            self.0.borrow_mut().push(e);
+        }
+    }
+
+    /// Run `f` with a recording probe installed; return what it saw.
+    pub(crate) fn record(f: impl FnOnce()) -> Vec<Seen> {
+        let p = Rc::new(RecordProbe(RefCell::new(Vec::new())));
+        install(p.clone());
+        f();
+        uninstall();
+        p.0.take()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
