@@ -119,11 +119,6 @@ impl Device {
         self.cost.lci_op + self.cost.lci_packet_pool
     }
 
-    /// Posted receives waiting in the matching table.
-    pub fn posted_receives(&self) -> usize {
-        self.matching.posted_len()
-    }
-
     /// Unexpected messages waiting in the matching table.
     pub fn unexpected_messages(&self) -> usize {
         self.matching.unexpected_len()

@@ -150,21 +150,6 @@ impl LciParcelport {
         }
     }
 
-    /// In-flight sender connections (observability).
-    pub fn send_connections(&self) -> usize {
-        self.send_conns.len()
-    }
-
-    /// In-flight receiver connections (observability).
-    pub fn recv_connections(&self) -> usize {
-        self.recv_conns.len()
-    }
-
-    /// The first underlying LCI device (observability).
-    pub fn device(&self) -> &Device {
-        &self.devs[0]
-    }
-
     /// Completion object for an operation keyed `key`.
     fn comp_for(&mut self, sim: &mut Sim, core: usize, t: SimTime, key: u64) -> (Comp, SimTime) {
         match self.cfg.completion {

@@ -117,21 +117,6 @@ impl MpiParcelport {
         }
     }
 
-    /// Pending sender connections (observability).
-    pub fn send_connections(&self) -> usize {
-        self.send_conns.len()
-    }
-
-    /// Pending receiver connections (observability).
-    pub fn recv_connections(&self) -> usize {
-        self.recv_conns.len()
-    }
-
-    /// Access the underlying communicator (tests/metrics: lock stats).
-    pub fn comm(&self) -> &Comm {
-        &self.comm
-    }
-
     fn max_header(&self) -> usize {
         if self.original {
             ORIGINAL_HEADER_SIZE
@@ -399,7 +384,6 @@ impl Parcelport for MpiParcelport {
         // (c) Round-robin over pending connections (spinlock-protected
         // list, bounded scan per call).
         let total = self.send_conns.len() + self.recv_conns.len();
-        sim.stats.sample("mpi_pp.pending_conns", total as f64);
         if total > 0 {
             t = self.pending_res.access(t, core, self.cost.pp_pending_scan);
             let budget = SCAN_BUDGET.min(total);

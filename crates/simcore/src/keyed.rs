@@ -259,11 +259,9 @@ mod tests {
         let (mut fwd, mut rev) = (Stats::new(), Stats::new());
         for (i, k) in keys.iter().enumerate() {
             fwd.add(k, i as u64 + 1);
-            fwd.sample(k, i as f64);
         }
         for (i, k) in keys.iter().enumerate().rev() {
             rev.add(k, i as u64 + 1);
-            rev.sample(k, i as f64);
         }
         let order: Vec<_> = fwd.counters().map(|(k, _)| k).collect();
         assert_eq!(order, vec!["keyed.A", "keyed.a", "keyed.b", "keyed.c", "keyed.c.x"]);
@@ -296,7 +294,6 @@ mod tests {
             for round in 0..100u64 {
                 for (i, k) in keys.iter().enumerate() {
                     s.add(k, round + i as u64);
-                    s.sample(k, (round * i as u64) as f64);
                 }
             }
         };

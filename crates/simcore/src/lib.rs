@@ -54,7 +54,7 @@ pub use resource::SimResource;
 pub use shard::{LaneCtx, LaneId, RunMode, RunReport, ShardActor, ShardEventId, ShardedSim};
 pub use sim::Sim;
 pub use slab::Slab;
-pub use stats::{Stats, Summary};
+pub use stats::Stats;
 pub use time::SimTime;
 
 /// A simulated CPU core's private clock.

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use simcore::{escape_json, Summary};
+use simcore::escape_json;
 
 use crate::flow::{stage, FlowRec, STAGE_NAMES, UNSET};
 use crate::hist::Histogram;
@@ -17,20 +17,34 @@ use crate::record::{CoreRecord, RunRecord};
 pub struct StageStat {
     /// Stage name (see [`STAGE_NAMES`]), or `"total"`.
     pub stage: &'static str,
-    /// Mean/stddev/min/max accumulator.
-    pub summary: Summary,
-    /// Quantile accumulator.
+    /// Count, sum, mean and quantile accumulator.
     pub hist: Histogram,
+    /// Sum of squared durations, for the standard deviation.
+    sum_sq: f64,
 }
 
 impl StageStat {
     fn new(stage: &'static str) -> Self {
-        StageStat { stage, summary: Summary::new(), hist: Histogram::new() }
+        StageStat { stage, hist: Histogram::new(), sum_sq: 0.0 }
     }
 
     fn record(&mut self, ns: u64) {
-        self.summary.record(ns as f64);
+        let x = ns as f64;
+        self.sum_sq += x * x;
         self.hist.record(ns);
+    }
+
+    /// Population standard deviation of the durations (0 if fewer than
+    /// two).
+    fn stddev(&self) -> f64 {
+        let n = self.hist.count();
+        if n < 2 {
+            return 0.0;
+        }
+        let (n, mean) = (n as f64, self.hist.mean());
+        // Clamp: catastrophic cancellation can drive the estimate slightly
+        // negative when all samples are (nearly) equal.
+        (self.sum_sq / n - mean * mean).max(0.0).sqrt()
     }
 }
 
@@ -73,7 +87,7 @@ impl Breakdown {
                 }
             }
         }
-        stages.retain(|s| s.summary.count > 0);
+        stages.retain(|s| s.hist.count() > 0);
         Breakdown {
             config: config.to_string(),
             stages,
@@ -85,10 +99,7 @@ impl Breakdown {
 
     /// The stage with the largest total time (where the latency went).
     pub fn dominant_stage(&self) -> Option<&'static str> {
-        self.stages
-            .iter()
-            .max_by(|a, b| a.summary.sum.partial_cmp(&b.summary.sum).expect("finite sums"))
-            .map(|s| s.stage)
+        self.stages.iter().max_by_key(|s| s.hist.sum()).map(|s| s.stage)
     }
 
     /// Render an aligned text table (times in µs).
@@ -109,9 +120,9 @@ impl Breakdown {
                 out,
                 "  {:<10} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
                 s.stage,
-                s.summary.count,
-                s.summary.mean() / 1e3,
-                s.summary.stddev() / 1e3,
+                s.hist.count(),
+                s.hist.mean() / 1e3,
+                s.stddev() / 1e3,
                 s.hist.p50() as f64 / 1e3,
                 s.hist.p90() as f64 / 1e3,
                 s.hist.p99() as f64 / 1e3,
@@ -142,9 +153,9 @@ impl Breakdown {
                 "{{\"stage\":\"{}\",\"count\":{},\"mean_ns\":{:.1},\"stddev_ns\":{:.1},\
                  \"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
                 s.stage,
-                s.summary.count,
-                s.summary.mean(),
-                s.summary.stddev(),
+                s.hist.count(),
+                s.hist.mean(),
+                s.stddev(),
                 s.hist.p50(),
                 s.hist.p90(),
                 s.hist.p99(),
@@ -304,11 +315,11 @@ mod tests {
         assert_eq!(b.flows, 4);
         assert_eq!(b.delivered, 4);
         let put = b.stages.iter().find(|s| s.stage == "put").unwrap();
-        assert_eq!(put.summary.mean(), 50.0);
+        assert_eq!(put.hist.mean(), 50.0);
         let inject = b.stages.iter().find(|s| s.stage == "inject").unwrap();
-        assert_eq!(inject.summary.mean(), 1920.0); // inject → wire
+        assert_eq!(inject.hist.mean(), 1920.0); // inject → wire
         assert_eq!(b.dominant_stage(), Some("inject"));
-        assert_eq!(b.total.summary.mean(), 2600.0);
+        assert_eq!(b.total.hist.mean(), 2600.0);
         // Unrecorded stage (queue) is dropped.
         assert!(b.stages.iter().all(|s| s.stage != "queue"));
         let text = b.to_text();
