@@ -509,7 +509,8 @@ impl RunRecord {
         }
         if let Some(Value::Obj(fields)) = root.get("counters") {
             for (k, v) in fields {
-                rec.counters.insert(k.clone(), as_u64(v)?);
+                rec.counters
+                    .insert(k.clone(), as_u64(v).map_err(|e| format!("counter {k:?}: {e}"))?);
             }
         }
         if let Some(Value::Obj(fields)) = root.get("gauges") {
@@ -519,7 +520,8 @@ impl RunRecord {
         }
         if let Some(Value::Obj(fields)) = root.get("hists") {
             for (k, v) in fields {
-                rec.hists.insert(k.clone(), hist_from_json(v)?);
+                rec.hists
+                    .insert(k.clone(), hist_from_json(v).map_err(|e| format!("hist {k:?}: {e}"))?);
             }
         }
         match root.get("critpath") {
@@ -549,8 +551,8 @@ impl RunRecord {
                             .as_str()
                             .ok_or("segment component must be a string")?
                             .to_string(),
-                        start: as_u64(&row[1])?,
-                        end: as_u64(&row[2])?,
+                        start: as_u64(&row[1]).map_err(|e| format!("segment start: {e}"))?,
+                        end: as_u64(&row[2]).map_err(|e| format!("segment end: {e}"))?,
                     });
                 }
                 rec.critpath = Some(out);
@@ -601,7 +603,10 @@ impl RunRecord {
                             if r.len() != 3 {
                                 return Err("window hist row must be [w, count, sum]".into());
                             }
-                            rows.push((as_u64(&r[0])?, as_u64(&r[1])?, as_u64(&r[2])?));
+                            let cell = |i: usize| {
+                                as_u64(&r[i]).map_err(|e| format!("window hist {k:?}: {e}"))
+                            };
+                            rows.push((cell(0)?, cell(1)?, cell(2)?));
                         }
                         digest.hists.insert(k.clone(), rows);
                     }
@@ -614,7 +619,10 @@ impl RunRecord {
                             if r.len() != 2 {
                                 return Err("window counter row must be [w, delta]".into());
                             }
-                            rows.push((as_u64(&r[0])?, as_u64(&r[1])?));
+                            let cell = |i: usize| {
+                                as_u64(&r[i]).map_err(|e| format!("window counter {k:?}: {e}"))
+                            };
+                            rows.push((cell(0)?, cell(1)?));
                         }
                         digest.counters.insert(k.clone(), rows);
                     }
@@ -642,10 +650,19 @@ fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
         .map_err(|e| format!("field {key:?}: {e}"))
 }
 
+/// Largest integer a JSON number (an `f64`) holds exactly.
+const MAX_EXACT: f64 = (1u64 << 53) as f64;
+
 fn as_u64(v: &Value) -> Result<u64, String> {
     let f = v.as_f64().ok_or("expected a number")?;
     if f < 0.0 {
         return Err(format!("expected a non-negative number, got {f}"));
+    }
+    if f.fract() != 0.0 {
+        return Err(format!("expected an integer, got {f}"));
+    }
+    if f > MAX_EXACT {
+        return Err(format!("{f} is above 2^53, so it is not exact"));
     }
     Ok(f as u64)
 }
@@ -666,7 +683,8 @@ fn hist_from_json(v: &Value) -> Result<Histogram, String> {
         if r.len() != 2 {
             return Err("hist bucket must be [index, count]".into());
         }
-        buckets.push((as_u64(&r[0])? as usize, as_u64(&r[1])?));
+        let cell = |i: usize| as_u64(&r[i]).map_err(|e| format!("hist bucket: {e}"));
+        buckets.push((cell(0)? as usize, cell(1)?));
     }
     let h = Histogram::from_buckets(buckets, sum, min, max)?;
     let declared = get_u64(v, "count")?;
@@ -779,6 +797,19 @@ mod tests {
         // Declared count inconsistent with bucket counts.
         let bad = sample_record().to_json().replace("\"count\":4", "\"count\":5");
         assert!(RunRecord::from_json(&bad).is_err());
+        // A fraction, and an integer too large for an f64 to hold exactly:
+        // each error names the field.
+        let good = sample_record().to_json();
+        for value in ["1.5", "1e30"] {
+            let bad = good.replace("\"events\":321", &format!("\"events\":{value}"));
+            assert_ne!(bad, good);
+            let err = RunRecord::from_json(&bad).unwrap_err();
+            assert!(err.contains("\"events\""), "{value}: {err}");
+        }
+        let bad = good.replacen("\"parcels.sent\":40", "\"parcels.sent\":40.5", 1);
+        assert_ne!(bad, good);
+        let err = RunRecord::from_json(&bad).unwrap_err();
+        assert!(err.contains("\"parcels.sent\""), "{err}");
     }
 
     #[test]
