@@ -6,6 +6,7 @@ use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use simcore::causal::{self, MarkKind};
+use simcore::keyed::intern;
 use simcore::{
     CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime, Slab,
 };
@@ -106,12 +107,12 @@ pub struct Locality {
     /// Deliveries parked until their event fires, keyed by the event's
     /// argument word.
     pending: RefCell<Slab<PendingDeliver>>,
-    /// Name of the run-queue counter track (`loc<id>.runq`), built the
+    /// Name of the run-queue counter track (`loc<id>.runq`), interned the
     /// first time a collector samples it.
-    runq_track: OnceCell<String>,
-    /// Name of the send-queue counter track (`loc<id>.sendq`), built the
-    /// first time a traced put samples it.
-    sendq_track: OnceCell<String>,
+    runq_track: OnceCell<&'static str>,
+    /// Name of the send-queue counter track (`loc<id>.sendq`), interned
+    /// the first time a traced put samples it.
+    sendq_track: OnceCell<&'static str>,
 }
 
 impl Locality {
@@ -192,18 +193,18 @@ impl Locality {
     }
 
     /// Sample the run-queue depth as a counter track (the track name is
-    /// built once, the first time a collector is installed).
+    /// interned once, the first time a collector is installed).
     fn sample_runq(&self, sim: &Sim) {
         telemetry::with(|tel| {
             let depth = self.sched.borrow().queue.len();
-            let name = self.runq_track.get_or_init(|| format!("loc{}.runq", self.id));
+            let name = *self.runq_track.get_or_init(|| intern(&format!("loc{}.runq", self.id)));
             tel.track_sample(name, sim.now(), depth as f64);
         });
     }
 
-    /// Name of the send-queue counter track, formatted once.
-    pub(crate) fn sendq_track(&self) -> &str {
-        self.sendq_track.get_or_init(|| format!("loc{}.sendq", self.id))
+    /// Name of the send-queue counter track, interned once.
+    pub(crate) fn sendq_track(&self) -> &'static str {
+        self.sendq_track.get_or_init(|| intern(&format!("loc{}.sendq", self.id)))
     }
 
     /// Access the action registry.
@@ -417,8 +418,8 @@ impl Locality {
                 Job::Action(parcel) => self.run_action(sim, core, parcel),
             }
             .max(t0);
-            telemetry::core_span(self.id, core, "task", now, t_end);
-            telemetry::profile_record(self.id, core, CoreState::Working, "task", now, t_end);
+            let (span, state) = (Some("task"), CoreState::Working);
+            telemetry::core_tick(self.id, core, span, state, "task", now, t_end);
             {
                 let mut s = self.sched.borrow_mut();
                 let charged = t_end - now;
@@ -434,14 +435,12 @@ impl Locality {
         // 2. Idle: offer background work to the parcelport.
         let bg = self.run_background(sim, core, t0);
         let t_end = bg.cpu_done.max(t0);
-        if bg.did_work {
-            telemetry::core_span(self.id, core, "background", now, t_end);
-        }
         // Charged polling burns the core even when nothing was found —
         // that is exactly the time the profiler must surface for the
         // every-worker-polls parcelports.
-        let bg_label = if bg.did_work { "background" } else { "poll" };
-        telemetry::profile_record(self.id, core, CoreState::Progress, bg_label, now, t_end);
+        let (span, bg_label) =
+            if bg.did_work { (Some("background"), "background") } else { (None, "poll") };
+        telemetry::core_tick(self.id, core, span, CoreState::Progress, bg_label, now, t_end);
         {
             let mut s = self.sched.borrow_mut();
             let charged = t_end - now;
@@ -486,11 +485,9 @@ impl Locality {
             }
         };
         let t_end = bg.cpu_done.max(now);
-        if bg.did_work {
-            telemetry::core_span(self.id, 0, "progress", now, t_end);
-        }
-        let label = if bg.did_work { "progress" } else { "poll" };
-        telemetry::profile_record(self.id, 0, CoreState::Progress, label, now, t_end);
+        let (span, label) =
+            if bg.did_work { (Some("progress"), "progress") } else { (None, "poll") };
+        telemetry::core_tick(self.id, 0, span, CoreState::Progress, label, now, t_end);
         self.sched.borrow_mut().cores[0].charge(now, t_end - now);
         if bg.wake_workers {
             self.wake_workers(sim, t_end, bg.completions.max(1));
@@ -580,17 +577,10 @@ impl Locality {
     ) {
         sim.stats.bump("amt.messages_delivered");
         let _ = src;
-        telemetry::counter_add_at("amt.messages_delivered", 1, at.max(sim.now()));
-        telemetry::flow_mark_many(&msg.flows, telemetry::stage::DELIVER, at.max(sim.now()));
-        // Counter track of cumulative deliveries (all localities share the
-        // thread-local collector, so one track covers the world). The
-        // flows guard keeps the disabled path allocation-free.
-        if !msg.flows.is_empty() {
-            telemetry::with(|tel| {
-                let n = tel.with_metrics(|m| m.counter("amt.messages_delivered"));
-                tel.track_sample("amt.delivered", at.max(sim.now()), n as f64);
-            });
-        }
+        // Counts the message, marks its flows delivered, and samples the
+        // cumulative `amt.delivered` track (all localities share the
+        // thread-local collector, so one track covers the world).
+        telemetry::message_delivered(&msg.flows, at.max(sim.now()));
         let h = self.handler_id(sim);
         let key = self.pending.borrow_mut().insert(PendingDeliver { core, msg });
         sim.schedule_event_at(at.max(sim.now()), h, deliver_arg(key));

@@ -188,9 +188,9 @@ pub struct Fabric {
     /// the numerator of per-link utilization.
     link_busy: Vec<u64>,
     /// Per-source-node `net.link{src}.busy_us` track names, each
-    /// formatted on that node's first sample. Stays empty, and
+    /// interned on that node's first sample. Stays empty, and
     /// unallocated, while no telemetry collector is installed.
-    link_tracks: Vec<Option<String>>,
+    link_tracks: Vec<Option<&'static str>>,
 }
 
 impl Fabric {
@@ -430,8 +430,8 @@ impl Fabric {
             if self.link_tracks.is_empty() {
                 self.link_tracks.resize(self.nodes, None);
             }
-            let name =
-                self.link_tracks[src].get_or_insert_with(|| format!("net.link{src}.busy_us"));
+            let name = *self.link_tracks[src]
+                .get_or_insert_with(|| simcore::keyed::intern(&format!("net.link{src}.busy_us")));
             tel.track_sample(name, self.wire_free[src], self.link_busy[src] as f64 / 1e3);
         });
 

@@ -112,6 +112,21 @@ fn register(key: &'static str) -> u32 {
     *reg.entry(key).or_insert(next)
 }
 
+/// A `&'static str` with the content of `s`, leaked the first time that
+/// content is interned or registered, and the same address ever after:
+/// for names formatted at run time (`loc3.runq`) that a [`Keyed`] table
+/// or a probe must hold as `'static`. The content is registered as a key.
+pub fn intern(s: &str) -> &'static str {
+    let mut reg = registry();
+    if let Some((&key, _)) = reg.get_key_value(s) {
+        return key;
+    }
+    let key: &'static str = Box::leak(s.to_owned().into_boxed_str());
+    let next = u32::try_from(reg.len()).expect("keyed: more than u32::MAX keys");
+    reg.insert(key, next);
+    key
+}
+
 /// Every key registered so far, indexed by id: `keys()[id_of(k)]` has
 /// the content of `k`. Built from the registry on each call (ids are
 /// dense), for read views that turn many stored ids back into names.
@@ -143,7 +158,19 @@ impl<V> Keyed<V> {
     /// The value of `key`, inserting `make()` on first touch.
     #[inline]
     pub fn slot_with(&mut self, key: &'static str, make: impl FnOnce() -> V) -> &mut V {
-        let id = id_of(key) as usize;
+        self.slot_at(id_of(key) as usize, key, make)
+    }
+
+    /// [`Keyed::slot_with`] for a caller that holds `key`'s id
+    /// (`id == id_of(key)`), which skips the thread-local probe.
+    #[inline]
+    pub fn slot_by_id(&mut self, id: u32, key: &'static str, make: impl FnOnce() -> V) -> &mut V {
+        debug_assert_eq!(id, id_of(key), "keyed: {key} does not have id {id}");
+        self.slot_at(id as usize, key, make)
+    }
+
+    #[inline]
+    fn slot_at(&mut self, id: usize, key: &'static str, make: impl FnOnce() -> V) -> &mut V {
         let pos = match self.index.get(id) {
             Some(&pos) if pos != VACANT => pos as usize,
             _ => self.insert(id, key, make()),
@@ -251,6 +278,18 @@ mod tests {
         assert_eq!(id_of("keyed.back"), back);
         let keys = keys();
         assert_eq!((keys[back as usize], keys[other as usize]), ("keyed.back", "keyed.other"));
+    }
+
+    #[test]
+    fn intern_returns_one_address_per_content() {
+        let first = intern(&format!("keyed.intern.{}", 7));
+        let again = intern(&String::from("keyed.intern.7"));
+        assert_eq!((first, first.as_ptr()), ("keyed.intern.7", again.as_ptr()));
+        // Content a table registered first interns to that table's key.
+        let (literal, owned) = ("keyed.intern.literal", String::from("keyed.intern.literal"));
+        let _ = id_of(literal);
+        assert_eq!(intern(&owned).as_ptr(), literal.as_ptr());
+        assert_eq!(id_of(first), id_of(again));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::causal::{self, MarkKind};
-use crate::probe;
+use crate::probe::{self, UNRESOLVED};
 use crate::time::SimTime;
 
 /// Result of [`SimTryLock::try_acquire`].
@@ -42,6 +41,8 @@ pub enum TryAcquire {
 #[derive(Debug)]
 pub struct SimLock {
     name: &'static str,
+    /// `name`'s keyed id, resolved by the first access a probe observes.
+    id: u32,
     next_free: SimTime,
     /// Completion times of currently-granted critical sections, used to
     /// count how many cores are queued at a given instant.
@@ -71,6 +72,7 @@ impl SimLock {
     pub fn new(name: &'static str, base_handoff_ns: u64, per_waiter_ns: u64) -> Self {
         SimLock {
             name,
+            id: UNRESOLVED,
             next_free: SimTime::ZERO,
             grants: VecDeque::new(),
             core_last_end: HashMap::new(),
@@ -110,9 +112,10 @@ impl SimLock {
         self.next_free = end;
         self.grants.push_back(end);
         self.core_last_end.insert(core, end);
-        probe::emit(|p| p.lock_wait(self.name, core, now, start - now, hold_ns, contended));
-        causal::mark(self.name, MarkKind::Wait, now, start, 0);
-        causal::mark(self.name, MarkKind::Hold, start, end, 0);
+        probe::emit(|p| {
+            let label = probe::label(self.name, &mut self.id);
+            p.lock_wait(label, core, now, start - now, hold_ns, contended)
+        });
         Grant { start, end, queued_behind: queued }
     }
 
@@ -131,13 +134,15 @@ impl SimLock {
 #[derive(Debug)]
 pub struct SimTryLock {
     name: &'static str,
+    /// `name`'s keyed id, resolved by the first attempt a probe observes.
+    id: u32,
     next_free: SimTime,
 }
 
 impl SimTryLock {
     /// Create a try-lock.
     pub fn new(name: &'static str) -> Self {
-        SimTryLock { name, next_free: SimTime::ZERO }
+        SimTryLock { name, id: UNRESOLVED, next_free: SimTime::ZERO }
     }
 
     /// Name given at construction (for reports).
@@ -150,11 +155,10 @@ impl SimTryLock {
         if self.next_free <= now {
             let until = now + hold_ns;
             self.next_free = until;
-            probe::emit(|p| p.try_lock(self.name, now, true, hold_ns));
-            causal::mark(self.name, MarkKind::Hold, now, until, 0);
+            probe::emit(|p| p.try_lock(probe::label(self.name, &mut self.id), now, true, hold_ns));
             TryAcquire::Acquired { until }
         } else {
-            probe::emit(|p| p.try_lock(self.name, now, false, 0));
+            probe::emit(|p| p.try_lock(probe::label(self.name, &mut self.id), now, false, 0));
             TryAcquire::Busy { free_at: self.next_free }
         }
     }

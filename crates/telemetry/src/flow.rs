@@ -13,6 +13,7 @@
 //! can mark unconditionally.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use simcore::SimTime;
@@ -54,7 +55,35 @@ pub(crate) const LANE_SHIFT: u32 = 44;
 const LOCAL_MASK: u64 = (1 << LANE_SHIFT) - 1;
 
 /// Registered routes: `(src, dst, tag_base)` → the sender's flow ids.
-type RouteMap = HashMap<(usize, usize, u64), Vec<u64>>;
+type RouteMap = HashMap<(usize, usize, u64), Vec<u64>, BuildHasherDefault<RouteHasher>>;
+
+/// A fixed multiply-rotate hasher for [`RouteMap`]'s integer keys, which
+/// costs a few instructions per key where SipHash costs a few dozen. The
+/// map is never iterated, so its order never shows.
+#[derive(Default)]
+struct RouteHasher(u64);
+
+impl Hasher for RouteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Published lane-mode flow metadata: `id` → `(src, dst, put_ns)`.
 type MetaMap = HashMap<u64, (usize, usize, u64)>;

@@ -17,11 +17,10 @@
 //! indexed loads — no allocation and no string compares. Every read view
 //! iterates in key (byte) order, so the ids never show in output. Counter
 //! tracks (sampled time series destined for Perfetto counter tracks) are
-//! `String`-keyed `BTreeMap`s because they are only ever fed from
-//! enabled-only code.
+//! `Keyed` too: a name formatted at run time (`loc3.runq`) is interned
+//! once with `simcore::keyed::intern` and cached by its caller.
 
-use std::collections::BTreeMap;
-
+use simcore::probe::Label;
 use simcore::Keyed;
 
 use crate::hist::Histogram;
@@ -123,7 +122,7 @@ pub struct Metrics {
     hists: Keyed<Series<Histogram>>,
     ports: Keyed<Series<PortWindow>>,
     /// Sampled `(t_ns, value)` series rendered as Perfetto counter tracks.
-    tracks: BTreeMap<String, Vec<(u64, f64)>>,
+    tracks: Keyed<Vec<(u64, f64)>>,
 }
 
 impl Metrics {
@@ -208,12 +207,9 @@ impl Metrics {
     }
 
     /// Append a `(t_ns, value)` sample to counter track `name`.
-    pub fn track_sample(&mut self, name: &str, t_ns: u64, v: f64) {
-        if let Some(series) = self.tracks.get_mut(name) {
-            series.push((t_ns, v));
-        } else {
-            self.tracks.insert(name.to_string(), vec![(t_ns, v)]);
-        }
+    #[inline]
+    pub fn track_sample(&mut self, name: &'static str, t_ns: u64, v: f64) {
+        self.tracks.slot(name).push((t_ns, v));
     }
 
     /// Iterate counter run totals in key order.
@@ -246,9 +242,9 @@ impl Metrics {
         &self.ports
     }
 
-    /// Iterate counter tracks in name order.
-    pub fn tracks(&self) -> impl Iterator<Item = (&str, &[(u64, f64)])> + '_ {
-        self.tracks.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    /// Iterate counter tracks in name (byte) order.
+    pub fn tracks(&self) -> impl Iterator<Item = (&'static str, &[(u64, f64)])> + '_ {
+        self.tracks.iter().map(|(k, v)| (k, v.as_slice()))
     }
 
     /// One named track's samples.
@@ -260,12 +256,9 @@ impl Metrics {
     /// merge to rebuild cumulative series (e.g. `parcels.in_flight`)
     /// from per-lane running values after [`Metrics::merge`] interleaved
     /// the raw samples.
-    pub fn track_replace(&mut self, name: &str, series: Vec<(u64, f64)>) {
-        if series.is_empty() {
-            self.tracks.remove(name);
-        } else {
-            self.tracks.insert(name.to_string(), series);
-        }
+    pub fn track_replace(&mut self, name: &'static str, series: Vec<(u64, f64)>) {
+        debug_assert!(!series.is_empty(), "track {name}: a replacement keeps at least one sample");
+        *self.tracks.slot(name) = series;
     }
 
     /// Fold `other` into `self`: counter, histogram and port windows
@@ -287,8 +280,8 @@ impl Metrics {
         for (k, s) in other.ports.iter() {
             self.ports.slot(k).absorb(s);
         }
-        for (k, series) in &other.tracks {
-            let dst = self.tracks.entry(k.clone()).or_default();
+        for (k, series) in other.tracks.iter() {
+            let dst = self.tracks.slot(k);
             dst.extend(series.iter().copied());
             dst.sort_by_key(|&(t, _)| t);
         }
@@ -351,17 +344,17 @@ impl ContentionTable {
         ContentionTable::default()
     }
 
-    /// Record one event against `name`.
+    /// Record one event against `label`.
     #[inline]
     pub fn record(
         &mut self,
-        name: &'static str,
+        label: Label,
         kind: ResourceKind,
         wait_ns: u64,
         service_ns: u64,
         contended: bool,
     ) {
-        let row = self.rows.slot_with(name, || ContentionStat::new(kind));
+        let row = self.rows.slot_by_id(label.id, label.name, || ContentionStat::new(kind));
         row.events += 1;
         row.contended += contended as u64;
         row.total_wait_ns += wait_ns;
@@ -453,11 +446,27 @@ mod tests {
     }
 
     #[test]
+    fn tracks_read_in_byte_order() {
+        let mut m = Metrics::new();
+        let names = ["loc2.runq", "loc10.runq", "amt.delivered", "loc2.sendq", "loc10.sendq"];
+        for (i, name) in names.iter().enumerate() {
+            m.track_sample(simcore::keyed::intern(name), i as u64, 1.0);
+        }
+        let order: Vec<_> = m.tracks().map(|(name, _)| name).collect();
+        assert_eq!(
+            order,
+            ["amt.delivered", "loc10.runq", "loc10.sendq", "loc2.runq", "loc2.sendq"]
+        );
+        assert_eq!(m.track(&String::from("loc2.runq")), Some(&[(0, 1.0)][..]));
+    }
+
+    #[test]
     fn contention_ranking_orders_by_wait() {
         let mut t = ContentionTable::new();
-        t.record("small", ResourceKind::TryLock, 10, 5, false);
-        t.record("big", ResourceKind::Lock, 1000, 50, true);
-        t.record("big", ResourceKind::Lock, 500, 50, true);
+        let (small, big) = (Label::new("small"), Label::new("big"));
+        t.record(small, ResourceKind::TryLock, 10, 5, false);
+        t.record(big, ResourceKind::Lock, 1000, 50, true);
+        t.record(big, ResourceKind::Lock, 500, 50, true);
         let ranking = t.ranking();
         assert_eq!(ranking[0].0, "big");
         assert_eq!(ranking[0].1.total_wait_ns, 1500);

@@ -102,8 +102,10 @@ pub struct CoreAccount {
     /// `(start, end)`, equal keys in arrival order.
     pending: Vec<(u64, u64, CoreState, &'static str)>,
     /// Attributed `(start, end, state)` runs for timeline rendering,
-    /// capped at [`MAX_SEGMENTS`].
+    /// capped at [`MAX_SEGMENTS`]; kept only when `keep_segments` is set.
     segments: Vec<(u64, u64, u8)>,
+    /// Whether to keep `segments`: only a timeline reads them.
+    keep_segments: bool,
 }
 
 impl CoreAccount {
@@ -120,6 +122,9 @@ impl CoreAccount {
         }
         let start = self.cursor;
         self.cursor = end;
+        if !self.keep_segments {
+            return;
+        }
         if let Some(last) = self.segments.last_mut() {
             if last.1 == start && last.2 == state as u8 {
                 last.1 = end;
@@ -260,7 +265,8 @@ impl CoreAccount {
         out.into_iter()
     }
 
-    /// Attributed `(start, end, state)` runs, oldest first.
+    /// Attributed `(start, end, state)` runs, oldest first; none unless
+    /// its profile keeps segments ([`CoreProfile::keep_segments`]).
     pub fn segments(&self) -> impl Iterator<Item = (u64, u64, CoreState)> + '_ {
         self.segments.iter().map(|&(s, e, st)| (s, e, CoreState::from_u8(st)))
     }
@@ -286,6 +292,8 @@ pub struct CoreProfile {
     /// `cores[loc][core]`: present once any record named that core.
     cores: Vec<Vec<Option<CoreAccount>>>,
     current_loc: usize,
+    /// Whether new accounts keep their timeline segments.
+    keep_segments: bool,
 }
 
 impl CoreProfile {
@@ -303,6 +311,27 @@ impl CoreProfile {
     /// The locality set by [`CoreProfile::set_loc`].
     pub fn current_loc(&self) -> usize {
         self.current_loc
+    }
+
+    /// Keep every core's `(start, end, state)` segments, which
+    /// [`crate::timeline::slice_occupancy`] reads; without this an account
+    /// keeps only its totals. Accounts already open cannot gain the
+    /// segments they did not keep, so this panics unless the profile is
+    /// still empty.
+    pub fn keep_segments(&mut self) {
+        assert!(
+            self.is_empty(),
+            "the profile already holds core accounts that kept no timeline segments: \
+             attach the timeline before recording"
+        );
+        self.keep_segments = true;
+    }
+
+    /// The account of `(loc, core)`, opened on first touch.
+    fn account_mut(&mut self, loc: usize, core: usize) -> &mut CoreAccount {
+        let keep_segments = self.keep_segments;
+        self.slot(loc, core)
+            .get_or_insert_with(|| CoreAccount { keep_segments, ..CoreAccount::default() })
     }
 
     /// The slot of `(loc, core)`, growing the table on first touch.
@@ -327,8 +356,7 @@ impl CoreProfile {
         start_ns: u64,
         end_ns: u64,
     ) {
-        let acct = self.slot(loc, core).get_or_insert_with(CoreAccount::default);
-        acct.record_base(state, label, start_ns, end_ns);
+        self.account_mut(loc, core).record_base(state, label, start_ns, end_ns);
     }
 
     /// Record an overlay interval on `core` of the current locality.
@@ -340,8 +368,7 @@ impl CoreProfile {
         start_ns: u64,
         end_ns: u64,
     ) {
-        let acct = self.slot(self.current_loc, core).get_or_insert_with(CoreAccount::default);
-        acct.record_overlay(state, label, start_ns, end_ns);
+        self.account_mut(self.current_loc, core).record_overlay(state, label, start_ns, end_ns);
     }
 
     /// Every account with its `(loc, core)`, in `(loc, core)` order.
@@ -640,6 +667,48 @@ mod tests {
         assert_eq!(snap[0].1, [100, 0, 30, 220, 50]);
         // The live accounts still hold their overlays.
         assert_eq!(p.account(0, 0).map(CoreAccount::frontier_ns), Some(400));
+    }
+
+    #[test]
+    fn segments_are_kept_only_when_asked_for() {
+        let record = |p: &mut CoreProfile| {
+            p.record_base(0, 0, CoreState::Working, "task", 0, 100);
+            p.set_loc(1);
+            p.record_overlay_here(2, CoreState::LockWait, "nic", 20, 60);
+            p.record_base(1, 2, CoreState::Progress, "background", 10, 90);
+            p.record_base(1, 2, CoreState::Working, "task", 120, 200);
+        };
+        let (mut plain, mut kept) = (CoreProfile::new(), CoreProfile::new());
+        kept.keep_segments();
+        record(&mut plain);
+        record(&mut kept);
+        let segments = |p: &CoreProfile| -> Vec<Vec<_>> {
+            p.snapshot().values().map(|a| a.segments().collect()).collect()
+        };
+        assert_eq!(segments(&plain), [vec![], vec![]]);
+        let loc1 = [
+            (0, 10, CoreState::Idle),
+            (10, 20, CoreState::Progress),
+            (20, 60, CoreState::LockWait),
+            (60, 90, CoreState::Progress),
+            (90, 120, CoreState::Idle),
+            (120, 200, CoreState::Working),
+        ];
+        let loc0 = [(0, 100, CoreState::Working), (100, 200, CoreState::Idle)];
+        assert_eq!(segments(&kept), [loc0.to_vec(), loc1.to_vec()]);
+        assert_eq!(plain.state_tables(), kept.state_tables());
+        let leaves = |p: &CoreProfile| -> Vec<Vec<_>> {
+            p.snapshot().values().map(|a| a.leaves().collect()).collect()
+        };
+        assert_eq!(leaves(&plain), leaves(&kept));
+    }
+
+    #[test]
+    #[should_panic(expected = "already holds core accounts")]
+    fn keeping_segments_after_a_record_panics() {
+        let mut p = CoreProfile::new();
+        p.record_base(0, 0, CoreState::Working, "task", 0, 100);
+        p.keep_segments();
     }
 
     #[test]

@@ -911,7 +911,9 @@ mod tests {
     #[test]
     fn occupancy_slicing_preserves_partition() {
         use crate::profile::CoreProfile;
+        // As a collector with a timeline attached builds its profile.
         let mut p = CoreProfile::new();
+        p.keep_segments();
         p.record_base(0, 0, CoreState::Working, "task", 0, 250);
         p.record_base(0, 0, CoreState::Progress, "poll", 250, 420);
         let snap = p.snapshot();
