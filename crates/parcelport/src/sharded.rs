@@ -43,11 +43,16 @@
 //!
 //! # Telemetry
 //!
-//! With a collector enabled, each lane owns a [`telemetry::LaneCollector`]
-//! (flow tracer namespaced by lane, private causal log, its own windowed
-//! timeline, its locality's core spans), installed around every dispatch
-//! and merged into the harness's collector in lane-rank order after the
-//! run — so merged telemetry is also shard-count- and run-mode-invariant.
+//! With a collector enabled when the world is built, each lane owns a
+//! collector of its own ([`telemetry::Telemetry::for_lane`]: flow tracer
+//! namespaced by lane, private causal log, its own windowed timeline, its
+//! locality's core spans and profile). Every dispatch swaps it into the
+//! thread's probe slot ([`simcore::probe::swap`]) and swaps the previous
+//! occupant back on exit, so after a run each thread's slot holds what it
+//! held before, on both executors. The lanes merge into the build-time
+//! collector in lane-rank order after the run or when the world is
+//! dropped, whatever the slot holds by then — so merged telemetry is also
+//! shard-count- and run-mode-invariant.
 //!
 //! One modeling difference from the shared-fabric world is deliberate:
 //! switched-topology port contention is partitioned per *source* (each
@@ -130,7 +135,7 @@ pub struct LocalityNode {
     sim: Sim,
     fabric: Rc<RefCell<Fabric>>,
     locality: Rc<Locality>,
-    collector: RefCell<Option<telemetry::LaneCollector>>,
+    collector: RefCell<Option<Rc<telemetry::Telemetry>>>,
     app: Option<Box<dyn Any>>,
     inboxes: Inboxes,
     /// The one engine event armed at the nested heap head.
@@ -158,9 +163,10 @@ pub struct LocalityNode {
 // (documented on `LaneSetup`). `rank` and `advance` are plain data. A run
 // lends the node's shard to one engine worker for the whole run, so the
 // node changes threads only when that worker is spawned or joined — both
-// happens-before edges — and is dispatched on one thread at a time. The
-// thread-local collector it installs at dispatch entry is uninstalled at
-// exit, and nothing else of it is left in a thread-local.
+// happens-before edges — and is dispatched on one thread at a time. A
+// dispatch swaps the node's collector into the thread's probe slot on
+// entry and swaps the previous occupant back on exit, so between
+// dispatches no thread-local holds anything of the node.
 unsafe impl Send for LocalityNode {}
 
 impl LocalityNode {
@@ -197,11 +203,8 @@ impl LocalityNode {
 
 impl ShardActor for LocalityNode {
     fn on_event(&mut self, ctx: &mut LaneCtx<'_>, arg: u64) {
-        let collector = self.collector.borrow();
-        if let Some(c) = collector.as_ref() {
-            c.install();
-            telemetry::profile_set_loc(self.rank);
-        }
+        // Moves two pointers and a count: no allocation.
+        let prev = self.collector.get_mut().clone().map(|c| simcore::probe::swap(Some(c)));
         let now = ctx.now();
         if arg == ARG_ADVANCE {
             self.advance = None;
@@ -246,8 +249,8 @@ impl ShardActor for LocalityNode {
             (None, None) => {}
         }
 
-        if let Some(c) = collector.as_ref() {
-            c.uninstall();
+        if let Some(prev) = prev {
+            simcore::probe::swap(prev);
         }
     }
 
@@ -265,10 +268,8 @@ pub struct ShardedWorld {
     /// Engine shards the lanes were placed on.
     pub shards: usize,
     /// The harness collector that was active on the building thread, kept
-    /// by handle: the first engine worker dispatches its lanes on this very
-    /// thread and each dispatch's collector uninstall clears the
-    /// thread-local slot, so re-querying `telemetry::active()` at merge
-    /// time would silently find nothing.
+    /// by handle: the lanes' collectors were built for it, and by merge
+    /// time the harness may have disabled or replaced it.
     main_tel: Option<Rc<telemetry::Telemetry>>,
     merged: bool,
 }
@@ -304,7 +305,7 @@ pub fn build_sharded_world(
             locality.start(&mut sim);
             seed(rank, &mut sim, &locality);
             let collector =
-                main_tel.as_ref().map(|main| telemetry::LaneCollector::new(rank as u32, main));
+                main_tel.as_ref().map(|main| telemetry::Telemetry::for_lane(rank as u32, main));
             Box::new(LocalityNode {
                 rank,
                 sim,
@@ -435,39 +436,46 @@ mod tests {
         }
     }
 
+    /// Two localities on two shards; rank 0 sends `parcels` 8 B parcels to
+    /// rank 1. Also returns the count of parcels delivered.
+    fn two_node_world(parcels: usize) -> (ShardedWorld, Arc<AtomicUsize>) {
+        let hits = Arc::new(AtomicUsize::new(0));
+        let cfg = WorldConfig::two_nodes("lci_psr_cq_pin_i".parse().unwrap(), 4);
+        let h = hits.clone();
+        let world = build_sharded_world(
+            &cfg,
+            2,
+            move |_rank| sink_registry(h.clone(), 8).into(),
+            move |rank, sim, loc| {
+                if rank != 0 {
+                    return;
+                }
+                let action = loc.with_registry(|r| r.id_of("sink").unwrap());
+                for _ in 0..parcels {
+                    let loc = loc.clone();
+                    loc.clone().spawn(
+                        sim,
+                        0,
+                        Box::new(move |sim, _l, core| {
+                            loc.send_action(
+                                sim,
+                                core,
+                                1,
+                                action,
+                                vec![Bytes::from_static(b"12345678")],
+                            )
+                        }),
+                    );
+                }
+            },
+        );
+        (world, hits)
+    }
+
     #[test]
     fn threaded_matches_sequential_digest() {
         let digest_of = |mode: RunMode| {
-            let hits = Arc::new(AtomicUsize::new(0));
-            let cfg = WorldConfig::two_nodes("lci_psr_cq_pin_i".parse().unwrap(), 4);
-            let h = hits.clone();
-            let mut world = build_sharded_world(
-                &cfg,
-                2,
-                move |_rank| sink_registry(h.clone(), 8).into(),
-                move |rank, sim, loc| {
-                    if rank != 0 {
-                        return;
-                    }
-                    let action = loc.with_registry(|r| r.id_of("sink").unwrap());
-                    for _ in 0..30 {
-                        let loc = loc.clone();
-                        loc.clone().spawn(
-                            sim,
-                            0,
-                            Box::new(move |sim, _l, core| {
-                                loc.send_action(
-                                    sim,
-                                    core,
-                                    1,
-                                    action,
-                                    vec![Bytes::from_static(b"12345678")],
-                                )
-                            }),
-                        );
-                    }
-                },
-            );
+            let (mut world, hits) = two_node_world(30);
             world.engine.set_exec_capture(true);
             world.run(Some(mode));
             assert_eq!(hits.load(Ordering::Relaxed), 30);
@@ -545,6 +553,48 @@ mod tests {
         assert_eq!(base, run(2, RunMode::Sequential));
         assert_eq!(base, run(4, RunMode::Sequential));
         assert_eq!(base, run(4, RunMode::Threaded));
+    }
+
+    /// A run merges the lanes into the collector that was on when the
+    /// world was built, and leaves the calling thread's probe slot as the
+    /// harness left it: here, empty.
+    #[test]
+    fn a_run_after_disable_leaves_telemetry_off() {
+        for mode in [RunMode::Sequential, RunMode::Threaded] {
+            let main = telemetry::enable();
+            let (mut world, hits) = two_node_world(5);
+            telemetry::disable();
+            world.run(Some(mode));
+            assert_eq!(hits.load(Ordering::Relaxed), 5);
+            assert!(!telemetry::enabled(), "{mode:?}: the run re-installed a collector");
+            assert_eq!(main.flow_count(), 5, "{mode:?}: the lanes' flows merge into main");
+        }
+    }
+
+    /// A world dropped before it runs merges its (empty) lanes and
+    /// installs nothing.
+    #[test]
+    fn dropping_an_unrun_world_leaves_telemetry_off() {
+        let _main = telemetry::enable();
+        let (world, _) = two_node_world(5);
+        telemetry::disable();
+        drop(world);
+        assert!(!telemetry::enabled(), "the drop re-installed a collector");
+    }
+
+    /// A collector the harness enabled after the build stays in the slot
+    /// and records nothing of the run; the build-time one gets the merge.
+    #[test]
+    fn lanes_merge_into_the_build_time_collector() {
+        let first = telemetry::enable();
+        let (mut world, _) = two_node_world(5);
+        let second = telemetry::enable();
+        world.run(Some(RunMode::Sequential));
+        let active = telemetry::active().expect("a collector in the slot");
+        assert!(Rc::ptr_eq(&active, &second), "the run replaced the harness's collector");
+        assert_eq!(second.flow_count(), 0, "the later collector saw the run");
+        assert_eq!(first.flow_count(), 5, "the build-time collector got the merge");
+        telemetry::disable();
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! Causal provenance capture: who scheduled whom, and where the time went.
 //!
-//! When a collector is installed (see [`install`]), the [`Sim`] records one
-//! provenance edge per executed event — *the event that was executing when
-//! this event was scheduled* — and the contention primitives
-//! ([`crate::SimLock`], [`crate::SimTryLock`], [`crate::SimResource`]) and
-//! the network fabric annotate the currently-executing event with labeled
-//! time *marks* (lock wait, lock hold, resource service, wire transit).
-//! The primitives' marks arrive through their [`crate::probe`] call: the
-//! probe that observes an access writes its Wait and Hold/Work with
-//! [`CausalLog::access`], so a collector installs both hooks together.
+//! A [`CausalLog`] is a [`Probe`]. Installed in the [`crate::probe`] slot,
+//! alone or inside a collector that forwards to it, it records one
+//! provenance node per event the [`Sim`] dispatches, with the edge to
+//! *the event that was executing when this event was scheduled*. It
+//! tracks the executing node itself, and attributes to it the labeled
+//! time *marks* that the models emit while it runs: lock wait, lock hold,
+//! resource service, wire transit. The contention primitives
+//! ([`crate::SimLock`], [`crate::SimTryLock`], [`crate::SimResource`])
+//! make one probe call per access, which the log writes as its Wait and
+//! Hold/Work ([`CausalLog::access`]); other marks come through [`mark`].
 //! Together these reconstruct the exact critical path of a run: walk the
 //! parent chain backwards from any event and carve each inter-event gap
 //! with the marks owned by the earlier event.
 //!
-//! Mirrors [`crate::probe`]: a thread-local optional collector, free
-//! functions that no-op (one `Cell<bool>` read) when nothing is installed,
-//! and **pure observation** when installed — recording never feeds back
+//! The free functions [`on_execute`], [`end_execute`] and [`mark`] emit
+//! through the slot: one `Cell<bool>` read when nothing is installed, and
+//! **pure observation** when something is — recording never feeds back
 //! into simulation timing.
 //!
 //! [`Sim`]: crate::Sim
@@ -24,6 +25,7 @@ use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
 
+use crate::probe::{self, Label, Probe};
 use crate::time::SimTime;
 
 /// What a time mark represents, for per-component attribution.
@@ -266,16 +268,25 @@ impl LogInner {
 }
 
 /// The causal log: provenance nodes + time marks of one instrumented run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CausalLog {
     inner: RefCell<LogInner>,
+    /// Node id of the event now dispatching (0 outside dispatch): the
+    /// owner of any mark emitted right now.
+    current: Cell<u64>,
 }
 
 impl CausalLog {
     /// A fresh, empty log.
-    #[allow(clippy::new_without_default)]
     pub fn new() -> Rc<CausalLog> {
-        Rc::new(CausalLog { inner: RefCell::new(LogInner::default()) })
+        Rc::default()
+    }
+
+    /// Node id of the event now dispatching (0 outside dispatch). Lets a
+    /// collector that owns the log, e.g. its flow tracer, tie its own
+    /// records to provenance nodes.
+    pub fn current_node(&self) -> u64 {
+        self.current.get()
     }
 
     /// Nodes recorded so far.
@@ -306,26 +317,9 @@ impl CausalLog {
         f(&LogView { inner: &inner, labels: crate::keyed::keys() })
     }
 
-    fn on_execute(&self, node: u64, at: u64, parent: u64) {
-        let inner = &mut *self.inner.borrow_mut();
-        if inner.nodes.is_empty() {
-            inner.base = node;
-        } else if node != inner.next {
-            // A different Sim started under the same collector: the old
-            // run's graph is complete, restart cleanly for the new one.
-            *inner = LogInner { base: node, ..LogInner::default() };
-        }
-        inner.next = node + 1;
-        if inner.nodes.len() >= MAX_RECORDS {
-            inner.truncated = true;
-            return;
-        }
-        inner.nodes.push(NodeRec { at, parent });
-        // In range: see the guard's assertion.
-        inner.first_mark.push(inner.words.len() as u32);
-    }
-
-    fn mark(
+    /// Record a mark owned by node `owner` (dropped when `owner` is not
+    /// the newest node, which only a truncated log allows).
+    fn owned_mark(
         &self,
         owner: u64,
         label: &'static str,
@@ -348,8 +342,8 @@ impl CausalLog {
     /// label with keyed id `id`: a Wait over `[start, mid]`, then a `kind`
     /// (Hold or Work) mark over `[mid, end]` (`start <= mid <= end`). An
     /// empty interval is no mark. When both are marks and fit the compact
-    /// form they share one record. The contention probe calls this for
-    /// every access it sees.
+    /// form they share one record. The log's [`Probe`] methods call this
+    /// for every access they see.
     pub fn access(&self, owner: u64, id: u32, kind: MarkKind, start: u64, mid: u64, end: u64) {
         debug_assert!(start <= mid && mid <= end, "causal: access {start}..{mid}..{end}");
         let inner = &mut *self.inner.borrow_mut();
@@ -384,6 +378,72 @@ impl CausalLog {
     /// deterministically ([`merge_sharded_with_remap`]).
     pub fn take_data(&self) -> ShardCausalData {
         ShardCausalData(std::mem::take(&mut *self.inner.borrow_mut()))
+    }
+
+    /// One probed access, owned by the event now dispatching: a Wait of
+    /// `wait_ns` from `now`, then a `kind` mark of `dur_ns`.
+    fn probed(&self, label: Label, kind: MarkKind, now: SimTime, wait_ns: u64, dur_ns: u64) {
+        let owner = self.current.get();
+        if owner != 0 {
+            let (start, mid) = (now.as_nanos(), now.as_nanos() + wait_ns);
+            self.access(owner, label.id, kind, start, mid, mid + dur_ns);
+        }
+    }
+}
+
+impl Probe for CausalLog {
+    fn lock_wait(&self, label: Label, _: usize, now: SimTime, wait_ns: u64, hold_ns: u64, _: bool) {
+        self.probed(label, MarkKind::Hold, now, wait_ns, hold_ns);
+    }
+
+    fn try_lock(&self, label: Label, now: SimTime, acquired: bool, hold_ns: u64) {
+        // A failed try holds nothing and never waits.
+        if acquired {
+            self.probed(label, MarkKind::Hold, now, 0, hold_ns);
+        }
+    }
+
+    fn resource_access(
+        &self,
+        label: Label,
+        _: usize,
+        now: SimTime,
+        wait_ns: u64,
+        service_ns: u64,
+        _: bool,
+    ) {
+        self.probed(label, MarkKind::Work, now, wait_ns, service_ns);
+    }
+
+    fn on_execute(&self, node: u64, at: u64, parent: u64) {
+        self.current.set(node);
+        let inner = &mut *self.inner.borrow_mut();
+        if inner.nodes.is_empty() {
+            inner.base = node;
+        } else if node != inner.next {
+            // A different Sim started under the same collector: the old
+            // run's graph is complete, restart cleanly for the new one.
+            *inner = LogInner { base: node, ..LogInner::default() };
+        }
+        inner.next = node + 1;
+        if inner.nodes.len() >= MAX_RECORDS {
+            inner.truncated = true;
+            return;
+        }
+        inner.nodes.push(NodeRec { at, parent });
+        // In range: see the guard's assertion.
+        inner.first_mark.push(inner.words.len() as u32);
+    }
+
+    fn end_execute(&self) {
+        self.current.set(0);
+    }
+
+    fn mark(&self, label: &'static str, kind: MarkKind, start: SimTime, end: SimTime, fixed: u64) {
+        let owner = self.current.get();
+        if owner != 0 && end > start {
+            self.owned_mark(owner, label, kind, start.as_nanos(), end.as_nanos(), fixed);
+        }
     }
 }
 
@@ -568,82 +628,31 @@ pub fn merge_sharded_with_remap(
         // merge keeps: the words copy as they are.
         merged.words.extend_from(&s.words, s.word_range(i));
     }
-    (Rc::new(CausalLog { inner: RefCell::new(merged) }), remap)
+    (Rc::new(CausalLog { inner: RefCell::new(merged), current: Cell::new(0) }), remap)
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<Rc<CausalLog>>> = const { RefCell::new(None) };
-    /// Fast-path flag mirroring `ACTIVE.is_some()`: the per-event and
-    /// per-mark overhead when no collector is installed is one read here.
-    static INSTALLED: Cell<bool> = const { Cell::new(false) };
-    /// Node id of the event currently being dispatched (0 outside
-    /// dispatch) — the owner of any mark emitted right now.
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Install `log` as this thread's causal collector.
-pub fn install(log: Rc<CausalLog>) {
-    ACTIVE.with(|a| *a.borrow_mut() = Some(log));
-    INSTALLED.with(|i| i.set(true));
-}
-
-/// Remove the collector (recording stops; no-op if none installed).
-pub fn uninstall() {
-    ACTIVE.with(|a| *a.borrow_mut() = None);
-    INSTALLED.with(|i| i.set(false));
-    CURRENT.with(|c| c.set(0));
-}
-
-/// Whether a collector is installed.
-#[inline]
-pub fn installed() -> bool {
-    INSTALLED.with(|i| i.get())
-}
-
-/// Node id of the event currently being dispatched (0 when idle or when
-/// no collector is installed). Lets observers — e.g. the flow tracer —
-/// associate their own records with provenance nodes.
-#[inline]
-pub fn current_node() -> u64 {
-    CURRENT.with(|c| c.get())
-}
-
-/// Called by the [`Sim`](crate::Sim) as event `node` (its 1-based executed
-/// counter) begins dispatch at `at` ns, scheduled by `parent`.
+/// Called by the [`Sim`](crate::Sim) as event `node` (its node id)
+/// begins dispatch at `at` ns, scheduled by `parent`: tells the installed
+/// probe ([`Probe::on_execute`]).
 #[inline]
 pub fn on_execute(node: u64, at: u64, parent: u64) {
-    CURRENT.with(|c| c.set(node));
-    ACTIVE.with(|a| {
-        if let Some(log) = a.borrow().as_ref() {
-            log.on_execute(node, at, parent);
-        }
-    });
+    probe::emit(|p| p.on_execute(node, at, parent));
 }
 
 /// Called by the [`Sim`](crate::Sim) when dispatch of the current event
-/// finishes.
+/// finishes ([`Probe::end_execute`]).
 #[inline]
 pub fn end_execute() {
-    CURRENT.with(|c| c.set(0));
+    probe::emit(|p| p.end_execute());
 }
 
 /// Record a labeled time interval `[start, end]` attributed to the
-/// currently executing event. No-op when no collector is installed, when
-/// emitted outside event dispatch, or when the interval is empty.
+/// currently executing event ([`Probe::mark`]). No-op when no probe is
+/// installed; a causal log drops a mark emitted outside event dispatch
+/// or over an empty interval.
 #[inline]
 pub fn mark(label: &'static str, kind: MarkKind, start: SimTime, end: SimTime, fixed: u64) {
-    if !installed() {
-        return;
-    }
-    let owner = current_node();
-    if owner == 0 || end <= start {
-        return;
-    }
-    ACTIVE.with(|a| {
-        if let Some(log) = a.borrow().as_ref() {
-            log.mark(owner, label, kind, start.as_nanos(), end.as_nanos(), fixed);
-        }
-    });
+    probe::emit(|p| p.mark(label, kind, start, end, fixed));
 }
 
 #[cfg(test)]
@@ -653,9 +662,8 @@ mod tests {
 
     #[test]
     fn no_collector_is_inert() {
-        uninstall();
-        assert!(!installed());
-        assert_eq!(current_node(), 0);
+        probe::uninstall();
+        assert!(!probe::installed());
         // Must not panic or record anywhere.
         mark("x", MarkKind::Work, SimTime::ZERO, SimTime::from_nanos(10), 0);
     }
@@ -663,7 +671,7 @@ mod tests {
     #[test]
     fn records_nodes_and_marks() {
         let log = CausalLog::new();
-        install(log.clone());
+        probe::install(log.clone());
         on_execute(1, 100, 0);
         mark("lock", MarkKind::Hold, SimTime::from_nanos(100), SimTime::from_nanos(150), 0);
         on_execute(2, 200, 1);
@@ -673,7 +681,7 @@ mod tests {
         // Empty interval: dropped.
         on_execute(3, 300, 2);
         mark("empty", MarkKind::Work, SimTime::from_nanos(300), SimTime::from_nanos(300), 0);
-        uninstall();
+        probe::uninstall();
         assert_eq!(log.node_count(), 3);
         assert_eq!(log.mark_count(), 1);
         log.with_view(|v| {
@@ -688,14 +696,14 @@ mod tests {
     #[test]
     fn second_sim_rebases_the_log() {
         let log = CausalLog::new();
-        install(log.clone());
+        probe::install(log.clone());
         on_execute(1, 10, 0);
         on_execute(2, 20, 1);
         // A fresh Sim's executed counter restarts from 1.
         on_execute(1, 5, 0);
         on_execute(2, 9, 1);
         on_execute(3, 12, 2);
-        uninstall();
+        probe::uninstall();
         assert_eq!(log.node_count(), 3);
         log.with_view(|v| {
             assert_eq!(v.base(), 1);
@@ -712,11 +720,11 @@ mod tests {
         let lock = crate::keyed::id_of("lock");
         log.access(1, lock, MarkKind::Hold, 110, 130, 180);
         assert_eq!((log.mark_count(), stored(&log)), (2, 16), "an access pair");
-        log.mark(1, "res", MarkKind::Work, 200, 210, 0);
+        log.owned_mark(1, "res", MarkKind::Work, 200, 210, 0);
         assert_eq!((log.mark_count(), stored(&log)), (3, 16 + 12), "a single mark");
-        log.mark(1, "net.wire", MarkKind::Wire, 210, 300, 40);
+        log.owned_mark(1, "net.wire", MarkKind::Wire, 210, 300, 40);
         assert_eq!((log.mark_count(), stored(&log)), (4, 16 + 12 + 16), "a Wire mark");
-        log.mark(1, "lock", MarkKind::Hold, 50, 60, 0);
+        log.owned_mark(1, "lock", MarkKind::Hold, 50, 60, 0);
         assert_eq!((log.mark_count(), stored(&log)), (5, 16 + 12 + 16 + 28), "before the node");
         // Capacity never runs more than one block ahead of the records.
         let block = 4 * BLOCK_WORDS;
@@ -725,7 +733,7 @@ mod tests {
             if k % 3 == 0 {
                 log.access(1, crate::keyed::id_of("res"), MarkKind::Work, t, t + 4, t + 9);
             } else {
-                log.mark(1, "res", MarkKind::Wait, t, t + 4, 0);
+                log.owned_mark(1, "res", MarkKind::Wait, t, t + 4, 0);
             }
             let (stored, reserved) = log.mark_bytes();
             assert!(stored <= reserved && reserved < stored + block, "{stored} B in {reserved} B");
@@ -751,7 +759,7 @@ mod tests {
         let log = CausalLog::new();
         log.on_execute(1, 10, 0);
         log.on_execute(2, 20, 1);
-        log.mark(1, "x", MarkKind::Work, 10, 20, 0);
+        log.owned_mark(1, "x", MarkKind::Work, 10, 20, 0);
     }
 
     /// SplitMix64: a seeded stream for the generated sequences below.
@@ -811,8 +819,8 @@ mod tests {
 
     /// The marks of one generated emission. Most are shaped like a
     /// `SimLock`/`SimResource` access, a Wait then a Hold/Work under the
-    /// same label that starts where the wait ends, which [`drive`] records
-    /// through `CausalLog::access`; some of those miss by one thing
+    /// same label that starts where the wait ends, which [`drive`] reports
+    /// as a lock or resource access through the probe slot; some of those miss by one thing
     /// (another label, a gap, a Wire kind, a non-zero fixed part) and go
     /// through `mark`. Some continue `prev`, the last mark emitted, which
     /// may belong to an earlier node. The rest are single marks.
@@ -903,12 +911,12 @@ mod tests {
                                 && mid == mid2
                                 && matches!(kind, MarkKind::Hold | MarkKind::Work) =>
                         {
-                            let id = crate::keyed::id_of(label);
-                            ACTIVE.with(|a| {
-                                let (log, owner) = (a.borrow(), current_node());
-                                if let (Some(log), true) = (log.as_ref(), owner != 0) {
-                                    log.access(owner, id, kind, start, mid, end);
-                                }
+                            // The access as a lock or resource reports it.
+                            let (label, now) = (Label::new(label), SimTime::from_nanos(start));
+                            let (wait, dur) = (mid - start, end - mid);
+                            probe::emit(|p| match kind {
+                                MarkKind::Hold => p.lock_wait(label, 0, now, wait, dur, false),
+                                _ => p.resource_access(label, 0, now, wait, dur, false),
                             });
                         }
                         _ => {
@@ -978,9 +986,9 @@ mod tests {
     /// forms of its records.
     fn check_single(seed: u64, steps: u64, restarts: bool) -> u32 {
         let log = CausalLog::new();
-        install(log.clone());
+        probe::install(log.clone());
         let naive = drive(&mut Rng(seed), steps, 0, restarts, &[]);
-        uninstall();
+        probe::uninstall();
         assert_matches(&log, &naive, &format!("seed {seed}"));
         forms(&log)
     }
@@ -998,9 +1006,9 @@ mod tests {
     #[test]
     fn a_log_over_many_blocks_equals_a_naive_recorder() {
         let log = CausalLog::new();
-        install(log.clone());
+        probe::install(log.clone());
         let naive = drive(&mut Rng(7), 30_000, 0, false, &[]);
-        uninstall();
+        probe::uninstall();
         assert!(log.mark_bytes().0 > 3 * 4 * BLOCK_WORDS, "the log spans more than three blocks");
         assert_matches(&log, &naive, "many blocks");
     }
@@ -1018,10 +1026,10 @@ mod tests {
             let mut parents: Vec<u64> = recorded.iter().flatten().map(|n| n.0).collect();
             parents.push((lane + 7) << 44);
             let log = CausalLog::new();
-            install(log.clone());
+            probe::install(log.clone());
             let steps = rng.below(steps);
             recorded.push(drive(&mut rng, steps, base, false, &parents));
-            uninstall();
+            probe::uninstall();
             data.push(log.take_data());
             assert_eq!(log.node_count() + log.mark_count(), 0, "take_data drains the lane");
         }

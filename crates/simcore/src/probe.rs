@@ -1,14 +1,15 @@
-//! Contention instrumentation hook.
+//! The one observer hook: a thread-local slot holding at most one
+//! [`Probe`]. [`SimLock`](crate::SimLock), [`SimTryLock`](crate::SimTryLock)
+//! and [`SimResource`](crate::SimResource) report each access in one call,
+//! which carries everything the access did; the [`Sim`](crate::Sim)
+//! reports each event's dispatch, and the models its time marks
+//! ([`crate::causal`]). Nothing in simcore consumes the data: the slot
+//! holds a bare [`CausalLog`](crate::CausalLog), or an observability
+//! layer's collector (`telemetry`'s attributes wait vs. service time per
+//! named resource and forwards the rest to its own causal log). `Probe:
+//! Any`, so such a layer finds its collector in the slot by downcasting.
 //!
-//! [`SimLock`](crate::SimLock), [`SimTryLock`](crate::SimTryLock) and
-//! [`SimResource`](crate::SimResource) report every acquisition/access
-//! through an optional thread-local [`Probe`]: one call per access, which
-//! carries everything the access did. Nothing in simcore consumes the
-//! data — an observability layer (the `telemetry` crate) installs a probe
-//! to attribute wait vs. service time per named resource, and records the
-//! access's causal marks ([`crate::causal`]) from the same call.
-//!
-//! Each call names the object by a [`Label`]: its name and its keyed id
+//! Each access names the object by a [`Label`]: its name and its keyed id
 //! ([`crate::keyed::id_of`]). An object resolves the id on the first
 //! access a probe observes and keeps it, so a probe reaches its per-label
 //! rows without hashing the name, and an unobserved object never looks
@@ -19,9 +20,11 @@
 //! whether a probe is installed. With no probe installed the cost is one
 //! thread-local `Cell<bool>` read — no allocation, no dispatch.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use crate::causal::MarkKind;
 use crate::keyed;
 use crate::time::SimTime;
 
@@ -53,12 +56,12 @@ pub(crate) fn label(name: &'static str, cache: &mut u32) -> Label {
     Label { name, id: *cache }
 }
 
-/// Receiver of contention events from locks and resources. Each method
-/// describes one whole access, so an implementation can derive the
-/// access's causal marks from it: a Wait over `[now, now + wait_ns)`,
-/// then a Hold (lock) or Work (resource) over the `hold_ns`/`service_ns`
-/// that follows.
-pub trait Probe {
+/// Receiver of everything simcore observes. Each access method describes
+/// one whole access, so an implementation can derive the access's causal
+/// marks from it: a Wait over `[now, now + wait_ns)`, then a Hold (lock)
+/// or Work (resource) over the `hold_ns`/`service_ns` that follows. The
+/// dispatch and mark methods default to doing nothing.
+pub trait Probe: Any {
     /// A [`SimLock`](crate::SimLock) acquisition was granted.
     /// `wait_ns` is the spin/park time before the grant (including the
     /// convoy handoff), `hold_ns` the critical-section length.
@@ -88,6 +91,18 @@ pub trait Probe {
         service_ns: u64,
         transferred: bool,
     );
+
+    /// The [`Sim`](crate::Sim) begins dispatching event `node` (its
+    /// node id) at `at` ns; `parent` is the node that scheduled it (0 when
+    /// scheduled outside any event).
+    fn on_execute(&self, _node: u64, _at: u64, _parent: u64) {}
+
+    /// The event whose dispatch began last has finished.
+    fn end_execute(&self) {}
+
+    /// A labeled interval of the event now dispatching: `(label, kind,
+    /// start, end, fixed)` as [`crate::causal::mark`] takes them.
+    fn mark(&self, _: &'static str, _: MarkKind, _: SimTime, _: SimTime, _: u64) {}
 }
 
 thread_local! {
@@ -97,16 +112,26 @@ thread_local! {
     static INSTALLED: Cell<bool> = const { Cell::new(false) };
 }
 
+/// Put `p` (or nothing) in this thread's slot; returns what it held.
+/// Moves two pointers: no allocation.
+pub fn swap(p: Option<Rc<dyn Probe>>) -> Option<Rc<dyn Probe>> {
+    INSTALLED.with(|i| i.set(p.is_some()));
+    PROBE.with(|c| c.replace(p))
+}
+
 /// Install `p` as this thread's probe (replacing any previous one).
 pub fn install(p: Rc<dyn Probe>) {
-    PROBE.with(|c| *c.borrow_mut() = Some(p));
-    INSTALLED.with(|i| i.set(true));
+    swap(Some(p));
 }
 
 /// Remove the installed probe, if any.
 pub fn uninstall() {
-    PROBE.with(|c| *c.borrow_mut() = None);
-    INSTALLED.with(|i| i.set(false));
+    swap(None);
+}
+
+/// The installed probe, if any.
+pub fn current() -> Option<Rc<dyn Probe>> {
+    PROBE.with(|c| c.borrow().clone())
 }
 
 /// Whether a probe is currently installed on this thread.
@@ -195,5 +220,18 @@ mod tests {
         uninstall();
         assert!(!installed());
         emit(|_| panic!("probe not removed"));
+    }
+
+    #[test]
+    fn swap_returns_the_previous_occupant() {
+        let (a, b) = (Rc::new(CountProbe(Cell::new(0))), Rc::new(CountProbe(Cell::new(0))));
+        assert!(swap(Some(a.clone())).is_none());
+        let prev = swap(Some(b.clone()));
+        emit(|probe| probe.try_lock(Label::new("x"), SimTime::ZERO, true, 1));
+        assert_eq!((a.0.get(), b.0.get()), (0, 1), "the swapped-in probe sees the access");
+        assert!(swap(prev).is_some_and(|p| std::ptr::addr_eq(Rc::as_ptr(&p), Rc::as_ptr(&b))));
+        emit(|probe| probe.try_lock(Label::new("x"), SimTime::ZERO, true, 1));
+        assert_eq!((a.0.get(), b.0.get()), (1, 1), "the previous probe is back");
+        uninstall();
     }
 }

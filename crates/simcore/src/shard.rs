@@ -73,8 +73,9 @@
 //! off), plus the [`RunReport`]. Observing the workload is the actors'
 //! job: the federated world (`parcelport::sharded`) runs a nested
 //! [`Sim`](crate::Sim) with lane-namespaced causal node ids in every lane,
-//! installs the lane's own `telemetry::LaneCollector` around each
-//! dispatch, and merges the collectors in lane-rank order after the run.
+//! swaps the lane's own telemetry collector into the probe slot
+//! ([`crate::probe::swap`]) around each dispatch, and merges the
+//! collectors in lane-rank order after the run.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -198,16 +198,16 @@ impl Sim {
     }
 
     /// Begin dispatching an event scheduled by `parent` at time `at`:
-    /// advance the clock, mint the node id, record the provenance edge if
-    /// a causal collector is installed. Returns whether one is (so the
-    /// caller can close the node after dispatch).
+    /// advance the clock, mint the node id, and report the dispatch and
+    /// its provenance edge if a probe is installed. Returns whether one is
+    /// (so the caller can close the node after dispatch).
     #[inline]
     fn begin_event(&mut self, at: SimTime, parent: u64) -> bool {
         debug_assert!(at >= self.now, "time must not go backwards");
         self.now = at;
         self.executed += 1;
         self.current = self.node_base + self.executed;
-        let instrumented = crate::causal::installed();
+        let instrumented = crate::probe::installed();
         if instrumented {
             crate::causal::on_execute(self.current, at.as_nanos(), parent);
         }

@@ -216,9 +216,9 @@ mod tests {
         let spans = vec![vec![span(0, "task", 0, 5_000)]];
         let mut f = FlowTracer::new();
         let id = f.begin(0, 1, 0, SimTime::from_nanos(100));
-        f.mark(id, stage::INJECT, SimTime::from_nanos(400));
-        f.mark(id, stage::DELIVER, SimTime::from_nanos(3_000));
-        f.mark(id, stage::SPAWN, SimTime::from_nanos(3_200));
+        f.mark(id, stage::INJECT, SimTime::from_nanos(400), 0);
+        f.mark(id, stage::DELIVER, SimTime::from_nanos(3_000), 0);
+        f.mark(id, stage::SPAWN, SimTime::from_nanos(3_200), 0);
         f.set_dst_core(&[id], 2);
         let mut m = Metrics::new();
         m.track_sample("queue_depth", 1_000, 3.0);

@@ -342,7 +342,7 @@ mod tests {
     ///   node 4 @1200, parent 1 (off-path side branch)
     fn synthetic_log() -> std::rc::Rc<CausalLog> {
         let log = CausalLog::new();
-        causal::install(log.clone());
+        simcore::probe::install(log.clone());
         causal::on_execute(1, 100, 0);
         causal::mark("ucp", MarkKind::Wait, ns(120), ns(180), 0);
         causal::mark("ucp", MarkKind::Hold, ns(180), ns(260), 0);
@@ -350,7 +350,7 @@ mod tests {
         causal::mark("net.wire", MarkKind::Wire, ns(400), ns(900), 450);
         causal::on_execute(3, 1000, 2);
         causal::end_execute();
-        causal::uninstall();
+        simcore::probe::uninstall();
         log
     }
 
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn overlapping_marks_first_wins() {
         let log = CausalLog::new();
-        causal::install(log.clone());
+        simcore::probe::install(log.clone());
         causal::on_execute(1, 0, 0);
         // Wait emitted first at the same start, then a wider work mark:
         // the wait keeps its prefix, the work claims only the rest.
@@ -391,7 +391,7 @@ mod tests {
         causal::mark("serialize", MarkKind::Work, ns(0), ns(100), 0);
         causal::on_execute(2, 100, 1);
         causal::end_execute();
-        causal::uninstall();
+        simcore::probe::uninstall();
         let cp = CritPath::from_log("t", &log);
         assert_eq!(cp.component_ns("q.wait"), 40);
         assert_eq!(cp.component_ns("serialize"), 60);
@@ -401,13 +401,13 @@ mod tests {
     #[test]
     fn marks_are_clipped_to_the_edge_interval() {
         let log = CausalLog::new();
-        causal::install(log.clone());
+        simcore::probe::install(log.clone());
         causal::on_execute(1, 0, 0);
         // Hold extends past the child's start: only the on-path part counts.
         causal::mark("lock", MarkKind::Hold, ns(10), ns(500), 0);
         causal::on_execute(2, 50, 1);
         causal::end_execute();
-        causal::uninstall();
+        simcore::probe::uninstall();
         let cp = CritPath::from_log("t", &log);
         assert_eq!(cp.component_ns("lock"), 40);
         assert_eq!(cp.component_ns("cpu"), 10);
@@ -434,10 +434,10 @@ mod tests {
     fn parcel_paths_telescope_exactly() {
         let mut tracer = crate::flow::FlowTracer::new();
         let id = tracer.begin(0, 1, 0, ns(100));
-        tracer.mark(id, stage::SERIALIZE, ns(150));
-        tracer.mark(id, stage::INJECT, ns(200));
-        tracer.mark(id, stage::WIRE, ns(700));
-        tracer.mark(id, stage::DELIVER, ns(900));
+        tracer.mark(id, stage::SERIALIZE, ns(150), 0);
+        tracer.mark(id, stage::INJECT, ns(200), 0);
+        tracer.mark(id, stage::WIRE, ns(700), 0);
+        tracer.mark(id, stage::DELIVER, ns(900), 0);
         // An undelivered flow is skipped.
         tracer.begin(0, 1, 0, ns(100));
         let paths = parcel_paths(tracer.flows());
@@ -460,9 +460,9 @@ mod tests {
     fn out_of_order_stage_timestamps_still_partition() {
         let mut tracer = crate::flow::FlowTracer::new();
         let id = tracer.begin(0, 1, 0, ns(100));
-        tracer.mark(id, stage::SERIALIZE, ns(400));
-        tracer.mark(id, stage::INJECT, ns(300)); // stamped before serialize
-        tracer.mark(id, stage::DELIVER, ns(500));
+        tracer.mark(id, stage::SERIALIZE, ns(400), 0);
+        tracer.mark(id, stage::INJECT, ns(300), 0); // stamped before serialize
+        tracer.mark(id, stage::DELIVER, ns(500), 0);
         let p = &parcel_paths(tracer.flows())[0];
         let sum: u64 = p.segments.iter().map(PathSegment::len_ns).sum();
         assert_eq!(sum, p.total_ns);

@@ -239,8 +239,10 @@ impl FlowTracer {
     /// first DELIVER mark only). In lane mode a mark on a foreign id is
     /// buffered for the merge; "newly set" then means "newly buffered",
     /// which coincides (each receiver-side stage is marked by exactly one
-    /// locality, and the dedup set keeps retries idempotent).
-    pub fn mark(&mut self, id: u64, stage: usize, t: SimTime) -> bool {
+    /// locality, and the dedup set keeps retries idempotent). `node` is
+    /// the causal node now dispatching, kept as a DELIVER mark's
+    /// `deliver_node`.
+    pub fn mark(&mut self, id: u64, stage: usize, t: SimTime, node: u64) -> bool {
         if id == 0 {
             return false;
         }
@@ -248,8 +250,7 @@ impl FlowTracer {
             if !self.foreign_seen.insert((id, stage)) {
                 return false;
             }
-            let deliver_node =
-                if stage == self::stage::DELIVER { simcore::causal::current_node() } else { 0 };
+            let deliver_node = if stage == self::stage::DELIVER { node } else { 0 };
             self.foreign.push(ForeignOp::Mark(id, stage, t.as_nanos(), deliver_node));
             return true;
         }
@@ -258,7 +259,7 @@ impl FlowTracer {
         if *slot == UNSET {
             *slot = t.as_nanos();
             if stage == self::stage::DELIVER {
-                rec.deliver_node = simcore::causal::current_node();
+                rec.deliver_node = node;
             }
             true
         } else {
@@ -382,8 +383,8 @@ mod tests {
         let mut f = FlowTracer::new();
         let id = f.begin(0, 1, 3, SimTime::from_nanos(100));
         assert_eq!(id, 1);
-        f.mark(id, stage::SERIALIZE, SimTime::from_nanos(150));
-        f.mark(id, stage::DELIVER, SimTime::from_nanos(900));
+        f.mark(id, stage::SERIALIZE, SimTime::from_nanos(150), 0);
+        f.mark(id, stage::DELIVER, SimTime::from_nanos(900), 0);
         f.set_dst_core(&[id], 5);
         let rec = &f.flows()[0];
         assert_eq!(rec.at(stage::PUT), Some(100));
@@ -397,16 +398,16 @@ mod tests {
     fn first_mark_wins() {
         let mut f = FlowTracer::new();
         let id = f.begin(0, 1, 0, SimTime::ZERO);
-        f.mark(id, stage::INJECT, SimTime::from_nanos(10));
-        f.mark(id, stage::INJECT, SimTime::from_nanos(99));
+        f.mark(id, stage::INJECT, SimTime::from_nanos(10), 0);
+        f.mark(id, stage::INJECT, SimTime::from_nanos(99), 0);
         assert_eq!(f.flows()[0].at(stage::INJECT), Some(10));
     }
 
     #[test]
     fn id_zero_is_ignored() {
         let mut f = FlowTracer::new();
-        f.mark(0, stage::PUT, SimTime::ZERO);
-        f.mark(0, stage::WIRE, SimTime::ZERO);
+        f.mark(0, stage::PUT, SimTime::ZERO, 0);
+        f.mark(0, stage::WIRE, SimTime::ZERO, 0);
         f.set_dst_core(&[0], 9);
         assert!(f.is_empty());
     }
@@ -450,12 +451,12 @@ mod tests {
         let mut sender = run.for_lane(1);
         let mut receiver = run.for_lane(0);
         let id = sender.begin(1, 0, 0, SimTime::from_nanos(5));
-        sender.mark(id, stage::INJECT, SimTime::from_nanos(10));
+        sender.mark(id, stage::INJECT, SimTime::from_nanos(10), 0);
         // Receiver-side stages land on the other lane's tracer.
-        assert!(receiver.mark(id, stage::WIRE, SimTime::from_nanos(40)));
-        assert!(receiver.mark(id, stage::DELIVER, SimTime::from_nanos(50)));
+        assert!(receiver.mark(id, stage::WIRE, SimTime::from_nanos(40), 0));
+        assert!(receiver.mark(id, stage::DELIVER, SimTime::from_nanos(50), 0));
         // Retry of an already-buffered stage is not "newly set".
-        assert!(!receiver.mark(id, stage::DELIVER, SimTime::from_nanos(60)));
+        assert!(!receiver.mark(id, stage::DELIVER, SimTime::from_nanos(60), 0));
         receiver.set_dst_core(&[id], 3);
         assert_eq!(receiver.len(), 0, "foreign ops must not mint local flows");
 

@@ -35,9 +35,13 @@
 //!
 //! ## Enable/disable
 //!
-//! The collector is a thread-local `Option<Rc<Telemetry>>`. Call sites go
-//! through the free functions in this module, which no-op when disabled:
-//! the disabled cost is one thread-local `Cell<bool>` read, with zero
+//! A [`Telemetry`] collector is a `simcore::Probe`: [`enable`] installs it
+//! in simcore's one observer slot ([`simcore::probe`]), where it sees
+//! every lock and resource access, every event dispatch and every causal
+//! mark, and forwards the last two to its own causal log. Call sites go
+//! through the free functions in this module, which find the collector by
+//! downcasting what the slot holds and no-op when it holds none: the
+//! disabled cost is one thread-local `Cell<bool>` read, with zero
 //! allocation. Telemetry is *pure observation* — it never schedules
 //! events, charges virtual time, or alters wire traffic — so enabling it
 //! does not change simulation results, and disabling it reproduces
@@ -55,11 +59,12 @@ pub mod record;
 pub mod report;
 pub mod timeline;
 
-use std::cell::{Cell, RefCell};
+use std::any::Any;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use simcore::causal::MarkKind;
-use simcore::probe::Label;
+use simcore::probe::{Label, Probe};
 use simcore::{CausalLog, SimTime};
 
 pub use chrome::CoreSpan;
@@ -97,9 +102,9 @@ struct Inner {
     /// `amt.messages_delivered` counter, sampled as the `amt.delivered`
     /// counter track.
     delivered: u64,
-    /// The causal provenance log ([`simcore::causal`]), installed by
-    /// [`enable`] alongside the contention probe.
-    causal: Option<Rc<CausalLog>>,
+    /// The causal provenance log ([`simcore::causal`]): the collector
+    /// forwards every dispatch, mark and access it observes to it.
+    causal: Rc<CausalLog>,
     /// The window cursor, SLO monitors and flight recorder
     /// ([`timeline`]), present only when timelines were requested
     /// ([`enable_with`] / [`Telemetry::enable_timeline`]).
@@ -135,9 +140,9 @@ impl Inner {
     /// lands in the windowed latency series and on the flight recorder;
     /// the batch moves `parcels.in_flight` by one sample.
     fn mark_flows(&mut self, ids: &[u64], stage: usize, t: SimTime) {
-        let mut newly = 0i64;
+        let (mut newly, node) = (0i64, self.causal.current_node());
         for &id in ids {
-            if self.flows.mark(id, stage, t) && stage == stage::DELIVER {
+            if self.flows.mark(id, stage, t, node) && stage == stage::DELIVER {
                 newly += 1;
                 self.flow_delivered(id, t);
             }
@@ -156,17 +161,6 @@ impl Inner {
             self.spans.resize_with(loc + 1, Vec::new);
         }
         self.spans[loc].push(CoreSpan { core: core as u32, label, start, end });
-    }
-
-    /// Record one probed access's causal marks, owned by the event now
-    /// dispatching: a Wait of `wait_ns` from `now`, then a `kind` mark of
-    /// `dur_ns`.
-    fn access_marks(&self, label: Label, kind: MarkKind, now: SimTime, wait_ns: u64, dur_ns: u64) {
-        let owner = simcore::causal::current_node();
-        if let (Some(log), true) = (&self.causal, owner != 0) {
-            let (start, mid) = (now.as_nanos(), now.as_nanos() + wait_ns);
-            log.access(owner, label.id, kind, start, mid, mid + dur_ns);
-        }
     }
 
     /// The timeline cursor, where untimed samples land; 0 without a
@@ -212,15 +206,13 @@ impl Inner {
         let Some(tl) = &mut self.timeline else { return };
         if tl.dump_due() {
             let cap = tl.dump_marks_cap();
-            let marks = self.causal.as_ref().map(|log| causal_tail(log, cap)).unwrap_or_default();
-            tl.take_dump(marks);
+            tl.take_dump(causal_tail(&self.causal, cap));
         }
     }
 }
 
 /// The last `cap` causal marks, as flight-recorder dump rows.
 fn causal_tail(log: &CausalLog, cap: usize) -> Vec<timeline::DumpMark> {
-    use simcore::causal::MarkKind;
     log.with_view(|view| {
         view.last_marks(cap)
             .map(|m| {
@@ -237,7 +229,8 @@ fn causal_tail(log: &CausalLog, cap: usize) -> Vec<timeline::DumpMark> {
 }
 
 impl Telemetry {
-    /// Create a detached collector (not installed anywhere).
+    /// Create a detached collector (not installed anywhere), with an empty
+    /// causal log of its own.
     pub fn new() -> Self {
         Telemetry::default()
     }
@@ -488,16 +481,15 @@ impl Telemetry {
         chrome::chrome_trace(&inner.spans, alerts, inner.flows.flows(), &inner.metrics)
     }
 
-    /// The causal provenance log captured by this collector, if any
-    /// (present on collectors made by [`enable`]).
-    pub fn causal_log(&self) -> Option<Rc<CausalLog>> {
+    /// The causal provenance log this collector captured.
+    pub fn causal_log(&self) -> Rc<CausalLog> {
         self.inner.borrow().causal.clone()
     }
 
     /// Extract the makespan critical path from the captured causal log.
-    /// `None` when no causal log is attached or nothing was recorded.
+    /// `None` when nothing was recorded.
     pub fn critpath(&self, config: &str) -> Option<CritPath> {
-        let log = self.causal_log()?;
+        let log = self.causal_log();
         let cp = CritPath::from_log(config, &log);
         (cp.total_ns > 0).then_some(cp)
     }
@@ -636,14 +628,12 @@ impl Telemetry {
     }
 }
 
-/// Adapter feeding `simcore::probe` events into the collector. One call
-/// is one access: under one borrow it fills the contention row, the
-/// profiler's lock-wait overlay and the timeline, then writes the access's
-/// causal Wait and Hold/Work, after any flight-recorder dump the access
-/// made due (which therefore ends before the access's own marks).
-struct ProbeAdapter(Rc<Telemetry>);
-
-impl simcore::Probe for ProbeAdapter {
+/// The collector is simcore's probe. One access is one call: under one
+/// borrow it fills the contention row, the profiler's lock-wait overlay
+/// and the timeline, then forwards the access to its causal log, after any
+/// flight-recorder dump the access made due (which therefore ends before
+/// the access's own marks). Dispatch and marks go straight to the log.
+impl Probe for Telemetry {
     fn lock_wait(
         &self,
         label: Label,
@@ -653,7 +643,7 @@ impl simcore::Probe for ProbeAdapter {
         hold_ns: u64,
         contended: bool,
     ) {
-        let inner = &mut *self.0.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         inner.contention.record(label, ResourceKind::Lock, wait_ns, hold_ns, contended);
         // The wait interval `[now, now+wait)` is spin time on `core`; the
         // profiler carves it out of whatever base interval encloses it.
@@ -665,18 +655,16 @@ impl simcore::Probe for ProbeAdapter {
             tl.probe_event(label.name, "lock", now.as_nanos(), wait_ns, hold_ns);
         }
         inner.observe(now.as_nanos(), true);
-        inner.access_marks(label, MarkKind::Hold, now, wait_ns, hold_ns);
+        inner.causal.lock_wait(label, core, now, wait_ns, hold_ns, contended);
     }
 
     fn try_lock(&self, label: Label, now: SimTime, acquired: bool, hold_ns: u64) {
         // A failed try never waits — that is the point of the LCI design;
         // it only counts as a contended event.
-        let inner = &mut *self.0.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         inner.contention.record(label, ResourceKind::TryLock, 0, hold_ns, !acquired);
         inner.observe(now.as_nanos(), false);
-        if acquired {
-            inner.access_marks(label, MarkKind::Hold, now, 0, hold_ns);
-        }
+        inner.causal.try_lock(label, now, acquired, hold_ns);
     }
 
     fn resource_access(
@@ -688,7 +676,7 @@ impl simcore::Probe for ProbeAdapter {
         service_ns: u64,
         transferred: bool,
     ) {
-        let inner = &mut *self.0.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         let contended = wait_ns > 0 || transferred;
         inner.contention.record(label, ResourceKind::Resource, wait_ns, service_ns, contended);
         // Queueing on a serialized resource is lock-wait-like core time.
@@ -700,36 +688,28 @@ impl simcore::Probe for ProbeAdapter {
             }
         }
         inner.observe(now.as_nanos(), true);
-        inner.access_marks(label, MarkKind::Work, now, wait_ns, service_ns);
+        inner.causal.resource_access(label, core, now, wait_ns, service_ns, transferred);
+    }
+
+    fn on_execute(&self, node: u64, at: u64, parent: u64) {
+        self.inner.borrow().causal.on_execute(node, at, parent);
+    }
+
+    fn end_execute(&self) {
+        self.inner.borrow().causal.end_execute();
+    }
+
+    fn mark(&self, label: &'static str, kind: MarkKind, start: SimTime, end: SimTime, fixed: u64) {
+        self.inner.borrow().causal.mark(label, kind, start, end, fixed);
     }
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<Rc<Telemetry>>> = const { RefCell::new(None) };
-    /// Mirrors `ACTIVE.is_some()`: the disabled path of [`with`] reads
-    /// only this flag, which needs no destructor and so no lazy-init check.
-    static ON: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Make `tel` (or nothing) this thread's active collector.
-fn set_active(tel: Option<Rc<Telemetry>>) {
-    ON.with(|on| on.set(tel.is_some()));
-    ACTIVE.with(|c| *c.borrow_mut() = tel);
-}
-
-/// Install a fresh collector on this thread (and hook `simcore::probe`
-/// plus the `simcore::causal` provenance log). Returns the handle; keep
-/// it to read reports after [`disable`].
+/// Install a fresh collector in this thread's probe slot, replacing
+/// whatever it held. Returns the handle; keep it to read reports after
+/// [`disable`].
 pub fn enable() -> Rc<Telemetry> {
-    // A stale collector from a run that never called `disable` must not
-    // leak state (probe adapter, causal cursor) into this run.
-    disable();
     let t = Rc::new(Telemetry::new());
-    let log = CausalLog::new();
-    t.inner.borrow_mut().causal = Some(log.clone());
-    set_active(Some(t.clone()));
-    simcore::probe::install(Rc::new(ProbeAdapter(t.clone())));
-    simcore::causal::install(log);
+    simcore::probe::install(t.clone());
     t
 }
 
@@ -743,39 +723,39 @@ pub fn enable_with(cfg: TimelineConfig) -> Rc<Telemetry> {
     t
 }
 
-/// Remove the active collector, the contention probe and the causal
-/// collector, resetting every piece of thread-local recording state so
+/// Empty this thread's probe slot. Every piece of recording state, the
+/// causal log's executing node included, belongs to a collector, so
 /// back-to-back instrumented runs in one process cannot contaminate each
 /// other. Runs on other threads are untouched: their route stores belong
-/// to their own collectors. The returned handle from [`enable`] stays valid for reading
-/// reports.
+/// to their own collectors. The handle returned by [`enable`] stays valid
+/// for reading reports.
 pub fn disable() {
-    set_active(None);
     simcore::probe::uninstall();
-    simcore::causal::uninstall();
 }
 
-/// Whether a collector is active on this thread.
+/// Whether this thread's probe slot holds a collector.
 #[inline]
 pub fn enabled() -> bool {
-    ON.with(Cell::get)
+    let mut on = false;
+    with(|_| on = true);
+    on
 }
 
-/// The active collector, if any.
+/// The collector in this thread's probe slot, if it holds one.
 pub fn active() -> Option<Rc<Telemetry>> {
-    ACTIVE.with(|c| c.borrow().clone())
+    let probe: Rc<dyn Any> = simcore::probe::current()?;
+    probe.downcast().ok()
 }
 
-/// Run `f` against the active collector; no-op when disabled.
+/// Run `f` against the collector in this thread's probe slot; no-op when
+/// the slot holds none (empty, or a probe of another type).
 #[inline]
 pub fn with(f: impl FnOnce(&Telemetry)) {
-    if enabled() {
-        ACTIVE.with(|c| {
-            if let Some(t) = c.borrow().as_deref() {
-                f(t)
-            }
-        });
-    }
+    simcore::probe::emit(|p| {
+        if let Some(t) = (p as &dyn Any).downcast_ref::<Telemetry>() {
+            f(t)
+        }
+    });
 }
 
 /// Start a flow (0 when disabled).
@@ -933,63 +913,27 @@ pub fn profile_overlay(
 // Sharded-world lane collectors
 // ---------------------------------------------------------------------
 
-/// One engine lane's private collector for the sharded world: a full
-/// [`Telemetry`] (flow tracer in lane mode, its own causal log, its own
-/// probe adapter) that the lane actor installs on whichever thread is
-/// dispatching its events and uninstalls right after, so worker threads
-/// never share mutable recording state. After the run,
-/// [`merge_lane_collectors`] folds every lane into the main collector in
-/// lane-rank order — the merged result is therefore a pure function of
-/// the per-lane streams, independent of shard count and run mode.
-pub struct LaneCollector {
-    tel: Rc<Telemetry>,
-    /// Adapter built once at construction so installs on the dispatch hot
-    /// path do not allocate (the alloc-ceiling gates cover sharded runs).
-    probe: Rc<dyn simcore::Probe>,
-    causal: Rc<CausalLog>,
-}
-
-impl LaneCollector {
-    /// Build the collector for `lane` of the run `main` collects: it
-    /// shares `main`'s route store, and gets a timeline of its own when
-    /// `main` has one, so windowed series keep working per lane.
-    pub fn new(lane: u32, main: &Telemetry) -> Self {
-        let tel = Rc::new(Telemetry::new());
-        let causal = CausalLog::new();
+impl Telemetry {
+    /// The collector of engine `lane` in the federated run `main`
+    /// collects: lane-mode flows that share `main`'s route store, its own
+    /// causal log, a timeline of its own when `main` has one (so windowed
+    /// series keep working per lane), and its profile's locality fixed to
+    /// `lane`. The lane swaps it into the probe slot of whichever thread
+    /// dispatches its events, and swaps the previous occupant back after,
+    /// so worker threads never share mutable recording state. After the
+    /// run, [`merge_lane_collectors`] folds every lane into `main` in
+    /// lane-rank order: the merged result is a pure function of the
+    /// per-lane streams, independent of shard count and run mode.
+    pub fn for_lane(lane: u32, main: &Telemetry) -> Rc<Telemetry> {
+        let mut tel = Telemetry::new();
         let main = main.inner.borrow();
         if let Some(tl) = &main.timeline {
             tel.enable_timeline(tl.config());
         }
-        {
-            let inner = &mut *tel.inner.borrow_mut();
-            inner.flows = main.flows.for_lane(lane);
-            inner.causal = Some(causal.clone());
-        }
-        let probe: Rc<dyn simcore::Probe> = Rc::new(ProbeAdapter(tel.clone()));
-        LaneCollector { tel, probe, causal }
-    }
-
-    /// Install this lane's collector on the current thread (pairs with
-    /// [`LaneCollector::uninstall`] around each event dispatch).
-    pub fn install(&self) {
-        set_active(Some(self.tel.clone()));
-        simcore::probe::install(self.probe.clone());
-        simcore::causal::install(self.causal.clone());
-    }
-
-    /// Remove this lane's collector from the current thread.
-    pub fn uninstall(&self) {
-        disable();
-    }
-}
-
-/// Re-install an existing collector on the current thread after a
-/// sharded run temporarily displaced it with lane collectors.
-pub fn reinstall(tel: &Rc<Telemetry>) {
-    set_active(Some(tel.clone()));
-    simcore::probe::install(Rc::new(ProbeAdapter(tel.clone())));
-    if let Some(log) = tel.inner.borrow().causal.clone() {
-        simcore::causal::install(log);
+        let inner = tel.inner.get_mut();
+        inner.flows = main.flows.for_lane(lane);
+        inner.profile.set_loc(lane as usize);
+        Rc::new(tel)
     }
 }
 
@@ -998,58 +942,52 @@ pub fn reinstall(tel: &Rc<Telemetry>) {
 /// interleaved raw values.
 const CUMULATIVE_TRACKS: [&str; 2] = ["parcels.in_flight", "amt.delivered"];
 
-/// Fold per-lane collectors (in lane-rank order) into `main` and
-/// re-install `main` on the current thread. Per-lane causal logs merge
-/// into one contiguous provenance log; flow tracers stitch foreign-op
-/// buffers back onto the records the minting lanes own; metrics (every
-/// windowed series, once), contention, profiler, spans and timelines
-/// merge additively. Assumes `main` itself recorded no flows during the
-/// run (the sharded world routes every event through a lane collector).
-pub fn merge_lane_collectors(main: &Rc<Telemetry>, lanes: Vec<LaneCollector>) {
-    let shards: Vec<_> = lanes.iter().map(|l| l.causal.take_data()).collect();
-    let (merged_log, remap) = simcore::causal::merge_sharded_with_remap(shards);
-
-    {
-        let main_inner = &mut *main.inner.borrow_mut();
-        let mut tracers = Vec::with_capacity(lanes.len());
-        // Per-track, per-lane snapshots of the cumulative series, taken
-        // before the additive merge interleaves their raw values.
-        let mut cum: Vec<Vec<Vec<(u64, f64)>>> = vec![Vec::new(); CUMULATIVE_TRACKS.len()];
-        for lane in &lanes {
-            // The probe adapter keeps an `Rc` to the lane telemetry, so
-            // take the inner state rather than unwrapping the handle.
-            let inner = std::mem::take(&mut *lane.tel.inner.borrow_mut());
-            for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
-                cum[slot].push(inner.metrics.track(name).map(|s| s.to_vec()).unwrap_or_default());
-            }
-            main_inner.metrics.merge(&inner.metrics);
-            main_inner.contention.merge(&inner.contention);
-            main_inner.profile.absorb(inner.profile);
-            // A lane records only its own locality's spans, so each
-            // locality's list comes from one lane, in recording order.
-            if main_inner.spans.len() < inner.spans.len() {
-                main_inner.spans.resize_with(inner.spans.len(), Vec::new);
-            }
-            for (loc, spans) in inner.spans.into_iter().enumerate() {
-                main_inner.spans[loc].extend(spans);
-            }
-            main_inner.in_flight += inner.in_flight;
-            main_inner.delivered += inner.delivered;
-            if let (Some(dst), Some(src)) = (&mut main_inner.timeline, inner.timeline) {
-                dst.absorb(src);
-            }
-            tracers.push(inner.flows);
-        }
-        main_inner.causal = Some(merged_log);
-        main_inner.flows.absorb_lanes(tracers, &remap);
+/// Fold per-lane collectors (in lane-rank order) into `main`; installs
+/// nothing. Per-lane causal logs merge into one contiguous provenance log;
+/// flow tracers stitch foreign-op buffers back onto the records the
+/// minting lanes own; metrics (every windowed series, once), contention,
+/// profiler, spans and timelines merge additively. Assumes `main` itself
+/// recorded no flows during the run (the sharded world routes every event
+/// through a lane collector).
+pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
+    let main_inner = &mut *main.inner.borrow_mut();
+    let (mut shards, mut tracers) = (Vec::with_capacity(lanes.len()), Vec::new());
+    // Per-track, per-lane snapshots of the cumulative series, taken
+    // before the additive merge interleaves their raw values.
+    let mut cum: Vec<Vec<Vec<(u64, f64)>>> = vec![Vec::new(); CUMULATIVE_TRACKS.len()];
+    for lane in lanes {
+        let inner = lane.inner.take();
+        shards.push(inner.causal.take_data());
         for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
-            let rebuilt = rebuild_cumulative(&cum[slot]);
-            if !rebuilt.is_empty() {
-                main_inner.metrics.track_replace(name, rebuilt);
-            }
+            cum[slot].push(inner.metrics.track(name).map(|s| s.to_vec()).unwrap_or_default());
+        }
+        main_inner.metrics.merge(&inner.metrics);
+        main_inner.contention.merge(&inner.contention);
+        main_inner.profile.absorb(inner.profile);
+        // A lane records only its own locality's spans, so each
+        // locality's list comes from one lane, in recording order.
+        if main_inner.spans.len() < inner.spans.len() {
+            main_inner.spans.resize_with(inner.spans.len(), Vec::new);
+        }
+        for (loc, spans) in inner.spans.into_iter().enumerate() {
+            main_inner.spans[loc].extend(spans);
+        }
+        main_inner.in_flight += inner.in_flight;
+        main_inner.delivered += inner.delivered;
+        if let (Some(dst), Some(src)) = (&mut main_inner.timeline, inner.timeline) {
+            dst.absorb(src);
+        }
+        tracers.push(inner.flows);
+    }
+    let (merged_log, remap) = simcore::causal::merge_sharded_with_remap(shards);
+    main_inner.causal = merged_log;
+    main_inner.flows.absorb_lanes(tracers, &remap);
+    for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
+        let rebuilt = rebuild_cumulative(&cum[slot]);
+        if !rebuilt.is_empty() {
+            main_inner.metrics.track_replace(name, rebuilt);
         }
     }
-    reinstall(main);
 }
 
 /// Rebuild one cumulative counter track from per-lane running values:
@@ -1085,6 +1023,13 @@ mod tests {
         disable();
         f();
         disable();
+    }
+
+    /// Run `f` with `tel` in the probe slot, as a lane dispatch does.
+    fn on_lane(tel: &Rc<Telemetry>, f: impl FnOnce()) {
+        let prev = simcore::probe::swap(Some(tel.clone()));
+        f();
+        simcore::probe::swap(prev);
     }
 
     #[test]
@@ -1138,15 +1083,15 @@ mod tests {
                 0,
             );
             disable();
-            assert!(!simcore::causal::installed());
-            assert_eq!(simcore::causal::current_node(), 0);
+            assert!(!simcore::probe::installed());
 
             // Second run starts from a blank slate.
             let second = enable();
             assert_eq!(second.flow_count(), 0);
             assert_eq!(second.with_metrics(|m| m.counter("parcels")), 0);
             assert!(second.take_route(0, 1, 99).is_empty(), "routes must not leak");
-            let log = second.causal_log().expect("fresh causal log");
+            let log = second.causal_log();
+            assert_eq!(log.current_node(), 0, "no event is dispatching");
             assert_eq!(log.node_count(), 0);
             assert_eq!(log.mark_count(), 0);
             let id2 = flow_begin(0, 1, 0, SimTime::ZERO);
@@ -1156,7 +1101,7 @@ mod tests {
             // The first handle still holds only its own data.
             assert_eq!(first.flow_count(), 1);
             assert_eq!(first.with_metrics(|m| m.counter("parcels")), 7);
-            assert_eq!(first.causal_log().unwrap().node_count(), 1);
+            assert_eq!(first.causal_log().node_count(), 1);
             assert_eq!(second.flow_count(), 1);
         });
     }
@@ -1196,28 +1141,28 @@ mod tests {
     fn lane_collectors_merge_to_one_run() {
         with_clean_state(|| {
             let main = enable();
-            let lane0 = LaneCollector::new(0, &main);
-            let lane1 = LaneCollector::new(1, &main);
+            let lane0 = Telemetry::for_lane(0, &main);
+            let lane1 = Telemetry::for_lane(1, &main);
 
             // Lane 1 sends a parcel to lane 0: begin/inject on lane 1,
             // receiver-side stages + route claim on lane 0.
-            lane1.install();
-            let id = flow_begin(1, 0, 0, SimTime::from_nanos(10));
-            flow_mark(id, stage::INJECT, SimTime::from_nanos(20));
-            register_route(1, 0, 5, &[id]);
-            counter_add("parcels", 1);
-            lane1.uninstall();
+            let mut id = 0;
+            on_lane(&lane1, || {
+                id = flow_begin(1, 0, 0, SimTime::from_nanos(10));
+                flow_mark(id, stage::INJECT, SimTime::from_nanos(20));
+                register_route(1, 0, 5, &[id]);
+                counter_add("parcels", 1);
+            });
 
-            lane0.install();
-            let claimed = take_route(1, 0, 5);
-            assert_eq!(claimed, vec![id]);
-            flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(90));
-            flow_set_dst_core(&claimed, 2);
-            counter_add("parcels", 2);
-            lane0.uninstall();
+            on_lane(&lane0, || {
+                let claimed = take_route(1, 0, 5);
+                assert_eq!(claimed, vec![id]);
+                flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(90));
+                flow_set_dst_core(&claimed, 2);
+                counter_add("parcels", 2);
+            });
 
             merge_lane_collectors(&main, vec![lane0, lane1]);
-            assert!(enabled(), "main collector re-installed after merge");
             assert_eq!(main.flow_count(), 1);
             main.with_flows(|flows| {
                 let rec = &flows[0];
@@ -1246,21 +1191,22 @@ mod tests {
         // while run 2's route is still pending, run 2 claims afterwards.
         let run = |flows: u64| {
             let main = enable_with(TimelineConfig::default());
-            let sender = LaneCollector::new(1, &main);
-            let receiver = LaneCollector::new(0, &main);
-            sender.install();
-            let ids: Vec<u64> =
-                (0..flows).map(|_| flow_begin(1, 0, 0, SimTime::from_nanos(10))).collect();
-            register_route(1, 0, 5, &ids);
-            sender.uninstall();
+            let sender = Telemetry::for_lane(1, &main);
+            let receiver = Telemetry::for_lane(0, &main);
+            let mut ids = Vec::new();
+            on_lane(&sender, || {
+                ids = (0..flows).map(|_| flow_begin(1, 0, 0, SimTime::from_nanos(10))).collect();
+                register_route(1, 0, 5, &ids);
+            });
             barrier.wait();
             if flows == 2 {
                 barrier.wait();
             }
-            receiver.install();
-            let claimed = take_route(1, 0, 5);
-            flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(50));
-            receiver.uninstall();
+            let mut claimed = Vec::new();
+            on_lane(&receiver, || {
+                claimed = take_route(1, 0, 5);
+                flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(50));
+            });
             merge_lane_collectors(&main, vec![receiver, sender]);
             disable();
             if flows == 1 {
@@ -1301,6 +1247,63 @@ mod tests {
             assert!(names.contains(&"lci.progress") && names.contains(&"nic.tx_post"));
             // The try-lock never accumulates wait.
             assert_eq!(tel.with_contention(|c| c.get("lci.progress").unwrap().total_wait_ns), 0);
+        });
+    }
+
+    /// Counts what reaches it: accesses, dispatch begins and ends.
+    #[derive(Default)]
+    struct CountProbe {
+        accesses: std::cell::Cell<u32>,
+        begins: std::cell::Cell<u32>,
+        ends: std::cell::Cell<u32>,
+    }
+
+    impl CountProbe {
+        fn counts(&self) -> (u32, u32, u32) {
+            (self.accesses.get(), self.begins.get(), self.ends.get())
+        }
+    }
+
+    impl Probe for CountProbe {
+        fn lock_wait(&self, _: Label, _: usize, _: SimTime, _: u64, _: u64, _: bool) {
+            self.accesses.set(self.accesses.get() + 1);
+        }
+        fn try_lock(&self, _: Label, _: SimTime, _: bool, _: u64) {
+            self.accesses.set(self.accesses.get() + 1);
+        }
+        fn resource_access(&self, _: Label, _: usize, _: SimTime, _: u64, _: u64, _: bool) {
+            self.accesses.set(self.accesses.get() + 1);
+        }
+        fn on_execute(&self, _: u64, _: u64, _: u64) {
+            self.begins.set(self.begins.get() + 1);
+        }
+        fn end_execute(&self) {
+            self.ends.set(self.ends.get() + 1);
+        }
+    }
+
+    /// A probe in the slot that is not a collector counts as no
+    /// collector, and still sees what simcore reports.
+    #[test]
+    fn a_probe_that_is_not_a_collector_is_no_collector() {
+        with_clean_state(|| {
+            let probe = Rc::new(CountProbe::default());
+            simcore::probe::install(probe.clone());
+            assert!(!enabled());
+            assert!(active().is_none());
+            assert_eq!(flow_begin(0, 1, 0, SimTime::ZERO), 0);
+            counter_add_at("x", 1, SimTime::from_nanos(5));
+            assert_eq!(probe.counts(), (0, 0, 0), "a telemetry call reached the probe");
+
+            let mut lock = simcore::SimLock::new("not_a_collector", 500, 200);
+            lock.acquire(0, SimTime::ZERO, 100);
+            assert_eq!(probe.counts(), (1, 0, 0));
+
+            let mut sim = simcore::Sim::new(1);
+            sim.schedule_at(SimTime::from_nanos(10), |_| {});
+            sim.run();
+            assert_eq!(probe.counts(), (1, 1, 1));
+            assert!(simcore::probe::installed(), "the probe stays in the slot");
         });
     }
 }

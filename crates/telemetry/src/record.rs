@@ -219,7 +219,7 @@ impl RunRecord {
         let mut rec = RunRecord { version: SCHEMA_VERSION, meta, ..RunRecord::default() };
 
         rec.critpath = tel.critpath(&rec.meta.config);
-        rec.events = tel.causal_log().map(|log| log.node_count() as u64).unwrap_or(0);
+        rec.events = tel.causal_log().node_count() as u64;
 
         tel.with_metrics(|m| {
             for (k, v) in m.counters() {

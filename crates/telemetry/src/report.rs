@@ -298,12 +298,12 @@ mod tests {
         let mut f = FlowTracer::new();
         for i in 0..4u64 {
             let id = f.begin(0, 1, 0, SimTime::from_nanos(100 * i));
-            f.mark(id, stage::SERIALIZE, SimTime::from_nanos(100 * i + 50));
-            f.mark(id, stage::INJECT, SimTime::from_nanos(100 * i + 80));
-            f.mark(id, stage::WIRE, SimTime::from_nanos(100 * i + 2000));
-            f.mark(id, stage::MATCH, SimTime::from_nanos(100 * i + 2300));
-            f.mark(id, stage::DELIVER, SimTime::from_nanos(100 * i + 2500));
-            f.mark(id, stage::SPAWN, SimTime::from_nanos(100 * i + 2600));
+            f.mark(id, stage::SERIALIZE, SimTime::from_nanos(100 * i + 50), 0);
+            f.mark(id, stage::INJECT, SimTime::from_nanos(100 * i + 80), 0);
+            f.mark(id, stage::WIRE, SimTime::from_nanos(100 * i + 2000), 0);
+            f.mark(id, stage::MATCH, SimTime::from_nanos(100 * i + 2300), 0);
+            f.mark(id, stage::DELIVER, SimTime::from_nanos(100 * i + 2500), 0);
+            f.mark(id, stage::SPAWN, SimTime::from_nanos(100 * i + 2600), 0);
         }
         f
     }

@@ -4,9 +4,10 @@
 //! a contended `SimLock`, an acquired and a failed `SimTryLock`, a
 //! queued, a transferred and a zero-wait `SimResource` access, and a
 //! wait and a hold over 2^32 ns, which the causal log stores in its wide
-//! form.
+//! form. The same accesses under a bare `CausalLog` in the probe slot
+//! record the same marks.
 
-use simcore::causal::{self, MarkKind};
+use simcore::causal::{self, CausalLog, MarkKind};
 use simcore::{SimLock, SimResource, SimTime, SimTryLock, TryAcquire};
 use telemetry::CoreState;
 
@@ -17,11 +18,37 @@ fn ns(t: u64) -> SimTime {
 /// A hold far past `u32::MAX` ns.
 const LONG: u64 = 5_000_000_000;
 
-#[test]
-fn accesses_record_the_same_marks_rows_and_profile() {
-    let tel = telemetry::enable();
-    telemetry::profile_set_loc(0);
+/// `(owner, label, kind, start, end, fixed)` of every mark in `log`.
+type Mark = (u64, &'static str, MarkKind, u64, u64, u64);
 
+fn marks_of(log: &CausalLog) -> Vec<Mark> {
+    log.with_view(|v| {
+        v.marks().map(|m| (m.owner, m.label, m.kind, m.start, m.end, m.fixed)).collect()
+    })
+}
+
+/// The marks [`run_accesses`] records, in emission order.
+fn expected_marks() -> Vec<Mark> {
+    use MarkKind::{Hold, Wait, Work};
+    vec![
+        (1, "acc.lock", Hold, 100, 150, 0),
+        (1, "acc.lock", Wait, 120, 850, 0),
+        (1, "acc.lock", Hold, 850, 900, 0),
+        (1, "acc.try", Hold, 100, 130, 0),
+        (1, "acc.res", Work, 100, 120, 0),
+        (1, "acc.res", Wait, 100, 120, 0),
+        (1, "acc.res", Work, 120, 180, 0),
+        (1, "acc.res", Work, 200, 210, 0),
+        (1, "acc.long", Hold, 100, 100 + LONG, 0),
+        (1, "acc.long", Wait, 200, 100 + LONG, 0),
+        (1, "acc.long", Hold, 100 + LONG, 110 + LONG, 0),
+        (2, "acc.res", Work, 300, 350, 0),
+    ]
+}
+
+/// The accesses, over two dispatched events, under whatever the probe
+/// slot holds.
+fn run_accesses() {
     causal::on_execute(1, 100, 0);
     let mut lock = SimLock::new("acc.lock", 500, 200);
     lock.acquire(0, ns(100), 50);
@@ -50,30 +77,16 @@ fn accesses_record_the_same_marks_rows_and_profile() {
     // Transferred back to core 0 with no wait.
     assert_eq!(res.access(ns(300), 0, 10), ns(350));
     causal::end_execute();
+}
+
+#[test]
+fn accesses_record_the_same_marks_rows_and_profile() {
+    let tel = telemetry::enable();
+    telemetry::profile_set_loc(0);
+    run_accesses();
     telemetry::disable();
 
-    let log = tel.causal_log().expect("a causal log");
-    let marks: Vec<_> = log.with_view(|v| {
-        v.marks().map(|m| (m.owner, m.label, m.kind, m.start, m.end, m.fixed)).collect()
-    });
-    use MarkKind::{Hold, Wait, Work};
-    assert_eq!(
-        marks,
-        [
-            (1, "acc.lock", Hold, 100, 150, 0),
-            (1, "acc.lock", Wait, 120, 850, 0),
-            (1, "acc.lock", Hold, 850, 900, 0),
-            (1, "acc.try", Hold, 100, 130, 0),
-            (1, "acc.res", Work, 100, 120, 0),
-            (1, "acc.res", Wait, 100, 120, 0),
-            (1, "acc.res", Work, 120, 180, 0),
-            (1, "acc.res", Work, 200, 210, 0),
-            (1, "acc.long", Hold, 100, 100 + LONG, 0),
-            (1, "acc.long", Wait, 200, 100 + LONG, 0),
-            (1, "acc.long", Hold, 100 + LONG, 110 + LONG, 0),
-            (2, "acc.res", Work, 300, 350, 0),
-        ]
-    );
+    assert_eq!(marks_of(&tel.causal_log()), expected_marks());
 
     // (name, kind, events, contended, wait, service), by wait.
     let rows: Vec<_> = tel.with_contention(|c| {
@@ -123,4 +136,14 @@ fn accesses_record_the_same_marks_rows_and_profile() {
             ((0, 3), vec![(CoreState::LockWait, "acc.long", LONG - 100)]),
         ]
     );
+}
+
+/// A bare causal log in the probe slot writes the accesses' marks itself.
+#[test]
+fn a_bare_causal_log_records_the_same_marks() {
+    let log = CausalLog::new();
+    simcore::probe::install(log.clone());
+    run_accesses();
+    simcore::probe::uninstall();
+    assert_eq!(marks_of(&log), expected_marks());
 }
