@@ -1112,7 +1112,7 @@ mod tests {
             let stale = enable();
             counter_add("x", 1);
             // A run that forgot to disable: the next enable must not let
-            // the stale adapter keep collecting.
+            // the stale collector keep collecting.
             let fresh = enable();
             counter_add("x", 1);
             disable();
