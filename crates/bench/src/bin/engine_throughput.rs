@@ -751,13 +751,14 @@ fn main() {
     // (correctly) picks the sequential executor, so only determinism and
     // allocation behaviour are gated there. Floors: >= 2x at 4 shards on
     // a >= 4-CPU host, >= 1x on any multi-CPU host.
-    let sharded_speedup_ok = if host_cpus >= 4 {
-        speedup_4shard >= 2.0
+    let sharded_speedup_floor = if host_cpus >= 4 {
+        Some(2.0)
     } else if host_cpus > 1 {
-        speedup_4shard >= 1.0
+        Some(1.0)
     } else {
-        true
+        None
     };
+    let sharded_speedup_ok = sharded_speedup_floor.is_none_or(|floor| speedup_4shard >= floor);
 
     // --- sharded world: real workloads on the federated engine ---
     // fig1 has 2 localities (so 2 lanes max), octotiger-L4 has 4; each
@@ -794,7 +795,9 @@ fn main() {
     // Same host-conditionality as the engine gate: wall-clock speedup of
     // the federated world only means something when the host can run the
     // lanes in parallel.
-    let world_speedup_ok = if host_cpus >= 4 { world_octo_4shard_speedup >= 2.0 } else { true };
+    let world_speedup_floor = (host_cpus >= 4).then_some(2.0);
+    let world_speedup_ok =
+        world_speedup_floor.is_none_or(|floor| world_octo_4shard_speedup >= floor);
     // Sharded-world allocation ceilings. fig1's sharded count matches the
     // legacy run (~161k): the steady-state per-message path is identical
     // and the federated build overhead is noise. octotiger's lanes each
@@ -806,14 +809,14 @@ fn main() {
     // run-queue jobs; the boxed-closure count (~95.1k) fails it.
     const FIG1_SHARDED_ALLOC_CEILING: u64 = 210_000;
     const OCTO_SHARDED_ALLOC_CEILING: u64 = 102_000;
-    let world_allocs_ok = world.iter().all(|p| {
-        p.m.allocations
-            <= if p.scenario == "fig1_msgrate_8b" {
-                FIG1_SHARDED_ALLOC_CEILING
-            } else {
-                OCTO_SHARDED_ALLOC_CEILING
-            }
-    });
+    let world_ceiling = |p: &WorldPoint| {
+        if p.scenario == "fig1_msgrate_8b" {
+            FIG1_SHARDED_ALLOC_CEILING
+        } else {
+            OCTO_SHARDED_ALLOC_CEILING
+        }
+    };
+    let world_allocs_ok = world.iter().all(|p| p.m.allocations <= world_ceiling(p));
 
     // Per-scenario allocation ceilings, pinned from the audited counts
     // (fig1: ~8 allocations/message after the zero-copy decode work —
@@ -830,15 +833,53 @@ fn main() {
         fig1.allocations <= FIG1_ALLOC_CEILING && octo.allocations <= OCTO_ALLOC_CEILING;
 
     let speedup = eng.ticks_per_sec / base.ticks_per_sec;
-    let zero_hot_allocs = hot_allocs == 0;
-    let pass = speedup >= THRESHOLD
-        && zero_hot_allocs
-        && sharded_deterministic
-        && sharded_allocs_ok
-        && sharded_speedup_ok
-        && workload_allocs_ok
-        && world_speedup_ok
-        && world_allocs_ok;
+
+    // Each failed gate, with its measured value and its floor or ceiling;
+    // the run passes when none failed.
+    let mut failed: Vec<String> = Vec::new();
+    let speedup_ok = speedup >= THRESHOLD;
+    if !speedup_ok {
+        failed.push(format!("speedup: {speedup:.2}x < {THRESHOLD}x"));
+    }
+    if hot_allocs != 0 {
+        failed.push(format!("hot_path_allocations: {hot_allocs} > 0"));
+    }
+    if !sharded_deterministic {
+        failed.push("sharded_determinism: digests differ across shard counts".into());
+    }
+    if !sharded_allocs_ok {
+        failed.push(format!(
+            "sharded_alloc_growth: 1 shard {alloc_growth_1s:+}, 4 shards {alloc_growth_4s:+} \
+             > {ALLOC_GROWTH_SLACK}"
+        ));
+    }
+    if let (false, Some(floor)) = (sharded_speedup_ok, sharded_speedup_floor) {
+        failed.push(format!("sharded_speedup: 4 shards {speedup_4shard:.2}x < {floor:.1}x"));
+    }
+    for (name, allocs, ceiling) in [
+        ("fig1", fig1.allocations, FIG1_ALLOC_CEILING),
+        ("octo", octo.allocations, OCTO_ALLOC_CEILING),
+    ] {
+        if allocs > ceiling {
+            failed.push(format!("workload_allocs: {name} {allocs} > {ceiling}"));
+        }
+    }
+    if let (false, Some(floor)) = (world_speedup_ok, world_speedup_floor) {
+        failed.push(format!(
+            "world_speedup: octotiger 4 shards {world_octo_4shard_speedup:.2}x < {floor:.1}x"
+        ));
+    }
+    for p in world.iter().filter(|p| p.m.allocations > world_ceiling(p)) {
+        failed.push(format!(
+            "world_allocs: {} {} shard{} {} > {}",
+            p.scenario,
+            p.shards,
+            if p.shards == 1 { "" } else { "s" },
+            p.m.allocations,
+            world_ceiling(p)
+        ));
+    }
+    let pass = failed.is_empty();
 
     println!("baseline (BinaryHeap + boxed closures, stale timeouts):");
     println!("  events executed   {:>12}", base.events);
@@ -923,6 +964,9 @@ fn main() {
     );
     println!("peak heap: {} bytes", peak_bytes());
     println!("result: {}", if pass { "PASS" } else { "FAIL" });
+    for gate in &failed {
+        println!("FAIL {gate}");
+    }
 
     let sharded_configs: String = sharded
         .iter()

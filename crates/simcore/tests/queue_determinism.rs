@@ -133,22 +133,38 @@ fn apply(op: u8, label_raw: u64, t: u64, eng: &mut Engine, reference: &mut Refer
     }
 }
 
+/// Apply `ops` to both sides, then drain both; they must agree on the
+/// clock after every op and on every firing.
+fn check_against_reference(ops: Vec<(u8, u64, u64)>) {
+    let mut eng = Engine::new();
+    let mut reference = Reference::default();
+    for (op, label_raw, t) in ops {
+        apply(op, label_raw, t, &mut eng, &mut reference);
+        prop_assert_eq!(eng.sim.now().as_nanos(), reference.now);
+    }
+    eng.sim.run();
+    reference.run();
+    let fired = eng.fired.borrow().clone();
+    prop_assert_eq!(fired, reference.fired);
+    prop_assert_eq!(eng.sim.events_pending(), 0);
+}
+
 proptest! {
     #[test]
     fn indexed_heap_matches_reference_binary_heap(
         ops in vec((any::<u8>(), any::<u64>(), 0u64..5_000), 0..200)
     ) {
-        let mut eng = Engine::new();
-        let mut reference = Reference::default();
-        for (op, label_raw, t) in ops {
-            apply(op, label_raw, t, &mut eng, &mut reference);
-            prop_assert_eq!(eng.sim.now().as_nanos(), reference.now);
-        }
-        eng.sim.run();
-        reference.run();
-        let fired = eng.fired.borrow().clone();
-        prop_assert_eq!(fired, reference.fired);
-        prop_assert_eq!(eng.sim.events_pending(), 0);
+        check_against_reference(ops);
+    }
+
+    /// Times from `0..8`: most events share an instant with others, so
+    /// the sequence number decides nearly every comparison, and every
+    /// `run_until` deadline lands on an instant that holds ties.
+    #[test]
+    fn ties_fire_in_sequence_order(
+        ops in vec((any::<u8>(), any::<u64>(), 0u64..8), 0..300)
+    ) {
+        check_against_reference(ops);
     }
 
     #[test]
