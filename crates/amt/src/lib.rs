@@ -39,7 +39,7 @@ pub use action::{ActionFn, ActionId, ActionRegistry};
 pub use locality::Locality;
 pub use parcel::Parcel;
 pub use parcel_layer::{ParcelLayer, ParcelLayerConfig};
-pub use runtime::{Runtime, RuntimeConfig};
+pub use runtime::Runtime;
 pub use sched::Task;
 pub use serialize::HpxMessage;
 

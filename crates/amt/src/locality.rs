@@ -16,7 +16,7 @@ use telemetry::CoreState;
 use crate::action::{ActionId, ActionRegistry};
 use crate::parcel::Parcel;
 use crate::parcel_layer::{ParcelLayer, ParcelLayerConfig};
-use crate::sched::{IdleBackoff, Task, WorkerConfig};
+use crate::sched::{IdleBackoff, Task, WorkerConfig, MAX_IDLE_BACKOFF_NS};
 use crate::serialize::HpxMessage;
 use crate::{BgOutcome, DeliverFn, OnSent, Parcelport};
 
@@ -132,7 +132,7 @@ impl Locality {
             armed: vec![SimTime::NEVER; cfg.cores],
             armed_ev: vec![None; cfg.cores],
             backoff: (0..cfg.cores)
-                .map(|_| IdleBackoff::new(cost.idle_poll.max(50), cfg.max_idle_backoff_ns))
+                .map(|_| IdleBackoff::new(cost.idle_poll.max(50), MAX_IDLE_BACKOFF_NS))
                 .collect(),
             unarmed_workers: cfg.worker_count(),
             idle: Vec::new(),

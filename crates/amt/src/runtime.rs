@@ -2,38 +2,9 @@
 
 use std::rc::Rc;
 
-use simcore::{CostModel, Sim};
+use simcore::Sim;
 
-use crate::action::ActionRegistry;
 use crate::locality::Locality;
-use crate::parcel_layer::ParcelLayerConfig;
-use crate::sched::WorkerConfig;
-
-/// Configuration of a whole runtime instance.
-#[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Number of localities (simulated nodes).
-    pub localities: usize,
-    /// Worker-pool shape, identical on every locality.
-    pub workers: WorkerConfig,
-    /// Parcel-layer (upper layer) configuration.
-    pub layer: ParcelLayerConfig,
-}
-
-impl RuntimeConfig {
-    /// Two localities (the microbenchmark topology) with `cores` cores.
-    pub fn two_nodes(cores: usize, dedicated_progress: bool) -> Self {
-        RuntimeConfig {
-            localities: 2,
-            workers: if dedicated_progress {
-                WorkerConfig::with_progress(cores)
-            } else {
-                WorkerConfig::workers_only(cores)
-            },
-            layer: ParcelLayerConfig::default(),
-        }
-    }
-}
 
 /// A running set of localities. Parcelports are installed per locality by
 /// the caller (they live in the `parcelport` crate, which depends on this
@@ -44,19 +15,6 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Build locality `rank` of a `cfg.localities`-locality SPMD world,
-    /// with `cfg`'s worker pool and parcel layer. World builders assemble
-    /// a [`Runtime`] from one call per rank.
-    pub fn single_locality(
-        rank: usize,
-        cfg: &RuntimeConfig,
-        cost: Rc<CostModel>,
-        registry: ActionRegistry,
-    ) -> Rc<Locality> {
-        assert!(rank < cfg.localities, "rank {rank} outside the {}-locality world", cfg.localities);
-        Locality::new(rank, cost, cfg.workers.clone(), registry, cfg.layer.clone())
-    }
-
     /// Locality by id.
     pub fn locality(&self, id: usize) -> &Rc<Locality> {
         &self.localities[id]
@@ -79,12 +37,28 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::ActionRegistry;
+    use crate::parcel_layer::ParcelLayerConfig;
+    use crate::sched::WorkerConfig;
+    use simcore::CostModel;
 
     fn two_nodes(cores: usize, dedicated_progress: bool) -> Runtime {
-        let cfg = RuntimeConfig::two_nodes(cores, dedicated_progress);
+        let workers = if dedicated_progress {
+            WorkerConfig::with_progress(cores)
+        } else {
+            WorkerConfig::workers_only(cores)
+        };
         let cost = Rc::new(CostModel::default());
-        let localities = (0..cfg.localities)
-            .map(|rank| Runtime::single_locality(rank, &cfg, cost.clone(), ActionRegistry::new()))
+        let localities = (0..2)
+            .map(|rank| {
+                Locality::new(
+                    rank,
+                    cost.clone(),
+                    workers.clone(),
+                    ActionRegistry::new(),
+                    ParcelLayerConfig::default(),
+                )
+            })
             .collect();
         Runtime { localities }
     }

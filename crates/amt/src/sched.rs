@@ -21,19 +21,20 @@ pub struct WorkerConfig {
     /// thread (the `pin`/`rp` configurations). Worker tasks then run on
     /// cores `1..cores`.
     pub dedicated_progress: bool,
-    /// Upper bound of the idle exponential backoff, ns.
-    pub max_idle_backoff_ns: u64,
 }
+
+/// Upper bound of a worker's idle exponential backoff, ns.
+pub const MAX_IDLE_BACKOFF_NS: u64 = 2_000;
 
 impl WorkerConfig {
     /// `cores` workers, no dedicated progress thread.
     pub fn workers_only(cores: usize) -> Self {
-        WorkerConfig { cores, dedicated_progress: false, max_idle_backoff_ns: 2_000 }
+        WorkerConfig { cores, dedicated_progress: false }
     }
 
     /// `cores` cores with core 0 pinned to progress.
     pub fn with_progress(cores: usize) -> Self {
-        WorkerConfig { cores, dedicated_progress: true, max_idle_backoff_ns: 2_000 }
+        WorkerConfig { cores, dedicated_progress: true }
     }
 
     /// Index of the first task-running core.

@@ -38,10 +38,7 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64, configs: &[&str]) {
             let mut p = OctoParams::expanse(c.parse().unwrap(), 2);
             p.level = level;
             p.steps = steps;
-            let mut cost = simcore::CostModel::default_model();
-            if targs.apply_dials(&mut p.config, &mut cost, &mut p.wire) {
-                p.cost = Some(cost);
-            }
+            targs.apply_dials(&mut p.config, &mut p.cost, &mut p.wire);
             p.engine = targs.engine();
             run_octotiger(&p)
         });

@@ -34,10 +34,7 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64, configs: &[&str]) {
         let (r, tel) = instrumented_for(targs, || {
             let mut p = MsgRateParams::small(c.parse().unwrap());
             p.total_msgs = total_msgs;
-            let mut cost = simcore::CostModel::default_model();
-            if targs.apply_dials(&mut p.config, &mut cost, &mut p.wire) {
-                p.cost = Some(cost);
-            }
+            targs.apply_dials(&mut p.config, &mut p.cost, &mut p.wire);
             p.engine = targs.engine();
             run_msgrate(&p)
         });

@@ -48,10 +48,7 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64) {
             let mut p = LatencyParams::new(cfg, 8);
             p.window = window;
             p.steps = steps;
-            let mut cost = simcore::CostModel::default_model();
-            if targs.apply_dials(&mut p.config, &mut cost, &mut p.wire) {
-                p.cost = Some(cost);
-            }
+            targs.apply_dials(&mut p.config, &mut p.cost, &mut p.wire);
             p.engine = targs.engine();
             run_latency(&p)
         });

@@ -1,5 +1,5 @@
 //! Trace a short two-node workload and write a Chrome-tracing JSON
-//! timeline (`open chrome://tracing` or https://ui.perfetto.dev and load
+//! timeline (`open chrome://tracing` or <https://ui.perfetto.dev> and load
 //! the file) — per-core visibility into what the simulated runtime did.
 //!
 //! Usage: `cargo run --release -p bench --bin trace_demo [config] [out.json]`

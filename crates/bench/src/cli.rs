@@ -276,19 +276,16 @@ impl TraceArgs {
         self.dial_knobs().unwrap_or_default().iter().map(|k| k.name()).collect()
     }
 
-    /// Apply the `--knobs` dials to one run's models; returns whether
-    /// anything was dialed.
+    /// Apply the `--knobs` dials to one run's models.
     pub fn apply_dials(
         &self,
         cfg: &mut parcelport::PpConfig,
         cost: &mut simcore::CostModel,
         wire: &mut netsim::WireModel,
-    ) -> bool {
-        let Some(knobs) = self.dial_knobs() else { return false };
-        for k in &knobs {
+    ) {
+        for k in self.dial_knobs().unwrap_or_default() {
             k.apply(cfg, cost, wire);
         }
-        !knobs.is_empty()
     }
 }
 
@@ -485,7 +482,7 @@ mod tests {
         let mut cost = simcore::CostModel::default_model();
         let mut wire = netsim::WireModel::expanse();
         let before = wire.latency_ns;
-        assert!(a.apply_dials(&mut cfg, &mut cost, &mut wire));
+        a.apply_dials(&mut cfg, &mut cost, &mut wire);
         assert_eq!(wire.latency_ns, before * 2);
         assert!(cfg.send_immediate);
     }

@@ -31,8 +31,9 @@ pub struct LatencyParams {
     pub steps: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Cost-model override (what-if re-runs); `None` = defaults.
-    pub cost: Option<simcore::CostModel>,
+    /// Cost model; the calibrated one by default (what-if re-runs dial
+    /// it).
+    pub cost: simcore::CostModel,
     /// The event engine the run uses.
     pub engine: Engine,
 }
@@ -48,7 +49,7 @@ impl LatencyParams {
             window: 1,
             steps: 1_000,
             seed: 1,
-            cost: None,
+            cost: simcore::CostModel::default(),
             engine: Engine::SingleHeap,
         }
     }

@@ -30,8 +30,9 @@ pub struct MsgRateParams {
     pub seed: u64,
     /// LCI devices per locality (1 = the paper's configuration).
     pub devices: usize,
-    /// Cost-model override (what-if re-runs); `None` = defaults.
-    pub cost: Option<simcore::CostModel>,
+    /// Cost model; the calibrated one by default (what-if re-runs dial
+    /// it).
+    pub cost: simcore::CostModel,
     /// The event engine the run uses.
     pub engine: Engine,
 }
@@ -49,7 +50,7 @@ impl MsgRateParams {
             inject_rate: None,
             seed: 1,
             devices: 1,
-            cost: None,
+            cost: simcore::CostModel::default(),
             engine: Engine::SingleHeap,
         }
     }
@@ -66,7 +67,7 @@ impl MsgRateParams {
             inject_rate: None,
             seed: 1,
             devices: 1,
-            cost: None,
+            cost: simcore::CostModel::default(),
             engine: Engine::SingleHeap,
         }
     }

@@ -186,13 +186,7 @@ impl WhatIfRow {
 
 fn knobbed(base: &LatencyParams, knob: Knob) -> LatencyParams {
     let mut p = base.clone();
-    let mut cfg = p.config;
-    let mut cost = p.cost.clone().unwrap_or_default();
-    let mut wire = p.wire.clone();
-    knob.apply(&mut cfg, &mut cost, &mut wire);
-    p.config = cfg;
-    p.cost = Some(cost);
-    p.wire = wire;
+    knob.apply(&mut p.config, &mut p.cost, &mut p.wire);
     p
 }
 
@@ -203,10 +197,10 @@ fn knobbed(base: &LatencyParams, knob: Knob) -> LatencyParams {
 /// predicted and measured sides use the same clock.
 pub fn whatif_sweep(
     config: PpConfig,
-    cost: Option<CostModel>,
+    cost: CostModel,
     wire: WireModel,
     knobs: &[Knob],
-    run: impl Fn(PpConfig, Option<CostModel>, WireModel),
+    run: impl Fn(PpConfig, CostModel, WireModel),
 ) -> (CritPath, Vec<WhatIfRow>) {
     let name = config.to_string();
     let ((), tel) = instrumented(|| run(config, cost.clone(), wire.clone()));
@@ -215,10 +209,10 @@ pub fn whatif_sweep(
         .iter()
         .map(|&k| {
             let mut cfg = config;
-            let mut c = cost.clone().unwrap_or_default();
+            let mut c = cost.clone();
             let mut w = wire.clone();
             k.apply(&mut cfg, &mut c, &mut w);
-            let ((), tel2) = instrumented(|| run(cfg, Some(c), w));
+            let ((), tel2) = instrumented(|| run(cfg, c, w));
             let cp2 = tel2.critpath(&cfg.to_string()).expect("re-run records a causal log");
             WhatIfRow {
                 knob: k.name(),
@@ -303,16 +297,8 @@ pub fn five_mechanism_attribution(
     // All five together: mechanisms overlap, so the combined effect is
     // the honest upper line of what this family of knobs explains.
     let mut all = mpi.clone();
-    {
-        let mut cfg = all.config;
-        let mut cost = all.cost.clone().unwrap_or_default();
-        let mut wire = all.wire.clone();
-        for (_, knob) in &mechanisms {
-            knob.apply(&mut cfg, &mut cost, &mut wire);
-        }
-        all.config = cfg;
-        all.cost = Some(cost);
-        all.wire = wire;
+    for (_, knob) in &mechanisms {
+        knob.apply(&mut all.config, &mut all.cost, &mut all.wire);
     }
     let t_all = run_latency(&all).total.as_nanos();
     rows.push(MechanismRow {

@@ -1,4 +1,9 @@
-//! Device configuration knobs.
+//! Device configuration: what varies between LCI devices. The defaults
+//! are the paper's stack and the home of those values; world builders
+//! take them from here. Tests drive `eager_threshold` and
+//! `packet_pool_size` to other values, the worker-progress
+//! configurations use smaller progress bursts, and each device of a
+//! multi-device process binds its own `ctx`.
 
 /// Configuration of an LCI device (one per locality/process).
 #[derive(Debug, Clone)]

@@ -1,4 +1,7 @@
 //! The communicator: two-sided operations serialized by one blocking lock.
+//!
+//! Its eager threshold and progress burst are constants of the modeled
+//! OpenMPI/UCX stack: every configuration in the paper runs it the same.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -19,20 +22,11 @@ mod kind {
     pub const DATA: u8 = 5;
 }
 
-/// Communicator configuration.
-#[derive(Debug, Clone)]
-pub struct CommConfig {
-    /// Eager/rendezvous switch point (the MPI/UCX "rndv threshold").
-    pub eager_threshold: usize,
-    /// Max packets handled per progress poll.
-    pub progress_burst: usize,
-}
+/// Eager/rendezvous switch point (the MPI/UCX "rndv threshold"), bytes.
+pub const EAGER_THRESHOLD: usize = 8192;
 
-impl Default for CommConfig {
-    fn default() -> Self {
-        CommConfig { eager_threshold: 8192, progress_burst: 8 }
-    }
-}
+/// Max packets handled per progress poll.
+pub const PROGRESS_BURST: usize = 8;
 
 struct PostedRecv {
     src: NodeId,
@@ -65,7 +59,6 @@ pub struct Comm {
     rank: NodeId,
     fabric: Rc<RefCell<Fabric>>,
     cost: Rc<CostModel>,
-    cfg: CommConfig,
     lock: SimLock,
     /// Posted receives, searched linearly like a real MPI posted-recv queue.
     posted: Vec<PostedRecv>,
@@ -82,18 +75,12 @@ pub struct Comm {
 
 impl Comm {
     /// Create the endpoint for `rank`.
-    pub fn new(
-        rank: NodeId,
-        fabric: Rc<RefCell<Fabric>>,
-        cost: Rc<CostModel>,
-        cfg: CommConfig,
-    ) -> Self {
+    pub fn new(rank: NodeId, fabric: Rc<RefCell<Fabric>>, cost: Rc<CostModel>) -> Self {
         let (handoff, per_waiter) = (cost.mpi_lock_handoff, cost.mpi_lock_per_waiter);
         Comm {
             rank,
             fabric,
             cost,
-            cfg,
             lock: SimLock::new("ucp_progress", handoff, per_waiter),
             posted: Vec::new(),
             unexpected: VecDeque::new(),
@@ -107,11 +94,6 @@ impl Comm {
     /// This endpoint's rank.
     pub fn rank(&self) -> NodeId {
         self.rank
-    }
-
-    /// The eager/rendezvous threshold.
-    pub fn eager_threshold(&self) -> usize {
-        self.cfg.eager_threshold
     }
 
     /// Earliest known future packet arrival at this rank (scheduling
@@ -166,7 +148,7 @@ impl Comm {
         tag: u64,
         data: Bytes,
     ) -> (Request, SimTime) {
-        let eager = data.len() <= self.cfg.eager_threshold;
+        let eager = data.len() <= EAGER_THRESHOLD;
         // Progress piggybacks on every call (like UCX); run it first so
         // the packet-handling work it performs is charged to THIS hold.
         self.progress_locked(sim, core);
@@ -315,7 +297,7 @@ impl Comm {
 
     /// Progress inside the already-held engine lock.
     fn progress_locked(&mut self, sim: &mut Sim, core: usize) {
-        for _ in 0..self.cfg.progress_burst {
+        for _ in 0..PROGRESS_BURST {
             let outcome = self.fabric.borrow_mut().poll(sim, core, self.rank);
             match outcome {
                 PollOutcome::Empty { .. } => break,
@@ -431,8 +413,8 @@ mod tests {
     fn world() -> (Sim, Comm, Comm) {
         let cost = Rc::new(CostModel::default());
         let fabric = Rc::new(RefCell::new(Fabric::new(2, WireModel::expanse())));
-        let a = Comm::new(0, fabric.clone(), cost.clone(), CommConfig::default());
-        let b = Comm::new(1, fabric, cost, CommConfig::default());
+        let a = Comm::new(0, fabric.clone(), cost.clone());
+        let b = Comm::new(1, fabric, cost);
         (Sim::new(3), a, b)
     }
 

@@ -26,7 +26,7 @@
 pub mod comm;
 pub mod request;
 
-pub use comm::{Comm, CommConfig};
+pub use comm::Comm;
 pub use request::{Request, RequestState};
 
 /// Wildcard source rank (like `MPI_ANY_SOURCE`).

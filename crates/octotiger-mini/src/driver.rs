@@ -36,8 +36,9 @@ pub struct OctoParams {
     pub compute: ComputeModel,
     /// RNG seed.
     pub seed: u64,
-    /// Software cost-model override (what-if re-runs); `None` = defaults.
-    pub cost: Option<simcore::CostModel>,
+    /// Software cost model; the calibrated one by default (what-if
+    /// re-runs dial it).
+    pub cost: simcore::CostModel,
     /// The event engine the run uses.
     pub engine: Engine,
 }
@@ -57,7 +58,7 @@ impl OctoParams {
             steps: 5,
             compute: ComputeModel::default(),
             seed: 42,
-            cost: None,
+            cost: simcore::CostModel::default(),
             engine: Engine::SingleHeap,
         }
     }
@@ -74,7 +75,7 @@ impl OctoParams {
             steps: 5,
             compute: ComputeModel::default(),
             seed: 42,
-            cost: None,
+            cost: simcore::CostModel::default(),
             engine: Engine::SingleHeap,
         }
     }
@@ -112,7 +113,7 @@ pub struct OctoResult {
 /// tree, partition, states and action registry: they are pure functions
 /// of `p`, so the action ids agree by registration order, exactly how
 /// HPX localities agree on action ids without exchanging them. Rank `r`
-/// drives `states[r]` of its own [`States`], which lives in its app slot.
+/// drives `states[r]` of its own `States`, which lives in its app slot.
 pub fn run_octotiger(p: &OctoParams) -> OctoResult {
     let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
     wcfg.localities = p.localities;

@@ -6,11 +6,11 @@ use std::rc::Rc;
 
 use amt::action::ActionRegistry;
 use amt::parcel_layer::ParcelLayerConfig;
-use amt::runtime::{Runtime, RuntimeConfig};
+use amt::runtime::Runtime;
 use amt::sched::WorkerConfig;
 use amt::{Locality, Parcelport};
 use lci::{Device, DeviceConfig};
-use mpisim::{Comm, CommConfig};
+use mpisim::Comm;
 use netsim::{Fabric, FaultConfig, Topology, WireModel};
 use simcore::{CostModel, Sim};
 
@@ -33,8 +33,6 @@ pub struct WorldConfig {
     pub wire: WireModel,
     /// HPX zero-copy serialization threshold.
     pub zero_copy_threshold: usize,
-    /// HPX connection-cache limit.
-    pub max_connections: usize,
     /// RNG seed.
     pub seed: u64,
     /// Optional fault injection (tests only; default: reliable fabric).
@@ -42,9 +40,9 @@ pub struct WorldConfig {
     /// Number of LCI devices (network contexts) per locality — 1 in the
     /// paper; >1 implements the §7.2 future work.
     pub lci_devices: usize,
-    /// Cost-model override — the what-if engine re-runs scenarios with
-    /// scaled knobs through this. `None` uses the calibrated defaults.
-    pub cost: Option<CostModel>,
+    /// Cost model; the calibrated one by default. The what-if engine
+    /// re-runs scenarios with scaled knobs through this.
+    pub cost: CostModel,
     /// Interconnect topology. [`Topology::Direct`] (the default) is the
     /// original point-to-point wire; switched topologies route every
     /// parcel through modeled switch ports.
@@ -60,12 +58,11 @@ impl WorldConfig {
             localities: 2,
             cores,
             wire: WireModel::expanse(),
-            zero_copy_threshold: 8192,
-            max_connections: 8192,
+            zero_copy_threshold: ParcelLayerConfig::default().zero_copy_threshold,
             seed: 0xC0FFEE,
             faults: None,
             lci_devices: 1,
-            cost: None,
+            cost: CostModel::default(),
             topology: Topology::Direct,
         }
     }
@@ -189,66 +186,51 @@ pub(crate) fn build_fabric(cfg: &WorldConfig) -> Fabric {
 /// One rank's locality stack, the recipe both world builders share: the
 /// locality with its own `Rc<CostModel>` (so no `Rc` is shared between
 /// ranks), the backend's parcelport over `fabric` (TCP, an MPI comm, or
-/// LCI devices), and the fabric's arrival waker for `rank`.
+/// LCI devices), and the fabric's arrival waker for `rank`. Every
+/// setting `cfg` does not vary comes from the default of the crate that
+/// models it.
 pub(crate) fn build_locality(
     cfg: &WorldConfig,
     rank: usize,
     fabric: &Rc<RefCell<Fabric>>,
     registry: ActionRegistry,
 ) -> Rc<Locality> {
-    let cost = Rc::new(cfg.cost.clone().unwrap_or_else(CostModel::default_model));
-    let rt_cfg = RuntimeConfig {
-        localities: cfg.localities,
-        workers: if cfg.pp.dedicated_progress() {
-            WorkerConfig::with_progress(cfg.cores)
-        } else {
-            WorkerConfig::workers_only(cfg.cores)
-        },
-        layer: ParcelLayerConfig {
-            zero_copy_threshold: cfg.zero_copy_threshold,
-            send_immediate: cfg.pp.send_immediate,
-            max_connections: cfg.max_connections,
-        },
+    let cost = Rc::new(cfg.cost.clone());
+    let send_immediate = cfg.pp.send_immediate;
+    let workers = if cfg.pp.dedicated_progress() {
+        WorkerConfig::with_progress(cfg.cores)
+    } else {
+        WorkerConfig::workers_only(cfg.cores)
     };
-    let loc = Runtime::single_locality(rank, &rt_cfg, cost.clone(), registry);
+    let layer = ParcelLayerConfig {
+        zero_copy_threshold: cfg.zero_copy_threshold,
+        send_immediate,
+        ..ParcelLayerConfig::default()
+    };
+    let loc = Locality::new(rank, cost.clone(), workers, registry, layer);
     let pp: Rc<RefCell<dyn Parcelport>> = match cfg.pp.backend {
         Backend::Tcp => Rc::new(RefCell::new(TcpParcelport::new(
             rank,
             fabric.clone(),
             cost.clone(),
-            cfg.pp.send_immediate,
+            send_immediate,
         ))),
-        Backend::Mpi => {
-            let comm = Comm::new(
-                rank,
-                fabric.clone(),
-                cost.clone(),
-                CommConfig { eager_threshold: 8192, progress_burst: 8 },
-            );
-            Rc::new(RefCell::new(MpiParcelport::new(
-                comm,
-                cost.clone(),
-                cfg.pp.original_mpi,
-                cfg.pp.send_immediate,
-            )))
+        Backend::Mpi { original } => {
+            let comm = Comm::new(rank, fabric.clone(), cost.clone());
+            Rc::new(RefCell::new(MpiParcelport::new(comm, cost, original, send_immediate)))
         }
-        Backend::Lci => {
+        Backend::Lci(lci) => {
             let devs: Vec<Device> = (0..cfg.lci_devices.max(1))
                 .map(|ctx| {
-                    Device::new(
-                        rank,
-                        fabric.clone(),
-                        cost.clone(),
-                        DeviceConfig {
-                            eager_threshold: 8192,
-                            packet_pool_size: 4096,
-                            progress_burst: if cfg.pp.progress == Progress::Pin { 8 } else { 2 },
-                            ctx: ctx as u8,
-                        },
-                    )
+                    let mut dev_cfg = DeviceConfig { ctx: ctx as u8, ..DeviceConfig::default() };
+                    if lci.progress == Progress::Worker {
+                        // Workers call progress opportunistically: small bursts.
+                        dev_cfg.progress_burst = 2;
+                    }
+                    Device::new(rank, fabric.clone(), cost.clone(), dev_cfg)
                 })
                 .collect();
-            Rc::new(RefCell::new(LciParcelport::new_multi(devs, cost, cfg.pp)))
+            Rc::new(RefCell::new(LciParcelport::new(devs, cost, lci, send_immediate)))
         }
     };
     loc.set_parcelport(pp);

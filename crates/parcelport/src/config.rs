@@ -11,22 +11,45 @@
 //! | `pin` | Use a pinned dedicated progress thread |
 //! | `mt`  | Use all worker threads to make progress |
 //! | `i`   | Enable the send immediate optimization |
+//!
+//! Besides these, `tcp` names the original TCP parcelport and `mpi_orig`
+//! the pre-improvement MPI one. [`PpConfig`] holds exactly the 22
+//! configurations the names spell (16 LCI, four MPI, two TCP): the LCI
+//! axes live in [`LciConfig`] inside [`Backend::Lci`], `orig` lives in
+//! [`Backend::Mpi`], and only `i` applies to every backend.
 
 use std::fmt;
 use std::str::FromStr;
 
-/// Which parcelport backend.
+/// Which parcelport backend, with the settings only that backend has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The MPI parcelport (improved version unless `original_mpi`).
-    Mpi,
-    /// The LCI parcelport.
-    Lci,
+    /// The LCI parcelport and its three variant axes.
+    Lci(LciConfig),
+    /// The MPI parcelport: the improved one, or with `original` the
+    /// pre-improvement one (fixed 512 B header, no transmission-chunk
+    /// piggyback, tag-release protocol). It always uses send/recv and
+    /// progresses from worker threads, as in HPX.
+    Mpi {
+        /// `mpi_orig`: the original parcelport, for the §3.1 ablation.
+        original: bool,
+    },
     /// The original TCP parcelport (kernel-socket byte streams).
     Tcp,
 }
 
-/// How the header message travels (LCI only).
+/// The LCI parcelport's variant axes (§3.2.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LciConfig {
+    /// Header protocol.
+    pub protocol: Protocol,
+    /// Completion mechanism for follow-up messages.
+    pub completion: Completion,
+    /// Who calls the communication progress function.
+    pub progress: Progress,
+}
+
+/// How the header message travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// One-sided dynamic put for the header, send/recv for the rest.
@@ -35,7 +58,7 @@ pub enum Protocol {
     SendRecv,
 }
 
-/// Completion mechanism for follow-up messages (LCI only).
+/// Completion mechanism for follow-up messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Completion {
     /// Completion queues (the baseline).
@@ -44,7 +67,7 @@ pub enum Completion {
     Sync,
 }
 
-/// Who calls the communication progress function (LCI only).
+/// Who calls the communication progress function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Progress {
     /// A dedicated progress thread pinned to core 0 by the resource
@@ -54,123 +77,85 @@ pub enum Progress {
     Worker,
 }
 
-/// A full parcelport configuration in the paper's naming scheme.
+/// A full parcelport configuration in the paper's naming scheme: exactly
+/// one value per Table-1 name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PpConfig {
-    /// Backend selection.
+    /// Backend selection and its own settings.
     pub backend: Backend,
-    /// Header protocol (LCI; the MPI parcelport is always send/recv).
-    pub protocol: Protocol,
-    /// Completion mechanism (LCI).
-    pub completion: Completion,
-    /// Progress model (LCI; the MPI parcelport always progresses from
-    /// worker threads, as in HPX).
-    pub progress: Progress,
     /// The send-immediate optimization (bypass connection cache + parcel
-    /// queue). Applies to both backends.
+    /// queue). Applies to every backend.
     pub send_immediate: bool,
-    /// Use the *original* (pre-improvement) MPI parcelport: fixed 512 B
-    /// header, no transmission-chunk piggyback, tag-release protocol.
-    pub original_mpi: bool,
 }
 
 impl PpConfig {
     /// The paper's default/best LCI configuration: `lci_psr_cq_pin_i`.
     pub fn lci_default() -> Self {
         PpConfig {
-            backend: Backend::Lci,
-            protocol: Protocol::PutSendRecv,
-            completion: Completion::Cq,
-            progress: Progress::Pin,
+            backend: Backend::Lci(LciConfig {
+                protocol: Protocol::PutSendRecv,
+                completion: Completion::Cq,
+                progress: Progress::Pin,
+            }),
             send_immediate: true,
-            original_mpi: false,
         }
     }
 
     /// `tcp` — the original kernel-socket parcelport.
     pub fn tcp() -> Self {
-        PpConfig { backend: Backend::Tcp, ..PpConfig::mpi() }
-    }
-
-    /// `mpi` — the improved MPI parcelport without send-immediate.
-    pub fn mpi() -> Self {
-        PpConfig {
-            backend: Backend::Mpi,
-            protocol: Protocol::SendRecv,
-            completion: Completion::Sync,
-            progress: Progress::Worker,
-            send_immediate: false,
-            original_mpi: false,
-        }
-    }
-
-    /// `mpi_i` — the improved MPI parcelport with send-immediate.
-    pub fn mpi_i() -> Self {
-        PpConfig { send_immediate: true, ..PpConfig::mpi() }
-    }
-
-    /// The original (pre-project) MPI parcelport, for the §3.1 ablation.
-    pub fn mpi_original() -> Self {
-        PpConfig { original_mpi: true, ..PpConfig::mpi() }
+        PpConfig { backend: Backend::Tcp, send_immediate: false }
     }
 
     /// All eight LCI variants with send-immediate plus `lci_psr_cq_pin`
     /// (no `_i`) and the two MPI variants — the configurations plotted in
     /// the paper's figures.
     pub fn paper_set() -> Vec<PpConfig> {
-        let mut v = Vec::new();
-        v.push("lci_psr_cq_pin".parse().unwrap());
-        for proto in ["psr", "sr"] {
-            for comp in ["cq", "sy"] {
-                for prog in ["pin", "mt"] {
-                    v.push(format!("lci_{proto}_{comp}_{prog}_i").parse().unwrap());
+        let mut v = vec![PpConfig { send_immediate: false, ..PpConfig::lci_default() }];
+        for protocol in [Protocol::PutSendRecv, Protocol::SendRecv] {
+            for completion in [Completion::Cq, Completion::Sync] {
+                for progress in [Progress::Pin, Progress::Worker] {
+                    let lci = LciConfig { protocol, completion, progress };
+                    v.push(PpConfig { backend: Backend::Lci(lci), send_immediate: true });
                 }
             }
         }
-        v.push(PpConfig::mpi());
-        v.push(PpConfig::mpi_i());
+        for send_immediate in [false, true] {
+            v.push(PpConfig { backend: Backend::Mpi { original: false }, send_immediate });
+        }
         v
     }
 
     /// Whether this configuration wants the runtime to dedicate core 0 to
     /// progress.
     pub fn dedicated_progress(&self) -> bool {
-        self.backend == Backend::Lci && self.progress == Progress::Pin
+        matches!(self.backend, Backend::Lci(LciConfig { progress: Progress::Pin, .. }))
     }
 }
 
 impl fmt::Display for PpConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.backend {
-            Backend::Tcp => write!(f, "tcp")?,
-            Backend::Mpi => {
-                if self.original_mpi {
-                    write!(f, "mpi_orig")?;
-                } else {
-                    write!(f, "mpi")?;
+            Backend::Tcp => f.write_str("tcp")?,
+            Backend::Mpi { original } => f.write_str(if original { "mpi_orig" } else { "mpi" })?,
+            Backend::Lci(lci) => write!(
+                f,
+                "lci_{}_{}_{}",
+                match lci.protocol {
+                    Protocol::PutSendRecv => "psr",
+                    Protocol::SendRecv => "sr",
+                },
+                match lci.completion {
+                    Completion::Cq => "cq",
+                    Completion::Sync => "sy",
+                },
+                match lci.progress {
+                    Progress::Pin => "pin",
+                    Progress::Worker => "mt",
                 }
-            }
-            Backend::Lci => {
-                write!(
-                    f,
-                    "lci_{}_{}_{}",
-                    match self.protocol {
-                        Protocol::PutSendRecv => "psr",
-                        Protocol::SendRecv => "sr",
-                    },
-                    match self.completion {
-                        Completion::Cq => "cq",
-                        Completion::Sync => "sy",
-                    },
-                    match self.progress {
-                        Progress::Pin => "pin",
-                        Progress::Worker => "mt",
-                    }
-                )?;
-            }
+            )?,
         }
         if self.send_immediate {
-            write!(f, "_i")?;
+            f.write_str("_i")?;
         }
         Ok(())
     }
@@ -192,42 +177,36 @@ impl FromStr for PpConfig {
     type Err = ParseError;
 
     fn from_str(s: &str) -> Result<Self, ParseError> {
+        let bad = || ParseError(s.into());
         let mut parts: Vec<&str> = s.split('_').collect();
         let send_immediate = parts.last() == Some(&"i");
         if send_immediate {
             parts.pop();
         }
-        match parts.as_slice() {
-            ["tcp"] => Ok(PpConfig { send_immediate, ..PpConfig::tcp() }),
-            ["mpi"] => Ok(PpConfig { send_immediate, ..PpConfig::mpi() }),
-            ["mpi", "orig"] => Ok(PpConfig { send_immediate, ..PpConfig::mpi_original() }),
-            ["lci", proto, comp, prog] => {
-                let protocol = match *proto {
+        let backend = match parts.as_slice() {
+            ["tcp"] => Backend::Tcp,
+            ["mpi"] => Backend::Mpi { original: false },
+            ["mpi", "orig"] => Backend::Mpi { original: true },
+            ["lci", proto, comp, prog] => Backend::Lci(LciConfig {
+                protocol: match *proto {
                     "psr" => Protocol::PutSendRecv,
                     "sr" => Protocol::SendRecv,
-                    _ => return Err(ParseError(s.into())),
-                };
-                let completion = match *comp {
+                    _ => return Err(bad()),
+                },
+                completion: match *comp {
                     "cq" => Completion::Cq,
                     "sy" => Completion::Sync,
-                    _ => return Err(ParseError(s.into())),
-                };
-                let progress = match *prog {
+                    _ => return Err(bad()),
+                },
+                progress: match *prog {
                     "pin" | "rp" => Progress::Pin,
                     "mt" | "worker" => Progress::Worker,
-                    _ => return Err(ParseError(s.into())),
-                };
-                Ok(PpConfig {
-                    backend: Backend::Lci,
-                    protocol,
-                    completion,
-                    progress,
-                    send_immediate,
-                    original_mpi: false,
-                })
-            }
-            _ => Err(ParseError(s.into())),
-        }
+                    _ => return Err(bad()),
+                },
+            }),
+            _ => return Err(bad()),
+        };
+        Ok(PpConfig { backend, send_immediate })
     }
 }
 
@@ -235,23 +214,31 @@ impl FromStr for PpConfig {
 mod tests {
     use super::*;
 
+    /// Every Table-1 name: 16 LCI names, four MPI and two TCP ones. Each
+    /// parses and prints back identically, and the 22 values are
+    /// pairwise distinct.
     #[test]
     fn roundtrip_names() {
-        for name in [
-            "mpi",
-            "mpi_i",
-            "lci_psr_cq_pin",
-            "lci_psr_cq_pin_i",
-            "lci_psr_cq_mt_i",
-            "lci_psr_sy_pin_i",
-            "lci_psr_sy_mt_i",
-            "lci_sr_cq_pin_i",
-            "lci_sr_cq_mt_i",
-            "lci_sr_sy_pin_i",
-            "lci_sr_sy_mt_i",
-        ] {
-            let cfg: PpConfig = name.parse().unwrap();
-            assert_eq!(cfg.to_string(), name, "roundtrip of {name}");
+        let mut names = Vec::new();
+        for proto in ["psr", "sr"] {
+            for comp in ["cq", "sy"] {
+                for prog in ["pin", "mt"] {
+                    names.push(format!("lci_{proto}_{comp}_{prog}"));
+                }
+            }
+        }
+        names.extend(["mpi", "mpi_orig", "tcp"].map(String::from));
+        let with_i: Vec<String> = names.iter().map(|n| format!("{n}_i")).collect();
+        names.extend(with_i);
+        assert_eq!(names.len(), 22);
+        let cfgs: Vec<PpConfig> = names.iter().map(|n| n.parse().unwrap()).collect();
+        for (name, cfg) in names.iter().zip(&cfgs) {
+            assert_eq!(&cfg.to_string(), name, "roundtrip of {name}");
+        }
+        for (i, a) in cfgs.iter().enumerate() {
+            for b in &cfgs[i + 1..] {
+                assert_ne!(a, b, "{a} and {b} are one value");
+            }
         }
     }
 
@@ -271,8 +258,9 @@ mod tests {
 
     #[test]
     fn mpi_never_dedicates_progress() {
-        assert!(!PpConfig::mpi().dedicated_progress());
-        assert!(!PpConfig::mpi_i().dedicated_progress());
+        for name in ["mpi", "mpi_i", "mpi_orig", "mpi_orig_i"] {
+            assert!(!name.parse::<PpConfig>().unwrap().dedicated_progress(), "{name}");
+        }
     }
 
     #[test]
@@ -292,6 +280,10 @@ mod tests {
         assert!("udp".parse::<PpConfig>().is_err());
         assert!("lci_xx_cq_pin".parse::<PpConfig>().is_err());
         assert!("lci_psr".parse::<PpConfig>().is_err());
+        // Names that mix backends.
+        for mixed in ["mpi_psr", "tcp_orig", "lci_psr_cq_pin_orig"] {
+            assert!(mixed.parse::<PpConfig>().is_err(), "{mixed} parsed");
+        }
     }
 
     #[test]
@@ -307,9 +299,9 @@ mod tests {
 
     #[test]
     fn original_mpi_roundtrip() {
-        let cfg = PpConfig::mpi_original();
+        let cfg = PpConfig { backend: Backend::Mpi { original: true }, send_immediate: false };
         assert_eq!(cfg.to_string(), "mpi_orig");
         let parsed: PpConfig = "mpi_orig".parse().unwrap();
-        assert!(parsed.original_mpi);
+        assert_eq!(parsed, cfg);
     }
 }

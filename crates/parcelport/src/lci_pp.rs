@@ -29,7 +29,7 @@ use bytes::Bytes;
 use lci::{Comp, CompQueue, Device, Error, ProgressOutcome, Request, Synchronizer, ANY_SOURCE};
 use simcore::{CostModel, Sim, SimResource, SimTime, Slab};
 
-use crate::config::{Completion, PpConfig, Progress, Protocol};
+use crate::config::{Backend, Completion, LciConfig, PpConfig, Progress, Protocol};
 use crate::header::{plan_message, HeaderInfo, MessageAssembly, PartId, MAX_HEADER_SIZE};
 
 /// Tag reserved for header messages (sendrecv protocol).
@@ -79,7 +79,7 @@ pub struct LciParcelport {
     /// implements the §7.2 future work ("replicating low-level network
     /// resources"), one network context per device.
     devs: Vec<Device>,
-    cfg: PpConfig,
+    cfg: LciConfig,
     cost: Rc<CostModel>,
     deliver: Option<DeliverFn>,
     /// Remote completion queues for header puts, one per device.
@@ -108,15 +108,15 @@ pub struct LciParcelport {
 }
 
 impl LciParcelport {
-    /// Create the parcelport for one locality over a single `dev`. The
+    /// Create the parcelport for one locality over `devs`, one per
+    /// network context; connections spread round-robin over them. Each
     /// device's remote CQ is configured here.
-    pub fn new(dev: Device, cost: Rc<CostModel>, cfg: PpConfig) -> Self {
-        Self::new_multi(vec![dev], cost, cfg)
-    }
-
-    /// Create the parcelport over several devices (one per network
-    /// context) — the §7.2 extension. Connections spread round-robin.
-    pub fn new_multi(mut devs: Vec<Device>, cost: Rc<CostModel>, cfg: PpConfig) -> Self {
+    pub fn new(
+        mut devs: Vec<Device>,
+        cost: Rc<CostModel>,
+        cfg: LciConfig,
+        send_immediate: bool,
+    ) -> Self {
         assert!(!devs.is_empty());
         let transfer = cost.cacheline_transfer;
         let mut rcqs = Vec::new();
@@ -126,8 +126,8 @@ impl LciParcelport {
             rcqs.push(rcq);
         }
         let ccq = CompQueue::new("lci_pp.ccq", transfer);
-        let name =
-            if devs.len() > 1 { format!("{}_d{}", cfg, devs.len()) } else { cfg.to_string() };
+        let pp = PpConfig { backend: Backend::Lci(cfg), send_immediate };
+        let name = if devs.len() > 1 { format!("{pp}_d{}", devs.len()) } else { pp.to_string() };
         LciParcelport {
             devs,
             cfg,

@@ -129,9 +129,9 @@ impl From<ActionRegistry> for LaneSetup {
 /// engine time.
 pub struct LocalityNode {
     rank: usize,
-    /// The nested simulator. Node ids are namespaced `rank << 44` so
-    /// per-lane causal logs merge without collisions (lane 0 keeps the
-    /// legacy namespace).
+    /// The nested simulator. Its node ids are in its lane's namespace
+    /// (`Sim::set_lane`), so per-lane causal logs merge without
+    /// collisions (lane 0 keeps the legacy namespace).
     sim: Sim,
     fabric: Rc<RefCell<Fabric>>,
     locality: Rc<Locality>,
@@ -299,7 +299,7 @@ pub fn build_sharded_world(
             let LaneSetup { registry, app } = setup(rank);
             let mut sim = Sim::new(cfg.seed);
             // Lane-namespaced causal node ids; lane 0 keeps the legacy ids.
-            sim.set_node_base((rank as u64) << 44);
+            sim.set_lane(rank as u32);
             let fabric = Rc::new(RefCell::new(template.replica()));
             let locality = build_locality(cfg, rank, &fabric, registry);
             locality.start(&mut sim);

@@ -586,7 +586,7 @@ pub struct ShardCausalData(LogInner);
 /// Merge per-lane causal logs into one log with contiguous 1-based node
 /// ids, deterministically: nodes are ordered by `(time, original id)` —
 /// the original ids carry the lane index in their high bits (see
-/// `Sim::set_node_base`), so ties at equal times break by lane, matching
+/// `Sim::set_lane`), so ties at equal times break by lane, matching
 /// the sharded engine's canonical merge rule. Each node brings its own
 /// marks, in emission order. Parent references (including cross-lane
 /// ones) are remapped; a parent that was never recorded (e.g. scheduled
@@ -1021,10 +1021,10 @@ mod tests {
         let mut recorded: Vec<Reference> = Vec::new();
         let mut data = Vec::new();
         for lane in 0..lanes {
-            let base = lane << 44;
+            let base = lane << crate::LANE_SHIFT;
             // Cross-lane parents, and one that was never recorded.
             let mut parents: Vec<u64> = recorded.iter().flatten().map(|n| n.0).collect();
-            parents.push((lane + 7) << 44);
+            parents.push((lane + 7) << crate::LANE_SHIFT);
             let log = CausalLog::new();
             probe::install(log.clone());
             let steps = rng.below(steps);

@@ -5,12 +5,12 @@
 //! fresh closure for each one puts an allocation on every event; this
 //! module gives the [`Sim`] a typed representation instead:
 //!
-//! * [`EventKind::Handler`] — a registered [`EventHandler`] plus a `u64`
+//! * `EventKind::Handler` — a registered [`EventHandler`] plus a `u64`
 //!   argument word. Scheduling one writes two words into a reused slab
 //!   slot: no allocation at all.
-//! * [`EventKind::Once`] — an already-boxed `FnOnce` with a `u64`
+//! * `EventKind::Once` — an already-boxed `FnOnce` with a `u64`
 //!   argument. Scheduling moves the existing box; no *new* allocation.
-//! * [`EventKind::Closure`] — the fully general boxed-closure fallback.
+//! * `EventKind::Closure` — the fully general boxed-closure fallback.
 //!
 //! Storage is an indexed **four-ary min-heap** of 24 B entries over a
 //! slot slab with a free list. Events are ordered by `(time, sequence)`

@@ -51,7 +51,9 @@ pub use keyed::Keyed;
 pub use lock::{SimLock, SimTryLock, TryAcquire};
 pub use probe::Probe;
 pub use resource::SimResource;
-pub use shard::{LaneCtx, LaneId, RunMode, RunReport, ShardActor, ShardEventId, ShardedSim};
+pub use shard::{
+    LaneCtx, LaneId, RunMode, RunReport, ShardActor, ShardEventId, ShardedSim, LANE_SHIFT,
+};
 pub use sim::Sim;
 pub use slab::Slab;
 pub use stats::Stats;

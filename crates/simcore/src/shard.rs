@@ -89,10 +89,14 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaneId(pub u32);
 
-/// Lanes live in the top 20 bits of the packed key; per-lane sequence
-/// numbers in the low 44. A run can hold ~1M lanes and ~17.5T events per
-/// lane before the packing overflows (both asserted).
-const LANE_SHIFT: u32 = 44;
+/// The lane namespace of every per-lane id: the lane lives in the bits
+/// from here up, a per-lane counter in the bits below. The engine's
+/// canonical event keys pack the scheduling lane this way (the top 20
+/// bits; ~1M lanes and ~17.5T events per lane before the packing
+/// overflows, both asserted), a federated lane's causal node ids do
+/// ([`Sim::set_lane`](crate::Sim::set_lane)), and so do telemetry's
+/// lane-mode flow ids. Merges rely on it to break ties by lane.
+pub const LANE_SHIFT: u32 = 44;
 const MAX_LANES: u32 = 1 << 20;
 const SEQ_MASK: u64 = (1 << LANE_SHIFT) - 1;
 
@@ -310,7 +314,7 @@ impl Drop for PoisonOnPanic<'_> {
 pub struct ExecRec {
     /// Fire time, ns.
     pub at: u64,
-    /// Canonical key `(lane << 44) | lane_seq` of the scheduling lane.
+    /// Canonical key `(lane << LANE_SHIFT) | lane_seq` of the scheduling lane.
     pub key: u64,
     /// Lane the event fired on.
     pub lane: u32,

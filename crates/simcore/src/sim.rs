@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::event::{EventHandler, EventId, EventKind, EventQueue, HandlerId, HandlerTable, OnceFn};
+use crate::shard::LANE_SHIFT;
 use crate::stats::Stats;
 use crate::time::SimTime;
 
@@ -58,8 +59,8 @@ pub struct Sim {
     /// Offset added to the 1-based executed counter when minting node
     /// ids. 0 for a standalone `Sim` (node ids are exactly the executed
     /// counter — the legacy namespace); a federated lane sets this to
-    /// `lane << 44` so node ids are globally unique across lanes and
-    /// per-lane causal logs can be merged without collisions.
+    /// `lane << LANE_SHIFT` so node ids are globally unique across lanes
+    /// and per-lane causal logs can be merged without collisions.
     node_base: u64,
 }
 
@@ -79,14 +80,14 @@ impl Sim {
         }
     }
 
-    /// Namespace this simulator's provenance node ids: every executed
-    /// event gets id `base + executed`. Must be set before any event
-    /// runs; used by federated lanes (`base = lane << 44`) so per-lane
-    /// causal logs merge without id collisions. The default base 0
-    /// preserves the legacy ids exactly.
-    pub fn set_node_base(&mut self, base: u64) {
-        assert_eq!(self.executed, 0, "node base must be set before any event executes");
-        self.node_base = base;
+    /// Run as federated lane `lane`: every executed event gets the
+    /// provenance node id `(lane << LANE_SHIFT) + executed`, so per-lane
+    /// causal logs merge without id collisions. Must be set before any
+    /// event runs. Lane 0, like a standalone `Sim`, keeps the legacy ids
+    /// exactly.
+    pub fn set_lane(&mut self, lane: u32) {
+        assert_eq!(self.executed, 0, "the lane must be set before any event executes");
+        self.node_base = (lane as u64) << LANE_SHIFT;
     }
 
     /// Fire time of the earliest pending event, if any.

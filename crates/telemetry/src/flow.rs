@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
-use simcore::SimTime;
+use simcore::{SimTime, LANE_SHIFT};
 
 /// Stage indices of the parcel lifecycle, in causal order.
 pub mod stage {
@@ -47,11 +47,10 @@ pub const STAGE_NAMES: [&str; stage::COUNT] =
 /// Timestamp sentinel for "stage not reached".
 pub const UNSET: u64 = u64::MAX;
 
-/// Lane-mode flow ids carry the owning lane in bits 44.. (matching the
-/// sharded engine's node-id namespacing); the low 44 bits are the lane's
-/// 1-based local flow index. Lane 0's ids are therefore identical to the
-/// legacy single-collector ids.
-pub(crate) const LANE_SHIFT: u32 = 44;
+/// Lane-mode flow ids carry the owning lane in the engine's lane
+/// namespace ([`LANE_SHIFT`]); the low bits are the lane's 1-based local
+/// flow index. Lane 0's ids are therefore identical to the legacy
+/// single-collector ids.
 const LOCAL_MASK: u64 = (1 << LANE_SHIFT) - 1;
 
 /// Registered routes: `(src, dst, tag_base)` → the sender's flow ids.
@@ -85,7 +84,8 @@ impl Hasher for RouteHasher {
     }
 }
 
-/// Published lane-mode flow metadata: `id` → `(src, dst, put_ns)`.
+/// Published lane-mode flow metadata: `id` → `(src, dst, put_ns)`, from
+/// the sender's `flow_begin` until the receiving lane takes it.
 type MetaMap = HashMap<u64, (usize, usize, u64)>;
 
 /// One run's out-of-band registry: message routes, plus the `(src, dst,
@@ -305,9 +305,16 @@ impl FlowTracer {
         self.store.meta.lock().expect("route store poisoned").insert(id, (src, dst, put_ns));
     }
 
-    /// The published metadata of a (typically foreign) flow id.
-    pub(crate) fn meta(&self, id: u64) -> Option<(usize, usize, u64)> {
-        self.store.meta.lock().expect("route store poisoned").get(&id).copied()
+    /// Take the published metadata of a foreign flow id: its one reader
+    /// is the receiving lane, at delivery.
+    pub(crate) fn take_meta(&self, id: u64) -> Option<(usize, usize, u64)> {
+        self.store.meta.lock().expect("route store poisoned").remove(&id)
+    }
+
+    /// Published flow metadata not yet taken.
+    #[cfg(test)]
+    pub(crate) fn meta_len(&self) -> usize {
+        self.store.meta.lock().expect("route store poisoned").len()
     }
 
     /// All recorded flows, in creation order.
@@ -327,7 +334,7 @@ impl FlowTracer {
     /// Append per-lane tracers (in lane-rank order) to this tracer's flows,
     /// replaying every buffered [`ForeignOp`] against the record owned by
     /// the minting lane. `remap` translates raw per-lane causal gids
-    /// (node-base `rank << 44`) into merged causal-log node ids; gids
+    /// (`rank << LANE_SHIFT` based) into merged causal-log node ids; gids
     /// absent from the merged log collapse to 0 ("no provenance").
     pub(crate) fn absorb_lanes(&mut self, lanes: Vec<FlowTracer>, remap: &HashMap<u64, u64>) {
         let remap_node = |n: u64| if n == 0 { 0 } else { remap.get(&n).copied().unwrap_or(0) };

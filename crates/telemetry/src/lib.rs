@@ -122,8 +122,8 @@ impl Inner {
         let (src, dst, put) = match self.flows.rec(id) {
             Some(rec) => (rec.src, rec.dst, rec.at(stage::PUT).unwrap_or(t.as_nanos())),
             // Lane mode: a foreign id's record lives on the sending
-            // lane's tracer; read the published metadata instead.
-            None => match self.flows.meta(id) {
+            // lane's tracer; take the published metadata instead.
+            None => match self.flows.take_meta(id) {
                 Some(meta) => meta,
                 None => return,
             },
@@ -205,16 +205,16 @@ impl Inner {
     fn tl_poll(&mut self) {
         let Some(tl) = &mut self.timeline else { return };
         if tl.dump_due() {
-            let cap = tl.dump_marks_cap();
-            tl.take_dump(causal_tail(&self.causal, cap));
+            tl.take_dump(causal_tail(&self.causal));
         }
     }
 }
 
-/// The last `cap` causal marks, as flight-recorder dump rows.
-fn causal_tail(log: &CausalLog, cap: usize) -> Vec<timeline::DumpMark> {
+/// The last [`timeline::DUMP_MARKS`] causal marks, as flight-recorder
+/// dump rows.
+fn causal_tail(log: &CausalLog) -> Vec<timeline::DumpMark> {
     log.with_view(|view| {
-        view.last_marks(cap)
+        view.last_marks(timeline::DUMP_MARKS)
             .map(|m| {
                 let kind = match m.kind {
                     MarkKind::Wait => "wait",
@@ -287,9 +287,11 @@ impl Telemetry {
             inner.in_flight += 1;
             let v = inner.in_flight as f64;
             inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-            // Lane mode with timelines: publish (src, dst, put) so the
-            // receiving lane can feed its latency series at delivery.
-            if inner.timeline.is_some() && inner.flows.lane_mode() {
+            // Lane mode with timelines: publish (src, dst, put) of a flow
+            // bound for another locality, so the receiving lane can feed
+            // its latency series at delivery. A local flow's record is
+            // this lane's own.
+            if inner.timeline.is_some() && inner.flows.lane_mode() && src != dst {
                 inner.flows.publish_meta(id, src, dst, t.as_nanos());
             }
         }
@@ -1177,6 +1179,42 @@ mod tests {
             let track = main.with_metrics(|m| m.track("parcels.in_flight").unwrap().to_vec());
             assert_eq!(track, vec![(10, 1.0), (90, 0.0)]);
             disable();
+        });
+    }
+
+    /// Two lane collectors with a timeline, each sending three parcels to
+    /// the other lane and one to itself, every one delivered: the
+    /// receiving lanes take every published flow-metadata entry, and the
+    /// merged latency series counts each delivered flow once.
+    #[test]
+    fn delivered_flows_leave_no_published_metadata() {
+        with_clean_state(|| {
+            let main = enable_with(TimelineConfig::default());
+            let lanes = [Telemetry::for_lane(0, &main), Telemetry::for_lane(1, &main)];
+            let mut routes: [Vec<(usize, u64)>; 2] = Default::default();
+            for (src, lane) in lanes.iter().enumerate() {
+                on_lane(lane, || {
+                    for (tag, dst) in [1 - src, 1 - src, 1 - src, src].into_iter().enumerate() {
+                        let id = flow_begin(src, dst, 0, SimTime::from_nanos(10 + tag as u64));
+                        register_route(src, dst, tag as u64, &[id]);
+                        routes[dst].push((src, tag as u64));
+                    }
+                });
+            }
+            for (dst, lane) in lanes.iter().enumerate() {
+                on_lane(lane, || {
+                    for &(src, tag) in &routes[dst] {
+                        let ids = take_route(src, dst, tag);
+                        flow_mark_many(&ids, stage::DELIVER, SimTime::from_nanos(100));
+                    }
+                });
+            }
+            let delivered = routes.iter().map(Vec::len).sum::<usize>() as u64;
+            assert_eq!(main.inner.borrow().flows.meta_len(), 0, "delivered flows left metadata");
+            merge_lane_collectors(&main, lanes.into());
+            disable();
+            let latencies = main.with_metrics(|m| m.hist("parcel.latency_ns").map(|h| h.count()));
+            assert_eq!(latencies, Some(delivered));
         });
     }
 

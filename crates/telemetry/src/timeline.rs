@@ -50,6 +50,13 @@ use crate::profile::{CoreAccount, CoreState, N_STATES, STATES};
 /// Default window width: 100 µs of virtual time.
 pub const DEFAULT_WINDOW_NS: u64 = 100_000;
 
+/// Maximum flight-recorder dumps per run.
+pub const MAX_DUMPS: usize = 4;
+
+/// Causal marks copied from the tail of the provenance log into each
+/// flight-recorder dump.
+pub const DUMP_MARKS: usize = 256;
+
 /// Timeline configuration: window width, SLO rules, recorder sizing.
 #[derive(Debug, Clone)]
 pub struct TimelineConfig {
@@ -62,11 +69,6 @@ pub struct TimelineConfig {
     /// Windows of post-roll between a trigger and its dump, so the
     /// consequences of the triggering event are on tape.
     pub post_roll_windows: u64,
-    /// Maximum flight-recorder dumps per run.
-    pub max_dumps: usize,
-    /// Causal marks copied from the tail of the provenance log into each
-    /// dump.
-    pub dump_marks: usize,
 }
 
 impl Default for TimelineConfig {
@@ -76,8 +78,6 @@ impl Default for TimelineConfig {
             slos: Vec::new(),
             recorder_cap: 4096,
             post_roll_windows: 8,
-            max_dumps: 4,
-            dump_marks: 256,
         }
     }
 }
@@ -318,11 +318,6 @@ impl Timeline {
         self.cfg.clone()
     }
 
-    /// Causal marks to copy into each flight-recorder dump.
-    pub fn dump_marks_cap(&self) -> usize {
-        self.cfg.dump_marks
-    }
-
     /// The window index instant `t_ns` falls in (boundary instants start
     /// the next window: `t == k·W` lands in window `k`).
     pub fn window_of(&self, t_ns: u64) -> u64 {
@@ -467,7 +462,7 @@ impl Timeline {
 
     /// Arm the recorder: first trigger wins until its dump is taken.
     fn arm(&mut self, reason: String, t_ns: u64) {
-        if self.armed.is_none() && self.dumps.len() < self.cfg.max_dumps {
+        if self.armed.is_none() && self.dumps.len() < MAX_DUMPS {
             self.armed = Some(ArmedDump {
                 reason,
                 trigger_ns: t_ns,
@@ -510,7 +505,7 @@ impl Timeline {
         self.alerted.extend(other.alerted);
         self.alerts.extend(other.alerts);
         for d in other.dumps {
-            if self.dumps.len() < self.cfg.max_dumps {
+            if self.dumps.len() < MAX_DUMPS {
                 self.dumps.push(d);
             }
         }
