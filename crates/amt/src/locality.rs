@@ -612,8 +612,8 @@ impl Locality {
                 telemetry::flow_set_dst_core(&msg.flows, core);
                 telemetry::flow_mark_many(&msg.flows, telemetry::stage::SPAWN, sim.now());
                 let mut t = sim.now() + decode_cost;
-                let parcels = msg.decode();
-                for p in parcels {
+                // Parcels stream from the message into their handlers.
+                msg.for_each_parcel(|p| {
                     let handler = loc.with_registry(|r| r.handler(p.action));
                     t += per_parcel + dispatch;
                     // The action observes `t` as its start time via charge
@@ -621,7 +621,7 @@ impl Locality {
                     // from `sim.now()`; we add our offset before running.
                     let end = handler(sim, loc, core, p);
                     t = t.max(end);
-                }
+                });
                 t
             }),
         );

@@ -111,7 +111,7 @@ pub struct Actions {
 }
 
 fn encode_m2m(node: NodeId, mass: f64, center: [f64; 3]) -> Bytes {
-    let mut w = Writer::with_capacity(40);
+    let mut w = Writer::new();
     w.put_u64(node as u64);
     w.put_f64(mass);
     for c in center {
@@ -476,7 +476,7 @@ fn finish_leaf(
             let sum: f64 = s.my_leaves.iter().map(|&l| s.tree.leaf_mass(l)).sum();
             (sum, registered(ids).loc_done)
         };
-        let mut w = Writer::with_capacity(8);
+        let mut w = Writer::new();
         w.put_f64(checksum);
         t = loc.apply(sim, core, 0, loc_done, vec![w.finish()]).max(t);
     }

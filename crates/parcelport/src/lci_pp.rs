@@ -20,6 +20,14 @@
 //! to a queue — the current LCI only supports a pre-configured CQ as the
 //! remote completion object); `worker`/`mt` drops the progress thread and
 //! lets idle workers call the (try-lock guarded) progress function.
+//!
+//! A connection exists only while something waits. `put_message` posts
+//! the header at once through `post_header`, the one header-post path,
+//! which `pump_send` shares; a send connection is created only when the
+//! header hits `Retry` (packet pool exhausted) or follow-up parts remain.
+//! On the receive side a header that carries the whole message is
+//! delivered straight from the decoded header, and a receive connection
+//! with its queue of expected parts exists only for a multi-part message.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -49,16 +57,19 @@ mod kind {
     pub const HEADER_RECV: u64 = 2;
 }
 
+/// A send that must wait: its header hit `Retry`, or parts follow it.
 struct LSendConn {
     dest: usize,
     tag_base: u64,
+    /// The header, while it still waits for a packet.
     header: Option<Bytes>,
     parts: VecDeque<(PartId, Bytes)>,
     awaiting: bool,
     on_sent: Option<OnSent>,
     /// Which LCI device carries this connection (multi-device mode).
     dev: usize,
-    /// Telemetry flow ids of the message (empty when disabled).
+    /// Telemetry flow ids of the message (empty when disabled), marked
+    /// injected when the header goes out.
     flows: Vec<u64>,
 }
 
@@ -92,6 +103,7 @@ pub struct LciParcelport {
     sync_res: SimResource,
     sync_cursor: usize,
     /// Connections in flight, keyed by the id their completions carry.
+    /// A header-only message that finds a packet never enters.
     send_conns: Slab<LSendConn>,
     recv_conns: Slab<LRecvConn>,
     /// Connection sequence number: one per send and one per multi-part
@@ -190,6 +202,67 @@ impl LciParcelport {
         t
     }
 
+    /// Post a message's header to `dest` on device `di`, marking its
+    /// `flows` injected. On `Retry` (packet pool exhausted) the attempt's
+    /// cost is charged and the header comes back with the time, for the
+    /// caller to queue.
+    #[allow(clippy::too_many_arguments)] // the header's wire facts, one slot each
+    fn post_header(
+        &mut self,
+        sim: &mut Sim,
+        core: usize,
+        dest: usize,
+        di: usize,
+        header: Bytes,
+        flows: &[u64],
+        mut t: SimTime,
+    ) -> Result<SimTime, (Bytes, SimTime)> {
+        let res = match self.cfg.protocol {
+            // Assemble directly in an LCI packet: no extra copy. The
+            // packet comes first, so a send that finds the pool empty
+            // keeps its header untouched.
+            Protocol::PutSendRecv => match self.devs[di].alloc_packet(sim, core) {
+                Ok((h, t2)) => {
+                    t = t.max(t2) + self.cost.pp_header;
+                    self.devs[di]
+                        .post_putva_packet(sim, core, t, h, dest, TAG_HEADER, header, Comp::None, 0)
+                        .map_err(|e| (e, None))
+                }
+                Err(e) => Err((e, Some(header))),
+            },
+            Protocol::SendRecv => {
+                // `post_sendm` consumes its payload even when it returns
+                // `Retry`, so it gets a handle of its own.
+                t = t + self.cost.pp_header + self.cost.memcpy(header.len());
+                self.devs[di]
+                    .post_sendm(sim, core, t, dest, TAG_HEADER, header.clone(), Comp::None, 0)
+                    .map_err(|e| (e, Some(header)))
+            }
+        };
+        match res {
+            Ok(t2) => {
+                t = t.max(t2);
+                telemetry::flow_mark_many(flows, telemetry::stage::INJECT, t);
+                sim.stats.bump("lci_pp.header_sent");
+                Ok(t)
+            }
+            Err((Error::Retry, Some(header))) => {
+                t += self.devs[0].retry_cost();
+                sim.stats.bump("lci_pp.send_retry");
+                Err((header, t))
+            }
+            Err((e, _)) => panic!("lci_pp: header send to {dest} failed: {e:?}"),
+        }
+    }
+
+    /// A send is complete at `t`: schedule its callback.
+    fn send_done(sim: &mut Sim, core: usize, t: SimTime, on_sent: Option<OnSent>) {
+        if let Some(cb) = on_sent {
+            sim.schedule_once_at(t, cb, core as u64);
+        }
+        sim.stats.bump("lci_pp.send_conn_done");
+    }
+
     /// Post sends for a connection until one is outstanding, the pool
     /// runs dry, or the connection completes.
     fn pump_send(&mut self, sim: &mut Sim, core: usize, id: u64, mut t: SimTime) -> SimTime {
@@ -198,65 +271,21 @@ impl LciParcelport {
             if conn.awaiting {
                 return t;
             }
-            if let Some(header) = &conn.header {
-                let dest = conn.dest;
-                let di = conn.dev;
-                let res = match self.cfg.protocol {
-                    Protocol::PutSendRecv => {
-                        // Assemble directly in an LCI packet: no extra copy.
-                        // The packet comes first, so a send that finds the
-                        // pool empty leaves the header in place untouched.
-                        match self.devs[di].alloc_packet(sim, core) {
-                            Ok((h, t2)) => {
-                                t = t.max(t2) + self.cost.pp_header;
-                                let header = conn.header.take().expect("header pending");
-                                self.devs[di].post_putva_packet(
-                                    sim,
-                                    core,
-                                    t,
-                                    h,
-                                    dest,
-                                    TAG_HEADER,
-                                    header,
-                                    Comp::None,
-                                    0,
-                                )
-                            }
-                            Err(e) => Err(e),
-                        }
-                    }
-                    Protocol::SendRecv => {
-                        // `post_sendm` consumes its payload even when it
-                        // returns `Retry`, so it gets a handle of its own.
-                        let header = header.clone();
-                        t = t + self.cost.pp_header + self.cost.memcpy(header.len());
-                        self.devs[di].post_sendm(
-                            sim,
-                            core,
-                            t,
-                            dest,
-                            TAG_HEADER,
-                            header,
-                            Comp::None,
-                            0,
-                        )
-                    }
-                };
-                match res {
+            if let Some(header) = conn.header.take() {
+                let (dest, di) = (conn.dest, conn.dev);
+                let flows = std::mem::take(&mut conn.flows);
+                match self.post_header(sim, core, dest, di, header, &flows, t) {
                     Ok(t2) => {
-                        t = t.max(t2);
-                        conn.header = None;
-                        telemetry::flow_mark_many(&conn.flows, telemetry::stage::INJECT, t);
-                        sim.stats.bump("lci_pp.header_sent");
+                        t = t2;
                         continue;
                     }
-                    Err(Error::Retry) => {
-                        t += self.devs[0].retry_cost();
+                    Err((header, t2)) => {
+                        let conn = self.send_conns.get_mut(id).expect("exists");
+                        conn.header = Some(header);
+                        conn.flows = flows;
                         self.retry_queue.push_back(id);
-                        sim.stats.bump("lci_pp.send_retry");
-                        return t;
+                        return t2;
                     }
-                    Err(e) => panic!("lci_pp: header send to {dest} failed: {e:?}"),
                 }
             }
             // Header is out; post the next part (one outstanding at a time).
@@ -297,10 +326,7 @@ impl LciParcelport {
                 None => {
                     // All parts out and none awaiting: connection done.
                     let conn = self.send_conns.remove(id).expect("exists");
-                    if let Some(cb) = conn.on_sent {
-                        sim.schedule_once_at(t, cb, core as u64);
-                    }
-                    sim.stats.bump("lci_pp.send_conn_done");
+                    Self::send_done(sim, core, t, conn.on_sent);
                     return t;
                 }
             }
@@ -323,11 +349,10 @@ impl LciParcelport {
         let flows = telemetry::take_route(src, self.devs[0].rank(), info.tag_base);
         telemetry::flow_mark_many(&flows, telemetry::stage::WIRE, arrived);
         telemetry::flow_mark_many(&flows, telemetry::stage::MATCH, t);
-        let asm = MessageAssembly::new(&info);
-        let expected: VecDeque<PartId> = info.expected_parts().into();
         sim.stats.bump("lci_pp.header_received");
-        if expected.is_empty() {
-            let mut msg = asm.into_message();
+        if info.is_complete() {
+            // Nothing follows: the message is the decoded header.
+            let mut msg = info.into_message();
             msg.flows = flows;
             if let Some(d) = self.deliver.clone() {
                 d(sim, core, t, src, msg);
@@ -336,7 +361,10 @@ impl LciParcelport {
             return t;
         }
         self.next_conn += 1;
-        let conn = LRecvConn { src, tag_base: info.tag_base, expected, asm, dev, flows };
+        let tag_base = info.tag_base;
+        let expected = info.expected_parts().collect();
+        let asm = MessageAssembly::new(info);
+        let conn = LRecvConn { src, tag_base, expected, asm, dev, flows };
         let id = self.recv_conns.insert(conn);
         self.post_next_recv(sim, core, id, t)
     }
@@ -500,19 +528,34 @@ impl Parcelport for LciParcelport {
 
         let seq = self.next_conn;
         self.next_conn += 1;
-        // Spread connections over devices (round-robin by sequence number).
+        // Spread sends over devices (round-robin by sequence number).
         let dev = (seq as usize) % self.devs.len();
+        let (header, t) = match self.post_header(sim, core, dest, dev, plan.header, &msg.flows, t1)
+        {
+            Ok(t) if plan.parts.is_empty() => {
+                // Header-only and out: no connection.
+                Self::send_done(sim, core, t, on_sent);
+                return t;
+            }
+            Ok(t) => (None, t),
+            Err((header, t)) => (Some(header), t),
+        };
+        let retry = header.is_some();
         let id = self.send_conns.insert(LSendConn {
             dest,
             tag_base,
-            header: Some(plan.header),
+            flows: if retry { msg.flows } else { Vec::new() },
+            header,
             parts: plan.parts.into(),
             awaiting: false,
             on_sent,
             dev,
-            flows: msg.flows,
         });
-        self.pump_send(sim, core, id, t1)
+        if retry {
+            self.retry_queue.push_back(id);
+            return t;
+        }
+        self.pump_send(sim, core, id, t)
     }
 
     fn background_work(&mut self, sim: &mut Sim, core: usize) -> BgOutcome {
@@ -584,5 +627,100 @@ impl Parcelport for LciParcelport {
 
     fn config_name(&self) -> String {
         self.name.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use amt::parcel::Parcel;
+    use lci::DeviceConfig;
+    use netsim::{Fabric, WireModel};
+
+    use super::*;
+
+    /// Header-only messages sent around one multi-part message.
+    const MESSAGES: u64 = 9;
+    /// The message whose one argument is a zero-copy chunk.
+    const MULTI_PART: u64 = 4;
+
+    /// Send [`MESSAGES`] from rank 0 to rank 1, all at time zero, over
+    /// single-device parcelports whose packet pools hold two packets.
+    /// Returns the delivered message ids, the sends completed, and the
+    /// sim with both parcelports once they are quiescent.
+    fn exhaust_pool(protocol: Protocol) -> (Vec<u64>, u64, Sim, LciParcelport, LciParcelport) {
+        let mut sim = Sim::new(3);
+        let cost = Rc::new(CostModel::default());
+        let fabric = Rc::new(RefCell::new(Fabric::new(2, WireModel::expanse())));
+        let cfg = LciConfig { protocol, completion: Completion::Cq, progress: Progress::Pin };
+        let dev_cfg = DeviceConfig { packet_pool_size: 2, ..DeviceConfig::default() };
+        let mut pps = [0, 1].map(|rank| {
+            let dev = Device::new(rank, fabric.clone(), cost.clone(), dev_cfg.clone());
+            LciParcelport::new(vec![dev], cost.clone(), cfg, true)
+        });
+        let delivered = Rc::new(RefCell::new(Vec::new()));
+        let sink = delivered.clone();
+        pps[1].set_deliver(Rc::new(move |_sim, _core, _t, src, msg: HpxMessage| {
+            assert_eq!(src, 0);
+            for p in msg.decode() {
+                sink.borrow_mut().push(u64::from_le_bytes(p.args[0][..8].try_into().expect("id")));
+            }
+        }));
+        let sent = Rc::new(RefCell::new(0u64));
+        for id in 0..MESSAGES {
+            let mut arg = id.to_le_bytes().to_vec();
+            if id == MULTI_PART {
+                arg.resize(16 * 1024, 0);
+            }
+            let msg = HpxMessage::encode(&[Parcel::new(0, vec![Bytes::from(arg)])], 8192);
+            assert_eq!(msg.zero_copy.len(), usize::from(id == MULTI_PART));
+            let sent = sent.clone();
+            let on_sent: OnSent = Box::new(move |_sim, _core| *sent.borrow_mut() += 1);
+            pps[0].put_message(&mut sim, 1, SimTime::ZERO, 1, msg, Some(on_sent));
+        }
+        for _ in 0..10_000 {
+            sim.run_until(sim.now() + 1_000);
+            for pp in pps.iter_mut() {
+                pp.progress(&mut sim, 0);
+                pp.background_work(&mut sim, 1);
+            }
+            let quiet = pps.iter().all(|pp| pp.send_conns.is_empty() && pp.recv_conns.is_empty());
+            if quiet && delivered.borrow().len() as u64 == MESSAGES && sim.events_pending() == 0 {
+                break;
+            }
+        }
+        let [pp0, pp1] = pps;
+        let ids = delivered.borrow().clone();
+        let sent = *sent.borrow();
+        (ids, sent, sim, pp0, pp1)
+    }
+
+    /// A header that finds the pool empty waits in a connection and goes
+    /// out once a packet returns; every message arrives exactly once and
+    /// no connection outlives its message, on both header protocols.
+    #[test]
+    fn header_only_sends_survive_pool_exhaustion() {
+        for protocol in [Protocol::PutSendRecv, Protocol::SendRecv] {
+            let (mut ids, sent, sim, pp0, pp1) = exhaust_pool(protocol);
+            ids.sort_unstable();
+            assert_eq!(ids, (0..MESSAGES).collect::<Vec<_>>(), "{protocol:?}: deliveries");
+            assert_eq!(sent, MESSAGES, "{protocol:?}: on_sent callbacks");
+            let stats = &sim.stats;
+            assert!(stats.get("lci_pp.send_retry") > 0, "{protocol:?}: the pool never ran dry");
+            assert_eq!(stats.get("lci_pp.messages_posted"), MESSAGES);
+            assert_eq!(stats.get("lci_pp.header_sent"), MESSAGES, "{protocol:?}");
+            assert_eq!(
+                stats.get("lci_pp.send_conn_done"),
+                stats.get("lci_pp.messages_posted"),
+                "{protocol:?}"
+            );
+            assert_eq!(stats.get("lci_pp.recv_conn_done"), MESSAGES, "{protocol:?}");
+            for pp in [&pp0, &pp1] {
+                assert!(pp.send_conns.is_empty(), "{protocol:?}: send connection left");
+                assert!(pp.recv_conns.is_empty(), "{protocol:?}: receive connection left");
+                assert!(pp.retry_queue.is_empty(), "{protocol:?}: retry left queued");
+            }
+        }
     }
 }

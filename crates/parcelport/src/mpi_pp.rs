@@ -210,20 +210,21 @@ impl MpiParcelport {
         let flows = telemetry::take_route(src, self.comm.rank(), info.tag_base);
         telemetry::flow_mark_many(&flows, telemetry::stage::WIRE, arrived);
         telemetry::flow_mark_many(&flows, telemetry::stage::MATCH, t);
-        let asm = MessageAssembly::new(&info);
-        let expected: VecDeque<PartId> = info.expected_parts().into();
-        if expected.is_empty() {
-            let mut msg = asm.into_message();
+        let tag = info.tag_base;
+        if info.is_complete() {
+            // Nothing follows: the message is the decoded header.
+            let mut msg = info.into_message();
             msg.flows = flows;
             sim.stats.bump("mpi_pp.recv_conn_done");
-            let t = self.release_tag(sim, core, src, info.tag_base, t);
+            let t = self.release_tag(sim, core, src, tag, t);
             if let Some(d) = self.deliver.clone() {
                 d(sim, core, t, src, msg);
             }
             return t;
         }
-        let mut conn =
-            RecvConn { src, tag: info.tag_base, expected, asm, outstanding: None, flows };
+        let expected = info.expected_parts().collect();
+        let asm = MessageAssembly::new(info);
+        let mut conn = RecvConn { src, tag, expected, asm, outstanding: None, flows };
         // Post the first follow-up receive.
         let (id, t2) = {
             let id = *conn.expected.front().expect("non-empty");

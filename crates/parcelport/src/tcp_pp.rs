@@ -17,7 +17,7 @@
 //! implies: `tcp` ≪ `mpi` < `lci` — reproduced in
 //! `bench/src/bin/tcp_comparison.rs`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use amt::codec::{Frame, FrameWriter, Reader};
 use amt::{BgOutcome, DeliverFn, HpxMessage, OnSent, Parcelport};
@@ -92,8 +92,10 @@ pub struct TcpParcelport {
     fabric: Rc<RefCell<Fabric>>,
     cost: Rc<CostModel>,
     deliver: Option<DeliverFn>,
-    out: HashMap<NodeId, OutStream>,
-    inc: HashMap<NodeId, InStream>,
+    /// Streams by peer rank, in rank order: background work drains them
+    /// in that order, the same in every process.
+    out: BTreeMap<NodeId, OutStream>,
+    inc: BTreeMap<NodeId, InStream>,
     name: String,
 }
 
@@ -110,8 +112,8 @@ impl TcpParcelport {
             fabric,
             cost,
             deliver: None,
-            out: HashMap::new(),
-            inc: HashMap::new(),
+            out: BTreeMap::new(),
+            inc: BTreeMap::new(),
             name: format!("tcp{}", if send_immediate { "_i" } else { "" }),
         }
     }
@@ -274,7 +276,7 @@ impl Parcelport for TcpParcelport {
                 }
             }
         }
-        // Parse every complete frame in every stream.
+        // Parse every complete frame in every stream, by source rank.
         let srcs: Vec<NodeId> = self.inc.keys().copied().collect();
         for src in srcs {
             loop {

@@ -50,7 +50,7 @@ fn main() {
             let next_owner = ((k + 1) % LOCALITIES as u64) as usize;
             let release = loc.with_registry(|r| r.id_of("release_panel").unwrap());
             let update = loc.with_registry(|r| r.id_of("trailing_update").unwrap());
-            let mut w = Writer::with_capacity(8);
+            let mut w = Writer::new();
             w.put_u64(k + 1);
             loc.send_action(sim, core, next_owner, release, vec![w.finish()]);
             // ...and ship a bulk trailing update to a deterministic
@@ -72,7 +72,7 @@ fn main() {
             &mut world.sim,
             0,
             Box::new(move |sim, loc, core| {
-                let mut w = Writer::with_capacity(8);
+                let mut w = Writer::new();
                 w.put_u64(0);
                 loc.send_action(sim, core, 1 % LOCALITIES, release, vec![w.finish()])
             }),
