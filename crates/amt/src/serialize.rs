@@ -22,11 +22,21 @@
 //!
 //! The transmission chunk is `u32 count` then `(u32 index, u64 len)` per
 //! zero-copy chunk.
+//!
+//! The non-zero-copy chunk's buffer starts with [`HEADER_ROOM`] unused
+//! bytes in front of the chunk, so a parcelport can build its header's
+//! fixed fields in place ahead of a piggybacked chunk instead of copying
+//! the chunk into a header buffer (the paper's §3.2.1 analogue).
 
 use bytes::Bytes;
 
 use crate::codec::{Reader, Writer};
 use crate::parcel::Parcel;
+
+/// Bytes reserved in front of every non-zero-copy chunk: the fixed fields
+/// of the parcelport header (`parcelport::header`), which a parcelport
+/// writes there with [`Bytes::try_prepend`].
+pub const HEADER_ROOM: usize = 21;
 
 /// A serialized HPX message as handed to the parcelport layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +61,7 @@ impl HpxMessage {
     /// chunks; HPX default 8192).
     pub fn encode(parcels: &[Parcel], threshold: usize) -> HpxMessage {
         let mut w = Writer::new();
+        w.put_raw(&[0; HEADER_ROOM]);
         let mut zero_copy: Vec<Bytes> = Vec::new();
         w.put_u32(u32::try_from(parcels.len()).expect("too many parcels"));
         for p in parcels {
@@ -67,7 +78,8 @@ impl HpxMessage {
                 }
             }
         }
-        let non_zero_copy = w.finish();
+        let mut non_zero_copy = w.finish();
+        non_zero_copy.advance(HEADER_ROOM);
         let transmission = if zero_copy.is_empty() {
             None
         } else {
@@ -209,6 +221,15 @@ mod tests {
         let arg = &seen[0].args[0];
         let chunk = msg.non_zero_copy.as_ptr_range();
         assert!(chunk.contains(&arg.as_ptr()), "small argument was copied");
+    }
+
+    #[test]
+    fn the_chunk_has_room_for_a_header_in_front() {
+        let mut msg = HpxMessage::encode(&[parcel(1, &[8])], 8192);
+        let chunk = msg.non_zero_copy.to_vec();
+        assert!(msg.non_zero_copy.try_prepend(&[7; HEADER_ROOM]));
+        assert!(!msg.non_zero_copy.try_prepend(&[7]), "room for the header, no more");
+        assert_eq!(msg.non_zero_copy[HEADER_ROOM..], chunk[..]);
     }
 
     /// `msg` with one byte appended to its non-zero-copy chunk.

@@ -101,10 +101,10 @@ fn bench_hpx_codec(c: &mut Criterion) {
 fn bench_header(c: &mut Criterion) {
     let parcels =
         [Parcel::new(0, vec![Bytes::from(vec![1u8; 256]), Bytes::from(vec![2u8; 20_000])])];
-    let msg = HpxMessage::encode(&parcels, 8192);
+    let mut msg = HpxMessage::encode(&parcels, 8192);
     c.bench_function("parcelport/plan+decode header", |b| {
         b.iter(|| {
-            let plan = plan_message(&msg, 42, MAX_HEADER_SIZE, true);
+            let plan = plan_message(&mut msg, 42, MAX_HEADER_SIZE, true);
             HeaderInfo::decode(&plan.header).tag_base
         })
     });

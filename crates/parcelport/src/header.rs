@@ -9,8 +9,10 @@
 //! the header message. The maximum size of the header message is set to
 //! be the zero-copy serialization threshold."
 //!
-//! A small message rides entirely on its header, and the receive side
-//! keeps that case cheap: [`MessageAssembly::new`] takes the
+//! A small message rides entirely on its header. The send side builds
+//! such a header in place, in the chunk's own buffer, when nothing else
+//! holds that buffer ([`plan_message`]), and the receive side keeps the
+//! case cheap too: [`MessageAssembly::new`] takes the
 //! [`HeaderInfo`] by value, moving the piggybacked chunks in, and counts
 //! the missing parts without building a list. A parcelport checks
 //! [`HeaderInfo::is_complete`] first: a complete header becomes its
@@ -18,7 +20,7 @@
 //! gets an assembly and a queue of [`HeaderInfo::expected_parts`].
 
 use amt::codec::{Reader, Writer};
-use amt::serialize::HpxMessage;
+use amt::serialize::{HpxMessage, HEADER_ROOM};
 use bytes::Bytes;
 
 /// Maximum header-message size: the HPX zero-copy serialization threshold
@@ -35,6 +37,8 @@ const FLAG_HAS_TRANS: u8 = 4;
 /// Fixed header fields: tag(8) + zc_count(4) + flags(1) + nzc_size(4) +
 /// trans_size(4).
 const FIXED_FIELDS: usize = 21;
+// `HpxMessage::encode` leaves exactly this much room in front of a chunk.
+const _: () = assert!(FIXED_FIELDS == HEADER_ROOM);
 
 /// Identifies one follow-up message of an HPX message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,19 +82,26 @@ pub struct MessagePlan {
 /// * `piggyback_trans`: the original MPI parcelport could only piggyback
 ///   the non-zero-copy chunk; the improved version also piggybacks the
 ///   transmission chunk.
+///
+/// When the non-zero-copy chunk piggybacks alone and `msg` holds the only
+/// handle on its buffer, the header is built in place: the fixed fields
+/// go into the room [`HpxMessage::encode`] left in front of the chunk,
+/// and the header is that buffer, with no allocation or copy (the §3.2.1
+/// analogue). `msg.non_zero_copy` then views the header's tail, with the
+/// same bytes as before. Otherwise the header is a fresh copy; both ways
+/// give the same bytes.
 pub fn plan_message(
-    msg: &HpxMessage,
+    msg: &mut HpxMessage,
     tag_base: u64,
     max_header: usize,
     piggyback_trans: bool,
 ) -> MessagePlan {
-    let nzc = &msg.non_zero_copy;
-    let trans = msg.transmission.as_ref();
-    let piggy_nzc = FIXED_FIELDS + nzc.len() <= max_header;
+    let nzc_len = msg.non_zero_copy.len();
+    let trans_len = msg.transmission.as_ref().map(Bytes::len);
+    let piggy_nzc = FIXED_FIELDS + nzc_len <= max_header;
     let piggy_trans = piggyback_trans
-        && trans.is_some()
         && piggy_nzc
-        && FIXED_FIELDS + nzc.len() + trans.map_or(0, |t| t.len()) <= max_header;
+        && trans_len.is_some_and(|t| FIXED_FIELDS + nzc_len + t <= max_header);
 
     let mut flags = 0u8;
     if piggy_nzc {
@@ -99,30 +110,39 @@ pub fn plan_message(
     if piggy_trans {
         flags |= FLAG_PIGGY_TRANS;
     }
-    if trans.is_some() {
+    if trans_len.is_some() {
         flags |= FLAG_HAS_TRANS;
     }
 
-    let mut w = Writer::new();
-    w.put_u64(tag_base);
-    w.put_u32(msg.zero_copy.len() as u32);
-    w.put_u8(flags);
-    w.put_u32(nzc.len() as u32);
-    w.put_u32(trans.map_or(0, |t| t.len()) as u32);
-    if piggy_nzc {
-        w.put_raw(nzc);
-    }
-    if piggy_trans {
-        w.put_raw(trans.expect("piggy_trans implies trans"));
-    }
-    let header = w.finish();
+    let mut fixed = [0u8; FIXED_FIELDS];
+    fixed[..8].copy_from_slice(&tag_base.to_le_bytes());
+    fixed[8..12].copy_from_slice(&(msg.zero_copy.len() as u32).to_le_bytes());
+    fixed[12] = flags;
+    fixed[13..17].copy_from_slice(&(nzc_len as u32).to_le_bytes());
+    fixed[17..].copy_from_slice(&(trans_len.unwrap_or(0) as u32).to_le_bytes());
+
+    let header = if piggy_nzc && !piggy_trans && msg.non_zero_copy.try_prepend(&fixed) {
+        let header = msg.non_zero_copy.clone();
+        msg.non_zero_copy.advance(FIXED_FIELDS);
+        header
+    } else {
+        let mut w = Writer::new();
+        w.put_raw(&fixed);
+        if piggy_nzc {
+            w.put_raw(&msg.non_zero_copy);
+        }
+        if piggy_trans {
+            w.put_raw(msg.transmission.as_ref().expect("piggy_trans implies trans"));
+        }
+        w.finish()
+    };
     debug_assert!(header.len() <= max_header, "header exceeded its limit");
 
     let mut parts = Vec::new();
     if !piggy_nzc {
-        parts.push((PartId::Nzc, nzc.clone()));
+        parts.push((PartId::Nzc, msg.non_zero_copy.clone()));
     }
-    if let Some(t) = trans {
+    if let Some(t) = &msg.transmission {
         if !piggy_trans {
             parts.push((PartId::Trans, t.clone()));
         }
@@ -285,8 +305,8 @@ mod tests {
 
     #[test]
     fn small_message_fully_piggybacks() {
-        let m = msg(64, &[]);
-        let plan = plan_message(&m, 7, MAX_HEADER_SIZE, true);
+        let mut m = msg(64, &[]);
+        let plan = plan_message(&mut m, 7, MAX_HEADER_SIZE, true);
         assert!(plan.parts.is_empty(), "everything rides on the header");
         let info = HeaderInfo::decode(&plan.header);
         assert_eq!(info.tag_base, 7);
@@ -298,8 +318,8 @@ mod tests {
 
     #[test]
     fn zero_copy_message_piggybacks_nzc_and_trans() {
-        let m = msg(64, &[16 * 1024]);
-        let plan = plan_message(&m, 9, MAX_HEADER_SIZE, true);
+        let mut m = msg(64, &[16 * 1024]);
+        let plan = plan_message(&mut m, 9, MAX_HEADER_SIZE, true);
         // Only the zero-copy chunk travels separately.
         assert_eq!(plan.parts.len(), 1);
         assert!(matches!(plan.parts[0].0, PartId::Zc(0)));
@@ -317,10 +337,10 @@ mod tests {
 
     #[test]
     fn oversized_nzc_travels_separately() {
-        let m = msg(8160, &[]); // arg still below the 8192 zero-copy
-                                // threshold, but framing pushes the chunk
-                                // past the header limit
-        let plan = plan_message(&m, 1, MAX_HEADER_SIZE, true);
+        let mut m = msg(8160, &[]); // arg still below the 8192 zero-copy
+                                    // threshold, but framing pushes the chunk
+                                    // past the header limit
+        let plan = plan_message(&mut m, 1, MAX_HEADER_SIZE, true);
         assert_eq!(plan.parts.len(), 1);
         assert!(matches!(plan.parts[0].0, PartId::Nzc));
         let info = HeaderInfo::decode(&plan.header);
@@ -333,8 +353,8 @@ mod tests {
 
     #[test]
     fn original_parcelport_cannot_piggyback_trans() {
-        let m = msg(64, &[16 * 1024]);
-        let plan = plan_message(&m, 1, ORIGINAL_HEADER_SIZE, false);
+        let mut m = msg(64, &[16 * 1024]);
+        let plan = plan_message(&mut m, 1, ORIGINAL_HEADER_SIZE, false);
         // nzc rides (small), transmission + zc travel separately.
         assert_eq!(plan.parts.len(), 2);
         assert!(matches!(plan.parts[0].0, PartId::Trans));
@@ -351,10 +371,40 @@ mod tests {
 
     #[test]
     fn original_header_overflows_to_separate_nzc() {
-        let m = msg(1000, &[]);
-        let plan = plan_message(&m, 1, ORIGINAL_HEADER_SIZE, false);
+        let mut m = msg(1000, &[]);
+        let plan = plan_message(&mut m, 1, ORIGINAL_HEADER_SIZE, false);
         assert_eq!(plan.parts.len(), 1, "1000B nzc does not fit in 512B header");
         assert!(plan.header.len() <= ORIGINAL_HEADER_SIZE);
+    }
+
+    /// A header built in place in the chunk's buffer equals the one
+    /// copied while a clone of the chunk is held, byte for byte, in every
+    /// planning case; the held clone is left as it was.
+    #[test]
+    fn in_place_and_copied_headers_match() {
+        let cases: [(usize, &[usize], usize, bool, bool); 4] = [
+            (64, &[], MAX_HEADER_SIZE, true, true),
+            // The original protocol piggybacks the chunk alone.
+            (64, &[16 * 1024], ORIGINAL_HEADER_SIZE, false, true),
+            // The transmission chunk rides too, or the chunk travels apart.
+            (64, &[16 * 1024], MAX_HEADER_SIZE, true, false),
+            (1000, &[], ORIGINAL_HEADER_SIZE, false, false),
+        ];
+        for (small, large, max_header, piggyback_trans, in_place) in cases {
+            let mut sole = msg(small, large);
+            let chunk_at = sole.non_zero_copy.as_ptr();
+            let built = plan_message(&mut sole, 3, max_header, piggyback_trans);
+            let mut shared = msg(small, large);
+            let held = shared.non_zero_copy.clone();
+            let copied = plan_message(&mut shared, 3, max_header, piggyback_trans);
+            assert_eq!(built.header, copied.header, "case {small}/{max_header}");
+            assert_eq!(built.parts, copied.parts);
+            assert_eq!(built.header[FIXED_FIELDS..].as_ptr() == chunk_at, in_place);
+            assert_eq!(sole.non_zero_copy.as_ptr(), chunk_at, "the chunk did not move");
+            assert_eq!(sole.non_zero_copy, held, "the chunk still reads the same");
+            assert_eq!(shared.non_zero_copy.as_ptr(), held.as_ptr(), "the clone kept its view");
+            assert_eq!(shared.non_zero_copy, held);
+        }
     }
 
     #[test]
@@ -368,8 +418,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "supplied twice")]
     fn duplicate_part_detected() {
-        let m = msg(64, &[16 * 1024]);
-        let plan = plan_message(&m, 1, MAX_HEADER_SIZE, true);
+        let mut m = msg(64, &[16 * 1024]);
+        let plan = plan_message(&mut m, 1, MAX_HEADER_SIZE, true);
         let info = HeaderInfo::decode(&plan.header);
         let mut asm = MessageAssembly::new(info);
         asm.supply(PartId::Zc(0), plan.parts[0].1.clone());
@@ -378,8 +428,8 @@ mod tests {
 
     #[test]
     fn multi_zero_copy_ordering() {
-        let m = msg(32, &[9000, 10000, 11000]);
-        let plan = plan_message(&m, 5, MAX_HEADER_SIZE, true);
+        let mut m = msg(32, &[9000, 10000, 11000]);
+        let plan = plan_message(&mut m, 5, MAX_HEADER_SIZE, true);
         assert_eq!(plan.parts.len(), 3);
         let info = HeaderInfo::decode(&plan.header);
         let expected: Vec<PartId> = info.expected_parts().collect();

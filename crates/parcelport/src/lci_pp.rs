@@ -21,13 +21,18 @@
 //! remote completion object); `worker`/`mt` drops the progress thread and
 //! lets idle workers call the (try-lock guarded) progress function.
 //!
-//! A connection exists only while something waits. `put_message` posts
-//! the header at once through `post_header`, the one header-post path,
-//! which `pump_send` shares; a send connection is created only when the
-//! header hits `Retry` (packet pool exhausted) or follow-up parts remain.
-//! On the receive side a header that carries the whole message is
-//! delivered straight from the decoded header, and a receive connection
-//! with its queue of expected parts exists only for a multi-part message.
+//! A connection exists only when parts follow the header. `put_message`
+//! builds the header in the chunk's own buffer where it can
+//! (`plan_message`, the host analogue of assembling it in the registered
+//! packet) and posts it at once through `post_header`, the one
+//! header-post path. A header-only message whose header hits `Retry`
+//! (packet pool exhausted) waits in the retry queue as a bare
+//! `WaitingHeader`; a send connection is created only for a message with
+//! follow-up parts, and its header, if refused, waits in the connection.
+//! Both kinds of wait share one FIFO retry queue. On the receive side a
+//! header that carries the whole message is delivered straight from the
+//! decoded header, and a receive connection with its queue of expected
+//! parts exists only for a multi-part message.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -57,7 +62,7 @@ mod kind {
     pub const HEADER_RECV: u64 = 2;
 }
 
-/// A send that must wait: its header hit `Retry`, or parts follow it.
+/// A message whose follow-up parts are still to be sent.
 struct LSendConn {
     dest: usize,
     tag_base: u64,
@@ -71,6 +76,24 @@ struct LSendConn {
     /// Telemetry flow ids of the message (empty when disabled), marked
     /// injected when the header goes out.
     flows: Vec<u64>,
+}
+
+/// A header-only message whose header found the packet pool empty: all
+/// it needs to go out, and nothing more.
+struct WaitingHeader {
+    header: Bytes,
+    dest: usize,
+    dev: usize,
+    flows: Vec<u64>,
+    on_sent: Option<OnSent>,
+}
+
+/// An entry of the retry queue.
+enum Retry {
+    /// A header-only message, waiting without a connection.
+    Header(WaitingHeader),
+    /// A send connection whose header or next part was refused.
+    Conn(u64),
 }
 
 struct LRecvConn {
@@ -103,7 +126,7 @@ pub struct LciParcelport {
     sync_res: SimResource,
     sync_cursor: usize,
     /// Connections in flight, keyed by the id their completions carry.
-    /// A header-only message that finds a packet never enters.
+    /// A header-only message never enters.
     send_conns: Slab<LSendConn>,
     recv_conns: Slab<LRecvConn>,
     /// Connection sequence number: one per send and one per multi-part
@@ -111,8 +134,9 @@ pub struct LciParcelport {
     next_conn: u64,
     tag_counter: u64,
     tag_res: SimResource,
-    /// Send connections that hit `Retry` (packet pool exhausted).
-    retry_queue: VecDeque<u64>,
+    /// Sends that hit `Retry` (packet pool exhausted), in the order they
+    /// were refused.
+    retry_queue: VecDeque<Retry>,
     header_recv_posted: bool,
     /// Round-robin cursor for the dedicated progress thread over devices.
     progress_cursor: usize,
@@ -247,7 +271,7 @@ impl LciParcelport {
                 Ok(t)
             }
             Err((Error::Retry, Some(header))) => {
-                t += self.devs[0].retry_cost();
+                t += self.devs[di].retry_cost();
                 sim.stats.bump("lci_pp.send_retry");
                 Err((header, t))
             }
@@ -283,7 +307,7 @@ impl LciParcelport {
                         let conn = self.send_conns.get_mut(id).expect("exists");
                         conn.header = Some(header);
                         conn.flows = flows;
-                        self.retry_queue.push_back(id);
+                        self.retry_queue.push_back(Retry::Conn(id));
                         return t2;
                     }
                 }
@@ -309,7 +333,7 @@ impl LciParcelport {
                             return t;
                         }
                         Err(_) => {
-                            t += self.devs[0].retry_cost();
+                            t += self.devs[di].retry_cost();
                             let conn = self.send_conns.get_mut(id).expect("exists");
                             conn.parts.push_front((pid, data));
                             // In sync mode `comp_for` already queued this
@@ -317,7 +341,7 @@ impl LciParcelport {
                             // Nothing ever signals it, so every later reap
                             // round still tests it (a known modeling bug,
                             // see ROADMAP.md).
-                            self.retry_queue.push_back(id);
+                            self.retry_queue.push_back(Retry::Conn(id));
                             sim.stats.bump("lci_pp.send_retry");
                             return t;
                         }
@@ -493,15 +517,38 @@ impl LciParcelport {
         (did, t)
     }
 
+    /// Post a waiting header-only message's header; if the pool is still
+    /// empty, it goes to the back of the retry queue.
+    fn retry_header(
+        &mut self,
+        sim: &mut Sim,
+        core: usize,
+        w: WaitingHeader,
+        t: SimTime,
+    ) -> SimTime {
+        match self.post_header(sim, core, w.dest, w.dev, w.header, &w.flows, t) {
+            Ok(t) => {
+                Self::send_done(sim, core, t, w.on_sent);
+                t
+            }
+            Err((header, t)) => {
+                self.retry_queue.push_back(Retry::Header(WaitingHeader { header, ..w }));
+                t
+            }
+        }
+    }
+
     /// Retry sends that previously hit pool exhaustion.
     fn retry_sends(&mut self, sim: &mut Sim, core: usize, mut t: SimTime) -> (bool, SimTime) {
         let mut did = false;
         for _ in 0..self.retry_queue.len().min(REAP_BUDGET) {
-            if let Some(id) = self.retry_queue.pop_front() {
-                let before = self.retry_queue.len();
-                t = self.pump_send(sim, core, id, t);
-                did |= self.retry_queue.len() == before; // progressed if not re-queued
-            }
+            let Some(entry) = self.retry_queue.pop_front() else { break };
+            let before = self.retry_queue.len();
+            t = match entry {
+                Retry::Header(w) => self.retry_header(sim, core, w, t),
+                Retry::Conn(id) => self.pump_send(sim, core, id, t),
+            };
+            did |= self.retry_queue.len() == before; // progressed if not re-queued
         }
         (did, t)
     }
@@ -514,14 +561,14 @@ impl Parcelport for LciParcelport {
         core: usize,
         at: SimTime,
         dest: usize,
-        msg: HpxMessage,
+        mut msg: HpxMessage,
         on_sent: Option<OnSent>,
     ) -> SimTime {
         let t0 = self.ensure_header_recv(sim, core).max(at);
         // Distinct tag per follow-up message (no in-order guarantee).
         let parts_upper = 2 + msg.zero_copy.len() as u64;
         let (tag_base, t1) = self.alloc_tags(core, t0, parts_upper);
-        let plan = plan_message(&msg, tag_base, MAX_HEADER_SIZE, true);
+        let plan = plan_message(&mut msg, tag_base, MAX_HEADER_SIZE, true);
         let t1 = t1 + self.cost.pp_connection;
         sim.stats.bump("lci_pp.messages_posted");
         telemetry::register_route(self.devs[0].rank(), dest, tag_base, &msg.flows);
@@ -530,13 +577,23 @@ impl Parcelport for LciParcelport {
         self.next_conn += 1;
         // Spread sends over devices (round-robin by sequence number).
         let dev = (seq as usize) % self.devs.len();
-        let (header, t) = match self.post_header(sim, core, dest, dev, plan.header, &msg.flows, t1)
-        {
-            Ok(t) if plan.parts.is_empty() => {
-                // Header-only and out: no connection.
-                Self::send_done(sim, core, t, on_sent);
-                return t;
-            }
+        let posted = self.post_header(sim, core, dest, dev, plan.header, &msg.flows, t1);
+        if plan.parts.is_empty() {
+            // Header-only: no connection, out or waiting.
+            return match posted {
+                Ok(t) => {
+                    Self::send_done(sim, core, t, on_sent);
+                    t
+                }
+                Err((header, t)) => {
+                    let flows = msg.flows;
+                    let w = WaitingHeader { header, dest, dev, flows, on_sent };
+                    self.retry_queue.push_back(Retry::Header(w));
+                    t
+                }
+            };
+        }
+        let (header, t) = match posted {
             Ok(t) => (None, t),
             Err((header, t)) => (Some(header), t),
         };
@@ -552,7 +609,7 @@ impl Parcelport for LciParcelport {
             dev,
         });
         if retry {
-            self.retry_queue.push_back(id);
+            self.retry_queue.push_back(Retry::Conn(id));
             return t;
         }
         self.pump_send(sim, core, id, t)
@@ -645,11 +702,22 @@ mod tests {
     /// The message whose one argument is a zero-copy chunk.
     const MULTI_PART: u64 = 4;
 
+    /// What [`exhaust_pool`] observed.
+    struct Exhausted {
+        /// Delivered message ids, in delivery order.
+        ids: Vec<u64>,
+        /// `on_sent` callbacks run.
+        sent: u64,
+        /// Send connections live right after the last put.
+        conns_after_puts: usize,
+        sim: Sim,
+        pps: [LciParcelport; 2],
+    }
+
     /// Send [`MESSAGES`] from rank 0 to rank 1, all at time zero, over
-    /// single-device parcelports whose packet pools hold two packets.
-    /// Returns the delivered message ids, the sends completed, and the
-    /// sim with both parcelports once they are quiescent.
-    fn exhaust_pool(protocol: Protocol) -> (Vec<u64>, u64, Sim, LciParcelport, LciParcelport) {
+    /// single-device parcelports whose packet pools hold two packets, and
+    /// run both parcelports until they are quiescent.
+    fn exhaust_pool(protocol: Protocol) -> Exhausted {
         let mut sim = Sim::new(3);
         let cost = Rc::new(CostModel::default());
         let fabric = Rc::new(RefCell::new(Fabric::new(2, WireModel::expanse())));
@@ -679,6 +747,7 @@ mod tests {
             let on_sent: OnSent = Box::new(move |_sim, _core| *sent.borrow_mut() += 1);
             pps[0].put_message(&mut sim, 1, SimTime::ZERO, 1, msg, Some(on_sent));
         }
+        let conns_after_puts = pps[0].send_conns.len();
         for _ in 0..10_000 {
             sim.run_until(sim.now() + 1_000);
             for pp in pps.iter_mut() {
@@ -690,19 +759,25 @@ mod tests {
                 break;
             }
         }
-        let [pp0, pp1] = pps;
         let ids = delivered.borrow().clone();
         let sent = *sent.borrow();
-        (ids, sent, sim, pp0, pp1)
+        Exhausted { ids, sent, conns_after_puts, sim, pps }
     }
 
-    /// A header that finds the pool empty waits in a connection and goes
-    /// out once a packet returns; every message arrives exactly once and
-    /// no connection outlives its message, on both header protocols.
+    /// A header that finds the pool empty waits, with no connection unless
+    /// parts follow it, and goes out once a packet returns: every message
+    /// arrives exactly once, header-only ones in put order, and no
+    /// connection outlives its message, on both header protocols.
     #[test]
     fn header_only_sends_survive_pool_exhaustion() {
         for protocol in [Protocol::PutSendRecv, Protocol::SendRecv] {
-            let (mut ids, sent, sim, pp0, pp1) = exhaust_pool(protocol);
+            let Exhausted { ids, sent, conns_after_puts, sim, pps } = exhaust_pool(protocol);
+            assert!(conns_after_puts <= 1, "{protocol:?}: only the multi-part message has one");
+            let header_only: Vec<u64> =
+                ids.iter().copied().filter(|&id| id != MULTI_PART).collect();
+            let in_put_order: Vec<u64> = (0..MESSAGES).filter(|&id| id != MULTI_PART).collect();
+            assert_eq!(header_only, in_put_order, "{protocol:?}: header-only delivery order");
+            let mut ids = ids;
             ids.sort_unstable();
             assert_eq!(ids, (0..MESSAGES).collect::<Vec<_>>(), "{protocol:?}: deliveries");
             assert_eq!(sent, MESSAGES, "{protocol:?}: on_sent callbacks");
@@ -716,7 +791,7 @@ mod tests {
                 "{protocol:?}"
             );
             assert_eq!(stats.get("lci_pp.recv_conn_done"), MESSAGES, "{protocol:?}");
-            for pp in [&pp0, &pp1] {
+            for pp in &pps {
                 assert!(pp.send_conns.is_empty(), "{protocol:?}: send connection left");
                 assert!(pp.recv_conns.is_empty(), "{protocol:?}: receive connection left");
                 assert!(pp.retry_queue.is_empty(), "{protocol:?}: retry left queued");

@@ -314,12 +314,12 @@ impl Parcelport for MpiParcelport {
         core: usize,
         at: SimTime,
         dest: usize,
-        msg: HpxMessage,
+        mut msg: HpxMessage,
         on_sent: Option<OnSent>,
     ) -> SimTime {
         let t0 = self.ensure_header_recv(sim, core, at.max(sim.now()));
         let (tag, t1) = self.alloc_tag(sim, core, t0);
-        let plan = plan_message(&msg, tag, self.max_header(), !self.original);
+        let plan = plan_message(&mut msg, tag, self.max_header(), !self.original);
         // Original version: the header buffer is a fixed-size stack copy;
         // improved version allocates dynamically (one alloc charge).
         let t1 = t1
