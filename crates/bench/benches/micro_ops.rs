@@ -45,7 +45,6 @@ fn bench_cq(c: &mut Criterion) {
         let mut sim = Sim::new(0);
         b.iter(|| {
             let req = Request {
-                op: lci::OpKind::Recv,
                 rank: 0,
                 tag: 1,
                 data: Bytes::new(),
@@ -66,7 +65,6 @@ fn bench_comp_signal(c: &mut Criterion) {
             || lci::Synchronizer::new(1, 300),
             |sync| {
                 let req = Request {
-                    op: lci::OpKind::Send,
                     rank: 0,
                     tag: 0,
                     data: Bytes::new(),

@@ -1,4 +1,4 @@
-//! Completion mechanisms: completion queues, synchronizers, handlers.
+//! Completion mechanisms: completion queues and synchronizers.
 //!
 //! The paper's §4 shows the choice of completion mechanism matters:
 //! completion queues give a smoother, ~25–30% higher peak 16 KiB message
@@ -14,14 +14,11 @@ use bytes::Bytes;
 use netsim::NodeId;
 use simcore::{CostModel, Sim, SimResource, SimTime};
 
-use crate::protocol::OpKind;
-
-/// A completion entry delivered to the user: which operation finished,
-/// with which peer/tag/payload, and the user context word.
+/// A completion entry delivered to the user: the peer, tag and payload
+/// of the operation that finished, and the user context word that tells
+/// the caller which operation it was.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// Operation kind that completed.
-    pub op: OpKind,
     /// Peer rank.
     pub rank: NodeId,
     /// Tag of the operation.
@@ -35,6 +32,9 @@ pub struct Request {
     /// Observability only — never feeds back into protocol timing.
     pub arrived: SimTime,
 }
+
+// Every completion queue and synchronizer holds these by value.
+const _: () = assert!(std::mem::size_of::<Request>() == 64);
 
 /// A multi-producer completion queue.
 ///
@@ -192,10 +192,6 @@ impl fmt::Debug for Synchronizer {
     }
 }
 
-/// Handler invoked (via a deferred event, to avoid re-entering the device)
-/// when an operation completes.
-pub type CompHandler = Rc<dyn Fn(&mut Sim, Request)>;
-
 /// Where an operation's completion is delivered. LCI lets users combine
 /// any primitive with almost any completion mechanism.
 #[derive(Clone)]
@@ -204,8 +200,6 @@ pub enum Comp {
     Cq(Rc<CompQueue>),
     /// Signal a synchronizer.
     Sync(Rc<Synchronizer>),
-    /// Invoke a function handler (deferred to a fresh event).
-    Handler(CompHandler),
     /// Discard the completion.
     None,
 }
@@ -215,7 +209,6 @@ impl fmt::Debug for Comp {
         match self {
             Comp::Cq(cq) => write!(f, "Comp::Cq({})", cq.name()),
             Comp::Sync(_) => write!(f, "Comp::Sync"),
-            Comp::Handler(_) => write!(f, "Comp::Handler"),
             Comp::None => write!(f, "Comp::None"),
         }
     }
@@ -226,14 +219,7 @@ mod tests {
     use super::*;
 
     fn req(tag: u64) -> Request {
-        Request {
-            op: OpKind::Recv,
-            rank: 0,
-            tag,
-            data: Bytes::new(),
-            user: 0,
-            arrived: SimTime::ZERO,
-        }
+        Request { rank: 0, tag, data: Bytes::new(), user: 0, arrived: SimTime::ZERO }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::comp::{Comp, CompQueue, Request};
 use crate::config::DeviceConfig;
 use crate::matching::{MatchTable, PostedRecv, UnexpectedMsg};
 use crate::pool::{PacketHandle, PacketPool};
-use crate::protocol::{OpKind, PacketKind, RdvRecv, RdvSend};
+use crate::protocol::{PacketKind, RdvRecv, RdvSend};
 use crate::{Error, Result};
 
 /// Result of one [`Device::progress`] call.
@@ -80,7 +80,7 @@ impl Device {
             progress_lock: SimTryLock::new("lci.progress"),
             progress_state: SimResource::new("lci.progress_state", transfer),
             matching: MatchTable::new(transfer),
-            pool: PacketPool::new(cfg.packet_pool_size, cfg.eager_threshold, transfer),
+            pool: PacketPool::new(cfg.packet_pool_size, transfer),
             rdv_send: HashMap::new(),
             rdv_recv: HashMap::new(),
             next_op: 1,
@@ -140,13 +140,31 @@ impl Device {
         match comp {
             Comp::Cq(cq) => cq.push(sim, core, &self.cost, req).max(t),
             Comp::Sync(s) => s.signal(sim, core, &self.cost, req).max(t),
-            Comp::Handler(h) => {
-                let h = h.clone();
-                sim.schedule_at(t, move |sim| h(sim, req));
-                t
-            }
             Comp::None => t,
         }
+    }
+
+    /// Put one packet on the wire at `t`; returns when the posting core is
+    /// done. An eager packet came from the pool, and the NIC owns its
+    /// buffer until the wire finishes serializing it.
+    #[allow(clippy::too_many_arguments)] // one slot per packet field
+    fn send_packet(
+        &mut self,
+        sim: &mut Sim,
+        core: usize,
+        t: SimTime,
+        dst: NodeId,
+        kind: PacketKind,
+        tag: u64,
+        imm: u64,
+        data: Bytes,
+    ) -> SimTime {
+        let pkt = Packet { src: self.rank, dst, ctx: self.ctx, kind: kind as u8, tag, imm, data };
+        let out = self.fabric.borrow_mut().send(sim, core, t, pkt);
+        if matches!(kind, PacketKind::Eager | PacketKind::PutEager) {
+            self.pool.put_at(out.deliver_at);
+        }
+        t.max(out.cpu_done)
     }
 
     /// Allocate a registered packet so the caller can assemble a message
@@ -176,39 +194,13 @@ impl Device {
         if data.len() > self.cfg.eager_threshold {
             return Err(Error::Invalid("payload exceeds eager threshold"));
         }
-        let (h, t_pool) = self.pool.get(sim, core, &self.cost);
-        if h.is_none() {
-            return Err(Error::Retry);
-        }
-        let t = t_pool.max(at) + self.cost.lci_op + self.cost.memcpy(data.len());
+        let (_, t_pool) = self.alloc_packet(sim, core)?;
         let len = data.len();
-        let out = self.fabric.borrow_mut().send(
-            sim,
-            core,
-            t,
-            Packet {
-                src: self.rank,
-                dst,
-                ctx: self.ctx,
-                kind: PacketKind::Eager as u8,
-                tag,
-                imm: 0,
-                data,
-            },
-        );
-        let t = t.max(out.cpu_done);
-        // NIC owns the buffer until the wire finishes serializing it.
-        self.pool.put_at(out.deliver_at);
+        let t = t_pool.max(at) + self.cost.lci_op + self.cost.memcpy(len);
+        let t = self.send_packet(sim, core, t, dst, PacketKind::Eager, tag, 0, data);
         sim.stats.bump("lci.sendm");
         sim.stats.add("lci.sendm_bytes", len as u64);
-        let req = Request {
-            op: OpKind::Send,
-            rank: dst,
-            tag,
-            data: Bytes::new(),
-            user,
-            arrived: SimTime::ZERO,
-        };
+        let req = Request { rank: dst, tag, data: Bytes::new(), user, arrived: SimTime::ZERO };
         Ok(self.signal(sim, core, t, &comp, req))
     }
 
@@ -227,8 +219,7 @@ impl Device {
         user: u64,
     ) -> SimTime {
         let recv = PostedRecv { src, tag, comp, user };
-        let (outcome, t0) = self.matching.post_recv_at(sim, core, at, &self.cost, recv);
-        let t = t0;
+        let (outcome, t) = self.matching.post_recv_at(sim, core, at, &self.cost, recv);
         match outcome {
             Ok(()) => t,
             Err((recv, msg)) if !msg.rts => {
@@ -237,7 +228,6 @@ impl Device {
                 let t = t + self.cost.memcpy(msg.data.len());
                 sim.stats.bump("lci.recv_from_unexpected");
                 let req = Request {
-                    op: OpKind::Recv,
                     rank: msg.src,
                     tag: msg.tag,
                     data: msg.data,
@@ -270,103 +260,19 @@ impl Device {
     ) -> Result<SimTime> {
         let op = self.fresh_op();
         let t = at.max(sim.now()) + self.cost.lci_op + self.cost.atomic_op;
-        let size = data.len();
-        self.rdv_send.insert(op, RdvSend { dst, tag, data, comp, user, one_sided: false });
-        let out = self.fabric.borrow_mut().send(
-            sim,
-            core,
-            t,
-            Packet {
-                src: self.rank,
-                dst,
-                ctx: self.ctx,
-                kind: PacketKind::Rts as u8,
-                tag,
-                imm: op,
-                data: Bytes::copy_from_slice(&(size as u64).to_le_bytes()),
-            },
-        );
+        let size = Bytes::copy_from_slice(&(data.len() as u64).to_le_bytes());
+        self.rdv_send.insert(op, RdvSend { dst, tag, data, comp, user });
+        let t = self.send_packet(sim, core, t, dst, PacketKind::Rts, tag, op, size);
         sim.stats.bump("lci.sendl");
-        Ok(t.max(out.cpu_done))
+        Ok(t)
     }
 
-    /// Post a one-sided dynamic put: the target allocates the buffer on
-    /// arrival and pushes a completion entry to its pre-configured remote
-    /// completion queue. Small payloads go eager; large payloads use a
-    /// rendezvous handshake.
-    #[allow(clippy::too_many_arguments)] // mirrors the LCI C API
-    pub fn post_putva(
-        &mut self,
-        sim: &mut Sim,
-        core: usize,
-        at: SimTime,
-        dst: NodeId,
-        tag: u64,
-        data: Bytes,
-        comp: Comp,
-        user: u64,
-    ) -> Result<SimTime> {
-        if data.len() <= self.cfg.eager_threshold {
-            let (h, t_pool) = self.pool.get(sim, core, &self.cost);
-            if h.is_none() {
-                return Err(Error::Retry);
-            }
-            let t = t_pool.max(at) + self.cost.lci_op + self.cost.memcpy(data.len());
-            let out = self.fabric.borrow_mut().send(
-                sim,
-                core,
-                t,
-                Packet {
-                    src: self.rank,
-                    dst,
-                    ctx: self.ctx,
-                    kind: PacketKind::PutEager as u8,
-                    tag,
-                    imm: 0,
-                    data,
-                },
-            );
-            let t = t.max(out.cpu_done);
-            self.pool.put_at(out.deliver_at);
-            sim.stats.bump("lci.put_eager");
-            let req = Request {
-                op: OpKind::Put,
-                rank: dst,
-                tag,
-                data: Bytes::new(),
-                user,
-                arrived: SimTime::ZERO,
-            };
-            Ok(self.signal(sim, core, t, &comp, req))
-        } else {
-            let op = self.fresh_op();
-            let size = data.len();
-            let t = at.max(sim.now()) + self.cost.lci_op + self.cost.atomic_op;
-            self.rdv_send.insert(op, RdvSend { dst, tag, data, comp, user, one_sided: true });
-            let out = self.fabric.borrow_mut().send(
-                sim,
-                core,
-                t,
-                Packet {
-                    src: self.rank,
-                    dst,
-                    ctx: self.ctx,
-                    kind: PacketKind::PutRts as u8,
-                    tag,
-                    imm: op,
-                    data: Bytes::copy_from_slice(&(size as u64).to_le_bytes()),
-                },
-            );
-            sim.stats.bump("lci.put_long");
-            Ok(t.max(out.cpu_done))
-        }
-    }
-
-    /// Variant of the eager put where the message was already assembled
-    /// in the registered packet `_h` obtained from [`Device::alloc_packet`]
-    /// — the copy into the bounce buffer is skipped (§3.2.1: "we directly
-    /// assemble the header message in an LCI-allocated buffer so that, for
-    /// eager messages, we save one memory copy").
+    /// Post a one-sided dynamic put of a message already assembled in the
+    /// registered packet `_h` obtained from [`Device::alloc_packet`]: no
+    /// copy into a bounce buffer (§3.2.1: "we directly assemble the header
+    /// message in an LCI-allocated buffer so that, for eager messages, we
+    /// save one memory copy"). The target allocates the buffer on arrival
+    /// and pushes a completion entry to its remote completion queue.
     #[allow(clippy::too_many_arguments)] // mirrors the LCI C API
     pub fn post_putva_packet(
         &mut self,
@@ -384,31 +290,9 @@ impl Device {
             return Err(Error::Invalid("packet-based put must be eager-sized"));
         }
         let t = at.max(sim.now()) + self.cost.lci_op;
-        let out = self.fabric.borrow_mut().send(
-            sim,
-            core,
-            t,
-            Packet {
-                src: self.rank,
-                dst,
-                ctx: self.ctx,
-                kind: PacketKind::PutEager as u8,
-                tag,
-                imm: 0,
-                data,
-            },
-        );
-        let t = t.max(out.cpu_done);
-        self.pool.put_at(out.deliver_at);
+        let t = self.send_packet(sim, core, t, dst, PacketKind::PutEager, tag, 0, data);
         sim.stats.bump("lci.put_eager_zc");
-        let req = Request {
-            op: OpKind::Put,
-            rank: dst,
-            tag,
-            data: Bytes::new(),
-            user,
-            arrived: SimTime::ZERO,
-        };
+        let req = Request { rank: dst, tag, data: Bytes::new(), user, arrived: SimTime::ZERO };
         Ok(self.signal(sim, core, t, &comp, req))
     }
 
@@ -500,14 +384,8 @@ impl Device {
                 match outcome {
                     Ok((recv, msg)) => {
                         let t = t + self.cost.memcpy(msg.data.len());
-                        let req = Request {
-                            op: OpKind::Recv,
-                            rank: src,
-                            tag,
-                            data: msg.data,
-                            user: recv.user,
-                            arrived,
-                        };
+                        let req =
+                            Request { rank: src, tag, data: msg.data, user: recv.user, arrived };
                         self.signal(sim, core, t, &recv.comp, req)
                     }
                     Err(()) => t,
@@ -515,14 +393,7 @@ impl Device {
             }
             PacketKind::PutEager => {
                 let t = t + self.cost.lci_dyn_alloc + self.cost.memcpy(pkt.data.len());
-                let req = Request {
-                    op: OpKind::PutTarget,
-                    rank: src,
-                    tag,
-                    data: pkt.data,
-                    user: 0,
-                    arrived,
-                };
+                let req = Request { rank: src, tag, data: pkt.data, user: 0, arrived };
                 let cq = self.remote_cq.clone().expect("remote CQ not configured for puts");
                 cq.push(sim, core, &self.cost, req).max(t)
             }
@@ -544,93 +415,27 @@ impl Device {
                     Err(()) => t,
                 }
             }
-            PacketKind::PutRts => {
-                // One-sided: no matching — allocate and answer immediately.
-                let size = u64::from_le_bytes(pkt.data[..8].try_into().expect("RTS size")) as usize;
-                let t = t + self.cost.lci_dyn_alloc + self.cost.lci_rdv_ctrl;
-                let op = self.fresh_op();
-                self.rdv_recv.insert(
-                    op,
-                    RdvRecv { src, tag, comp: Comp::None, user: 0, size, one_sided: true },
-                );
-                let out = self.fabric.borrow_mut().send(
-                    sim,
-                    core,
-                    t,
-                    Packet {
-                        src: self.rank,
-                        dst: src,
-                        ctx: self.ctx,
-                        kind: PacketKind::PutRtr as u8,
-                        tag: op,
-                        imm: pkt.imm,
-                        data: Bytes::new(),
-                    },
-                );
-                t.max(out.cpu_done)
-            }
-            PacketKind::Rtr | PacketKind::PutRtr => {
+            PacketKind::Rtr => {
                 // `imm` carries our (sender-side) op id; `tag` carries the
                 // receiver-side op id to echo in the payload packet.
-                let state = self.rdv_send.remove(&pkt.imm).expect("RTR for unknown rendezvous op");
+                let RdvSend { dst, tag, data, comp, user } =
+                    self.rdv_send.remove(&pkt.imm).expect("RTR for unknown rendezvous op");
                 let t = t + self.cost.lci_rdv_ctrl;
-                let payload_kind =
-                    if state.one_sided { PacketKind::PutLongData } else { PacketKind::LongData };
-                let out = self.fabric.borrow_mut().send(
-                    sim,
-                    core,
-                    t,
-                    Packet {
-                        src: self.rank,
-                        dst: state.dst,
-                        ctx: self.ctx,
-                        kind: payload_kind as u8,
-                        tag: state.tag,
-                        imm: pkt.tag,
-                        data: state.data,
-                    },
-                );
-                let t = t.max(out.cpu_done);
+                let t =
+                    self.send_packet(sim, core, t, dst, PacketKind::LongData, tag, pkt.tag, data);
                 // Local completion: payload handed to the NIC (models the
                 // RDMA write being posted from a registered region).
-                let op = if state.one_sided { OpKind::Put } else { OpKind::Send };
-                let req = Request {
-                    op,
-                    rank: state.dst,
-                    tag: state.tag,
-                    data: Bytes::new(),
-                    user: state.user,
-                    arrived: SimTime::ZERO,
-                };
-                self.signal(sim, core, t, &state.comp, req)
+                let req =
+                    Request { rank: dst, tag, data: Bytes::new(), user, arrived: SimTime::ZERO };
+                self.signal(sim, core, t, &comp, req)
             }
-            PacketKind::LongData | PacketKind::PutLongData => {
+            PacketKind::LongData => {
                 let state =
                     self.rdv_recv.remove(&pkt.imm).expect("payload for unknown rendezvous op");
                 debug_assert_eq!(state.size, pkt.data.len(), "RTS promised a different size");
                 let t = t + self.cost.lci_rdv_ctrl;
-                if state.one_sided {
-                    let req = Request {
-                        op: OpKind::PutTarget,
-                        rank: src,
-                        tag,
-                        data: pkt.data,
-                        user: 0,
-                        arrived,
-                    };
-                    let cq = self.remote_cq.clone().expect("remote CQ not configured for puts");
-                    cq.push(sim, core, &self.cost, req).max(t)
-                } else {
-                    let req = Request {
-                        op: OpKind::Recv,
-                        rank: src,
-                        tag,
-                        data: pkt.data,
-                        user: state.user,
-                        arrived,
-                    };
-                    self.signal(sim, core, t, &state.comp, req)
-                }
+                let req = Request { rank: src, tag, data: pkt.data, user: state.user, arrived };
+                self.signal(sim, core, t, &state.comp, req)
             }
         }
     }
@@ -648,33 +453,11 @@ impl Device {
         debug_assert!(msg.rts);
         let t = t + self.cost.lci_rdv_ctrl + self.cost.lci_dyn_alloc;
         let op = self.fresh_op();
-        self.rdv_recv.insert(
-            op,
-            RdvRecv {
-                src: msg.src,
-                tag: msg.tag,
-                comp: recv.comp,
-                user: recv.user,
-                size: msg.size,
-                one_sided: false,
-            },
-        );
-        let out = self.fabric.borrow_mut().send(
-            sim,
-            core,
-            t,
-            Packet {
-                src: self.rank,
-                dst: msg.src,
-                ctx: self.ctx,
-                kind: PacketKind::Rtr as u8,
-                tag: op,
-                imm: msg.imm,
-                data: Bytes::new(),
-            },
-        );
+        let rdv = RdvRecv { comp: recv.comp, user: recv.user, size: msg.size };
+        self.rdv_recv.insert(op, rdv);
+        let t = self.send_packet(sim, core, t, msg.src, PacketKind::Rtr, op, msg.imm, Bytes::new());
         sim.stats.bump("lci.rtr_sent");
-        t.max(out.cpu_done)
+        t
     }
 }
 
@@ -735,7 +518,6 @@ mod tests {
         drain(&mut sim, &mut d0, &mut d1);
         let (req, _) = cq.pop(&mut sim, 0, &CostModel::default());
         let req = req.expect("receive completed");
-        assert_eq!(req.op, OpKind::Recv);
         assert_eq!(req.data.as_ref(), b"hello");
         assert_eq!(req.user, 555);
         assert_eq!(req.rank, 0);
@@ -779,7 +561,9 @@ mod tests {
         assert_eq!(req.data.len(), 1000);
         assert_eq!(req.data, payload);
         let (sreq, _) = scq.pop(&mut sim, 0, &CostModel::default());
-        assert_eq!(sreq.expect("send completed").op, OpKind::Send);
+        let sreq = sreq.expect("send completed");
+        assert_eq!((sreq.rank, sreq.user), (1, 3));
+        assert!(sreq.data.is_empty());
         assert_eq!(d0.rendezvous_in_flight(), 0);
         assert_eq!(d1.rendezvous_in_flight(), 0);
     }
@@ -800,40 +584,21 @@ mod tests {
         assert_eq!(req.expect("completed").data.len(), 500);
     }
 
-    #[test]
-    fn put_eager_lands_in_remote_cq() {
-        let (mut sim, _f, mut d0, mut d1, rcq) = world(8192);
-        d0.post_putva(
-            &mut sim,
-            0,
-            SimTime::ZERO,
-            1,
-            77,
-            Bytes::from_static(b"put!"),
-            Comp::None,
-            0,
-        )
-        .unwrap();
-        drain(&mut sim, &mut d0, &mut d1);
-        let (req, _) = rcq.pop(&mut sim, 0, &CostModel::default());
-        let req = req.expect("put delivered");
-        assert_eq!(req.op, OpKind::PutTarget);
-        assert_eq!(req.tag, 77);
-        assert_eq!(req.data.as_ref(), b"put!");
+    /// Put `data` from `d` to rank 1 out of a freshly allocated packet.
+    fn put(sim: &mut Sim, d: &mut Device, tag: u64, data: Bytes) {
+        let (h, t) = d.alloc_packet(sim, 0).unwrap();
+        d.post_putva_packet(sim, 0, t, h, 1, tag, data, Comp::None, 0).unwrap();
     }
 
     #[test]
-    fn put_long_lands_in_remote_cq() {
-        let (mut sim, _f, mut d0, mut d1, rcq) = world(64);
-        let payload = Bytes::from(vec![3u8; 4096]);
-        d0.post_putva(&mut sim, 0, SimTime::ZERO, 1, 13, payload.clone(), Comp::None, 0).unwrap();
+    fn put_eager_lands_in_remote_cq() {
+        let (mut sim, _f, mut d0, mut d1, rcq) = world(8192);
+        put(&mut sim, &mut d0, 77, Bytes::from_static(b"put!"));
         drain(&mut sim, &mut d0, &mut d1);
         let (req, _) = rcq.pop(&mut sim, 0, &CostModel::default());
-        let req = req.expect("long put delivered");
-        assert_eq!(req.op, OpKind::PutTarget);
-        assert_eq!(req.data, payload);
-        assert_eq!(d0.rendezvous_in_flight(), 0);
-        assert_eq!(d1.rendezvous_in_flight(), 0);
+        let req = req.expect("put delivered");
+        assert_eq!((req.rank, req.tag, req.user), (0, 77, 0));
+        assert_eq!(req.data.as_ref(), b"put!");
     }
 
     #[test]
@@ -841,17 +606,7 @@ mod tests {
         let (mut sim, _f, mut d0, mut d1, _rcq) = world(8192);
         // Queue several packets so progress holds the engine for a while.
         for i in 0..4 {
-            d0.post_putva(
-                &mut sim,
-                0,
-                SimTime::ZERO,
-                1,
-                i,
-                Bytes::from(vec![0u8; 4096]),
-                Comp::None,
-                0,
-            )
-            .unwrap();
+            put(&mut sim, &mut d0, i, Bytes::from(vec![0u8; 4096]));
         }
         sim.run_until(SimTime::from_millis(1));
         let first = d1.progress(&mut sim, 0);
@@ -863,6 +618,16 @@ mod tests {
             }
             other => panic!("expected Ran then Busy, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn putva_packet_rejects_oversized_payload() {
+        let (mut sim, _f, mut d0, _d1, _rcq) = world(64);
+        let (h, t) = d0.alloc_packet(&mut sim, 0).unwrap();
+        let err = d0
+            .post_putva_packet(&mut sim, 0, t, h, 1, 0, Bytes::from(vec![0u8; 65]), Comp::None, 0)
+            .unwrap_err();
+        assert_eq!(err, Error::Invalid("packet-based put must be eager-sized"));
     }
 
     #[test]
@@ -903,24 +668,6 @@ mod tests {
         assert!(d0
             .post_sendm(&mut sim, 0, SimTime::ZERO, 1, 3, Bytes::from_static(b"d"), Comp::None, 0)
             .is_ok());
-    }
-
-    #[test]
-    fn handler_completion_fires_as_event() {
-        use std::cell::Cell;
-        let (mut sim, _f, mut d0, mut d1, _rcq) = world(8192);
-        let fired = Rc::new(Cell::new(false));
-        let f = fired.clone();
-        let handler: crate::comp::CompHandler = Rc::new(move |_sim, req| {
-            assert_eq!(req.data.as_ref(), b"hh");
-            f.set(true);
-        });
-        d1.post_recv(&mut sim, 0, SimTime::ZERO, 0, 1, Comp::Handler(handler), 0);
-        d0.post_sendm(&mut sim, 0, SimTime::ZERO, 1, 1, Bytes::from_static(b"hh"), Comp::None, 0)
-            .unwrap();
-        drain(&mut sim, &mut d0, &mut d1);
-        sim.run();
-        assert!(fired.get());
     }
 
     #[test]

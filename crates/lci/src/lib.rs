@@ -5,14 +5,17 @@
 //! features the LCI parcelport depends on:
 //!
 //! * **Two-sided medium (eager) and long (rendezvous) send/receive** with
-//!   `(rank, tag)` matching, including wildcard-source receives.
-//! * **One-sided dynamic put** ([`Device::post_putva`]): the target buffer
-//!   is allocated by the runtime on message arrival and an entry is pushed
-//!   to a pre-configured *remote completion queue* — the primitive behind
-//!   the `putsendrecv` protocol's header messages.
-//! * **Completion mechanisms**: completion queues ([`CompQueue`]),
-//!   synchronizers ([`Synchronizer`], MPI-request-like but multi-producer),
-//!   and function handlers — freely combinable with the primitives.
+//!   `(rank, tag)` matching, including wildcard-source receives: the
+//!   follow-up parts of a message, and the header of the `sendrecv`
+//!   protocol.
+//! * **Eager one-sided dynamic put from a registered packet**
+//!   ([`Device::post_putva_packet`]): the target buffer is allocated by
+//!   the runtime on message arrival and an entry is pushed to a
+//!   pre-configured *remote completion queue* — the primitive behind the
+//!   `putsendrecv` protocol's header messages.
+//! * **Completion mechanisms**: completion queues ([`CompQueue`]) and
+//!   synchronizers ([`Synchronizer`], MPI-request-like but
+//!   multi-producer), freely combinable with the primitives.
 //! * **Explicit progress**: communication advances only when someone calls
 //!   [`Device::progress`]. The thread-safe variant uses a try-lock: a
 //!   failed attempt returns immediately instead of blocking (contrast with
@@ -20,9 +23,9 @@
 //! * **Explicit retry**: all operations are non-blocking; when a resource
 //!   (packet pool slot) is temporarily unavailable they return
 //!   [`Error::Retry`] and the *user* decides when to retry.
-//! * **Registered packet pool** with user-visible buffers, so the
-//!   parcelport can assemble a header message directly in an LCI buffer
-//!   and save one memory copy (§3.2.1).
+//! * **Registered packet pool** with user-visible buffers
+//!   ([`Device::alloc_packet`]), so the parcelport can assemble a header
+//!   message directly in an LCI buffer and save one memory copy (§3.2.1).
 //!
 //! Contention inside the progress engine (matching table, completion
 //! queues, packet pool, internal counters) is modeled with
@@ -42,7 +45,7 @@ pub use config::DeviceConfig;
 pub use device::{Device, ProgressOutcome};
 pub use matching::MatchTable;
 pub use pool::PacketPool;
-pub use protocol::{OpKind, ANY_SOURCE};
+pub use protocol::ANY_SOURCE;
 
 /// Errors surfaced to LCI users.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

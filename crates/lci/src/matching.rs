@@ -83,8 +83,10 @@ impl MatchTable {
         self.res.access(sim.now(), core, service)
     }
 
-    /// Like [`MatchTable::post_recv`] but starting no earlier than `at`
-    /// (the caller's accumulated virtual time).
+    /// Post a receive, starting no earlier than `at` (the caller's
+    /// accumulated virtual time). If a matching unexpected message is
+    /// already queued, the receive is *not* inserted — both sides are
+    /// handed back so the caller can complete the operation immediately.
     pub fn post_recv_at(
         &mut self,
         sim: &mut Sim,
@@ -93,22 +95,9 @@ impl MatchTable {
         cost: &CostModel,
         recv: PostedRecv,
     ) -> (std::result::Result<(), (PostedRecv, UnexpectedMsg)>, SimTime) {
-        let base = at.max(sim.now());
-        let (outcome, done) = self.post_recv(sim, core, cost, recv);
-        (outcome, done.max(base + cost.lci_match_insert))
-    }
-
-    /// Post a receive. If a matching unexpected message is already queued,
-    /// the receive is *not* inserted — both sides are handed back so the
-    /// caller can complete the operation immediately.
-    pub fn post_recv(
-        &mut self,
-        sim: &mut Sim,
-        core: usize,
-        cost: &CostModel,
-        recv: PostedRecv,
-    ) -> (std::result::Result<(), (PostedRecv, UnexpectedMsg)>, SimTime) {
-        let done = self.charge(sim, core, cost.lci_match_insert);
+        let done = self
+            .charge(sim, core, cost.lci_match_insert)
+            .max(at.max(sim.now()) + cost.lci_match_insert);
         if recv.src == ANY_SOURCE {
             // Wildcard: take the matching unexpected message from the
             // lowest-numbered source for determinism.
@@ -201,7 +190,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
         let mut t = MatchTable::new(0);
-        let _ = t.post_recv(&mut sim, 0, &cost, recv(3, 7));
+        let _ = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, recv(3, 7));
         let (m, _) = t.match_arrival(&mut sim, 0, &cost, msg(3, 7));
         let (r, m) = m.unwrap();
         assert_eq!(r.src, 3);
@@ -217,7 +206,7 @@ mod tests {
         let (m, _) = t.match_arrival(&mut sim, 0, &cost, msg(2, 9));
         assert!(m.is_err());
         assert_eq!(t.unexpected_len(), 1);
-        let (u, _) = t.post_recv(&mut sim, 0, &cost, recv(2, 9));
+        let (u, _) = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, recv(2, 9));
         let (r, m) = u.unwrap_err();
         assert_eq!(r.src, 2);
         assert_eq!(m.src, 2);
@@ -230,7 +219,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
         let mut t = MatchTable::new(0);
-        let _ = t.post_recv(&mut sim, 0, &cost, recv(2, 1));
+        let _ = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, recv(2, 1));
         let (m, _) = t.match_arrival(&mut sim, 0, &cost, msg(2, 2));
         assert!(m.is_err());
         assert_eq!(t.posted_len(), 1);
@@ -242,7 +231,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
         let mut t = MatchTable::new(0);
-        let _ = t.post_recv(&mut sim, 0, &cost, recv(ANY_SOURCE, 0));
+        let _ = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, recv(ANY_SOURCE, 0));
         let (m, _) = t.match_arrival(&mut sim, 0, &cost, msg(5, 0));
         assert!(m.is_ok());
     }
@@ -253,7 +242,7 @@ mod tests {
         let cost = CostModel::default();
         let mut t = MatchTable::new(0);
         let _ = t.match_arrival(&mut sim, 0, &cost, msg(4, 0));
-        let (u, _) = t.post_recv(&mut sim, 0, &cost, recv(ANY_SOURCE, 0));
+        let (u, _) = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, recv(ANY_SOURCE, 0));
         assert_eq!(u.unwrap_err().1.src, 4);
     }
 
@@ -265,7 +254,7 @@ mod tests {
         for user in 0..3 {
             let mut r = recv(1, 1);
             r.user = user;
-            let _ = t.post_recv(&mut sim, 0, &cost, r);
+            let _ = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, r);
         }
         for expect in 0..3 {
             let (m, _) = t.match_arrival(&mut sim, 0, &cost, msg(1, 1));
@@ -282,8 +271,8 @@ mod tests {
         wild.user = 111;
         let mut exact = recv(6, 3);
         exact.user = 222;
-        let _ = t.post_recv(&mut sim, 0, &cost, wild);
-        let _ = t.post_recv(&mut sim, 0, &cost, exact);
+        let _ = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, wild);
+        let _ = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, exact);
         let (m, _) = t.match_arrival(&mut sim, 0, &cost, msg(6, 3));
         assert_eq!(m.unwrap().0.user, 222);
     }
@@ -310,7 +299,7 @@ mod tests {
                     if is_post {
                         posts += 1;
                         let r = PostedRecv { src, tag, comp: Comp::None, user: 0 };
-                        if t.post_recv(&mut sim, 0, &cost, r).0.is_err() {
+                        if t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, r).0.is_err() {
                             matched += 1;
                         }
                     } else {
@@ -340,8 +329,8 @@ mod tests {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
         let mut t = MatchTable::new(400);
-        let (_, d0) = t.post_recv(&mut sim, 0, &cost, recv(1, 1));
-        let (_, d1) = t.post_recv(&mut sim, 1, &cost, recv(1, 2));
+        let (_, d0) = t.post_recv_at(&mut sim, 0, SimTime::ZERO, &cost, recv(1, 1));
+        let (_, d1) = t.post_recv_at(&mut sim, 1, SimTime::ZERO, &cost, recv(1, 2));
         assert!(d1 - d0 >= 400, "cross-core table access pays transfer");
     }
 }

@@ -20,9 +20,7 @@ pub struct PacketHandle(pub(crate) u32);
 pub struct PacketPool {
     capacity: usize,
     available: usize,
-    eager_size: usize,
     res: SimResource,
-    exhausted_events: u64,
     next_id: u32,
     /// Buffers still owned by the NIC, returned at these instants
     /// (reclaimed lazily on the next pool access).
@@ -30,14 +28,12 @@ pub struct PacketPool {
 }
 
 impl PacketPool {
-    /// Create a pool of `capacity` buffers of `eager_size` bytes each.
-    pub fn new(capacity: usize, eager_size: usize, transfer_ns: u64) -> Self {
+    /// Create a pool of `capacity` buffers.
+    pub fn new(capacity: usize, transfer_ns: u64) -> Self {
         PacketPool {
             capacity,
             available: capacity,
-            eager_size,
             res: SimResource::new("lci.packet_pool", transfer_ns),
-            exhausted_events: 0,
             next_id: 0,
             pending_returns: BinaryHeap::new(),
         }
@@ -56,11 +52,6 @@ impl PacketPool {
         }
     }
 
-    /// Largest eager payload a packet can carry.
-    pub fn eager_size(&self) -> usize {
-        self.eager_size
-    }
-
     /// Try to take a packet from `core`; `None` (plus the time the failed
     /// attempt cost) when exhausted.
     pub fn get(
@@ -72,7 +63,6 @@ impl PacketPool {
         self.reclaim(sim.now());
         let done = self.res.access(sim.now(), core, cost.lci_packet_pool);
         if self.available == 0 {
-            self.exhausted_events += 1;
             sim.stats.bump("lci.pool_exhausted");
             return (None, done);
         }
@@ -80,18 +70,6 @@ impl PacketPool {
         let h = PacketHandle(self.next_id);
         self.next_id = self.next_id.wrapping_add(1);
         (Some(h), done)
-    }
-
-    /// Return a packet to the pool.
-    pub fn put(&mut self, sim: &mut Sim, core: usize, cost: &CostModel) -> SimTime {
-        self.reclaim(sim.now());
-        let done = self.res.access(sim.now(), core, cost.lci_packet_pool);
-        assert!(
-            self.available + self.pending_returns.len() < self.capacity,
-            "double free of pool packet"
-        );
-        self.available += 1;
-        done
     }
 
     /// Return a packet at a future instant (NIC still owns the buffer
@@ -114,11 +92,6 @@ impl PacketPool {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// How many times `get` failed for exhaustion.
-    pub fn exhausted_events(&self) -> u64 {
-        self.exhausted_events
-    }
 }
 
 #[cfg(test)]
@@ -129,12 +102,12 @@ mod tests {
     fn pool_exhausts_and_recovers() {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
-        let mut pool = PacketPool::new(2, 8192, 0);
+        let mut pool = PacketPool::new(2, 0);
         assert!(pool.get(&mut sim, 0, &cost).0.is_some());
         assert!(pool.get(&mut sim, 0, &cost).0.is_some());
         assert!(pool.get(&mut sim, 0, &cost).0.is_none());
-        assert_eq!(pool.exhausted_events(), 1);
-        pool.put(&mut sim, 0, &cost);
+        assert_eq!(sim.stats.get("lci.pool_exhausted"), 1);
+        pool.put_at(sim.now());
         assert!(pool.get(&mut sim, 0, &cost).0.is_some());
         assert_eq!(pool.available(), 0);
     }
@@ -142,17 +115,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
-        let mut sim = Sim::new(0);
-        let cost = CostModel::default();
-        let mut pool = PacketPool::new(1, 8192, 0);
-        pool.put(&mut sim, 0, &cost);
+        let mut pool = PacketPool::new(1, 0);
+        pool.put_at(SimTime::ZERO);
     }
 
     #[test]
     fn deferred_return_reclaims_lazily() {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
-        let mut pool = PacketPool::new(1, 8192, 0);
+        let mut pool = PacketPool::new(1, 0);
         pool.get(&mut sim, 0, &cost).0.unwrap();
         pool.put_at(SimTime::from_nanos(500));
         // Before the return instant: still exhausted.
@@ -164,7 +135,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn deferred_double_free_panics() {
-        let mut pool = PacketPool::new(1, 8192, 0);
+        let mut pool = PacketPool::new(1, 0);
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
         pool.get(&mut sim, 0, &cost).0.unwrap();
@@ -176,7 +147,7 @@ mod tests {
     fn handles_are_distinct() {
         let mut sim = Sim::new(0);
         let cost = CostModel::default();
-        let mut pool = PacketPool::new(4, 8192, 0);
+        let mut pool = PacketPool::new(4, 0);
         let a = pool.get(&mut sim, 0, &cost).0.unwrap();
         let b = pool.get(&mut sim, 0, &cost).0.unwrap();
         assert_ne!(a, b);

@@ -23,12 +23,6 @@ pub enum PacketKind {
     Rtr = 4,
     /// Rendezvous payload (models the RDMA write + completion imm).
     LongData = 5,
-    /// Rendezvous request-to-send for a long dynamic put.
-    PutRts = 6,
-    /// Rendezvous ready-to-receive for a long dynamic put.
-    PutRtr = 7,
-    /// Rendezvous payload for a long dynamic put.
-    PutLongData = 8,
 }
 
 impl PacketKind {
@@ -41,29 +35,13 @@ impl PacketKind {
             3 => PacketKind::Rts,
             4 => PacketKind::Rtr,
             5 => PacketKind::LongData,
-            6 => PacketKind::PutRts,
-            7 => PacketKind::PutRtr,
-            8 => PacketKind::PutLongData,
             other => panic!("unknown LCI packet kind {other}"),
         }
     }
 }
 
-/// What kind of user-visible operation completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// A medium or long send completed locally.
-    Send,
-    /// A medium or long receive completed with data.
-    Recv,
-    /// A put completed locally (source side).
-    Put,
-    /// A put landed at the target (remote-completion entry).
-    PutTarget,
-}
-
-/// Sender-side state of an in-flight rendezvous send (two-sided long or
-/// long put), keyed by op id; kept until the RTR arrives.
+/// Sender-side state of an in-flight rendezvous send, keyed by op id;
+/// kept until the RTR arrives.
 #[derive(Debug)]
 pub struct RdvSend {
     /// Destination rank.
@@ -76,28 +54,18 @@ pub struct RdvSend {
     pub comp: Comp,
     /// User context propagated into the completion entry.
     pub user: u64,
-    /// True when this is a one-sided long put (completion at the target
-    /// goes to the remote completion queue, not a matched receive).
-    pub one_sided: bool,
 }
 
 /// Receiver-side state of an in-flight rendezvous receive, keyed by op id;
 /// created when the RTS is matched, resolved when the payload arrives.
 #[derive(Debug)]
 pub struct RdvRecv {
-    /// Source rank.
-    pub src: NodeId,
-    /// User tag.
-    pub tag: u64,
     /// Completion to signal when the payload lands.
     pub comp: Comp,
     /// User context propagated into the completion entry.
     pub user: u64,
     /// Expected payload size (from the RTS), for buffer allocation.
     pub size: usize,
-    /// True when the payload should complete to the device's remote
-    /// completion queue (long dynamic put).
-    pub one_sided: bool,
 }
 
 #[cfg(test)]
@@ -112,9 +80,6 @@ mod tests {
             PacketKind::Rts,
             PacketKind::Rtr,
             PacketKind::LongData,
-            PacketKind::PutRts,
-            PacketKind::PutRtr,
-            PacketKind::PutLongData,
         ] {
             assert_eq!(PacketKind::from_u8(k as u8), k);
         }
@@ -123,6 +88,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown LCI packet kind")]
     fn garbage_kind_panics() {
+        // Every byte past the last kind is garbage, 6 to 8 included.
+        for x in [6, 7, 8] {
+            let err = std::panic::catch_unwind(|| PacketKind::from_u8(x)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert_eq!(msg, &format!("unknown LCI packet kind {x}"));
+        }
         PacketKind::from_u8(99);
     }
 }

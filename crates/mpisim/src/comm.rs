@@ -275,26 +275,6 @@ impl Comm {
         (req.is_done(), grant.end)
     }
 
-    /// `MPI_Testsome`: one lock acquisition, indices of completed requests.
-    pub fn testsome(
-        &mut self,
-        sim: &mut Sim,
-        core: usize,
-        at: SimTime,
-        reqs: &[Request],
-    ) -> (Vec<usize>, SimTime) {
-        let hold = self.cost.mpi_call
-            + self.take_deferred()
-            + self.progress_hold()
-            + self.cost.atomic_op * reqs.len().min(64) as u64;
-        let hold = self.cost.scale_lock_hold(hold);
-        let grant = self.lock.acquire(core, at.max(sim.now()), hold);
-        sim.stats.bump("mpi.testsome");
-        self.progress_locked(sim, core);
-        let done = reqs.iter().enumerate().filter(|(_, r)| r.is_done()).map(|(i, _)| i).collect();
-        (done, grant.end)
-    }
-
     /// Progress inside the already-held engine lock.
     fn progress_locked(&mut self, sim: &mut Sim, core: usize) {
         for _ in 0..PROGRESS_BURST {
@@ -598,22 +578,5 @@ mod tests {
         }
         assert!(waits[7] > waits[1], "later callers wait longer: {waits:?}");
         assert!(waits[7] > solo * 4, "contention dominates solo cost");
-    }
-
-    #[test]
-    fn testsome_reports_completed_indices() {
-        let (mut sim, mut a, mut b) = world();
-        let now = sim.now();
-        let (r1, _) = b.irecv(&mut sim, 0, now, 0, 1);
-        let now = sim.now();
-        let (r2, _) = b.irecv(&mut sim, 0, now, 0, 2);
-        let now = sim.now();
-        a.isend(&mut sim, 0, now, 1, 1, Bytes::from_static(b"x"));
-        sim.run_until(SimTime::from_millis(1));
-        let now = sim.now();
-        let (done, _) = b.testsome(&mut sim, 0, now, &[r1.clone(), r2.clone()]);
-        assert_eq!(done, vec![0]);
-        assert!(r1.is_done());
-        assert!(!r2.is_done());
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * Two-sided `isend`/`irecv` with `(source, tag)` matching, wildcard
 //!   source, eager and rendezvous protocols, and [`Request`] objects
-//!   polled with [`Comm::test`] / [`Comm::testsome`].
+//!   polled with [`Comm::test`].
 //! * **One global engine lock** ([`simcore::SimLock`]) around every call —
 //!   the model of the `ucp_progress` coarse-grained blocking lock. Every
 //!   `MPI_Isend`, `MPI_Irecv` and `MPI_Test` from every worker thread

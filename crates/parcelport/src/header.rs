@@ -17,7 +17,8 @@
 //! the missing parts without building a list. A parcelport checks
 //! [`HeaderInfo::is_complete`] first: a complete header becomes its
 //! message by [`HeaderInfo::into_message`], and only a multi-part message
-//! gets an assembly and a queue of [`HeaderInfo::expected_parts`].
+//! gets an assembly, whose [`MessageAssembly::next_part`] names the part
+//! to receive next.
 
 use amt::codec::{Reader, Writer};
 use amt::serialize::{HpxMessage, HEADER_ROOM};
@@ -235,7 +236,9 @@ impl HeaderInfo {
     }
 }
 
-/// Receive-side assembly of an HPX message from its parts.
+/// Receive-side assembly of an HPX message from its parts, and the
+/// tracker of which part comes next: the parcelports receive the parts
+/// one at a time, in wire order.
 #[derive(Debug)]
 pub struct MessageAssembly {
     nzc: Option<Bytes>,
@@ -243,12 +246,16 @@ pub struct MessageAssembly {
     zc: Vec<Option<Bytes>>,
     missing: usize,
     has_trans: bool,
+    /// The first missing part in wire order; every part before it has
+    /// arrived.
+    next: Option<PartId>,
 }
 
 impl MessageAssembly {
     /// Start assembling a multi-part message from its decoded header; the
     /// piggybacked chunks move in.
     pub fn new(info: HeaderInfo) -> MessageAssembly {
+        let next = info.expected_parts().next();
         let missing = info.expected_parts().count();
         MessageAssembly {
             nzc: info.nzc,
@@ -256,19 +263,49 @@ impl MessageAssembly {
             zc: vec![None; info.zc_count as usize],
             missing,
             has_trans: info.has_trans,
+            next,
         }
     }
 
-    /// Supply one received part.
+    /// The next missing part in wire order (non-zero-copy chunk,
+    /// transmission chunk, then zero-copy chunks `0..n`); `None` once
+    /// complete.
+    pub fn next_part(&self) -> Option<PartId> {
+        self.next
+    }
+
+    /// Supply one received part, in any order.
     pub fn supply(&mut self, part: PartId, data: Bytes) {
-        let slot = match part {
-            PartId::Nzc => &mut self.nzc,
-            PartId::Trans => &mut self.trans,
-            PartId::Zc(i) => &mut self.zc[i as usize],
-        };
+        let slot = self.slot(part);
         assert!(slot.is_none(), "part {part:?} supplied twice");
         *slot = Some(data);
         self.missing -= 1;
+        if self.next == Some(part) {
+            // Move the cursor past the parts that already arrived; for
+            // parts supplied in wire order this is one step.
+            let mut next = part;
+            self.next = loop {
+                if self.missing == 0 {
+                    break None;
+                }
+                next = match next {
+                    PartId::Nzc if self.has_trans => PartId::Trans,
+                    PartId::Nzc | PartId::Trans => PartId::Zc(0),
+                    PartId::Zc(i) => PartId::Zc(i + 1),
+                };
+                if self.slot(next).is_none() {
+                    break Some(next);
+                }
+            };
+        }
+    }
+
+    fn slot(&mut self, part: PartId) -> &mut Option<Bytes> {
+        match part {
+            PartId::Nzc => &mut self.nzc,
+            PartId::Trans => &mut self.trans,
+            PartId::Zc(i) => &mut self.zc[i as usize],
+        }
     }
 
     /// Whether every expected part has arrived.
@@ -369,6 +406,28 @@ mod tests {
         assert_eq!(asm.into_message().decode(), m.decode());
     }
 
+    /// Supplied in wire order, the parts are exactly the ones the cursor
+    /// names, one after another.
+    #[test]
+    fn next_part_follows_wire_order() {
+        let cases: [(usize, &[usize], usize, bool); 3] = [
+            (8160, &[16 * 1024], MAX_HEADER_SIZE, true), // nzc, trans, zc 0
+            (64, &[16 * 1024], ORIGINAL_HEADER_SIZE, false), // trans, zc 0
+            (32, &[9000, 10000], MAX_HEADER_SIZE, true), // zc 0, zc 1
+        ];
+        for (small, large, max_header, piggyback_trans) in cases {
+            let mut m = msg(small, large);
+            let plan = plan_message(&mut m, 1, max_header, piggyback_trans);
+            let mut asm = MessageAssembly::new(HeaderInfo::decode(&plan.header));
+            for (id, data) in &plan.parts {
+                assert_eq!(asm.next_part(), Some(*id), "case {small}/{max_header}");
+                asm.supply(*id, data.clone());
+            }
+            assert_eq!(asm.next_part(), None);
+            assert_eq!(asm.into_message().decode(), m.decode());
+        }
+    }
+
     #[test]
     fn original_header_overflows_to_separate_nzc() {
         let mut m = msg(1000, &[]);
@@ -435,10 +494,15 @@ mod tests {
         let expected: Vec<PartId> = info.expected_parts().collect();
         assert_eq!(expected, [PartId::Zc(0), PartId::Zc(1), PartId::Zc(2)]);
         let mut asm = MessageAssembly::new(info);
-        // Supply out of order — assembly is order-independent.
+        // Supply out of order — assembly is order-independent, and the
+        // cursor names the first part still missing.
+        assert_eq!(asm.next_part(), Some(PartId::Zc(0)));
         asm.supply(PartId::Zc(2), plan.parts[2].1.clone());
+        assert_eq!(asm.next_part(), Some(PartId::Zc(0)));
         asm.supply(PartId::Zc(0), plan.parts[0].1.clone());
+        assert_eq!(asm.next_part(), Some(PartId::Zc(1)));
         asm.supply(PartId::Zc(1), plan.parts[1].1.clone());
+        assert_eq!(asm.next_part(), None);
         let out = asm.into_message();
         assert_eq!(out.decode(), m.decode());
     }

@@ -31,8 +31,9 @@
 //! follow-up parts, and its header, if refused, waits in the connection.
 //! Both kinds of wait share one FIFO retry queue. On the receive side a
 //! header that carries the whole message is delivered straight from the
-//! decoded header, and a receive connection with its queue of expected
-//! parts exists only for a multi-part message.
+//! decoded header, and a receive connection, which receives the parts
+//! in the order its assembly names them, exists only for a multi-part
+//! message.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -99,7 +100,6 @@ enum Retry {
 struct LRecvConn {
     src: usize,
     tag_base: u64,
-    expected: VecDeque<PartId>,
     asm: MessageAssembly,
     /// Device the header arrived on; follow-ups use the same context.
     dev: usize,
@@ -386,9 +386,8 @@ impl LciParcelport {
         }
         self.next_conn += 1;
         let tag_base = info.tag_base;
-        let expected = info.expected_parts().collect();
         let asm = MessageAssembly::new(info);
-        let conn = LRecvConn { src, tag_base, expected, asm, dev, flows };
+        let conn = LRecvConn { src, tag_base, asm, dev, flows };
         let id = self.recv_conns.insert(conn);
         self.post_next_recv(sim, core, id, t)
     }
@@ -396,7 +395,7 @@ impl LciParcelport {
     fn post_next_recv(&mut self, sim: &mut Sim, core: usize, id: u64, mut t: SimTime) -> SimTime {
         let Some(conn) = self.recv_conns.get(id) else { return t };
         let di = conn.dev;
-        let (src, tag) = match conn.expected.front() {
+        let (src, tag) = match conn.asm.next_part() {
             Some(pid) => (conn.src, conn.tag_base + pid.tag_offset()),
             None => return t,
         };
@@ -420,9 +419,9 @@ impl LciParcelport {
             }
             kind::RECV_PART => {
                 let Some(conn) = self.recv_conns.get_mut(id) else { return t };
-                let pid = conn.expected.pop_front().expect("completion without expectation");
+                let pid = conn.asm.next_part().expect("completion without expectation");
                 conn.asm.supply(pid, req.data);
-                if conn.expected.is_empty() {
+                if conn.asm.is_complete() {
                     let conn = self.recv_conns.remove(id).expect("exists");
                     let mut msg = conn.asm.into_message();
                     msg.flows = conn.flows;

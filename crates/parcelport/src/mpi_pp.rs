@@ -56,9 +56,8 @@ struct SendConn {
 struct RecvConn {
     src: usize,
     tag: u64,
-    expected: VecDeque<PartId>,
     asm: MessageAssembly,
-    outstanding: Option<(PartId, Request)>,
+    outstanding: Option<Request>,
     /// Telemetry flow ids claimed from the route registry.
     flows: Vec<u64>,
 }
@@ -125,7 +124,7 @@ impl MpiParcelport {
         }
     }
 
-    fn alloc_tag(&mut self, _sim: &mut Sim, core: usize, t: SimTime) -> (u64, SimTime) {
+    fn alloc_tag(&mut self, core: usize, t: SimTime) -> (u64, SimTime) {
         if self.original {
             // Lock-protected free-tag vector; fall back to the counter.
             let t2 = self.tag_res.access(t, core, self.cost.alloc + self.cost.atomic_op);
@@ -222,18 +221,10 @@ impl MpiParcelport {
             }
             return t;
         }
-        let expected = info.expected_parts().collect();
-        let asm = MessageAssembly::new(info);
-        let mut conn = RecvConn { src, tag, expected, asm, outstanding: None, flows };
         // Post the first follow-up receive.
-        let (id, t2) = {
-            let id = *conn.expected.front().expect("non-empty");
-            let (req, t2) = self.comm.irecv(sim, core, t, src, conn.tag);
-            conn.outstanding = Some((id, req));
-            (id, t2)
-        };
-        let _ = id;
-        self.recv_conns.push(conn);
+        let (req, t2) = self.comm.irecv(sim, core, t, src, tag);
+        let asm = MessageAssembly::new(info);
+        self.recv_conns.push(RecvConn { src, tag, asm, outstanding: Some(req), flows });
         t.max(t2)
     }
 
@@ -269,28 +260,18 @@ impl MpiParcelport {
         idx: usize,
         mut t: SimTime,
     ) -> (bool, SimTime) {
-        let done = {
-            let conn = &mut self.recv_conns[idx];
-            match &conn.outstanding {
-                Some((_, req)) => req.is_done(),
-                None => false,
-            }
-        };
-        if !done {
+        let conn = &mut self.recv_conns[idx];
+        if !conn.outstanding.as_ref().is_some_and(Request::is_done) {
             return (false, t);
         }
-        let (id, req) = self.recv_conns[idx].outstanding.take().expect("checked");
-        let data = req.take_data();
+        let data = conn.outstanding.take().expect("checked").take_data();
         t += self.cost.memcpy(0); // data handed over by reference
-        let conn = &mut self.recv_conns[idx];
-        conn.expected.pop_front();
+        let id = conn.asm.next_part().expect("completion without expectation");
         conn.asm.supply(id, data);
-        if let Some(&next) = conn.expected.front() {
-            let src = conn.src;
-            let tag = conn.tag;
+        if !conn.asm.is_complete() {
+            let (src, tag) = (conn.src, conn.tag);
             let (req, t2) = self.comm.irecv(sim, core, t, src, tag);
-            let conn = &mut self.recv_conns[idx];
-            conn.outstanding = Some((next, req));
+            self.recv_conns[idx].outstanding = Some(req);
             t = t.max(t2);
         } else {
             // Complete: assemble and deliver.
@@ -318,7 +299,7 @@ impl Parcelport for MpiParcelport {
         on_sent: Option<OnSent>,
     ) -> SimTime {
         let t0 = self.ensure_header_recv(sim, core, at.max(sim.now()));
-        let (tag, t1) = self.alloc_tag(sim, core, t0);
+        let (tag, t1) = self.alloc_tag(core, t0);
         let plan = plan_message(&mut msg, tag, self.max_header(), !self.original);
         // Original version: the header buffer is a fixed-size stack copy;
         // improved version allocates dynamically (one alloc charge).
@@ -412,7 +393,7 @@ impl Parcelport for MpiParcelport {
                 } else {
                     let idx = cursor - self.send_conns.len();
                     if idx < self.recv_conns.len() {
-                        let req = self.recv_conns[idx].outstanding.as_ref().map(|(_, r)| r.clone());
+                        let req = self.recv_conns[idx].outstanding.clone();
                         if let Some(req) = req {
                             if !req.is_done() {
                                 let (_, t2) = self.comm.test(sim, core, t, &req);
@@ -427,9 +408,6 @@ impl Parcelport for MpiParcelport {
             }
             // Retire completed sender connections.
             self.send_conns.retain(|c| c.tag != u64::MAX);
-        } else {
-            // Nothing pending: still drive MPI progress once via a test of
-            // a dummy (the header request), already done in (a).
         }
 
         if did_work {
