@@ -11,7 +11,7 @@ use bytes::Bytes;
 use netsim::{Fabric, NodeId, Packet, PollOutcome};
 use simcore::{CostModel, Sim, SimLock, SimTime};
 
-use crate::request::Request;
+use crate::request::{Completion, Request, Requests};
 use crate::ANY_SOURCE;
 
 /// Packet kinds on the wire (private namespace of this library).
@@ -69,6 +69,8 @@ pub struct Comm {
     unexpected: VecDeque<UnexpMsg>,
     rdv_send: HashMap<u64, RdvSend>,
     rdv_recv: HashMap<u64, Request>,
+    /// Every request this endpoint issued and nobody has taken yet.
+    requests: Requests,
     next_op: u64,
     deferred_scan_ns: u64,
 }
@@ -86,6 +88,7 @@ impl Comm {
             unexpected: VecDeque::new(),
             rdv_send: HashMap::new(),
             rdv_recv: HashMap::new(),
+            requests: Requests::default(),
             next_op: 1,
             deferred_scan_ns: 0,
         }
@@ -105,6 +108,33 @@ impl Comm {
     /// Unexpected messages currently buffered (observability).
     pub fn unexpected_messages(&self) -> usize {
         self.unexpected.len()
+    }
+
+    /// Requests in this endpoint's table: pending, or finished and not
+    /// yet taken (observability).
+    pub fn live_requests(&self) -> usize {
+        self.requests.live()
+    }
+
+    /// Whether `req` completed. This is a *pure state read*; the MPI
+    /// semantics of `MPI_Test` (which also drives progress) live in
+    /// [`Comm::test`]. [`Request::NULL`] is always done.
+    ///
+    /// # Panics
+    /// If `req` was already taken.
+    pub fn is_done(&self, req: Request) -> bool {
+        self.requests.is_done(req, "Comm::is_done")
+    }
+
+    /// Free a completed request and return its source, tag, payload and
+    /// arrival time, as `MPI_Test` sets a finished handle to
+    /// `MPI_REQUEST_NULL`. Taking [`Request::NULL`] gives an empty
+    /// completion.
+    ///
+    /// # Panics
+    /// If `req` is still pending or was already taken.
+    pub fn take(&mut self, req: Request) -> Completion {
+        self.requests.take(req, "Comm::take")
     }
 
     fn in_flight_ops(&self) -> usize {
@@ -137,8 +167,9 @@ impl Comm {
         self.cost.mpi_unexp_scan * entries.min(16 * 8192) as u64
     }
 
-    /// Nonblocking send. Eager sends complete immediately (buffered);
-    /// rendezvous sends complete once the receiver pulls the payload.
+    /// Nonblocking send. An eager send completes immediately (buffered)
+    /// and returns [`Request::NULL`]; a rendezvous send completes once the
+    /// receiver pulls the payload.
     pub fn isend(
         &mut self,
         sim: &mut Sim,
@@ -169,13 +200,13 @@ impl Comm {
                 grant.start,
                 Packet { src: self.rank, dst, ctx: 0, kind: kind::EAGER, tag, imm: 0, data },
             );
-            Request::completed()
+            Request::NULL
         } else {
             let op = self.next_op;
             self.next_op += 1;
-            let req = Request::pending();
+            let req = self.requests.pending();
             let size = data.len();
-            self.rdv_send.insert(op, RdvSend { dst, tag, data, req: req.clone() });
+            self.rdv_send.insert(op, RdvSend { dst, tag, data, req });
             self.fabric.borrow_mut().send(
                 sim,
                 core,
@@ -222,14 +253,14 @@ impl Comm {
         sim.stats.bump("mpi.irecv");
         telemetry::counter_add_at("mpi.irecv_calls", 1, grant.start);
         telemetry::hist_record_at("mpi.lock_wait_ns", grant.start - start, grant.start);
-        let req = Request::pending();
-        if let Some(i) = pos {
+        let req = if let Some(i) = pos {
             let m = self.unexpected.remove(i).expect("matched position is in the queue");
             if m.rts {
                 // Late receive for a rendezvous send: answer RTR now.
+                let req = self.requests.pending();
                 let op = self.next_op;
                 self.next_op += 1;
-                self.rdv_recv.insert(op, req.clone());
+                self.rdv_recv.insert(op, req);
                 let at = grant.start;
                 self.fabric.borrow_mut().send(
                     sim,
@@ -245,24 +276,31 @@ impl Comm {
                         data: Bytes::new(),
                     },
                 );
+                req
             } else {
                 sim.stats.bump("mpi.recv_from_unexpected");
-                req.set_arrived(m.arrived);
-                req.complete(m.src, m.tag, m.data);
+                let (src, tag, data, arrived) = (m.src, m.tag, m.data, m.arrived);
+                self.requests.completed(Completion { src, tag, data, arrived })
             }
         } else {
-            self.posted.push(PostedRecv { src, tag, req: req.clone() });
-        }
+            let req = self.requests.pending();
+            self.posted.push(PostedRecv { src, tag, req });
+            req
+        };
         (req, grant.end)
     }
 
     /// `MPI_Test`: drive progress, then report whether `req` completed.
+    /// The request stays in the table until [`Comm::take`].
+    ///
+    /// # Panics
+    /// If `req` was already taken.
     pub fn test(
         &mut self,
         sim: &mut Sim,
         core: usize,
         at: SimTime,
-        req: &Request,
+        req: Request,
     ) -> (bool, SimTime) {
         self.progress_locked(sim, core);
         let hold = self.cost.mpi_call + self.take_deferred() + self.progress_hold();
@@ -272,7 +310,7 @@ impl Comm {
         sim.stats.bump("mpi.test");
         telemetry::counter_add_at("mpi.test_calls", 1, grant.start);
         telemetry::hist_record_at("mpi.lock_wait_ns", grant.start - start, grant.start);
-        (req.is_done(), grant.end)
+        (self.requests.is_done(req, "Comm::test"), grant.end)
     }
 
     /// Progress inside the already-held engine lock.
@@ -301,8 +339,8 @@ impl Comm {
         match pkt.kind {
             kind::EAGER => match self.match_posted(pkt.src, pkt.tag) {
                 Some(req) => {
-                    req.set_arrived(arrived);
-                    req.complete(pkt.src, pkt.tag, pkt.data)
+                    let (src, tag, data) = (pkt.src, pkt.tag, pkt.data);
+                    self.requests.complete(req, Completion { src, tag, data, arrived });
                 }
                 None => {
                     sim.stats.bump("mpi.unexpected");
@@ -370,15 +408,16 @@ impl Comm {
                         data: s.data,
                     },
                 );
-                s.req.complete(s.dst, s.tag, Bytes::new());
+                let done = Completion { src: s.dst, tag: s.tag, ..Completion::default() };
+                self.requests.complete(s.req, done);
             }
             kind::DATA => {
                 let req = self.rdv_recv.remove(&pkt.imm).expect("DATA for unknown op");
                 // UCX copies the staged rendezvous payload into the user
                 // buffer inside progress (pack + unpack).
                 self.deferred_scan_ns += self.cost.mpi_rndv + 2 * self.cost.memcpy(pkt.data.len());
-                req.set_arrived(arrived);
-                req.complete(pkt.src, pkt.tag, pkt.data);
+                let (src, tag, data) = (pkt.src, pkt.tag, pkt.data);
+                self.requests.complete(req, Completion { src, tag, data, arrived });
             }
             other => panic!("unknown MPI packet kind {other}"),
         }
@@ -398,7 +437,7 @@ mod tests {
         (Sim::new(3), a, b)
     }
 
-    fn drive(sim: &mut Sim, c: &mut Comm, req: &Request) {
+    fn drive(sim: &mut Sim, c: &mut Comm, req: Request) {
         for _ in 0..100 {
             sim.run_until(sim.now() + 10_000);
             if c.test(sim, 0, sim.now(), req).0 {
@@ -409,12 +448,12 @@ mod tests {
     }
 
     /// Progress both sides until the rendezvous send and receive complete.
-    fn drive_rendezvous(sim: &mut Sim, a: &mut Comm, b: &mut Comm, sreq: &Request, rreq: &Request) {
+    fn drive_rendezvous(sim: &mut Sim, a: &mut Comm, b: &mut Comm, sreq: Request, rreq: Request) {
         for _ in 0..100 {
             sim.run_until(sim.now() + 10_000);
             a.test(sim, 0, sim.now(), sreq);
             b.test(sim, 0, sim.now(), rreq);
-            if sreq.is_done() && rreq.is_done() {
+            if a.is_done(sreq) && b.is_done(rreq) {
                 return;
             }
         }
@@ -428,10 +467,11 @@ mod tests {
         let (rreq, _) = b.irecv(&mut sim, 0, now, 0, 5);
         let now = sim.now();
         let (sreq, _) = a.isend(&mut sim, 0, now, 1, 5, Bytes::from_static(b"mpi"));
-        assert!(sreq.is_done(), "eager send completes immediately");
-        drive(&mut sim, &mut b, &rreq);
-        assert_eq!(rreq.take_data().as_ref(), b"mpi");
-        assert_eq!(rreq.source(), 0);
+        assert!(a.is_done(sreq), "eager send completes immediately");
+        drive(&mut sim, &mut b, rreq);
+        let got = b.take(rreq);
+        assert_eq!(got.data.as_ref(), b"mpi");
+        assert_eq!(got.src, 0);
     }
 
     #[test]
@@ -441,14 +481,13 @@ mod tests {
         a.isend(&mut sim, 0, now, 1, 9, Bytes::from_static(b"early"));
         sim.run_until(SimTime::from_millis(1));
         // Pump progress so the message lands in the unexpected queue.
-        let dummy = Request::completed();
         let now = sim.now();
-        b.test(&mut sim, 0, now, &dummy);
+        b.test(&mut sim, 0, now, Request::NULL);
         assert_eq!(b.unexpected_messages(), 1);
         let now = sim.now();
         let (rreq, _) = b.irecv(&mut sim, 0, now, ANY_SOURCE, 9);
-        assert!(rreq.is_done());
-        assert_eq!(rreq.take_data().as_ref(), b"early");
+        assert!(b.is_done(rreq));
+        assert_eq!(b.take(rreq).data.as_ref(), b"early");
     }
 
     #[test]
@@ -459,9 +498,9 @@ mod tests {
         let (rreq, _) = b.irecv(&mut sim, 0, now, 0, 2);
         let now = sim.now();
         let (sreq, _) = a.isend(&mut sim, 0, now, 1, 2, payload.clone());
-        assert!(!sreq.is_done(), "rendezvous send is not complete at post");
-        drive_rendezvous(&mut sim, &mut a, &mut b, &sreq, &rreq);
-        assert_eq!(rreq.take_data(), payload);
+        assert!(!a.is_done(sreq), "rendezvous send is not complete at post");
+        drive_rendezvous(&mut sim, &mut a, &mut b, sreq, rreq);
+        assert_eq!(b.take(rreq).data, payload);
     }
 
     #[test]
@@ -471,14 +510,13 @@ mod tests {
         let now = sim.now();
         let (sreq, _) = a.isend(&mut sim, 0, now, 1, 4, payload.clone());
         sim.run_until(SimTime::from_millis(1));
-        let dummy = Request::completed();
         let now = sim.now();
-        b.test(&mut sim, 0, now, &dummy);
+        b.test(&mut sim, 0, now, Request::NULL);
         assert_eq!(b.unexpected_messages(), 1, "RTS buffered as unexpected");
         let now = sim.now();
         let (rreq, _) = b.irecv(&mut sim, 0, now, ANY_SOURCE, 4);
-        drive_rendezvous(&mut sim, &mut a, &mut b, &sreq, &rreq);
-        assert_eq!(rreq.take_data(), payload);
+        drive_rendezvous(&mut sim, &mut a, &mut b, sreq, rreq);
+        assert_eq!(b.take(rreq).data, payload);
     }
 
     #[test]
@@ -493,7 +531,7 @@ mod tests {
         let (sreq, _) = a.isend(&mut sim, 0, now, 1, 2, big.clone());
         sim.run_until(SimTime::from_millis(1));
         let now = sim.now();
-        b.test(&mut sim, 0, now, &Request::completed());
+        b.test(&mut sim, 0, now, Request::NULL);
         assert_eq!(b.unexpected_messages(), 6, "five eager messages and one RTS buffered");
 
         // Each receive starts on an idle lock, so the CPU time it returns is
@@ -506,24 +544,24 @@ mod tests {
         }
         // Queue: [1a 2a 3 2b 1b RTS(2)].
         let (r, deep) = recv(&mut sim, &mut b, 2);
-        assert_eq!(r.take_data().as_ref(), b"2a");
+        assert_eq!(b.take(r).data.as_ref(), b"2a");
         // [1a 3 2b 1b RTS(2)].
         let (r, _) = recv(&mut sim, &mut b, 2);
-        assert_eq!(r.take_data().as_ref(), b"2b", "tag 2 keeps arrival order");
+        assert_eq!(b.take(r).data.as_ref(), b"2b", "tag 2 keeps arrival order");
         // [1a 3 1b RTS(2)]: a head match.
         let (r, head) = recv(&mut sim, &mut b, 1);
-        assert_eq!(r.take_data().as_ref(), b"1a");
+        assert_eq!(b.take(r).data.as_ref(), b"1a");
         assert_eq!(deep - head, CostModel::default().mpi_unexp_scan, "one entry deeper");
         // [3 1b RTS(2)].
         let (r, _) = recv(&mut sim, &mut b, 1);
-        assert_eq!(r.take_data().as_ref(), b"1b", "tag 1 keeps arrival order");
+        assert_eq!(b.take(r).data.as_ref(), b"1b", "tag 1 keeps arrival order");
         // [3 RTS(2)]: the RTS matches behind the tag-3 message.
         let (rreq, rts_hold) = recv(&mut sim, &mut b, 2);
-        assert!(!rreq.is_done(), "an RTS match starts the rendezvous");
+        assert!(!b.is_done(rreq), "an RTS match starts the rendezvous");
         assert_eq!(rts_hold, deep, "the RTS sits at position 1");
         assert_eq!(b.unexpected_messages(), 1);
-        drive_rendezvous(&mut sim, &mut a, &mut b, &sreq, &rreq);
-        assert_eq!(rreq.take_data(), big);
+        drive_rendezvous(&mut sim, &mut a, &mut b, sreq, rreq);
+        assert_eq!(b.take(rreq).data, big);
     }
 
     #[test]
@@ -533,8 +571,8 @@ mod tests {
         let (rreq, _) = b.irecv(&mut sim, 0, now, ANY_SOURCE, 0);
         let now = sim.now();
         a.isend(&mut sim, 0, now, 1, 0, Bytes::from_static(b"w"));
-        drive(&mut sim, &mut b, &rreq);
-        assert_eq!(rreq.source(), 0);
+        drive(&mut sim, &mut b, rreq);
+        assert_eq!(b.take(rreq).src, 0);
     }
 
     #[test]
@@ -551,32 +589,72 @@ mod tests {
         for _ in 0..100 {
             sim.run_until(sim.now() + 10_000);
             let now = sim.now();
-            b.test(&mut sim, 0, now, &r1);
-            if r1.is_done() && r2.is_done() {
+            b.test(&mut sim, 0, now, r1);
+            if b.is_done(r1) && b.is_done(r2) {
                 break;
             }
         }
-        assert_eq!(r1.take_data().as_ref(), b"one");
-        assert_eq!(r2.take_data().as_ref(), b"two");
+        assert_eq!(b.take(r1).data.as_ref(), b"one");
+        assert_eq!(b.take(r2).data.as_ref(), b"two");
     }
 
     #[test]
     fn lock_convoy_grows_cpu_time() {
         let (mut sim, _a, mut b) = world();
-        let dummy = Request::pending();
+        let dummy = Request::NULL;
         // One caller, uncontended: cheap.
         let now = sim.now();
-        let (_, t1) = b.test(&mut sim, 0, now, &dummy);
+        let (_, t1) = b.test(&mut sim, 0, now, dummy);
         let solo = t1 - sim.now();
         // Many "threads" piling on at the same instant: each successive
         // caller waits longer (convoy).
         let mut waits = Vec::new();
         for core in 0..8 {
             let now = sim.now();
-            let (_, done) = b.test(&mut sim, core, now, &dummy);
+            let (_, done) = b.test(&mut sim, core, now, dummy);
             waits.push(done - sim.now());
         }
         assert!(waits[7] > waits[1], "later callers wait longer: {waits:?}");
         assert!(waits[7] > solo * 4, "contention dominates solo cost");
+    }
+
+    #[test]
+    fn eager_send_returns_the_null_request() {
+        let (mut sim, mut a, _b) = world();
+        let now = sim.now();
+        let (sreq, _) = a.isend(&mut sim, 0, now, 1, 5, Bytes::from_static(b"mpi"));
+        assert_eq!(sreq, Request::NULL);
+        assert!(a.is_done(sreq), "done at post");
+        assert!(a.take(sreq).data.is_empty(), "nothing to take");
+        assert_eq!(a.live_requests(), 0, "the table stays empty");
+    }
+
+    #[test]
+    #[should_panic(expected = "Comm::test: stale Request")]
+    fn testing_a_taken_request_panics() {
+        let (mut sim, mut a, mut b) = world();
+        let now = sim.now();
+        a.isend(&mut sim, 0, now, 1, 9, Bytes::from_static(b"early"));
+        sim.run_until(SimTime::from_millis(1));
+        let now = sim.now();
+        b.test(&mut sim, 0, now, Request::NULL);
+        let now = sim.now();
+        let (rreq, _) = b.irecv(&mut sim, 0, now, ANY_SOURCE, 9);
+        b.take(rreq);
+        let now = sim.now();
+        b.test(&mut sim, 0, now, rreq);
+    }
+
+    #[test]
+    #[should_panic(expected = "Comm::take: stale Request")]
+    fn taking_a_request_twice_panics() {
+        let (mut sim, mut a, mut b) = world();
+        let now = sim.now();
+        let (rreq, _) = b.irecv(&mut sim, 0, now, 0, 5);
+        let now = sim.now();
+        a.isend(&mut sim, 0, now, 1, 5, Bytes::from_static(b"mpi"));
+        drive(&mut sim, &mut b, rreq);
+        b.take(rreq);
+        b.take(rreq);
     }
 }

@@ -5,8 +5,13 @@
 //! runs on, initialized in `MPI_THREAD_MULTIPLE` mode:
 //!
 //! * Two-sided `isend`/`irecv` with `(source, tag)` matching, wildcard
-//!   source, eager and rendezvous protocols, and [`Request`] objects
-//!   polled with [`Comm::test`].
+//!   source, eager and rendezvous protocols, and [`Request`] handles
+//!   polled with [`Comm::test`]. A request is a copyable key into the
+//!   `Comm`'s own request table, so posting allocates nothing once the
+//!   table has grown to the peak in flight. An eager send returns
+//!   [`Request::NULL`], which is always done; [`Comm::take`] frees a
+//!   finished request and returns its [`Completion`], as `MPI_Test` sets
+//!   a finished handle to `MPI_REQUEST_NULL`.
 //! * **One global engine lock** ([`simcore::SimLock`]) around every call —
 //!   the model of the `ucp_progress` coarse-grained blocking lock. Every
 //!   `MPI_Isend`, `MPI_Irecv` and `MPI_Test` from every worker thread
@@ -27,7 +32,7 @@ pub mod comm;
 pub mod request;
 
 pub use comm::Comm;
-pub use request::{Request, RequestState};
+pub use request::{Completion, Request};
 
 /// Wildcard source rank (like `MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: usize = usize::MAX;

@@ -33,6 +33,10 @@ use crate::header::{
     plan_message, HeaderInfo, MessageAssembly, PartId, MAX_HEADER_SIZE, ORIGINAL_HEADER_SIZE,
 };
 
+// Headers (and tag-release messages) always go eager, so their sends
+// return the null request and nothing is left to take.
+const _: () = assert!(MAX_HEADER_SIZE <= mpisim::comm::EAGER_THRESHOLD);
+
 /// MPI tag reserved for header messages.
 const TAG_HEADER: u64 = 0;
 /// MPI tag reserved for tag-release messages (original version only).
@@ -49,15 +53,18 @@ struct SendConn {
     dest: usize,
     tag: u64,
     parts: VecDeque<(PartId, Bytes)>,
-    outstanding: Option<Request>,
+    /// The part send in flight; [`Request::NULL`] when none is.
+    outstanding: Request,
     on_sent: Option<OnSent>,
+    /// Every part was sent; the connection is retired.
+    done: bool,
 }
 
 struct RecvConn {
     src: usize,
     tag: u64,
     asm: MessageAssembly,
-    outstanding: Option<Request>,
+    outstanding: Request,
     /// Telemetry flow ids claimed from the route registry.
     flows: Vec<u64>,
 }
@@ -164,31 +171,24 @@ impl MpiParcelport {
     fn pump_send(&mut self, sim: &mut Sim, core: usize, idx: usize, mut t: SimTime) -> SimTime {
         loop {
             let conn = &mut self.send_conns[idx];
-            if let Some(req) = &conn.outstanding {
-                if req.is_done() {
-                    conn.outstanding = None;
-                } else {
-                    return t;
-                }
+            if !self.comm.is_done(conn.outstanding) {
+                return t;
             }
-            let conn = &mut self.send_conns[idx];
+            self.comm.take(conn.outstanding);
+            conn.outstanding = Request::NULL;
             match conn.parts.pop_front() {
                 Some((_id, data)) => {
                     let (req, t2) = self.comm.isend(sim, core, t, conn.dest, conn.tag, data);
                     t = t.max(t2);
-                    let conn = &mut self.send_conns[idx];
-                    conn.outstanding = Some(req);
+                    conn.outstanding = req;
                 }
                 None => {
                     // Connection complete: fire on_sent from a fresh event.
-                    let conn = &mut self.send_conns[idx];
                     if let Some(cb) = conn.on_sent.take() {
                         sim.schedule_once_at(t, cb, core as u64);
                     }
                     sim.stats.bump("mpi_pp.send_conn_done");
-                    conn.parts.clear();
-                    conn.outstanding = Some(Request::completed()); // tombstone
-                    conn.tag = u64::MAX; // mark retired
+                    conn.done = true;
                     return t;
                 }
             }
@@ -222,9 +222,9 @@ impl MpiParcelport {
             return t;
         }
         // Post the first follow-up receive.
-        let (req, t2) = self.comm.irecv(sim, core, t, src, tag);
+        let (outstanding, t2) = self.comm.irecv(sim, core, t, src, tag);
         let asm = MessageAssembly::new(info);
-        self.recv_conns.push(RecvConn { src, tag, asm, outstanding: Some(req), flows });
+        self.recv_conns.push(RecvConn { src, tag, asm, outstanding, flows });
         t.max(t2)
     }
 
@@ -261,17 +261,17 @@ impl MpiParcelport {
         mut t: SimTime,
     ) -> (bool, SimTime) {
         let conn = &mut self.recv_conns[idx];
-        if !conn.outstanding.as_ref().is_some_and(Request::is_done) {
+        if !self.comm.is_done(conn.outstanding) {
             return (false, t);
         }
-        let data = conn.outstanding.take().expect("checked").take_data();
+        let data = self.comm.take(conn.outstanding).data;
         t += self.cost.memcpy(0); // data handed over by reference
         let id = conn.asm.next_part().expect("completion without expectation");
         conn.asm.supply(id, data);
         if !conn.asm.is_complete() {
             let (src, tag) = (conn.src, conn.tag);
             let (req, t2) = self.comm.irecv(sim, core, t, src, tag);
-            self.recv_conns[idx].outstanding = Some(req);
+            self.recv_conns[idx].outstanding = req;
             t = t.max(t2);
         } else {
             // Complete: assemble and deliver.
@@ -311,13 +311,14 @@ impl Parcelport for MpiParcelport {
             } else {
                 self.cost.alloc + self.cost.memcpy(plan.header.len())
             };
-        let (_, t2) = self.comm.isend(sim, core, t1, dest, TAG_HEADER, plan.header.clone());
+        let (_, t2) = self.comm.isend(sim, core, t1, dest, TAG_HEADER, plan.header);
         let mut t = t1.max(t2);
         telemetry::flow_mark_many(&msg.flows, telemetry::stage::INJECT, t1);
         telemetry::register_route(self.comm.rank(), dest, tag, &msg.flows);
         sim.stats.bump("mpi_pp.messages_posted");
 
-        let conn = SendConn { dest, tag, parts: plan.parts.into(), outstanding: None, on_sent };
+        let parts = plan.parts.into();
+        let conn = SendConn { dest, tag, parts, outstanding: Request::NULL, on_sent, done: false };
         // Register in the pending list (spinlock) and pump what we can:
         // eager sends complete at post time, so small messages drain fully
         // right here.
@@ -325,7 +326,7 @@ impl Parcelport for MpiParcelport {
         self.send_conns.push(conn);
         let idx = self.send_conns.len() - 1;
         t = self.pump_send(sim, core, idx, t);
-        self.send_conns.retain(|c| c.tag != u64::MAX || !c.parts.is_empty());
+        self.send_conns.retain(|c| !c.done);
         t
     }
 
@@ -334,32 +335,29 @@ impl Parcelport for MpiParcelport {
         let mut did_work = false;
 
         // (a) Check the header receive for new incoming HPX messages.
-        if let Some(req) = self.header_req.clone() {
-            let (done, t2) = self.comm.test(sim, core, t, &req);
+        if let Some(req) = self.header_req {
+            let (done, t2) = self.comm.test(sim, core, t, req);
             t = t.max(t2);
             if done {
                 did_work = true;
-                let src = req.source();
-                let arrived = req.arrived();
-                let header = req.take_data();
+                let header = self.comm.take(req);
                 self.header_req = None;
                 t = self.ensure_header_recv(sim, core, t);
-                t = self.handle_header(sim, core, src, header, t, arrived);
+                t = self.handle_header(sim, core, header.src, header.data, t, header.arrived);
             }
         }
 
         // (b) Original version: reap tag-release messages.
         if self.original {
-            if let Some(req) = self.release_req.clone() {
-                if req.is_done() {
-                    did_work = true;
-                    let tag = u64::from_le_bytes(req.take_data()[..8].try_into().expect("tag"));
-                    let t2 = self.tag_res.access(t, core, self.cost.alloc);
-                    self.free_tags.push(tag);
-                    self.release_req = None;
-                    t = self.ensure_header_recv(sim, core, t.max(t2));
-                    sim.stats.bump("mpi_pp.tag_release_reaped");
-                }
+            if let Some(req) = self.release_req.filter(|&r| self.comm.is_done(r)) {
+                did_work = true;
+                let data = self.comm.take(req).data;
+                let tag = u64::from_le_bytes(data[..8].try_into().expect("tag"));
+                let t2 = self.tag_res.access(t, core, self.cost.alloc);
+                self.free_tags.push(tag);
+                self.release_req = None;
+                t = self.ensure_header_recv(sim, core, t.max(t2));
+                sim.stats.bump("mpi_pp.tag_release_reaped");
             }
         }
 
@@ -370,35 +368,30 @@ impl Parcelport for MpiParcelport {
             t = self.pending_res.access(t, core, self.cost.pp_pending_scan);
             let budget = SCAN_BUDGET.min(total);
             for _ in 0..budget {
-                let cursor = self.rr_cursor % total.max(1);
+                let cursor = self.rr_cursor % total;
                 self.rr_cursor = self.rr_cursor.wrapping_add(1);
                 if cursor < self.send_conns.len() {
                     let before = self.send_conns[cursor].parts.len();
-                    let outstanding_done =
-                        self.send_conns[cursor].outstanding.as_ref().is_none_or(|r| r.is_done());
-                    if outstanding_done {
+                    let req = self.send_conns[cursor].outstanding;
+                    if self.comm.is_done(req) {
                         t = self.pump_send(sim, core, cursor, t);
-                        if self.send_conns[cursor].parts.len() != before
-                            || self.send_conns[cursor].tag == u64::MAX
-                        {
+                        let conn = &self.send_conns[cursor];
+                        if conn.parts.len() != before || conn.done {
                             did_work = true;
                         }
                     } else {
                         // One MPI_Test on the outstanding request (this is
                         // where mpi_i burns its time under contention).
-                        let req = self.send_conns[cursor].outstanding.clone().expect("pending");
-                        let (_, t2) = self.comm.test(sim, core, t, &req);
+                        let (_, t2) = self.comm.test(sim, core, t, req);
                         t = t.max(t2);
                     }
                 } else {
                     let idx = cursor - self.send_conns.len();
                     if idx < self.recv_conns.len() {
-                        let req = self.recv_conns[idx].outstanding.clone();
-                        if let Some(req) = req {
-                            if !req.is_done() {
-                                let (_, t2) = self.comm.test(sim, core, t, &req);
-                                t = t.max(t2);
-                            }
+                        let req = self.recv_conns[idx].outstanding;
+                        if !self.comm.is_done(req) {
+                            let (_, t2) = self.comm.test(sim, core, t, req);
+                            t = t.max(t2);
                         }
                         let (advanced, t2) = self.pump_recv(sim, core, idx, t);
                         t = t2;
@@ -407,7 +400,7 @@ impl Parcelport for MpiParcelport {
                 }
             }
             // Retire completed sender connections.
-            self.send_conns.retain(|c| c.tag != u64::MAX);
+            self.send_conns.retain(|c| !c.done);
         }
 
         if did_work {
@@ -431,5 +424,87 @@ impl Parcelport for MpiParcelport {
 
     fn config_name(&self) -> String {
         self.name.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use amt::parcel::Parcel;
+    use netsim::{Fabric, WireModel};
+
+    use super::*;
+
+    /// Argument sizes of the messages sent: header-only, two eager
+    /// zero-copy parts, and one rendezvous (16 KiB) part.
+    const ARGS: [&[usize]; 5] = [&[8], &[4096, 4096], &[8], &[16 * 1024], &[8]];
+    /// Arguments this long or longer travel as zero-copy parts.
+    const ZC_THRESHOLD: usize = 1024;
+
+    /// Send [`ARGS`] from rank 0 to rank 1 and run both parcelports until
+    /// they are quiescent. Returns the delivered first bytes in delivery
+    /// order, the `on_sent` count, the simulation and the parcelports.
+    fn run(original: bool) -> (Vec<u8>, u64, Sim, [MpiParcelport; 2]) {
+        let mut sim = Sim::new(3);
+        let cost = Rc::new(CostModel::default());
+        let fabric = Rc::new(RefCell::new(Fabric::new(2, WireModel::expanse())));
+        let mut pps = [0, 1].map(|rank| {
+            let comm = Comm::new(rank, fabric.clone(), cost.clone());
+            MpiParcelport::new(comm, cost.clone(), original, true)
+        });
+        let delivered = Rc::new(RefCell::new(Vec::new()));
+        let sink = delivered.clone();
+        pps[1].set_deliver(Rc::new(move |_sim, _core, _t, src, msg: HpxMessage| {
+            assert_eq!(src, 0);
+            for p in msg.decode() {
+                assert!(p.args.iter().all(|a| a.iter().all(|&b| b == a[0])), "payload intact");
+                sink.borrow_mut().push(p.args[0][0]);
+            }
+        }));
+        let sent = Rc::new(RefCell::new(0u64));
+        for (id, sizes) in ARGS.iter().enumerate() {
+            let args = sizes.iter().map(|&n| Bytes::from(vec![id as u8; n])).collect();
+            let msg = HpxMessage::encode(&[Parcel::new(0, args)], ZC_THRESHOLD);
+            let sent = sent.clone();
+            let on_sent: OnSent = Box::new(move |_sim, _core| *sent.borrow_mut() += 1);
+            pps[0].put_message(&mut sim, 1, SimTime::ZERO, 1, msg, Some(on_sent));
+        }
+        for _ in 0..10_000 {
+            sim.run_until(sim.now() + 1_000);
+            for pp in pps.iter_mut() {
+                pp.background_work(&mut sim, 1);
+            }
+            let quiet = pps.iter().all(|pp| pp.send_conns.is_empty() && pp.recv_conns.is_empty());
+            if quiet && delivered.borrow().len() == ARGS.len() && sim.events_pending() == 0 {
+                break;
+            }
+        }
+        let ids = delivered.borrow().clone();
+        let sent = *sent.borrow();
+        (ids, sent, sim, pps)
+    }
+
+    /// Once a run is quiescent, the only requests left in each
+    /// communicator's table are the posted header receives (and the
+    /// original version's release receive): every finished request was
+    /// taken, and an eager send left none behind.
+    #[test]
+    fn a_quiescent_run_leaves_only_the_posted_header_receives() {
+        for original in [false, true] {
+            let name = if original { "mpi_orig" } else { "mpi" };
+            let (mut ids, sent, sim, pps) = run(original);
+            ids.sort_unstable();
+            assert_eq!(ids, (0..ARGS.len() as u8).collect::<Vec<_>>(), "{name}: deliveries");
+            assert_eq!(sent, ARGS.len() as u64, "{name}: on_sent callbacks");
+            assert_eq!(sim.stats.get("mpi_pp.send_conn_done"), ARGS.len() as u64, "{name}");
+            assert_eq!(sim.stats.get("mpi_pp.recv_conn_done"), ARGS.len() as u64, "{name}");
+            let header_recvs = if original { 2 } else { 1 };
+            for pp in &pps {
+                assert!(pp.send_conns.is_empty(), "{name}: send connection left");
+                assert!(pp.recv_conns.is_empty(), "{name}: receive connection left");
+                assert_eq!(pp.comm.live_requests(), header_recvs, "{name}: requests left");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Lock models: the coarse-grained blocking lock (MPI/UCX `ucp_progress`)
 //! and the fine-grained try-lock (LCI progress engine).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::probe::{self, UNRESOLVED};
 use crate::time::SimTime;
@@ -49,8 +49,9 @@ pub struct SimLock {
     grants: VecDeque<SimTime>,
     /// Per-core end of the previous grant: a core cannot request the lock
     /// again before its previous critical section finished, no matter how
-    /// many operations its current event batches together.
-    core_last_end: HashMap<usize, SimTime>,
+    /// many operations its current event batches together. Indexed by
+    /// core, grown on a core's first acquire.
+    core_last_end: Vec<SimTime>,
     base_handoff_ns: u64,
     per_waiter_ns: u64,
 }
@@ -75,7 +76,7 @@ impl SimLock {
             id: UNRESOLVED,
             next_free: SimTime::ZERO,
             grants: VecDeque::new(),
-            core_last_end: HashMap::new(),
+            core_last_end: Vec::new(),
             base_handoff_ns,
             per_waiter_ns,
         }
@@ -101,7 +102,10 @@ impl SimLock {
     /// request time is clamped to the end of this core's previous grant
     /// (one core, one outstanding lock slot).
     pub fn acquire(&mut self, core: usize, now: SimTime, hold_ns: u64) -> Grant {
-        let now = now.max(self.core_last_end.get(&core).copied().unwrap_or(SimTime::ZERO));
+        if core >= self.core_last_end.len() {
+            self.core_last_end.resize(core + 1, SimTime::ZERO);
+        }
+        let now = now.max(self.core_last_end[core]);
         self.expire(now);
         let queued = self.grants.len();
         let contended = self.next_free > now;
@@ -111,7 +115,7 @@ impl SimLock {
         let end = start + hold_ns;
         self.next_free = end;
         self.grants.push_back(end);
-        self.core_last_end.insert(core, end);
+        self.core_last_end[core] = end;
         probe::emit(|p| {
             let label = probe::label(self.name, &mut self.id);
             p.lock_wait(label, core, now, start - now, hold_ns, contended)
@@ -263,12 +267,13 @@ mod tests {
             /// grant starts no earlier than its previous grant ended.
             #[test]
             fn per_core_grants_serialize(
+                core in 0usize..64,
                 holds in proptest::collection::vec(1u64..1_000, 2..50)
             ) {
                 let mut l = SimLock::new("prop", 50, 10);
                 let mut last_end = SimTime::ZERO;
                 for h in holds {
-                    let g = l.acquire(3, SimTime::ZERO, h);
+                    let g = l.acquire(core, SimTime::ZERO, h);
                     prop_assert!(g.start >= last_end);
                     last_end = g.end;
                 }
