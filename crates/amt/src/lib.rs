@@ -37,7 +37,7 @@ pub mod serialize;
 
 pub use action::{ActionFn, ActionId, ActionRegistry};
 pub use locality::Locality;
-pub use parcel::Parcel;
+pub use parcel::{Args, Parcel};
 pub use parcel_layer::{ParcelLayer, ParcelLayerConfig};
 pub use runtime::Runtime;
 pub use sched::Task;

@@ -14,7 +14,7 @@ use simcore::{
 use telemetry::CoreState;
 
 use crate::action::{ActionId, ActionRegistry};
-use crate::parcel::Parcel;
+use crate::parcel::{Args, Parcel};
 use crate::parcel_layer::{ParcelLayer, ParcelLayerConfig};
 use crate::sched::{IdleBackoff, Task, WorkerConfig, MAX_IDLE_BACKOFF_NS};
 use crate::serialize::HpxMessage;
@@ -289,14 +289,16 @@ impl Locality {
     /// HPX `apply`: invoke `action` on `dest` with `args`. A local action
     /// is a task spawn with nothing serialized; it runs the handler and
     /// ends no earlier than `amt_action_dispatch` after it starts. A
-    /// remote one is [`Locality::send_action`].
+    /// remote one is [`Locality::send_action`]. `args` is one argument
+    /// (a `Bytes`, which allocates no list), a `Vec` of them, or an
+    /// [`Args`].
     pub fn apply(
         self: &Rc<Self>,
         sim: &mut Sim,
         core: usize,
         dest: usize,
         action: ActionId,
-        args: Vec<bytes::Bytes>,
+        args: impl Into<Args>,
     ) -> SimTime {
         if dest == self.id {
             self.push_job(sim, core, Job::Action(Parcel::new(action, args)))
@@ -533,14 +535,15 @@ impl Locality {
         ParcelLayer::put_parcel(self, sim, core, dest, parcel)
     }
 
-    /// Convenience: invoke `action` on `dest` with `args`.
+    /// Convenience: invoke `action` on `dest` with `args`, which takes
+    /// the same forms as [`Locality::apply`]'s.
     pub fn send_action(
         self: &Rc<Self>,
         sim: &mut Sim,
         core: usize,
         dest: usize,
         action: ActionId,
-        args: Vec<bytes::Bytes>,
+        args: impl Into<Args>,
     ) -> SimTime {
         self.put_parcel(sim, core, dest, Parcel::new(action, args))
     }

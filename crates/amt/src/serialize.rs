@@ -31,7 +31,7 @@
 use bytes::Bytes;
 
 use crate::codec::{Reader, Writer};
-use crate::parcel::Parcel;
+use crate::parcel::{Args, Parcel};
 
 /// Bytes reserved in front of every non-zero-copy chunk: the fixed fields
 /// of the parcelport header (`parcelport::header`), which a parcelport
@@ -67,7 +67,7 @@ impl HpxMessage {
         for p in parcels {
             w.put_u32(p.action);
             w.put_u32(u32::try_from(p.args.len()).expect("too many args"));
-            for a in &p.args {
+            for a in p.args.iter() {
                 if a.len() >= threshold {
                     w.put_u8(1);
                     w.put_u32(u32::try_from(zero_copy.len()).expect("too many chunks"));
@@ -132,7 +132,7 @@ impl HpxMessage {
         for _ in 0..count {
             let action = r.get_u32();
             let argc = r.get_u32() as usize;
-            let mut args = Vec::with_capacity(argc);
+            let mut args = Args::new();
             for _ in 0..argc {
                 match r.get_u8() {
                     0 => {
@@ -175,7 +175,7 @@ mod tests {
             sizes
                 .iter()
                 .map(|&n| Bytes::from((0..n).map(|i| i as u8).collect::<Vec<_>>()))
-                .collect(),
+                .collect::<Vec<_>>(),
         )
     }
 
@@ -292,7 +292,9 @@ mod tests {
                 0u32..1000,
                 proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 0..6),
             )
-                .prop_map(|(a, args)| Parcel::new(a, args.into_iter().map(Bytes::from).collect()))
+                .prop_map(|(a, args)| {
+                    Parcel::new(a, args.into_iter().map(Bytes::from).collect::<Vec<_>>())
+                })
         }
 
         proptest! {

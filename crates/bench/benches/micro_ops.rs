@@ -86,8 +86,8 @@ fn bench_comp_signal(c: &mut Criterion) {
 }
 
 fn bench_hpx_codec(c: &mut Criterion) {
-    let small = vec![Parcel::new(3, vec![Bytes::from(vec![1u8; 64])]); 8];
-    let large = vec![Parcel::new(4, vec![Bytes::from(vec![2u8; 32 * 1024])]); 4];
+    let small = vec![Parcel::new(3, Bytes::from(vec![1u8; 64])); 8];
+    let large = vec![Parcel::new(4, Bytes::from(vec![2u8; 32 * 1024])); 4];
     c.bench_function("amt/encode 8 small parcels", |b| b.iter(|| HpxMessage::encode(&small, 8192)));
     c.bench_function("amt/encode 4 zero-copy parcels", |b| {
         b.iter(|| HpxMessage::encode(&large, 8192))

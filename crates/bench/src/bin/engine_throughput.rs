@@ -799,17 +799,17 @@ fn main() {
     let world_speedup_ok =
         world_speedup_floor.is_none_or(|floor| world_octo_4shard_speedup >= floor);
     // Sharded-world allocation ceilings. fig1's sharded count matches the
-    // legacy run (~80.6k): the steady-state per-message path is identical
+    // legacy run (~40.6k): the steady-state per-message path is identical
     // and the federated build overhead is noise. octotiger's lanes each
     // rebuild the tree, SFC partition and app states, but that build is
     // linear in the leaves (the face-neighbour table is hashed, not a
     // pairwise search), so the 4 replicas add only ~300 allocations over
     // the legacy run. Each ceiling sits just above the count measured at
-    // 1, 2 and 4 shards (fig1 ~80.8k, octotiger ~56.6k) since a header
-    // that piggybacks its chunk alone is built in the chunk's buffer; the
-    // counts before that (~100.8k, ~57.6k) fail them.
-    const FIG1_SHARDED_ALLOC_CEILING: u64 = 82_000;
-    const OCTO_SHARDED_ALLOC_CEILING: u64 = 57_300;
+    // 1, 2 and 4 shards (fig1 ~40.8k, octotiger ~30.3k) since a parcel
+    // holds one argument inline and a ghost slab is one allocation; the
+    // counts before that (~80.8k, ~56.6k) fail them.
+    const FIG1_SHARDED_ALLOC_CEILING: u64 = 42_000;
+    const OCTO_SHARDED_ALLOC_CEILING: u64 = 31_500;
     let world_ceiling = |p: &WorldPoint| {
         if p.scenario == "fig1_msgrate_8b" {
             FIG1_SHARDED_ALLOC_CEILING
@@ -820,19 +820,20 @@ fn main() {
     let world_allocs_ok = world.iter().all(|p| p.m.allocations <= world_ceiling(p));
 
     // Per-scenario allocation ceilings, pinned from the audited counts
-    // (fig1: ~4 allocations/message — the caller's args vec, the encoded
-    // chunk with the header built in front of it, the decode task box and
-    // the decoded args vec, each buffer one allocation with its refcount;
-    // octotiger: ~56.3k, dominated by intrinsic per-leaf payload encodes
-    // and argument vectors now that set-up is linear and a local action
-    // queues its parcel with no task box).
-    // Each ceiling sits just above the measured value (fig1 80.6k); the
+    // (fig1: ~2 allocations/message — the encoded chunk with the header
+    // built in front of it, one allocation with its refcount, and the
+    // decode task box; a one-argument parcel holds its argument inline on
+    // both sides. octotiger: ~30.1k, dominated by intrinsic per-leaf
+    // payload encodes now that set-up is linear, a local action queues
+    // its parcel with no task box and a ghost slab is one allocation).
+    // Each ceiling sits just above the measured value (fig1 40.6k); the
+    // argument-vector counts (fig1 80.6k, octotiger 56.3k), the
     // copied-header counts (fig1 100.6k, octotiger 57.4k), the
     // two-allocation-buffer counts (fig1 160.6k, octotiger 77.8k), the
     // pre-audit fig1 count (281k) and the quadratic-set-up octotiger
     // count (426k) fail these ceilings.
-    const FIG1_ALLOC_CEILING: u64 = 82_000;
-    const OCTO_ALLOC_CEILING: u64 = 57_000;
+    const FIG1_ALLOC_CEILING: u64 = 42_000;
+    const OCTO_ALLOC_CEILING: u64 = 31_000;
     let workload_allocs_ok =
         fig1.allocations <= FIG1_ALLOC_CEILING && octo.allocations <= OCTO_ALLOC_CEILING;
 

@@ -40,7 +40,7 @@ fn main() {
             Box::new(move |sim, loc, core| {
                 let mut t = sim.now();
                 for _ in 0..50 {
-                    t = loc.send_action(sim, core, 1, sink, vec![Bytes::from(vec![9u8; 512])]);
+                    t = loc.send_action(sim, core, 1, sink, Bytes::from(vec![9u8; 512]));
                 }
                 t
             }),

@@ -115,7 +115,7 @@ pub fn run_latency(p: &LatencyParams) -> LatencyResult {
                         let mut payload = vec![0u8; size];
                         payload[0..8].copy_from_slice(&chain.to_le_bytes());
                         payload[8..16].copy_from_slice(&(hops - 1).to_le_bytes());
-                        loc.send_action(sim, core, peer, ping, vec![Bytes::from(payload)])
+                        loc.send_action(sim, core, peer, ping, Bytes::from(payload))
                     }),
                 );
                 t
@@ -139,7 +139,7 @@ pub fn run_latency(p: &LatencyParams) -> LatencyResult {
                         let mut payload = vec![0u8; size];
                         payload[0..8].copy_from_slice(&chain.to_le_bytes());
                         payload[8..16].copy_from_slice(&hops.to_le_bytes());
-                        loc.send_action(sim, core, 1, ping, vec![Bytes::from(payload)])
+                        loc.send_action(sim, core, 1, ping, Bytes::from(payload))
                     }),
                 );
             }

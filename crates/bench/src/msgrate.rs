@@ -129,7 +129,7 @@ pub fn run_msgrate(p: &MsgRateParams) -> MsgRateResult {
                     recv_done_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
                     // Signal back to the sender with one short message.
                     let done = loc.with_registry(|r| r.id_of("done").expect("registered"));
-                    loc.send_action(sim, core, 0, done, vec![Bytes::from_static(b"!")]);
+                    loc.send_action(sim, core, 0, done, Bytes::from_static(b"!"));
                 }
                 t
             });
@@ -163,7 +163,7 @@ pub fn run_msgrate(p: &MsgRateParams) -> MsgRateResult {
                         Box::new(move |sim, loc, core| {
                             let mut t = sim.now();
                             for _ in 0..batch {
-                                t = loc.send_action(sim, core, 1, sink, vec![payload.clone()]);
+                                t = loc.send_action(sim, core, 1, sink, payload.clone());
                             }
                             injected_done_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
                             t

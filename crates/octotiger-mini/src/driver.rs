@@ -161,7 +161,7 @@ pub fn run_octotiger(p: &OctoParams) -> OctoResult {
                         sim,
                         0,
                         Box::new(move |sim, loc, core| {
-                            loc.send_action(sim, core, dest, start, vec![Bytes::new()])
+                            loc.send_action(sim, core, dest, start, Bytes::new())
                         }),
                     );
                 }

@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use amt::action::{ActionId, ActionRegistry};
 use amt::codec::{Reader, Writer};
@@ -142,12 +143,13 @@ fn ghost_fill(src: NodeId) -> u8 {
 /// alone. HPX runs a local action as a task spawn, with nothing
 /// serialized, and Octo-Tiger reads a local neighbour's subgrid in
 /// place. A remote ghost is the whole boundary slab, the payload the
-/// network carries.
+/// network carries. The slab is one allocation: it is filled in place as
+/// an `Arc<[u8]>`, and the `Bytes` handle shares it.
 fn encode_ghost(target: NodeId, src: NodeId, len: usize) -> Bytes {
-    let mut slab = Vec::with_capacity(len);
-    slab.extend_from_slice(&(target as u64).to_le_bytes());
-    slab.extend_from_slice(&(src as u64).to_le_bytes());
-    slab.resize(len, ghost_fill(src));
+    let mut slab: Arc<[u8]> = std::iter::repeat_n(ghost_fill(src), len).collect();
+    let header = Arc::get_mut(&mut slab).expect("a fresh slab has one owner");
+    header[..8].copy_from_slice(&(target as u64).to_le_bytes());
+    header[8..GHOST_HEADER].copy_from_slice(&(src as u64).to_le_bytes());
     Bytes::from(slab)
 }
 
@@ -217,17 +219,17 @@ pub fn register_actions(
                     let center = tree.node(leaf).center;
                     let parent = tree.node(leaf).parent;
                     let payload = encode_m2m(parent, mass, center);
-                    t = loc.apply(sim, core, part.owner(parent), acts.m2m, vec![payload]).max(t);
+                    t = loc.apply(sim, core, part.owner(parent), acts.m2m, payload).max(t);
                     for &nb in tree.neighbors(leaf) {
                         let dest = part.owner(nb);
                         let payload = encode_m2m(nb, mass, center);
-                        t = loc.apply(sim, core, dest, acts.m2l, vec![payload]).max(t);
+                        t = loc.apply(sim, core, dest, acts.m2l, payload).max(t);
                         if ghost_bytes > 0 {
                             // Hydro ghost zone: the boundary slab only
                             // if it crosses the network (`encode_ghost`).
                             let len = if dest == loc.id { GHOST_HEADER } else { ghost_bytes };
                             let slab = encode_ghost(nb, leaf, len);
-                            t = loc.apply(sim, core, dest, acts.ghost, vec![slab]).max(t);
+                            t = loc.apply(sim, core, dest, acts.ghost, slab).max(t);
                         }
                     }
                     t
@@ -281,13 +283,13 @@ pub fn register_actions(
                 };
                 for &c in &tree.node(0).children {
                     let payload = encode_m2m(c, mass, center);
-                    t = loc.apply(sim, core, part.owner(c), l2l, vec![payload]).max(t);
+                    t = loc.apply(sim, core, part.owner(c), l2l, payload).max(t);
                 }
             } else {
                 let parent = tree.node(node).parent;
                 let m2m_id = registered(&ids).m2m;
                 let payload = encode_m2m(parent, mass, center);
-                t = loc.apply(sim, core, part.owner(parent), m2m_id, vec![payload]).max(t);
+                t = loc.apply(sim, core, part.owner(parent), m2m_id, payload).max(t);
             }
         }
         t
@@ -384,7 +386,7 @@ pub fn register_actions(
             t += state.borrow().compute.m2m;
             for &c in &tree.node(node).children {
                 let payload = encode_m2m(c, mass, center);
-                t = loc.apply(sim, core, part.owner(c), l2l_id, vec![payload]).max(t);
+                t = loc.apply(sim, core, part.owner(c), l2l_id, payload).max(t);
             }
         }
         t
@@ -423,7 +425,7 @@ pub fn register_actions(
                     (s.part.localities(), registered(&ids).step_start)
                 };
                 for dest in 0..locs {
-                    t = loc.apply(sim, core, dest, step_start, vec![Bytes::new()]).max(t);
+                    t = loc.apply(sim, core, dest, step_start, Bytes::new()).max(t);
                 }
             }
             Some(false) => {
@@ -478,7 +480,7 @@ fn finish_leaf(
         };
         let mut w = Writer::new();
         w.put_f64(checksum);
-        t = loc.apply(sim, core, 0, loc_done, vec![w.finish()]).max(t);
+        t = loc.apply(sim, core, 0, loc_done, w.finish()).max(t);
     }
     t
 }
@@ -661,7 +663,7 @@ mod tests {
         let mut world = parcelport::build_world(&cfg, registry);
         let loc = world.locality(owner_of(states, target)).clone();
         let handler = loc.with_registry(|r| r.handler(acts.ghost));
-        handler(&mut world.sim, &loc, 0, amt::Parcel::new(acts.ghost, vec![slab]));
+        handler(&mut world.sim, &loc, 0, amt::Parcel::new(acts.ghost, slab));
     }
 
     #[test]
@@ -701,6 +703,24 @@ mod tests {
         let states = fresh_states(ComputeModel::default());
         let (target, src) = ghost_pair(&states, true);
         deliver_ghost(&states, target, encode_ghost(target, src, 12 * 1024));
+    }
+
+    #[test]
+    fn ghost_slab_bytes_match_the_vec_construction() {
+        // The reference: the header, then the fill, pushed into a `Vec`.
+        let reference = |target: NodeId, src: NodeId, len: usize| {
+            let mut slab = Vec::with_capacity(len);
+            slab.extend_from_slice(&(target as u64).to_le_bytes());
+            slab.extend_from_slice(&(src as u64).to_le_bytes());
+            slab.resize(len, ghost_fill(src));
+            slab
+        };
+        for (target, src) in [(3, 260), (1 << 40, 7)] {
+            for len in [GHOST_HEADER, 12 * 1024] {
+                let slab = encode_ghost(target, src, len);
+                assert_eq!(slab[..], reference(target, src, len)[..], "{target} <- {src}, {len} B");
+            }
+        }
     }
 
     #[test]

@@ -312,7 +312,7 @@ mod tests {
                     &mut world.sim,
                     0,
                     Box::new(move |sim, loc, core| {
-                        loc.send_action(sim, core, 1, sink, vec![Bytes::from(vec![1u8; 8])])
+                        loc.send_action(sim, core, 1, sink, Bytes::from(vec![1u8; 8]))
                     }),
                 );
             }
@@ -399,7 +399,7 @@ mod tests {
                     &mut world.sim,
                     0,
                     Box::new(move |sim, loc, core| {
-                        loc.send_action(sim, core, dst, sink, vec![Bytes::from_static(b"z")])
+                        loc.send_action(sim, core, dst, sink, Bytes::from_static(b"z"))
                     }),
                 );
             }
@@ -438,14 +438,14 @@ mod tests {
                 &mut world.sim,
                 0,
                 Box::new(move |sim, loc, core| {
-                    loc.send_action(sim, core, 1, to1, vec![Bytes::from_static(b"x")])
+                    loc.send_action(sim, core, 1, to1, Bytes::from_static(b"x"))
                 }),
             );
             l1.spawn(
                 &mut world.sim,
                 0,
                 Box::new(move |sim, loc, core| {
-                    loc.send_action(sim, core, 0, to0, vec![Bytes::from_static(b"y")])
+                    loc.send_action(sim, core, 0, to0, Bytes::from_static(b"y"))
                 }),
             );
         }

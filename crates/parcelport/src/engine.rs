@@ -180,9 +180,7 @@ pub(crate) mod tests {
                     loc.spawn(
                         sim,
                         0,
-                        Box::new(move |sim, loc, core| {
-                            loc.send_action(sim, core, 1, sink, vec![p])
-                        }),
+                        Box::new(move |sim, loc, core| loc.send_action(sim, core, 1, sink, p)),
                     );
                 }
             },

@@ -464,7 +464,7 @@ mod tests {
         }));
         let sent = Rc::new(RefCell::new(0u64));
         for (id, sizes) in ARGS.iter().enumerate() {
-            let args = sizes.iter().map(|&n| Bytes::from(vec![id as u8; n])).collect();
+            let args: Vec<Bytes> = sizes.iter().map(|&n| Bytes::from(vec![id as u8; n])).collect();
             let msg = HpxMessage::encode(&[Parcel::new(0, args)], ZC_THRESHOLD);
             let sent = sent.clone();
             let on_sent: OnSent = Box::new(move |_sim, _core| *sent.borrow_mut() += 1);

@@ -457,13 +457,7 @@ mod tests {
                         sim,
                         0,
                         Box::new(move |sim, _l, core| {
-                            loc.send_action(
-                                sim,
-                                core,
-                                1,
-                                action,
-                                vec![Bytes::from_static(b"12345678")],
-                            )
+                            loc.send_action(sim, core, 1, action, Bytes::from_static(b"12345678"))
                         }),
                     );
                 }
@@ -536,7 +530,7 @@ mod tests {
                                         core,
                                         dst,
                                         action,
-                                        vec![Bytes::from_static(b"zzzzzzzz")],
+                                        Bytes::from_static(b"zzzzzzzz"),
                                     )
                                 }),
                             );
@@ -617,7 +611,7 @@ mod tests {
                     sim,
                     0,
                     Box::new(move |sim, _l, core| {
-                        loc.send_action(sim, core, 1, action, vec![Bytes::from_static(b"floor!!!")])
+                        loc.send_action(sim, core, 1, action, Bytes::from_static(b"floor!!!"))
                     }),
                 );
             },

@@ -324,7 +324,7 @@ mod tests {
     use amt::parcel::Parcel;
 
     fn msg(sizes: &[usize]) -> HpxMessage {
-        let args = sizes.iter().map(|&n| Bytes::from(vec![7u8; n])).collect();
+        let args: Vec<Bytes> = sizes.iter().map(|&n| Bytes::from(vec![7u8; n])).collect();
         HpxMessage::encode(&[Parcel::new(1, args)], 8192)
     }
 

@@ -52,12 +52,12 @@ fn main() {
             let update = loc.with_registry(|r| r.id_of("trailing_update").unwrap());
             let mut w = Writer::new();
             w.put_u64(k + 1);
-            loc.send_action(sim, core, next_owner, release, vec![w.finish()]);
+            loc.send_action(sim, core, next_owner, release, w.finish());
             // ...and ship a bulk trailing update to a deterministic
             // "earlier" locality (irregular target pattern).
             let victim = ((k * 7 + 3) % LOCALITIES as u64) as usize;
             if victim != loc.id {
-                loc.send_action(sim, core, victim, update, vec![Bytes::from(vec![k as u8; BLOCK])]);
+                loc.send_action(sim, core, victim, update, Bytes::from(vec![k as u8; BLOCK]));
             }
             t
         });
@@ -74,7 +74,7 @@ fn main() {
             Box::new(move |sim, loc, core| {
                 let mut w = Writer::new();
                 w.put_u64(0);
-                loc.send_action(sim, core, 1 % LOCALITIES, release, vec![w.finish()])
+                loc.send_action(sim, core, 1 % LOCALITIES, release, w.finish())
             }),
         );
 

@@ -38,7 +38,7 @@ mod bench_workloads {
                 Box::new(move |sim, loc, core| {
                     let mut t = sim.now();
                     for _ in 0..50 {
-                        t = loc.send_action(sim, core, 1, sink, vec![payload.clone()]);
+                        t = loc.send_action(sim, core, 1, sink, payload.clone());
                     }
                     t
                 }),
@@ -69,7 +69,7 @@ mod bench_workloads {
                 Box::new(move |sim, loc, core| {
                     let mut payload = vec![0u8; size];
                     payload[..8].copy_from_slice(&(hops - 1).to_le_bytes());
-                    loc.send_action(sim, core, peer, ping, vec![Bytes::from(payload)])
+                    loc.send_action(sim, core, peer, ping, Bytes::from(payload))
                 }),
             );
             sim.now() + 100
@@ -84,7 +84,7 @@ mod bench_workloads {
             Box::new(move |sim, loc, core| {
                 let mut payload = vec![0u8; size.max(8)];
                 payload[..8].copy_from_slice(&hops.to_le_bytes());
-                loc.send_action(sim, core, 1, ping, vec![Bytes::from(payload)])
+                loc.send_action(sim, core, 1, ping, Bytes::from(payload))
             }),
         );
         let d = done.clone();

@@ -44,7 +44,7 @@ fn main() {
             0,
             Box::new(move |sim, loc, core| {
                 let msg = format!("hello #{i} from locality 0");
-                loc.send_action(sim, core, 1, greet, vec![Bytes::from(msg.into_bytes())])
+                loc.send_action(sim, core, 1, greet, Bytes::from(msg.into_bytes()))
             }),
         );
     }
