@@ -791,7 +791,7 @@ mod tests {
         telemetry::disable();
         let spans = tel.with_core_spans(|spans| spans.to_vec());
         assert_eq!(spans.len(), 1, "one locality recorded");
-        let task: Vec<_> = spans[0].iter().filter(|s| s.label == "task").collect();
+        let task: Vec<_> = spans[0].iter().filter(|s| s.label() == "task").collect();
         assert_eq!(task.len(), 1);
         assert!(task[0].end - task[0].start >= 2_000);
         assert!(task[0].core < 2);

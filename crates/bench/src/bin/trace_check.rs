@@ -521,9 +521,15 @@ fn validate_record(src: &str) -> Result<String, String> {
         }
         win_summary = format!("{} windows x {} ns merge to totals", w.num_windows, w.window_ns);
     }
+    // A flow tracer that filled up turned parcels away: say how many, so
+    // a reader does not take the flow totals for every parcel.
+    let untracked = match rec.flows_untracked {
+        0 => String::new(),
+        n => format!("; {n} parcels untracked (flow tracer full)"),
+    };
     Ok(format!(
         "run record {} v{}: {} ns end-to-end, {} events, {} counters, {} hists, \
-         {} cores, {} resources; {crit_summary}; {win_summary}",
+         {} cores, {} resources; {crit_summary}; {win_summary}{untracked}",
         rec.label(),
         rec.version,
         rec.end_to_end_ns,

@@ -66,8 +66,8 @@ fn main() {
 fn totals_by_label(tel: &telemetry::Telemetry) -> Vec<(&'static str, u64)> {
     let mut map = HashMap::new();
     tel.with_core_spans(|spans| {
-        for s in spans.iter().flatten() {
-            *map.entry(s.label).or_insert(0u64) += s.end.saturating_sub(s.start);
+        for s in spans.iter().flat_map(telemetry::CoreSpans::iter) {
+            *map.entry(s.label()).or_insert(0u64) += s.end.saturating_sub(s.start);
         }
     });
     let mut v: Vec<_> = map.into_iter().collect();

@@ -25,6 +25,7 @@ use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
 
+use crate::blocks::Blocks;
 use crate::probe::{self, Label, Probe};
 use crate::time::SimTime;
 
@@ -76,114 +77,133 @@ pub struct MarkRec {
     pub fixed: u64,
 }
 
-// The log stores marks as records of `u32` words. A record's header word
-// is the label's keyed id shifted left 3, then a 3-bit form. Its owner is
-// where it sits (see `LogInner::first_mark`); `off` is the mark's start
-// minus the owner's `at`, `dur` and `wait` are lengths:
+// The log stores marks as records of LEB128 varints: 7 bits per byte,
+// low bits first, the top bit set on every byte but a field's last. A
+// record's header is the label's keyed id shifted left 3, then a 3-bit
+// form. Its owner is where it sits (see `NodeSlot::first`); `off` is the
+// mark's start minus the owner's `at`, `dur` and `wait` are lengths:
 //
-// | form                       | words                            | marks |
-// |----------------------------|----------------------------------|-------|
-// | Wait, Hold, Work (0, 1, 2) | `[hdr, off, dur]`                | 1     |
-// | `FORM_WIRE` (3)            | `[hdr, off, dur, fixed]`         | 1     |
-// | `FORM_WAIT_HOLD`, `_WORK`  | `[hdr, off, wait, dur]`          | 2     |
-// | `FORM_WIDE`                | `[hdr, kind, start, end, fixed]` | 1     |
+// | form                       | fields                         | marks |
+// |----------------------------|--------------------------------|-------|
+// | Wait, Hold, Work (0, 1, 2) | `hdr, off, dur`                | 1     |
+// | `FORM_WIRE` (3)            | `hdr, off, dur, fixed`         | 1     |
+// | `FORM_WAIT_HOLD`, `_WORK`  | `hdr, off, wait, dur`          | 2     |
+// | `FORM_WIDE`                | `hdr, kind, start, end, fixed` | 1     |
 //
-// A wide record's `start` and `end` take two words each, low word first.
 // A pair is one `SimLock`/`SimResource` access, written by
 // `CausalLog::access`: a Wait, then a Hold/Work under the same label
-// starting where the wait ends. The wide form takes
-// any mark the others cannot: a start before the owner's time, an offset
-// or length over `u32`, or a non-Wire mark with a fixed part.
+// starting where the wait ends. The wide form takes any mark the others
+// cannot: a start before the owner's time, an offset or length over
+// `u32`, or a non-Wire mark with a fixed part. Every field of the other
+// forms fits `u32`, and `fixed` is stored saturated to `u32`, so the
+// longest record is a wide one of 5 + 1 + 10 + 10 + 5 = 31 bytes
+// ([`MAX_RECORD`]).
 
 /// A lone Wire mark.
-const FORM_WIRE: u32 = MarkKind::Wire as u32;
+const FORM_WIRE: u64 = MarkKind::Wire as u64;
 /// A Wait and the Hold that follows it.
-const FORM_WAIT_HOLD: u32 = 4;
+const FORM_WAIT_HOLD: u64 = 4;
 /// A Wait and the Work that follows it.
-const FORM_WAIT_WORK: u32 = 5;
+const FORM_WAIT_WORK: u64 = 5;
 /// Any one mark, with absolute times.
-const FORM_WIDE: u32 = 6;
+const FORM_WIDE: u64 = 6;
+
+/// Bytes of the longest record.
+const MAX_RECORD: usize = 31;
 
 /// A record header: `id << 3 | form`.
-fn header(id: u32, form: u32) -> u32 {
-    id << 3 | form
+fn header(id: u32, form: u64) -> u64 {
+    (id as u64) << 3 | form
 }
 
-/// A label id must leave a header room for its form.
+/// A label id must leave a 5-byte header room for its form.
 #[inline]
 fn check_id(id: u32) {
-    assert!(id < 1 << 29, "causal: label id {id} does not fit a 29-bit record header");
+    assert!(id < 1 << 29, "causal: label id {id} does not fit a 32-bit record header");
 }
 
-/// `(words, marks)` of a record of `form`.
-fn shape(form: u32) -> (usize, usize) {
+/// `(fields after the header, marks)` of a record of `form`.
+fn shape(form: u64) -> (usize, usize) {
     match form {
-        FORM_WIDE => (7, 1),
-        FORM_WAIT_HOLD | FORM_WAIT_WORK => (4, 2),
-        FORM_WIRE => (4, 1),
-        _ => (3, 1),
+        FORM_WIDE => (4, 1),
+        FORM_WAIT_HOLD | FORM_WAIT_WORK => (3, 2),
+        FORM_WIRE => (3, 1),
+        _ => (2, 1),
     }
+}
+
+/// Whether `v` fits a compact form's field.
+fn fits(v: u64) -> bool {
+    v <= u32::MAX as u64
+}
+
+/// Write `v` as a varint at `window[*pos..]`.
+#[inline(always)]
+fn put(window: &mut [u8; MAX_RECORD], pos: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        window[*pos] = v as u8 | 0x80;
+        v >>= 7;
+        *pos += 1;
+    }
+    window[*pos] = v as u8;
+    *pos += 1;
+}
+
+/// Read the varint at `buf[*pos..]`.
+#[inline]
+fn get(buf: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0, 0);
+    loop {
+        let b = buf[*pos];
+        *pos += 1;
+        v |= ((b & 0x7f) as u64) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Append one record, header first. Its field count is a constant, so
+/// the encoder is straight-line code writing into the block in place.
+#[inline]
+fn record<const K: usize>(bytes: &mut Blocks<u8>, fields: [u64; K]) {
+    bytes.append(|window: &mut [u8; MAX_RECORD]| {
+        let mut pos = 0;
+        for v in fields {
+            put(window, &mut pos, v);
+        }
+        pos
+    });
 }
 
 /// Memory guard: stop recording past this many nodes or marks (a run this
 /// long is not usefully analyzable anyway; the flag is reported).
 const MAX_RECORDS: usize = 1 << 24;
 
-// The guard's marks, at most 7 words each, have `u32` word indices.
-const _: () = assert!(MAX_RECORDS * 7 <= u32::MAX as usize);
+// The guard's marks, at most `MAX_RECORD` bytes each, have `u32` byte
+// offsets.
+const _: () = assert!(MAX_RECORDS * MAX_RECORD <= u32::MAX as usize);
 
-/// Words per record block (64 KiB).
-const BLOCK_WORDS: usize = 1 << 14;
-
-/// A `u32` stream kept in fixed blocks of [`BLOCK_WORDS`]: appending never
-/// moves a word, and capacity exceeds length by less than one block.
-#[derive(Debug, Default)]
-struct Words(Vec<Vec<u32>>);
-
-impl Words {
-    fn len(&self) -> usize {
-        self.0.last().map_or(0, |b| (self.0.len() - 1) * BLOCK_WORDS + b.len())
-    }
-
-    fn capacity(&self) -> usize {
-        self.0.len() * BLOCK_WORDS
-    }
-
-    fn get(&self, i: usize) -> u32 {
-        self.0[i / BLOCK_WORDS][i % BLOCK_WORDS]
-    }
-
-    /// Append one record. Its length is a constant, so the copy is a few
-    /// stores rather than a `memcpy` call.
-    #[inline]
-    fn push<const N: usize>(&mut self, words: [u32; N]) {
-        match self.0.last_mut() {
-            Some(block) if BLOCK_WORDS - block.len() >= N => block.extend_from_slice(&words),
-            _ => self.push_across(&words),
-        }
-    }
-
-    /// [`Words::push`] of words that need a new block.
-    #[cold]
-    fn push_across(&mut self, mut words: &[u32]) {
-        while !words.is_empty() {
-            if self.0.last().is_none_or(|b| b.len() == BLOCK_WORDS) {
-                self.0.push(Vec::with_capacity(BLOCK_WORDS));
-            }
-            let block = self.0.last_mut().expect("a block with room");
-            let n = words.len().min(BLOCK_WORDS - block.len());
-            block.extend_from_slice(&words[..n]);
-            words = &words[n..];
-        }
-    }
-
-    /// Append words `range` of `src`.
-    fn extend_from(&mut self, src: &Words, range: Range<usize>) {
-        for i in range {
-            self.push([src.get(i)]);
-        }
-    }
+/// One provenance node as the log stores it.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSlot {
+    /// Virtual time (ns) at which the event fired.
+    at: u64,
+    /// Node id minus parent id: 0 for no parent, [`FAR`] for a parent
+    /// kept in `LogInner::far`.
+    back: u32,
+    /// Byte offset in `LogInner::bytes` where this node's records begin;
+    /// they run up to the next node's first record (or the end). Marks
+    /// are only ever emitted for the newest node, so this is all the
+    /// owner data the log keeps.
+    first: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<NodeSlot>() <= 16);
+
+/// `NodeSlot::back` of a node whose parent is in `LogInner::far`.
+const FAR: u32 = u32::MAX;
 
 #[derive(Debug, Default)]
 struct LogInner {
@@ -193,24 +213,56 @@ struct LogInner {
     /// The node id the next `on_execute` continues with; any other id
     /// means a new Sim started.
     next: u64,
-    nodes: Vec<NodeRec>,
-    /// Word index in `words` where node `base + i`'s records begin; they
-    /// run up to the next node's first record (or the end). Marks are only
-    /// ever emitted for the newest node, so this is all the owner data the
-    /// log keeps.
-    first_mark: Vec<u32>,
+    nodes: Blocks<NodeSlot>,
+    /// `(index, parent)` of every node whose parent `back` cannot hold
+    /// (one at or after the node, or `FAR` or more ids before it, as a
+    /// lane's cross-lane parents are), in index order.
+    far: Vec<(usize, u64)>,
     /// Every mark's record in emission order, which is node order.
-    words: Words,
+    bytes: Blocks<u8>,
     /// Marks stored (a pair holds two).
     marks: usize,
     truncated: bool,
 }
 
 impl LogInner {
-    /// The words of `words` that hold `nodes[i]`'s records.
-    fn word_range(&self, i: usize) -> Range<usize> {
-        let end = self.first_mark.get(i + 1).map_or(self.words.len(), |&e| e as usize);
-        self.first_mark[i] as usize..end
+    /// Append node `base + nodes.len()`, fired at `at`, scheduled by
+    /// `parent`; its records begin at the end of `bytes`.
+    fn push_node(&mut self, at: u64, parent: u64) {
+        let i = self.nodes.len();
+        let back = match (self.base + i as u64).checked_sub(parent) {
+            _ if parent == 0 => 0,
+            Some(back @ 1..=0xffff_fffe) => back as u32,
+            _ => {
+                self.far.push((i, parent));
+                FAR
+            }
+        };
+        let first = u32::try_from(self.bytes.len()).expect("causal: log over u32 bytes");
+        self.nodes.push(NodeSlot { at, back, first });
+    }
+
+    /// Node `base + i`.
+    fn node(&self, i: usize) -> NodeRec {
+        let slot = self.nodes.get(i);
+        let parent = match slot.back {
+            0 => 0,
+            FAR => {
+                let k = self.far.binary_search_by_key(&i, |&(j, _)| j);
+                self.far[k.expect("causal: a far parent is in the side table")].1
+            }
+            back => self.base + i as u64 - back as u64,
+        };
+        NodeRec { at: slot.at, parent }
+    }
+
+    /// The bytes of `bytes` that hold `nodes[i]`'s records.
+    fn byte_range(&self, i: usize) -> Range<usize> {
+        let end = match i + 1 < self.nodes.len() {
+            true => self.nodes.get(i + 1).first as usize,
+            false => self.bytes.len(),
+        };
+        self.nodes.get(i).first as usize..end
     }
 
     /// Whether marks for node `owner` go in: it must be the newest node.
@@ -225,6 +277,11 @@ impl LogInner {
         newest == Some(owner)
     }
 
+    /// `at` of the newest node, which owns every mark stored now.
+    fn newest_at(&self) -> u64 {
+        self.nodes.last().expect("a mark's owner is recorded").at
+    }
+
     /// Append one mark of the newest node as a lone record (nothing for
     /// an empty interval).
     fn push(&mut self, id: u32, kind: MarkKind, start: u64, end: u64, fixed: u64) {
@@ -237,33 +294,44 @@ impl LogInner {
         }
         self.marks += 1;
         check_id(id);
-        let fixed = u32::try_from(fixed).unwrap_or(u32::MAX);
-        let at = self.nodes[self.nodes.len() - 1].at;
-        let off = start.checked_sub(at).and_then(|off| u32::try_from(off).ok());
-        match (off, u32::try_from(end - start).ok()) {
-            (Some(off), Some(dur)) if kind == MarkKind::Wire => {
-                self.words.push([header(id, FORM_WIRE), off, dur, fixed]);
+        let fixed = fixed.min(u32::MAX as u64);
+        let off = start.checked_sub(self.newest_at()).filter(|&off| fits(off));
+        let dur = end - start;
+        match off {
+            Some(off) if fits(dur) && kind == MarkKind::Wire => {
+                record(&mut self.bytes, [header(id, FORM_WIRE), off, dur, fixed]);
             }
-            (Some(off), Some(dur)) if fixed == 0 => {
-                self.words.push([header(id, kind as u32), off, dur]);
+            Some(off) if fits(dur) && fixed == 0 => {
+                record(&mut self.bytes, [header(id, kind as u64), off, dur]);
             }
             _ => {
-                let (lo, hi) = (|t: u64| t as u32, |t: u64| (t >> 32) as u32);
                 let hdr = header(id, FORM_WIDE);
-                self.words.push([hdr, kind as u32, lo(start), hi(start), lo(end), hi(end), fixed]);
+                record(&mut self.bytes, [hdr, kind as u64, start, end, fixed]);
             }
         }
     }
 
     /// Marks `nodes[i]` owns.
     fn marks_in(&self, i: usize) -> usize {
-        let (Range { start: mut pos, end }, mut marks) = (self.word_range(i), 0);
+        let (Range { start: mut pos, end }, mut marks) = (self.byte_range(i), 0);
         while pos < end {
-            let (words, n) = shape(self.words.get(pos) & 7);
-            pos += words;
-            marks += n;
+            let (form, next) = self.record_at(pos);
+            marks += shape(form).1;
+            pos = next;
         }
         marks
+    }
+
+    /// The form of the record at byte `pos`, and where the next begins.
+    fn record_at(&self, pos: usize) -> (u64, usize) {
+        let mut scratch = [0; MAX_RECORD];
+        let window = self.bytes.window(pos, &mut scratch);
+        let mut p = 0;
+        let form = get(window, &mut p) & 7;
+        for _ in 0..shape(form).0 {
+            get(window, &mut p);
+        }
+        (form, pos + p)
     }
 }
 
@@ -302,8 +370,8 @@ impl CausalLog {
     /// `(stored, reserved)`: the bytes the marks' records take, and the
     /// bytes their blocks hold, less than one 64 KiB block more.
     pub fn mark_bytes(&self) -> (usize, usize) {
-        let words = &self.inner.borrow().words;
-        (4 * words.len(), 4 * words.capacity())
+        let bytes = &self.inner.borrow().bytes;
+        (bytes.len(), bytes.capacity())
     }
 
     /// Whether the memory guard cut recording short.
@@ -355,14 +423,17 @@ impl CausalLog {
             MarkKind::Work => FORM_WAIT_WORK,
             _ => panic!("causal: an access ends in a Hold or Work mark, not {kind:?}"),
         };
-        let at = inner.nodes[inner.nodes.len() - 1].at;
-        let off = start.checked_sub(at).and_then(|off| u32::try_from(off).ok());
-        let (wait, dur) = (u32::try_from(mid - start).ok(), u32::try_from(end - mid).ok());
-        match (off, wait, dur) {
-            (Some(off), Some(wait @ 1..), Some(dur @ 1..)) if inner.marks + 2 <= MAX_RECORDS => {
+        let off = start.checked_sub(inner.newest_at()).filter(|&off| fits(off));
+        let (wait, dur) = (mid - start, end - mid);
+        match off {
+            Some(off)
+                if (1..=u32::MAX as u64).contains(&wait)
+                    && (1..=u32::MAX as u64).contains(&dur)
+                    && inner.marks + 2 <= MAX_RECORDS =>
+            {
                 check_id(id);
                 inner.marks += 2;
-                inner.words.push([header(id, form), off, wait, dur]);
+                record(&mut inner.bytes, [header(id, form), off, wait, dur]);
             }
             _ => {
                 if mid > start {
@@ -430,9 +501,7 @@ impl Probe for CausalLog {
             inner.truncated = true;
             return;
         }
-        inner.nodes.push(NodeRec { at, parent });
-        // In range: see the guard's assertion.
-        inner.first_mark.push(inner.words.len() as u32);
+        inner.push_node(at, parent);
     }
 
     fn end_execute(&self) {
@@ -461,10 +530,15 @@ impl LogView<'_> {
         self.inner.base
     }
 
-    /// Provenance nodes in execution order: `nodes()[i]` is node id
+    /// Provenance nodes in execution order: the `i`-th is node id
     /// `base() + i`.
-    pub fn nodes(&self) -> &[NodeRec] {
-        &self.inner.nodes
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeRec> + '_ {
+        (0..self.inner.nodes.len()).map(|i| self.inner.node(i))
+    }
+
+    /// Node id `base() + i`. Panics past the last node.
+    pub fn node(&self, i: usize) -> NodeRec {
+        self.inner.node(i)
     }
 
     /// The marks node `id` owns, in emission order (none for an id the
@@ -493,30 +567,30 @@ impl LogView<'_> {
             .flat_map(move |i| self.node_marks(i).skip(if i == first { skip } else { 0 }))
     }
 
-    /// The marks of `nodes()[i]`, decoded from its records (none past
-    /// the last node).
+    /// The marks of node `base() + i`, decoded from its records (none
+    /// past the last node).
     fn node_marks(&self, i: usize) -> Records<'_> {
         let inner = self.inner;
-        let (at, words) = match inner.nodes.get(i) {
-            Some(node) => (node.at, inner.word_range(i)),
-            None => (0, 0..0),
+        let (at, bytes) = match i < inner.nodes.len() {
+            true => (inner.nodes.get(i).at, inner.byte_range(i)),
+            false => (0, 0..0),
         };
         Records {
-            words: &inner.words,
+            bytes: &inner.bytes,
             labels: &self.labels,
             owner: inner.base + i as u64,
             at,
-            pos: words.start,
-            end: words.end,
+            pos: bytes.start,
+            end: bytes.end,
             second: None,
         }
     }
 }
 
-/// Decodes the records in words `pos..end`, owned by node `owner`, which
+/// Decodes the records in bytes `pos..end`, owned by node `owner`, which
 /// fired at `at`, into marks.
 struct Records<'a> {
-    words: &'a Words,
+    bytes: &'a Blocks<u8>,
     labels: &'a [&'static str],
     owner: u64,
     at: u64,
@@ -536,43 +610,39 @@ impl Iterator for Records<'_> {
         if self.pos >= self.end {
             return None;
         }
-        let w = |k: usize| self.words.get(self.pos + k);
-        let hdr = w(0);
+        let mut scratch = [0; MAX_RECORD];
+        let window = self.bytes.window(self.pos, &mut scratch);
+        let mut p = 0;
+        let mut field = || get(window, &mut p);
+        let hdr = field();
         let form = hdr & 7;
-        let rec = |kind, start, end, fixed| MarkRec {
-            owner: self.owner,
-            label: self.labels[(hdr >> 3) as usize],
-            kind,
-            start,
-            end,
-            fixed,
-        };
-        // A compact record's first interval: `off` and `dur` (or `wait`).
-        let span = || {
-            let start = self.at + w(1) as u64;
-            (start, start + w(2) as u64)
-        };
+        let label = self.labels[(hdr >> 3) as usize];
+        let rec =
+            |kind, start, end, fixed| MarkRec { owner: self.owner, label, kind, start, end, fixed };
         let (first, second) = match form {
             FORM_WIDE => {
-                let wide = |k: usize| w(k) as u64 | (w(k + 1) as u64) << 32;
-                (rec(KINDS[w(1) as usize], wide(2), wide(4), w(6) as u64), None)
+                let kind = KINDS[field() as usize];
+                let (start, end) = (field(), field());
+                (rec(kind, start, end, field()), None)
             }
             FORM_WAIT_HOLD | FORM_WAIT_WORK => {
-                let (start, mid) = span();
+                let start = self.at + field();
+                let mid = start + field();
                 let kind = if form == FORM_WAIT_HOLD { MarkKind::Hold } else { MarkKind::Work };
-                let hold = rec(kind, mid, mid + w(3) as u64, 0);
+                let hold = rec(kind, mid, mid + field(), 0);
                 (rec(MarkKind::Wait, start, mid, 0), Some(hold))
             }
             FORM_WIRE => {
-                let (start, end) = span();
-                (rec(MarkKind::Wire, start, end, w(3) as u64), None)
+                let start = self.at + field();
+                let end = start + field();
+                (rec(MarkKind::Wire, start, end, field()), None)
             }
             _ => {
-                let (start, end) = span();
-                (rec(KINDS[form as usize], start, end, 0), None)
+                let start = self.at + field();
+                (rec(KINDS[form as usize], start, start + field(), 0), None)
             }
         };
-        self.pos += shape(form).0;
+        self.pos += p;
         self.second = second;
         Some(first)
     }
@@ -612,21 +682,17 @@ pub fn merge_sharded_with_remap(
     let mut merged = LogInner {
         base: 1,
         next: order.len() as u64 + 1,
-        nodes: Vec::with_capacity(order.len()),
-        first_mark: Vec::with_capacity(order.len()),
         marks: lanes.iter().map(|s| s.marks).sum(),
         truncated: lanes.iter().any(|s| s.truncated),
         ..LogInner::default()
     };
     for &(at, _, lane, i) in &order {
         let s = &lanes[lane];
-        let parent = remap.get(&s.nodes[i].parent).copied().unwrap_or(0);
-        merged.nodes.push(NodeRec { at, parent });
-        let first = u32::try_from(merged.words.len()).expect("causal: merged log over u32 words");
-        merged.first_mark.push(first);
+        let parent = remap.get(&s.node(i).parent).copied().unwrap_or(0);
+        merged.push_node(at, parent);
         // A record's times are offsets from its node's `at`, which the
-        // merge keeps: the words copy as they are.
-        merged.words.extend_from(&s.words, s.word_range(i));
+        // merge keeps: the bytes copy as they are.
+        merged.bytes.extend_from(&s.bytes, s.byte_range(i));
     }
     (Rc::new(CausalLog { inner: RefCell::new(merged), current: Cell::new(0) }), remap)
 }
@@ -686,7 +752,7 @@ mod tests {
         assert_eq!(log.mark_count(), 1);
         log.with_view(|v| {
             assert_eq!(v.base(), 1);
-            assert_eq!(v.nodes()[1].parent, 1);
+            assert_eq!(v.node(1).parent, 1);
             let marks: Vec<MarkRec> = v.marks_of(1).collect();
             assert_eq!((marks.len(), marks[0].owner, marks[0].label), (1, 1, "lock"));
             assert_eq!(v.marks_of(2).count() + v.marks_of(3).count() + v.marks_of(9).count(), 0);
@@ -707,8 +773,18 @@ mod tests {
         assert_eq!(log.node_count(), 3);
         log.with_view(|v| {
             assert_eq!(v.base(), 1);
-            assert_eq!(v.nodes()[0].at, 5);
+            assert_eq!(v.node(0).at, 5);
         });
+    }
+
+    /// Bytes of `v` as a varint.
+    fn varint_len(v: u64) -> usize {
+        (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+    }
+
+    /// Bytes of a record of `fields`, header first.
+    fn record_len(fields: &[u64]) -> usize {
+        fields.iter().map(|&v| varint_len(v)).sum()
     }
 
     #[test]
@@ -716,28 +792,130 @@ mod tests {
         let log = CausalLog::new();
         log.on_execute(1, 100, 0);
         let stored = |log: &CausalLog| log.mark_bytes().0;
+        let (lock, res, wire) = (
+            crate::keyed::id_of("lock"),
+            crate::keyed::id_of("res"),
+            crate::keyed::id_of("net.wire"),
+        );
         // An access: a Wait, then a Hold where it ends.
-        let lock = crate::keyed::id_of("lock");
         log.access(1, lock, MarkKind::Hold, 110, 130, 180);
-        assert_eq!((log.mark_count(), stored(&log)), (2, 16), "an access pair");
+        let mut want = record_len(&[header(lock, FORM_WAIT_HOLD), 10, 20, 50]);
+        assert_eq!((log.mark_count(), stored(&log)), (2, want), "an access pair");
         log.owned_mark(1, "res", MarkKind::Work, 200, 210, 0);
-        assert_eq!((log.mark_count(), stored(&log)), (3, 16 + 12), "a single mark");
+        want += record_len(&[header(res, MarkKind::Work as u64), 100, 10]);
+        assert_eq!((log.mark_count(), stored(&log)), (3, want), "a single mark");
         log.owned_mark(1, "net.wire", MarkKind::Wire, 210, 300, 40);
-        assert_eq!((log.mark_count(), stored(&log)), (4, 16 + 12 + 16), "a Wire mark");
+        want += record_len(&[header(wire, FORM_WIRE), 110, 90, 40]);
+        assert_eq!((log.mark_count(), stored(&log)), (4, want), "a Wire mark");
         log.owned_mark(1, "lock", MarkKind::Hold, 50, 60, 0);
-        assert_eq!((log.mark_count(), stored(&log)), (5, 16 + 12 + 16 + 28), "before the node");
+        want += record_len(&[header(lock, FORM_WIDE), MarkKind::Hold as u64, 50, 60, 0]);
+        assert_eq!((log.mark_count(), stored(&log)), (5, want), "before the node");
         // Capacity never runs more than one block ahead of the records.
-        let block = 4 * BLOCK_WORDS;
-        for k in 0..3 * BLOCK_WORDS as u64 {
+        let block = Blocks::<u8>::PER_BLOCK;
+        for k in 0..3 * block as u64 / 4 {
             let t = 300 + 10 * k;
             if k % 3 == 0 {
-                log.access(1, crate::keyed::id_of("res"), MarkKind::Work, t, t + 4, t + 9);
+                log.access(1, res, MarkKind::Work, t, t + 4, t + 9);
             } else {
                 log.owned_mark(1, "res", MarkKind::Wait, t, t + 4, 0);
             }
             let (stored, reserved) = log.mark_bytes();
             assert!(stored <= reserved && reserved < stored + block, "{stored} B in {reserved} B");
         }
+        assert!(log.mark_bytes().0 > 2 * block, "the records fill more than two blocks");
+    }
+
+    /// What a stored mark reads back as.
+    fn read(m: &MarkRec) -> (u64, &'static str, MarkKind, u64, u64, u64) {
+        (m.owner, m.label, m.kind, m.start, m.end, m.fixed)
+    }
+
+    /// Marks and nodes at the encoding's edges, against a plain
+    /// `Vec<MarkRec>` reference: fields on both sides of 2^7, 2^14, 2^16
+    /// and 2^32, starts before their node (wide), a Wire `fixed` over
+    /// `u32` (read back saturated), empty intervals (dropped), records
+    /// straddling block boundaries, and parents none, 1 and more than
+    /// `u32::MAX` ids back.
+    #[test]
+    fn encoding_round_trips_against_a_plain_reference() {
+        let edges = [0, 1, 127, 128, 16_383, 16_384, 65_535, 65_536, (1 << 32) - 1, 1 << 32];
+        let far = 1 << 40;
+        let (a, b) = ("causal.edge.a", "causal.edge.b");
+        let mut rng = Rng(0xed6e);
+        let log = CausalLog::new();
+        let (mut want, mut nodes): (Vec<MarkRec>, Vec<NodeRec>) = (Vec::new(), Vec::new());
+        let mut at = far;
+        while log.mark_bytes().0 < 3 * Blocks::<u8>::PER_BLOCK {
+            let id = far + nodes.len() as u64;
+            let parent = match rng.below(4) {
+                0 => 0,
+                1 => id - 1,
+                2 => 1,
+                _ => id - 1 - rng.below(300).min(id - far),
+            };
+            at += edges[rng.below(4) as usize];
+            log.on_execute(id, at, parent);
+            nodes.push(NodeRec { at, parent });
+            for _ in 0..rng.below(4) {
+                let edge = |rng: &mut Rng| edges[rng.below(edges.len() as u64) as usize];
+                let start = match rng.below(8) {
+                    0 => at - 1 - rng.below(100),
+                    _ => at + edge(&mut rng),
+                };
+                let (end, mid) = (start + edge(&mut rng), start + edge(&mut rng));
+                let label = [a, b][rng.below(2) as usize];
+                let mark =
+                    |kind, start, end, fixed| MarkRec { owner: id, label, kind, start, end, fixed };
+                match rng.below(3) {
+                    0 => {
+                        let kind = KINDS[1 + rng.below(2) as usize];
+                        let end = mid + edge(&mut rng);
+                        log.access(id, crate::keyed::id_of(label), kind, start, mid, end);
+                        want.extend([mark(MarkKind::Wait, start, mid, 0), mark(kind, mid, end, 0)]);
+                    }
+                    1 => {
+                        let fixed = edge(&mut rng) + rng.below(2) * (1 << 33);
+                        log.inner.borrow_mut().push(
+                            crate::keyed::id_of(label),
+                            MarkKind::Wire,
+                            start,
+                            end,
+                            fixed,
+                        );
+                        want.push(mark(MarkKind::Wire, start, end, fixed.min(u32::MAX as u64)));
+                    }
+                    _ => {
+                        let kind = KINDS[rng.below(3) as usize];
+                        let fixed =
+                            if rng.below(4) == 0 { edge(&mut rng).min(u32::MAX as u64) } else { 0 };
+                        log.owned_mark(id, label, kind, start, end, fixed);
+                        want.push(mark(kind, start, end, fixed));
+                    }
+                }
+            }
+        }
+        want.retain(|m| m.end > m.start);
+        log.with_view(|v| {
+            assert_eq!(v.base(), far);
+            let got: Vec<NodeRec> = v.nodes().collect();
+            assert_eq!(got.len(), nodes.len());
+            for (i, (g, w)) in got.iter().zip(&nodes).enumerate() {
+                assert_eq!((g.at, g.parent), (w.at, w.parent), "node {i}");
+            }
+            let got: Vec<_> = v.marks().map(|m| read(&m)).collect();
+            assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(*g, read(w), "mark {k}");
+            }
+        });
+        assert_eq!(log.mark_count(), want.len());
+        let inner = log.inner.borrow();
+        assert!(inner.far.iter().any(|&(_, p)| p == 1), "a parent over u32 ids back");
+        let straddles = (0..inner.nodes.len()).any(|i| {
+            let r = inner.byte_range(i);
+            r.start / Blocks::<u8>::PER_BLOCK != r.end.saturating_sub(1) / Blocks::<u8>::PER_BLOCK
+        });
+        assert!(straddles, "some node's records straddle a block");
     }
 
     #[test]
@@ -950,7 +1128,7 @@ mod tests {
             assert_eq!(v.marks().map(|m| fields(&m)).collect::<Vec<_>>(), flat, "{what}: marks");
             for (i, (id, at, parent, marks)) in naive.iter().enumerate() {
                 assert_eq!(v.base() + i as u64, *id, "{what}: node id");
-                assert_eq!((v.nodes()[i].at, v.nodes()[i].parent), (*at, *parent), "{what}");
+                assert_eq!((v.node(i).at, v.node(i).parent), (*at, *parent), "{what}");
                 let got: Vec<MarkRec> = v.marks_of(*id).collect();
                 assert!(got.iter().all(|m| m.owner == *id), "{what}: owner of node {id}");
                 let got: Vec<Mark> = got.iter().map(fields).collect();
@@ -974,10 +1152,10 @@ mod tests {
     fn forms(log: &CausalLog) -> u32 {
         let inner = log.inner.borrow();
         let (mut pos, mut seen) = (0, 0);
-        while pos < inner.words.len() {
-            let form = inner.words.get(pos) & 7;
+        while pos < inner.bytes.len() {
+            let (form, next) = inner.record_at(pos);
             seen |= 1 << form;
-            pos += shape(form).0;
+            pos = next;
         }
         seen
     }
@@ -1007,19 +1185,21 @@ mod tests {
     fn a_log_over_many_blocks_equals_a_naive_recorder() {
         let log = CausalLog::new();
         probe::install(log.clone());
-        let naive = drive(&mut Rng(7), 30_000, 0, false, &[]);
+        let naive = drive(&mut Rng(7), 70_000, 0, false, &[]);
         probe::uninstall();
-        assert!(log.mark_bytes().0 > 3 * 4 * BLOCK_WORDS, "the log spans more than three blocks");
+        let blocks = log.mark_bytes().0 / Blocks::<u8>::PER_BLOCK;
+        assert!(blocks >= 3, "the log spans more than three blocks");
         assert_matches(&log, &naive, "many blocks");
     }
 
     /// A merge of `lanes` lanes, each driven for up to `steps` steps,
-    /// against a reference merge.
-    fn check_merge(seed: u64, steps: u64) {
+    /// against a reference merge: the record bytes of the largest lane,
+    /// and whether some merged node's parent comes at or after it.
+    fn check_merge(seed: u64, steps: u64) -> (usize, bool) {
         let mut rng = Rng(seed);
         let lanes = 2 + rng.below(2);
         let mut recorded: Vec<Reference> = Vec::new();
-        let mut data = Vec::new();
+        let (mut data, mut largest) = (Vec::new(), 0);
         for lane in 0..lanes {
             let base = lane << crate::LANE_SHIFT;
             // Cross-lane parents, and one that was never recorded.
@@ -1030,6 +1210,7 @@ mod tests {
             let steps = rng.below(steps);
             recorded.push(drive(&mut rng, steps, base, false, &parents));
             probe::uninstall();
+            largest = largest.max(log.mark_bytes().0);
             data.push(log.take_data());
             assert_eq!(log.node_count() + log.mark_count(), 0, "take_data drains the lane");
         }
@@ -1051,19 +1232,21 @@ mod tests {
             })
             .collect();
         assert_matches(&merged, &reference, &format!("merge seed {seed}"));
+        let ahead = merged.inner.borrow().far.iter().any(|&(i, parent)| parent > i as u64);
+        (largest, ahead)
     }
 
     #[test]
     fn merge_equals_a_reference_merge() {
-        for seed in 0..200 {
-            check_merge(seed, 60);
-        }
+        let ahead = (0..200).filter(|&seed| check_merge(seed, 60).1).count();
+        assert!(ahead > 0, "no merged parent comes at or after its child");
     }
 
-    /// Lanes of several blocks each: their word ranges copy across block
+    /// Lanes of several blocks each: their byte ranges copy across block
     /// boundaries.
     #[test]
     fn a_merge_over_many_blocks_equals_a_reference_merge() {
-        check_merge(3, 30_000);
+        let (largest, _) = check_merge(3, 70_000);
+        assert!(largest > 2 * Blocks::<u8>::PER_BLOCK, "a lane of {largest} B spans three blocks");
     }
 }

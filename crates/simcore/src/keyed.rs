@@ -35,10 +35,27 @@ const PROBE_WINDOW: usize = 8;
 /// `index` value of an id this table has never seen.
 const VACANT: u32 = u32::MAX;
 
-/// Key content → dense id, shared by every thread.
-static REGISTRY: LazyLock<Mutex<HashMap<&'static str, u32>>> = LazyLock::new(Default::default);
+/// Key content → dense id and back, shared by every thread.
+#[derive(Default)]
+struct Registry {
+    ids: HashMap<&'static str, u32>,
+    /// `keys[id]` is the key registered as `id`.
+    keys: Vec<&'static str>,
+}
 
-fn registry() -> std::sync::MutexGuard<'static, HashMap<&'static str, u32>> {
+impl Registry {
+    /// Register `key`, whose content is new, under the next id.
+    fn insert(&mut self, key: &'static str) -> u32 {
+        let id = u32::try_from(self.keys.len()).expect("keyed: more than u32::MAX keys");
+        self.ids.insert(key, id);
+        self.keys.push(key);
+        id
+    }
+}
+
+static REGISTRY: LazyLock<Mutex<Registry>> = LazyLock::new(Default::default);
+
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -127,15 +144,17 @@ fn id_of_cold(key: &'static str) -> u32 {
 /// content and the cached id is its id.
 fn lookup(key: &str) -> Option<u32> {
     let cached = CACHE.with(|cache| probe(cache, key.as_ptr() as usize, key.len()).ok());
-    cached.or_else(|| registry().get(key).copied())
+    cached.or_else(|| registry().ids.get(key).copied())
 }
 
 #[cold]
 fn register(key: &'static str) -> u32 {
     // Insert-only, so a panic elsewhere cannot leave the map inconsistent.
     let mut reg = registry();
-    let next = u32::try_from(reg.len()).expect("keyed: more than u32::MAX keys");
-    *reg.entry(key).or_insert(next)
+    match reg.ids.get(key) {
+        Some(&id) => id,
+        None => reg.insert(key),
+    }
 }
 
 /// A `&'static str` with the content of `s`, leaked the first time that
@@ -144,25 +163,25 @@ fn register(key: &'static str) -> u32 {
 /// or a probe must hold as `'static`. The content is registered as a key.
 pub fn intern(s: &str) -> &'static str {
     let mut reg = registry();
-    if let Some((&key, _)) = reg.get_key_value(s) {
+    if let Some((&key, _)) = reg.ids.get_key_value(s) {
         return key;
     }
     let key: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    let next = u32::try_from(reg.len()).expect("keyed: more than u32::MAX keys");
-    reg.insert(key, next);
+    reg.insert(key);
     key
 }
 
 /// Every key registered so far, indexed by id: `keys()[id_of(k)]` has
-/// the content of `k`. Built from the registry on each call (ids are
-/// dense), for read views that turn many stored ids back into names.
+/// the content of `k`. Copied from the registry on each call, for read
+/// views that turn many stored ids back into names.
 pub fn keys() -> Vec<&'static str> {
-    let reg = registry();
-    let mut keys = vec![""; reg.len()];
-    for (&key, &id) in reg.iter() {
-        keys[id as usize] = key;
-    }
-    keys
+    registry().keys.clone()
+}
+
+/// The key registered as `id`: `key(id_of(k))` has the content of `k`.
+/// Panics for an id never handed out.
+pub fn key(id: u32) -> &'static str {
+    registry().keys[id as usize]
 }
 
 /// A table of values keyed by `&'static str`, stored in dense slots.
@@ -391,7 +410,7 @@ mod tests {
         let got = resolve(&keys, 5);
         assert_ne!(got[0].0, got[1].0);
         for (k, row) in keys.iter().zip(&got) {
-            assert_eq!(Some(&row.0), registry().get(k));
+            assert_eq!(Some(&row.0), registry().ids.get(k));
         }
         assert_eq!(
             got.iter().map(|r| (r.1, r.2)).collect::<Vec<_>>(),
@@ -410,7 +429,10 @@ mod tests {
             CACHE.with(|c| matches!(probe(c, last.as_ptr() as usize, last.len()), Err(None)));
         assert!(window_full, "{last} found a cache slot");
         for (i, (k, row)) in keys.iter().zip(&got).enumerate() {
-            assert_eq!((Some(&row.0), row.1, row.2), (registry().get(k), 3, Some(3 * i as u64)));
+            assert_eq!(
+                (Some(&row.0), row.1, row.2),
+                (registry().ids.get(k), 3, Some(3 * i as u64))
+            );
         }
         // Another thread, meeting the keys in reverse order, places them
         // in other cache slots and resolves the same ids.

@@ -29,6 +29,7 @@
 //! All protocol logic, codecs and application code built on top of this
 //! engine are real, synchronously-executed Rust — only **time** is virtual.
 
+pub mod blocks;
 pub mod causal;
 pub mod cost;
 pub mod event;
@@ -43,6 +44,7 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 
+pub use blocks::Blocks;
 pub use causal::CausalLog;
 pub use cost::CostModel;
 pub use event::{ClosureFn, EventHandler, EventId, HandlerId, OnceFn};

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use simcore::escape_json;
+use simcore::{escape_json, keyed, Blocks};
 
 use crate::critpath::CritPath;
 use crate::flow::{stage, FlowRec};
@@ -15,21 +15,40 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
-/// One span of core activity: `label` ran on `core` of its locality over
-/// `[start, end]` virtual ns. The collector keeps these grouped by
-/// locality (`spans[loc]`, in recording order), so the span carries no
-/// locality of its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One span of core activity: [`CoreSpan::label`] ran on `core` of its
+/// locality over `[start, end]` virtual ns. The collector keeps these
+/// grouped by locality (`spans[loc]`, in recording order), so the span
+/// carries no locality of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoreSpan {
     /// Core index within the locality.
     pub core: u32,
-    /// What ran (`task`, `background`, `progress`).
-    pub label: &'static str,
+    /// Keyed id ([`simcore::keyed`]) of what ran.
+    label: u32,
     /// Span start, ns.
     pub start: u64,
     /// Span end, ns.
     pub end: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<CoreSpan>() <= 24);
+
+impl CoreSpan {
+    /// `label` (`task`, `background`, `progress`) ran on `core` over
+    /// `[start, end]` ns.
+    pub fn new(core: u32, label: &'static str, start: u64, end: u64) -> CoreSpan {
+        CoreSpan { core, label: keyed::id_of(label), start, end }
+    }
+
+    /// What ran.
+    pub fn label(&self) -> &'static str {
+        keyed::key(self.label)
+    }
+}
+
+/// One locality's core spans, in recording order, in 16 KiB blocks: a
+/// locality that ran little keeps little.
+pub type CoreSpans = Blocks<CoreSpan, { 16 << 10 }>;
 
 /// The Chrome track of `core` on locality `loc`.
 fn core_track(loc: usize, core: usize) -> String {
@@ -49,7 +68,7 @@ fn core_track(loc: usize, core: usize) -> String {
 /// * counter tracks — sampled series (queue depths, utilization) as
 ///   `ph:"C"` events.
 pub fn chrome_trace(
-    spans: &[Vec<CoreSpan>],
+    spans: &[CoreSpans],
     alerts: &[SloAlert],
     flows: &[FlowRec],
     metrics: &Metrics,
@@ -62,7 +81,7 @@ pub fn chrome_trace(
 /// carrying the makespan, and parcels whose delivery event lies on the
 /// path renamed `parcel (critical)` so on-path flow arrows stand out.
 pub fn chrome_trace_with_critpath(
-    spans: &[Vec<CoreSpan>],
+    spans: &[CoreSpans],
     alerts: &[SloAlert],
     flows: &[FlowRec],
     metrics: &Metrics,
@@ -111,7 +130,7 @@ fn sep(out: &mut String) {
 }
 
 fn render(
-    spans: &[Vec<CoreSpan>],
+    spans: &[CoreSpans],
     alerts: &[SloAlert],
     flows: &[FlowRec],
     metrics: &Metrics,
@@ -136,9 +155,9 @@ fn render(
     }
 
     for (loc, spans) in spans.iter().enumerate() {
-        for s in spans {
+        for s in spans.iter() {
             let (tid, dur) = (core_track(loc, s.core as usize), s.end.saturating_sub(s.start));
-            complete_span(&mut out, s.label, None, s.start, dur, &tid, None);
+            complete_span(&mut out, s.label(), None, s.start, dur, &tid, None);
         }
     }
     for a in alerts {
@@ -158,8 +177,8 @@ fn render(
         // End of the send-side slice: injection if recorded, else a sliver.
         let send_end = f.at(stage::INJECT).unwrap_or(put + 1).max(put + 1);
         let recv_end = f.at(stage::SPAWN).unwrap_or(deliver + 1).max(deliver + 1);
-        let src_tid = core_track(f.src, f.src_core);
-        let dst_tid = core_track(f.dst, f.dst_core);
+        let src_tid = core_track(f.src as usize, f.src_core as usize);
+        let dst_tid = core_track(f.dst as usize, f.dst_core as usize);
         complete_span(&mut out, name, Some("parcel"), put, send_end - put, &src_tid, Some(id));
         sep(&mut out);
         let _ = write!(
@@ -207,13 +226,27 @@ mod tests {
     use crate::flow::FlowTracer;
     use simcore::SimTime;
 
-    fn span(core: u32, label: &'static str, start: u64, end: u64) -> CoreSpan {
-        CoreSpan { core, label, start, end }
+    fn spans(list: &[(u32, &'static str, u64, u64)]) -> CoreSpans {
+        let mut spans = CoreSpans::new();
+        for &(core, label, start, end) in list {
+            spans.push(CoreSpan::new(core, label, start, end));
+        }
+        spans
+    }
+
+    #[test]
+    fn a_span_reads_back_a_label_interned_at_run_time() {
+        let name = format!("chrome.test.loc{}", 7);
+        let label = simcore::keyed::intern(&name);
+        let span = CoreSpan::new(3, label, 10, 20);
+        assert_eq!((span.label(), span.core, span.start, span.end), (name.as_str(), 3, 10, 20));
+        let json = chrome_trace(&[spans(&[(3, label, 10, 20)])], &[], &[], &Metrics::new());
+        assert!(json.starts_with("[{\"name\":\"chrome.test.loc7\",\"ph\":\"X\""), "{json}");
     }
 
     #[test]
     fn full_export_parses_and_contains_flow_pair() {
-        let spans = vec![vec![span(0, "task", 0, 5_000)]];
+        let spans = vec![spans(&[(0, "task", 0, 5_000)])];
         let mut f = FlowTracer::new();
         let id = f.begin(0, 1, 0, SimTime::from_nanos(100));
         f.mark(id, stage::INJECT, SimTime::from_nanos(400), 0);
@@ -234,7 +267,7 @@ mod tests {
 
     #[test]
     fn core_spans_and_alerts_render_as_complete_events() {
-        let spans = vec![vec![span(0, "task", 0, 10)], vec![span(2, "progress", 3_000, 5_000)]];
+        let spans = vec![spans(&[(0, "task", 0, 10)]), spans(&[(2, "progress", 3_000, 5_000)])];
         let alert = SloAlert {
             rule: "rule\"with\\quotes".into(),
             window: 0,

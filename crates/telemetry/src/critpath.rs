@@ -153,7 +153,7 @@ impl CritPath {
     /// a `CritPath` with `total_ns == 0`.
     pub fn from_log(config: &str, log: &CausalLog) -> CritPath {
         log.with_view(|view| {
-            let (base, nodes) = (view.base(), view.nodes());
+            let (base, nodes) = (view.base(), view.nodes().len());
             let mut cp = CritPath {
                 config: config.to_string(),
                 total_ns: 0,
@@ -164,18 +164,19 @@ impl CritPath {
                 events_on_path: 0,
                 truncated: log.truncated(),
             };
-            if nodes.is_empty() {
+            if nodes == 0 {
                 return cp;
             }
-            let last_id = base + nodes.len() as u64 - 1;
-            cp.total_ns = nodes[nodes.len() - 1].at;
+            let node = |id: u64| view.node((id - base) as usize);
+            let last_id = base + nodes as u64 - 1;
+            cp.total_ns = node(last_id).at;
 
             // Parent-chain walk; parents below `base` (recording started
             // mid-run) or non-decreasing ids (corruption guard) stop it.
             let mut path = vec![last_id];
             let mut cur = last_id;
             loop {
-                let parent = nodes[(cur - base) as usize].parent;
+                let parent = node(cur).parent;
                 if parent < base || parent >= cur {
                     break;
                 }
@@ -185,12 +186,11 @@ impl CritPath {
             path.reverse();
             cp.events_on_path = path.len();
 
-            let t_root = nodes[(path[0] - base) as usize].at;
+            let t_root = node(path[0]).at;
             push_segment(&mut cp.segments, "startup", 0, t_root);
             for w in path.windows(2) {
                 let (p, c) = (w[0], w[1]);
-                let t_p = nodes[(p - base) as usize].at;
-                let t_c = nodes[(c - base) as usize].at;
+                let (t_p, t_c) = (node(p).at, node(c).at);
                 carve(&mut cp.segments, &mut cp.wire_fixed_ns, view.marks_of(p), t_p, t_c);
             }
             cp.path_nodes = path;
@@ -319,7 +319,8 @@ pub fn parcel_paths(flows: &[FlowRec]) -> Vec<ParcelPath> {
             push_segment(&mut segments, crate::flow::STAGE_NAMES[s], prev, t);
             prev = t;
         }
-        out.push(ParcelPath { flow: i, src: f.src, dst: f.dst, total_ns: deliver - put, segments });
+        let (src, dst) = (f.src as usize, f.dst as usize);
+        out.push(ParcelPath { flow: i, src, dst, total_ns: deliver - put, segments });
     }
     out
 }

@@ -12,6 +12,7 @@
 //! Flow id 0 means "untracked": every mutator ignores it, so call sites
 //! can mark unconditionally.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
@@ -120,19 +121,26 @@ pub(crate) enum ForeignOp {
 #[derive(Debug, Clone)]
 pub struct FlowRec {
     /// Source locality.
-    pub src: usize,
+    pub src: u32,
     /// Destination locality.
-    pub dst: usize,
+    pub dst: u32,
     /// Core that ran `put_parcel`.
-    pub src_core: usize,
+    pub src_core: u32,
     /// Core that delivered/decoded (set at deliver time).
-    pub dst_core: usize,
+    pub dst_core: u32,
     /// Per-stage timestamps in ns ([`UNSET`] where not reached).
     pub stages: [u64; stage::COUNT],
     /// Causal node id of the event that delivered this parcel (0 when no
     /// causal collector was installed) — links the flow to the provenance
     /// graph so the critical path can highlight on-path parcels.
     pub deliver_node: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<FlowRec>() <= 88);
+
+/// `v` as a stored locality or core index.
+fn index(v: usize) -> u32 {
+    u32::try_from(v).expect("flow: locality or core index over u32")
 }
 
 impl FlowRec {
@@ -153,11 +161,15 @@ impl FlowRec {
 #[derive(Debug)]
 pub struct FlowTracer {
     flows: Vec<FlowRec>,
-    /// The run's route registry, shared with its lane tracers.
-    store: Arc<RouteStore>,
+    /// The run's route registry, shared with its lane tracers; made on
+    /// first use ([`FlowTracer::store`]).
+    store: OnceCell<Arc<RouteStore>>,
     /// Stop allocating new flows past this many (memory guard for long
     /// runs); marks on existing flows keep working.
     pub max_flows: usize,
+    /// Parcels [`FlowTracer::begin`] turned away because the tracer was
+    /// full: they have no flow, and the record reports their count.
+    untracked: u64,
     /// Lane-mode id base (`lane << LANE_SHIFT`); `None` = legacy
     /// single-collector mode with plain 1-based ids.
     lane_base: Option<u64>,
@@ -180,8 +192,9 @@ impl FlowTracer {
     pub fn new() -> Self {
         FlowTracer {
             flows: Vec::new(),
-            store: Arc::default(),
+            store: OnceCell::new(),
             max_flows: 1 << 22,
+            untracked: 0,
             lane_base: None,
             foreign: Vec::new(),
             foreign_seen: HashSet::new(),
@@ -194,10 +207,15 @@ impl FlowTracer {
     /// [`ForeignOp`]s for the post-run merge.
     pub(crate) fn for_lane(&self, lane: u32) -> FlowTracer {
         FlowTracer {
-            store: self.store.clone(),
+            store: OnceCell::from(self.store().clone()),
             lane_base: Some((lane as u64) << LANE_SHIFT),
             ..FlowTracer::new()
         }
+    }
+
+    /// The run's route registry.
+    fn store(&self) -> &Arc<RouteStore> {
+        self.store.get_or_init(Arc::default)
     }
 
     /// Whether this tracer is in lane mode.
@@ -222,13 +240,16 @@ impl FlowTracer {
     }
 
     /// Start a flow for a parcel put on `src_core` of locality `src`,
-    /// destined for `dst`. Returns the flow id (0 if the tracer is full).
+    /// destined for `dst`. Returns the flow id (0 if the tracer is full,
+    /// which counts the parcel as untracked).
     pub fn begin(&mut self, src: usize, dst: usize, src_core: usize, t: SimTime) -> u64 {
         if self.flows.len() >= self.max_flows.min(LOCAL_MASK as usize) {
+            self.untracked += 1;
             return 0;
         }
         let mut stages = [UNSET; stage::COUNT];
         stages[stage::PUT] = t.as_nanos();
+        let (src, dst, src_core) = (index(src), index(dst), index(src_core));
         self.flows.push(FlowRec { src, dst, src_core, dst_core: 0, stages, deliver_node: 0 });
         self.lane_base.unwrap_or(0) | self.flows.len() as u64
     }
@@ -279,7 +300,7 @@ impl FlowTracer {
                 }
                 continue;
             }
-            self.flows[Self::idx(id)].dst_core = core;
+            self.flows[Self::idx(id)].dst_core = index(core);
         }
     }
 
@@ -288,7 +309,7 @@ impl FlowTracer {
     /// this run on another thread — can claim them.
     pub fn register_route(&self, src: usize, dst: usize, tag_base: u64, flows: &[u64]) {
         if !flows.is_empty() {
-            let mut routes = self.store.routes.lock().expect("route store poisoned");
+            let mut routes = self.store().routes.lock().expect("route store poisoned");
             routes.insert((src, dst, tag_base), flows.to_vec());
         }
     }
@@ -296,25 +317,25 @@ impl FlowTracer {
     /// Receiver side: claim the flows registered for `(src, dst,
     /// tag_base)`. Empty if the sender registered nothing.
     pub fn take_route(&self, src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
-        let mut routes = self.store.routes.lock().expect("route store poisoned");
+        let mut routes = self.store().routes.lock().expect("route store poisoned");
         routes.remove(&(src, dst, tag_base)).unwrap_or_default()
     }
 
     /// Publish `(src, dst, put_ns)` of lane-mode flow `id` to the run.
     pub(crate) fn publish_meta(&self, id: u64, src: usize, dst: usize, put_ns: u64) {
-        self.store.meta.lock().expect("route store poisoned").insert(id, (src, dst, put_ns));
+        self.store().meta.lock().expect("route store poisoned").insert(id, (src, dst, put_ns));
     }
 
     /// Take the published metadata of a foreign flow id: its one reader
     /// is the receiving lane, at delivery.
     pub(crate) fn take_meta(&self, id: u64) -> Option<(usize, usize, u64)> {
-        self.store.meta.lock().expect("route store poisoned").remove(&id)
+        self.store().meta.lock().expect("route store poisoned").remove(&id)
     }
 
     /// Published flow metadata not yet taken.
     #[cfg(test)]
     pub(crate) fn meta_len(&self) -> usize {
-        self.store.meta.lock().expect("route store poisoned").len()
+        self.store().meta.lock().expect("route store poisoned").len()
     }
 
     /// All recorded flows, in creation order.
@@ -341,6 +362,7 @@ impl FlowTracer {
         let mut id_map: HashMap<u64, usize> = HashMap::new();
         let mut foreign: Vec<ForeignOp> = Vec::new();
         for lane in lanes {
+            self.untracked += lane.untracked;
             let base = lane.lane_base.unwrap_or(0);
             for (i, mut rec) in lane.flows.into_iter().enumerate() {
                 id_map.insert(base | (i as u64 + 1), self.flows.len());
@@ -363,11 +385,16 @@ impl FlowTracer {
                 }
                 ForeignOp::DstCore(id, core) => {
                     if let Some(&idx) = id_map.get(&id) {
-                        self.flows[idx].dst_core = core;
+                        self.flows[idx].dst_core = index(core);
                     }
                 }
             }
         }
+    }
+
+    /// Parcels begun while the tracer was full, which have no flow.
+    pub fn untracked(&self) -> u64 {
+        self.untracked
     }
 
     /// Number of recorded flows.
@@ -437,7 +464,8 @@ mod tests {
         f.max_flows = 1;
         assert_eq!(f.begin(0, 1, 0, SimTime::ZERO), 1);
         assert_eq!(f.begin(0, 1, 0, SimTime::ZERO), 0);
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.begin(1, 0, 0, SimTime::ZERO), 0);
+        assert_eq!((f.len(), f.untracked()), (1, 2));
     }
 
     #[test]

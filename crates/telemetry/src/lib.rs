@@ -67,7 +67,7 @@ use simcore::causal::MarkKind;
 use simcore::probe::{Label, Probe};
 use simcore::{CausalLog, SimTime};
 
-pub use chrome::CoreSpan;
+pub use chrome::{CoreSpan, CoreSpans};
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
@@ -93,7 +93,7 @@ struct Inner {
     flows: FlowTracer,
     contention: ContentionTable,
     /// Core spans grouped by locality: `spans[loc]` in recording order.
-    spans: Vec<Vec<CoreSpan>>,
+    spans: Vec<CoreSpans>,
     profile: CoreProfile,
     /// Parcels begun but not yet delivered, sampled as the
     /// `parcels.in_flight` counter track.
@@ -103,8 +103,10 @@ struct Inner {
     /// counter track.
     delivered: u64,
     /// The causal provenance log ([`simcore::causal`]): the collector
-    /// forwards every dispatch, mark and access it observes to it.
-    causal: Rc<CausalLog>,
+    /// forwards every dispatch, mark and access it observes to it. Made
+    /// at the first dispatch, so a collector allocates nothing until its
+    /// run does.
+    causal: Option<Rc<CausalLog>>,
     /// The window cursor, SLO monitors and flight recorder
     /// ([`timeline`]), present only when timelines were requested
     /// ([`enable_with`] / [`Telemetry::enable_timeline`]).
@@ -120,7 +122,10 @@ impl Inner {
             return;
         }
         let (src, dst, put) = match self.flows.rec(id) {
-            Some(rec) => (rec.src, rec.dst, rec.at(stage::PUT).unwrap_or(t.as_nanos())),
+            Some(rec) => {
+                let put = rec.at(stage::PUT).unwrap_or(t.as_nanos());
+                (rec.src as usize, rec.dst as usize, put)
+            }
             // Lane mode: a foreign id's record lives on the sending
             // lane's tracer; take the published metadata instead.
             None => match self.flows.take_meta(id) {
@@ -140,7 +145,8 @@ impl Inner {
     /// lands in the windowed latency series and on the flight recorder;
     /// the batch moves `parcels.in_flight` by one sample.
     fn mark_flows(&mut self, ids: &[u64], stage: usize, t: SimTime) {
-        let (mut newly, node) = (0i64, self.causal.current_node());
+        let node = self.causal.as_ref().map_or(0, |log| log.current_node());
+        let mut newly = 0i64;
         for &id in ids {
             if self.flows.mark(id, stage, t, node) && stage == stage::DELIVER {
                 newly += 1;
@@ -158,9 +164,9 @@ impl Inner {
     /// Keep one core span of locality `loc`.
     fn push_span(&mut self, loc: usize, core: usize, label: &'static str, start: u64, end: u64) {
         if self.spans.len() <= loc {
-            self.spans.resize_with(loc + 1, Vec::new);
+            self.spans.resize_with(loc + 1, CoreSpans::new);
         }
-        self.spans[loc].push(CoreSpan { core: core as u32, label, start, end });
+        self.spans[loc].push(CoreSpan::new(core as u32, label, start, end));
     }
 
     /// The timeline cursor, where untimed samples land; 0 without a
@@ -205,7 +211,7 @@ impl Inner {
     fn tl_poll(&mut self) {
         let Some(tl) = &mut self.timeline else { return };
         if tl.dump_due() {
-            tl.take_dump(causal_tail(&self.causal));
+            tl.take_dump(self.causal.as_ref().map(|log| causal_tail(log)).unwrap_or_default());
         }
     }
 }
@@ -230,7 +236,8 @@ fn causal_tail(log: &CausalLog) -> Vec<timeline::DumpMark> {
 
 impl Telemetry {
     /// Create a detached collector (not installed anywhere), with an empty
-    /// causal log of its own.
+    /// causal log of its own. Allocates nothing: every store grows from
+    /// its first record.
     pub fn new() -> Self {
         Telemetry::default()
     }
@@ -367,6 +374,11 @@ impl Telemetry {
         self.inner.borrow().flows.len()
     }
 
+    /// Parcels begun after the flow tracer filled up, which have no flow.
+    pub fn untracked_flows(&self) -> u64 {
+        self.inner.borrow().flows.untracked()
+    }
+
     /// Build the per-stage latency breakdown for `config`.
     pub fn breakdown(&self, config: &str) -> Breakdown {
         Breakdown::from_flows(config, self.inner.borrow().flows.flows())
@@ -464,7 +476,7 @@ impl Telemetry {
     }
 
     /// Read access to the core spans, grouped by locality.
-    pub fn with_core_spans<R>(&self, f: impl FnOnce(&[Vec<CoreSpan>]) -> R) -> R {
+    pub fn with_core_spans<R>(&self, f: impl FnOnce(&[CoreSpans]) -> R) -> R {
         f(&self.inner.borrow().spans)
     }
 
@@ -472,7 +484,7 @@ impl Telemetry {
     /// one marker per SLO alert once the timeline is finalized.
     pub fn span_count(&self) -> usize {
         let inner = self.inner.borrow();
-        inner.spans.iter().map(Vec::len).sum::<usize>() + inner.alert_markers().len()
+        inner.spans.iter().map(CoreSpans::len).sum::<usize>() + inner.alert_markers().len()
     }
 
     /// Render the combined Chrome-trace JSON: core spans, SLO alert
@@ -485,7 +497,7 @@ impl Telemetry {
 
     /// The causal provenance log this collector captured.
     pub fn causal_log(&self) -> Rc<CausalLog> {
-        self.inner.borrow().causal.clone()
+        self.inner.borrow_mut().causal.get_or_insert_with(CausalLog::new).clone()
     }
 
     /// Extract the makespan critical path from the captured causal log.
@@ -657,7 +669,9 @@ impl Probe for Telemetry {
             tl.probe_event(label.name, "lock", now.as_nanos(), wait_ns, hold_ns);
         }
         inner.observe(now.as_nanos(), true);
-        inner.causal.lock_wait(label, core, now, wait_ns, hold_ns, contended);
+        if let Some(log) = &inner.causal {
+            log.lock_wait(label, core, now, wait_ns, hold_ns, contended);
+        }
     }
 
     fn try_lock(&self, label: Label, now: SimTime, acquired: bool, hold_ns: u64) {
@@ -666,7 +680,9 @@ impl Probe for Telemetry {
         let inner = &mut *self.inner.borrow_mut();
         inner.contention.record(label, ResourceKind::TryLock, 0, hold_ns, !acquired);
         inner.observe(now.as_nanos(), false);
-        inner.causal.try_lock(label, now, acquired, hold_ns);
+        if let Some(log) = &inner.causal {
+            log.try_lock(label, now, acquired, hold_ns);
+        }
     }
 
     fn resource_access(
@@ -690,19 +706,29 @@ impl Probe for Telemetry {
             }
         }
         inner.observe(now.as_nanos(), true);
-        inner.causal.resource_access(label, core, now, wait_ns, service_ns, transferred);
+        if let Some(log) = &inner.causal {
+            log.resource_access(label, core, now, wait_ns, service_ns, transferred);
+        }
     }
 
     fn on_execute(&self, node: u64, at: u64, parent: u64) {
-        self.inner.borrow().causal.on_execute(node, at, parent);
+        self.inner
+            .borrow_mut()
+            .causal
+            .get_or_insert_with(CausalLog::new)
+            .on_execute(node, at, parent);
     }
 
     fn end_execute(&self) {
-        self.inner.borrow().causal.end_execute();
+        if let Some(log) = &self.inner.borrow().causal {
+            log.end_execute();
+        }
     }
 
     fn mark(&self, label: &'static str, kind: MarkKind, start: SimTime, end: SimTime, fixed: u64) {
-        self.inner.borrow().causal.mark(label, kind, start, end, fixed);
+        if let Some(log) = &self.inner.borrow().causal {
+            log.mark(label, kind, start, end, fixed);
+        }
     }
 }
 
@@ -959,7 +985,7 @@ pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
     let mut cum: Vec<Vec<Vec<(u64, f64)>>> = vec![Vec::new(); CUMULATIVE_TRACKS.len()];
     for lane in lanes {
         let inner = lane.inner.take();
-        shards.push(inner.causal.take_data());
+        shards.extend(inner.causal.map(|log| log.take_data()));
         for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
             cum[slot].push(inner.metrics.track(name).map(|s| s.to_vec()).unwrap_or_default());
         }
@@ -969,10 +995,10 @@ pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
         // A lane records only its own locality's spans, so each
         // locality's list comes from one lane, in recording order.
         if main_inner.spans.len() < inner.spans.len() {
-            main_inner.spans.resize_with(inner.spans.len(), Vec::new);
+            main_inner.spans.resize_with(inner.spans.len(), CoreSpans::new);
         }
         for (loc, spans) in inner.spans.into_iter().enumerate() {
-            main_inner.spans[loc].extend(spans);
+            main_inner.spans[loc].extend_from(&spans, 0..spans.len());
         }
         main_inner.in_flight += inner.in_flight;
         main_inner.delivered += inner.delivered;
@@ -982,7 +1008,7 @@ pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
         tracers.push(inner.flows);
     }
     let (merged_log, remap) = simcore::causal::merge_sharded_with_remap(shards);
-    main_inner.causal = merged_log;
+    main_inner.causal = Some(merged_log);
     main_inner.flows.absorb_lanes(tracers, &remap);
     for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
         let rebuilt = rebuild_cumulative(&cum[slot]);

@@ -191,6 +191,9 @@ pub struct RunRecord {
     pub flows_total: u64,
     /// Flows that reached delivery.
     pub flows_delivered: u64,
+    /// Parcels begun after the flow tracer filled up, which have no flow
+    /// (serialized only when non-zero).
+    pub flows_untracked: u64,
     /// Counter totals.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values.
@@ -238,6 +241,7 @@ impl RunRecord {
         });
         rec.flows_total = total;
         rec.flows_delivered = delivered;
+        rec.flows_untracked = tel.untracked_flows();
 
         tel.with_profile(|p| {
             for ((loc, core), states) in p.state_tables() {
@@ -427,6 +431,12 @@ impl RunRecord {
             }
         };
 
+        // A full flow tracer is reported only when it turned parcels
+        // away, so records of fully traced runs keep their bytes.
+        let untracked = match self.flows_untracked {
+            0 => String::new(),
+            n => format!(",\"untracked\":{n}"),
+        };
         // Sharding fields are emitted only when set, so legacy records
         // stay byte-identical to pre-sharding baselines.
         let mut sharding = String::new();
@@ -440,7 +450,7 @@ impl RunRecord {
         format!(
             "{{\"run_record\":{{\"version\":{},\"scenario\":\"{}\",\"config\":\"{}\",\
              \"params\":{{{}}},\"knobs\":[{}]{},\"end_to_end_ns\":{},\"events\":{},\
-             \"flows\":{{\"total\":{},\"delivered\":{}}},\"counters\":{{{}}},\
+             \"flows\":{{\"total\":{},\"delivered\":{}{}}},\"counters\":{{{}}},\
              \"gauges\":{{{}}},\"hists\":{{{}}},\"critpath\":{},\"profile\":[{}],\
              \"resources\":[{}],\"ports\":[{}],\"windows\":{}}}}}",
             self.version,
@@ -453,6 +463,7 @@ impl RunRecord {
             self.events,
             self.flows_total,
             self.flows_delivered,
+            untracked,
             counters.join(","),
             gauges.join(","),
             hists.join(","),
@@ -506,6 +517,9 @@ impl RunRecord {
         if let Some(f) = root.get("flows") {
             rec.flows_total = get_u64(f, "total")?;
             rec.flows_delivered = get_u64(f, "delivered")?;
+            if f.get("untracked").is_some() {
+                rec.flows_untracked = get_u64(f, "untracked")?;
+            }
         }
         if let Some(Value::Obj(fields)) = root.get("counters") {
             for (k, v) in fields {
@@ -826,6 +840,31 @@ mod tests {
         assert_eq!(rec.hists["parcel.latency_ns"].count(), 2);
         let back = RunRecord::from_json(&rec.to_json()).unwrap();
         assert_eq!(back, rec);
+    }
+
+    /// A tracer that fills up counts the parcels it turns away; the
+    /// record carries the count, and leaves the field out when nothing
+    /// was turned away.
+    #[test]
+    fn a_full_flow_tracer_reports_untracked_parcels() {
+        let meta =
+            || RunMeta { scenario: "unit".into(), config: "cfg".into(), ..Default::default() };
+        let tel = crate::Telemetry::new();
+        tel.inner.borrow_mut().flows.max_flows = 1;
+        for src in 0..3 {
+            tel.flow_begin(src, 1, 0, simcore::SimTime::from_nanos(10));
+        }
+        let rec = RunRecord::capture(&tel, meta());
+        assert_eq!((rec.flows_total, rec.flows_untracked), (1, 2));
+        let json = rec.to_json();
+        assert!(json.contains("\"flows\":{\"total\":1,\"delivered\":0,\"untracked\":2}"), "{json}");
+        assert_eq!(RunRecord::from_json(&json).unwrap(), rec);
+
+        let full = crate::Telemetry::new();
+        full.flow_begin(0, 1, 0, simcore::SimTime::from_nanos(10));
+        let json = RunRecord::capture(&full, meta()).to_json();
+        assert!(json.contains("\"flows\":{\"total\":1,\"delivered\":0},"), "{json}");
+        assert_eq!(RunRecord::from_json(&json).unwrap().flows_untracked, 0);
     }
 
     #[test]

@@ -599,8 +599,9 @@ mod sharded_world {
             let chrome = tel.chrome_trace_collected();
             match &first_chrome {
                 None => {
-                    let per_loc =
-                        tel.with_core_spans(|s| s.iter().map(Vec::len).collect::<Vec<_>>());
+                    let per_loc = tel.with_core_spans(|s| {
+                        s.iter().map(telemetry::CoreSpans::len).collect::<Vec<_>>()
+                    });
                     assert!(
                         per_loc.len() == 2 && per_loc.iter().all(|&n| n > 0),
                         "{what}: both localities must record core spans, got {per_loc:?}"
