@@ -303,7 +303,7 @@ impl Device {
     /// [`ProgressOutcome::Busy`] immediately instead of blocking.
     pub fn progress(&mut self, sim: &mut Sim, core: usize) -> ProgressOutcome {
         let now = sim.now();
-        match self.progress_lock.try_acquire(now, 0) {
+        match self.progress_lock.try_acquire(core, now, 0) {
             TryAcquire::Busy { free_at } => {
                 sim.stats.bump("lci.progress_busy");
                 telemetry::counter_add_at("lci.progress_busy", 1, now);

@@ -8,8 +8,9 @@
 //! time *marks* that the models emit while it runs: lock wait, lock hold,
 //! resource service, wire transit. The contention primitives
 //! ([`crate::SimLock`], [`crate::SimTryLock`], [`crate::SimResource`])
-//! make one probe call per access, which the log writes as its Wait and
-//! Hold/Work ([`CausalLog::access`]); other marks come through [`mark`].
+//! report each access as one [`Access`], which the log writes as its Wait
+//! and Hold/Work (its [`Probe::access`]); other marks come through
+//! [`mark`].
 //! Together these reconstruct the exact critical path of a run: walk the
 //! parent chain backwards from any event and carve each inter-event gap
 //! with the marks owned by the earlier event.
@@ -26,7 +27,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use crate::blocks::Blocks;
-use crate::probe::{self, Label, Probe};
+use crate::probe::{self, Access, AccessKind, Probe};
 use crate::time::SimTime;
 
 /// What a time mark represents, for per-component attribution.
@@ -91,7 +92,7 @@ pub struct MarkRec {
 // | `FORM_WIDE`                | `hdr, kind, start, end, fixed` | 1     |
 //
 // A pair is one `SimLock`/`SimResource` access, written by
-// `CausalLog::access`: a Wait, then a Hold/Work under the same label
+// `CausalLog::owned_access`: a Wait, then a Hold/Work under the same label
 // starting where the wait ends. The wide form takes any mark the others
 // cannot: a start before the owner's time, an offset or length over
 // `u32`, or a non-Wire mark with a fixed part. Every field of the other
@@ -410,9 +411,8 @@ impl CausalLog {
     /// label with keyed id `id`: a Wait over `[start, mid]`, then a `kind`
     /// (Hold or Work) mark over `[mid, end]` (`start <= mid <= end`). An
     /// empty interval is no mark. When both are marks and fit the compact
-    /// form they share one record. The log's [`Probe`] methods call this
-    /// for every access they see.
-    pub fn access(&self, owner: u64, id: u32, kind: MarkKind, start: u64, mid: u64, end: u64) {
+    /// form they share one record.
+    fn owned_access(&self, owner: u64, id: u32, kind: MarkKind, start: u64, mid: u64, end: u64) {
         debug_assert!(start <= mid && mid <= end, "causal: access {start}..{mid}..{end}");
         let inner = &mut *self.inner.borrow_mut();
         if !inner.owns(owner) {
@@ -450,40 +450,23 @@ impl CausalLog {
     pub fn take_data(&self) -> ShardCausalData {
         ShardCausalData(std::mem::take(&mut *self.inner.borrow_mut()))
     }
-
-    /// One probed access, owned by the event now dispatching: a Wait of
-    /// `wait_ns` from `now`, then a `kind` mark of `dur_ns`.
-    fn probed(&self, label: Label, kind: MarkKind, now: SimTime, wait_ns: u64, dur_ns: u64) {
-        let owner = self.current.get();
-        if owner != 0 {
-            let (start, mid) = (now.as_nanos(), now.as_nanos() + wait_ns);
-            self.access(owner, label.id, kind, start, mid, mid + dur_ns);
-        }
-    }
 }
 
 impl Probe for CausalLog {
-    fn lock_wait(&self, label: Label, _: usize, now: SimTime, wait_ns: u64, hold_ns: u64, _: bool) {
-        self.probed(label, MarkKind::Hold, now, wait_ns, hold_ns);
-    }
-
-    fn try_lock(&self, label: Label, now: SimTime, acquired: bool, hold_ns: u64) {
-        // A failed try holds nothing and never waits.
-        if acquired {
-            self.probed(label, MarkKind::Hold, now, 0, hold_ns);
+    /// The event now dispatching owns the access: a Wait of `wait_ns` from
+    /// `now`, then a Hold (lock) or Work (resource) of `dur_ns`. A failed
+    /// try is an empty Hold, which is no mark, and so is an access outside
+    /// any dispatch.
+    fn access(&self, a: Access) {
+        let owner = self.current.get();
+        if owner != 0 {
+            let kind = match a.kind {
+                AccessKind::Lock | AccessKind::TryLock => MarkKind::Hold,
+                AccessKind::Resource => MarkKind::Work,
+            };
+            let (start, mid) = (a.now.as_nanos(), a.now.as_nanos() + a.wait_ns);
+            self.owned_access(owner, a.label.id, kind, start, mid, mid + a.dur_ns);
         }
-    }
-
-    fn resource_access(
-        &self,
-        label: Label,
-        _: usize,
-        now: SimTime,
-        wait_ns: u64,
-        service_ns: u64,
-        _: bool,
-    ) {
-        self.probed(label, MarkKind::Work, now, wait_ns, service_ns);
     }
 
     fn on_execute(&self, node: u64, at: u64, parent: u64) {
@@ -798,7 +781,7 @@ mod tests {
             crate::keyed::id_of("net.wire"),
         );
         // An access: a Wait, then a Hold where it ends.
-        log.access(1, lock, MarkKind::Hold, 110, 130, 180);
+        log.owned_access(1, lock, MarkKind::Hold, 110, 130, 180);
         let mut want = record_len(&[header(lock, FORM_WAIT_HOLD), 10, 20, 50]);
         assert_eq!((log.mark_count(), stored(&log)), (2, want), "an access pair");
         log.owned_mark(1, "res", MarkKind::Work, 200, 210, 0);
@@ -815,7 +798,7 @@ mod tests {
         for k in 0..3 * block as u64 / 4 {
             let t = 300 + 10 * k;
             if k % 3 == 0 {
-                log.access(1, res, MarkKind::Work, t, t + 4, t + 9);
+                log.owned_access(1, res, MarkKind::Work, t, t + 4, t + 9);
             } else {
                 log.owned_mark(1, "res", MarkKind::Wait, t, t + 4, 0);
             }
@@ -870,7 +853,7 @@ mod tests {
                     0 => {
                         let kind = KINDS[1 + rng.below(2) as usize];
                         let end = mid + edge(&mut rng);
-                        log.access(id, crate::keyed::id_of(label), kind, start, mid, end);
+                        log.owned_access(id, crate::keyed::id_of(label), kind, start, mid, end);
                         want.extend([mark(MarkKind::Wait, start, mid, 0), mark(kind, mid, end, 0)]);
                     }
                     1 => {
@@ -995,6 +978,15 @@ mod tests {
         }
     }
 
+    /// A Wait over `[start, mid]`, then a Hold (lock) or Work (resource)
+    /// over `[mid, end]`, as the primitive reports that access.
+    fn reported(label: &'static str, kind: MarkKind, start: u64, mid: u64, end: u64) -> Access {
+        let kind = if kind == MarkKind::Hold { AccessKind::Lock } else { AccessKind::Resource };
+        let (label, now) = (crate::probe::Label::new(label), SimTime::from_nanos(start));
+        let (wait_ns, dur_ns) = (mid - start, end - mid);
+        Access { label, kind, core: 0, now, wait_ns, dur_ns, contended: false }
+    }
+
     /// The marks of one generated emission. Most are shaped like a
     /// `SimLock`/`SimResource` access, a Wait then a Hold/Work under the
     /// same label that starts where the wait ends, which [`drive`] reports
@@ -1090,12 +1082,8 @@ mod tests {
                                 && matches!(kind, MarkKind::Hold | MarkKind::Work) =>
                         {
                             // The access as a lock or resource reports it.
-                            let (label, now) = (Label::new(label), SimTime::from_nanos(start));
-                            let (wait, dur) = (mid - start, end - mid);
-                            probe::emit(|p| match kind {
-                                MarkKind::Hold => p.lock_wait(label, 0, now, wait, dur, false),
-                                _ => p.resource_access(label, 0, now, wait, dur, false),
-                            });
+                            let access = reported(label, kind, start, mid, end);
+                            probe::emit(|p| p.access(access));
                         }
                         _ => {
                             for &(label, kind, start, end, fixed) in &marks {

@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use crate::probe::{self, UNRESOLVED};
+use crate::probe::{self, Access, AccessKind, UNRESOLVED};
 use crate::time::SimTime;
 
 /// Result of [`SimTryLock::try_acquire`].
@@ -117,8 +117,9 @@ impl SimLock {
         self.grants.push_back(end);
         self.core_last_end[core] = end;
         probe::emit(|p| {
-            let label = probe::label(self.name, &mut self.id);
-            p.lock_wait(label, core, now, start - now, hold_ns, contended)
+            let (label, kind) = (probe::label(self.name, &mut self.id), AccessKind::Lock);
+            let wait_ns = start - now;
+            p.access(Access { label, kind, core, now, wait_ns, dur_ns: hold_ns, contended })
         });
         Grant { start, end, queued_behind: queued }
     }
@@ -154,17 +155,21 @@ impl SimTryLock {
         self.name
     }
 
-    /// Attempt to take the lock at `now` for `hold_ns`.
-    pub fn try_acquire(&mut self, now: SimTime, hold_ns: u64) -> TryAcquire {
-        if self.next_free <= now {
-            let until = now + hold_ns;
-            self.next_free = until;
-            probe::emit(|p| p.try_lock(probe::label(self.name, &mut self.id), now, true, hold_ns));
-            TryAcquire::Acquired { until }
-        } else {
-            probe::emit(|p| p.try_lock(probe::label(self.name, &mut self.id), now, false, 0));
-            TryAcquire::Busy { free_at: self.next_free }
+    /// Attempt to take the lock from `core` at `now` for `hold_ns`.
+    pub fn try_acquire(&mut self, core: usize, now: SimTime, hold_ns: u64) -> TryAcquire {
+        // A failed try never waits, which is the point of the LCI design:
+        // it holds nothing and counts as contention.
+        let busy = self.next_free > now;
+        probe::emit(|p| {
+            let (label, kind) = (probe::label(self.name, &mut self.id), AccessKind::TryLock);
+            let dur_ns = if busy { 0 } else { hold_ns };
+            p.access(Access { label, kind, core, now, wait_ns: 0, dur_ns, contended: busy })
+        });
+        if busy {
+            return TryAcquire::Busy { free_at: self.next_free };
         }
+        self.next_free = now + hold_ns;
+        TryAcquire::Acquired { until: self.next_free }
     }
 
     /// Extend the current hold (holder only): used when the critical
@@ -178,7 +183,7 @@ impl SimTryLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::recording::{record, Seen};
+    use crate::probe::recording::{record, timings};
 
     #[test]
     fn uncontended_acquire_is_free() {
@@ -189,9 +194,8 @@ mod tests {
         assert_eq!(g.start, SimTime::from_nanos(10));
         assert_eq!(g.end, SimTime::from_nanos(110));
         assert_eq!(g.queued_behind, 0);
-        let now = SimTime::from_nanos(10);
-        let lock = Seen::Lock { core: 0, now, wait_ns: 0, hold_ns: 100, contended: false };
-        assert_eq!(seen, vec![lock]);
+        assert_eq!(timings(&seen), [(0, 10, 0, 100, false)]);
+        assert_eq!((seen[0].label.name, seen[0].kind), ("ucp", AccessKind::Lock));
     }
 
     #[test]
@@ -209,10 +213,7 @@ mod tests {
         assert!(g2.start > g1.end);
         // The reported wait covers the holder's remaining 50 ns and the
         // 700 ns handoff.
-        let now = SimTime::from_nanos(50);
-        let second = Seen::Lock { core: 1, now, wait_ns: 750, hold_ns: 100, contended: true };
-        assert!(matches!(seen[0], Seen::Lock { contended: false, .. }));
-        assert_eq!(seen[1..], [second]);
+        assert_eq!(timings(&seen), [(0, 0, 0, 100, false), (1, 50, 750, 100, true)]);
     }
 
     #[test]
@@ -285,27 +286,21 @@ mod tests {
     fn trylock_success_and_failure() {
         let mut l = SimTryLock::new("progress");
         let seen = record(|| trylock_sequence(&mut l));
-        let at = SimTime::from_nanos;
-        assert_eq!(
-            seen,
-            vec![
-                Seen::Try { now: at(0), acquired: true, hold_ns: 100 },
-                Seen::Try { now: at(50), acquired: false, hold_ns: 0 },
-                Seen::Try { now: at(100), acquired: true, hold_ns: 100 },
-            ]
-        );
+        let tries = [(0, 0, 0, 100, false), (1, 50, 0, 0, true), (0, 100, 0, 100, false)];
+        assert_eq!(timings(&seen), tries);
+        assert!(seen.iter().all(|a| a.kind == AccessKind::TryLock));
     }
 
     fn trylock_sequence(l: &mut SimTryLock) {
-        match l.try_acquire(SimTime::ZERO, 100) {
+        match l.try_acquire(0, SimTime::ZERO, 100) {
             TryAcquire::Acquired { until } => assert_eq!(until, SimTime::from_nanos(100)),
             _ => panic!("should acquire"),
         }
-        match l.try_acquire(SimTime::from_nanos(50), 100) {
+        match l.try_acquire(1, SimTime::from_nanos(50), 100) {
             TryAcquire::Busy { free_at } => assert_eq!(free_at, SimTime::from_nanos(100)),
             _ => panic!("should be busy"),
         }
-        match l.try_acquire(SimTime::from_nanos(100), 100) {
+        match l.try_acquire(0, SimTime::from_nanos(100), 100) {
             TryAcquire::Acquired { .. } => {}
             _ => panic!("should acquire after release"),
         }

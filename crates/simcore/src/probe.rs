@@ -1,13 +1,15 @@
 //! The one observer hook: a thread-local slot holding at most one
 //! [`Probe`]. [`SimLock`](crate::SimLock), [`SimTryLock`](crate::SimTryLock)
-//! and [`SimResource`](crate::SimResource) report each access in one call,
-//! which carries everything the access did; the [`Sim`](crate::Sim)
-//! reports each event's dispatch, and the models its time marks
-//! ([`crate::causal`]). Nothing in simcore consumes the data: the slot
-//! holds a bare [`CausalLog`](crate::CausalLog), or an observability
-//! layer's collector (`telemetry`'s attributes wait vs. service time per
-//! named resource and forwards the rest to its own causal log). `Probe:
-//! Any`, so such a layer finds its collector in the slot by downcasting.
+//! and [`SimResource`](crate::SimResource) report each access as one
+//! [`Access`] value through one method, [`Probe::access`]: its timing, its
+//! core and whether it met contention, which each primitive decides next
+//! to the timing that causes it. The [`Sim`](crate::Sim) reports each
+//! event's dispatch, and the models their time marks ([`crate::causal`]).
+//! Nothing in simcore consumes the data: the slot holds a bare
+//! [`CausalLog`](crate::CausalLog), or an observability layer's collector
+//! (`telemetry`'s attributes wait vs. service time per named resource and
+//! forwards the rest to its own causal log). `Probe: Any`, so such a layer
+//! finds its collector in the slot by downcasting.
 //!
 //! Each access names the object by a [`Label`]: its name and its keyed id
 //! ([`crate::keyed::id_of`]). An object resolves the id on the first
@@ -17,7 +19,8 @@
 //!
 //! The hook is pure observation: implementations must not touch the
 //! simulation, and the emitting code never changes its timing based on
-//! whether a probe is installed. With no probe installed the cost is one
+//! whether a probe is installed. A primitive builds its `Access` inside
+//! [`emit`]'s closure, so with no probe installed the cost is one
 //! thread-local `Cell<bool>` read — no allocation, no dispatch.
 
 use std::any::Any;
@@ -56,41 +59,63 @@ pub(crate) fn label(name: &'static str, cache: &mut u32) -> Label {
     Label { name, id: *cache }
 }
 
-/// Receiver of everything simcore observes. Each access method describes
+/// What kind of primitive made an [`Access`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessKind {
+    /// Blocking lock ([`SimLock`](crate::SimLock)): the mpi `ucp_progress`
+    /// model.
+    Lock,
+    /// Non-blocking try-lock ([`SimTryLock`](crate::SimTryLock)).
+    TryLock,
+    /// Serialized service center ([`SimResource`](crate::SimResource)).
+    Resource,
+}
+
+impl AccessKind {
+    /// Short display form.
+    pub fn label(self) -> &'static str {
+        match self {
+            AccessKind::Lock => "lock",
+            AccessKind::TryLock => "trylock",
+            AccessKind::Resource => "resource",
+        }
+    }
+}
+
+/// One whole access to a lock or resource: a wait over `[now, now +
+/// wait_ns)`, then the critical section or service over the `dur_ns`
+/// that follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The object accessed.
+    pub label: Label,
+    /// The primitive that made the access.
+    pub kind: AccessKind,
+    /// The accessing core.
+    pub core: usize,
+    /// When the access was requested.
+    pub now: SimTime,
+    /// Spin, park or queueing time before the grant or the service
+    /// (a lock's convoy handoff included); 0 for a try-lock.
+    pub wait_ns: u64,
+    /// The hold, or the service time with any ownership-transfer penalty;
+    /// 0 for a failed try.
+    pub dur_ns: u64,
+    /// Whether the access met contention: a lock that waited, a try that
+    /// failed, a resource access that queued or moved the object between
+    /// cores.
+    pub contended: bool,
+}
+
+/// Receiver of everything simcore observes. [`Probe::access`] describes
 /// one whole access, so an implementation can derive the access's causal
-/// marks from it: a Wait over `[now, now + wait_ns)`, then a Hold (lock)
-/// or Work (resource) over the `hold_ns`/`service_ns` that follows. The
-/// dispatch and mark methods default to doing nothing.
+/// marks from it: a Wait over the wait, then a Hold (lock) or Work
+/// (resource) over the duration. The dispatch and mark methods default to
+/// doing nothing.
 pub trait Probe: Any {
-    /// A [`SimLock`](crate::SimLock) acquisition was granted.
-    /// `wait_ns` is the spin/park time before the grant (including the
-    /// convoy handoff), `hold_ns` the critical-section length.
-    fn lock_wait(
-        &self,
-        label: Label,
-        core: usize,
-        now: SimTime,
-        wait_ns: u64,
-        hold_ns: u64,
-        contended: bool,
-    );
-
-    /// A [`SimTryLock`](crate::SimTryLock) attempt. `hold_ns` is the
-    /// charged critical section on success, 0 on failure.
-    fn try_lock(&self, label: Label, now: SimTime, acquired: bool, hold_ns: u64);
-
-    /// A [`SimResource`](crate::SimResource) access. `wait_ns` is the
-    /// queueing delay before service began, `service_ns` the full service
-    /// time (including any ownership-transfer penalty).
-    fn resource_access(
-        &self,
-        label: Label,
-        core: usize,
-        now: SimTime,
-        wait_ns: u64,
-        service_ns: u64,
-        transferred: bool,
-    );
+    /// A [`SimLock`](crate::SimLock), [`SimTryLock`](crate::SimTryLock)
+    /// or [`SimResource`](crate::SimResource) access.
+    fn access(&self, a: Access);
 
     /// The [`Sim`](crate::Sim) begins dispatching event `node` (its
     /// node id) at `at` ns; `parent` is the node that scheduled it (0 when
@@ -152,42 +177,31 @@ pub fn emit(f: impl FnOnce(&dyn Probe)) {
     }
 }
 
-/// A probe that keeps every event it sees, for unit tests of the
+/// A probe that keeps every access it sees, for unit tests of the
 /// emitting models.
 #[cfg(test)]
 pub(crate) mod recording {
     use super::*;
 
-    /// One event, with the arguments it was emitted with (names dropped).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(crate) enum Seen {
-        Lock { core: usize, now: SimTime, wait_ns: u64, hold_ns: u64, contended: bool },
-        Try { now: SimTime, acquired: bool, hold_ns: u64 },
-        Resource { core: usize, now: SimTime, wait_ns: u64, service_ns: u64, transferred: bool },
-    }
-
-    struct RecordProbe(RefCell<Vec<Seen>>);
+    struct RecordProbe(RefCell<Vec<Access>>);
     impl Probe for RecordProbe {
-        fn lock_wait(&self, _: Label, core: usize, now: SimTime, w: u64, h: u64, c: bool) {
-            let e = Seen::Lock { core, now, wait_ns: w, hold_ns: h, contended: c };
-            self.0.borrow_mut().push(e);
-        }
-        fn try_lock(&self, _: Label, now: SimTime, acquired: bool, hold_ns: u64) {
-            self.0.borrow_mut().push(Seen::Try { now, acquired, hold_ns });
-        }
-        fn resource_access(&self, _: Label, core: usize, now: SimTime, w: u64, s: u64, t: bool) {
-            let e = Seen::Resource { core, now, wait_ns: w, service_ns: s, transferred: t };
-            self.0.borrow_mut().push(e);
+        fn access(&self, a: Access) {
+            self.0.borrow_mut().push(a);
         }
     }
 
     /// Run `f` with a recording probe installed; return what it saw.
-    pub(crate) fn record(f: impl FnOnce()) -> Vec<Seen> {
+    pub(crate) fn record(f: impl FnOnce()) -> Vec<Access> {
         let p = Rc::new(RecordProbe(RefCell::new(Vec::new())));
         install(p.clone());
         f();
         uninstall();
         p.0.take()
+    }
+
+    /// `(core, now, wait, dur, contended)` of each access.
+    pub(crate) fn timings(seen: &[Access]) -> Vec<(usize, u64, u64, u64, bool)> {
+        seen.iter().map(|a| (a.core, a.now.as_nanos(), a.wait_ns, a.dur_ns, a.contended)).collect()
     }
 }
 
@@ -197,15 +211,14 @@ mod tests {
 
     struct CountProbe(Cell<u64>);
     impl Probe for CountProbe {
-        fn lock_wait(&self, _: Label, _: usize, _: SimTime, _: u64, _: u64, _: bool) {
+        fn access(&self, _: Access) {
             self.0.set(self.0.get() + 1);
         }
-        fn try_lock(&self, _: Label, _: SimTime, _: bool, _: u64) {
-            self.0.set(self.0.get() + 1);
-        }
-        fn resource_access(&self, _: Label, _: usize, _: SimTime, _: u64, _: u64, _: bool) {
-            self.0.set(self.0.get() + 1);
-        }
+    }
+
+    /// Make one access through the slot.
+    fn access() {
+        crate::SimTryLock::new("x").try_acquire(0, SimTime::ZERO, 1);
     }
 
     #[test]
@@ -215,7 +228,7 @@ mod tests {
         let p = Rc::new(CountProbe(Cell::new(0)));
         install(p.clone());
         assert!(installed());
-        emit(|probe| probe.try_lock(Label::new("x"), SimTime::ZERO, true, 1));
+        access();
         assert_eq!(p.0.get(), 1);
         uninstall();
         assert!(!installed());
@@ -227,10 +240,10 @@ mod tests {
         let (a, b) = (Rc::new(CountProbe(Cell::new(0))), Rc::new(CountProbe(Cell::new(0))));
         assert!(swap(Some(a.clone())).is_none());
         let prev = swap(Some(b.clone()));
-        emit(|probe| probe.try_lock(Label::new("x"), SimTime::ZERO, true, 1));
+        access();
         assert_eq!((a.0.get(), b.0.get()), (0, 1), "the swapped-in probe sees the access");
         assert!(swap(prev).is_some_and(|p| std::ptr::addr_eq(Rc::as_ptr(&p), Rc::as_ptr(&b))));
-        emit(|probe| probe.try_lock(Label::new("x"), SimTime::ZERO, true, 1));
+        access();
         assert_eq!((a.0.get(), b.0.get()), (1, 1), "the previous probe is back");
         uninstall();
     }

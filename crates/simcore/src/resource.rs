@@ -1,6 +1,6 @@
 //! Contended shared resources modeled as serialized service centers.
 
-use crate::probe::{self, UNRESOLVED};
+use crate::probe::{self, Access, AccessKind, UNRESOLVED};
 use crate::time::SimTime;
 
 /// A shared mutable software object — a cache line holding an atomic
@@ -70,8 +70,10 @@ impl SimResource {
         let end = start + service;
         self.next_free = end;
         probe::emit(|p| {
-            let label = probe::label(self.name, &mut self.id);
-            p.resource_access(label, core, now, start - now, service, transferred)
+            let (label, kind) = (probe::label(self.name, &mut self.id), AccessKind::Resource);
+            let (wait_ns, dur_ns) = (start - now, service);
+            let contended = wait_ns > 0 || transferred;
+            p.access(Access { label, kind, core, now, wait_ns, dur_ns, contended })
         });
         end
     }
@@ -85,15 +87,10 @@ impl SimResource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::recording::{record, Seen};
+    use crate::probe::recording::{record, timings};
 
-    fn service_total(seen: &[Seen]) -> u64 {
-        seen.iter()
-            .map(|e| match e {
-                Seen::Resource { service_ns, .. } => *service_ns,
-                _ => panic!("not a resource access: {e:?}"),
-            })
-            .sum()
+    fn service_total(seen: &[Access]) -> u64 {
+        seen.iter().map(|a| a.dur_ns).sum()
     }
 
     #[test]
@@ -106,7 +103,7 @@ mod tests {
             assert_eq!(t2, SimTime::from_nanos(20));
         });
         assert_eq!(seen.len(), 2);
-        assert!(seen.iter().all(|e| matches!(e, Seen::Resource { transferred: false, .. })));
+        assert!(seen.iter().all(|a| a.kind == AccessKind::Resource && !a.contended));
     }
 
     #[test]
@@ -119,10 +116,7 @@ mod tests {
         });
         // 10 service + 100 transfer
         assert_eq!(t, SimTime::from_nanos(120));
-        let now = SimTime::from_nanos(10);
-        let moved = Seen::Resource { core: 1, now, wait_ns: 0, service_ns: 110, transferred: true };
-        assert!(matches!(seen[0], Seen::Resource { transferred: false, .. }));
-        assert_eq!(seen[1..], [moved]);
+        assert_eq!(timings(&seen), [(0, 0, 0, 10, false), (1, 10, 0, 110, true)]);
     }
 
     #[test]
@@ -136,14 +130,7 @@ mod tests {
         });
         assert_eq!(a, SimTime::from_nanos(150));
         assert_eq!(b, SimTime::from_nanos(200));
-        let waits: Vec<_> = seen
-            .iter()
-            .map(|e| match e {
-                Seen::Resource { wait_ns, .. } => *wait_ns,
-                _ => panic!("not a resource access: {e:?}"),
-            })
-            .collect();
-        assert_eq!(waits, vec![0, 50]);
+        assert_eq!(timings(&seen), [(0, 100, 0, 50, false), (0, 100, 50, 50, true)]);
     }
 
     mod props {

@@ -165,8 +165,9 @@ pub struct FlowTracer {
     /// first use ([`FlowTracer::store`]).
     store: OnceCell<Arc<RouteStore>>,
     /// Stop allocating new flows past this many (memory guard for long
-    /// runs); marks on existing flows keep working.
-    pub max_flows: usize,
+    /// runs); marks on existing flows keep working. `1 << 22` outside
+    /// this crate's tests.
+    pub(crate) max_flows: usize,
     /// Parcels [`FlowTracer::begin`] turned away because the tracer was
     /// full: they have no flow, and the record reports their count.
     untracked: u64,

@@ -19,15 +19,15 @@
 //!   [`core_tick`] and stored here only, grouped by locality; the Chrome
 //!   export draws one `loc<L>/core<C>` track per core;
 //! * **contention attribution** ([`ContentionTable`]): wait-vs-service
-//!   time per named `SimLock`/`SimTryLock`/`SimResource`, fed through
-//!   `simcore::probe`, ranked by total wait;
+//!   time per named `SimLock`/`SimTryLock`/`SimResource`, one row per
+//!   label fed with each `simcore::probe::Access`, ranked by total wait;
 //! * a **virtual-time core profiler** ([`CoreProfile`]): per-core
 //!   `working/progress/lock-wait/serialize/idle` accounting whose state
 //!   durations partition each core's elapsed virtual time exactly, with
 //!   folded-stack flamegraph output (see [`profile`]);
 //! * an optional **timeline** ([`Timeline`]): the window cursor, SLO
 //!   monitors and the flight recorder over the windowed metrics (see
-//!   [`timeline`]);
+//!   [`timeline`]), chosen when the collector is made ([`enable_with`]);
 //! * the **run record** ([`RunRecord`]): the one end-of-run artifact.
 //!   The critical-path, contention and core-time reports are views of
 //!   it ([`CritPath::to_text`], [`RunRecord::contention_text`],
@@ -35,10 +35,13 @@
 //!
 //! ## Enable/disable
 //!
-//! A [`Telemetry`] collector is a `simcore::Probe`: [`enable`] installs it
-//! in simcore's one observer slot ([`simcore::probe`]), where it sees
-//! every lock and resource access, every event dispatch and every causal
-//! mark, and forwards the last two to its own causal log. Call sites go
+//! A [`Telemetry`] collector is a `simcore::Probe`: [`enable`] (or
+//! [`enable_with`], with a timeline) installs it in simcore's one
+//! observer slot ([`simcore::probe`]), where it sees every lock and
+//! resource access as one `Access` value, every event dispatch and every
+//! causal mark. It files an access in one method (contention row,
+//! lock-wait overlay, flight-recorder event, causal record) and forwards
+//! dispatches and marks to its own causal log. Call sites go
 //! through the free functions in this module, which find the collector by
 //! downcasting what the slot holds and no-op when it holds none: the
 //! disabled cost is one thread-local `Cell<bool>` read, with zero
@@ -64,7 +67,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use simcore::causal::MarkKind;
-use simcore::probe::{Label, Probe};
+use simcore::probe::{Access, AccessKind, Probe};
 use simcore::{CausalLog, SimTime};
 
 pub use chrome::{CoreSpan, CoreSpans};
@@ -72,9 +75,7 @@ pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
 pub use hist::Histogram;
-pub use metrics::{
-    ContentionStat, ContentionTable, Metrics, PortWindow, ResourceKind, Series, WindowCell,
-};
+pub use metrics::{ContentionStat, ContentionTable, Metrics, PortWindow, Series, WindowCell};
 pub use profile::{CoreProfile, CoreState};
 pub use record::{RunMeta, RunRecord};
 pub use report::Breakdown;
@@ -108,8 +109,8 @@ struct Inner {
     /// run does.
     causal: Option<Rc<CausalLog>>,
     /// The window cursor, SLO monitors and flight recorder
-    /// ([`timeline`]), present only when timelines were requested
-    /// ([`enable_with`] / [`Telemetry::enable_timeline`]).
+    /// ([`timeline`]), present only when the collector was made with one
+    /// ([`enable_with`], or [`Telemetry::for_lane`] of such a collector).
     timeline: Option<Timeline>,
 }
 
@@ -169,20 +170,12 @@ impl Inner {
         self.spans[loc].push(CoreSpan::new(core as u32, label, start, end));
     }
 
-    /// The timeline cursor, where untimed samples land; 0 without a
-    /// timeline, whose single window takes every sample.
-    fn untimed_ns(&self) -> u64 {
-        self.timeline.as_ref().map_or(0, Timeline::cursor_ns)
-    }
-
     /// Tell the timeline a counter or (`hist`) histogram sample was just
-    /// stored at `t_ns`; `poll` then takes a dump that fell due.
-    fn sampled(&mut self, t_ns: u64, hist: bool, poll: bool) {
+    /// stored at `t_ns`, then take a dump that fell due.
+    fn sampled(&mut self, t_ns: u64, hist: bool) {
         if let Some(tl) = &mut self.timeline {
             tl.sampled(t_ns, hist, &self.metrics);
-            if poll {
-                self.tl_poll();
-            }
+            self.tl_poll();
         }
     }
 
@@ -235,48 +228,45 @@ fn causal_tail(log: &CausalLog) -> Vec<timeline::DumpMark> {
 }
 
 impl Telemetry {
-    /// Create a detached collector (not installed anywhere), with an empty
-    /// causal log of its own. Allocates nothing: every store grows from
-    /// its first record.
+    /// Create a detached collector (not installed anywhere) without a
+    /// timeline, with an empty causal log of its own. Allocates nothing:
+    /// every store grows from its first record.
     pub fn new() -> Self {
         Telemetry::default()
     }
 
-    /// Add `n` to counter `key`, in the timeline's current window.
-    pub fn counter_add(&self, key: &'static str, n: u64) {
-        let inner = &mut *self.inner.borrow_mut();
-        let t = inner.untimed_ns();
-        inner.metrics.counter_add(key, n, t);
-        inner.sampled(t, false, false);
+    /// [`Telemetry::new`], plus a windowed timeline under `cfg`: the
+    /// metrics store their samples in windows of `cfg.window_ns`, and the
+    /// profiler keeps the per-core segments the timeline slices.
+    fn with_timeline_config(cfg: TimelineConfig) -> Self {
+        let inner = Inner {
+            metrics: Metrics::windowed(cfg.window_ns),
+            profile: CoreProfile::with_segments(),
+            timeline: Some(Timeline::new(cfg)),
+            ..Inner::default()
+        };
+        Telemetry { inner: RefCell::new(inner) }
     }
 
-    /// Add `n` to counter `key`, in the window of instant `t` (identical
-    /// to [`Telemetry::counter_add`] when timelines are off).
+    /// Add `n` to counter `key`, in the window of instant `t` (window 0
+    /// when timelines are off).
     pub fn counter_add_at(&self, key: &'static str, n: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.counter_add(key, n, t.as_nanos());
-        inner.sampled(t.as_nanos(), false, true);
+        inner.sampled(t.as_nanos(), false);
     }
 
     /// Record `v` into histogram `key`, in the window of instant `t`
-    /// (identical to [`Telemetry::hist_record`] when timelines are off).
+    /// (window 0 when timelines are off).
     pub fn hist_record_at(&self, key: &'static str, v: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.hist_record(key, v, t.as_nanos());
-        inner.sampled(t.as_nanos(), true, true);
+        inner.sampled(t.as_nanos(), true);
     }
 
     /// Set gauge `key`.
     pub fn gauge_set(&self, key: &'static str, v: i64) {
         self.inner.borrow_mut().metrics.gauge_set(key, v);
-    }
-
-    /// Record into histogram `key`, in the timeline's current window.
-    pub fn hist_record(&self, key: &'static str, v: u64) {
-        let inner = &mut *self.inner.borrow_mut();
-        let t = inner.untimed_ns();
-        inner.metrics.hist_record(key, v, t);
-        inner.sampled(t, true, false);
     }
 
     /// Append a counter-track sample.
@@ -328,7 +318,7 @@ impl Telemetry {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.counter_add("amt.messages_delivered", 1, t.as_nanos());
         inner.delivered += 1;
-        inner.sampled(t.as_nanos(), false, true);
+        inner.sampled(t.as_nanos(), false);
         if !ids.is_empty() {
             inner.mark_flows(ids, stage::DELIVER, t);
             let n = inner.delivered as f64;
@@ -390,21 +380,6 @@ impl Telemetry {
         self.inner.borrow_mut().profile.set_loc(loc);
     }
 
-    /// Record a scheduler-level (base) profiler interval on `(loc, core)`.
-    pub fn profile_record(
-        &self,
-        loc: usize,
-        core: usize,
-        state: CoreState,
-        label: &'static str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let inner = &mut *self.inner.borrow_mut();
-        inner.profile.record_base(loc, core, state, label, start.as_nanos(), end.as_nanos());
-        inner.observe(end.as_nanos(), true);
-    }
-
     /// Record a probe-level (overlay) profiler interval on `core` of the
     /// current locality.
     pub fn profile_overlay(
@@ -434,25 +409,11 @@ impl Telemetry {
         self.inner.borrow().profile.folded(config)
     }
 
-    /// Record that `label` ran on `core` of locality `loc` over
-    /// `[start, end]` — one span on the Chrome export's `loc<L>/core<C>`
-    /// track. Empty spans are kept, as the scheduler reports them.
-    pub fn core_span(
-        &self,
-        loc: usize,
-        core: usize,
-        label: &'static str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.inner.borrow_mut().push_span(loc, core, label, start.as_nanos(), end.as_nanos());
-    }
-
     /// One scheduler tick of `core` on locality `loc` over `[start,
-    /// end]`: the core span `span`, if the tick ran something (empty
-    /// spans are kept), then, if the tick took time, the base profile
-    /// record of `state` under `label`. The same records as
-    /// [`Telemetry::core_span`] then [`Telemetry::profile_record`].
+    /// end]`: the core span `span` on the Chrome export's
+    /// `loc<L>/core<C>` track, if the tick ran something (empty spans are
+    /// kept), then, if the tick took time, the scheduler-level (base)
+    /// profile record of `state` under `label`.
     #[allow(clippy::too_many_arguments)]
     pub fn core_tick(
         &self,
@@ -520,20 +481,6 @@ impl Telemetry {
         let inner = self.inner.borrow();
         let (alerts, flows) = (inner.alert_markers(), inner.flows.flows());
         chrome::chrome_trace_with_critpath(&inner.spans, alerts, flows, &inner.metrics, cp)
-    }
-
-    /// Attach a windowed timeline to this collector (normally done by
-    /// [`enable_with`] before the run starts). The metrics store their
-    /// samples in windows of `cfg.window_ns` from here on, and the
-    /// profiler keeps the per-core segments the timeline slices. Samples
-    /// already stored cannot be re-bucketed, nor segments recovered, so
-    /// this panics if the collector holds any counter, histogram or port
-    /// sample, or any core account.
-    pub fn enable_timeline(&self, cfg: TimelineConfig) {
-        let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.set_window_ns(cfg.window_ns);
-        inner.profile.keep_segments();
-        inner.timeline = Some(Timeline::new(cfg));
     }
 
     /// Read access to the timeline; `None` when timelines are off.
@@ -648,66 +595,28 @@ impl Telemetry {
 /// flight-recorder dump the access made due (which therefore ends before
 /// the access's own marks). Dispatch and marks go straight to the log.
 impl Probe for Telemetry {
-    fn lock_wait(
-        &self,
-        label: Label,
-        core: usize,
-        now: SimTime,
-        wait_ns: u64,
-        hold_ns: u64,
-        contended: bool,
-    ) {
+    fn access(&self, a: Access) {
         let inner = &mut *self.inner.borrow_mut();
-        inner.contention.record(label, ResourceKind::Lock, wait_ns, hold_ns, contended);
-        // The wait interval `[now, now+wait)` is spin time on `core`; the
-        // profiler carves it out of whatever base interval encloses it.
-        if wait_ns > 0 {
-            let (start, end) = (now.as_nanos(), now.as_nanos() + wait_ns);
-            inner.profile.record_overlay_here(core, CoreState::LockWait, label.name, start, end);
-        }
-        if let (true, Some(tl)) = (contended, &mut inner.timeline) {
-            tl.probe_event(label.name, "lock", now.as_nanos(), wait_ns, hold_ns);
-        }
-        inner.observe(now.as_nanos(), true);
-        if let Some(log) = &inner.causal {
-            log.lock_wait(label, core, now, wait_ns, hold_ns, contended);
-        }
-    }
-
-    fn try_lock(&self, label: Label, now: SimTime, acquired: bool, hold_ns: u64) {
-        // A failed try never waits — that is the point of the LCI design;
-        // it only counts as a contended event.
-        let inner = &mut *self.inner.borrow_mut();
-        inner.contention.record(label, ResourceKind::TryLock, 0, hold_ns, !acquired);
-        inner.observe(now.as_nanos(), false);
-        if let Some(log) = &inner.causal {
-            log.try_lock(label, now, acquired, hold_ns);
-        }
-    }
-
-    fn resource_access(
-        &self,
-        label: Label,
-        core: usize,
-        now: SimTime,
-        wait_ns: u64,
-        service_ns: u64,
-        transferred: bool,
-    ) {
-        let inner = &mut *self.inner.borrow_mut();
-        let contended = wait_ns > 0 || transferred;
-        inner.contention.record(label, ResourceKind::Resource, wait_ns, service_ns, contended);
-        // Queueing on a serialized resource is lock-wait-like core time.
-        if wait_ns > 0 {
-            let (start, end) = (now.as_nanos(), now.as_nanos() + wait_ns);
-            inner.profile.record_overlay_here(core, CoreState::LockWait, label.name, start, end);
+        inner.contention.record(a);
+        let now = a.now.as_nanos();
+        // The wait `[now, now + wait)` is spin or queueing time on `core`:
+        // the profiler carves it out of whatever base interval encloses
+        // it, and the flight recorder keeps it.
+        if a.wait_ns > 0 {
+            let (label, end) = (a.label.name, now + a.wait_ns);
+            inner.profile.record_overlay_here(a.core, CoreState::LockWait, label, now, end);
             if let Some(tl) = &mut inner.timeline {
-                tl.probe_event(label.name, "resource", now.as_nanos(), wait_ns, service_ns);
+                tl.probe_event(label, a.kind.label(), now, a.wait_ns, a.dur_ns);
             }
         }
-        inner.observe(now.as_nanos(), true);
+        // A try-lock advances the cursor but leaves a due dump to the next
+        // record that polls. Where a dump is cut is part of the recorded
+        // output: taking it here would move a dump whose post-roll ends
+        // between a try and the next polling record (`access_recording.rs`
+        // pins one).
+        inner.observe(now, a.kind != AccessKind::TryLock);
         if let Some(log) = &inner.causal {
-            log.resource_access(label, core, now, wait_ns, service_ns, transferred);
+            log.access(a);
         }
     }
 
@@ -732,22 +641,24 @@ impl Probe for Telemetry {
     }
 }
 
-/// Install a fresh collector in this thread's probe slot, replacing
-/// whatever it held. Returns the handle; keep it to read reports after
-/// [`disable`].
+/// Install a fresh collector without a timeline in this thread's probe
+/// slot, replacing whatever it held. Returns the handle; keep it to read
+/// reports after [`disable`].
 pub fn enable() -> Rc<Telemetry> {
-    let t = Rc::new(Telemetry::new());
-    simcore::probe::install(t.clone());
-    t
+    install(Telemetry::new())
 }
 
-/// [`enable`], plus a windowed timeline under `cfg`: per-window
+/// [`enable`], with a windowed timeline under `cfg`: per-window
 /// histograms/counters/port accounting, SLO monitors, and the flight
 /// recorder. The timeline is pure observation like everything else —
 /// enabled runs reproduce the exact event streams of disabled runs.
 pub fn enable_with(cfg: TimelineConfig) -> Rc<Telemetry> {
-    let t = enable();
-    t.enable_timeline(cfg);
+    install(Telemetry::with_timeline_config(cfg))
+}
+
+fn install(t: Telemetry) -> Rc<Telemetry> {
+    let t = Rc::new(t);
+    simcore::probe::install(t.clone());
     t
 }
 
@@ -834,18 +745,6 @@ pub fn take_route(src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
     flows
 }
 
-/// Add to a counter on the active collector.
-#[inline]
-pub fn counter_add(key: &'static str, n: u64) {
-    with(|tel| tel.counter_add(key, n));
-}
-
-/// Record into a histogram on the active collector.
-#[inline]
-pub fn hist_record(key: &'static str, v: u64) {
-    with(|tel| tel.hist_record(key, v));
-}
-
 /// Add to a counter, attributed to instant `t` in the windowed timeline.
 #[inline]
 pub fn counter_add_at(key: &'static str, n: u64, t: SimTime) {
@@ -883,21 +782,6 @@ pub fn track_sample(name: &'static str, t: SimTime, v: f64) {
 #[inline]
 pub fn profile_set_loc(loc: usize) {
     with(|tel| tel.profile_set_loc(loc));
-}
-
-/// Record a base profiler interval; no-op when disabled or empty.
-#[inline]
-pub fn profile_record(
-    loc: usize,
-    core: usize,
-    state: CoreState,
-    label: &'static str,
-    start: SimTime,
-    end: SimTime,
-) {
-    if end > start {
-        with(|tel| tel.profile_record(loc, core, state, label, start, end));
-    }
 }
 
 /// Report one scheduler tick (see [`Telemetry::core_tick`]); no-op when
@@ -953,11 +837,11 @@ impl Telemetry {
     /// lane-rank order: the merged result is a pure function of the
     /// per-lane streams, independent of shard count and run mode.
     pub fn for_lane(lane: u32, main: &Telemetry) -> Rc<Telemetry> {
-        let mut tel = Telemetry::new();
         let main = main.inner.borrow();
-        if let Some(tl) = &main.timeline {
-            tel.enable_timeline(tl.config());
-        }
+        let mut tel = match &main.timeline {
+            Some(tl) => Telemetry::with_timeline_config(tl.config()),
+            None => Telemetry::new(),
+        };
         let inner = tel.inner.get_mut();
         inner.flows = main.flows.for_lane(lane);
         inner.profile.set_loc(lane as usize);
@@ -1066,7 +950,7 @@ mod tests {
             assert!(!enabled());
             assert_eq!(flow_begin(0, 1, 0, SimTime::ZERO), 0);
             flow_mark(1, stage::PUT, SimTime::ZERO);
-            counter_add("x", 1);
+            counter_add_at("x", 1, SimTime::ZERO);
             assert!(take_route(0, 1, 5).is_empty());
             assert!(active().is_none());
         });
@@ -1080,7 +964,7 @@ mod tests {
             let id = flow_begin(0, 1, 2, SimTime::from_nanos(5));
             assert_eq!(id, 1);
             flow_mark(id, stage::DELIVER, SimTime::from_nanos(500));
-            counter_add("parcels", 3);
+            counter_add_at("parcels", 3, SimTime::from_nanos(500));
             register_route(0, 1, 7, &[id]);
             assert_eq!(take_route(0, 1, 7), vec![id]);
             disable();
@@ -1100,7 +984,7 @@ mod tests {
             let id = flow_begin(0, 1, 0, SimTime::ZERO);
             flow_mark(id, stage::DELIVER, SimTime::from_nanos(100));
             register_route(0, 1, 99, &[id]);
-            counter_add("parcels", 7);
+            counter_add_at("parcels", 7, SimTime::from_nanos(100));
             profile_set_loc(3);
             simcore::causal::on_execute(1, 50, 0);
             simcore::causal::mark(
@@ -1138,31 +1022,15 @@ mod tests {
     fn enable_while_enabled_resets_cleanly() {
         with_clean_state(|| {
             let stale = enable();
-            counter_add("x", 1);
+            counter_add_at("x", 1, SimTime::ZERO);
             // A run that forgot to disable: the next enable must not let
             // the stale collector keep collecting.
             let fresh = enable();
-            counter_add("x", 1);
+            counter_add_at("x", 1, SimTime::ZERO);
             disable();
             assert_eq!(stale.with_metrics(|m| m.counter("x")), 1);
             assert_eq!(fresh.with_metrics(|m| m.counter("x")), 1);
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be re-bucketed")]
-    fn enabling_a_timeline_after_samples_panics() {
-        let tel = Telemetry::new();
-        tel.counter_add("x", 1);
-        tel.enable_timeline(TimelineConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "already holds core accounts")]
-    fn enabling_a_timeline_after_profile_records_panics() {
-        let tel = Telemetry::new();
-        tel.profile_record(0, 0, CoreState::Working, "task", SimTime::ZERO, SimTime::from_nanos(9));
-        tel.enable_timeline(TimelineConfig::default());
     }
 
     #[test]
@@ -1179,7 +1047,7 @@ mod tests {
                 id = flow_begin(1, 0, 0, SimTime::from_nanos(10));
                 flow_mark(id, stage::INJECT, SimTime::from_nanos(20));
                 register_route(1, 0, 5, &[id]);
-                counter_add("parcels", 1);
+                counter_add_at("parcels", 1, SimTime::from_nanos(20));
             });
 
             on_lane(&lane0, || {
@@ -1187,7 +1055,7 @@ mod tests {
                 assert_eq!(claimed, vec![id]);
                 flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(90));
                 flow_set_dst_core(&claimed, 2);
-                counter_add("parcels", 2);
+                counter_add_at("parcels", 2, SimTime::from_nanos(90));
             });
 
             merge_lane_collectors(&main, vec![lane0, lane1]);
@@ -1298,8 +1166,8 @@ mod tests {
             lock.acquire(0, SimTime::ZERO, 1_000);
             lock.acquire(1, SimTime::ZERO, 1_000); // convoy: waits
             let mut tl = simcore::SimTryLock::new("lci.progress");
-            let _ = tl.try_acquire(SimTime::ZERO, 100);
-            let _ = tl.try_acquire(SimTime::ZERO, 100); // busy
+            let _ = tl.try_acquire(0, SimTime::ZERO, 100);
+            let _ = tl.try_acquire(1, SimTime::ZERO, 100); // busy
             let mut res = simcore::SimResource::new("nic.tx_post", 50);
             res.access(SimTime::ZERO, 0, 10);
             disable();
@@ -1329,13 +1197,7 @@ mod tests {
     }
 
     impl Probe for CountProbe {
-        fn lock_wait(&self, _: Label, _: usize, _: SimTime, _: u64, _: u64, _: bool) {
-            self.accesses.set(self.accesses.get() + 1);
-        }
-        fn try_lock(&self, _: Label, _: SimTime, _: bool, _: u64) {
-            self.accesses.set(self.accesses.get() + 1);
-        }
-        fn resource_access(&self, _: Label, _: usize, _: SimTime, _: u64, _: u64, _: bool) {
+        fn access(&self, _: Access) {
             self.accesses.set(self.accesses.get() + 1);
         }
         fn on_execute(&self, _: u64, _: u64, _: u64) {

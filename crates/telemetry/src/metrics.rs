@@ -4,7 +4,7 @@
 //! Counters, histograms and fabric port accounting are kept **per
 //! virtual-time window**, and only there: each key holds one [`Series`],
 //! a cell per window that took a sample. With a timeline attached the
-//! window width is the timeline's ([`Metrics::set_window_ns`]); without
+//! window width is the timeline's ([`Metrics::windowed`]); without
 //! one every sample lands in window 0, so a series is a single cell. Run
 //! totals are derived: [`Metrics::counter`] sums a series and
 //! [`Metrics::hist`] merges one, so windows merge to the totals by
@@ -20,7 +20,7 @@
 //! `Keyed` too: a name formatted at run time (`loc3.runq`) is interned
 //! once with `simcore::keyed::intern` and cached by its caller.
 
-use simcore::probe::Label;
+use simcore::probe::{Access, AccessKind};
 use simcore::Keyed;
 
 use crate::hist::Histogram;
@@ -131,17 +131,11 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Bucket samples into windows `window_ns` wide. Samples already
-    /// stored cannot be re-bucketed, so this panics unless the store is
-    /// still empty.
-    pub fn set_window_ns(&mut self, window_ns: u64) {
+    /// Create an empty store that buckets samples into windows
+    /// `window_ns` wide.
+    pub fn windowed(window_ns: u64) -> Self {
         assert!(window_ns > 0, "window width must be positive");
-        assert!(
-            self.counters.is_empty() && self.hists.is_empty() && self.ports.is_empty(),
-            "metrics already hold samples stored under one window width, which cannot be \
-             re-bucketed: attach the timeline before recording"
-        );
-        self.window_ns = window_ns;
+        Metrics { window_ns, ..Metrics::default() }
     }
 
     /// The window instant `t_ns` falls in.
@@ -288,33 +282,11 @@ impl Metrics {
     }
 }
 
-/// What kind of synchronization object a contention row describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResourceKind {
-    /// Blocking lock ([`simcore::SimLock`]) — the mpi `ucp_progress` model.
-    Lock,
-    /// Non-blocking try-lock ([`simcore::SimTryLock`]).
-    TryLock,
-    /// Serialized service center ([`simcore::SimResource`]).
-    Resource,
-}
-
-impl ResourceKind {
-    /// Short display form.
-    pub fn label(self) -> &'static str {
-        match self {
-            ResourceKind::Lock => "lock",
-            ResourceKind::TryLock => "trylock",
-            ResourceKind::Resource => "resource",
-        }
-    }
-}
-
 /// Accumulated wait-vs-service time for one named resource.
 #[derive(Debug, Clone, Copy)]
 pub struct ContentionStat {
     /// What the underlying object is.
-    pub kind: ResourceKind,
+    pub kind: AccessKind,
     /// Total acquisitions/accesses/attempts.
     pub events: u64,
     /// Events that experienced contention (waited, queued, or failed the
@@ -327,7 +299,7 @@ pub struct ContentionStat {
 }
 
 impl ContentionStat {
-    fn new(kind: ResourceKind) -> Self {
+    fn new(kind: AccessKind) -> Self {
         ContentionStat { kind, events: 0, contended: 0, total_wait_ns: 0, total_service_ns: 0 }
     }
 }
@@ -344,21 +316,14 @@ impl ContentionTable {
         ContentionTable::default()
     }
 
-    /// Record one event against `label`.
+    /// Count one access against its label.
     #[inline]
-    pub fn record(
-        &mut self,
-        label: Label,
-        kind: ResourceKind,
-        wait_ns: u64,
-        service_ns: u64,
-        contended: bool,
-    ) {
-        let row = self.rows.slot_by_id(label.id, label.name, || ContentionStat::new(kind));
+    pub fn record(&mut self, a: Access) {
+        let row = self.rows.slot_by_id(a.label.id, a.label.name, || ContentionStat::new(a.kind));
         row.events += 1;
-        row.contended += contended as u64;
-        row.total_wait_ns += wait_ns;
-        row.total_service_ns += service_ns;
+        row.contended += a.contended as u64;
+        row.total_wait_ns += a.wait_ns;
+        row.total_service_ns += a.dur_ns;
     }
 
     /// Fold `other`'s rows into this table (events/wait/service sum per
@@ -423,9 +388,7 @@ mod tests {
 
     #[test]
     fn merge_folds_windows() {
-        let (mut a, mut b) = (Metrics::new(), Metrics::new());
-        a.set_window_ns(10);
-        b.set_window_ns(10);
+        let (mut a, mut b) = (Metrics::windowed(10), Metrics::windowed(10));
         a.port_access("p", 5, 1, 64);
         b.port_access("p", 25, 2, 64);
         b.port_access("p", 7, 3, 64);
@@ -463,10 +426,18 @@ mod tests {
     #[test]
     fn contention_ranking_orders_by_wait() {
         let mut t = ContentionTable::new();
-        let (small, big) = (Label::new("small"), Label::new("big"));
-        t.record(small, ResourceKind::TryLock, 10, 5, false);
-        t.record(big, ResourceKind::Lock, 1000, 50, true);
-        t.record(big, ResourceKind::Lock, 500, 50, true);
+        let access = |name, kind, wait_ns, contended| Access {
+            label: simcore::probe::Label::new(name),
+            kind,
+            core: 0,
+            now: simcore::SimTime::ZERO,
+            wait_ns,
+            dur_ns: 50,
+            contended,
+        };
+        t.record(access("small", AccessKind::Resource, 10, false));
+        t.record(access("big", AccessKind::Lock, 1000, true));
+        t.record(access("big", AccessKind::Lock, 500, true));
         let ranking = t.ranking();
         assert_eq!(ranking[0].0, "big");
         assert_eq!(ranking[0].1.total_wait_ns, 1500);

@@ -266,7 +266,7 @@ impl CoreAccount {
     }
 
     /// Attributed `(start, end, state)` runs, oldest first; none unless
-    /// its profile keeps segments ([`CoreProfile::keep_segments`]).
+    /// its profile keeps segments ([`CoreProfile::with_segments`]).
     pub fn segments(&self) -> impl Iterator<Item = (u64, u64, CoreState)> + '_ {
         self.segments.iter().map(|&(s, e, st)| (s, e, CoreState::from_u8(st)))
     }
@@ -302,6 +302,14 @@ impl CoreProfile {
         CoreProfile::default()
     }
 
+    /// Create an empty profile whose accounts also keep every core's
+    /// `(start, end, state)` segments, which
+    /// [`crate::timeline::slice_occupancy`] reads; a [`CoreProfile::new`]
+    /// account keeps only its totals.
+    pub fn with_segments() -> Self {
+        CoreProfile { keep_segments: true, ..CoreProfile::default() }
+    }
+
     /// Set the locality whose event handler is currently executing.
     /// Probe-driven overlays (which only know a core index) land here.
     pub fn set_loc(&mut self, loc: usize) {
@@ -311,20 +319,6 @@ impl CoreProfile {
     /// The locality set by [`CoreProfile::set_loc`].
     pub fn current_loc(&self) -> usize {
         self.current_loc
-    }
-
-    /// Keep every core's `(start, end, state)` segments, which
-    /// [`crate::timeline::slice_occupancy`] reads; without this an account
-    /// keeps only its totals. Accounts already open cannot gain the
-    /// segments they did not keep, so this panics unless the profile is
-    /// still empty.
-    pub fn keep_segments(&mut self) {
-        assert!(
-            self.is_empty(),
-            "the profile already holds core accounts that kept no timeline segments: \
-             attach the timeline before recording"
-        );
-        self.keep_segments = true;
     }
 
     /// The account of `(loc, core)`, opened on first touch.
@@ -678,8 +672,7 @@ mod tests {
             p.record_base(1, 2, CoreState::Progress, "background", 10, 90);
             p.record_base(1, 2, CoreState::Working, "task", 120, 200);
         };
-        let (mut plain, mut kept) = (CoreProfile::new(), CoreProfile::new());
-        kept.keep_segments();
+        let (mut plain, mut kept) = (CoreProfile::new(), CoreProfile::with_segments());
         record(&mut plain);
         record(&mut kept);
         let segments = |p: &CoreProfile| -> Vec<Vec<_>> {
@@ -701,14 +694,6 @@ mod tests {
             p.snapshot().values().map(|a| a.leaves().collect()).collect()
         };
         assert_eq!(leaves(&plain), leaves(&kept));
-    }
-
-    #[test]
-    #[should_panic(expected = "already holds core accounts")]
-    fn keeping_segments_after_a_record_panics() {
-        let mut p = CoreProfile::new();
-        p.record_base(0, 0, CoreState::Working, "task", 0, 100);
-        p.keep_segments();
     }
 
     #[test]

@@ -829,9 +829,9 @@ mod tests {
     #[test]
     fn capture_from_live_collector() {
         let tel = crate::enable();
-        tel.counter_add("parcels.sent", 3);
-        tel.hist_record("parcel.latency_ns", 1_500);
-        tel.hist_record("parcel.latency_ns", 2_500);
+        tel.counter_add_at("parcels.sent", 3, simcore::SimTime::ZERO);
+        tel.hist_record_at("parcel.latency_ns", 1_500, simcore::SimTime::ZERO);
+        tel.hist_record_at("parcel.latency_ns", 2_500, simcore::SimTime::ZERO);
         crate::disable();
         let meta = RunMeta { scenario: "unit".into(), config: "cfg".into(), ..Default::default() };
         let rec = RunRecord::capture(&tel, meta);
@@ -873,7 +873,7 @@ mod tests {
         use simcore::SimTime;
         let ns = SimTime::from_nanos;
         let tel = Telemetry::new();
-        tel.profile_record(0, 1, CoreState::Working, "task", ns(10), ns(200));
+        tel.core_tick(0, 1, None, CoreState::Working, "task", ns(10), ns(200));
         tel.profile_set_loc(0);
         // Still pending at the horizon: no base record encloses them.
         tel.profile_overlay(1, CoreState::LockWait, "ucp_progress", ns(250), ns(300));

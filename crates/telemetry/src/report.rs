@@ -365,9 +365,9 @@ mod tests {
     fn profile_report_ranks_by_busy_time() {
         let tel = crate::Telemetry::new();
         let t = SimTime::from_nanos;
-        tel.profile_record(0, 0, CoreState::Working, "task", t(0), t(1000));
-        tel.profile_record(0, 1, CoreState::Progress, "background", t(0), t(400));
-        tel.profile_record(1, 0, CoreState::Working, "task", t(0), t(700));
+        tel.core_tick(0, 0, None, CoreState::Working, "task", t(0), t(1000));
+        tel.core_tick(0, 1, None, CoreState::Progress, "background", t(0), t(400));
+        tel.core_tick(1, 0, None, CoreState::Working, "task", t(0), t(700));
         let rec = RunRecord::capture(&tel, meta("cfg"));
         assert_eq!(rec.profile_horizon_ns(), 1000);
         let rows = rec.cores_by_busy_time();

@@ -907,8 +907,7 @@ mod tests {
     fn occupancy_slicing_preserves_partition() {
         use crate::profile::CoreProfile;
         // As a collector with a timeline attached builds its profile.
-        let mut p = CoreProfile::new();
-        p.keep_segments();
+        let mut p = CoreProfile::with_segments();
         p.record_base(0, 0, CoreState::Working, "task", 0, 250);
         p.record_base(0, 0, CoreState::Progress, "poll", 250, 420);
         let snap = p.snapshot();

@@ -1,15 +1,18 @@
 //! What a collector records for lock, try-lock and resource accesses:
-//! the causal marks, the contention rows and the core profile, each
-//! checked against a list written out by hand. Covers an uncontended and
-//! a contended `SimLock`, an acquired and a failed `SimTryLock`, a
-//! queued, a transferred and a zero-wait `SimResource` access, and a
-//! wait and a hold over 2^32 ns, which the causal log stores in its wide
-//! form. The same accesses under a bare `CausalLog` in the probe slot
-//! record the same marks.
+//! the causal marks, the contention rows, the core profile and the
+//! flight recorder's probe records, each checked against a list written
+//! out by hand. Covers an uncontended and a contended `SimLock`, an
+//! acquired and a failed `SimTryLock`, a queued, a transferred and a
+//! zero-wait `SimResource` access, a wait and a hold over 2^32 ns, which
+//! the causal log stores in its wide form, and an access made before the
+//! first dispatch, which counts in its row and leaves no mark. The same
+//! accesses under a bare `CausalLog` in the probe slot record the same
+//! marks.
 
 use simcore::causal::{self, CausalLog, MarkKind};
 use simcore::{SimLock, SimResource, SimTime, SimTryLock, TryAcquire};
-use telemetry::CoreState;
+use telemetry::timeline::FlightRec;
+use telemetry::{CoreState, TimelineConfig};
 
 fn ns(t: u64) -> SimTime {
     SimTime::from_nanos(t)
@@ -46,9 +49,13 @@ fn expected_marks() -> Vec<Mark> {
     ]
 }
 
-/// The accesses, over two dispatched events, under whatever the probe
-/// slot holds.
+/// The accesses, over two dispatched events and one before them, under
+/// whatever the probe slot holds.
 fn run_accesses() {
+    // No event owns this one.
+    let mut early = SimResource::new("acc.early", 0);
+    assert_eq!(early.access(ns(50), 0, 5), ns(55));
+
     causal::on_execute(1, 100, 0);
     let mut lock = SimLock::new("acc.lock", 500, 200);
     lock.acquire(0, ns(100), 50);
@@ -56,8 +63,8 @@ fn run_accesses() {
     assert_eq!((queued.start, queued.end), (ns(850), ns(900)));
 
     let mut try_lock = SimTryLock::new("acc.try");
-    assert_eq!(try_lock.try_acquire(ns(100), 30), TryAcquire::Acquired { until: ns(130) });
-    assert_eq!(try_lock.try_acquire(ns(110), 30), TryAcquire::Busy { free_at: ns(130) });
+    assert_eq!(try_lock.try_acquire(0, ns(100), 30), TryAcquire::Acquired { until: ns(130) });
+    assert_eq!(try_lock.try_acquire(1, ns(110), 30), TryAcquire::Busy { free_at: ns(130) });
 
     let mut res = SimResource::new("acc.res", 40);
     assert_eq!(res.access(ns(100), 0, 20), ns(120));
@@ -71,7 +78,7 @@ fn run_accesses() {
     long.acquire(3, ns(200), 10);
 
     // The scheduler reports core 1's enclosing interval after the probes.
-    telemetry::profile_record(0, 1, CoreState::Progress, "background", ns(100), ns(1000));
+    telemetry::core_tick(0, 1, None, CoreState::Progress, "background", ns(100), ns(1000));
 
     causal::on_execute(2, 300, 1);
     // Transferred back to core 0 with no wait.
@@ -104,6 +111,7 @@ fn accesses_record_the_same_marks_rows_and_profile() {
             ("acc.long", "lock", (2, 1, LONG - 100, LONG + 10)),
             ("acc.lock", "lock", (2, 1, 730, 100)),
             ("acc.res", "resource", (4, 2, 20, 140)),
+            ("acc.early", "resource", (1, 0, 0, 5)),
             ("acc.try", "trylock", (2, 1, 0, 30)),
         ]
     );
@@ -146,4 +154,50 @@ fn a_bare_causal_log_records_the_same_marks() {
     run_accesses();
     simcore::probe::uninstall();
     assert_eq!(marks_of(&log), expected_marks());
+}
+
+/// Under a timeline collector the flight recorder keeps one probe record
+/// per access that waited: the contended locks and the queued resource
+/// access, none for the try-locks or the resource accesses that only
+/// moved or did not wait. A try-lock takes no dump that fell due; the
+/// next resource access does.
+#[test]
+fn a_timeline_records_the_accesses_that_waited() {
+    let cfg = TimelineConfig { window_ns: 100, post_roll_windows: 2, ..TimelineConfig::default() };
+    let tel = telemetry::enable_with(cfg);
+    telemetry::profile_set_loc(0);
+    run_accesses();
+    // Armed at 1 000 ns, due at 1 200 ns.
+    telemetry::fault_event_at("acc.fault", ns(1000));
+    let mut try_lock = SimTryLock::new("acc.try");
+    assert!(matches!(try_lock.try_acquire(0, ns(1300), 0), TryAcquire::Acquired { .. }));
+    assert!(tel.timeline_dumps().is_empty(), "a try-lock took the dump");
+    let mut res = SimResource::new("acc.res", 0);
+    assert_eq!(res.access(ns(1400), 0, 10), ns(1410));
+    telemetry::disable();
+
+    // The accesses outside any dispatch leave no mark.
+    assert_eq!(marks_of(&tel.causal_log()), expected_marks());
+    let dumps = tel.timeline_dumps();
+    assert_eq!(dumps.len(), 1);
+    assert_eq!((dumps[0].reason.as_str(), dumps[0].taken_ns), ("fault:acc.fault", 1400));
+    // (name, kind, t, wait, service) of each probe record, oldest first.
+    let probes: Vec<_> = dumps[0]
+        .records
+        .iter()
+        .filter_map(|r| match *r {
+            FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns } => {
+                Some((name, kind, t_ns, wait_ns, service_ns))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        probes,
+        [
+            ("acc.lock", "lock", 120, 730, 50),
+            ("acc.res", "resource", 100, 20, 60),
+            ("acc.long", "lock", 200, LONG - 100, 10),
+        ]
+    );
 }

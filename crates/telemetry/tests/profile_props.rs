@@ -113,12 +113,9 @@ proptest! {
         ys in proptest::collection::vec((0usize..3, 0u64..10_000), 0..60),
     ) {
         const KEYS: [&str; 3] = ["k.a", "k.b", "k.c"];
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        let mut u = Metrics::new();
-        for m in [&mut a, &mut b, &mut u] {
-            m.set_window_ns(1_000);
-        }
+        let mut a = Metrics::windowed(1_000);
+        let mut b = Metrics::windowed(1_000);
+        let mut u = Metrics::windowed(1_000);
         for &(ki, v) in &xs {
             a.counter_add(KEYS[ki], v, v);
             u.counter_add(KEYS[ki], v, v);

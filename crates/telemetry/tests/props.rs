@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use simcore::SimTime;
 use telemetry::json::Value;
-use telemetry::{json, Histogram, SloRule, TimelineConfig};
+use telemetry::{json, CoreState, Histogram, SloRule, TimelineConfig};
 
 proptest! {
     /// Every quantile of a log-bucketed histogram must stay inside the
@@ -65,8 +65,7 @@ proptest! {
         dur in 1u64..1_000_000,
     ) {
         let rule: String = chars.iter().map(|&i| NASTY[i]).collect();
-        let tel = telemetry::Telemetry::new();
-        tel.enable_timeline(TimelineConfig {
+        let tel = telemetry::enable_with(TimelineConfig {
             slos: vec![SloRule {
                 name: rule.clone(),
                 hist: "lat".into(),
@@ -77,8 +76,10 @@ proptest! {
             }],
             ..TimelineConfig::default()
         });
-        tel.core_span(0, 0, "task", SimTime::from_nanos(start), SimTime::from_nanos(start + dur));
+        telemetry::disable();
         tel.hist_record_at("lat", dur, SimTime::from_nanos(start));
+        let (t0, t1) = (SimTime::from_nanos(start), SimTime::from_nanos(start + dur));
+        tel.core_tick(0, 0, Some("task"), CoreState::Working, "task", t0, t1);
         tel.timeline_finalize();
         let out = tel.chrome_trace_collected();
         let doc = json::parse(&out).expect("chrome export must parse");

@@ -46,9 +46,7 @@ fn cfg(window_ns: u64) -> TimelineConfig {
 }
 
 fn run_with(cfg: TimelineConfig) -> Run {
-    let mut m = Metrics::new();
-    m.set_window_ns(cfg.window_ns);
-    Run { tl: Timeline::new(cfg), m }
+    Run { m: Metrics::windowed(cfg.window_ns), tl: Timeline::new(cfg) }
 }
 
 fn timeline(window_ns: u64) -> Run {
