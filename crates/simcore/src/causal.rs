@@ -29,6 +29,7 @@ use std::rc::Rc;
 use crate::blocks::Blocks;
 use crate::probe::{self, Access, AccessKind, Probe};
 use crate::time::SimTime;
+use crate::varint;
 
 /// What a time mark represents, for per-component attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +79,8 @@ pub struct MarkRec {
     pub fixed: u64,
 }
 
-// The log stores marks as records of LEB128 varints: 7 bits per byte,
-// low bits first, the top bit set on every byte but a field's last. A
-// record's header is the label's keyed id shifted left 3, then a 3-bit
+// The log stores marks as records of LEB128 varints ([`crate::varint`]).
+// A record's header is the label's keyed id shifted left 3, then a 3-bit
 // form. Its owner is where it sits (see `NodeSlot::first`); `off` is the
 // mark's start minus the owner's `at`, `dur` and `wait` are lengths:
 //
@@ -138,33 +138,6 @@ fn fits(v: u64) -> bool {
     v <= u32::MAX as u64
 }
 
-/// Write `v` as a varint at `window[*pos..]`.
-#[inline(always)]
-fn put(window: &mut [u8; MAX_RECORD], pos: &mut usize, mut v: u64) {
-    while v >= 0x80 {
-        window[*pos] = v as u8 | 0x80;
-        v >>= 7;
-        *pos += 1;
-    }
-    window[*pos] = v as u8;
-    *pos += 1;
-}
-
-/// Read the varint at `buf[*pos..]`.
-#[inline]
-fn get(buf: &[u8], pos: &mut usize) -> u64 {
-    let (mut v, mut shift) = (0, 0);
-    loop {
-        let b = buf[*pos];
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
 /// Append one record, header first. Its field count is a constant, so
 /// the encoder is straight-line code writing into the block in place.
 #[inline]
@@ -172,7 +145,7 @@ fn record<const K: usize>(bytes: &mut Blocks<u8>, fields: [u64; K]) {
     bytes.append(|window: &mut [u8; MAX_RECORD]| {
         let mut pos = 0;
         for v in fields {
-            put(window, &mut pos, v);
+            varint::put(window, &mut pos, v);
         }
         pos
     });
@@ -328,9 +301,9 @@ impl LogInner {
         let mut scratch = [0; MAX_RECORD];
         let window = self.bytes.window(pos, &mut scratch);
         let mut p = 0;
-        let form = get(window, &mut p) & 7;
+        let form = varint::get(window, &mut p) & 7;
         for _ in 0..shape(form).0 {
-            get(window, &mut p);
+            varint::get(window, &mut p);
         }
         (form, pos + p)
     }
@@ -596,7 +569,7 @@ impl Iterator for Records<'_> {
         let mut scratch = [0; MAX_RECORD];
         let window = self.bytes.window(self.pos, &mut scratch);
         let mut p = 0;
-        let mut field = || get(window, &mut p);
+        let mut field = || varint::get(window, &mut p);
         let hdr = field();
         let form = hdr & 7;
         let label = self.labels[(hdr >> 3) as usize];
@@ -760,14 +733,9 @@ mod tests {
         });
     }
 
-    /// Bytes of `v` as a varint.
-    fn varint_len(v: u64) -> usize {
-        (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-    }
-
     /// Bytes of a record of `fields`, header first.
     fn record_len(fields: &[u64]) -> usize {
-        fields.iter().map(|&v| varint_len(v)).sum()
+        fields.iter().map(|&v| varint::len(v)).sum()
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod sim;
 pub mod slab;
 pub mod stats;
 pub mod time;
+pub mod varint;
 
 pub use blocks::Blocks;
 pub use causal::CausalLog;

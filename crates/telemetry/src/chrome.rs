@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use simcore::{escape_json, keyed, Blocks};
+use simcore::{escape_json, keyed, varint, Blocks};
 
 use crate::critpath::CritPath;
 use crate::flow::{stage, FlowRec};
@@ -16,10 +16,11 @@ fn us(ns: u64) -> f64 {
 }
 
 /// One span of core activity: [`CoreSpan::label`] ran on `core` of its
-/// locality over `[start, end]` virtual ns. The collector keeps these
-/// grouped by locality (`spans[loc]`, in recording order), so the span
-/// carries no locality of its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// locality over `[start, end]` virtual ns: the read view of a stored
+/// span. The collector keeps these grouped by locality (`spans[loc]`, a
+/// [`CoreSpans`] stream in recording order), so the span carries no
+/// locality of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreSpan {
     /// Core index within the locality.
     pub core: u32,
@@ -46,9 +47,127 @@ impl CoreSpan {
     }
 }
 
-/// One locality's core spans, in recording order, in 16 KiB blocks: a
-/// locality that ran little keeps little.
-pub type CoreSpans = Blocks<CoreSpan, { 16 << 10 }>;
+// A core span is stored as one record of LEB128 varints
+// ([`simcore::varint`]): `core, label id, zigzag(start - prev_start),
+// zigzag(end - start)`, both differences wrapping, so any `u64` times
+// round-trip (`end < start` included). Spans of one locality start close
+// together and last a few µs, so a record takes about 7 bytes.
+
+/// Bytes of the longest span record.
+const MAX_SPAN: usize = 5 + 5 + 2 * varint::MAX;
+
+/// Span records in 16 KiB blocks.
+type SpanBytes = Blocks<u8, { 16 << 10 }>;
+
+/// One locality's core spans, in recording order, as a stream of span
+/// records in 16 KiB blocks: a locality that ran little keeps little.
+#[derive(Debug, Clone, Default)]
+pub struct CoreSpans {
+    bytes: SpanBytes,
+    /// Spans stored.
+    len: usize,
+    /// Start of the last span (0 before the first).
+    last_start: u64,
+}
+
+impl CoreSpans {
+    /// An empty list; allocates nothing.
+    pub const fn new() -> Self {
+        CoreSpans { bytes: Blocks::new(), len: 0, last_start: 0 }
+    }
+
+    /// Append `span`.
+    #[inline]
+    pub fn push(&mut self, span: CoreSpan) {
+        let (dt, dur) =
+            (span.start.wrapping_sub(self.last_start), span.end.wrapping_sub(span.start));
+        self.bytes.append(|window: &mut [u8; MAX_SPAN]| {
+            let mut pos = 0;
+            for v in [
+                span.core as u64,
+                span.label as u64,
+                varint::zigzag(dt as i64),
+                varint::zigzag(dur as i64),
+            ] {
+                varint::put(window, &mut pos, v);
+            }
+            pos
+        });
+        self.last_start = span.start;
+        self.len += 1;
+    }
+
+    /// Append every span of `other` after this list's: `other` itself
+    /// when this list is empty, as a lane's list is at the merge.
+    pub fn append(&mut self, other: CoreSpans) {
+        if self.is_empty() {
+            *self = other;
+        } else {
+            for span in other.iter() {
+                self.push(span);
+            }
+        }
+    }
+
+    /// Spans stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no span is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `(stored, reserved)` bytes of the stream.
+    pub fn bytes(&self) -> (usize, usize) {
+        (self.bytes.len(), self.bytes.capacity())
+    }
+
+    /// Every span, in recording order, decoded from the stream.
+    pub fn iter(&self) -> Spans<'_> {
+        Spans { bytes: &self.bytes, pos: 0, start: 0, left: self.len }
+    }
+}
+
+/// Decodes a [`CoreSpans`] stream front to back.
+#[derive(Debug, Clone)]
+pub struct Spans<'a> {
+    bytes: &'a SpanBytes,
+    pos: usize,
+    /// Start of the span read last.
+    start: u64,
+    /// Spans not yet read.
+    left: usize,
+}
+
+impl Iterator for Spans<'_> {
+    type Item = CoreSpan;
+
+    #[inline]
+    fn next(&mut self) -> Option<CoreSpan> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut scratch = [0; MAX_SPAN];
+        let window = self.bytes.window(self.pos, &mut scratch);
+        let mut p = 0;
+        let mut field = || varint::get(window, &mut p);
+        let (core, label) = (field() as u32, field() as u32);
+        let start = self.start.wrapping_add(varint::unzigzag(field()) as u64);
+        let end = start.wrapping_add(varint::unzigzag(field()) as u64);
+        self.pos += p;
+        self.start = start;
+        Some(CoreSpan { core, label, start, end })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Spans<'_> {}
 
 /// The Chrome track of `core` on locality `loc`.
 fn core_track(loc: usize, core: usize) -> String {
@@ -198,11 +317,11 @@ fn render(
         );
     }
 
-    for (name, series) in metrics.tracks() {
+    for (name, track) in metrics.tracks() {
         // Samples arrive in event-execution order, but some are stamped
         // with future instants (delivery times, wire-free times), so
         // each track must be re-sorted to keep its timeline monotone.
-        let mut series = series.to_vec();
+        let mut series: Vec<_> = track.iter().collect();
         series.sort_by_key(|s| s.0);
         for &(t, v) in &series {
             sep(&mut out);
@@ -224,6 +343,7 @@ fn render(
 mod tests {
     use super::*;
     use crate::flow::FlowTracer;
+    use proptest::prelude::*;
     use simcore::SimTime;
 
     fn spans(list: &[(u32, &'static str, u64, u64)]) -> CoreSpans {
@@ -232,6 +352,84 @@ mod tests {
             spans.push(CoreSpan::new(core, label, start, end));
         }
         spans
+    }
+
+    /// `(core, label id, start, end)` of a decoded span.
+    fn fields(s: CoreSpan) -> (u32, u32, u64, u64) {
+        (s.core, s.label, s.start, s.end)
+    }
+
+    /// A list holding `list`, given as `(core, label id, start, end)`.
+    fn stream(list: &[(u32, u32, u64, u64)]) -> CoreSpans {
+        let mut spans = CoreSpans::new();
+        for &(core, label, start, end) in list {
+            spans.push(CoreSpan { core, label, start, end });
+        }
+        spans
+    }
+
+    /// A span drawn from `bits`, near `prev`'s start or anywhere, with
+    /// edge cores, ids and ends mixed in.
+    fn draw(bits: (u64, u64, u64), prev: u64) -> (u32, u32, u64, u64) {
+        let (a, b, c) = bits;
+        let core = [a as u32 % 8, u32::MAX, a as u32][(a >> 32) as usize % 3];
+        let label =
+            [b as u32 % 128, 127, 128, (b >> 8) as u32 % 4096, b as u32][(b >> 40) as usize % 5];
+        let start = match (c >> 56) % 5 {
+            0 => prev.wrapping_add(c % 5_000),
+            1 => prev.wrapping_sub(c % 5_000),
+            2 => 0,
+            3 => u64::MAX,
+            _ => c,
+        };
+        let end = match (a >> 56) % 4 {
+            0 => start.wrapping_add(b % 10_000),
+            1 => start.wrapping_sub(b % 100),
+            2 => u64::MAX,
+            _ => c.rotate_left(17),
+        };
+        (core, label, start, end)
+    }
+
+    #[test]
+    fn span_edge_values_round_trip() {
+        let edges = [
+            (0, 0, 0, 0),
+            (u32::MAX, u32::MAX, u64::MAX, u64::MAX),
+            (3, 127, 10, 5),
+            (3, 128, u64::MAX, 0),
+            (1, 1 << 20, 0, u64::MAX),
+            (0, 200, 5, 6),
+            (u32::MAX, 128, u64::MAX - 1, u64::MAX),
+        ];
+        let spans = stream(&edges);
+        assert_eq!((spans.len(), spans.iter().len()), (edges.len(), edges.len()));
+        assert_eq!(spans.iter().map(fields).collect::<Vec<_>>(), edges);
+    }
+
+    proptest! {
+        /// Any spans, over several 16 KiB blocks, decode to what was
+        /// pushed, in order; appending a list onto an empty one or a
+        /// non-empty one yields the concatenation.
+        #[test]
+        fn spans_round_trip_across_blocks(
+            raw in collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..3_000),
+            cut in 0usize..3_000,
+        ) {
+            let mut want = Vec::with_capacity(raw.len());
+            for &bits in &raw {
+                want.push(draw(bits, want.last().map_or(0, |s: &(u32, u32, u64, u64)| s.2)));
+            }
+            let spans = stream(&want);
+            prop_assert_eq!(spans.iter().map(fields).collect::<Vec<_>>(), want.clone());
+            let cut = cut.min(want.len());
+            let mut joined = CoreSpans::new();
+            joined.append(stream(&want[..cut]));
+            joined.append(stream(&want[cut..]));
+            prop_assert_eq!(joined.len(), want.len());
+            prop_assert_eq!(joined.iter().map(fields).collect::<Vec<_>>(), want);
+            prop_assert_eq!(joined.bytes().0, spans.bytes().0);
+        }
     }
 
     #[test]

@@ -70,12 +70,14 @@ use simcore::causal::MarkKind;
 use simcore::probe::{Access, AccessKind, Probe};
 use simcore::{CausalLog, SimTime};
 
-pub use chrome::{CoreSpan, CoreSpans};
+pub use chrome::{CoreSpan, CoreSpans, Spans};
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
 pub use hist::Histogram;
-pub use metrics::{ContentionStat, ContentionTable, Metrics, PortWindow, Series, WindowCell};
+pub use metrics::{
+    ContentionStat, ContentionTable, Metrics, PortWindow, Samples, Series, Track, WindowCell,
+};
 pub use profile::{CoreProfile, CoreState};
 pub use record::{RunMeta, RunRecord};
 pub use report::Breakdown;
@@ -866,12 +868,12 @@ pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
     let (mut shards, mut tracers) = (Vec::with_capacity(lanes.len()), Vec::new());
     // Per-track, per-lane snapshots of the cumulative series, taken
     // before the additive merge interleaves their raw values.
-    let mut cum: Vec<Vec<Vec<(u64, f64)>>> = vec![Vec::new(); CUMULATIVE_TRACKS.len()];
+    let mut cum: Vec<Vec<Track>> = vec![Vec::new(); CUMULATIVE_TRACKS.len()];
     for lane in lanes {
         let inner = lane.inner.take();
         shards.extend(inner.causal.map(|log| log.take_data()));
         for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
-            cum[slot].push(inner.metrics.track(name).map(|s| s.to_vec()).unwrap_or_default());
+            cum[slot].push(inner.metrics.track(name).cloned().unwrap_or_default());
         }
         main_inner.metrics.merge(&inner.metrics);
         main_inner.contention.merge(&inner.contention);
@@ -882,7 +884,7 @@ pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
             main_inner.spans.resize_with(inner.spans.len(), CoreSpans::new);
         }
         for (loc, spans) in inner.spans.into_iter().enumerate() {
-            main_inner.spans[loc].extend_from(&spans, 0..spans.len());
+            main_inner.spans[loc].append(spans);
         }
         main_inner.in_flight += inner.in_flight;
         main_inner.delivered += inner.delivered;
@@ -906,11 +908,11 @@ pub fn merge_lane_collectors(main: &Telemetry, lanes: Vec<Rc<Telemetry>>) {
 /// reconstruct each lane's increments, interleave them in time order
 /// (stable, so simultaneous samples keep lane-rank order), and re-
 /// accumulate. Exact even when lanes sample at irregular instants.
-fn rebuild_cumulative(per_lane: &[Vec<(u64, f64)>]) -> Vec<(u64, f64)> {
+fn rebuild_cumulative(per_lane: &[Track]) -> Vec<(u64, f64)> {
     let mut deltas: Vec<(u64, f64)> = Vec::new();
     for series in per_lane {
         let mut prev = 0.0;
-        for &(t, v) in series {
+        for (t, v) in series {
             deltas.push((t, v - prev));
             prev = v;
         }
@@ -1070,8 +1072,9 @@ mod tests {
             assert_eq!(main.with_metrics(|m| m.counter("parcels")), 3);
             // In-flight sums to zero (one begin on lane 1, one deliver on
             // lane 0) and the rebuilt track ends at 0.
-            let track = main.with_metrics(|m| m.track("parcels.in_flight").unwrap().to_vec());
-            assert_eq!(track, vec![(10, 1.0), (90, 0.0)]);
+            let track = main
+                .with_metrics(|m| m.track("parcels.in_flight").unwrap().iter().collect::<Vec<_>>());
+            assert_eq!(track, [(10, 1.0), (90, 0.0)]);
             disable();
         });
     }

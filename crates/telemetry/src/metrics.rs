@@ -18,10 +18,11 @@
 //! iterates in key (byte) order, so the ids never show in output. Counter
 //! tracks (sampled time series destined for Perfetto counter tracks) are
 //! `Keyed` too: a name formatted at run time (`loc3.runq`) is interned
-//! once with `simcore::keyed::intern` and cached by its caller.
+//! once with `simcore::keyed::intern` and cached by its caller. Each
+//! track is a [`Track`], a stream of varint records read front to back.
 
 use simcore::probe::{Access, AccessKind};
-use simcore::Keyed;
+use simcore::{varint, Keyed};
 
 use crate::hist::Histogram;
 
@@ -112,6 +113,166 @@ impl<C: WindowCell> Series<C> {
     }
 }
 
+// A counter track stores each `(t, v)` sample as one record of LEB128
+// varints ([`simcore::varint`]): `zigzag(t - prev_t)` with a wrapping
+// difference, so a sample stamped before the previous one and any `u64`
+// time round-trip, then the value. An integral value `i` (its bits
+// round-trip through `i64` and `|i| <= 2^53`) is `zigzag(i - prev_i) << 1`,
+// a delta from the last integral value; any other (`-0.0`, NaN, ±inf, a
+// fraction) is the tag `RAW` and its 64 bits little-endian. Queue depths
+// and running totals take 2 to 4 bytes a sample; a busy-time fraction
+// takes about 11.
+
+/// The value tag of a sample stored as its raw bits.
+const RAW: u64 = 1;
+
+/// Bytes of the longest sample record: a 10-byte time delta, the tag
+/// and 8 raw bytes (an integral delta's field is at most 8 bytes).
+const MAX_SAMPLE: usize = varint::MAX + 1 + 8;
+
+/// `v` as an integer the integral form stores exactly, if it is one.
+fn integral(v: f64) -> Option<i64> {
+    let i = v as i64;
+    (i.unsigned_abs() <= 1 << 53 && (i as f64).to_bits() == v.to_bits()).then_some(i)
+}
+
+/// One counter track: its `(t_ns, value)` samples in append order, as a
+/// stream of varint records. Every reader decodes the values it was
+/// given, bit for bit.
+#[derive(Debug, Clone, Default)]
+pub struct Track {
+    /// The records, in `bytes[..end]`; zeros after that, so a record is
+    /// written in place.
+    bytes: Vec<u8>,
+    end: usize,
+    /// Samples stored.
+    len: usize,
+    /// Time of the last sample.
+    last_t: u64,
+    /// The last integral value (0 before the first).
+    last_int: i64,
+}
+
+impl Track {
+    /// Append one sample.
+    #[inline]
+    pub fn push(&mut self, t: u64, v: f64) {
+        if self.bytes.len() - self.end < MAX_SAMPLE {
+            self.grow();
+        }
+        let (rec, mut pos) = (&mut self.bytes[self.end..self.end + MAX_SAMPLE], 0);
+        varint::put(rec, &mut pos, varint::zigzag(t.wrapping_sub(self.last_t) as i64));
+        match integral(v) {
+            Some(i) => {
+                varint::put(rec, &mut pos, varint::zigzag(i - self.last_int) << 1);
+                self.last_int = i;
+            }
+            None => {
+                varint::put(rec, &mut pos, RAW);
+                rec[pos..pos + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+                pos += 8;
+            }
+        }
+        self.end += pos;
+        self.last_t = t;
+        self.len += 1;
+    }
+
+    /// Make room for the longest record: the stream's capacity is a power
+    /// of two, at least 64 B. A `Vec<(u64, f64)>` of the same samples
+    /// holds 16 B times a power of two, at least 4, so a track whose
+    /// records average well under 16 B (a run's average 3 to 11 B)
+    /// reserves no more than that.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = (self.end + MAX_SAMPLE).next_power_of_two().max(64);
+        self.bytes.reserve_exact(cap - self.bytes.len());
+        self.bytes.resize(cap, 0);
+    }
+
+    /// Samples stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no sample is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `(stored, reserved)` bytes of the stream.
+    pub fn bytes(&self) -> (usize, usize) {
+        (self.end, self.bytes.capacity())
+    }
+
+    /// Every sample, in append order, decoded from the stream.
+    pub fn iter(&self) -> Samples<'_> {
+        Samples { bytes: &self.bytes[..self.end], pos: 0, t: 0, int: 0, left: self.len }
+    }
+}
+
+impl<'a> IntoIterator for &'a Track {
+    type Item = (u64, f64);
+    type IntoIter = Samples<'a>;
+
+    fn into_iter(self) -> Samples<'a> {
+        self.iter()
+    }
+}
+
+impl FromIterator<(u64, f64)> for Track {
+    fn from_iter<I: IntoIterator<Item = (u64, f64)>>(samples: I) -> Track {
+        let mut track = Track::default();
+        for (t, v) in samples {
+            track.push(t, v);
+        }
+        track
+    }
+}
+
+/// Decodes a [`Track`]'s samples front to back.
+#[derive(Debug, Clone)]
+pub struct Samples<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Time of the sample read last.
+    t: u64,
+    /// The integral value read last.
+    int: i64,
+    /// Samples not yet read.
+    left: usize,
+}
+
+impl Iterator for Samples<'_> {
+    type Item = (u64, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, f64)> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let dt = varint::unzigzag(varint::get(self.bytes, &mut self.pos));
+        self.t = self.t.wrapping_add(dt as u64);
+        let field = varint::get(self.bytes, &mut self.pos);
+        let v = if field == RAW {
+            let raw = &self.bytes[self.pos..self.pos + 8];
+            self.pos += 8;
+            f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 raw bytes")))
+        } else {
+            self.int += varint::unzigzag(field >> 1);
+            self.int as f64
+        };
+        Some((self.t, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Samples<'_> {}
+
 /// The store of named metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -122,7 +283,7 @@ pub struct Metrics {
     hists: Keyed<Series<Histogram>>,
     ports: Keyed<Series<PortWindow>>,
     /// Sampled `(t_ns, value)` series rendered as Perfetto counter tracks.
-    tracks: Keyed<Vec<(u64, f64)>>,
+    tracks: Keyed<Track>,
 }
 
 impl Metrics {
@@ -203,7 +364,7 @@ impl Metrics {
     /// Append a `(t_ns, value)` sample to counter track `name`.
     #[inline]
     pub fn track_sample(&mut self, name: &'static str, t_ns: u64, v: f64) {
-        self.tracks.slot(name).push((t_ns, v));
+        self.tracks.slot(name).push(t_ns, v);
     }
 
     /// Iterate counter run totals in key order.
@@ -237,22 +398,27 @@ impl Metrics {
     }
 
     /// Iterate counter tracks in name (byte) order.
-    pub fn tracks(&self) -> impl Iterator<Item = (&'static str, &[(u64, f64)])> + '_ {
-        self.tracks.iter().map(|(k, v)| (k, v.as_slice()))
+    pub fn tracks(&self) -> impl Iterator<Item = (&'static str, &Track)> + '_ {
+        self.tracks.iter()
     }
 
-    /// One named track's samples.
-    pub fn track(&self, name: &str) -> Option<&[(u64, f64)]> {
-        self.tracks.get(name).map(|v| v.as_slice())
+    /// One named track.
+    pub fn track(&self, name: &str) -> Option<&Track> {
+        self.tracks.get(name)
     }
 
     /// Replace counter track `name` wholesale. Used by the sharded-world
     /// merge to rebuild cumulative series (e.g. `parcels.in_flight`)
     /// from per-lane running values after [`Metrics::merge`] interleaved
     /// the raw samples.
-    pub fn track_replace(&mut self, name: &'static str, series: Vec<(u64, f64)>) {
-        debug_assert!(!series.is_empty(), "track {name}: a replacement keeps at least one sample");
-        *self.tracks.slot(name) = series;
+    pub fn track_replace(
+        &mut self,
+        name: &'static str,
+        series: impl IntoIterator<Item = (u64, f64)>,
+    ) {
+        let track: Track = series.into_iter().collect();
+        debug_assert!(!track.is_empty(), "track {name}: a replacement keeps at least one sample");
+        *self.tracks.slot(name) = track;
     }
 
     /// Fold `other` into `self`: counter, histogram and port windows
@@ -274,10 +440,11 @@ impl Metrics {
         for (k, s) in other.ports.iter() {
             self.ports.slot(k).absorb(s);
         }
-        for (k, series) in other.tracks.iter() {
+        for (k, track) in other.tracks.iter() {
             let dst = self.tracks.slot(k);
-            dst.extend(series.iter().copied());
-            dst.sort_by_key(|&(t, _)| t);
+            let mut series: Vec<_> = dst.iter().chain(track).collect();
+            series.sort_by_key(|&(t, _)| t);
+            *dst = series.into_iter().collect();
         }
     }
 }
@@ -403,9 +570,9 @@ mod tests {
         let mut m = Metrics::new();
         m.track_sample("q", 10, 1.0);
         m.track_sample("q", 20, 2.0);
-        let (name, series) = m.tracks().next().unwrap();
+        let (name, track) = m.tracks().next().unwrap();
         assert_eq!(name, "q");
-        assert_eq!(series, &[(10, 1.0), (20, 2.0)]);
+        assert_eq!(track.iter().collect::<Vec<_>>(), [(10, 1.0), (20, 2.0)]);
     }
 
     #[test]
@@ -420,7 +587,8 @@ mod tests {
             order,
             ["amt.delivered", "loc10.runq", "loc10.sendq", "loc2.runq", "loc2.sendq"]
         );
-        assert_eq!(m.track(&String::from("loc2.runq")), Some(&[(0, 1.0)][..]));
+        let track = m.track(&String::from("loc2.runq")).unwrap();
+        assert_eq!(track.iter().collect::<Vec<_>>(), [(0, 1.0)]);
     }
 
     #[test]

@@ -439,7 +439,11 @@ impl CoreProfile {
 /// Downsample a `(t_ns, value)` series into `buckets` equal windows over
 /// `[0, horizon)`: each bucket averages its samples; empty buckets carry
 /// the previous bucket's value forward (0 before the first sample).
-pub fn resample(series: &[(u64, f64)], horizon_ns: u64, buckets: usize) -> Vec<f64> {
+pub fn resample(
+    series: impl IntoIterator<Item = (u64, f64)>,
+    horizon_ns: u64,
+    buckets: usize,
+) -> Vec<f64> {
     let mut out = vec![0.0; buckets];
     if buckets == 0 || horizon_ns == 0 {
         return out;
@@ -447,7 +451,7 @@ pub fn resample(series: &[(u64, f64)], horizon_ns: u64, buckets: usize) -> Vec<f
     let width = horizon_ns as f64 / buckets as f64;
     let mut sums = vec![0.0; buckets];
     let mut counts = vec![0u64; buckets];
-    for &(t, v) in series {
+    for (t, v) in series {
         let b = ((t as f64 / width) as usize).min(buckets - 1);
         sums[b] += v;
         counts[b] += 1;
@@ -699,7 +703,7 @@ mod tests {
     #[test]
     fn resample_averages_and_carries_forward() {
         let series = [(0u64, 2.0), (50, 4.0), (450, 10.0)];
-        let r = resample(&series, 1000, 10);
+        let r = resample(series, 1000, 10);
         assert_eq!(r.len(), 10);
         assert!((r[0] - 3.0).abs() < 1e-12); // mean of 2 and 4
         assert!((r[1] - 3.0).abs() < 1e-12); // carried forward

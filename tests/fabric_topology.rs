@@ -114,10 +114,10 @@ fn telemetry_is_pure_observation_on_the_switched_path() {
     let (fab_tracks, ordered) = tel.with_metrics(|m| {
         let mut n = 0usize;
         let mut ordered = true;
-        for (name, series) in m.tracks() {
+        for (name, track) in m.tracks() {
             if name.starts_with("fab.") {
                 n += 1;
-                ordered &= series.windows(2).all(|w| w[0].0 <= w[1].0);
+                ordered &= track.iter().map(|(t, _)| t).is_sorted();
             }
         }
         (n, ordered)
