@@ -789,13 +789,14 @@ mod tests {
         loc.spawn(&mut sim, 0, Box::new(|sim, _l, _c| sim.now() + 2_000));
         sim.run();
         telemetry::disable();
-        let spans = tel.with_core_spans(|spans| spans.to_vec());
+        let rec = telemetry::RunRecord::capture(&tel, telemetry::RunMeta::default());
+        let spans = &rec.data.as_ref().unwrap().spans;
         assert_eq!(spans.len(), 1, "one locality recorded");
         let task: Vec<_> = spans[0].iter().filter(|s| s.label() == "task").collect();
         assert_eq!(task.len(), 1);
         assert!(task[0].end - task[0].start >= 2_000);
         assert!(task[0].core < 2);
-        assert!(tel.chrome_trace_collected().contains("\"tid\":\"loc0/core"));
+        assert!(rec.chrome_trace(false).unwrap().contains("\"tid\":\"loc0/core"));
     }
 
     #[test]

@@ -239,7 +239,8 @@ fn run_sweep(
             ("msgs_per_node", msgs_per_node.to_string()),
         ]);
     }
-    let rec = sink.emit(&tel, &config, nominate_trace);
+    let rec = sink.capture(&tel, &config);
+    sink.emit(&rec, nominate_trace);
     let knee_port = rec
         .resources
         .iter()

@@ -43,8 +43,9 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64, configs: &[&str]) {
             run_octotiger(&p)
         });
         assert!(r.mass_ok, "{c}: invariant violated");
-        println!("{c}: {:.3} steps/s, flows {}", r.steps_per_sec, tel.flow_count());
-        sink.emit(&tel, c, *c == TRACE_CONFIG);
+        let rec = sink.capture(&tel, c);
+        println!("{c}: {:.3} steps/s, flows {}", r.steps_per_sec, rec.flows_total);
+        sink.emit(&rec, *c == TRACE_CONFIG);
     }
     sink.finish();
 }

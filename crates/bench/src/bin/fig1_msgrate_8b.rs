@@ -38,8 +38,9 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64, configs: &[&str]) {
             p.engine = targs.engine();
             run_msgrate(&p)
         });
-        println!("{c}: rate {} flows {}", fmt_kps(r.msg_rate), tel.flow_count());
-        sink.emit(&tel, c, *c == TRACE_CONFIG);
+        let rec = sink.capture(&tel, c);
+        println!("{c}: rate {} flows {}", fmt_kps(r.msg_rate), rec.flows_total);
+        sink.emit(&rec, *c == TRACE_CONFIG);
     }
     sink.finish();
 }

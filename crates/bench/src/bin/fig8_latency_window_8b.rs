@@ -53,8 +53,9 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64) {
             run_latency(&p)
         });
         let name = cfg.to_string();
-        println!("{name}: one-way {} flows {}", fmt_us(r.one_way_us), tel.flow_count());
-        sink.emit(&tel, &name, name == TRACE_CONFIG);
+        let rec = sink.capture(&tel, &name);
+        println!("{name}: one-way {} flows {}", fmt_us(r.one_way_us), rec.flows_total);
+        sink.emit(&rec, name == TRACE_CONFIG);
     }
     sink.finish();
 }

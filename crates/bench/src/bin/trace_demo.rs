@@ -50,26 +50,25 @@ fn main() {
     world.run_while(10_000_000_000, move |_| g.get() < n);
     telemetry::disable();
 
+    let rec = telemetry::RunRecord::capture(&tel, telemetry::RunMeta::default());
+    let spans = &rec.data.as_ref().expect("a captured record carries its stores").spans;
     // Core spans only: no flows, no counter tracks.
-    let json = tel.with_core_spans(|spans| {
-        telemetry::chrome::chrome_trace(spans, &[], &[], &telemetry::Metrics::new())
-    });
+    let json = telemetry::chrome::chrome_trace(spans, &[], &[], &telemetry::Metrics::new());
     std::fs::write(out, json).expect("write trace");
-    println!("{config}: {n} messages in {}; {} spans -> {out}", world.sim.now(), tel.span_count());
+    let n_spans = rec.span_count().expect("captured record");
+    println!("{config}: {n} messages in {}; {n_spans} spans -> {out}", world.sim.now());
     println!("virtual time by activity:");
-    for (label, ns) in totals_by_label(&tel) {
+    for (label, ns) in totals_by_label(spans) {
         println!("  {label:<12} {:.1}us", ns as f64 / 1e3);
     }
 }
 
 /// Total virtual time covered per span label, descending.
-fn totals_by_label(tel: &telemetry::Telemetry) -> Vec<(&'static str, u64)> {
+fn totals_by_label(spans: &[telemetry::CoreSpans]) -> Vec<(&'static str, u64)> {
     let mut map = HashMap::new();
-    tel.with_core_spans(|spans| {
-        for s in spans.iter().flat_map(telemetry::CoreSpans::iter) {
-            *map.entry(s.label()).or_insert(0u64) += s.end.saturating_sub(s.start);
-        }
-    });
+    for s in spans.iter().flat_map(telemetry::CoreSpans::iter) {
+        *map.entry(s.label()).or_insert(0u64) += s.end.saturating_sub(s.start);
+    }
     let mut v: Vec<_> = map.into_iter().collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     v

@@ -3,10 +3,10 @@
 //! The flags themselves are parsed by [`crate::cli`] (one shared parser;
 //! unknown flags are a hard error) — this module owns what happens with
 //! an instrumented run once it finishes: [`TraceSink`] captures its
-//! [`RunRecord`], renders the text reports (the critical-path,
-//! contention and core-time reports are views of that record), writes
-//! the Chrome trace / JSON / record / folded-stack / timeline files, and
-//! prints SLO alerts and flight-recorder dump locations.
+//! [`RunRecord`], renders every report from that record (critical path,
+//! breakdown, contention, core time, sparklines, folded stacks, Chrome
+//! trace, timeline exports), writes the requested files, and prints SLO
+//! alerts and flight-recorder dump locations.
 //!
 //! When any flag is present the harness runs a reduced *instrumented
 //! pass* instead of the full figure sweep: telemetry accumulates per
@@ -16,7 +16,7 @@
 use std::rc::Rc;
 
 pub use crate::cli::TraceArgs;
-use telemetry::{Breakdown, RunMeta, RunRecord, Telemetry};
+use telemetry::{Breakdown, RunMeta, RunRecord, Telemetry, Timeline};
 
 /// Run `f` under a fresh telemetry collector and return its result plus
 /// the collector. Every core span, flow and metric of worlds run inside
@@ -62,54 +62,52 @@ impl TraceSink {
         }
     }
 
-    /// Emit the reports of one instrumented run and return its run
-    /// record. The record is captured once; the critical-path,
-    /// contention and core-time reports, the `--json` document and the
-    /// Chrome critical-path overlay are all rendered from it. The Chrome
-    /// trace, timeline and record files are written only when
-    /// `write_trace` is set — the harness nominates one run so
+    /// Capture the run record of `config` from its finished collector
+    /// (see [`RunRecord::capture`]), stamped with this sink's metadata.
+    pub fn capture(&self, tel: &Telemetry, config: &str) -> RunRecord {
+        RunRecord::capture(tel, self.meta(config))
+    }
+
+    /// Emit the reports of one captured run, every one rendered from
+    /// `rec`. The Chrome trace, timeline and record files are written only
+    /// when `write_trace` is set — the harness nominates one run so
     /// `--trace`/`--timeline`/`--record` yield a single document each.
-    pub fn emit(&mut self, tel: &Telemetry, config: &str, write_trace: bool) -> RunRecord {
-        // Capturing the record finalizes the timeline, which adds its
-        // window tracks to the metrics; the sparklines show the run's own
-        // tracks only, so they are rendered first.
-        let sparklines = if self.args.profile { track_sparklines(tel) } else { String::new() };
-        let rec = RunRecord::capture(tel, self.meta(config));
-        let cp = rec.critpath.as_ref().filter(|_| self.args.critpath);
-        if let Some(cp) = cp {
+    pub fn emit(&mut self, rec: &RunRecord, write_trace: bool) {
+        let config = rec.meta.config.as_str();
+        let data = rec.data.as_deref().expect("a captured record carries its stores");
+        let breakdown = || rec.breakdown().expect("a captured record has flows");
+        if let Some(cp) = rec.critpath.as_ref().filter(|_| self.args.critpath) {
             print!("{}", cp.to_text());
             println!();
         }
         if self.args.breakdown {
-            print!("{}", tel.breakdown(config).to_text());
+            print!("{}", breakdown().to_text());
             print!("{}", rec.contention_text());
             println!();
         }
         if self.args.profile {
             print!("{}", rec.core_time_text());
-            print!("{sparklines}");
+            print!("{}", track_sparklines(&data.metrics));
             println!();
         }
         if self.args.folded.is_some() {
-            self.folded_docs.push(tel.folded_stacks(config));
+            self.folded_docs.push(data.profile.folded(config));
         }
         if self.args.timeline_active() {
-            self.emit_timeline(tel, config, write_trace);
+            let tl = rec.timeline().expect("timeline pass runs with a timeline-enabled collector");
+            self.emit_timeline(rec, tl, write_trace);
         }
         if self.args.json.is_some() {
-            self.json_docs.push(json_report(&rec, &tel.breakdown(config), self.args.critpath));
+            self.json_docs.push(json_report(rec, &breakdown(), self.args.critpath));
         }
         if write_trace {
             if let Some(path) = &self.args.trace {
-                let doc = match cp {
-                    Some(cp) => tel.chrome_trace_with_critpath(cp),
-                    None => tel.chrome_trace_collected(),
-                };
+                let doc = rec.chrome_trace(self.args.critpath).expect("captured record");
                 std::fs::write(path, doc).expect("write trace file");
                 println!(
                     "wrote Chrome trace of {config} ({} spans, {} flows) -> {path}",
-                    tel.span_count(),
-                    tel.flow_count()
+                    rec.span_count().expect("captured record"),
+                    rec.flows_total
                 );
             }
             if let Some(path) = &self.args.record {
@@ -120,7 +118,6 @@ impl TraceSink {
                 );
             }
         }
-        rec
     }
 
     /// Run-record metadata of `config` under this sink.
@@ -141,24 +138,21 @@ impl TraceSink {
         }
     }
 
-    /// Timeline reports of one instrumented run: an alert/dump summary on
+    /// Timeline reports of one captured run: an alert/dump summary on
     /// stdout, plus (for the nominated run) the `--timeline FILE` JSON
     /// document, `FILE.om` OpenMetrics exposition, and one
     /// `FILE.dumpN.json` Chrome trace per flight-recorder dump.
-    fn emit_timeline(&self, tel: &Telemetry, config: &str, write_trace: bool) {
-        tel.timeline_finalize();
-        let (nwin, window_ns, late) = tel
-            .with_timeline(|tl| (tl.num_windows(), tl.window_ns(), tl.late_samples()))
-            .expect("timeline pass runs with a timeline-enabled collector");
-        let alerts = tel.timeline_alerts();
-        let dumps = tel.timeline_dumps();
+    fn emit_timeline(&self, rec: &RunRecord, tl: &Timeline, write_trace: bool) {
+        let config = rec.meta.config.as_str();
+        let (nwin, window_ns, late) = (tl.num_windows(), tl.window_ns(), tl.late_samples());
+        let (alerts, dumps) = (tl.alerts(), tl.dumps());
         println!(
             "timeline[{config}]: {nwin} windows x {} us, {} alerts, {} dumps, {late} late samples",
             window_ns / 1_000,
             alerts.len(),
             dumps.len()
         );
-        for a in &alerts {
+        for a in alerts {
             println!(
                 "  slo alert: {} window {} (ends {} us) burn {:.2} ({}/{} over objective)",
                 a.rule,
@@ -169,7 +163,7 @@ impl TraceSink {
                 a.total
             );
         }
-        for d in &dumps {
+        for d in dumps {
             println!(
                 "  flight dump: {} at window {} ({} records, {} causal marks)",
                 d.reason,
@@ -182,9 +176,9 @@ impl TraceSink {
             return;
         }
         if let Some(path) = &self.args.timeline {
-            let doc = tel.timeline_json(config).expect("timeline document");
+            let doc = rec.timeline_json().expect("timeline document");
             std::fs::write(path, doc).expect("write timeline file");
-            let om = tel.timeline_text(config).expect("timeline exposition");
+            let om = rec.timeline_text().expect("timeline exposition");
             std::fs::write(format!("{path}.om"), om).expect("write timeline exposition");
             for (i, d) in dumps.iter().enumerate() {
                 let dump_path = format!("{path}.dump{i}.json");
@@ -236,19 +230,17 @@ pub fn json_report(rec: &RunRecord, breakdown: &Breakdown, with_critpath: bool) 
 
 /// Render every counter track the run produced as a terminal sparkline —
 /// queue depths, in-flight parcels, and per-link busy time at a glance.
-fn track_sparklines(tel: &Telemetry) -> String {
+fn track_sparklines(m: &telemetry::Metrics) -> String {
     use telemetry::profile::{resample, sparkline};
-    tel.with_metrics(|m| {
-        let horizon = m.tracks().flat_map(|(_, s)| s.iter().map(|(t, _)| t)).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, track) in m.tracks() {
-            let buckets = resample(track, horizon, 48);
-            let peak = track.iter().map(|(_, v)| v).fold(0.0_f64, f64::max);
-            out.push_str(&format!("  {name:<24} {} peak {peak:.1}\n", sparkline(&buckets)));
-        }
-        if !out.is_empty() {
-            out.insert_str(0, "counter tracks (full horizon, 48 buckets):\n");
-        }
-        out
-    })
+    let horizon = m.tracks().flat_map(|(_, s)| s.iter().map(|(t, _)| t)).max().unwrap_or(0);
+    let mut out = String::new();
+    for (name, track) in m.tracks() {
+        let buckets = resample(track, horizon, 48);
+        let peak = track.iter().map(|(_, v)| v).fold(0.0_f64, f64::max);
+        out.push_str(&format!("  {name:<24} {} peak {peak:.1}\n", sparkline(&buckets)));
+    }
+    if !out.is_empty() {
+        out.insert_str(0, "counter tracks (full horizon, 48 buckets):\n");
+    }
+    out
 }

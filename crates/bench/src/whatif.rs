@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use netsim::WireModel;
 use parcelport::PpConfig;
 use simcore::CostModel;
-use telemetry::CritPath;
+use telemetry::{CritPath, RunMeta, RunRecord};
 
 use crate::latency::{run_latency, LatencyParams};
 use crate::trace::instrumented;
@@ -190,6 +190,14 @@ fn knobbed(base: &LatencyParams, knob: Knob) -> LatencyParams {
     p
 }
 
+/// The critical path of `config`'s instrumented run `f`, from its run
+/// record.
+fn critpath_of(config: &str, f: impl FnOnce()) -> Option<CritPath> {
+    let ((), tel) = instrumented(f);
+    let meta = RunMeta { config: config.to_string(), ..RunMeta::default() };
+    RunRecord::capture(&tel, meta).critpath
+}
+
 /// Run the what-if engine on an arbitrary scenario: one instrumented
 /// base run (returning its critical path), then one deterministic re-run
 /// per knob, each dialed through `run(config, cost, wire)`. Makespans
@@ -203,8 +211,8 @@ pub fn whatif_sweep(
     run: impl Fn(PpConfig, CostModel, WireModel),
 ) -> (CritPath, Vec<WhatIfRow>) {
     let name = config.to_string();
-    let ((), tel) = instrumented(|| run(config, cost.clone(), wire.clone()));
-    let cp = tel.critpath(&name).expect("base run records a causal log");
+    let cp = critpath_of(&name, || run(config, cost.clone(), wire.clone()))
+        .expect("base run records a causal log");
     let rows = knobs
         .iter()
         .map(|&k| {
@@ -212,8 +220,8 @@ pub fn whatif_sweep(
             let mut c = cost.clone();
             let mut w = wire.clone();
             k.apply(&mut cfg, &mut c, &mut w);
-            let ((), tel2) = instrumented(|| run(cfg, c, w));
-            let cp2 = tel2.critpath(&cfg.to_string()).expect("re-run records a causal log");
+            let cp2 = critpath_of(&cfg.to_string(), || run(cfg, c, w))
+                .expect("re-run records a causal log");
             WhatIfRow {
                 knob: k.name(),
                 base_ns: cp.total_ns,

@@ -1,7 +1,7 @@
 //! Chrome-trace / Perfetto JSON export: core spans, SLO alert markers,
 //! parcel flow arrows, and counter tracks, in one event array.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
 use simcore::{escape_json, keyed, varint, Blocks};
@@ -192,21 +192,7 @@ pub fn chrome_trace(
     flows: &[FlowRec],
     metrics: &Metrics,
 ) -> String {
-    render(spans, alerts, flows, metrics, None)
-}
-
-/// [`chrome_trace`] plus a critical-path overlay: the path's segments as
-/// spans on a dedicated `critpath` track, a `critpath.total_us` counter
-/// carrying the makespan, and parcels whose delivery event lies on the
-/// path renamed `parcel (critical)` so on-path flow arrows stand out.
-pub fn chrome_trace_with_critpath(
-    spans: &[CoreSpans],
-    alerts: &[SloAlert],
-    flows: &[FlowRec],
-    metrics: &Metrics,
-    cp: &CritPath,
-) -> String {
-    render(spans, alerts, flows, metrics, Some(cp))
+    render(spans, alerts, flows, metrics, &[], None)
 }
 
 /// Append one complete-span event (`"ph":"X"`) to `out`, a JSON event
@@ -248,11 +234,18 @@ fn sep(out: &mut String) {
     }
 }
 
-fn render(
+/// [`chrome_trace`], with the timeline's `window_tracks` merged into the
+/// run's counter tracks by name and, given `cp`, a critical-path
+/// overlay: the path's segments as spans on a dedicated `critpath`
+/// track, a `critpath.total_us` counter carrying the makespan, and
+/// parcels whose delivery event lies on the path renamed `parcel
+/// (critical)` so on-path flow arrows stand out.
+pub(crate) fn render(
     spans: &[CoreSpans],
     alerts: &[SloAlert],
     flows: &[FlowRec],
     metrics: &Metrics,
+    window_tracks: &[(String, Vec<(u64, f64)>)],
     cp: Option<&CritPath>,
 ) -> String {
     let on_path: HashSet<u64> =
@@ -317,11 +310,21 @@ fn render(
         );
     }
 
-    for (name, track) in metrics.tracks() {
+    // Every track name, in byte order, with the window series of that
+    // name, which follow the run's own samples.
+    let mut tracks: BTreeMap<&str, Vec<&[(u64, f64)]>> = BTreeMap::new();
+    for (name, series) in window_tracks {
+        tracks.entry(name).or_default().push(series);
+    }
+    for (name, _) in metrics.tracks() {
+        tracks.entry(name).or_default();
+    }
+    for (name, window) in tracks {
         // Samples arrive in event-execution order, but some are stamped
         // with future instants (delivery times, wire-free times), so
         // each track must be re-sorted to keep its timeline monotone.
-        let mut series: Vec<_> = track.iter().collect();
+        let own = metrics.track(name).into_iter().flatten();
+        let mut series: Vec<_> = own.chain(window.into_iter().flatten().copied()).collect();
         series.sort_by_key(|s| s.0);
         for &(t, v) in &series {
             sep(&mut out);

@@ -286,7 +286,6 @@ pub struct Timeline {
     ring: VecDeque<FlightRec>,
     armed: Option<ArmedDump>,
     dumps: Vec<FlightDump>,
-    finalized: bool,
 }
 
 impl Timeline {
@@ -303,7 +302,6 @@ impl Timeline {
             ring: VecDeque::new(),
             armed: None,
             dumps: Vec::new(),
-            finalized: false,
         }
     }
 
@@ -525,9 +523,6 @@ impl Timeline {
     /// the causal log) via [`Timeline::dump_due`]/[`Timeline::take_dump`]
     /// — `finalize` forces `dump_due` to report true.
     pub fn finalize(&mut self, m: &Metrics) {
-        if self.finalized {
-            return;
-        }
         let last = self.window_of(self.cursor_ns);
         while self.eval_cursor <= last {
             let w = self.eval_cursor;
@@ -540,12 +535,6 @@ impl Timeline {
         if let Some(a) = &mut self.armed {
             a.dump_at_ns = a.dump_at_ns.min(self.cursor_ns);
         }
-        self.finalized = true;
-    }
-
-    /// Whether [`Timeline::finalize`] ran.
-    pub fn finalized(&self) -> bool {
-        self.finalized
     }
 
     /// The deterministic alert list — evaluation order while the run is
@@ -569,7 +558,8 @@ impl Timeline {
     /// every windowed histogram (`tl.<key>.p99_us`), per-window wait for
     /// every port (`tl.<port>.wait_us`), and the burn rate of every SLO
     /// rule (`slo.<rule>.burn`), read from `m`. Samples sit at window
-    /// start instants.
+    /// start instants. The Chrome export merges them with the run's own
+    /// counter tracks by name.
     pub fn counter_tracks(&self, m: &Metrics) -> Vec<(String, Vec<(u64, f64)>)> {
         let w_ns = self.cfg.window_ns;
         let nwin = self.num_windows();
@@ -910,8 +900,8 @@ mod tests {
         let mut p = CoreProfile::with_segments();
         p.record_base(0, 0, CoreState::Working, "task", 0, 250);
         p.record_base(0, 0, CoreState::Progress, "poll", 250, 420);
-        let snap = p.snapshot();
-        let occ = slice_occupancy(snap.values(), 100, 5);
+        p.finalize();
+        let occ = slice_occupancy(p.accounts().map(|(_, a)| a), 100, 5);
         let total: u64 = occ.totals.iter().sum();
         assert_eq!(total, 420, "slices partition the accounted time");
         assert_eq!(occ.per_window[0][CoreState::Working as usize], 100);

@@ -12,7 +12,7 @@
 use simcore::causal::{self, CausalLog, MarkKind};
 use simcore::{SimLock, SimResource, SimTime, SimTryLock, TryAcquire};
 use telemetry::timeline::FlightRec;
-use telemetry::{CoreState, TimelineConfig};
+use telemetry::{CoreState, RunMeta, RunRecord, TimelineConfig};
 
 fn ns(t: u64) -> SimTime {
     SimTime::from_nanos(t)
@@ -92,19 +92,19 @@ fn accesses_record_the_same_marks_rows_and_profile() {
     telemetry::profile_set_loc(0);
     run_accesses();
     telemetry::disable();
+    let rec = RunRecord::capture(&tel, RunMeta::default());
+    let data = rec.data.as_deref().unwrap();
 
-    assert_eq!(marks_of(&tel.causal_log()), expected_marks());
+    assert_eq!(marks_of(data.causal.as_ref().unwrap()), expected_marks());
 
     // (name, kind, events, contended, wait, service), by wait.
-    let rows: Vec<_> = tel.with_contention(|c| {
-        c.ranking()
-            .into_iter()
-            .map(|(name, s)| {
-                let totals = (s.events, s.contended, s.total_wait_ns, s.total_service_ns);
-                (name, s.kind.label(), totals)
-            })
-            .collect()
-    });
+    let rows: Vec<_> = rec
+        .resources
+        .iter()
+        .map(|r| {
+            (r.name.as_str(), r.kind.as_str(), (r.events, r.contended, r.wait_ns, r.service_ns))
+        })
+        .collect();
     assert_eq!(
         rows,
         [
@@ -119,17 +119,16 @@ fn accesses_record_the_same_marks_rows_and_profile() {
     // Core 1: idle before its base interval, the two waits carved out of
     // it, then idle to the horizon. Core 3: its pending wait, finalized.
     let horizon = 100 + LONG;
-    let tables = tel.with_profile(|p| p.state_tables());
+    let tables: Vec<_> = rec.profile.iter().map(|c| ((c.loc, c.core), c.states)).collect();
     assert_eq!(
         tables,
         [((0, 1), [0, 150, 750, 0, 100 + horizon - 1000]), ((0, 3), [0, 0, LONG - 100, 0, 200]),]
     );
-    let leaves: Vec<_> = tel.with_profile(|p| {
-        p.snapshot()
-            .into_iter()
-            .map(|(key, acct)| (key, acct.leaves().collect::<Vec<_>>()))
-            .collect()
-    });
+    let leaves: Vec<_> = data
+        .profile
+        .accounts()
+        .map(|(key, acct)| (key, acct.leaves().collect::<Vec<_>>()))
+        .collect();
     assert_eq!(
         leaves,
         [
@@ -171,14 +170,15 @@ fn a_timeline_records_the_accesses_that_waited() {
     telemetry::fault_event_at("acc.fault", ns(1000));
     let mut try_lock = SimTryLock::new("acc.try");
     assert!(matches!(try_lock.try_acquire(0, ns(1300), 0), TryAcquire::Acquired { .. }));
-    assert!(tel.timeline_dumps().is_empty(), "a try-lock took the dump");
+    assert_eq!(tel.with_timeline(|tl| tl.dumps().len()), Some(0), "a try-lock took the dump");
     let mut res = SimResource::new("acc.res", 0);
     assert_eq!(res.access(ns(1400), 0, 10), ns(1410));
     telemetry::disable();
+    let rec = RunRecord::capture(&tel, RunMeta::default());
 
     // The accesses outside any dispatch leave no mark.
-    assert_eq!(marks_of(&tel.causal_log()), expected_marks());
-    let dumps = tel.timeline_dumps();
+    assert_eq!(marks_of(rec.data.as_ref().unwrap().causal.as_ref().unwrap()), expected_marks());
+    let dumps = rec.timeline().unwrap().dumps();
     assert_eq!(dumps.len(), 1);
     assert_eq!((dumps[0].reason.as_str(), dumps[0].taken_ns), ("fault:acc.fault", 1400));
     // (name, kind, t, wait, service) of each probe record, oldest first.

@@ -199,8 +199,9 @@ proptest! {
             }
         }
         let horizon = p.horizon_ns() + extra_horizon;
-        let mut snap = p.snapshot();
-        for ((loc, core), acct) in &mut snap {
+        p.finalize();
+        for ((loc, core), acct) in p.accounts() {
+            let mut acct = acct.clone();
             acct.finalize(horizon);
             prop_assert!(
                 acct.check_partition().is_ok(),
@@ -232,11 +233,11 @@ proptest! {
             }
         }
         let horizon = p.horizon_ns();
-        let mut snap = p.snapshot();
-        for acct in snap.values_mut() {
-            let before = acct.state_table();
-            acct.finalize(horizon);
-            prop_assert_eq!(before, acct.state_table());
+        p.finalize();
+        for (_, acct) in p.accounts() {
+            let mut again = acct.clone();
+            again.finalize(horizon);
+            prop_assert_eq!(acct.state_table(), again.state_table());
         }
     }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use simcore::SimTime;
 use telemetry::json::Value;
-use telemetry::{json, CoreState, Histogram, SloRule, TimelineConfig};
+use telemetry::{json, CoreState, Histogram, RunMeta, RunRecord, SloRule, TimelineConfig};
 
 proptest! {
     /// Every quantile of a log-bucketed histogram must stay inside the
@@ -80,8 +80,7 @@ proptest! {
         tel.hist_record_at("lat", dur, SimTime::from_nanos(start));
         let (t0, t1) = (SimTime::from_nanos(start), SimTime::from_nanos(start + dur));
         tel.core_tick(0, 0, Some("task"), CoreState::Working, "task", t0, t1);
-        tel.timeline_finalize();
-        let out = tel.chrome_trace_collected();
+        let out = RunRecord::capture(&tel, RunMeta::default()).chrome_trace(false).unwrap();
         let doc = json::parse(&out).expect("chrome export must parse");
         let events = doc.as_arr().expect("array");
         let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).map(str::to_string);

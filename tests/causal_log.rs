@@ -10,7 +10,7 @@ use bench::{run_latency, LatencyParams};
 use hpx_lci_repro::parcelport::Engine;
 use hpx_lci_repro::simcore::causal::MarkKind;
 use hpx_lci_repro::simcore::shard::RunMode;
-use telemetry::Telemetry;
+use telemetry::{RunMeta, RunRecord, Telemetry};
 
 /// FNV-1a over a stream of words.
 struct Fnv(u64);
@@ -41,11 +41,13 @@ fn kind_code(kind: MarkKind) -> u64 {
     }
 }
 
-/// `(nodes, marks, digest)` of a collector's causal log: every node's
-/// `(at, parent)` in node order, then every mark's `(owner, label, kind,
-/// start, end, fixed)` in owner order.
+/// `(nodes, marks, digest)` of the causal log a collector's run record
+/// holds: every node's `(at, parent)` in node order, then every mark's
+/// `(owner, label, kind, start, end, fixed)` in owner order.
 fn log_digest(tel: &Telemetry) -> (usize, usize, u64) {
-    let log = tel.causal_log();
+    let rec = RunRecord::capture(tel, RunMeta::default());
+    let data = rec.data.as_deref().expect("a captured record carries its stores");
+    let log = data.causal.as_ref().expect("events were dispatched");
     assert!(!log.truncated(), "causal log hit its memory guard");
     let mut h = Fnv(0xcbf29ce484222325);
     log.with_view(|view| {

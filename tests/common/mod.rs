@@ -10,6 +10,18 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use hpx_lci_repro::amt::action::ActionRegistry;
 use hpx_lci_repro::parcelport::{Engine, EngineWorld, ShardedWorld, World, WorldConfig};
+use hpx_lci_repro::telemetry::{RunData, RunMeta, RunRecord, Telemetry};
+
+/// The run record of `config`'s finished run on `tel`
+/// ([`RunRecord::capture`], which empties the collector).
+pub fn record(tel: &Telemetry, config: &str) -> RunRecord {
+    RunRecord::capture(tel, RunMeta { config: config.into(), ..RunMeta::default() })
+}
+
+/// The stores a capture moved into `rec`.
+pub fn data(rec: &RunRecord) -> &RunData {
+    rec.data.as_deref().expect("a captured record carries its stores")
+}
 
 /// Outcome of a counted-delivery workload.
 pub struct Delivery {

@@ -111,21 +111,18 @@ fn telemetry_is_pure_observation_on_the_switched_path() {
     // The observation itself: per-port counter tracks were sampled,
     // time-ordered per track (what `trace_check --require-counters`
     // later enforces on the bench artifacts), and reach the Chrome export.
-    let (fab_tracks, ordered) = tel.with_metrics(|m| {
-        let mut n = 0usize;
-        let mut ordered = true;
-        for (name, track) in m.tracks() {
-            if name.starts_with("fab.") {
-                n += 1;
-                ordered &= track.iter().map(|(t, _)| t).is_sorted();
-            }
+    let rec = common::record(&tel, "lci_psr_cq_pin_i");
+    let (mut fab_tracks, mut ordered) = (0usize, true);
+    for (name, track) in common::data(&rec).metrics.tracks() {
+        if name.starts_with("fab.") {
+            fab_tracks += 1;
+            ordered &= track.iter().map(|(t, _)| t).is_sorted();
         }
-        (n, ordered)
-    });
+    }
     assert!(fab_tracks > 0, "switch-port counter tracks missing");
     assert!(ordered, "switch-port counter tracks must be time-ordered");
     assert!(
-        tel.chrome_trace_collected().contains("\"fab."),
+        rec.chrome_trace(false).unwrap().contains("\"fab."),
         "port counters missing from the Chrome export"
     );
 }
@@ -140,9 +137,10 @@ fn core_spans_survive_disable_before_the_world_drops() {
     assert_eq!(d.delivered, 4, "lost parcels");
     hpx_lci_repro::telemetry::disable();
     drop(d);
-    assert!(tel.span_count() > 0, "core spans lost");
+    let rec = common::record(&tel, "lci_psr_cq_pin_i");
+    assert!(rec.span_count().unwrap() > 0, "core spans lost");
     assert!(
-        tel.chrome_trace_collected().contains("\"tid\":\"loc0/core"),
+        rec.chrome_trace(false).unwrap().contains("\"tid\":\"loc0/core"),
         "loc0 core tracks missing from the Chrome export"
     );
 }

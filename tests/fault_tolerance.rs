@@ -228,32 +228,31 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
     let g = got.clone();
     assert!(world.run_while(10_000_000_000, move |_| g.get() < 60), "batch 2 lost parcels");
     telemetry::disable();
-    tel.timeline_finalize();
+    let rec = common::record(&tel, "lci_psr_cq_pin_i");
+    let (tl, m) = (rec.timeline().expect("timeline enabled"), &common::data(&rec).metrics);
 
     // (a) The SLO alert lands exactly in the first window holding an
     // over-objective sample, at or after the failure.
-    let fault_w = tel.with_timeline(|tl| tl.window_of(fault_ns)).expect("timeline enabled");
-    let alerts = tel.timeline_alerts();
-    let alert = alerts
+    let fault_w = tl.window_of(fault_ns);
+    let alert = tl
+        .alerts()
         .iter()
         .find(|a| a.rule == "reroute-lat")
         .expect("link failure must breach the derived SLO");
     assert!(alert.window >= fault_w, "alert precedes the failure");
-    let nwin = tel.with_timeline(|tl| tl.num_windows()).expect("timeline enabled");
-    let first_bad = tel
-        .with_metrics(|m| {
-            (0..nwin).find(|&w| {
-                m.hist_window("parcel.latency_ns", w)
-                    .is_some_and(|h| h.count_at_most(objective) < h.count())
-            })
+    let nwin = tl.num_windows();
+    let first_bad = (0..nwin)
+        .find(|&w| {
+            m.hist_window("parcel.latency_ns", w)
+                .is_some_and(|h| h.count_at_most(objective) < h.count())
         })
         .expect("a breached window exists");
     assert_eq!(alert.window, first_bad, "alert must land in the window the breach occurs");
 
     // (b) The flight-recorder dump names the fault and carries rerouted
     // 0 -> 7 parcels delivered after the failure instant.
-    let dumps = tel.timeline_dumps();
-    let dump = dumps
+    let dump = tl
+        .dumps()
         .iter()
         .find(|d| d.reason == "fault:fab.link_down")
         .expect("link failure must dump the flight recorder");
@@ -269,12 +268,10 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
 
     // (c) The tail step is windowed-only: some post-failure window's
     // p999 breaches the objective while the run-total mean stays under.
-    let merged = tel.with_metrics(|m| m.hist("parcel.latency_ns")).expect("deliveries recorded");
+    let merged = m.hist("parcel.latency_ns").expect("deliveries recorded");
     assert!(merged.mean() < objective as f64, "the run mean must hide the fault");
-    let step = tel.with_metrics(|m| {
-        (fault_w..nwin)
-            .any(|w| m.hist_window("parcel.latency_ns", w).is_some_and(|h| h.p999() > objective))
-    });
+    let step = (fault_w..nwin)
+        .any(|w| m.hist_window("parcel.latency_ns", w).is_some_and(|h| h.p999() > objective));
     assert!(step, "post-failure windows must show a p999 step over the objective");
 }
 

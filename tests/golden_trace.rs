@@ -99,27 +99,28 @@ fn telemetry_enabled_is_pure_observation() {
         );
         // And the observation itself must be complete: one flow per
         // parcel, every one delivered, with the end-to-end stage chain.
-        assert_eq!(tel.flow_count(), 40, "{name}: expected one flow per parcel");
-        let b = tel.breakdown(name);
+        let rec = common::record(&tel, name);
+        assert_eq!(rec.flows_total, 40, "{name}: expected one flow per parcel");
+        let b = rec.breakdown().unwrap();
         assert_eq!(b.delivered, 40, "{name}: flows lost before delivery");
         assert!(b.total.hist.count() > 0, "{name}: no end-to-end latencies recorded");
         // Causal-edge recording rode along on the exact pinned timeline
         // above, so provenance capture is itself pure observation. The
         // log must be complete: one node per executed event, and the
         // critical path it yields must partition [0, end] exactly.
-        let log = tel.causal_log();
+        let log = common::data(&rec).causal.as_ref().expect("events were dispatched");
         assert_eq!(
             log.node_count() as u64,
             executed,
             "{name}: causal log must record every executed event"
         );
-        let cp = tel.critpath(name).expect("non-empty run has a critical path");
+        let cp = rec.critpath.as_ref().expect("non-empty run has a critical path");
         assert!(!cp.truncated, "{name}: causal log truncated");
         assert!(cp.total_ns <= end_ns, "{name}: critical path ends after the pinned end time");
         let seg_sum: u64 = cp.segments.iter().map(|s| s.len_ns()).sum();
         assert_eq!(seg_sum, cp.total_ns, "{name}: on-path durations must sum to the makespan");
         // Every delivered parcel got a causally-attributed delivery node.
-        let paths = tel.parcel_paths();
+        let paths = rec.parcel_paths().unwrap();
         assert_eq!(paths.len(), 40, "{name}: expected one causal path per parcel");
         for pp in &paths {
             let sum: u64 = pp.segments.iter().map(|s| s.len_ns()).sum();
@@ -171,7 +172,6 @@ fn timeline_enabled_reproduces_golden_pins() {
         // The windowed series must partition the run exactly: merging
         // every window of the parcel-latency histogram reproduces the
         // run-total histogram, one sample per delivered parcel.
-        tel.timeline_finalize();
         let merged = tel.with_metrics(|m| {
             let windows = m.hist_windows().get("parcel.latency_ns").expect("deliveries recorded");
             let mut merged = Histogram::new();
@@ -216,10 +216,9 @@ fn fault_scenario_pins_alert_window_and_flight_dump() {
     hpx_lci_repro::telemetry::disable();
     assert_eq!(d.delivered, 40, "drops must not lose parcels");
     assert!(d.single_heap().sim.stats.get("net.retransmitted") > 0, "20% loss must retransmit");
-    tel.timeline_finalize();
-
-    let alerts = tel.timeline_alerts();
-    let dumps = tel.timeline_dumps();
+    let rec = common::record(&tel, "lci_psr_cq_pin_i");
+    let tl = rec.timeline().expect("timeline attached");
+    let (alerts, dumps) = (tl.alerts(), tl.dumps());
     eprintln!(
         "fault pins: end {} alerts {:?} dumps {:?}",
         d.world.now().as_nanos(),
@@ -557,8 +556,9 @@ mod sharded_world {
             // The merged observation must be complete: one flow per
             // parcel with the end-to-end stage chain, exactly as the
             // single-heap collector records it.
-            assert_eq!(tel.flow_count(), 40, "{name}: expected one flow per parcel");
-            let b = tel.breakdown(name);
+            let rec = common::record(&tel, name);
+            assert_eq!(rec.flows_total, 40, "{name}: expected one flow per parcel");
+            let b = rec.breakdown().unwrap();
             assert_eq!(b.delivered, 40, "{name}: flows lost before delivery");
             assert!(b.total.hist.count() > 0, "{name}: no end-to-end latencies recorded");
         }
@@ -577,9 +577,10 @@ mod sharded_world {
             hpx_lci_repro::telemetry::disable();
             tel
         };
-        let legacy = run(Engine::SingleHeap);
-        let lh = legacy
-            .with_metrics(|m| m.hist("amt.msg_bytes"))
+        let legacy = common::record(&run(Engine::SingleHeap), name);
+        let lh = common::data(&legacy)
+            .metrics
+            .hist("amt.msg_bytes")
             .expect("legacy run records message sizes");
         // The federated Chrome export (core spans, flows, counters) is
         // placement-invariant. It is not compared with the single-heap
@@ -587,21 +588,21 @@ mod sharded_world {
         // trailing spans differ.
         let mut first_chrome: Option<String> = None;
         for &engine in PLACEMENTS {
-            let tel = run(engine);
+            let rec = common::record(&run(engine), name);
             let what = format!("{engine:?}");
-            assert_eq!(tel.flow_count(), legacy.flow_count(), "{what}: flow population moved");
-            let sh = tel
-                .with_metrics(|m| m.hist("amt.msg_bytes"))
+            assert_eq!(rec.flows_total, legacy.flows_total, "{what}: flow population moved");
+            let sh = common::data(&rec)
+                .metrics
+                .hist("amt.msg_bytes")
                 .expect("sharded run records message sizes");
             assert_eq!(sh, lh, "{what}: merged message-size histogram diverged");
-            let b = tel.breakdown(name);
-            assert_eq!(b.delivered, legacy.breakdown(name).delivered, "{what}: delivered moved");
-            let chrome = tel.chrome_trace_collected();
+            let delivered = rec.breakdown().unwrap().delivered;
+            assert_eq!(delivered, legacy.breakdown().unwrap().delivered, "{what}: delivered moved");
+            let chrome = rec.chrome_trace(false).unwrap();
             match &first_chrome {
                 None => {
-                    let per_loc = tel.with_core_spans(|s| {
-                        s.iter().map(telemetry::CoreSpans::len).collect::<Vec<_>>()
-                    });
+                    let spans = &common::data(&rec).spans;
+                    let per_loc = spans.iter().map(telemetry::CoreSpans::len).collect::<Vec<_>>();
                     assert!(
                         per_loc.len() == 2 && per_loc.iter().all(|&n| n > 0),
                         "{what}: both localities must record core spans, got {per_loc:?}"
@@ -617,12 +618,11 @@ mod sharded_world {
 }
 
 /// Run-record capture must be *pure observation* on top of the already
-/// pure telemetry hooks: capturing a record from a finished run cannot
-/// perturb anything another exporter reads from the same collector
-/// (byte-identical Chrome traces before/after capture), the pinned
-/// golden timeline itself stays bit-for-bit unchanged, and the record
-/// document is deterministic down to its serialized bytes — pinned by
-/// digest so any schema or capture change is a conscious re-pin.
+/// pure telemetry hooks: the record's Chrome trace (core spans, flows and
+/// counter tracks, rendered from the stores capture moved in) is pinned
+/// byte for byte, and the record document is deterministic down to its
+/// serialized bytes — pinned by digest so any schema or capture change is
+/// a conscious re-pin.
 #[test]
 fn run_record_capture_is_pure_and_pinned() {
     use hpx_lci_repro::telemetry::record::{RunMeta, RunRecord};
@@ -650,20 +650,11 @@ fn run_record_capture_is_pure_and_pinned() {
 
     let (r1, tel1) = run();
     assert!(r1.msg_rate > 0.0);
-    let trace_before = tel1.chrome_trace_collected();
+    let rec1 = RunRecord::capture(&tel1, meta());
     // Pinned Chrome export of the same run: core spans, flows and counter
     // tracks, byte for byte.
-    assert_eq!(
-        common::fnv(trace_before.as_bytes()),
-        0xb81111d6a611427f,
-        "fig1 Chrome trace bytes moved"
-    );
-    let rec1 = RunRecord::capture(&tel1, meta());
-    let trace_after = tel1.chrome_trace_collected();
-    assert_eq!(
-        trace_before, trace_after,
-        "capturing a run record changed the Chrome trace of the same collector"
-    );
+    let trace = rec1.chrome_trace(false).expect("a captured record renders its Chrome trace");
+    assert_eq!(common::fnv(trace.as_bytes()), 0xb81111d6a611427f, "fig1 Chrome trace bytes moved");
 
     // Same binary, same inputs: the record reproduces byte-for-byte.
     let (_, tel2) = run();
