@@ -324,6 +324,9 @@ impl ParcelLayer {
     /// the cache was starved (or a drain window passed over them), send
     /// them now.
     fn on_connection_returned(loc: &Rc<Locality>, sim: &mut Sim, core: usize, dest: usize) {
+        // The parcelport fires this outside any locality's event handler:
+        // its conncache wait and re-drain belong to this locality's cores.
+        telemetry::profile_set_loc(loc.id);
         let cost = loc.cost.clone();
         let now = sim.now();
         let redrain = loc.with_layer(|l| {
