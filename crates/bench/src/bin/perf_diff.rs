@@ -5,7 +5,7 @@
 //! structural diff: end-to-end movement, the ranked critical-path delta
 //! table (whose entries sum *exactly* to the end-to-end delta — the
 //! partition identity carried across runs), per-bucket histogram
-//! shifts, counter/gauge/resource movement, and the core-profile state
+//! shifts, counter and resource movement, and the core-profile state
 //! breakdown.
 //!
 //! As a CI gate it exits non-zero when the head run regressed past the

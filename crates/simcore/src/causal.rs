@@ -123,13 +123,13 @@ fn check_id(id: u32) {
     assert!(id < 1 << 29, "causal: label id {id} does not fit a 32-bit record header");
 }
 
-/// `(fields after the header, marks)` of a record of `form`.
-fn shape(form: u64) -> (usize, usize) {
+/// Fields after the header of a record of `form`.
+#[cfg(test)]
+fn field_count(form: u64) -> usize {
     match form {
-        FORM_WIDE => (4, 1),
-        FORM_WAIT_HOLD | FORM_WAIT_WORK => (3, 2),
-        FORM_WIRE => (3, 1),
-        _ => (2, 1),
+        FORM_WIDE => 4,
+        FORM_WAIT_HOLD | FORM_WAIT_WORK | FORM_WIRE => 3,
+        _ => 2,
     }
 }
 
@@ -285,24 +285,14 @@ impl LogInner {
         }
     }
 
-    /// Marks `nodes[i]` owns.
-    fn marks_in(&self, i: usize) -> usize {
-        let (Range { start: mut pos, end }, mut marks) = (self.byte_range(i), 0);
-        while pos < end {
-            let (form, next) = self.record_at(pos);
-            marks += shape(form).1;
-            pos = next;
-        }
-        marks
-    }
-
     /// The form of the record at byte `pos`, and where the next begins.
+    #[cfg(test)]
     fn record_at(&self, pos: usize) -> (u64, usize) {
         let mut scratch = [0; MAX_RECORD];
         let window = self.bytes.window(pos, &mut scratch);
         let mut p = 0;
         let form = varint::get(window, &mut p) & 7;
-        for _ in 0..shape(form).0 {
+        for _ in 0..field_count(form) {
             varint::get(window, &mut p);
         }
         (form, pos + p)
@@ -506,21 +496,6 @@ impl LogView<'_> {
     /// Every mark in emission order, which is node order.
     pub fn marks(&self) -> impl Iterator<Item = MarkRec> + '_ {
         (0..self.inner.nodes.len()).flat_map(move |i| self.node_marks(i))
-    }
-
-    /// The last `n` marks, in emission order.
-    pub fn last_marks(&self, n: usize) -> impl Iterator<Item = MarkRec> + '_ {
-        // Walk back node by node to the one holding the n-th mark from
-        // the end; `skip` of its marks come before the cut.
-        let (mut first, mut skip, mut left) = (self.inner.nodes.len(), 0, n);
-        while left > 0 && first > 0 {
-            first -= 1;
-            let marks = self.inner.marks_in(first);
-            skip = marks.saturating_sub(left);
-            left -= marks.min(left);
-        }
-        (first..self.inner.nodes.len())
-            .flat_map(move |i| self.node_marks(i).skip(if i == first { skip } else { 0 }))
     }
 
     /// The marks of node `base() + i`, decoded from its records (none
@@ -1076,7 +1051,7 @@ mod tests {
     }
 
     /// The log holds exactly what the naive recorder holds: same nodes,
-    /// same per-node marks, same emission order and tail.
+    /// same per-node marks, same emission order.
     fn assert_matches(log: &CausalLog, naive: &Reference, what: &str) {
         assert_eq!(log.node_count(), naive.len(), "{what}: node count");
         log.with_view(|v| {
@@ -1090,15 +1065,7 @@ mod tests {
                 let got: Vec<Mark> = got.iter().map(fields).collect();
                 assert_eq!(&got, marks, "{what}: marks of node {id}");
             }
-            // Every cut of a short log, so some fall inside an access's
-            // Wait/Hold pair; every 97th of a long one.
-            let step = if flat.len() <= 300 { 1 } else { 97 };
-            let cuts = (0..=flat.len() + 1).step_by(step).chain([flat.len(), flat.len() + 1]);
-            for n in cuts {
-                let tail: Vec<Mark> = v.last_marks(n).map(|m| fields(&m)).collect();
-                assert_eq!(tail, flat[flat.len().saturating_sub(n)..], "{what}: last {n} marks");
-            }
-            let owners: Vec<u64> = v.last_marks(flat.len()).map(|m| m.owner).collect();
+            let owners: Vec<u64> = v.marks().map(|m| m.owner).collect();
             let want: Vec<u64> = naive.iter().flat_map(|n| n.3.iter().map(|_| n.0)).collect();
             assert_eq!(owners, want, "{what}: owners in emission order");
         });

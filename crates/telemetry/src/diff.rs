@@ -14,7 +14,7 @@
 //!
 //! Around the delta table the diff carries histogram shift detection at
 //! **exact bucket granularity** (possible because records serialize full
-//! bucket counts, not quantiles), counter/gauge deltas, per-core profile
+//! bucket counts, not quantiles), counter deltas, per-core profile
 //! state movement, per-resource wait deltas, window-count changes, and
 //! new/vanished keys and resources. Deterministic simulation makes every
 //! quantity here virtual-time exact: a diff of two identical runs is
@@ -101,17 +101,6 @@ impl KeyDelta {
     }
 }
 
-/// A changed gauge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaugeDelta {
-    /// Gauge key.
-    pub key: String,
-    /// Base value; `None` = new in head.
-    pub base: Option<i64>,
-    /// Head value; `None` = vanished.
-    pub head: Option<i64>,
-}
-
 /// One histogram's shift between the runs, at bucket granularity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistDelta {
@@ -173,8 +162,6 @@ pub struct RecordDiff {
     pub critpath_exact: bool,
     /// Changed counters only (including new/vanished keys).
     pub counters: Vec<KeyDelta>,
-    /// Changed gauges only.
-    pub gauges: Vec<GaugeDelta>,
     /// Shifted histograms only (any bucket-level movement).
     pub hists: Vec<HistDelta>,
     /// Aggregate per-state profile movement, in [`STATES`] order:
@@ -225,20 +212,13 @@ impl RecordDiff {
             b.delta_ns().abs().cmp(&a.delta_ns().abs()).then_with(|| a.component.cmp(&b.component))
         });
 
-        // Counters / gauges: changed keys only, union of key sets.
+        // Counters: changed keys only, union of key sets.
         let counter_keys: BTreeSet<&String> =
             base.counters.keys().chain(head.counters.keys()).collect();
         for k in counter_keys {
             let (b, h) = (base.counters.get(k).copied(), head.counters.get(k).copied());
             if b != h {
                 d.counters.push(KeyDelta { key: k.clone(), base: b, head: h });
-            }
-        }
-        let gauge_keys: BTreeSet<&String> = base.gauges.keys().chain(head.gauges.keys()).collect();
-        for k in gauge_keys {
-            let (b, h) = (base.gauges.get(k).copied(), head.gauges.get(k).copied());
-            if b != h {
-                d.gauges.push(GaugeDelta { key: k.clone(), base: b, head: h });
             }
         }
 
@@ -369,7 +349,7 @@ impl RecordDiff {
     }
 
     /// Whether the two records are observationally identical: same
-    /// end-to-end time, events, flows, critical path, counters, gauges,
+    /// end-to-end time, events, flows, critical path, counters,
     /// histogram buckets, profile partition, resources and windows.
     pub fn is_empty(&self) -> bool {
         self.end_delta() == 0
@@ -377,7 +357,6 @@ impl RecordDiff {
             && self.flows.delta() == 0
             && self.critpath.iter().all(|c| c.delta_ns() == 0)
             && self.counters.is_empty()
-            && self.gauges.is_empty()
             && self.hists.is_empty()
             && self.profile_states.iter().all(|(_, b, h)| b == h)
             && self.resources.is_empty()
@@ -555,18 +534,6 @@ impl RecordDiff {
                 )
             })
             .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"key\":\"{}\",\"base\":{},\"head\":{}}}",
-                    escape_json(&g.key),
-                    g.base.map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
-                    g.head.map(|v| v.to_string()).unwrap_or_else(|| "null".into())
-                )
-            })
-            .collect();
         let hists: Vec<String> = self
             .hists
             .iter()
@@ -629,7 +596,7 @@ impl RecordDiff {
              \"end_to_end\":{{\"base_ns\":{},\"head_ns\":{},\"delta_ns\":{}}},\
              \"events\":{{\"base\":{},\"head\":{}}},\"flows\":{{\"base\":{},\"head\":{}}},\
              \"identical\":{},\"critpath_exact\":{},\"critpath_delta_sum_ns\":{},\
-             \"localization\":{:.4},\"critpath\":[{}],\"counters\":[{}],\"gauges\":[{}],\
+             \"localization\":{:.4},\"critpath\":[{}],\"counters\":[{}],\
              \"hists\":[{}],\"profile_states\":[{}],\"resources\":[{}],\"windows\":{}}}}}",
             escape_json(&self.base_label),
             escape_json(&self.head_label),
@@ -646,7 +613,6 @@ impl RecordDiff {
             self.localization(),
             critpath.join(","),
             counters.join(","),
-            gauges.join(","),
             hists.join(","),
             states.join(","),
             resources.join(","),

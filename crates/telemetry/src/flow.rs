@@ -85,12 +85,12 @@ impl Hasher for RouteHasher {
     }
 }
 
-/// Published lane-mode flow metadata: `id` → `(src, dst, put_ns)`, from
-/// the sender's `flow_begin` until the receiving lane takes it.
-type MetaMap = HashMap<u64, (usize, usize, u64)>;
+/// Published lane-mode flow metadata: `id` → `put_ns`, from the sender's
+/// `flow_begin` until the receiving lane takes it.
+type MetaMap = HashMap<u64, u64>;
 
-/// One run's out-of-band registry: message routes, plus the `(src, dst,
-/// put_ns)` of lane-mode flows so a receiving lane can feed its latency
+/// One run's out-of-band registry: message routes, plus the put instant
+/// of lane-mode flows so a receiving lane can feed its latency
 /// series without owning the sender's `FlowRec`. The tracer of the
 /// collector made by `telemetry::enable` owns it and the run's lane
 /// tracers share it ([`FlowTracer::for_lane`]), because sender and
@@ -322,14 +322,14 @@ impl FlowTracer {
         routes.remove(&(src, dst, tag_base)).unwrap_or_default()
     }
 
-    /// Publish `(src, dst, put_ns)` of lane-mode flow `id` to the run.
-    pub(crate) fn publish_meta(&self, id: u64, src: usize, dst: usize, put_ns: u64) {
-        self.store().meta.lock().expect("route store poisoned").insert(id, (src, dst, put_ns));
+    /// Publish the put instant of lane-mode flow `id` to the run.
+    pub(crate) fn publish_meta(&self, id: u64, put_ns: u64) {
+        self.store().meta.lock().expect("route store poisoned").insert(id, put_ns);
     }
 
-    /// Take the published metadata of a foreign flow id: its one reader
-    /// is the receiving lane, at delivery.
-    pub(crate) fn take_meta(&self, id: u64) -> Option<(usize, usize, u64)> {
+    /// Take the published put instant of a foreign flow id: its one
+    /// reader is the receiving lane, at delivery.
+    pub(crate) fn take_meta(&self, id: u64) -> Option<u64> {
         self.store().meta.lock().expect("route store poisoned").remove(&id)
     }
 

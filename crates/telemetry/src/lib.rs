@@ -25,8 +25,9 @@
 //!   `working/progress/lock-wait/serialize/idle` accounting whose state
 //!   durations partition each core's elapsed virtual time exactly, with
 //!   folded-stack flamegraph output (see [`profile`]);
-//! * an optional **timeline** ([`Timeline`]): the window cursor, SLO
-//!   monitors and the flight recorder over the windowed metrics (see
+//! * an optional **timeline** ([`Timeline`]): the horizon, late samples
+//!   and injected faults of a live run, from which capture computes the
+//!   SLO alerts and flight-recorder dumps over the windowed metrics (see
 //!   [`timeline`]), chosen when the collector is made ([`enable_with`]);
 //! * the **run record** ([`RunRecord`]): the one end-of-run artifact.
 //!   [`RunRecord::capture`] moves the collector's stores into it and
@@ -45,7 +46,7 @@
 //! observer slot ([`simcore::probe`]), where it sees every lock and
 //! resource access as one `Access` value, every event dispatch and every
 //! causal mark. It files an access in one method (contention row,
-//! lock-wait overlay, flight-recorder event, causal record) and forwards
+//! lock-wait overlay, timeline horizon, causal record) and forwards
 //! dispatches and marks to its own causal log. Call sites go
 //! through the free functions in this module, which find the collector by
 //! downcasting what the slot holds and no-op when it holds none: the
@@ -72,7 +73,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use simcore::causal::MarkKind;
-use simcore::probe::{Access, AccessKind, Probe};
+use simcore::probe::{Access, Probe};
 use simcore::{CausalLog, SimTime};
 
 pub use chrome::{CoreSpan, CoreSpans, Spans};
@@ -116,43 +117,37 @@ struct Inner {
     /// at the first dispatch, so a collector allocates nothing until its
     /// run does.
     causal: Option<Rc<CausalLog>>,
-    /// The window cursor, SLO monitors and flight recorder
-    /// ([`timeline`]), present only when the collector was made with one
+    /// The timeline's horizon, late samples and faults ([`timeline`]),
+    /// present only when the collector was made with one
     /// ([`enable_with`], or [`Telemetry::for_lane`] of such a collector).
     timeline: Option<Timeline>,
 }
 
 impl Inner {
     /// Feed one newly delivered flow into the windowed `parcel.latency_ns`
-    /// series and the flight-recorder ring. No-op when timelines are
-    /// off, so plain instrumented runs keep their exact metric key set.
+    /// series. No-op when timelines are off, so plain instrumented runs
+    /// keep their exact metric key set.
     fn flow_delivered(&mut self, id: u64, t: SimTime) {
         if self.timeline.is_none() || id == 0 {
             return;
         }
-        let (src, dst, put) = match self.flows.rec(id) {
-            Some(rec) => {
-                let put = rec.at(stage::PUT).unwrap_or(t.as_nanos());
-                (rec.src as usize, rec.dst as usize, put)
-            }
+        let put = match self.flows.rec(id) {
+            Some(rec) => rec.at(stage::PUT).unwrap_or(t.as_nanos()),
             // Lane mode: a foreign id's record lives on the sending
-            // lane's tracer; take the published metadata instead.
+            // lane's tracer; take the published put instant instead.
             None => match self.flows.take_meta(id) {
-                Some(meta) => meta,
+                Some(put) => put,
                 None => return,
             },
         };
         let deliver = t.as_nanos();
         self.metrics.hist_record("parcel.latency_ns", deliver.saturating_sub(put), deliver);
-        if let Some(tl) = &mut self.timeline {
-            tl.sampled(deliver, true, &self.metrics);
-            tl.flow_delivered(id, src, dst, put, deliver);
-        }
+        self.sampled(deliver);
     }
 
     /// Mark `stage` on a batch of flows. Each newly delivered parcel
-    /// lands in the windowed latency series and on the flight recorder;
-    /// the batch moves `parcels.in_flight` by one sample.
+    /// lands in the windowed latency series; the batch moves
+    /// `parcels.in_flight` by one sample.
     fn mark_flows(&mut self, ids: &[u64], stage: usize, t: SimTime) {
         let node = self.causal.as_ref().map_or(0, |log| log.current_node());
         let mut newly = 0i64;
@@ -167,7 +162,7 @@ impl Inner {
             let v = self.in_flight as f64;
             self.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
         }
-        self.observe(t.as_nanos(), true);
+        self.observe(t.as_nanos());
     }
 
     /// Keep one core span of locality `loc`.
@@ -178,63 +173,20 @@ impl Inner {
         self.spans[loc].push(CoreSpan::new(core as u32, label, start, end));
     }
 
-    /// Tell the timeline a counter or (`hist`) histogram sample was just
-    /// stored at `t_ns`, then take a dump that fell due.
-    fn sampled(&mut self, t_ns: u64, hist: bool) {
+    /// Tell the timeline a counter or histogram sample was just stored
+    /// at `t_ns`.
+    fn sampled(&mut self, t_ns: u64) {
         if let Some(tl) = &mut self.timeline {
-            tl.sampled(t_ns, hist, &self.metrics);
-            self.tl_poll();
+            tl.sampled(t_ns);
         }
     }
 
-    /// Advance the timeline cursor to `t_ns`; `poll` then takes a dump
-    /// that fell due.
-    fn observe(&mut self, t_ns: u64, poll: bool) {
+    /// Advance the timeline's horizon to `t_ns`.
+    fn observe(&mut self, t_ns: u64) {
         if let Some(tl) = &mut self.timeline {
-            tl.observe(t_ns, &self.metrics);
-            if poll {
-                self.tl_poll();
-            }
+            tl.observe(t_ns);
         }
     }
-
-    /// Close out the run at capture: evaluate the timeline's remaining
-    /// windows, take a dump still armed (while the causal log is still
-    /// here for its tail), and finalize the profile to its horizon.
-    fn finalize(&mut self) {
-        if let Some(tl) = &mut self.timeline {
-            tl.finalize(&self.metrics);
-        }
-        self.tl_poll();
-        self.profile.finalize();
-    }
-
-    /// Take a flight-recorder dump if one is armed and its post-roll has
-    /// elapsed (called after anything that advances the timeline cursor).
-    fn tl_poll(&mut self) {
-        let Some(tl) = &mut self.timeline else { return };
-        if tl.dump_due() {
-            tl.take_dump(self.causal.as_ref().map(|log| causal_tail(log)).unwrap_or_default());
-        }
-    }
-}
-
-/// The last [`timeline::DUMP_MARKS`] causal marks, as flight-recorder
-/// dump rows.
-fn causal_tail(log: &CausalLog) -> Vec<timeline::DumpMark> {
-    log.with_view(|view| {
-        view.last_marks(timeline::DUMP_MARKS)
-            .map(|m| {
-                let kind = match m.kind {
-                    MarkKind::Wait => "wait",
-                    MarkKind::Hold => "hold",
-                    MarkKind::Work => "work",
-                    MarkKind::Wire => "wire",
-                };
-                (m.label, kind, m.start, m.end)
-            })
-            .collect()
-    })
 }
 
 impl Telemetry {
@@ -263,7 +215,7 @@ impl Telemetry {
     pub fn counter_add_at(&self, key: &'static str, n: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.counter_add(key, n, t.as_nanos());
-        inner.sampled(t.as_nanos(), false);
+        inner.sampled(t.as_nanos());
     }
 
     /// Record `v` into histogram `key`, in the window of instant `t`
@@ -271,14 +223,14 @@ impl Telemetry {
     pub fn hist_record_at(&self, key: &'static str, v: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.hist_record(key, v, t.as_nanos());
-        inner.sampled(t.as_nanos(), true);
+        inner.sampled(t.as_nanos());
     }
 
     /// Append a counter-track sample.
     pub fn track_sample(&self, name: &'static str, t: SimTime, v: f64) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.track_sample(name, t.as_nanos(), v);
-        inner.observe(t.as_nanos(), true);
+        inner.observe(t.as_nanos());
     }
 
     /// Start a parcel flow; returns its id (0 when the tracer is full).
@@ -289,21 +241,21 @@ impl Telemetry {
             inner.in_flight += 1;
             let v = inner.in_flight as f64;
             inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-            // Lane mode with timelines: publish (src, dst, put) of a flow
+            // Lane mode with timelines: publish the put instant of a flow
             // bound for another locality, so the receiving lane can feed
             // its latency series at delivery. A local flow's record is
             // this lane's own.
             if inner.timeline.is_some() && inner.flows.lane_mode() && src != dst {
-                inner.flows.publish_meta(id, src, dst, t.as_nanos());
+                inner.flows.publish_meta(id, t.as_nanos());
             }
         }
-        inner.observe(t.as_nanos(), false);
+        inner.observe(t.as_nanos());
         id
     }
 
     /// Mark `stage` on a batch of flows. Each newly delivered parcel
-    /// lands in the windowed latency series and on the flight recorder;
-    /// the batch moves `parcels.in_flight` by one sample.
+    /// lands in the windowed latency series; the batch moves
+    /// `parcels.in_flight` by one sample.
     pub fn flow_mark_many(&self, ids: &[u64], stage: usize, t: SimTime) {
         if !ids.is_empty() {
             self.inner.borrow_mut().mark_flows(ids, stage, t);
@@ -318,12 +270,11 @@ impl Telemetry {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.counter_add("amt.messages_delivered", 1, t.as_nanos());
         inner.delivered += 1;
-        inner.sampled(t.as_nanos(), false);
+        inner.sampled(t.as_nanos());
         if !ids.is_empty() {
             inner.mark_flows(ids, stage::DELIVER, t);
             let n = inner.delivered as f64;
             inner.metrics.track_sample("amt.delivered", t.as_nanos(), n);
-            inner.observe(t.as_nanos(), true);
         }
     }
 
@@ -398,7 +349,7 @@ impl Telemetry {
         }
         if end > start {
             inner.profile.record_base(loc, core, state, label, start, end);
-            inner.observe(end, true);
+            inner.observe(end);
         }
     }
 
@@ -409,7 +360,8 @@ impl Telemetry {
     }
 
     /// Add an SLO rule mid-run (e.g. an objective derived from a baseline
-    /// phase of the same run); no-op when timelines are off.
+    /// phase of the same run); it sees every window of the run, since
+    /// rules are evaluated at capture. No-op when timelines are off.
     pub fn timeline_add_rule(&self, rule: SloRule) {
         if let Some(tl) = &mut self.inner.borrow_mut().timeline {
             tl.add_rule(rule);
@@ -419,44 +371,36 @@ impl Telemetry {
     /// Record one egress-port access into the per-port windows; no-op
     /// when timelines are off. Port grants are scheduled analytically at
     /// injection time, so `t` routinely lies in the future: the access
-    /// lands in its window but does NOT advance the cursor, else congested
-    /// runs would settle (and SLO-evaluate) windows whose delivery
-    /// samples are still in flight.
+    /// lands in its window but does not advance the horizon, which would
+    /// count the deliveries still in flight as late samples.
     pub fn timeline_port(&self, name: &'static str, t: SimTime, wait_ns: u64, bytes: u64) {
         let inner = &mut *self.inner.borrow_mut();
         if inner.timeline.is_some() {
             inner.metrics.port_access(name, t.as_nanos(), wait_ns, bytes);
-            inner.tl_poll();
         }
     }
 
-    /// Record an injected fault at instant `t`, arming the flight
-    /// recorder; no-op when timelines are off.
+    /// Record an injected fault at instant `t`, a flight-recorder dump
+    /// trigger; no-op when timelines are off.
     pub fn fault_event_at(&self, label: &'static str, t: SimTime) {
-        let inner = &mut *self.inner.borrow_mut();
-        if let Some(tl) = &mut inner.timeline {
-            tl.fault_event(label, t.as_nanos(), &inner.metrics);
-            inner.tl_poll();
+        if let Some(tl) = &mut self.inner.borrow_mut().timeline {
+            tl.fault_event(label, t.as_nanos());
         }
     }
 
-    /// [`Telemetry::fault_event_at`] at the timeline's current cursor,
-    /// for fault sites with no virtual clock in hand.
+    /// [`Telemetry::fault_event_at`] at the timeline's horizon, for fault
+    /// sites with no virtual clock in hand.
     pub fn fault_event(&self, label: &'static str) {
-        let inner = &mut *self.inner.borrow_mut();
-        if let Some(tl) = &mut inner.timeline {
-            let t = tl.cursor_ns();
-            tl.fault_event(label, t, &inner.metrics);
-            inner.tl_poll();
+        if let Some(tl) = &mut self.inner.borrow_mut().timeline {
+            tl.fault_event(label, tl.horizon_ns());
         }
     }
 }
 
 /// The collector is simcore's probe. One access is one call: under one
-/// borrow it fills the contention row, the profiler's lock-wait overlay
-/// and the timeline, then forwards the access to its causal log, after any
-/// flight-recorder dump the access made due (which therefore ends before
-/// the access's own marks). Dispatch and marks go straight to the log.
+/// borrow it fills the contention row and the profiler's lock-wait
+/// overlay, advances the timeline's horizon, then forwards the access to
+/// its causal log. Dispatch and marks go straight to the log.
 impl Probe for Telemetry {
     fn access(&self, a: Access) {
         let inner = &mut *self.inner.borrow_mut();
@@ -464,20 +408,12 @@ impl Probe for Telemetry {
         let now = a.now.as_nanos();
         // The wait `[now, now + wait)` is spin or queueing time on `core`:
         // the profiler carves it out of whatever base interval encloses
-        // it, and the flight recorder keeps it.
+        // it.
         if a.wait_ns > 0 {
             let (label, end) = (a.label.name, now + a.wait_ns);
             inner.profile.record_overlay_here(a.core, CoreState::LockWait, label, now, end);
-            if let Some(tl) = &mut inner.timeline {
-                tl.probe_event(label, a.kind.label(), now, a.wait_ns, a.dur_ns);
-            }
         }
-        // A try-lock advances the cursor but leaves a due dump to the next
-        // record that polls. Where a dump is cut is part of the recorded
-        // output: taking it here would move a dump whose post-roll ends
-        // between a try and the next polling record (`access_recording.rs`
-        // pins one).
-        inner.observe(now, a.kind != AccessKind::TryLock);
+        inner.observe(now);
         if let Some(log) = &inner.causal {
             log.access(a);
         }
@@ -512,9 +448,10 @@ pub fn enable() -> Rc<Telemetry> {
 }
 
 /// [`enable`], with a windowed timeline under `cfg`: per-window
-/// histograms/counters/port accounting, SLO monitors, and the flight
-/// recorder. The timeline is pure observation like everything else —
-/// enabled runs reproduce the exact event streams of disabled runs.
+/// histograms/counters/port accounting, and the SLO alerts and
+/// flight-recorder dumps computed from them at capture. The timeline is
+/// pure observation like everything else — enabled runs reproduce the
+/// exact event streams of disabled runs.
 pub fn enable_with(cfg: TimelineConfig) -> Rc<Telemetry> {
     install(Telemetry::with_timeline_config(cfg))
 }
@@ -621,14 +558,14 @@ pub fn hist_record_at(key: &'static str, v: u64, t: SimTime) {
     with(|tel| tel.hist_record_at(key, v, t));
 }
 
-/// Record an injected fault at instant `t` (arms the flight recorder);
-/// no-op when disabled or when timelines are off.
+/// Record an injected fault at instant `t` (a flight-recorder dump
+/// trigger); no-op when disabled or when timelines are off.
 #[inline]
 pub fn fault_event_at(label: &'static str, t: SimTime) {
     with(|tel| tel.fault_event_at(label, t));
 }
 
-/// [`fault_event_at`] at the timeline cursor, for fault sites with no
+/// [`fault_event_at`] at the timeline horizon, for fault sites with no
 /// virtual clock in hand.
 #[inline]
 pub fn fault_event(label: &'static str) {

@@ -30,8 +30,8 @@
 //! cover the serialized sections only, so a record parsed from JSON
 //! renders the critical-path, contention and core-time reports and
 //! returns `None` for the reports whose data it does not carry. The
-//! record still writes and reads an empty `"gauges"` object, which
-//! committed records carry.
+//! record writes an empty `"gauges"` object, which committed records
+//! carry, and rejects a document whose `gauges` object is not empty.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -210,8 +210,6 @@ pub struct RunRecord {
     pub flows_untracked: u64,
     /// Counter totals.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values.
-    pub gauges: BTreeMap<String, i64>,
     /// Full histograms with exact bucket counts.
     pub hists: BTreeMap<String, Histogram>,
     /// The critical-path partition, when a causal log was installed.
@@ -239,7 +237,6 @@ impl PartialEq for RunRecord {
             && self.flows_delivered == other.flows_delivered
             && self.flows_untracked == other.flows_untracked
             && self.counters == other.counters
-            && self.gauges == other.gauges
             && self.hists == other.hists
             && self.critpath == other.critpath
             && self.profile == other.profile
@@ -273,13 +270,14 @@ impl RunRecord {
     /// Capture a record from a finished instrumented run, with `meta`
     /// from the harness. Capture *moves* the collector's stores into the
     /// record ([`RunData`]) and leaves the collector empty: it finalizes
-    /// the timeline (taking a dump still armed) and the core profile once,
-    /// in place, walks the causal log once for the critical path, and
-    /// fills the serialized sections from the moved stores. Nothing is
-    /// copied, so capture costs no more memory than the run held.
+    /// the core profile and the timeline (its SLO alerts and flight dumps,
+    /// over the final metrics, flows and causal log) once, in place, walks
+    /// the causal log once for the critical path, and fills the serialized
+    /// sections from the moved stores. Nothing is copied, so capture costs
+    /// no more memory than the run held.
     pub fn capture(tel: &Telemetry, meta: RunMeta) -> RunRecord {
         let mut inner = tel.inner.take();
-        inner.finalize();
+        inner.profile.finalize();
         let mut rec = RunRecord { version: SCHEMA_VERSION, meta, ..RunRecord::default() };
 
         if let Some(log) = &inner.causal {
@@ -316,7 +314,8 @@ impl RunRecord {
             });
         }
 
-        if let Some(tl) = &inner.timeline {
+        if let Some(tl) = &mut inner.timeline {
+            tl.finalize(m, &flows, inner.causal.as_deref());
             for (name, ws) in m.port_windows().iter() {
                 let p = ws.total();
                 let (pkts, bytes, wait_ns) = (p.pkts, p.bytes, p.wait_ns);
@@ -376,8 +375,6 @@ impl RunRecord {
             self.meta.knobs.iter().map(|k| format!("\"{}\"", escape_json(k))).collect();
         let counters: Vec<String> =
             self.counters.iter().map(|(k, v)| format!("\"{}\":{v}", escape_json(k))).collect();
-        let gauges: Vec<String> =
-            self.gauges.iter().map(|(k, v)| format!("\"{}\":{v}", escape_json(k))).collect();
         let hists: Vec<String> = self
             .hists
             .iter()
@@ -511,7 +508,7 @@ impl RunRecord {
             "{{\"run_record\":{{\"version\":{},\"scenario\":\"{}\",\"config\":\"{}\",\
              \"params\":{{{}}},\"knobs\":[{}]{},\"end_to_end_ns\":{},\"events\":{},\
              \"flows\":{{\"total\":{},\"delivered\":{}{}}},\"counters\":{{{}}},\
-             \"gauges\":{{{}}},\"hists\":{{{}}},\"critpath\":{},\"profile\":[{}],\
+             \"gauges\":{{}},\"hists\":{{{}}},\"critpath\":{},\"profile\":[{}],\
              \"resources\":[{}],\"ports\":[{}],\"windows\":{}}}}}",
             self.version,
             escape_json(&self.meta.scenario),
@@ -525,7 +522,6 @@ impl RunRecord {
             self.flows_delivered,
             untracked,
             counters.join(","),
-            gauges.join(","),
             hists.join(","),
             critpath,
             profile.join(","),
@@ -588,8 +584,8 @@ impl RunRecord {
             }
         }
         if let Some(Value::Obj(fields)) = root.get("gauges") {
-            for (k, v) in fields {
-                rec.gauges.insert(k.clone(), v.as_f64().ok_or("gauge must be a number")? as i64);
+            if let Some((k, _)) = fields.first() {
+                return Err(format!("gauges: the record keeps no gauges, found {k:?}"));
             }
         }
         if let Some(Value::Obj(fields)) = root.get("hists") {
@@ -793,7 +789,6 @@ mod tests {
             ..RunRecord::default()
         };
         rec.counters.insert("parcels.sent".into(), 40);
-        rec.gauges.insert("inflight.peak".into(), 7);
         rec.hists.insert("parcel.latency_ns".into(), h);
         let share = |c: &str, ns| ComponentShare { component: c.into(), on_path_ns: ns };
         let seg = |c: &str, start, end| PathSegment { component: c.into(), start, end };
@@ -884,6 +879,11 @@ mod tests {
         assert_ne!(bad, good);
         let err = RunRecord::from_json(&bad).unwrap_err();
         assert!(err.contains("\"parcels.sent\""), "{err}");
+        // A record carries an empty gauges object and no other.
+        assert!(good.contains("\"gauges\":{},"), "{good}");
+        let bad = good.replace("\"gauges\":{}", "\"gauges\":{\"inflight.peak\":7}");
+        let err = RunRecord::from_json(&bad).unwrap_err();
+        assert!(err.contains("gauges") && err.contains("\"inflight.peak\""), "{err}");
     }
 
     /// Capture moves every store into the record and leaves the collector

@@ -10,38 +10,43 @@
 //! The windowed series themselves live in [`Metrics`], which stores
 //! every counter, histogram and port sample in the window it fell in
 //! (sample instant / `window_ns`) and derives run totals from the
-//! windows. A [`Timeline`] stores no samples; it holds what is not
-//! storage:
+//! windows. A [`Timeline`] stores no samples. While the run is live it
+//! keeps only its configuration, the **horizon** (the high-water mark of
+//! every timed record it sees — flow marks, counter-track samples,
+//! profiler intervals, lock and resource accesses), the count of **late
+//! samples** (samples landing more than one window behind the horizon)
+//! and the **injected faults** as `(label, instant)` pairs.
 //!
-//! * the **time cursor** and window coverage;
+//! Everything else is a view computed once, at capture
+//! ([`Timeline::finalize`]), over the run's final stores — in a
+//! federated run, after every lane has been merged, so both engines give
+//! one answer:
+//!
 //! * **SLO monitors** ([`SloRule`]) — latency-objective burn-rate rules
-//!   evaluated per window over the metrics' windowed histograms as the
-//!   run advances, emitting deterministic [`SloAlert`] events (also
-//!   rendered as zero-duration spans on `slo/<rule>` tracks in the
-//!   Chrome export);
-//! * the **flight recorder** — a bounded ring of recent flow / probe /
-//!   fault records. The first SLO alert or injected fault *arms* it; a
-//!   short post-roll later (so the consequences — rerouted parcels, retry
-//!   traffic — are on tape too) the ring plus the tail of the causal
-//!   mark log is snapshotted into a self-contained Chrome-trace
-//!   [`FlightDump`];
+//!   evaluated once per window over the final windowed histograms,
+//!   yielding deterministic [`SloAlert`]s (also rendered as zero-duration
+//!   spans on `slo/<rule>` tracks in the Chrome export);
+//! * the **flight recorder** — the alerts and faults replayed in instant
+//!   order as dump triggers. A trigger opens a [`FlightDump`] covering a
+//!   short pre-roll before it and a post-roll after it, so the
+//!   consequences — rerouted parcels, retry traffic — are on tape too: the
+//!   flows delivered, the faults and alerts, and the causal marks that
+//!   start in that interval, each capped;
 //! * the **exports** of the windowed series: the JSON document, the
 //!   OpenMetrics text and the per-window counter tracks.
 //!
-//! Evaluation is **online**: the timeline keeps a monotone time cursor
-//! (the high-water mark of every timed record it sees — flow marks,
-//! counter-track samples, profiler intervals, probe events). A window is
-//! evaluated once the cursor has moved one full window past its end;
-//! samples that land in an already-evaluated window still count in their
-//! window and are tallied in `late_samples`. Everything here is pure
-//! observation: fed only from existing instrumentation points, it never
-//! schedules events or charges virtual time, so golden traces are
-//! unchanged.
+//! Everything here is pure observation: fed only from existing
+//! instrumentation points, it never schedules events or charges virtual
+//! time, so golden traces are unchanged.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
+use simcore::causal::MarkKind;
+use simcore::CausalLog;
+
 use crate::critpath::CritPath;
+use crate::flow::{stage, FlowRec};
 use crate::hist::Histogram;
 use crate::json::escape_json;
 use crate::metrics::{Metrics, Series};
@@ -53,32 +58,30 @@ pub const DEFAULT_WINDOW_NS: u64 = 100_000;
 /// Maximum flight-recorder dumps per run.
 pub const MAX_DUMPS: usize = 4;
 
-/// Causal marks copied from the tail of the provenance log into each
-/// flight-recorder dump.
+/// Records (flows, faults, alerts) kept in each flight-recorder dump: the
+/// newest of its interval.
+pub const DUMP_RECORDS: usize = 4096;
+
+/// Causal marks kept in each flight-recorder dump: the newest that start
+/// in its interval.
 pub const DUMP_MARKS: usize = 256;
 
-/// Timeline configuration: window width, SLO rules, recorder sizing.
+/// Timeline configuration: window width, SLO rules, dump post-roll.
 #[derive(Debug, Clone)]
 pub struct TimelineConfig {
     /// Window width in virtual ns (must be > 0).
     pub window_ns: u64,
     /// SLO burn-rate rules evaluated per window.
     pub slos: Vec<SloRule>,
-    /// Flight-recorder ring capacity (records retained).
-    pub recorder_cap: usize,
-    /// Windows of post-roll between a trigger and its dump, so the
-    /// consequences of the triggering event are on tape.
+    /// Windows of post-roll between a trigger and the end of its dump
+    /// (and of pre-roll before it), so the consequences of the
+    /// triggering event are on tape.
     pub post_roll_windows: u64,
 }
 
 impl Default for TimelineConfig {
     fn default() -> Self {
-        TimelineConfig {
-            window_ns: DEFAULT_WINDOW_NS,
-            slos: Vec::new(),
-            recorder_cap: 4096,
-            post_roll_windows: 8,
-        }
+        TimelineConfig { window_ns: DEFAULT_WINDOW_NS, slos: Vec::new(), post_roll_windows: 8 }
     }
 }
 
@@ -107,9 +110,19 @@ pub struct SloRule {
 }
 
 impl SloRule {
-    /// Per-window error budget fraction.
-    fn budget(&self) -> f64 {
-        (1.0 - self.target).max(1e-9)
+    /// `(bad, burn rate)` of one window's histogram; `None` when it holds
+    /// fewer than `min_samples` samples. Bad samples are counted through
+    /// the histogram's own buckets, strictly above the objective: quantile
+    /// inversion would lose the sub-bucket resolution, a direct scan keeps
+    /// it exact at bucket granularity.
+    fn burn(&self, h: &Histogram) -> Option<(u64, f64)> {
+        let total = h.count();
+        if total < self.min_samples.max(1) {
+            return None;
+        }
+        let bad = total - h.count_at_most(self.objective_ns);
+        let budget = (1.0 - self.target).max(1e-9);
+        Some((bad, (bad as f64 / total as f64) / budget))
     }
 }
 
@@ -130,12 +143,12 @@ pub struct SloAlert {
     pub total: u64,
 }
 
-/// One record on the flight-recorder ring.
-#[derive(Debug, Clone)]
+/// One record in a flight-recorder dump.
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlightRec {
     /// A delivered parcel flow.
     Flow {
-        /// Flow id.
+        /// Flow number: its 1-based position in the run's flow list.
         id: u64,
         /// Source locality.
         src: usize,
@@ -145,19 +158,6 @@ pub enum FlightRec {
         put_ns: u64,
         /// DELIVER instant, ns.
         deliver_ns: u64,
-    },
-    /// A contention-probe event (lock wait / resource queueing).
-    Probe {
-        /// Resource name.
-        name: &'static str,
-        /// Probe kind label (`lock` / `trylock` / `resource`).
-        kind: &'static str,
-        /// Event instant, ns.
-        t_ns: u64,
-        /// Wait portion, ns.
-        wait_ns: u64,
-        /// Service/hold portion, ns.
-        service_ns: u64,
     },
     /// An injected-fault event (link failure, retransmit, duplicate).
     Fault {
@@ -182,9 +182,7 @@ impl FlightRec {
     pub fn t_ns(&self) -> u64 {
         match self {
             FlightRec::Flow { deliver_ns, .. } => *deliver_ns,
-            FlightRec::Probe { t_ns, .. }
-            | FlightRec::Fault { t_ns, .. }
-            | FlightRec::Alert { t_ns, .. } => *t_ns,
+            FlightRec::Fault { t_ns, .. } | FlightRec::Alert { t_ns, .. } => *t_ns,
         }
     }
 }
@@ -192,26 +190,29 @@ impl FlightRec {
 /// One causal mark copied into a dump: `(label, kind, start_ns, end_ns)`.
 pub type DumpMark = (&'static str, &'static str, u64, u64);
 
-/// A flight-recorder snapshot: the ring at `trigger + post_roll`.
+/// A flight-recorder dump: what the run recorded over
+/// `[trigger − post-roll, taken_ns]`.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
-    /// Why the recorder was armed (`slo:<rule>` or `fault:<label>`).
+    /// What opened the dump (`slo:<rule>` or `fault:<label>`).
     pub reason: String,
     /// Trigger instant, ns.
     pub trigger_ns: u64,
     /// Window the trigger fell in.
     pub window: u64,
-    /// Snapshot instant, ns (trigger + post-roll, or run end).
+    /// End of the dump's interval, ns: trigger + post-roll, or the
+    /// horizon when the run ended first.
     pub taken_ns: u64,
-    /// Ring contents, oldest first.
+    /// The interval's newest [`DUMP_RECORDS`] records, oldest first.
     pub records: Vec<FlightRec>,
-    /// Tail of the causal mark log at snapshot time.
+    /// The newest [`DUMP_MARKS`] causal marks that start in the
+    /// interval, in emission order.
     pub marks: Vec<DumpMark>,
 }
 
 impl FlightDump {
     /// Render the dump as a self-contained Chrome-trace JSON document:
-    /// the trigger as a zero-duration span, flows/probes/marks as
+    /// the trigger as a zero-duration span, flows/faults/alerts/marks as
     /// complete spans on `flight.*` tracks — loadable standalone in
     /// Perfetto and valid under `trace_check`'s structural rules.
     pub fn to_chrome_json(&self) -> String {
@@ -228,13 +229,6 @@ impl FlightDump {
                     "flight.flows",
                     *put_ns,
                     deliver_ns.saturating_sub(*put_ns),
-                ),
-                FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns } => push(
-                    &mut out,
-                    &format!("{name} ({kind})"),
-                    "flight.probes",
-                    *t_ns,
-                    wait_ns + service_ns,
                 ),
                 FlightRec::Fault { label, t_ns } => {
                     push(&mut out, &format!("FAULT {label}"), "flight.faults", *t_ns, 0)
@@ -258,33 +252,22 @@ impl FlightDump {
     }
 }
 
-/// Pending dump state: armed, waiting for the post-roll to elapse.
-#[derive(Debug, Clone)]
-struct ArmedDump {
-    reason: String,
-    trigger_ns: u64,
-    window: u64,
-    dump_at_ns: u64,
-}
-
-/// The cursor, SLO monitors and flight recorder over the windowed
-/// [`Metrics`]. Owned by the active `Telemetry` collector when timelines
-/// are enabled; fed from the same instrumentation points as the metrics.
+/// The horizon, late-sample count and fault list a live run feeds, and
+/// the SLO alerts and flight dumps computed from them at capture. Owned
+/// by the active `Telemetry` collector when timelines are enabled; fed
+/// from the same instrumentation points as the metrics.
 #[derive(Debug)]
 pub struct Timeline {
     cfg: TimelineConfig,
     /// High-water mark of every timed record observed, ns.
-    cursor_ns: u64,
-    /// Next window index awaiting SLO evaluation.
-    eval_cursor: u64,
-    /// Samples that landed in an already-evaluated window.
+    horizon_ns: u64,
+    /// Samples that landed more than one window behind the horizon.
     late_samples: u64,
-    /// (rule index, window) pairs that already fired — late samples
-    /// re-evaluate their window, so each pair must alert at most once.
-    alerted: BTreeSet<(usize, u64)>,
+    /// Injected faults: `(label, instant)`, in arrival order.
+    faults: Vec<(&'static str, u64)>,
+    /// Filled by [`Timeline::finalize`].
     alerts: Vec<SloAlert>,
-    ring: VecDeque<FlightRec>,
-    armed: Option<ArmedDump>,
+    /// Filled by [`Timeline::finalize`].
     dumps: Vec<FlightDump>,
 }
 
@@ -294,13 +277,10 @@ impl Timeline {
         assert!(cfg.window_ns > 0, "window width must be positive");
         Timeline {
             cfg,
-            cursor_ns: 0,
-            eval_cursor: 0,
+            horizon_ns: 0,
             late_samples: 0,
-            alerted: BTreeSet::new(),
+            faults: Vec::new(),
             alerts: Vec::new(),
-            ring: VecDeque::new(),
-            armed: None,
             dumps: Vec::new(),
         }
     }
@@ -322,233 +302,148 @@ impl Timeline {
         t_ns / self.cfg.window_ns
     }
 
-    /// Current time cursor (high-water mark of observed instants), ns.
-    pub fn cursor_ns(&self) -> u64 {
-        self.cursor_ns
+    /// The horizon: the high-water mark of observed instants, ns.
+    pub fn horizon_ns(&self) -> u64 {
+        self.horizon_ns
     }
 
-    /// Number of windows covering `[0, cursor]`, empty windows included.
+    /// Number of windows covering `[0, horizon]`, empty windows included.
     pub fn num_windows(&self) -> u64 {
-        self.window_of(self.cursor_ns) + 1
+        self.window_of(self.horizon_ns) + 1
     }
 
-    /// Add an SLO rule mid-run (monitors are hot-pluggable; the rule only
-    /// sees windows evaluated after it was added).
+    /// Add an SLO rule mid-run (e.g. an objective derived from a baseline
+    /// phase of the same run). Rules are evaluated at capture, so the
+    /// rule sees every window of the run.
     pub fn add_rule(&mut self, rule: SloRule) {
         self.cfg.slos.push(rule);
     }
 
-    /// Advance the time cursor and evaluate any windows that closed over
-    /// `m`'s windowed histograms. A window is evaluated once the cursor
-    /// clears the *following* window (one window of slack for
-    /// out-of-order instrumentation).
-    pub fn observe(&mut self, t_ns: u64, m: &Metrics) {
-        if t_ns > self.cursor_ns {
-            self.cursor_ns = t_ns;
-            let settled = self.window_of(self.cursor_ns).saturating_sub(1);
-            while self.eval_cursor < settled {
-                let w = self.eval_cursor;
-                self.evaluate_window(w, m);
-                self.eval_cursor += 1;
-            }
-        }
+    /// Advance the horizon to `t_ns`.
+    pub fn observe(&mut self, t_ns: u64) {
+        self.horizon_ns = self.horizon_ns.max(t_ns);
     }
 
-    /// Account for one counter or histogram sample that `m` just stored
-    /// at instant `t_ns`, then advance the cursor to it. A sample landing
-    /// in an already-settled window is tallied as late. A late histogram
-    /// sample (deliveries are timed analytically, so interleaved flows
-    /// arrive out of order by more than the one-window slack under
-    /// congestion) re-evaluates its window's rules — an alert always
-    /// names the true breach window, however late its evidence arrived.
-    pub fn sampled(&mut self, t_ns: u64, hist: bool, m: &Metrics) {
-        let w = self.window_of(t_ns);
-        if w < self.eval_cursor {
+    /// Account for one counter or histogram sample stored at instant
+    /// `t_ns`, then advance the horizon to it. A sample landing more than
+    /// one window behind the horizon is tallied as late (deliveries are
+    /// timed analytically, so interleaved flows can arrive out of order).
+    pub fn sampled(&mut self, t_ns: u64) {
+        if self.window_of(t_ns) + 1 < self.window_of(self.horizon_ns) {
             self.late_samples += 1;
-            if hist {
-                self.evaluate_window(w, m);
-            }
         }
-        self.observe(t_ns, m);
+        self.observe(t_ns);
     }
 
-    /// Record a delivered flow on the ring (its latency sample goes
-    /// through [`Timeline::sampled`] first).
-    pub fn flow_delivered(
-        &mut self,
-        id: u64,
-        src: usize,
-        dst: usize,
-        put_ns: u64,
-        deliver_ns: u64,
-    ) {
-        self.push_rec(FlightRec::Flow { id, src, dst, put_ns, deliver_ns });
-    }
-
-    /// Record a contention-probe event on the ring. The caller then
-    /// observes the probe's *start* instant only: the wait/service span
-    /// extends into the future, and advancing the cursor past `t_ns`
-    /// would settle windows whose samples have not arrived yet.
-    pub fn probe_event(
-        &mut self,
-        name: &'static str,
-        kind: &'static str,
-        t_ns: u64,
-        wait_ns: u64,
-        service_ns: u64,
-    ) {
-        self.push_rec(FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns });
-    }
-
-    /// Record an injected fault at `t_ns` (pass the cursor when the fault
-    /// site has no virtual clock in hand) and arm the flight recorder.
-    pub fn fault_event(&mut self, label: &'static str, t_ns: u64, m: &Metrics) {
-        self.push_rec(FlightRec::Fault { label, t_ns });
-        self.observe(t_ns, m);
-        self.arm(format!("fault:{label}"), t_ns);
-    }
-
-    fn push_rec(&mut self, rec: FlightRec) {
-        self.ring.push_back(rec);
-        while self.ring.len() > self.cfg.recorder_cap {
-            self.ring.pop_front();
-        }
-    }
-
-    /// Evaluate the SLO rules over one closed window of `m`.
-    fn evaluate_window(&mut self, w: u64, m: &Metrics) {
-        if self.cfg.slos.is_empty() {
-            return;
-        }
-        let end_ns = (w + 1) * self.cfg.window_ns;
-        let mut fired: Vec<(usize, SloAlert)> = Vec::new();
-        for (i, rule) in self.cfg.slos.iter().enumerate() {
-            if self.alerted.contains(&(i, w)) {
-                continue;
-            }
-            let Some(h) = m.hist_window(&rule.hist, w) else {
-                continue;
-            };
-            let total = h.count();
-            if total < rule.min_samples.max(1) {
-                continue;
-            }
-            // Bad fraction via the histogram's own buckets: count samples
-            // strictly above the objective. Quantile inversion would lose
-            // the sub-bucket resolution; a direct scan keeps it exact at
-            // bucket granularity.
-            let bad = total - h.count_at_most(rule.objective_ns);
-            let burn = (bad as f64 / total as f64) / rule.budget();
-            if burn >= rule.burn_threshold {
-                fired.push((
-                    i,
-                    SloAlert { rule: rule.name.clone(), window: w, end_ns, burn, bad, total },
-                ));
-            }
-        }
-        for (i, a) in fired {
-            self.alerted.insert((i, w));
-            self.push_rec(FlightRec::Alert {
-                rule: a.rule.clone(),
-                window: a.window,
-                t_ns: a.end_ns,
-            });
-            self.arm(format!("slo:{}", a.rule), a.end_ns);
-            self.alerts.push(a);
-        }
-    }
-
-    /// Arm the recorder: first trigger wins until its dump is taken.
-    fn arm(&mut self, reason: String, t_ns: u64) {
-        if self.armed.is_none() && self.dumps.len() < MAX_DUMPS {
-            self.armed = Some(ArmedDump {
-                reason,
-                trigger_ns: t_ns,
-                window: self.window_of(t_ns),
-                dump_at_ns: t_ns + self.cfg.post_roll_windows * self.cfg.window_ns,
-            });
-        }
-    }
-
-    /// Whether an armed dump's post-roll has elapsed.
-    pub fn dump_due(&self) -> bool {
-        self.armed.as_ref().is_some_and(|a| self.cursor_ns >= a.dump_at_ns)
-    }
-
-    /// Snapshot the ring into a dump (the caller supplies the causal-mark
-    /// tail — the provenance log lives outside the timeline).
-    pub fn take_dump(&mut self, marks: Vec<DumpMark>) {
-        let Some(armed) = self.armed.take() else { return };
-        self.dumps.push(FlightDump {
-            reason: armed.reason,
-            trigger_ns: armed.trigger_ns,
-            window: armed.window,
-            taken_ns: self.cursor_ns,
-            records: self.ring.iter().cloned().collect(),
-            marks,
-        });
+    /// Record an injected fault at `t_ns` (pass the horizon when the
+    /// fault site has no virtual clock in hand): a dump trigger at
+    /// capture.
+    pub fn fault_event(&mut self, label: &'static str, t_ns: u64) {
+        self.faults.push((label, t_ns));
+        self.observe(t_ns);
     }
 
     /// Fold another lane's timeline into this one — the sharded-world
     /// merge (the windowed series merge in [`Metrics::merge`]). The
-    /// cursor takes the maximum, late samples add, per-lane alerts and
-    /// dumps concatenate (re-sorted by window at finalize; dumps capped),
-    /// and the flight-recorder rings interleave by instant. Windows no
-    /// lane evaluated yet are SLO-evaluated over the *merged* series at
-    /// finalize; windows a lane already settled keep that lane's alerts.
+    /// horizon takes the maximum, late samples add and the faults append;
+    /// alerts and dumps are computed once, over the merged stores, at
+    /// capture.
     pub fn absorb(&mut self, other: Timeline) {
-        self.cursor_ns = self.cursor_ns.max(other.cursor_ns);
-        self.eval_cursor = self.eval_cursor.max(other.eval_cursor);
+        self.horizon_ns = self.horizon_ns.max(other.horizon_ns);
         self.late_samples += other.late_samples;
-        self.alerted.extend(other.alerted);
-        self.alerts.extend(other.alerts);
-        for d in other.dumps {
-            if self.dumps.len() < MAX_DUMPS {
-                self.dumps.push(d);
+        self.faults.extend(other.faults);
+    }
+
+    /// Close out the run over its final stores: evaluate every rule on
+    /// every window of `m`, in (window, rule) order, then replay the dump
+    /// triggers and fill each dump from `flows`, the faults, the alerts
+    /// and `log`'s marks.
+    ///
+    /// Triggers replay in instant order — each alert at its window's end,
+    /// faults before alerts at equal instants. A trigger opens a dump
+    /// when none is open and fewer than [`MAX_DUMPS`] exist; the dump
+    /// ends at `min(trigger + post-roll, horizon)`, and a trigger at or
+    /// after that instant may open the next one.
+    pub fn finalize(&mut self, m: &Metrics, flows: &[FlowRec], log: Option<&CausalLog>) {
+        let w_ns = self.cfg.window_ns;
+        self.alerts.clear();
+        for w in 0..self.num_windows() {
+            for rule in &self.cfg.slos {
+                let Some(h) = m.hist_window(&rule.hist, w) else { continue };
+                let Some((bad, burn)) = rule.burn(h) else { continue };
+                if burn >= rule.burn_threshold {
+                    let (rule, total, end_ns) = (rule.name.clone(), h.count(), (w + 1) * w_ns);
+                    self.alerts.push(SloAlert { rule, window: w, end_ns, burn, bad, total });
+                }
             }
         }
-        if self.armed.is_none() {
-            self.armed = other.armed;
+
+        // `(instant, is_alert, reason prefix, name)`: faults sort first.
+        let faults = self.faults.iter().map(|&(label, t)| (t, false, "fault:", label));
+        let alerts = self.alerts.iter().map(|a| (a.end_ns, true, "slo:", a.rule.as_str()));
+        let mut triggers: Vec<_> = faults.chain(alerts).collect();
+        triggers.sort_by_key(|&(t, is_alert, ..)| (t, is_alert));
+        let post_roll = self.cfg.post_roll_windows * w_ns;
+        let mut dumps: Vec<FlightDump> = Vec::new();
+        for (trigger_ns, _, prefix, name) in triggers {
+            if dumps.len() == MAX_DUMPS {
+                break;
+            }
+            if dumps.last().is_some_and(|d| trigger_ns < d.taken_ns) {
+                continue;
+            }
+            let taken_ns = (trigger_ns + post_roll).min(self.horizon_ns);
+            let lo = trigger_ns.saturating_sub(post_roll);
+            dumps.push(FlightDump {
+                reason: format!("{prefix}{name}"),
+                trigger_ns,
+                window: self.window_of(trigger_ns),
+                taken_ns,
+                records: self.records_in(lo, taken_ns, flows),
+                marks: log.map_or_else(Vec::new, |log| marks_in(log, lo, taken_ns)),
+            });
         }
-        let mut ring: Vec<FlightRec> = self.ring.drain(..).chain(other.ring).collect();
-        ring.sort_by_key(|r| r.t_ns());
-        self.ring = ring.into();
-        while self.ring.len() > self.cfg.recorder_cap {
-            self.ring.pop_front();
-        }
+        self.dumps = dumps;
     }
 
-    /// Close out the run: evaluate every remaining window of `m`. An armed dump
-    /// whose post-roll never elapsed is taken by the caller (which holds
-    /// the causal log) via [`Timeline::dump_due`]/[`Timeline::take_dump`]
-    /// — `finalize` forces `dump_due` to report true.
-    pub fn finalize(&mut self, m: &Metrics) {
-        let last = self.window_of(self.cursor_ns);
-        while self.eval_cursor <= last {
-            let w = self.eval_cursor;
-            self.evaluate_window(w, m);
-            self.eval_cursor += 1;
-        }
-        // Late samples re-evaluate settled windows, so alerts can be
-        // pushed out of window order; reporting order is by window.
-        self.alerts.sort_by(|a, b| (a.window, &a.rule).cmp(&(b.window, &b.rule)));
-        if let Some(a) = &mut self.armed {
-            a.dump_at_ns = a.dump_at_ns.min(self.cursor_ns);
-        }
+    /// The newest [`DUMP_RECORDS`] flows delivered, faults and alerts in
+    /// `[lo, hi]`, oldest first.
+    fn records_in(&self, lo: u64, hi: u64, flows: &[FlowRec]) -> Vec<FlightRec> {
+        let within = |t: u64| lo <= t && t <= hi;
+        let delivered = flows.iter().enumerate().filter_map(|(i, f)| {
+            let deliver_ns = f.at(stage::DELIVER).filter(|&t| within(t))?;
+            let (src, dst) = (f.src as usize, f.dst as usize);
+            let put_ns = f.at(stage::PUT).unwrap_or(deliver_ns);
+            Some(FlightRec::Flow { id: i as u64 + 1, src, dst, put_ns, deliver_ns })
+        });
+        let faults = self.faults.iter().filter(|&&(_, t)| within(t));
+        let alerts = self.alerts.iter().filter(|a| within(a.end_ns));
+        let mut records: Vec<FlightRec> = delivered
+            .chain(faults.map(|&(label, t_ns)| FlightRec::Fault { label, t_ns }))
+            .chain(alerts.map(|a| FlightRec::Alert {
+                rule: a.rule.clone(),
+                window: a.window,
+                t_ns: a.end_ns,
+            }))
+            .collect();
+        records.sort_by_key(FlightRec::t_ns);
+        records.drain(..records.len().saturating_sub(DUMP_RECORDS));
+        records
     }
 
-    /// The deterministic alert list — evaluation order while the run is
-    /// live, window order once finalized.
+    /// The SLO alerts, in (window, rule) order; empty until
+    /// [`Timeline::finalize`].
     pub fn alerts(&self) -> &[SloAlert] {
         &self.alerts
     }
 
-    /// Flight-recorder dumps taken so far.
+    /// The flight-recorder dumps, in trigger order; empty until
+    /// [`Timeline::finalize`].
     pub fn dumps(&self) -> &[FlightDump] {
         &self.dumps
     }
 
-    /// Samples that landed in already-evaluated windows.
+    /// Samples that landed more than one window behind the horizon.
     pub fn late_samples(&self) -> u64 {
         self.late_samples
     }
@@ -582,12 +477,7 @@ impl Timeline {
         }
         for rule in &self.cfg.slos {
             let Some(ws) = m.hist_windows().get(&rule.hist) else { continue };
-            let series = per_window(&|w| {
-                ws.get(w).filter(|h| h.count() >= rule.min_samples.max(1)).map(|h| {
-                    let bad = h.count() - h.count_at_most(rule.objective_ns);
-                    (bad as f64 / h.count() as f64) / rule.budget()
-                })
-            });
+            let series = per_window(&|w| ws.get(w).and_then(|h| rule.burn(h)).map(|(_, b)| b));
             out.push((format!("slo.{}.burn", rule.name), series));
         }
         out
@@ -707,7 +597,7 @@ impl Timeline {
              \"totals\":{{\"counters\":{{{}}},\"hists\":{{{}}}}}{}\
              ,\"alerts\":[{}],\"dumps\":[{}]}}}}",
             escape_json(config),
-            self.cursor_ns,
+            self.horizon_ns,
             self.late_samples,
             windows.join(","),
             tot_counters.join(","),
@@ -812,7 +702,7 @@ pub struct WindowOccupancy {
 }
 
 /// Slice finalized core accounts into per-window state occupancy. Each
-/// account's segment timeline partitions `[0, cursor]` exactly, and this
+/// account's segment timeline partitions `[0, horizon]` exactly, and this
 /// slicing preserves that: summing a state over all windows reproduces
 /// the account's `state_ns` totals (asserted in the timeline tests).
 pub fn slice_occupancy<'a>(
@@ -870,28 +760,30 @@ pub fn critpath_slices(cp: &CritPath, window_ns: u64, nwin: u64) -> Vec<BTreeMap
     out
 }
 
+/// The newest [`DUMP_MARKS`] marks of `log` that start in `[lo, hi]`,
+/// in emission order.
+fn marks_in(log: &CausalLog, lo: u64, hi: u64) -> Vec<DumpMark> {
+    log.with_view(|view| {
+        let mut tail = VecDeque::with_capacity(DUMP_MARKS);
+        for m in view.marks().filter(|m| lo <= m.start && m.start <= hi) {
+            if tail.len() == DUMP_MARKS {
+                tail.pop_front();
+            }
+            let kind = match m.kind {
+                MarkKind::Wait => "wait",
+                MarkKind::Hold => "hold",
+                MarkKind::Work => "work",
+                MarkKind::Wire => "wire",
+            };
+            tail.push_back((m.label, kind, m.start, m.end));
+        }
+        tail.into()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_is_bounded() {
-        let m = Metrics::new();
-        let mut tl = Timeline::new(TimelineConfig {
-            window_ns: 100,
-            recorder_cap: 4,
-            ..TimelineConfig::default()
-        });
-        for i in 0..10u64 {
-            tl.flow_delivered(i, 0, 1, i * 10, i * 10 + 5);
-        }
-        tl.fault_event("x", 200, &m);
-        tl.finalize(&m);
-        tl.take_dump(Vec::new());
-        assert!(tl.dumps()[0].records.len() <= 4);
-        // Newest records survive.
-        assert!(tl.dumps()[0].records.iter().any(|r| r.t_ns() >= 95));
-    }
 
     #[test]
     fn occupancy_slicing_preserves_partition() {

@@ -1,7 +1,6 @@
 //! What a collector records for lock, try-lock and resource accesses:
 //! the causal marks, the contention rows, the core profile and the
-//! flight recorder's probe records, each checked against a list written
-//! out by hand. Covers an uncontended and a contended `SimLock`, an
+//! timeline's horizon, each checked against a list written out by hand. Covers an uncontended and a contended `SimLock`, an
 //! acquired and a failed `SimTryLock`, a queued, a transferred and a
 //! zero-wait `SimResource` access, a wait and a hold over 2^32 ns, which
 //! the causal log stores in its wide form, and an access made before the
@@ -11,7 +10,6 @@
 
 use simcore::causal::{self, CausalLog, MarkKind};
 use simcore::{SimLock, SimResource, SimTime, SimTryLock, TryAcquire};
-use telemetry::timeline::FlightRec;
 use telemetry::{CoreState, RunMeta, RunRecord, TimelineConfig};
 
 fn ns(t: u64) -> SimTime {
@@ -155,24 +153,21 @@ fn a_bare_causal_log_records_the_same_marks() {
     assert_eq!(marks_of(&log), expected_marks());
 }
 
-/// Under a timeline collector the flight recorder keeps one probe record
-/// per access that waited: the contended locks and the queued resource
-/// access, none for the try-locks or the resource accesses that only
-/// moved or did not wait. A try-lock takes no dump that fell due; the
-/// next resource access does.
+/// Under a timeline collector an access only advances the horizon, a
+/// try-lock's included; the run records the same marks. A flight dump
+/// shows the waits through its causal marks: the Wait marks that start
+/// in its interval, in emission order.
 #[test]
-fn a_timeline_records_the_accesses_that_waited() {
-    let cfg = TimelineConfig { window_ns: 100, post_roll_windows: 2, ..TimelineConfig::default() };
+fn a_timeline_sees_accesses_through_its_horizon_and_marks() {
+    let cfg = TimelineConfig { window_ns: 100, post_roll_windows: 3, ..TimelineConfig::default() };
     let tel = telemetry::enable_with(cfg);
     telemetry::profile_set_loc(0);
     run_accesses();
-    // Armed at 1 000 ns, due at 1 200 ns.
-    telemetry::fault_event_at("acc.fault", ns(1000));
+    telemetry::fault_event_at("acc.fault", ns(300));
+    assert_eq!(tel.with_timeline(|tl| tl.horizon_ns()), Some(1000), "the core tick's end");
     let mut try_lock = SimTryLock::new("acc.try");
     assert!(matches!(try_lock.try_acquire(0, ns(1300), 0), TryAcquire::Acquired { .. }));
-    assert_eq!(tel.with_timeline(|tl| tl.dumps().len()), Some(0), "a try-lock took the dump");
-    let mut res = SimResource::new("acc.res", 0);
-    assert_eq!(res.access(ns(1400), 0, 10), ns(1410));
+    assert_eq!(tel.with_timeline(|tl| tl.horizon_ns()), Some(1300), "the try-lock's instant");
     telemetry::disable();
     let rec = RunRecord::capture(&tel, RunMeta::default());
 
@@ -180,24 +175,18 @@ fn a_timeline_records_the_accesses_that_waited() {
     assert_eq!(marks_of(rec.data.as_ref().unwrap().causal.as_ref().unwrap()), expected_marks());
     let dumps = rec.timeline().unwrap().dumps();
     assert_eq!(dumps.len(), 1);
-    assert_eq!((dumps[0].reason.as_str(), dumps[0].taken_ns), ("fault:acc.fault", 1400));
-    // (name, kind, t, wait, service) of each probe record, oldest first.
-    let probes: Vec<_> = dumps[0]
-        .records
+    let d = &dumps[0];
+    assert_eq!((d.reason.as_str(), d.trigger_ns, d.taken_ns), ("fault:acc.fault", 300, 600));
+    // (label, start, end) of each Wait mark starting in [0, 600].
+    let waits: Vec<_> = d
+        .marks
         .iter()
-        .filter_map(|r| match *r {
-            FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns } => {
-                Some((name, kind, t_ns, wait_ns, service_ns))
-            }
-            _ => None,
-        })
+        .filter(|m| m.1 == "wait")
+        .map(|&(label, _, start, end)| (label, start, end))
         .collect();
     assert_eq!(
-        probes,
-        [
-            ("acc.lock", "lock", 120, 730, 50),
-            ("acc.res", "resource", 100, 20, 60),
-            ("acc.long", "lock", 200, LONG - 100, 10),
-        ]
+        waits,
+        [("acc.lock", 120, 850), ("acc.res", 100, 120), ("acc.long", 200, 100 + LONG)]
     );
+    assert_eq!(d.marks.len(), 10, "every mark but the two that start after 600");
 }

@@ -131,8 +131,8 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
     use hpx_lci_repro::telemetry::timeline::FlightRec;
     use hpx_lci_repro::telemetry::{self, SloRule, TimelineConfig};
 
-    // A long post-roll keeps the flight recorder armed across the whole
-    // degraded batch, so the dump carries the rerouted deliveries.
+    // A long post-roll stretches the fault's dump across the whole
+    // degraded batch, so it carries the rerouted deliveries.
     let tel = telemetry::enable_with(TimelineConfig {
         window_ns: 2_000,
         post_roll_windows: 128,
@@ -193,11 +193,11 @@ fn link_failure_is_visible_in_the_windowed_timeline() {
         min_samples: 1,
     });
 
-    // Kill the hot up-link; the fault event arms the flight recorder at
-    // the current cursor instant. Then keep killing whatever up-link the
+    // Kill the hot up-link; the fault event triggers a flight dump at the
+    // timeline's horizon. Then keep killing whatever up-link the
     // reroute picks until 0 -> 7 is forced onto the decoy's up-link —
     // the fat tree's path diversity would otherwise dodge the collision.
-    let fault_ns = tel.with_timeline(|tl| tl.cursor_ns()).expect("timeline enabled");
+    let fault_ns = tel.with_timeline(|tl| tl.horizon_ns()).expect("timeline enabled");
     assert!(world.fabric.borrow_mut().fail_link(victim.0, victim.1), "kill must take effect");
     let decoy_up = {
         let fab = world.fabric.borrow();

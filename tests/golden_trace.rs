@@ -223,12 +223,15 @@ fn fault_scenario_pins_alert_window_and_flight_dump() {
         "fault pins: end {} alerts {:?} dumps {:?}",
         d.world.now().as_nanos(),
         alerts.iter().map(|a| (a.rule.clone(), a.window, a.bad, a.total)).collect::<Vec<_>>(),
-        dumps.iter().map(|f| (f.reason.clone(), f.window, f.records.len())).collect::<Vec<_>>(),
+        dumps
+            .iter()
+            .map(|f| (f.reason.clone(), f.window, f.trigger_ns, f.records.len()))
+            .collect::<Vec<_>>(),
     );
-    // The retransmit fault fires before any SLO window settles, so the
-    // recorder arms on the fault; the dump and the alert land in pinned
+    // The first retransmit fault comes before any breached window ends,
+    // so it opens the first dump; the dump and the alert land in pinned
     // windows with a pinned record population.
-    let first_dump = dumps.first().expect("fault must arm the flight recorder");
+    let first_dump = dumps.first().expect("a fault must open a flight dump");
     assert_eq!(first_dump.reason, "fault:net.retransmit", "dump must name the fault");
     let first_alert = alerts.first().expect("late retransmitted parcels must breach the SLO");
     assert_eq!(first_alert.rule, "lat");
@@ -236,15 +239,21 @@ fn fault_scenario_pins_alert_window_and_flight_dump() {
     assert_eq!(first_alert.window, 6, "alert window moved");
     assert_eq!((first_alert.bad, first_alert.total), (7, 7), "alert population moved");
     assert_eq!(first_dump.window, 0, "dump trigger window moved");
-    assert_eq!(first_dump.records.len(), 402, "dump record population moved");
-    // The dump must carry the retransmitted parcels themselves: flow
-    // records delivered after the triggering fault instant.
+    assert_eq!(first_dump.trigger_ns, 4_046, "dump trigger instant moved");
+    assert_eq!(first_dump.records.len(), 52, "dump record population moved");
+    // The dump spans the whole run: every delivery is on it, and so are
+    // the retransmitted parcels, delivered after the triggering fault.
     use hpx_lci_repro::telemetry::timeline::FlightRec;
-    let late_flows = first_dump
+    let delivered: Vec<u64> = first_dump
         .records
         .iter()
-        .filter(|r| matches!(r, FlightRec::Flow { deliver_ns, .. } if *deliver_ns > first_dump.trigger_ns))
-        .count();
+        .filter_map(|r| match r {
+            FlightRec::Flow { deliver_ns, .. } => Some(*deliver_ns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(delivered.len(), 40, "the dump must hold every delivery");
+    let late_flows = delivered.iter().filter(|&&t| t > first_dump.trigger_ns).count();
     assert!(late_flows > 0, "dump must include parcels delivered after the fault");
 }
 

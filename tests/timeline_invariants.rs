@@ -62,8 +62,8 @@ fn assert_windows_partition(rec: &RunRecord, what: &str) {
     }
     // Coverage is gap-free by construction; sanity-check the horizon.
     let tl = rec.timeline().expect("timeline enabled");
-    let (nwin, window_ns, cursor) = (tl.num_windows(), tl.window_ns(), tl.cursor_ns());
-    assert!(nwin * window_ns > cursor, "{what}: windows do not cover the horizon");
+    let (nwin, window_ns, horizon) = (tl.num_windows(), tl.window_ns(), tl.horizon_ns());
+    assert!(nwin * window_ns > horizon, "{what}: windows do not cover the horizon");
 }
 
 #[test]
@@ -218,6 +218,32 @@ fn fig8_w16(
     (rec, alerts)
 }
 
+/// The federated world reports the single heap's SLO alerts (window,
+/// bad, total, burn) and flight-dump triggers (reason, window): both are
+/// computed once, at capture, over the lane-merged windows, which equal
+/// the single heap's.
+#[test]
+fn federated_runs_report_the_single_heap_alerts_and_triggers() {
+    use hpx_lci_repro::parcelport::Engine;
+    use hpx_lci_repro::simcore::RunMode;
+
+    type Alert = (u64, u64, u64, f64);
+    let view = |rec: &RunRecord| -> (Vec<Alert>, Vec<(String, u64)>) {
+        let tl = rec.timeline().expect("timeline attached");
+        let alerts = tl.alerts().iter().map(|a| (a.window, a.bad, a.total, a.burn)).collect();
+        let triggers = tl.dumps().iter().map(|d| (d.reason.clone(), d.window)).collect();
+        (alerts, triggers)
+    };
+    let (single, alerts) = fig8_w16("fig8_w16", "lci_psr_cq_pin_i", Engine::SingleHeap);
+    assert_eq!(alerts, 11, "fig8_w16: alert count moved");
+    let want = view(&single);
+    for (shards, mode) in [(1, RunMode::Sequential), (2, RunMode::Threaded)] {
+        let engine = Engine::Federated { shards, mode: Some(mode) };
+        let (rec, _) = fig8_w16("fig8_w16_fed", "lci_psr_cq_pin_i", engine);
+        assert_eq!(view(&rec), want, "fig8_w16_fed ({shards} shards, {mode:?})");
+    }
+}
+
 /// Every export of a timeline-attached run, pinned byte for byte: the
 /// windowed series, the SLO alerts they raise, the per-port windows, the
 /// Chrome counter tracks derived from them and the record's window
@@ -234,7 +260,7 @@ fn timeline_exports_are_pinned() {
     assert_eq!(
         export_digests(&rec),
         [
-            0xf2a7dff9c0e8d4f8,
+            0x9f4381fd5234c995,
             0x04028c782a50d590,
             0x7d13034aaca2d217,
             0x532cf97dd4951858,
@@ -261,7 +287,7 @@ fn timeline_exports_are_pinned() {
     assert_eq!(
         export_digests(&rec),
         [
-            0x9ea72628ddfbeca8,
+            0x13b057a598bc367a,
             0x51a0a384551d3de0,
             0x115282ff4e3ab0ea,
             0xf94df3cf8cf9f41a,
@@ -285,9 +311,9 @@ fn timeline_exports_are_pinned() {
         assert_eq!(
             export_digests(&rec),
             [
-                0x710229a6583a0de0,
-                0xb6a4e15279ec2348,
-                0x7329aee321e656c7,
+                0xe6af0406884749c6,
+                0x04028c782a50d590,
+                0x9d2a6dbd489ba277,
                 0x16b6b89456c79a33,
                 0xd3ceb651e90db9c8,
                 0xb10db2dffaa3a986,
